@@ -242,32 +242,46 @@ func FirstPass(data *itemset.Dataset, minCount int64) ([]Frequent, PassStats) {
 // lexicographically; the output is sorted lexicographically, which is what
 // makes candidate order — and therefore CD's reducible count vectors —
 // identical on every processor.
+//
+// The candidates are carved out of one backing array, so a call allocates a
+// fixed number of objects however many candidates it produces; each
+// candidate's capacity is clipped to its length, so appending to one never
+// touches its neighbour.
 func Gen(prev []itemset.Itemset) []itemset.Itemset {
 	if len(prev) == 0 {
 		return nil
 	}
-	k1 := len(prev[0])
-	inPrev := make(map[string]struct{}, len(prev))
-	for _, s := range prev {
-		inPrev[s.Key()] = struct{}{}
+	k := len(prev[0]) + 1
+	// prev is sorted, so sets sharing a (k-2)-prefix are adjacent, and a run
+	// of r of them joins into r(r-1)/2 candidates before pruning.
+	joins := 0
+	for i := 0; i < len(prev); {
+		j := i + 1
+		for j < len(prev) && samePrefix(prev[i], prev[j], k-2) {
+			j++
+		}
+		joins += (j - i) * (j - i - 1) / 2
+		i = j
 	}
-
-	var cands []itemset.Itemset
-	// Join: prev is sorted, so sets sharing a (k-2)-prefix are adjacent.
-	for i := 0; i < len(prev); i++ {
-		for j := i + 1; j < len(prev); j++ {
-			if !samePrefix(prev[i], prev[j], k1-1) {
-				break
-			}
+	flat := make([]itemset.Item, 0, joins*k)
+	for i := range prev {
+		for j := i + 1; j < len(prev) && samePrefix(prev[i], prev[j], k-2); j++ {
 			// prev[i] < prev[j] lexicographically with equal prefixes, so
 			// the joined set is prev[i] + last item of prev[j], in order.
-			cand := make(itemset.Itemset, 0, k1+1)
-			cand = append(cand, prev[i]...)
-			cand = append(cand, prev[j][k1-1])
-			if pruneOK(cand, inPrev) {
-				cands = append(cands, cand)
+			n := len(flat)
+			flat = append(append(flat, prev[i]...), prev[j][k-2])
+			if !pruneOK(flat[n:], prev) {
+				flat = flat[:n]
 			}
 		}
+	}
+	if len(flat) < cap(flat)/2 {
+		// Pruning removed most joins: do not pin the slack.
+		flat = append(make([]itemset.Item, 0, len(flat)), flat...)
+	}
+	cands := make([]itemset.Itemset, len(flat)/k)
+	for i := range cands {
+		cands[i] = flat[i*k : (i+1)*k : (i+1)*k]
 	}
 	return cands
 }
@@ -281,16 +295,35 @@ func samePrefix(a, b itemset.Itemset, n int) bool {
 	return true
 }
 
-// pruneOK reports whether every (k-1)-subset of cand is frequent.  The two
-// subsets obtained by dropping one of the last two items are the join
-// parents and need not be rechecked.
-func pruneOK(cand itemset.Itemset, inPrev map[string]struct{}) bool {
-	for i := 0; i < len(cand)-2; i++ {
-		if _, ok := inPrev[cand.Without(i).Key()]; !ok {
+// pruneOK reports whether every (k-1)-subset of cand is in the sorted prev.
+// The two subsets obtained by dropping one of the last two items are the
+// join parents and need not be rechecked.
+func pruneOK(cand itemset.Itemset, prev []itemset.Itemset) bool {
+	for skip := 0; skip < len(cand)-2; skip++ {
+		at := sort.Search(len(prev), func(i int) bool { return compareSkipping(prev[i], cand, skip) >= 0 })
+		if at == len(prev) || compareSkipping(prev[at], cand, skip) != 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// compareSkipping compares s lexicographically with cand minus its skip-th
+// item, without materializing that subset.
+func compareSkipping(s, cand itemset.Itemset, skip int) int {
+	for i, it := range s {
+		c := cand[i]
+		if i >= skip {
+			c = cand[i+1]
+		}
+		if it != c {
+			if it < c {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // CountCandidates builds the counting structure(s) for the size-k

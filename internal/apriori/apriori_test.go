@@ -2,6 +2,7 @@ package apriori
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"parapriori/internal/hashtree"
@@ -169,6 +170,91 @@ func TestGenOutputSorted(t *testing.T) {
 	}
 	if len(got) != 6 {
 		t.Errorf("C(4,2) = %d, want 6", len(got))
+	}
+}
+
+// TestGenMatchesMapReference compares Gen with the textbook formulation —
+// join every pair sharing a (k-2)-prefix, keep the join when each of its
+// (k-1)-subsets is in a set of prev's keys — on random downward-closed-ish
+// inputs, and checks the flat storage's one promise to callers: appending to
+// a candidate never reaches into the next one.
+func TestGenMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		k1 := 1 + rng.Intn(4)
+		seen := map[string]bool{}
+		var prev []itemset.Itemset
+		for i := 0; i < 10+rng.Intn(150); i++ {
+			s := make(itemset.Itemset, 0, k1)
+			for _, it := range rng.Perm(k1 + 7)[:k1] {
+				s = append(s, itemset.Item(it))
+			}
+			if s = itemset.New(s...); !seen[s.Key()] {
+				seen[s.Key()] = true
+				prev = append(prev, s)
+			}
+		}
+		sort.Slice(prev, func(i, j int) bool { return prev[i].Compare(prev[j]) < 0 })
+
+		var want []itemset.Itemset
+		for i := range prev {
+			for j := i + 1; j < len(prev) && samePrefix(prev[i], prev[j], k1-1); j++ {
+				cand := append(prev[i].Clone(), prev[j][k1-1])
+				ok := true
+				for drop := range cand {
+					ok = ok && seen[cand.Without(drop).Key()]
+				}
+				if ok {
+					want = append(want, cand)
+				}
+			}
+		}
+		got := Gen(prev)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: Gen produced %d candidates, reference %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("trial %d: Gen[%d] = %v, reference %v", trial, i, got[i], want[i])
+			}
+		}
+		if len(got) > 1 {
+			_ = append(got[0], 99)
+			if !got[1].Equal(want[1]) {
+				t.Fatalf("trial %d: appending to Gen[0] overwrote Gen[1]: %v", trial, got[1])
+			}
+		}
+	}
+}
+
+// TestGenAllocsIndependentOfM pins the flat candidate storage: generating
+// 125 K and 500 K pairs, or 117 K triples, costs the same few allocations.
+func TestGenAllocsIndependentOfM(t *testing.T) {
+	singles := func(n int) []itemset.Itemset {
+		out := make([]itemset.Itemset, n)
+		for i := range out {
+			out[i] = itemset.Itemset{itemset.Item(i)}
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		prev []itemset.Itemset
+		want int
+	}{
+		{"C2 of 500 items", singles(500), 500 * 499 / 2},
+		{"C2 of 1000 items", singles(1000), 1000 * 999 / 2},
+		{"C3 of all pairs of 90 items", Gen(singles(90)), 90 * 89 * 88 / 6},
+	}
+	for _, c := range cases {
+		var got []itemset.Itemset
+		allocs := testing.AllocsPerRun(3, func() { got = Gen(c.prev) })
+		if len(got) != c.want {
+			t.Fatalf("%s: %d candidates, want %d", c.name, len(got), c.want)
+		}
+		if allocs > 3 {
+			t.Errorf("%s: %v allocations for %d candidates, want at most 3", c.name, allocs, len(got))
+		}
 	}
 }
 

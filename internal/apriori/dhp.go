@@ -100,18 +100,14 @@ func (b *pairBuckets) filterC2(cands []itemset.Itemset, minCount int64) ([]items
 // the counted candidates, the trimmed working set and the pass statistics.
 func countAndTrim(working []itemset.Transaction, numItems, k int, cands []itemset.Itemset, p Params) ([]Frequent, []itemset.Transaction, PassStats, error) {
 	stats := PassStats{K: k, Candidates: len(cands), GenCandidates: len(cands), TreeParts: 1}
-	hcands := make([]*hashtree.Candidate, len(cands))
-	for i, s := range cands {
-		hcands[i] = &hashtree.Candidate{Items: s}
-	}
-	tree, err := hashtree.New(k, hcands, p.Tree)
+	tree, err := hashtree.New(k, cands, p.Tree)
 	if err != nil {
 		return nil, nil, stats, err
 	}
 	stats.TreeMemory = tree.MemoryBytes()
 
 	hits := make([]int64, numItems)
-	var matches []*hashtree.Candidate
+	var matches []int32
 	kept := working[:0]
 	for _, t := range working {
 		stats.BytesScanned += int64(t.Bytes())
@@ -121,8 +117,8 @@ func countAndTrim(working []itemset.Transaction, numItems, k int, cands []itemse
 			stats.TrimmedTxns++
 			continue
 		}
-		for _, c := range matches {
-			for _, it := range c.Items {
+		for _, ci := range matches {
+			for _, it := range cands[ci] {
 				hits[it]++
 			}
 		}
@@ -133,8 +129,8 @@ func countAndTrim(working []itemset.Transaction, numItems, k int, cands []itemse
 			}
 		}
 		stats.TrimmedItems += int64(len(t.Items) - len(trimmed))
-		for _, c := range matches {
-			for _, it := range c.Items {
+		for _, ci := range matches {
+			for _, it := range cands[ci] {
 				hits[it] = 0
 			}
 		}
@@ -146,9 +142,10 @@ func countAndTrim(working []itemset.Transaction, numItems, k int, cands []itemse
 	}
 	stats.Tree = tree.Stats()
 
-	out := make([]Frequent, len(hcands))
-	for i, c := range hcands {
-		out[i] = Frequent{Items: c.Items, Count: c.Count}
+	counts := tree.Counts()
+	out := make([]Frequent, len(cands))
+	for i, c := range cands {
+		out[i] = Frequent{Items: c, Count: counts[i]}
 	}
 	return out, kept, stats, nil
 }

@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"parapriori/internal/apriori"
@@ -543,6 +544,10 @@ type run struct {
 	// once in Mine (NewPass is goroutine-safe, the builder itself is
 	// read-only during the run).
 	engB countengine.Builder
+	// memos holds the candidate sets and partitions the ranks share (see
+	// passcache.go), guarded by memoMu.
+	memoMu sync.Mutex
+	memos  map[passKey]*passMemo
 }
 
 // engineBuilder returns the run's counting-engine builder, falling back to

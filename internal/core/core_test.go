@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"parapriori/internal/apriori"
@@ -34,6 +35,17 @@ func serialResult(tb testing.TB, d *itemset.Dataset, minsup float64) *apriori.Re
 		tb.Fatalf("serial mine: %v", err)
 	}
 	return res
+}
+
+// resultBytes serializes a result with the WriteResult codec, the form in
+// which two results are compared byte for byte.
+func resultBytes(tb testing.TB, res *apriori.Result) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := apriori.WriteResult(&buf, res); err != nil {
+		tb.Fatalf("serialize: %v", err)
+	}
+	return buf.Bytes()
 }
 
 // assertSameFrequent checks that a parallel report found exactly the serial

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"parapriori/internal/apriori"
 	"parapriori/internal/cluster"
 	"parapriori/internal/hashtree"
 	"parapriori/internal/itemset"
@@ -36,7 +35,7 @@ func (r *run) ddBody(p *cluster.Proc) error {
 		}
 		clockStart := p.Clock()
 
-		cands := apriori.Gen(itemsetsOf(prev))
+		cands := r.candidates(k, prev)
 		chargeGen(p, len(cands))
 		r.sec(p, "candidate gen", clockStart, obsv.Int("k", int64(k)))
 		if len(cands) == 0 {
@@ -52,11 +51,7 @@ func (r *run) ddBody(p *cluster.Proc) error {
 		candImbalance := partition.Imbalance(counts)
 
 		buildStart := p.Clock()
-		hcands := make([]*hashtree.Candidate, len(myCands))
-		for i, s := range myCands {
-			hcands[i] = &hashtree.Candidate{Items: s}
-		}
-		tree, err := hashtree.New(k, hcands, r.prm.Apriori.Tree)
+		tree, err := hashtree.New(k, myCands, r.prm.Apriori.Tree)
 		if err != nil {
 			return fmt.Errorf("pass %d: %w", k, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"parapriori/internal/hashtree"
 	"parapriori/internal/itemset"
 	"parapriori/internal/obsv"
-	"parapriori/internal/partition"
 )
 
 // gridBody is the SPMD program of the grid engine that realizes CD, IDD and
@@ -68,7 +67,7 @@ func (r *run) gridBody(p *cluster.Proc) error {
 		}
 		clockStart := p.Clock()
 
-		cands := apriori.Gen(itemsetsOf(prev))
+		cands := r.candidates(k, prev)
 		chargeGen(p, len(cands))
 		r.sec(p, "candidate gen", clockStart, obsv.Int("k", int64(k)))
 		if len(cands) == 0 {
@@ -83,7 +82,8 @@ func (r *run) gridBody(p *cluster.Proc) error {
 		// Partition candidates among the rows.  Every processor runs the
 		// same deterministic bin-packing, so no communication is needed to
 		// agree on the assignment (each processor "locally regenerates and
-		// stores" its share, as Section III-C describes).
+		// stores" its share, as Section III-C describes): all are charged
+		// for it, the host packs once (passcache.go).
 		var myCands []itemset.Itemset
 		var filter func(itemset.Item) bool
 		var candImbalance float64
@@ -91,7 +91,7 @@ func (r *run) gridBody(p *cluster.Proc) error {
 			myCands = cands
 		} else {
 			partStart := p.Clock()
-			asg := partition.BinPack(cands, g, r.prm.SplitThreshold)
+			asg := r.binPack(k, g, cands)
 			myCands = asg.PerProc[row]
 			candImbalance = asg.Imbalance()
 			chargeScan(p, int64(len(cands)), "partition")
@@ -160,6 +160,7 @@ func (r *run) gridBody(p *cluster.Proc) error {
 			}
 
 			countStart := p.Clock()
+			countArgs := []obsv.Attr{obsv.Int("k", int64(k)), obsv.Int("part", int64(part))}
 			if r.ooc() {
 				// Out of core, every block's real on-disk size is charged as
 				// it is read (inside the stream) instead of one modeled
@@ -170,6 +171,8 @@ func (r *run) gridBody(p *cluster.Proc) error {
 				}
 				bytesMoved += moved
 				read.add(rs)
+				// This part's own scan; read keeps the pass total.
+				countArgs = append(countArgs, obsv.Int("read_bytes", rs.bytes))
 			} else {
 				p.ReadIO(shardBytes, "io")
 				bytesMoved += ringCount(p, colComm, fmt.Sprintf("k%d.p%d/ring", k, part), pages, process)
@@ -180,10 +183,6 @@ func (r *run) gridBody(p *cluster.Proc) error {
 			countsBefore := eng.Stats()
 			counts := eng.Counts()
 			chargeEngineCount(p, countengine.Delta(countsBefore, eng.Stats()))
-			countArgs := []obsv.Attr{obsv.Int("k", int64(k)), obsv.Int("part", int64(part))}
-			if r.ooc() {
-				countArgs = append(countArgs, obsv.Int("read_bytes", read.bytes))
-			}
 			r.sec(p, "count", countStart, countArgs...)
 
 			redStart := p.Clock()

@@ -39,7 +39,7 @@ func (r *run) hpaBody(p *cluster.Proc) error {
 		}
 		clockStart := p.Clock()
 
-		cands := apriori.Gen(itemsetsOf(prev))
+		cands := r.candidates(k, prev)
 		chargeGen(p, len(cands))
 		r.sec(p, "candidate gen", clockStart, obsv.Int("k", int64(k)))
 		if len(cands) == 0 {

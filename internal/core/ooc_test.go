@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 
 	"parapriori/internal/apriori"
@@ -48,20 +49,11 @@ func TestOOCBitIdentical(t *testing.T) {
 	data, store := oocFixture(t)
 	const minsup = 0.02
 
-	serialize := func(res *apriori.Result) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := apriori.WriteResult(&buf, res); err != nil {
-			t.Fatalf("serialize: %v", err)
-		}
-		return buf.Bytes()
-	}
-
 	baseRes, err := apriori.Mine(data, apriori.Params{MinSupport: minsup})
 	if err != nil {
 		t.Fatalf("baseline mine: %v", err)
 	}
-	baseline := serialize(baseRes)
+	baseline := resultBytes(t, baseRes)
 	if baseRes.NumFrequent() == 0 {
 		t.Fatal("trivial workload, no frequent itemsets")
 	}
@@ -72,7 +64,7 @@ func TestOOCBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mine source: %v", err)
 			}
-			if !bytes.Equal(serialize(res), baseline) {
+			if !bytes.Equal(resultBytes(t, res), baseline) {
 				t.Error("streaming serial result differs from in-memory baseline")
 			}
 		})
@@ -93,10 +85,10 @@ func TestOOCBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ooc mine: %v", err)
 				}
-				if !bytes.Equal(serialize(ooc.Result), baseline) {
+				if !bytes.Equal(resultBytes(t, ooc.Result), baseline) {
 					t.Error("ooc result differs from serial baseline")
 				}
-				if !bytes.Equal(serialize(ooc.Result), serialize(inmem.Result)) {
+				if !bytes.Equal(resultBytes(t, ooc.Result), resultBytes(t, inmem.Result)) {
 					t.Error("ooc result differs from inmem result")
 				}
 				if algo == IDD {
@@ -241,6 +233,51 @@ func TestOOCReadStats(t *testing.T) {
 	}
 	if inmem.Read != (ReadStats{}) {
 		t.Errorf("in-memory run reported read stats: %+v", inmem.Read)
+	}
+
+	// Under a memory cap CD scans the store once per tree part.  Each
+	// part's count span reports that scan alone — the same bytes as every
+	// other part on the rank — and the spans of a pass add up to its total.
+	capped := cluster.T3E()
+	capped.MemoryBytes = 2048
+	rec := obsv.NewCollector(obsv.ClockVirtual)
+	multi, err := Mine(nil, Params{Algo: CD, P: 4, Machine: capped, Apriori: ap, Backend: BackendOOC, Store: store, Recorder: rec})
+	if err != nil {
+		t.Fatalf("capped ooc mine: %v", err)
+	}
+	type rankPass struct {
+		rank int
+		k    string
+	}
+	perPart := map[rankPass]string{}
+	perPass := map[string]int64{}
+	for _, sp := range rec.Trace().Spans {
+		if sp.Cat != obsv.CatSection || sp.Name != "count" {
+			continue
+		}
+		k, _ := sp.Arg("k")
+		rb, _ := sp.Arg("read_bytes")
+		if first, seen := perPart[rankPass{sp.Rank, k}]; !seen {
+			perPart[rankPass{sp.Rank, k}] = rb
+		} else if rb != first {
+			part, _ := sp.Arg("part")
+			t.Errorf("rank %d k=%s part %s: count span read_bytes %s, part 0 read %s", sp.Rank, k, part, rb, first)
+		}
+		n, err := strconv.ParseInt(rb, 10, 64)
+		if err != nil {
+			t.Fatalf("count span read_bytes %q: %v", rb, err)
+		}
+		perPass[k] += n
+	}
+	multiScan := false
+	for _, pass := range multi.Passes[1:] {
+		multiScan = multiScan || pass.TreeParts > 1
+		if got := perPass[strconv.Itoa(pass.K)]; got != pass.Read.Bytes {
+			t.Errorf("pass k=%d: count spans read %d bytes, pass total %d", pass.K, got, pass.Read.Bytes)
+		}
+	}
+	if !multiScan {
+		t.Error("memory cap did not force a multi-part pass")
 	}
 }
 

@@ -183,11 +183,7 @@ func TestHashtreeAdapterStatsRoundTrip(t *testing.T) {
 	data := testData(t)
 	levels := candLevels(t, data)
 	for k, cands := range levels {
-		hcands := make([]*hashtree.Candidate, len(cands))
-		for i, s := range cands {
-			hcands[i] = &hashtree.Candidate{Items: s}
-		}
-		tree, err := hashtree.New(k, hcands, hashtree.Config{})
+		tree, err := hashtree.New(k, cands, hashtree.Config{})
 		if err != nil {
 			t.Fatalf("hashtree.New: %v", err)
 		}

@@ -23,11 +23,7 @@ type hashtreeBuilder struct {
 func (b *hashtreeBuilder) Name() string { return "hashtree" }
 
 func (b *hashtreeBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) {
-	hcands := make([]*hashtree.Candidate, len(cands))
-	for i, s := range cands {
-		hcands[i] = &hashtree.Candidate{Items: s}
-	}
-	tree, err := hashtree.New(k, hcands, b.cfg.Tree)
+	tree, err := hashtree.New(k, cands, b.cfg.Tree)
 	if err != nil {
 		return nil, err
 	}

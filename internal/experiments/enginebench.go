@@ -108,8 +108,8 @@ type EngineCell struct {
 
 	// SerialAllocs is the heap allocations of one serial Mine over the
 	// dataset with this engine (minimum over runs, GC paused) — the
-	// real-memory counterpart of the virtual numbers, measured once per
-	// dataset at its first support point.
+	// real-memory counterpart of the virtual numbers, measured at this
+	// cell's own support point.
 	SerialAllocs int64 `json:"serial_allocs_per_run"`
 
 	// PassHist is the distribution of per-rank pass durations (virtual
@@ -175,14 +175,6 @@ func EngineBench(c Config) (*EngineBenchReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		allocs := make(map[string]int64)
-		for _, eng := range rep.Engines {
-			a, err := serialAllocs(data, w.Supports[0], eng)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: enginebench %s/%s allocs: %w", w.Name, eng, err)
-			}
-			allocs[eng] = a
-		}
 		for _, sup := range w.Supports {
 			baseline := ""
 			var cells []EngineCell
@@ -191,7 +183,9 @@ func EngineBench(c Config) (*EngineBenchReport, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: enginebench %s/%v/%s: %w", w.Name, sup, eng, err)
 				}
-				cell.SerialAllocs = allocs[eng]
+				if cell.SerialAllocs, err = serialAllocs(data, sup, eng); err != nil {
+					return nil, fmt.Errorf("experiments: enginebench %s/%v/%s allocs: %w", w.Name, sup, eng, err)
+				}
 				if eng == countengine.Default {
 					baseline = cell.ResultSHA
 				}

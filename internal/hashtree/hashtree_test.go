@@ -8,20 +8,20 @@ import (
 	"parapriori/internal/itemset"
 )
 
-func cands(sets ...[]itemset.Item) []*Candidate {
-	out := make([]*Candidate, len(sets))
+func cands(sets ...[]itemset.Item) []itemset.Itemset {
+	out := make([]itemset.Itemset, len(sets))
 	for i, s := range sets {
-		out[i] = &Candidate{Items: itemset.New(s...)}
+		out[i] = itemset.New(s...)
 	}
 	return out
 }
 
 // bruteCount returns the subset counts by direct containment testing.
-func bruteCount(k int, cs []*Candidate, txns []itemset.Itemset) []int64 {
+func bruteCount(k int, cs []itemset.Itemset, txns []itemset.Itemset) []int64 {
 	out := make([]int64, len(cs))
 	for i, c := range cs {
 		for _, t := range txns {
-			if t.ContainsAll(c.Items) {
+			if t.ContainsAll(c) {
 				out[i]++
 			}
 		}
@@ -51,9 +51,9 @@ func TestPaperExample(t *testing.T) {
 		itemset.New(3, 5, 6).Key(): 1,
 		itemset.New(1, 3, 6).Key(): 1,
 	}
-	for _, c := range cs {
-		if got := c.Count; got != want[c.Items.Key()] {
-			t.Errorf("candidate %v count = %d, want %d", c.Items, got, want[c.Items.Key()])
+	for i, got := range tree.Counts() {
+		if got != want[cs[i].Key()] {
+			t.Errorf("candidate %v count = %d, want %d", cs[i], got, want[cs[i].Key()])
 		}
 	}
 }
@@ -65,7 +65,7 @@ func TestMatchesBruteForce(t *testing.T) {
 		nItems := 10 + rng.Intn(40)
 		// Random candidate set.
 		seen := map[string]bool{}
-		var cs []*Candidate
+		var cs []itemset.Itemset
 		for len(cs) < 5+rng.Intn(60) {
 			items := make([]itemset.Item, k+2)
 			for i := range items {
@@ -80,7 +80,7 @@ func TestMatchesBruteForce(t *testing.T) {
 				continue
 			}
 			seen[s.Key()] = true
-			cs = append(cs, &Candidate{Items: s})
+			cs = append(cs, s)
 		}
 		var txns []itemset.Itemset
 		for i := 0; i < 50; i++ {
@@ -99,10 +99,10 @@ func TestMatchesBruteForce(t *testing.T) {
 			tree.Subset(txn, nil)
 		}
 		brute := bruteCount(k, cs, txns)
-		for i, c := range cs {
-			if c.Count != brute[i] {
+		for i, got := range tree.Counts() {
+			if got != brute[i] {
 				t.Fatalf("trial %d cfg %+v: candidate %v count = %d, brute = %d",
-					trial, cfg, c.Items, c.Count, brute[i])
+					trial, cfg, cs[i], got, brute[i])
 			}
 		}
 	}
@@ -122,8 +122,8 @@ func TestRootFilterRestrictsStartingItems(t *testing.T) {
 	tree = MustNew(2, cs, Config{Fanout: 4, MaxLeaf: 1})
 	filter := func(it itemset.Item) bool { return it == 2 }
 	tree.Subset(itemset.New(1, 2, 3, 5), filter)
-	if cs[0].Count != 1 || cs[1].Count != 1 {
-		t.Errorf("counts = %d, %d; want 1, 1", cs[0].Count, cs[1].Count)
+	if got := tree.Counts(); got[0] != 1 || got[1] != 1 {
+		t.Errorf("counts = %v; want 1, 1", got)
 	}
 	// A transaction without item 2 does no tree work at all.
 	before := tree.Stats().Traversals
@@ -137,7 +137,7 @@ func TestFilterPreservesCounts(t *testing.T) {
 	// Filtering by the candidates' own first items never changes counts.
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
-		var cs []*Candidate
+		var cs []itemset.Itemset
 		seen := map[string]bool{}
 		for len(cs) < 40 {
 			s := itemset.New(itemset.Item(rng.Intn(20)), itemset.Item(rng.Intn(20)), itemset.Item(rng.Intn(20)))
@@ -145,20 +145,16 @@ func TestFilterPreservesCounts(t *testing.T) {
 				continue
 			}
 			seen[s.Key()] = true
-			cs = append(cs, &Candidate{Items: s})
+			cs = append(cs, s)
 		}
 		firsts := map[itemset.Item]bool{}
 		for _, c := range cs {
-			firsts[c.Items[0]] = true
+			firsts[c[0]] = true
 		}
 		filter := func(it itemset.Item) bool { return firsts[it] }
 
 		a := MustNew(3, cs, Config{Fanout: 4, MaxLeaf: 2})
-		csB := make([]*Candidate, len(cs))
-		for i, c := range cs {
-			csB[i] = &Candidate{Items: c.Items}
-		}
-		b := MustNew(3, csB, Config{Fanout: 4, MaxLeaf: 2})
+		b := MustNew(3, cs, Config{Fanout: 4, MaxLeaf: 2})
 		for i := 0; i < 60; i++ {
 			items := make([]itemset.Item, 1+rng.Intn(10))
 			for j := range items {
@@ -168,9 +164,10 @@ func TestFilterPreservesCounts(t *testing.T) {
 			a.Subset(txn, nil)
 			b.Subset(txn, filter)
 		}
+		ca, cb := a.Counts(), b.Counts()
 		for i := range cs {
-			if cs[i].Count != csB[i].Count {
-				t.Fatalf("filter changed count of %v: %d vs %d", cs[i].Items, cs[i].Count, csB[i].Count)
+			if ca[i] != cb[i] {
+				t.Fatalf("filter changed count of %v: %d vs %d", cs[i], ca[i], cb[i])
 			}
 		}
 		if b.Stats().Traversals > a.Stats().Traversals {
@@ -183,18 +180,20 @@ func TestRejectsBadCandidates(t *testing.T) {
 	if _, err := New(3, cands([]itemset.Item{1, 2}), Config{}); err == nil {
 		t.Error("wrong-size candidate accepted")
 	}
-	bad := []*Candidate{{Items: itemset.Itemset{3, 2, 1}}}
-	if _, err := New(3, bad, Config{}); err == nil {
+	if _, err := New(3, []itemset.Itemset{{3, 2, 1}}, Config{}); err == nil {
 		t.Error("unsorted candidate accepted")
+	}
+	if _, err := New(2, []itemset.Itemset{{-1, 2}}, Config{}); err == nil {
+		t.Error("negative item accepted")
 	}
 }
 
 func TestLeafSplitting(t *testing.T) {
 	// 20 candidates of size 2 sharing no structure, MaxLeaf 2: the tree
 	// must split and leaves stay small where depth allows.
-	var cs []*Candidate
+	var cs []itemset.Itemset
 	for i := 0; i < 20; i++ {
-		cs = append(cs, &Candidate{Items: itemset.New(itemset.Item(i), itemset.Item(i+30))})
+		cs = append(cs, itemset.New(itemset.Item(i), itemset.Item(i+30)))
 	}
 	tree := MustNew(2, cs, Config{Fanout: 4, MaxLeaf: 2})
 	if tree.Leaves() <= 1 {
@@ -215,29 +214,23 @@ func TestDeepSplitTerminatesOnIdenticalHashPath(t *testing.T) {
 	tree := MustNew(2, cs, Config{Fanout: 4, MaxLeaf: 1}) // all items ≡ 0 mod 4
 	txn := itemset.New(0, 4, 8, 12)
 	tree.Subset(txn, nil)
-	for _, c := range cs {
-		if c.Count != 1 {
-			t.Errorf("candidate %v count = %d, want 1", c.Items, c.Count)
+	for i, got := range tree.Counts() {
+		if got != 1 {
+			t.Errorf("candidate %v count = %d, want 1", cs[i], got)
 		}
 	}
 }
 
 func TestCountsRoundTrip(t *testing.T) {
-	cs := cands([]itemset.Item{1, 2}, []itemset.Item{2, 3})
-	tree := MustNew(2, cs, Config{})
+	// Counts come back in the order New received the candidates, however
+	// the tree rearranged them: MaxLeaf 1 puts every candidate in its own
+	// leaf, and the hash order (3, 1, 2 mod 4) is not the given order.
+	cs := cands([]itemset.Item{3, 5}, []itemset.Item{1, 2}, []itemset.Item{2, 3})
+	tree := MustNew(2, cs, Config{Fanout: 4, MaxLeaf: 1})
 	tree.Subset(itemset.New(1, 2, 3), nil)
-	counts := tree.Counts()
-	if counts[0] != 1 || counts[1] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if err := tree.SetCounts([]int64{5, 7}); err != nil {
-		t.Fatal(err)
-	}
-	if cs[0].Count != 5 || cs[1].Count != 7 {
-		t.Errorf("SetCounts not applied: %d, %d", cs[0].Count, cs[1].Count)
-	}
-	if err := tree.SetCounts([]int64{1}); err == nil {
-		t.Error("SetCounts accepted wrong length")
+	tree.Subset(itemset.New(2, 3), nil)
+	if got := tree.Counts(); got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("counts = %v, want [0 1 2]", got)
 	}
 }
 
@@ -252,8 +245,8 @@ func TestLeafVisitMemoization(t *testing.T) {
 	if int64(visited) != stats.LeafVisits {
 		t.Errorf("visited %d != stats %d", visited, stats.LeafVisits)
 	}
-	if cs[0].Count != 1 || cs[1].Count != 1 {
-		t.Errorf("counts = %d, %d", cs[0].Count, cs[1].Count)
+	if got := tree.Counts(); got[0] != 1 || got[1] != 1 {
+		t.Errorf("counts = %v", got)
 	}
 }
 
@@ -294,15 +287,15 @@ func TestShortTransactionIsFree(t *testing.T) {
 	if v := tree.Subset(itemset.New(1, 2), nil); v != 0 {
 		t.Errorf("short transaction visited %d leaves", v)
 	}
-	if cs[0].Count != 0 {
-		t.Errorf("count = %d", cs[0].Count)
+	if got := tree.Counts()[0]; got != 0 {
+		t.Errorf("count = %d", got)
 	}
 }
 
 func TestMemoryEstimates(t *testing.T) {
-	var cs []*Candidate
+	var cs []itemset.Itemset
 	for i := 0; i < 500; i++ {
-		cs = append(cs, &Candidate{Items: itemset.New(itemset.Item(i), itemset.Item(i+600))})
+		cs = append(cs, itemset.New(itemset.Item(i), itemset.Item(i+600)))
 	}
 	tree := MustNew(2, cs, Config{})
 	if tree.MemoryBytes() <= 0 {
@@ -331,7 +324,7 @@ func TestQuickCountEquivalence(t *testing.T) {
 	f := func(in input) bool {
 		k := 2
 		seen := map[string]bool{}
-		var cs []*Candidate
+		var cs []itemset.Itemset
 		for _, s := range in.CandSeeds {
 			a, b := itemset.Item(s%13), itemset.Item((s/13)%13)
 			set := itemset.New(a, b)
@@ -339,7 +332,7 @@ func TestQuickCountEquivalence(t *testing.T) {
 				continue
 			}
 			seen[set.Key()] = true
-			cs = append(cs, &Candidate{Items: set})
+			cs = append(cs, set)
 		}
 		var txns []itemset.Itemset
 		for _, s := range in.TxnSeeds {
@@ -355,8 +348,8 @@ func TestQuickCountEquivalence(t *testing.T) {
 			tree.Subset(txn, nil)
 		}
 		brute := bruteCount(k, cs, txns)
-		for i := range cs {
-			if cs[i].Count != brute[i] {
+		for i, got := range tree.Counts() {
+			if got != brute[i] {
 				return false
 			}
 		}

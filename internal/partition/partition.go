@@ -137,8 +137,11 @@ func BinPack(cands []itemset.Itemset, p, splitThreshold int) *Assignment {
 		GroupsOf: make([][]Group, p),
 		Counts:   make([]int, p),
 	}
+	// Place the groups first, so each processor's slices can be allocated
+	// at their final size before any candidate is copied.
+	owner := make([]int, len(groups))
+	numGroups := make([]int, p)
 	for _, gi := range order {
-		g := groups[gi]
 		// Least-loaded processor; linear scan is fine for P <= a few hundred.
 		best := 0
 		for i := 1; i < p; i++ {
@@ -146,9 +149,20 @@ func BinPack(cands []itemset.Itemset, p, splitThreshold int) *Assignment {
 				best = i
 			}
 		}
+		owner[gi] = best
+		numGroups[best]++
+		asg.Counts[best] += groups[gi].Size()
+	}
+	for i := range asg.PerProc {
+		if numGroups[i] > 0 {
+			asg.PerProc[i] = make([]itemset.Itemset, 0, asg.Counts[i])
+			asg.GroupsOf[i] = make([]Group, 0, numGroups[i])
+		}
+	}
+	for _, gi := range order {
+		g, best := groups[gi], owner[gi]
 		asg.GroupsOf[best] = append(asg.GroupsOf[best], g)
 		asg.PerProc[best] = append(asg.PerProc[best], cands[g.Start:g.End]...)
-		asg.Counts[best] += g.Size()
 	}
 	return asg
 }

@@ -186,6 +186,39 @@ func TestBinPackRealCandidates(t *testing.T) {
 	}
 }
 
+// TestBinPackAllocsIndependentOfM pins the sized-before-copying assignment:
+// with the number of first-item groups held at 100, packing 100 K and 400 K
+// candidates costs the same number of allocations.
+func TestBinPackAllocsIndependentOfM(t *testing.T) {
+	build := func(perGroup int) []itemset.Itemset {
+		flat := make([]itemset.Item, 0, 2*100*perGroup)
+		out := make([]itemset.Itemset, 0, 100*perGroup)
+		for first := 0; first < 100; first++ {
+			for j := 0; j < perGroup; j++ {
+				flat = append(flat, itemset.Item(first), itemset.Item(100+j))
+				out = append(out, flat[len(flat)-2:])
+			}
+		}
+		return out
+	}
+	measure := func(cands []itemset.Itemset) float64 {
+		var asg *Assignment
+		allocs := testing.AllocsPerRun(3, func() { asg = BinPack(cands, 8, 0) })
+		total := 0
+		for _, part := range asg.PerProc {
+			total += len(part)
+		}
+		if total != len(cands) {
+			t.Fatalf("assignment holds %d of %d candidates", total, len(cands))
+		}
+		return allocs
+	}
+	small, large := measure(build(1000)), measure(build(4000))
+	if small != large || small > 48 {
+		t.Errorf("BinPack allocations: %v for 100 K candidates, %v for 400 K; want equal and at most 48", small, large)
+	}
+}
+
 func TestRoundRobin(t *testing.T) {
 	cands := sortedCands([]int{10})
 	parts := RoundRobin(cands, 3)

@@ -5,9 +5,10 @@
 # Default: full sweep, (re)writes the committed BENCH_mining.json.
 # -short:  first support point per dataset, written to BENCH_mining.short.json
 #          and gated against the committed BENCH_mining.json — schema check,
-#          bit-identity check, and a ≤20% regression gate on the default
-#          (hashtree) engine's virtual response time.  This is the CI mode:
-#          virtual time is deterministic, so any drift is a real code change.
+#          bit-identity check, and an exact-equality gate on every cell's
+#          deterministic fields (result SHA, virtual response, op counters).
+#          This is the CI mode: virtual time is deterministic, so any drift
+#          is a real code change.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,8 +61,11 @@ need(best >= 1.5, f"best non-default count speedup {best:.2f}x < 1.5x")
 print(f"bench_mining: {path} valid ({len(r['cells'])} cells, best count speedup {best:.2f}x)")
 EOF
 
-# Regression gate: a -short run must stay within 20% of the committed
-# baseline's hashtree response on every shared sweep point.
+# Regression gate: the virtual clock and the op counters are pure functions
+# of the code and the seed, so a -short run must reproduce the committed
+# cell's deterministic fields exactly, for every engine, on every shared
+# sweep point.  A change that means to move them regenerates
+# BENCH_mining.json in the same commit.
 if [[ $short -eq 1 ]]; then
   if [[ ! -f BENCH_mining.json ]]; then
     echo "bench_mining: no committed BENCH_mining.json to gate against" >&2
@@ -73,26 +77,26 @@ import json, sys
 base = json.load(open(sys.argv[1]))
 fresh = json.load(open(sys.argv[2]))
 
-def hashtree_cells(r):
-    return {(c["dataset"], c["support"]): c for c in r["cells"] if c["engine"] == "hashtree"}
+EXACT = ("result_sha256", "response_sec", "traversals", "leaf_checks", "inserts")
 
-bcells, fcells = hashtree_cells(base), hashtree_cells(fresh)
+def cells(r):
+    return {(c["dataset"], c["support"], c["engine"]): c for c in r["cells"]}
+
+bcells, fcells = cells(base), cells(fresh)
 shared = sorted(set(bcells) & set(fcells))
 if not shared:
-    sys.exit("bench_mining: no shared hashtree sweep points between baseline and fresh run")
+    sys.exit("bench_mining: no shared sweep points between baseline and fresh run")
 
 failed = False
 for key in shared:
-    b, f = bcells[key]["response_sec"], fcells[key]["response_sec"]
-    ratio = f / b
-    mark = "ok"
-    if ratio > 1.20:
-        mark = "REGRESSION"
-        failed = True
-    print(f"bench_mining: {key[0]} minsup={key[1]}: baseline {b:.6f}s fresh {f:.6f}s ({ratio:.3f}x) {mark}")
+    for field in EXACT:
+        b, f = bcells[key][field], fcells[key][field]
+        if b != f:
+            failed = True
+            print(f"bench_mining: {key[0]} minsup={key[1]} {key[2]}: {field} baseline {b!r} fresh {f!r} MOVED")
 if failed:
-    sys.exit("bench_mining: default-engine response regressed >20% vs committed BENCH_mining.json")
-print(f"bench_mining: regression gate passed on {len(shared)} sweep points")
+    sys.exit("bench_mining: deterministic fields differ from the committed BENCH_mining.json")
+print(f"bench_mining: exact gate passed on {len(shared)} cells ({', '.join(EXACT)})")
 EOF
 fi
 
