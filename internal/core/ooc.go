@@ -112,10 +112,11 @@ func (s *oocReadStats) add(o oocReadStats) {
 
 // blockStream walks a rank's owned partitions block by block, charging the
 // real on-disk bytes of every block against the rank's virtual I/O clock
-// and recording per-block read and decode spans.  With reuse enabled the
-// underlying readers recycle their buffers, so a block is only valid until
-// the next call — callers that hand blocks to other ranks (the ring)
-// disable reuse.
+// and recording per-block read and decode spans.  With reuse enabled a block
+// lives in buffers the store recycles from reader to reader, partition after
+// partition and pass after pass, so it is only valid until the next call to
+// next or close — callers that hand blocks to other ranks (the ring) disable
+// reuse.
 type blockStream struct {
 	r      *run
 	parts  []int

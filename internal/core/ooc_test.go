@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -313,5 +314,62 @@ func TestOOCValidation(t *testing.T) {
 	}
 	if _, err := ParseBackend("mmap"); err == nil {
 		t.Error("ParseBackend accepted an unknown backend")
+	}
+}
+
+// TestOOCPassAllocBudget pins what an out-of-core pass may allocate: its
+// counting structures, not its reads.  Reader state lives on the Store
+// handle, so past the passes that size it a CD x bitset pass allocates the
+// same whether the database sits in 4 partition files or 32; a reader that
+// starts cold per open (a file buffer, a payload buffer and two arenas, once
+// per partition per pass) blows the budget at 32.
+func TestOOCPassAllocBudget(t *testing.T) {
+	gp := datagen.Defaults()
+	gp.NumTransactions = 20000
+	gp.NumItems = 100
+	gp.NumPatterns = 60
+	gp.AvgTxnLen = 10
+	gp.AvgPatternLen = 4
+	gp.Seed = 21
+	data, err := datagen.Generate(gp)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	// allocated returns the bytes one fresh-handle CD x 4 bitset mine of dir
+	// allocates when stopped after maxPasses, and the passes it ran.
+	allocated := func(dir string, maxPasses int) (uint64, int) {
+		t.Helper()
+		store, err := txstore.Open(dir)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := Mine(nil, Params{
+			Algo: CD, P: 4,
+			Apriori: apriori.Params{MinSupport: 0.02, Engine: "bitset", MaxPasses: maxPasses},
+			Backend: BackendOOC, Store: store,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("ooc mine: %v", err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, len(rep.Passes)
+	}
+	const budget = 2 << 20 // bytes per pass; this workload's columns and candidates take about 0.8 MB
+	for _, parts := range []int{4, 32} {
+		dir := t.TempDir()
+		if _, err := txstore.Spill(dir, data, txstore.Options{Partitions: parts, BlockBytes: 8192}); err != nil {
+			t.Fatalf("spill: %v", err)
+		}
+		two, _ := allocated(dir, 2)
+		all, passes := allocated(dir, 0)
+		if passes < 4 {
+			t.Fatalf("only %d passes, nothing after pass 2 to measure", passes)
+		}
+		perPass := (all - two) / uint64(passes-2)
+		if all < two || perPass > budget {
+			t.Errorf("%d partitions: %d bytes allocated per pass after pass 2 (%d over %d passes, %d over 2), budget %d", parts, perPass, all, passes, two, budget)
+		}
 	}
 }

@@ -161,13 +161,26 @@ func (e *bitsetEngine) CountBlock(txns []itemset.Transaction, rootFilter func(it
 				continue
 			}
 			col := e.cols[di]
-			for len(col) <= w {
-				col = append(col, 0)
+			if w >= len(col) {
+				col = growColumn(col, w)
+				e.cols[di] = col
 			}
 			col[w] |= bit
-			e.cols[di] = col
 		}
 	}
+}
+
+// growColumn extends col with zero words to length w+1 — the same logical
+// length the per-item loop used to reach, so MemoryBytes and WordOps are
+// unchanged.  A column grows once per 64 transactions at most, so this stays
+// out of line and off the per-item path.
+//
+//go:noinline
+func growColumn(col []uint64, w int) []uint64 {
+	for len(col) <= w {
+		col = append(col, 0)
+	}
+	return col
 }
 
 // column returns the TID bitmap of an original item (nil when the item was

@@ -57,28 +57,50 @@ func AppendTransaction(dst []byte, t Transaction, prevID int64) ([]byte, error) 
 // reuse across calls).  It returns the transaction ID, the extended items
 // slice, the number of bytes consumed, or an error if the encoding is
 // malformed or an item falls outside [0, numItems).
+//
+// Sorted items over a vocabulary of hundreds make nearly every gap — and
+// every ID delta and item count — a one-byte varint, so each integer takes
+// that branch inline and only a continuation byte calls binary.Uvarint.  The
+// branch is written out three times because a helper holding the fallback
+// call is over the inliner's budget, and as a call it costs what it saves.
 func DecodeTransaction(buf []byte, prevID int64, numItems int, items []Item) (id int64, out []Item, n int, err error) {
-	idDelta, w := binary.Uvarint(buf)
-	if w <= 0 {
-		return 0, items, 0, fmt.Errorf("itemset: truncated transaction ID")
+	var idDelta, count uint64
+	if len(buf) > 0 && buf[0] < 0x80 {
+		idDelta, n = uint64(buf[0]), 1
+	} else {
+		var w int
+		if idDelta, w = binary.Uvarint(buf); w <= 0 {
+			return 0, items, 0, fmt.Errorf("itemset: truncated transaction ID")
+		}
+		n = w
 	}
-	n = w
 	id = prevID + int64(idDelta)
-	count, w := binary.Uvarint(buf[n:])
-	if w <= 0 {
-		return 0, items, 0, fmt.Errorf("itemset: transaction %d: truncated item count", id)
+	if n < len(buf) && buf[n] < 0x80 {
+		count = uint64(buf[n])
+		n++
+	} else {
+		var w int
+		if count, w = binary.Uvarint(buf[n:]); w <= 0 {
+			return 0, items, 0, fmt.Errorf("itemset: transaction %d: truncated item count", id)
+		}
+		n += w
 	}
-	n += w
 	if count > uint64(numItems) {
 		return 0, items, 0, fmt.Errorf("itemset: transaction %d: %d items exceeds vocabulary %d", id, count, numItems)
 	}
 	prev := Item(0)
 	for j := uint64(0); j < count; j++ {
-		delta, w := binary.Uvarint(buf[n:])
-		if w <= 0 {
-			return 0, items, 0, fmt.Errorf("itemset: transaction %d item %d: truncated", id, j)
+		var delta uint64
+		if n < len(buf) && buf[n] < 0x80 {
+			delta = uint64(buf[n])
+			n++
+		} else {
+			var w int
+			if delta, w = binary.Uvarint(buf[n:]); w <= 0 {
+				return 0, items, 0, fmt.Errorf("itemset: transaction %d item %d: truncated", id, j)
+			}
+			n += w
 		}
-		n += w
 		if j == 0 {
 			prev = Item(delta)
 		} else {

@@ -6,36 +6,55 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
 
 	"parapriori/internal/itemset"
 )
 
-// BlockReader streams one partition file block by block.  With reuse
-// enabled the returned transactions, their item slices and the decode
-// scratch are recycled between Next calls — the steady-state read path does
-// not allocate — so a block is only valid until the next call.  With reuse
-// disabled every block is freshly allocated and may outlive the reader
-// (the ring-shift path hands blocks to other processors).
+// BlockReader streams one partition file block by block.  It reads and
+// decodes through a readBufs borrowed from its Store at open and handed back
+// at Close, so the buffers outlive the reader: once a Store's buffers have
+// grown to fit its blocks, opening, draining and closing any number of
+// partitions, pass after pass, allocates nothing on the read path.
+//
+// With reuse enabled the returned transactions and their item slices live in
+// those buffers, so a block is only valid until the next Next or Close on
+// this reader — after Close the memory may already belong to another reader.
+// With reuse disabled only the file buffer and the payload buffer are
+// recycled; every decoded block is freshly allocated, sized exactly, and may
+// outlive the reader (the ring-shift path hands blocks to other processors).
 type BlockReader struct {
+	store *Store
+	bufs  *readBufs
 	path  string
 	file  *os.File
-	br    *bufio.Reader
 	num   int // numItems from the partition header
 	part  int
 	block int   // index of the block Next will read
 	off   int64 // absolute file offset of the next unread frame
+	size  int64 // partition file size the manifest promises
 	prev  int64
 	reuse bool
 
 	stats      ReaderStats
 	onCRCRetry func(block, attempt int) // test seam: called per survived checksum failure
+}
 
+// readBufs is the reader state worth keeping between opens: the file buffer,
+// the verified payload of the current block, and (reuse mode) the block
+// decoded from it.  A Store keeps a free list of them — see Store.takeBufs.
+type readBufs struct {
+	br      *bufio.Reader
 	payload []byte
 	txns    []itemset.Transaction
 	items   []itemset.Item
-	offs    []int32
 }
+
+// headroom is the capacity a recycled buffer gets when it must grow to hold
+// n elements: an eighth over, so a store's near-equal blocks settle on one
+// allocation instead of one per new maximum.
+func headroom(n int) int { return n + n/8 }
 
 // maxCRCRetries is how many times a failed block checksum is re-read from
 // disk before the reader gives up with a CorruptError.  A transient fault —
@@ -75,36 +94,10 @@ func (r *BlockReader) Stats() ReaderStats {
 	return st
 }
 
-// openPartition opens path and validates its header against the expected
-// partition index and vocabulary size.
-func openPartition(path string, index, numItems int, reuse bool) (*BlockReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("txstore: opening partition: %w", err)
-	}
-	r := &BlockReader{
-		path:  path,
-		file:  f,
-		br:    bufio.NewReaderSize(f, 1<<16),
-		part:  index,
-		reuse: reuse,
-	}
-	if err := r.readHeader(numItems); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if reuse {
-		r.payload = make([]byte, 0, DefaultBlockBytes)
-		r.txns = make([]itemset.Transaction, 0, 1024)
-		r.items = make([]itemset.Item, 0, 16*1024)
-		r.offs = make([]int32, 0, 1025)
-	}
-	return r, nil
-}
-
 func (r *BlockReader) readHeader(numItems int) error {
+	br := r.bufs.br
 	var magic [5]byte
-	if _, err := io.ReadFull(r.br, magic[:]); err != nil {
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return &TruncatedError{File: r.path, Block: -1}
 	}
 	if string(magic[:4]) != partMagic {
@@ -113,14 +106,14 @@ func (r *BlockReader) readHeader(numItems int) error {
 	if magic[4] != partVersion {
 		return &CorruptError{File: r.path, Block: -1, Reason: fmt.Sprintf("unsupported version %d", magic[4])}
 	}
-	idx, err := binary.ReadUvarint(r.br)
+	idx, err := binary.ReadUvarint(br)
 	if err != nil {
 		return &TruncatedError{File: r.path, Block: -1}
 	}
 	if int(idx) != r.part {
 		return &CorruptError{File: r.path, Block: -1, Reason: fmt.Sprintf("partition index %d, expected %d", idx, r.part)}
 	}
-	num, err := binary.ReadUvarint(r.br)
+	num, err := binary.ReadUvarint(br)
 	if err != nil {
 		return &TruncatedError{File: r.path, Block: -1}
 	}
@@ -143,6 +136,9 @@ func (r *BlockReader) readHeader(numItems int) error {
 // corruption between the disk and us heals on re-read and is counted in
 // Stats().CRCRetries; persistent damage yields the *CorruptError.
 func (r *BlockReader) Next() ([]itemset.Transaction, int, error) {
+	if r.store.poison != nil {
+		r.store.poison(r.bufs)
+	}
 	payload, ntxns, diskBytes, err := r.readFrame()
 	var survived int64
 	for attempt := 1; err != nil; attempt++ {
@@ -159,7 +155,7 @@ func (r *BlockReader) Next() ([]itemset.Transaction, int, error) {
 		if _, serr := r.file.Seek(r.off, io.SeekStart); serr != nil {
 			return nil, 0, &CorruptError{File: r.path, Block: r.block, Reason: ce.reason + "; reseek failed: " + serr.Error()}
 		}
-		r.br.Reset(r.file)
+		r.bufs.br.Reset(r.file)
 		survived++
 		payload, ntxns, diskBytes, err = r.readFrame()
 	}
@@ -184,63 +180,76 @@ type crcError struct{ reason string }
 
 func (e *crcError) Error() string { return e.reason }
 
-// readFrame reads and verifies one block frame into the reader's (possibly
-// recycled) payload buffer.  At clean end of file it returns all zero values
-// and a nil error (diskBytes == 0 marks it); a checksum mismatch returns a
-// *crcError so Next can seek back and retry.
+// readFrame reads and verifies one block frame into the recycled payload
+// buffer.  At clean end of file it returns all zero values and a nil error
+// (diskBytes == 0 marks it); a checksum mismatch returns a *crcError so Next
+// can seek back and retry.
 func (r *BlockReader) readFrame() ([]byte, int, int, error) {
-	ntxns, err := binary.ReadUvarint(r.br)
+	br := r.bufs.br
+	ntxns, err := binary.ReadUvarint(br)
 	if err != nil {
 		if err == io.EOF {
 			return nil, 0, 0, nil
 		}
 		return nil, 0, 0, &TruncatedError{File: r.path, Block: r.block}
 	}
-	payloadLen, err := binary.ReadUvarint(r.br)
+	payloadLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, 0, 0, &TruncatedError{File: r.path, Block: r.block}
 	}
 	if ntxns == 0 || ntxns > 1<<31 || payloadLen > 1<<31 || payloadLen < ntxns {
 		return nil, 0, 0, &CorruptError{File: r.path, Block: r.block, Reason: fmt.Sprintf("implausible frame (%d transactions, %d payload bytes)", ntxns, payloadLen)}
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r.br, crcBuf[:]); err != nil {
+	// The length is trusted for an allocation before the checksum can vouch
+	// for it, so hold it to what the manifest says the file has left.
+	frame := uvarintLen(ntxns) + uvarintLen(payloadLen) + 4
+	if left := r.size - r.off - int64(frame); left < 0 || payloadLen > uint64(left) {
+		return nil, 0, 0, &CorruptError{File: r.path, Block: r.block, Reason: fmt.Sprintf("frame of %d payload bytes outruns the %d-byte partition", payloadLen, r.size)}
+	}
+	crc, err := br.Peek(4) // in place: a local array handed to io.ReadFull escapes
+	if err != nil {
 		return nil, 0, 0, &TruncatedError{File: r.path, Block: r.block}
 	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
-	payload := r.payload
-	if cap(payload) < int(payloadLen) {
-		payload = make([]byte, payloadLen)
-	} else {
-		payload = payload[:payloadLen]
+	want := binary.LittleEndian.Uint32(crc)
+	br.Discard(4)
+	if cap(r.bufs.payload) < int(payloadLen) {
+		r.bufs.payload = make([]byte, headroom(int(payloadLen)))
 	}
-	if r.reuse {
-		r.payload = payload
-	}
-	if _, err := io.ReadFull(r.br, payload); err != nil {
+	payload := r.bufs.payload[:payloadLen]
+	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, 0, 0, &TruncatedError{File: r.path, Block: r.block}
 	}
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, 0, 0, &crcError{reason: fmt.Sprintf("checksum mismatch (got %08x, want %08x)", got, want)}
 	}
-	diskBytes := uvarintLen(ntxns) + uvarintLen(payloadLen) + 4 + int(payloadLen)
-	return payload, int(ntxns), diskBytes, nil
+	return payload, int(ntxns), frame + int(payloadLen), nil
 }
 
 // decodeBlock decodes a verified payload into transactions.  This is the
-// out-of-core read path's inner loop: with reuse enabled it fills the
-// reader's recycled transaction, item-arena and offset buffers and
-// allocates nothing per block in steady state.
+// out-of-core read path's inner loop.  A payload that decodes holds one
+// varint per item plus two per transaction (ID delta, item count), each at
+// least a byte, so it has at most len(payload)-2*ntxns items: with reuse
+// enabled the recycled arena is grown to that bound before the loop — once,
+// on a cold reader — and nothing allocates per block in steady state.
+// Without reuse the block escapes to a peer and is sized exactly, from the
+// payload's varint terminators.  Either way the arena never moves under a
+// payload that decodes.
 //
 //checkinv:hotpath
 func (r *BlockReader) decodeBlock(payload []byte, ntxns int) ([]itemset.Transaction, error) {
-	txns := r.txns[:0]
-	items := r.items[:0]
-	offs := r.offs[:0]
+	b := r.bufs
+	if r.reuse {
+		if cap(b.txns) < ntxns {
+			b.txns = make([]itemset.Transaction, 0, headroom(ntxns))
+		}
+		if bound := len(payload) - 2*ntxns; cap(b.items) < bound {
+			b.items = make([]itemset.Item, 0, headroom(bound))
+		}
+	}
+	txns, items := b.txns[:0], b.items[:0]
 	if !r.reuse {
 		txns = make([]itemset.Transaction, 0, ntxns)
-		items = make([]itemset.Item, 0, len(payload))
-		offs = make([]int32, 0, ntxns+1)
+		items = make([]itemset.Item, 0, max(varintCount(payload)-2*ntxns, 0))
 	}
 	off := 0
 	prev := r.prev
@@ -249,26 +258,29 @@ func (r *BlockReader) decodeBlock(payload []byte, ntxns int) ([]itemset.Transact
 		if err != nil {
 			return nil, r.corrupt(err)
 		}
-		offs = append(offs, int32(len(items)))
+		txns = append(txns, itemset.Transaction{ID: id, Items: itemset.Itemset(out[len(items):len(out):len(out)])})
 		items = out
 		off += n
 		prev = id
-		txns = append(txns, itemset.Transaction{ID: id})
 	}
 	if off != len(payload) {
 		return nil, r.trailing(len(payload) - off)
 	}
-	offs = append(offs, int32(len(items)))
-	for i := range txns {
-		txns[i].Items = itemset.Itemset(items[offs[i]:offs[i+1]:offs[i+1]])
-	}
 	r.prev = prev
-	if r.reuse {
-		r.txns = txns
-		r.items = items
-		r.offs = offs
-	}
 	return txns, nil
+}
+
+// varintCount counts the varints a well-formed payload holds: its bytes with
+// the high bit clear.
+func varintCount(payload []byte) int {
+	n := 0
+	for ; len(payload) >= 8; payload = payload[8:] {
+		n += bits.OnesCount64(^binary.LittleEndian.Uint64(payload) & 0x8080808080808080)
+	}
+	for _, b := range payload {
+		n += int(b>>7) ^ 1
+	}
+	return n
 }
 
 // corrupt wraps a payload decode failure (cold path, hoisted out of the
@@ -281,11 +293,17 @@ func (r *BlockReader) trailing(n int) error {
 	return &CorruptError{File: r.path, Block: r.block, Reason: fmt.Sprintf("%d trailing payload bytes", n)}
 }
 
-// Close releases the underlying file.
+// Close releases the underlying file and hands the reader's buffers back to
+// the store; in reuse mode the last block returned by Next dies with it.
 func (r *BlockReader) Close() error {
 	if r.file == nil {
 		return nil
 	}
+	if r.store.poison != nil {
+		r.store.poison(r.bufs)
+	}
+	r.store.putBufs(r.bufs)
+	r.bufs = nil
 	err := r.file.Close()
 	r.file = nil
 	return err

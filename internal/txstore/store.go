@@ -1,10 +1,12 @@
 package txstore
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"parapriori/internal/itemset"
 )
@@ -16,6 +18,41 @@ import (
 type Store struct {
 	dir string
 	man *Manifest
+
+	// free holds the buffers of closed readers for the next open to take, so
+	// read state lives as long as the handle: a handle ends up owning one
+	// set per reader it ever had open at once (one per rank in a mining
+	// run), however many partitions and passes they go on to read.
+	mu   sync.Mutex
+	free []*readBufs
+	// poison is a test seam, called on a reader's buffers before every Next
+	// and at Close: the poison test scribbles over them there, so a block
+	// retained past its validity cannot go unnoticed.
+	poison func(*readBufs)
+}
+
+// takeBufs returns a free readBufs (or a cold one) with its file buffer
+// reset onto f.
+func (s *Store) takeBufs(f *os.File) *readBufs {
+	s.mu.Lock()
+	var b *readBufs
+	if n := len(s.free); n > 0 {
+		b, s.free = s.free[n-1], s.free[:n-1]
+	}
+	s.mu.Unlock()
+	if b == nil {
+		return &readBufs{br: bufio.NewReaderSize(f, 1<<16)}
+	}
+	b.br.Reset(f)
+	return b
+}
+
+// putBufs returns a closed reader's buffers to the free list.
+func (s *Store) putBufs(b *readBufs) {
+	b.br.Reset(nil) // do not pin the closed file
+	s.mu.Lock()
+	s.free = append(s.free, b)
+	s.mu.Unlock()
 }
 
 // Open loads dir's manifest, verifies that every partition file exists with
@@ -57,16 +94,41 @@ func (s *Store) Info() itemset.SourceInfo {
 	}
 }
 
-// OpenPartition opens partition i for block-at-a-time reading.  With reuse
-// enabled the reader recycles its buffers between blocks; disable reuse
-// when blocks must outlive the next read (e.g. when they are handed to
-// another goroutine).
+// OpenPartition opens partition i for block-at-a-time reading, validating
+// its header against the manifest.  With reuse enabled a block lives in the
+// reader's recycled buffers and is valid only until the next Next or Close;
+// disable reuse when blocks must outlive that (e.g. when they are handed to
+// another goroutine).  Safe for concurrent use; Close the reader to hand its
+// buffers on to the next open.
 func (s *Store) OpenPartition(i int, reuse bool) (*BlockReader, error) {
 	if i < 0 || i >= len(s.man.Partitions) {
 		return nil, &ManifestError{Path: s.dir, Reason: fmt.Sprintf("no partition %d", i)}
 	}
 	p := s.man.Partitions[i]
-	return openPartition(filepath.Join(s.dir, p.File), i, s.man.NumItems, reuse)
+	path := filepath.Join(s.dir, p.File)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("txstore: opening partition: %w", err)
+	}
+	r := &BlockReader{
+		store: s,
+		bufs:  s.takeBufs(f),
+		path:  path,
+		file:  f,
+		part:  i,
+		size:  p.Bytes,
+		reuse: reuse,
+	}
+	if !reuse {
+		// Decoded blocks leave with the caller, so the arenas a reuse-mode
+		// reader left here would sit idle for the whole scan: let them go.
+		r.bufs.txns, r.bufs.items = nil, nil
+	}
+	if err := r.readHeader(s.man.NumItems); err != nil {
+		r.Close()
+		return nil, err
+	}
+	return r, nil
 }
 
 // Blocks implements itemset.Source, streaming every partition in manifest

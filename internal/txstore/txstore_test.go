@@ -1,11 +1,13 @@
 package txstore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -247,6 +249,54 @@ func TestCorruptChecksumTyped(t *testing.T) {
 	}
 }
 
+// TestCorruptLengthTyped damages the first frame's payload-length varint.  The
+// length sizes an allocation before the checksum can reject the frame, so a
+// length the partition cannot hold must come back as a typed error having
+// allocated next to nothing — not as a 2 GiB make (a fatal OOM under an
+// address-space cap).
+func TestCorruptLengthTyped(t *testing.T) {
+	dir, s := spillOne(t)
+	path := filepath.Join(dir, s.Manifest().Partitions[0].File)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	header := 5 + uvarintLen(0) + uvarintLen(uint64(s.Manifest().NumItems))
+	ntxns, w := binary.Uvarint(full[header:])
+	lenAt := header + w
+	_, lw := binary.Uvarint(full[lenAt:])
+	rest := full[lenAt+lw:]
+	frame := func(payloadLen uint64) []byte {
+		out := append([]byte(nil), full[:header]...)
+		out = binary.AppendUvarint(out, ntxns)
+		out = binary.AppendUvarint(out, payloadLen)
+		return append(out, rest...)
+	}
+	flipped := append([]byte(nil), full...)
+	flipped[lenAt+lw-1] ^= 0x40 // one bit: the length grows by 64<<(7*(lw-1))
+
+	for name, mut := range map[string][]byte{
+		"one flipped bit": flipped,
+		"2 GiB":           frame(1 << 31),
+		"whole file":      frame(uint64(len(full))),
+	} {
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatalf("%s: rewrite: %v", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := drain(s, 0)
+		runtime.ReadMemStats(&after)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: got %v, want *CorruptError", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: rejecting the frame allocated %d bytes", name, got)
+		}
+	}
+}
+
 func TestReaderStats(t *testing.T) {
 	dir, s := spillOne(t)
 	_ = dir
@@ -373,32 +423,116 @@ func TestOpenChecksManifest(t *testing.T) {
 	}
 }
 
+// TestReaderSteadyStateAllocs pins where the read path may allocate: on a
+// cold Store handle only.  Reader state outlives partitions and passes, so
+// after one full drain has sized the buffers a second drain — every
+// partition opened, read to the end and closed again — allocates nothing
+// while reading, and opening costs an os.File and a BlockReader, not
+// buffers.
 func TestReaderSteadyStateAllocs(t *testing.T) {
-	dir, s := spillOne(t)
-	_ = dir
-	r, err := s.OpenPartition(0, true)
+	d := testDataset(t, 2000)
+	dir := t.TempDir()
+	if _, err := Spill(dir, d, Options{Partitions: 6, BlockBytes: 1024}); err != nil {
+		t.Fatalf("spill: %v", err)
+	}
+	s, err := Open(dir)
 	if err != nil {
-		t.Fatalf("open partition: %v", err)
+		t.Fatalf("open: %v", err)
 	}
-	defer r.Close()
-	// Warm the reuse buffers on the first block, then the rest of the
-	// partition must decode without allocating.
-	if _, _, err := r.Next(); err != nil {
-		t.Fatalf("first block: %v", err)
+	nop := func([]itemset.Transaction) error { return nil }
+	if err := s.Blocks(nop); err != nil {
+		t.Fatalf("first drain: %v", err)
 	}
-	allocs := testing.AllocsPerRun(1, func() {
+
+	var reading, blocks uint64
+	var before, after runtime.MemStats
+	for i := 0; i < s.Partitions(); i++ {
+		r, err := s.OpenPartition(i, true)
+		if err != nil {
+			t.Fatalf("open partition %d: %v", i, err)
+		}
+		runtime.ReadMemStats(&before)
 		for {
 			_, _, err := r.Next()
 			if err == io.EOF {
-				return
+				break
 			}
 			if err != nil {
 				t.Fatalf("next: %v", err)
 			}
+			blocks++
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state decode allocated %.0f times per drain, want 0", allocs)
+		runtime.ReadMemStats(&after)
+		reading += after.Mallocs - before.Mallocs
+		if err := r.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	}
+	if blocks < 2*uint64(s.Partitions()) {
+		t.Fatalf("only %d blocks over %d partitions: nothing steady to measure", blocks, s.Partitions())
+	}
+	if reading > 0 {
+		t.Errorf("second drain allocated %d times while reading %d blocks, want 0", reading, blocks)
+	}
+
+	runtime.ReadMemStats(&before)
+	if err := s.Blocks(nop); err != nil {
+		t.Fatalf("third drain: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	// One cold reader is a 64 KB file buffer before it has read a byte.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(s.Partitions())*2048; got > limit {
+		t.Errorf("a warm drain of %d partitions allocated %d bytes, want at most %d (opens only)", s.Partitions(), got, limit)
+	}
+}
+
+// TestRingArenaSizedExactly pins the no-reuse path's arena arithmetic: a
+// block's item count is its payload's varint terminators less two per
+// transaction, one-byte and multi-byte varints alike.
+func TestRingArenaSizedExactly(t *testing.T) {
+	d := &itemset.Dataset{NumItems: 1 << 20}
+	for i := 0; i < 400; i++ {
+		d.Transactions = append(d.Transactions, itemset.Transaction{
+			ID:    int64(i) * 1000,
+			Items: itemset.New(itemset.Item(i%7), itemset.Item(200+i), itemset.Item(70000+i*300)),
+		})
+	}
+	dir := t.TempDir()
+	if _, err := Spill(dir, d, Options{Partitions: 1, BlockBytes: 1001}); err != nil {
+		t.Fatalf("spill: %v", err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	r, err := s.OpenPartition(0, false)
+	if err != nil {
+		t.Fatalf("open partition: %v", err)
+	}
+	defer r.Close()
+	for block := 0; ; block++ {
+		payload, ntxns, diskBytes, err := r.readFrame()
+		if err != nil {
+			t.Fatalf("block %d: %v", block, err)
+		}
+		if diskBytes == 0 {
+			if block < 2 {
+				t.Fatalf("only %d blocks", block)
+			}
+			return
+		}
+		txns, err := r.decodeBlock(payload, ntxns)
+		if err != nil {
+			t.Fatalf("block %d: %v", block, err)
+		}
+		items := 0
+		for _, tx := range txns {
+			items += len(tx.Items)
+		}
+		if got := varintCount(payload) - 2*ntxns; got != items {
+			t.Fatalf("block %d: arena sized for %d items, block holds %d", block, got, items)
+		}
+		r.off += int64(diskBytes)
 	}
 }
 
