@@ -137,9 +137,9 @@ func main() {
 		flight   = flag.String("flight", "", "write the flight recorder's ring of recent spans as Perfetto-loadable JSON to this file")
 		asJSON   = flag.Bool("json", false, "emit a JSON summary instead of text")
 		itemsets = flag.Bool("itemsets", false, "print the frequent itemsets")
-		engine   = flag.String("engine", "", "counting engine: "+strings.Join(parapriori.CountEngines(), ", ")+" (default hashtree; cd/idd/hd only)")
+		engine   = flag.String("engine", "", "counting engine: "+strings.Join(parapriori.CountEngines(), ", ")+" (default hashtree; every -algo but hpa)")
 		storeDir = flag.String("store", "", "mine a partitioned dataset directory (datagen -store) instead of a transaction file")
-		backend  = flag.String("backend", "", "execution backend: inmem (default) or ooc (out of core; requires -store, cd/idd/hd only)")
+		backend  = flag.String("backend", "", "execution backend: inmem (default) or ooc (out of core; requires -store; every -algo but hpa)")
 	)
 	flag.Parse()
 

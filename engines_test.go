@@ -2,6 +2,7 @@ package parapriori
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -93,13 +94,29 @@ func TestEngineRestrictions(t *testing.T) {
 	if _, err := Mine(data, MineOptions{MinSupport: 0.05, Engine: "trie", DHPBuckets: 64}); err == nil {
 		t.Error("DHP with non-default engine accepted")
 	}
+	// DD and DD+comm count through the engine seam like the grid
+	// formulations; HPA probes a table of whole itemsets and has no
+	// structure for an engine to replace.
+	serial, err := Mine(data, MineOptions{MinSupport: 0.05})
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
 	for _, algo := range []Algorithm{DD, DDComm, HPA} {
-		if _, err := MineParallel(data, ParallelOptions{
+		rep, err := MineParallel(data, ParallelOptions{
 			MineOptions: MineOptions{MinSupport: 0.05, Engine: "bitset"},
 			Algorithm:   algo,
 			Procs:       4,
-		}); err == nil {
-			t.Errorf("%s with non-default engine accepted", algo)
+		})
+		switch {
+		case algo == HPA:
+			var oe *OptionError
+			if !errors.As(err, &oe) || oe.Field != "Engine" {
+				t.Errorf("hpa with non-default engine: got %v, want an Engine OptionError", err)
+			}
+		case err != nil:
+			t.Errorf("%s with bitset engine: %v", algo, err)
+		case !reflect.DeepEqual(rep.Result.Levels, serial.Levels):
+			t.Errorf("%s with bitset engine differs from serial", algo)
 		}
 	}
 }

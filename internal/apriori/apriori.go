@@ -10,11 +10,9 @@
 package apriori
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
-	"parapriori/internal/countengine"
 	"parapriori/internal/hashtree"
 	"parapriori/internal/itemset"
 )
@@ -133,106 +131,17 @@ func (r *Result) SupportIndex() map[string]int64 {
 	return idx
 }
 
-// Mine runs the serial Apriori algorithm over the dataset.
+// Mine runs the serial Apriori algorithm over the dataset: MineSource over
+// the resident source a *Dataset is.
 func Mine(data *itemset.Dataset, p Params) (*Result, error) {
-	if p.DHPTrim && p.MemoryBytes > 0 {
-		return nil, fmt.Errorf("apriori: DHPTrim is incompatible with a memory cap (multi-scan counting)")
-	}
-	engB, err := countengine.New(p.Engine, countengine.Config{Tree: p.Tree, NumItems: data.NumItems})
-	if err != nil {
-		return nil, fmt.Errorf("apriori: %w", err)
-	}
-	if engB.Name() != countengine.Default && (p.DHPBuckets > 0 || p.DHPTrim) {
-		return nil, fmt.Errorf("apriori: DHP filtering requires the hashtree engine, not %q", engB.Name())
-	}
-	if prep, ok := engB.(countengine.DatasetPreparer); ok {
-		// Vertical backends index the whole dataset once instead of
-		// re-scanning it every pass.
-		prep.Prepare(data)
-	}
-	minCount := p.MinCount(data.Len())
-	res := &Result{N: data.Len(), MinCount: minCount}
-
-	var f1 []Frequent
-	var stats1 PassStats
-	var dhp *pairBuckets
-	if p.DHPBuckets > 0 {
-		f1, dhp, stats1 = FirstPassDHP(data, minCount, p.DHPBuckets)
-	} else {
-		f1, stats1 = FirstPass(data, minCount)
-	}
-	res.Levels = append(res.Levels, f1)
-	res.Passes = append(res.Passes, stats1)
-
-	// DHP trimming works on a private copy of the transactions so the
-	// caller's dataset is never modified.
-	var working []itemset.Transaction
-	if p.DHPTrim {
-		working = append([]itemset.Transaction(nil), data.Transactions...)
-	}
-
-	prev := frequentItemsets(f1)
-	for k := 2; len(prev) > 0; k++ {
-		if p.MaxPasses > 0 && k > p.MaxPasses {
-			break
-		}
-		cands := Gen(prev)
-		dhpPruned := 0
-		if k == 2 && dhp != nil {
-			cands, dhpPruned = dhp.filterC2(cands, minCount)
-		}
-		if len(cands) == 0 {
-			break
-		}
-		var level []Frequent
-		var stats PassStats
-		var err error
-		if p.DHPTrim {
-			level, working, stats, err = countAndTrim(working, data.NumItems, k, cands, p)
-		} else {
-			level, stats, err = countWithEngine(data, k, cands, p, engB)
-		}
-		stats.DHPPruned = dhpPruned
-		if err != nil {
-			return nil, fmt.Errorf("apriori: pass %d: %w", k, err)
-		}
-		frequent := Prune(level, minCount)
-		stats.K = k
-		stats.Frequent = len(frequent)
-		res.Levels = append(res.Levels, frequent)
-		res.Passes = append(res.Passes, stats)
-		if len(frequent) == 0 {
-			break
-		}
-		prev = frequentItemsets(frequent)
-	}
-	return res, nil
+	return MineSource(data, p)
 }
 
 // FirstPass computes F1, the frequent items, with a single array-counting
 // scan (no hash tree is needed for size-1 candidates).
 func FirstPass(data *itemset.Dataset, minCount int64) ([]Frequent, PassStats) {
-	counts := make([]int64, data.NumItems)
-	var bytes int64
-	for _, t := range data.Transactions {
-		bytes += int64(t.Bytes())
-		for _, it := range t.Items {
-			counts[it]++
-		}
-	}
-	var f1 []Frequent
-	for it, c := range counts {
-		if c >= minCount {
-			f1 = append(f1, Frequent{Items: itemset.Itemset{itemset.Item(it)}, Count: c})
-		}
-	}
-	return f1, PassStats{
-		K:            1,
-		Candidates:   data.NumItems,
-		Frequent:     len(f1),
-		TreeParts:    1,
-		BytesScanned: bytes,
-	}
+	f1, stats, _ := FirstPassSource(data, minCount) // a resident scan cannot fail
+	return f1, stats
 }
 
 // Gen is apriori_gen: it extends the frequent (k-1)-itemsets prev into the
@@ -324,54 +233,6 @@ func compareSkipping(s, cand itemset.Itemset, skip int) int {
 		}
 	}
 	return 0
-}
-
-// CountCandidates builds the counting structure(s) for the size-k
-// candidates with the engine p.Engine selects (the hash tree by default)
-// and scans the transactions to compute their supports.  It returns every
-// candidate with its count (unpruned), plus the pass statistics.  When
-// p.MemoryBytes caps the structure below what the candidates need, the
-// candidate set is partitioned and the dataset is scanned once per
-// partition, exactly the multi-scan CD regime of Figure 12.
-func CountCandidates(data *itemset.Dataset, k int, cands []itemset.Itemset, p Params) ([]Frequent, PassStats, error) {
-	engB, err := countengine.New(p.Engine, countengine.Config{Tree: p.Tree, NumItems: data.NumItems})
-	if err != nil {
-		return nil, PassStats{K: k, Candidates: len(cands), GenCandidates: len(cands)}, err
-	}
-	return countWithEngine(data, k, cands, p, engB)
-}
-
-// countWithEngine is CountCandidates over an already-built engine builder,
-// so Mine constructs (and, for vertical backends, prepares) the builder
-// once for the whole run.
-func countWithEngine(data *itemset.Dataset, k int, cands []itemset.Itemset, p Params, engB countengine.Builder) ([]Frequent, PassStats, error) {
-	stats := PassStats{K: k, Candidates: len(cands), GenCandidates: len(cands)}
-	parts := TreeParts(len(cands), k, p)
-	stats.TreeParts = parts
-
-	out := make([]Frequent, len(cands))
-	dbBytes := int64(data.Bytes())
-	for part := 0; part < parts; part++ {
-		lo, hi := part*len(cands)/parts, (part+1)*len(cands)/parts
-		if lo == hi {
-			continue
-		}
-		eng, err := engB.NewPass(k, cands[lo:hi])
-		if err != nil {
-			return nil, stats, err
-		}
-		if m := eng.MemoryBytes(); m > stats.TreeMemory {
-			stats.TreeMemory = m
-		}
-		eng.CountBlock(data.Transactions, nil)
-		counts := eng.Counts()
-		stats.BytesScanned += dbBytes
-		stats.Tree.Add(eng.Stats().TreeStats())
-		for i := lo; i < hi; i++ {
-			out[i] = Frequent{Items: cands[i], Count: counts[i-lo]}
-		}
-	}
-	return out, stats, nil
 }
 
 // TreeParts returns how many hash-tree partitions the size-k candidate set

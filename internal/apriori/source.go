@@ -7,23 +7,25 @@ import (
 	"parapriori/internal/itemset"
 )
 
-// MineSource runs the serial Apriori algorithm over a streaming transaction
-// source.  An in-memory *Dataset takes the Mine fast path unchanged; any
-// other source (a partitioned store, a file) is scanned block by block —
-// once per pass, or once per hash-tree partition under a memory cap — so
-// the resident set is the counting structure plus one block, never the
-// database.  Counts are accumulated in candidate order exactly as Mine
-// accumulates them, so the results are identical for identical transaction
-// multisets.
+// MineSource runs the serial Apriori algorithm over a transaction source —
+// the one serial pass loop.  The source is scanned block by block, once per
+// pass, or once per hash-tree partition under a memory cap, so for a
+// streaming source (a partitioned store, a file) the resident set is the
+// counting structure plus one block, never the database.  Counts are
+// accumulated in candidate order whatever the block boundaries, so the
+// results are identical for identical transaction multisets.
 //
-// The DHP knobs are rejected: the pair filter and trimming both assume a
-// resident working copy of the transactions, which is the very thing a
-// streaming source exists to avoid.
+// What needs the transactions resident is keyed on the source being a
+// *Dataset: vertical engines index it once up front instead of re-scanning
+// it every pass, and the DHP knobs — the pair filter and trimming both work
+// on a resident working copy, the very thing a streaming source exists to
+// avoid — are rejected on anything else.
 func MineSource(src itemset.Source, p Params) (*Result, error) {
-	if d, ok := src.(*itemset.Dataset); ok {
-		return Mine(d, p)
+	data, resident := src.(*itemset.Dataset)
+	if p.DHPTrim && p.MemoryBytes > 0 {
+		return nil, fmt.Errorf("apriori: DHPTrim is incompatible with a memory cap (multi-scan counting)")
 	}
-	if p.DHPBuckets > 0 || p.DHPTrim {
+	if !resident && (p.DHPBuckets > 0 || p.DHPTrim) {
 		return nil, fmt.Errorf("apriori: DHP filtering requires an in-memory dataset, not a streaming source")
 	}
 	info := src.Info()
@@ -31,15 +33,32 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("apriori: %w", err)
 	}
+	if engB.Name() != countengine.Default && (p.DHPBuckets > 0 || p.DHPTrim) {
+		return nil, fmt.Errorf("apriori: DHP filtering requires the hashtree engine, not %q", engB.Name())
+	}
+	if prep, ok := engB.(countengine.DatasetPreparer); ok && resident {
+		prep.Prepare(data)
+	}
 	minCount := p.MinCount(info.NumTxns)
 	res := &Result{N: info.NumTxns, MinCount: minCount}
 
-	f1, stats1, err := FirstPassSource(src, minCount)
-	if err != nil {
+	var f1 []Frequent
+	var stats1 PassStats
+	var dhp *pairBuckets
+	if p.DHPBuckets > 0 {
+		f1, dhp, stats1 = FirstPassDHP(data, minCount, p.DHPBuckets)
+	} else if f1, stats1, err = FirstPassSource(src, minCount); err != nil {
 		return nil, fmt.Errorf("apriori: pass 1: %w", err)
 	}
 	res.Levels = append(res.Levels, f1)
 	res.Passes = append(res.Passes, stats1)
+
+	// DHP trimming works on a private copy of the transactions so the
+	// caller's dataset is never modified.
+	var working []itemset.Transaction
+	if p.DHPTrim {
+		working = append([]itemset.Transaction(nil), data.Transactions...)
+	}
 
 	prev := frequentItemsets(f1)
 	for k := 2; len(prev) > 0; k++ {
@@ -47,16 +66,27 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 			break
 		}
 		cands := Gen(prev)
+		dhpPruned := 0
+		if k == 2 && dhp != nil {
+			cands, dhpPruned = dhp.filterC2(cands, minCount)
+		}
 		if len(cands) == 0 {
 			break
 		}
-		level, stats, err := countSource(src, info, k, cands, p, engB)
+		var level []Frequent
+		var stats PassStats
+		if p.DHPTrim {
+			level, working, stats, err = countAndTrim(working, info.NumItems, k, cands, p)
+		} else {
+			level, stats, err = countSource(src, info, k, cands, p, engB)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("apriori: pass %d: %w", k, err)
 		}
 		frequent := Prune(level, minCount)
 		stats.K = k
 		stats.Frequent = len(frequent)
+		stats.DHPPruned = dhpPruned
 		res.Levels = append(res.Levels, frequent)
 		res.Passes = append(res.Passes, stats)
 		if len(frequent) == 0 {
@@ -99,9 +129,13 @@ func FirstPassSource(src itemset.Source, minCount int64) ([]Frequent, PassStats,
 	}, nil
 }
 
-// countSource is countWithEngine over a streaming source: the same
-// candidate partitioning, with each partition's counting structure fed by a
-// fresh scan of the source.
+// countSource builds the counting structure(s) for the size-k candidates
+// with the run's engine builder and scans the source to compute their
+// supports.  It returns every candidate with its count (unpruned), plus the
+// pass statistics.  When p.MemoryBytes caps the structure below what the
+// candidates need, the candidate set is partitioned and each partition's
+// structure is fed by a fresh scan of the source — exactly the multi-scan CD
+// regime of Figure 12.
 func countSource(src itemset.Source, info itemset.SourceInfo, k int, cands []itemset.Itemset, p Params, engB countengine.Builder) ([]Frequent, PassStats, error) {
 	stats := PassStats{K: k, Candidates: len(cands), GenCandidates: len(cands)}
 	parts := TreeParts(len(cands), k, p)

@@ -3,7 +3,6 @@ package core
 import (
 	"parapriori/internal/cluster"
 	"parapriori/internal/countengine"
-	"parapriori/internal/hashtree"
 )
 
 // The mining code performs the real work (hash-tree construction, subset
@@ -12,13 +11,6 @@ import (
 // honest: the time charged for a pass is a linear function of exactly the
 // operations the paper's Section IV analysis counts, with no modeling of
 // work that did not happen.
-
-// chargeSubset converts a hash-tree counting delta into compute time:
-// traversal steps at t_travers plus leaf candidate checks at t_check.
-func chargeSubset(p *cluster.Proc, delta hashtree.Stats) {
-	m := p.Machine()
-	p.Compute(float64(delta.Traversals)*m.TTravers+float64(delta.LeafChecks)*m.TCheck, "subset")
-}
 
 // chargeBuild converts candidate insertions into tree-construction time,
 // the O(M) (CD) vs O(M/P) (IDD) term of the analysis.
@@ -62,16 +54,5 @@ func chargeEngineCount(p *cluster.Proc, delta countengine.Stats) {
 	}
 	if delta.ItemTouches > 0 {
 		p.Compute(float64(delta.ItemTouches)*m.TItem, "subset")
-	}
-}
-
-// treeDelta returns the difference between two snapshots of tree counters.
-func treeDelta(before, after hashtree.Stats) hashtree.Stats {
-	return hashtree.Stats{
-		Traversals:   after.Traversals - before.Traversals,
-		LeafVisits:   after.LeafVisits - before.LeafVisits,
-		LeafChecks:   after.LeafChecks - before.LeafChecks,
-		Transactions: after.Transactions - before.Transactions,
-		Inserts:      after.Inserts - before.Inserts,
 	}
 }

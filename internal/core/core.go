@@ -5,13 +5,15 @@
 // IDD's ring communication), all running on the emulated message-passing
 // machine of package cluster.
 //
-// CD, IDD and HD share one *grid engine* (see engine.go): HD arranges the P
+// All of them are one SPMD pass body (see pass.go): HD arranges the P
 // processors as a grid of G rows and P/G columns, partitions candidates
 // down the columns (IDD within a column) and transactions across columns
 // (CD across columns).  G = 1 degenerates to CD and G = P to IDD, which the
-// tests assert.  DD and DD+comm are implemented separately because their
-// round-robin candidate placement and all-to-all data exchange have no grid
-// structure.
+// tests assert.  A formulation is the three decisions that body leaves open
+// — the grid's shape, where candidates are placed, and how a column moves
+// its transactions past them — and the body reads its transactions through
+// one stream (stream.go) that is either the resident shards or the partition
+// files of an out-of-core store.
 //
 // Every formulation produces exactly the frequent itemsets of the serial
 // algorithm (package apriori); the integration tests check bit-for-bit
@@ -49,8 +51,7 @@ const (
 
 // ParseAlgorithm converts a user-facing name into an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	switch Algorithm(s) {
-	case CD, DD, DDComm, IDD, HD, HPA:
+	if _, ok := formulations[Algorithm(s)]; ok {
 		return Algorithm(s), nil
 	}
 	return "", fmt.Errorf("core: unknown algorithm %q (want cd, dd, ddcomm, idd, hd or hpa)", s)
@@ -100,7 +101,8 @@ type Params struct {
 	// and turns on fault-tolerant execution: pass-level checkpointing,
 	// crash recovery via coordinated rollback, and graceful degradation to
 	// the surviving processors when a rank is permanently lost.  Only the
-	// grid formulations (CD, IDD, HD) support it.
+	// grid formulations (CD, IDD, HD) on the in-memory backend support it
+	// (see Hole).
 	Faults *cluster.FaultPlan
 	// MaxRestarts bounds the recovery attempts before Mine gives up and
 	// returns the last failure.  Defaults to 8.
@@ -111,8 +113,7 @@ type Params struct {
 	// next Mine over the same workload — a killed run restarts at its first
 	// unmined pass instead of from scratch.  Resumed passes are marked
 	// Restored in the report.  A checkpoint mined from a different workload
-	// (transaction or minimum count mismatch) is an error.  Grid
-	// formulations only (CD, IDD, HD).
+	// (transaction or minimum count mismatch) is an error.
 	CheckpointDir string
 	// Recovery selects how survivors participate in crash recovery;
 	// empty defaults to RecoveryCoordinated.  See the RecoveryMode
@@ -173,9 +174,7 @@ func (p Params) withDefaults() Params {
 }
 
 func (p Params) validate() error {
-	switch p.Algo {
-	case CD, DD, DDComm, IDD, HD, HPA:
-	default:
+	if _, ok := formulations[p.Algo]; !ok {
 		return fmt.Errorf("core: unknown algorithm %q", p.Algo)
 	}
 	if p.Apriori.MinSupport <= 0 || p.Apriori.MinSupport > 1 {
@@ -183,20 +182,6 @@ func (p Params) validate() error {
 	}
 	if p.FixedG > 0 && p.P%p.FixedG != 0 {
 		return fmt.Errorf("core: FixedG %d does not divide P %d", p.FixedG, p.P)
-	}
-	if p.Faults != nil {
-		switch p.Algo {
-		case CD, IDD, HD:
-		default:
-			return fmt.Errorf("core: fault-tolerant execution supports cd, idd and hd, not %q", p.Algo)
-		}
-	}
-	if p.CheckpointDir != "" {
-		switch p.Algo {
-		case CD, IDD, HD:
-		default:
-			return fmt.Errorf("core: checkpoint persistence supports cd, idd and hd, not %q", p.Algo)
-		}
 	}
 	switch p.Recovery {
 	case "", RecoveryCoordinated, RecoveryAsymmetric:
@@ -215,28 +200,35 @@ func (p Params) validate() error {
 		if p.Store == nil {
 			return fmt.Errorf("core: backend %q requires Params.Store", BackendOOC)
 		}
-		switch p.Algo {
-		case CD, IDD, HD:
-		default:
-			return fmt.Errorf("core: backend %q supports cd, idd and hd, not %q", BackendOOC, p.Algo)
-		}
-		if p.Faults != nil {
-			return fmt.Errorf("core: backend %q does not support fault injection", BackendOOC)
-		}
 	default:
 		return fmt.Errorf("core: unknown backend %q (want %q or %q)", p.Backend, BackendInMem, BackendOOC)
 	}
-	if p.Apriori.Engine != "" && p.Apriori.Engine != countengine.Default {
-		switch p.Algo {
-		case CD, IDD, HD:
-		default:
-			// DD, DD+comm and HPA shuttle transactions through their own
-			// hash-tree bodies; only the grid engine counts through the
-			// seam.
-			return fmt.Errorf("core: counting engine %q supports cd, idd and hd, not %q", p.Apriori.Engine, p.Algo)
-		}
+	if field, reason := p.Hole(); field != "" {
+		return fmt.Errorf("core: %s: %s", field, reason)
 	}
 	return nil
+}
+
+// Hole reports the first algorithm × feature combination in p that no code
+// path honours, as the offending field and the reason, or "", "" when the
+// combination is legal.  These are all the holes in the option matrix, and
+// this is the one place they are written; every other combination of
+// formulation, counting engine, backend, checkpointing and fault plan runs.
+func (p Params) Hole() (field, reason string) {
+	nonDefaultEngine := p.Apriori.Engine != "" && p.Apriori.Engine != countengine.Default
+	switch {
+	case p.FixedG > 0 && p.Algo != HD:
+		return "FixedG", fmt.Sprintf("only HD chooses its grid shape; %q's is fixed", p.Algo)
+	case p.Algo == HPA && nonDefaultEngine:
+		return "Engine", fmt.Sprintf("hpa has no counting structure for engine %q to replace: owners probe a table of whole itemsets", p.Apriori.Engine)
+	case p.Algo == HPA && p.Backend == BackendOOC:
+		return "Backend", "hpa's exchange kernel enumerates the rank's resident shard (it is kept as the Section III-E baseline), so it cannot stream a store"
+	case p.Faults != nil && !formulations[p.Algo].grid:
+		return "Faults", fmt.Sprintf("fault-tolerant execution needs reliable messaging end to end; %q moves its data with plain sends (cd, idd and hd qualify)", p.Algo)
+	case p.Faults != nil && p.Backend == BackendOOC:
+		return "Faults", "recovery hands a lost rank's resident shards to its successor; re-executing store partitions is not implemented"
+	}
+	return "", ""
 }
 
 // PassReport describes one level-wise pass of a parallel run.
@@ -306,18 +298,6 @@ func (s *ReadStats) Add(o ReadStats) {
 	s.CRCRetries += o.CRCRetries
 	s.Stalls += o.Stalls
 	s.DecodeSeconds += o.DecodeSeconds
-}
-
-// readStatsOf converts a rank-local record into the exported aggregate.
-func readStatsOf(o oocReadStats) ReadStats {
-	return ReadStats{
-		Partitions:    o.parts,
-		Blocks:        o.blocks,
-		Bytes:         o.bytes,
-		CRCRetries:    o.crcRetries,
-		Stalls:        o.stalls,
-		DecodeSeconds: o.decodeSeconds,
-	}
 }
 
 // Report is the outcome of a parallel mining run.
@@ -441,7 +421,6 @@ func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
 		prm:         prm,
 		cl:          cl,
 		world:       cl.World(),
-		data:        data,
 		store:       prm.Store,
 		numItems:    numItems,
 		nTxns:       nTxns,
@@ -461,20 +440,11 @@ func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
 		return nil, err
 	}
 
-	var body func(p *cluster.Proc) error
-	switch prm.Algo {
-	case CD, IDD, HD:
-		body = run.gridBody
-	case DD, DDComm:
-		body = run.ddBody
-	case HPA:
-		body = run.hpaBody
-	}
 	if prm.Faults != nil {
-		if err := run.mineWithRecovery(body); err != nil {
+		if err := run.mineWithRecovery(run.body); err != nil {
 			return nil, err
 		}
-	} else if err := cl.Run(body); err != nil {
+	} else if err := cl.Run(run.body); err != nil {
 		return nil, err
 	}
 	run.recordRunTrace(resumed)
@@ -510,22 +480,22 @@ type run struct {
 	prm      Params
 	cl       *cluster.Cluster
 	world    *cluster.Comm
-	data     *itemset.Dataset
-	shards   []*itemset.Dataset
 	minCount int64
 	perProc  []procTrace
 
-	// store, numItems and nTxns carry the out-of-core backend's state: the
-	// opened partition store and the database dimensions its manifest
-	// declares (data is nil on an ooc run).
-	store    *txstore.Store
+	// numItems and nTxns are the database's dimensions; its transactions are
+	// either resident — shards, one per original rank — or in store, the
+	// opened partition store of the out-of-core backend.  Only openStream
+	// (and HPA's kernel, which is resident-only) looks at which.
 	numItems int
 	nTxns    int
+	shards   []*itemset.Dataset
+	store    *txstore.Store
 
 	// active lists the global ranks still participating, in ascending
-	// order; vrank inverts it (-1 for removed ranks).  The grid engine
-	// shapes its G×cols grid over len(active) virtual ranks, so a degraded
-	// run is simply a smaller grid.
+	// order; vrank inverts it (-1 for removed ranks).  The body shapes its
+	// G×cols grid over len(active) virtual ranks, so a degraded run is
+	// simply a smaller grid.
 	active []int
 	vrank  []int
 	// ownedShards[rank] are the data shards rank counts: its own, plus any
@@ -537,30 +507,16 @@ type run struct {
 	restartWant []bool
 	restarts    int
 	lost        []int
-	// rec receives observability spans (nil when not tracing); the bodies
-	// emit pass and section spans through the helpers in obsv.go.
+	// rec receives observability spans (nil when not tracing); the body
+	// emits pass and section spans through the helpers in obsv.go.
 	rec obsv.Recorder
-	// engB builds the per-pass counting engines of the grid bodies; built
-	// once in Mine (NewPass is goroutine-safe, the builder itself is
-	// read-only during the run).
+	// engB builds the per-pass counting engines; built once in Mine (NewPass
+	// is goroutine-safe, the builder itself is read-only during the run).
 	engB countengine.Builder
 	// memos holds the candidate sets and partitions the ranks share (see
 	// passcache.go), guarded by memoMu.
 	memoMu sync.Mutex
 	memos  map[passKey]*passMemo
-}
-
-// engineBuilder returns the run's counting-engine builder, falling back to
-// the default hash tree when the run was constructed directly (unit tests).
-func (r *run) engineBuilder() countengine.Builder {
-	if r.engB == nil {
-		b, err := countengine.New(countengine.Default, countengine.Config{Tree: r.prm.Apriori.Tree})
-		if err != nil {
-			panic(err) // unreachable: the default backend is always registered
-		}
-		r.engB = b
-	}
-	return r.engB
 }
 
 // np returns the number of participating processors — the "P" the grid is
@@ -571,16 +527,6 @@ func (r *run) np() int {
 		return len(r.active)
 	}
 	return r.prm.P
-}
-
-// ownedShardsOf returns the shard indices the rank counts, falling back to
-// the identity assignment when the ownership table is not initialized
-// (unit tests construct run directly).
-func (r *run) ownedShardsOf(rank int) []int {
-	if r.ownedShards == nil {
-		return []int{rank}
-	}
-	return r.ownedShards[rank]
 }
 
 // rebuildVRank recomputes the global-rank → virtual-rank map from active.
@@ -618,7 +564,7 @@ type passLocal struct {
 	restored      bool // seeded from a persistent checkpoint, not mined
 	// read is the processor's out-of-core read-path record for the pass
 	// (zero on the in-memory backend).
-	read oocReadStats
+	read ReadStats
 }
 
 // firstActive returns the lowest participating global rank, whose copy of
@@ -633,7 +579,7 @@ func (r *run) firstActive() int {
 // assembleResult builds the apriori.Result from the first active
 // processor's levels.
 func (r *run) assembleResult() *apriori.Result {
-	res := &apriori.Result{N: r.txnCount(), MinCount: r.minCount}
+	res := &apriori.Result{N: r.nTxns, MinCount: r.minCount}
 	res.Levels = r.perProc[r.firstActive()].levels
 	for _, pl := range r.perProc[r.firstActive()].passes {
 		res.Passes = append(res.Passes, apriori.PassStats{
@@ -678,7 +624,7 @@ func (r *run) assemblePasses() []PassReport {
 			pl := r.perProc[pi].passes[k]
 			pr.Tree.Add(pl.tree)
 			pr.BytesMoved += pl.bytesMoved
-			pr.Read.Add(readStatsOf(pl.read))
+			pr.Read.Add(pl.read)
 			times = append(times, pl.countTime)
 			if pl.clockEnd > maxEnd {
 				maxEnd = pl.clockEnd

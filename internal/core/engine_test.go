@@ -9,14 +9,17 @@ import (
 )
 
 func TestChooseG(t *testing.T) {
-	mk := func(algo Algorithm, p, fixedG, threshold int) *run {
-		return &run{prm: Params{Algo: algo, P: p, FixedG: fixedG, HDThreshold: threshold}}
+	chooseG := func(algo Algorithm, p, fixedG, threshold, m int) int {
+		r := &run{prm: Params{Algo: algo, P: p, FixedG: fixedG, HDThreshold: threshold}}
+		return formulations[algo].rows(r, m)
 	}
-	if got := mk(CD, 16, 0, 100).chooseG(1e6); got != 1 {
+	if got := chooseG(CD, 16, 0, 100, 1e6); got != 1 {
 		t.Errorf("CD chooseG = %d", got)
 	}
-	if got := mk(IDD, 16, 0, 100).chooseG(5); got != 16 {
-		t.Errorf("IDD chooseG = %d", got)
+	for _, algo := range []Algorithm{IDD, DD, DDComm, HPA} {
+		if got := chooseG(algo, 16, 0, 100, 5); got != 16 {
+			t.Errorf("%s chooseG = %d", algo, got)
+		}
 	}
 	cases := []struct {
 		m, p, threshold, want int
@@ -29,11 +32,11 @@ func TestChooseG(t *testing.T) {
 		{500, 12, 100, 6},  // need 5 -> next divisor of 12 is 6
 	}
 	for _, c := range cases {
-		if got := mk(HD, c.p, 0, c.threshold).chooseG(c.m); got != c.want {
+		if got := chooseG(HD, c.p, 0, c.threshold, c.m); got != c.want {
 			t.Errorf("HD chooseG(M=%d, P=%d, m=%d) = %d, want %d", c.m, c.p, c.threshold, got, c.want)
 		}
 	}
-	if got := mk(HD, 16, 8, 100).chooseG(50); got != 8 {
+	if got := chooseG(HD, 16, 8, 100, 50); got != 8 {
 		t.Errorf("FixedG ignored: %d", got)
 	}
 }

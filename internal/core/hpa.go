@@ -4,102 +4,63 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"parapriori/internal/apriori"
 	"parapriori/internal/cluster"
 	"parapriori/internal/itemset"
-	"parapriori/internal/obsv"
 	"parapriori/internal/partition"
 )
 
-// hpaBody is the SPMD program of Hash Partitioned Apriori (HPA, Shintani &
-// Kitsuregawa [11]), the third-party algorithm Section III-E compares IDD
-// against.  Candidates are partitioned by *hashing the whole itemset*: in
-// pass k every processor enumerates, for each local transaction, all
-// C = (|t| choose k) potential size-k candidates, hashes each one to its
-// owning processor, and ships it there; owners look the arrivals up in a
-// local table and count matches.  No reduction is needed — counts are
-// global where they land — but the communication volume is O(N·C), which
-// is why the paper predicts HPA loses to IDD for k > 2 (and our emulation
-// reproduces exactly that: see the "others" experiment).
+// Hash Partitioned Apriori (HPA, Shintani & Kitsuregawa [11]) is the
+// third-party algorithm Section III-E compares IDD against.  Candidates are
+// partitioned by *hashing the whole itemset*: in pass k every processor
+// enumerates, for each local transaction, all C = (|t| choose k) potential
+// size-k candidates, hashes each one to its owning processor, and ships it
+// there; owners look the arrivals up in a local table and count matches.
+// No reduction is needed — counts are global where they land — but the
+// communication volume is O(N·C), which is why the paper predicts HPA loses
+// to IDD for k > 2 (and our emulation reproduces exactly that: see the
+// "others" experiment).
 //
-// The potential candidates are batched into pages per destination; the
-// exchange is an unstructured all-to-all, charged with ring-distance
-// congestion like DD's scatter.
-func (r *run) hpaBody(p *cluster.Proc) error {
-	tr := &r.perProc[p.ID()]
-	prev := r.firstPass(p, tr)
-	tr.levels = append(tr.levels, prev)
-	r.passSpan(p, tr)
+// On the pass skeleton HPA is a placement (placeHashed) and a count step
+// (hpaTable) whose kernel, hpaExchange, is kept as first written: it is the
+// baseline, it has no counting structure for an engine to replace, and it
+// reads the rank's resident shard itself — charging the read after the
+// enumeration, so refitting it to the transaction stream would move every
+// send's timestamp.
 
-	shard := r.shards[p.ID()]
-	procs := r.prm.P
-	for k := 2; len(prev) > 0; k++ {
-		if r.prm.Apriori.MaxPasses > 0 && k > r.prm.Apriori.MaxPasses {
-			break
+// placeHashed keeps the candidates hashing to this row.
+func placeHashed(_ *run, _ *cluster.Proc, _, g, row int, cands []itemset.Itemset) share {
+	var mine []itemset.Itemset
+	owners := make([]int, g)
+	for _, c := range cands {
+		owner := hpaOwner(c, g)
+		owners[owner]++
+		if owner == row {
+			mine = append(mine, c)
 		}
-		clockStart := p.Clock()
-
-		cands := r.candidates(k, prev)
-		chargeGen(p, len(cands))
-		r.sec(p, "candidate gen", clockStart, obsv.Int("k", int64(k)))
-		if len(cands) == 0 {
-			break
-		}
-
-		// Keep the candidates hashing to this processor, in a lookup table.
-		var myCands []itemset.Itemset
-		counts := make(map[string]*int64)
-		owners := make([]int, procs)
-		for _, c := range cands {
-			owner := hpaOwner(c, procs)
-			owners[owner]++
-			if owner == p.ID() {
-				myCands = append(myCands, c)
-				var zero int64
-				counts[c.Key()] = &zero
-			}
-		}
-		candImbalance := partition.Imbalance(owners)
-		// Building the lookup table stands in for tree construction.
-		buildStart := p.Clock()
-		chargeBuild(p, int64(len(myCands)))
-		r.sec(p, "build", buildStart, obsv.Int("k", int64(k)))
-
-		computeBefore := p.Stats().ComputeTime
-		countStart := p.Clock()
-		bytesMoved := r.hpaExchange(p, k, shard, counts)
-		countTime := p.Stats().ComputeTime - computeBefore
-		r.sec(p, "count", countStart, obsv.Int("k", int64(k)))
-
-		exStart := p.Clock()
-		var frequentLocal []apriori.Frequent
-		for _, c := range myCands {
-			if n := *counts[c.Key()]; n >= r.minCount {
-				frequentLocal = append(frequentLocal, apriori.Frequent{Items: c, Count: n})
-			}
-		}
-		level := exchangeFrequent(p, r.world, fmt.Sprintf("k%d/freq", k), frequentLocal)
-		r.sec(p, "exchange", exStart, obsv.Int("k", int64(k)))
-
-		tr.passes = append(tr.passes, passLocal{
-			k:             k,
-			candidates:    len(cands),
-			localCands:    len(myCands),
-			frequent:      len(level),
-			gridRows:      procs,
-			gridCols:      1,
-			treeParts:     1,
-			bytesMoved:    bytesMoved,
-			countTime:     countTime,
-			clockStart:    clockStart,
-			clockEnd:      p.Clock(),
-			candImbalance: candImbalance,
-		})
-		tr.levels = append(tr.levels, level)
-		r.passSpan(p, tr)
-		prev = level
 	}
-	return nil
+	return share{cands: mine, imbalance: partition.Imbalance(owners)}
+}
+
+// hpaTable is HPA's build step: a lookup table over the owned candidates,
+// whose construction stands in for tree construction.
+func hpaTable(_ *run, p *cluster.Proc, k int, cands []itemset.Itemset) (counter, error) {
+	chargeBuild(p, int64(len(cands)))
+	return hpaCount{k: k, cands: cands}, nil
+}
+
+type hpaCount struct {
+	k     int
+	cands []itemset.Itemset
+}
+
+func (c hpaCount) count(r *run, p *cluster.Proc, _ *cluster.Comm, _ string, _ func(itemset.Item) bool, pl *passLocal) ([]int64, error) {
+	counts := make([]int64, len(c.cands))
+	table := make(map[string]*int64, len(c.cands))
+	for i, cand := range c.cands {
+		table[cand.Key()] = &counts[i]
+	}
+	pl.bytesMoved += r.hpaExchange(p, c.k, r.shards[p.ID()], table)
+	return counts, nil
 }
 
 // hpaExchange enumerates each local transaction's potential size-k

@@ -52,12 +52,12 @@ func (r *run) passSpan(p *cluster.Proc, tr *procTrace, extra ...obsv.Attr) {
 		obsv.Int("grid_cols", int64(pl.gridCols)),
 		obsv.Int("bytes_moved", pl.bytesMoved),
 	}
-	if pl.read.blocks > 0 {
+	if pl.read.Blocks > 0 {
 		args = append(args,
-			obsv.Int("read_blocks", pl.read.blocks),
-			obsv.Int("read_bytes", pl.read.bytes),
-			obsv.Int("read_stalls", pl.read.stalls),
-			obsv.Float("decode_seconds", pl.read.decodeSeconds),
+			obsv.Int("read_blocks", pl.read.Blocks),
+			obsv.Int("read_bytes", pl.read.Bytes),
+			obsv.Int("read_stalls", pl.read.Stalls),
+			obsv.Float("decode_seconds", pl.read.DecodeSeconds),
 		)
 	}
 	args = append(args, extra...)

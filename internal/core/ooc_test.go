@@ -296,8 +296,11 @@ func TestOOCValidation(t *testing.T) {
 	if _, err := Mine(data, Params{Algo: CD, P: 2, Apriori: ap, Store: store}); err == nil {
 		t.Error("inmem with a store accepted")
 	}
-	if _, err := Mine(nil, Params{Algo: DD, P: 2, Apriori: ap, Backend: BackendOOC, Store: store}); err == nil {
-		t.Error("ooc DD accepted")
+	if _, err := Mine(nil, Params{Algo: DD, P: 2, Apriori: ap, Backend: BackendOOC, Store: store}); err != nil {
+		t.Errorf("ooc DD rejected: %v", err)
+	}
+	if _, err := Mine(nil, Params{Algo: HPA, P: 2, Apriori: ap, Backend: BackendOOC, Store: store}); err == nil {
+		t.Error("ooc HPA accepted")
 	}
 	if _, err := Mine(nil, Params{Algo: CD, P: 2, Apriori: ap, Backend: "mmap", Store: store}); err == nil {
 		t.Error("unknown backend accepted")

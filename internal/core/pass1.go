@@ -10,28 +10,31 @@ import (
 )
 
 // firstPass computes the globally frequent items F1.  Every formulation
-// does this identically: each processor array-counts its local shard and a
-// global reduction sums the per-item counts (there is no hash tree for
-// k = 1).  Every processor returns the identical, item-ordered F1.
-func (r *run) firstPass(p *cluster.Proc, tr *procTrace) []apriori.Frequent {
+// does this identically: each processor array-counts one scan of its own
+// transactions and a global reduction sums the per-item counts (there is no
+// hash tree for k = 1).  Every processor ends the pass with the identical,
+// item-ordered F1.
+func (r *run) firstPass(p *cluster.Proc, tr *procTrace) error {
 	start := p.Clock()
 
-	counts := make([]int64, r.data.NumItems)
-	var items, shardBytes int64
-	for _, si := range r.ownedShardsOf(p.ID()) {
-		shard := r.shards[si]
-		for _, t := range shard.Transactions {
+	counts := make([]int64, r.numItems)
+	var items int64
+	st := r.openStream(p, false)
+	err := scan(p, st, func(blk []itemset.Transaction) {
+		for _, t := range blk {
 			for _, it := range t.Items {
 				counts[it]++
 			}
 			items += int64(len(t.Items))
 		}
-		shardBytes += int64(shard.Bytes())
+	})
+	read := st.close()
+	if err != nil {
+		return err
 	}
-	p.ReadIO(shardBytes, "io")
 	chargeScan(p, items, "scan")
 	countStart := p.Clock()
-	r.sec(p, "scan", start, obsv.Int("k", 1))
+	r.sec(p, "scan", start, scanArgs(read.Bytes, obsv.Int("k", 1))...)
 
 	global := r.world.AllReduceInt64(p, "f1", counts)
 	r.sec(p, "reduce", countStart, obsv.Int("k", 1))
@@ -44,7 +47,7 @@ func (r *run) firstPass(p *cluster.Proc, tr *procTrace) []apriori.Frequent {
 	}
 	tr.passes = append(tr.passes, passLocal{
 		k:          1,
-		candidates: r.data.NumItems,
+		candidates: r.numItems,
 		frequent:   len(f1),
 		gridRows:   1,
 		gridCols:   r.np(),
@@ -52,14 +55,23 @@ func (r *run) firstPass(p *cluster.Proc, tr *procTrace) []apriori.Frequent {
 		countTime:  countStart - start,
 		clockStart: start,
 		clockEnd:   p.Clock(),
+		read:       read,
 	})
-	return f1
+	return r.endPass(p, tr, f1)
+}
+
+// scanArgs appends the bytes a scan read from disk to its section's span
+// args; a scan that read no blocks (the resident backend) adds nothing.
+func scanArgs(readBytes int64, args ...obsv.Attr) []obsv.Attr {
+	if readBytes > 0 {
+		args = append(args, obsv.Int("read_bytes", readBytes))
+	}
+	return args
 }
 
 // exchangeFrequent runs the all-to-all broadcast of locally frequent
 // itemsets over the given communicator and returns the merged, sorted
-// global level.  Used by DD (over all processors) and by the grid engine
-// (down each column).
+// global level, down a grid column.
 func exchangeFrequent(p *cluster.Proc, cm *cluster.Comm, tag string, local []apriori.Frequent) []apriori.Frequent {
 	gathered := cm.AllGather(p, tag, local, frequentBytes(local))
 	var merged []apriori.Frequent

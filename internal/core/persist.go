@@ -32,7 +32,7 @@ func (r *run) persistCheckpoint(rank int) error {
 	if r.prm.CheckpointDir == "" || rank != r.firstActive() {
 		return nil
 	}
-	res := &apriori.Result{N: r.txnCount(), MinCount: r.minCount, Levels: r.perProc[rank].levels}
+	res := &apriori.Result{N: r.nTxns, MinCount: r.minCount, Levels: r.perProc[rank].levels}
 	final := filepath.Join(r.prm.CheckpointDir, checkpointFile)
 	tmp := final + ".tmp"
 	f, err := os.Create(tmp)
@@ -75,9 +75,9 @@ func (r *run) loadCheckpoint() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if res.N != r.txnCount() || res.MinCount != r.minCount {
+	if res.N != r.nTxns || res.MinCount != r.minCount {
 		return 0, fmt.Errorf("core: checkpoint in %s is from a different workload (N=%d minCount=%d, this run has N=%d minCount=%d)",
-			r.prm.CheckpointDir, res.N, res.MinCount, r.txnCount(), r.minCount)
+			r.prm.CheckpointDir, res.N, res.MinCount, r.nTxns, r.minCount)
 	}
 	if len(res.Levels) == 0 {
 		return 0, nil

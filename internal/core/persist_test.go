@@ -20,7 +20,7 @@ import (
 func TestCheckpointResume(t *testing.T) {
 	d := testData(t)
 	const minsup = 0.02
-	for _, algo := range []Algorithm{CD, IDD, HD} {
+	for _, algo := range []Algorithm{CD, DD, DDComm, IDD, HD, HPA} {
 		t.Run(string(algo), func(t *testing.T) {
 			dir := t.TempDir()
 			prm := Params{Algo: algo, P: 4, Apriori: apriori.Params{MinSupport: minsup}, CheckpointDir: dir}
@@ -140,11 +140,17 @@ func TestCheckpointWithFaults(t *testing.T) {
 	}
 }
 
-// TestCheckpointDirValidation: only the grid formulations checkpoint.
+// TestCheckpointDirValidation: checkpointing belongs to the pass skeleton,
+// so the formulations that used to reject CheckpointDir now write one.
 func TestCheckpointDirValidation(t *testing.T) {
 	d := testData(t)
-	_, err := Mine(d, Params{Algo: DD, P: 2, Apriori: apriori.Params{MinSupport: 0.02}, CheckpointDir: t.TempDir()})
-	if err == nil {
-		t.Fatal("DD accepted CheckpointDir")
+	for _, algo := range []Algorithm{DD, DDComm, HPA} {
+		dir := t.TempDir()
+		if _, err := Mine(d, Params{Algo: algo, P: 2, Apriori: apriori.Params{MinSupport: 0.02}, CheckpointDir: dir}); err != nil {
+			t.Fatalf("%s rejected CheckpointDir: %v", algo, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, checkpointFile)); err != nil {
+			t.Errorf("%s wrote no checkpoint: %v", algo, err)
+		}
 	}
 }

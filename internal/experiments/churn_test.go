@@ -80,7 +80,7 @@ func TestChurnResultHashInvariant(t *testing.T) {
 	if ha[0] != ha[1] {
 		t.Errorf("result hash differs between R=1 (%s) and R=2 (%s)", ha[0], ha[1])
 	}
-	b := runNamed(t, "churn")
+	b := runFresh(t, "churn")
 	hb := churnColumn(t, b, "results")
 	for i := range ha {
 		if ha[i] != hb[i] {

@@ -20,7 +20,27 @@ func quickCfg() Config {
 	return c
 }
 
+// memo holds each experiment's quick-config result for the life of the test
+// binary.  Several tests read different columns of the same experiment;
+// running it once per test multiplied the package's wall time and, on a
+// two-core box, the contention the wall-clock churn assertions see.  The
+// package's tests run sequentially, so the map needs no lock.
+var memo = map[string]*Result{}
+
+// runNamed returns the named experiment's result under quickCfg, running it
+// the first time a test asks.  Callers only read the result.
 func runNamed(t *testing.T, name string) *Result {
+	t.Helper()
+	if res, ok := memo[name]; ok {
+		return res
+	}
+	memo[name] = runFresh(t, name)
+	return memo[name]
+}
+
+// runFresh always runs the experiment: the second run of a reproducibility
+// test.
+func runFresh(t *testing.T, name string) *Result {
 	t.Helper()
 	n, ok := Lookup(name)
 	if !ok {
@@ -306,7 +326,7 @@ func TestAttribDecomposition(t *testing.T) {
 // runs with the same Config must be bit-identical.
 func TestFaultsDeterministic(t *testing.T) {
 	a := runNamed(t, "faults")
-	b := runNamed(t, "faults")
+	b := runFresh(t, "faults")
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("fault sweep not reproducible:\n%+v\n%+v", a, b)
 	}

@@ -64,7 +64,7 @@ func TestLoadGenDeterministicHashes(t *testing.T) {
 		t.Skip("runs the load sweep twice; skipped under -short")
 	}
 	a := runNamed(t, "loadgen")
-	b := runNamed(t, "loadgen")
+	b := runFresh(t, "loadgen")
 	for _, col := range []string{"nodes", "delta(B)", "full(B)", "placement", "results"} {
 		ca := loadgenColumns(t, a, col)
 		cb := loadgenColumns(t, b, col)

@@ -1,0 +1,115 @@
+package parapriori
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"testing"
+
+	"parapriori/internal/apriori"
+)
+
+// TestLegalCellsMatchNaive is the option matrix's oracle.  It holds no list
+// of supported combinations: it enumerates algorithm × engine × backend ×
+// {plain, CheckpointDir kill-and-resume}, asks Validate which cells are
+// legal, and requires every legal cell to mine exactly what the naive miner
+// mines (and the two backends of a cell to agree byte for byte) and every
+// illegal cell to fail with a *OptionError.  A combination that becomes
+// legal is therefore tested the moment Validate admits it.
+func TestLegalCellsMatchNaive(t *testing.T) {
+	workloads := []struct {
+		seed                 int64
+		txns, items, procs   int
+		minsup               float64
+		partitions, blockLen int
+	}{
+		{seed: 3, txns: 400, items: 40, procs: 4, minsup: 0.05, partitions: 5, blockLen: 1024},
+		{seed: 8, txns: 250, items: 25, procs: 3, minsup: 0.08, partitions: 2, blockLen: 512},
+	}
+	for _, w := range workloads {
+		gen := DefaultGen()
+		gen.NumTransactions, gen.NumItems, gen.Seed = w.txns, w.items, w.seed
+		gen.NumPatterns, gen.AvgTxnLen, gen.AvgPatternLen = 30, 8, 4
+		data, err := Generate(gen)
+		if err != nil {
+			t.Fatalf("generate: %v", err)
+		}
+		store, err := WritePartitionedDataset(filepath.Join(t.TempDir(), "store"), data,
+			PartitionOptions{Partitions: w.partitions, BlockBytes: w.blockLen})
+		if err != nil {
+			t.Fatalf("spill: %v", err)
+		}
+		naive, err := apriori.MineNaive(data, apriori.Params{MinSupport: w.minsup})
+		if err != nil {
+			t.Fatalf("naive: %v", err)
+		}
+		want := resultBytes(t, naive)
+		if len(naive.Levels) < 3 {
+			t.Fatalf("seed %d: only %d levels, nothing to resume into", w.seed, len(naive.Levels))
+		}
+
+		legal := 0
+		for _, algo := range []Algorithm{CD, DD, DDComm, IDD, HD, HPA} {
+			for _, engine := range CountEngines() {
+				for _, resume := range []bool{false, true} {
+					var perBackend [][]byte
+					for _, backend := range []string{"inmem", "ooc"} {
+						name := fmt.Sprintf("seed%d/%s/%s/%s/resume=%v", w.seed, algo, engine, backend, resume)
+						o := ParallelOptions{
+							MineOptions: MineOptions{MinSupport: w.minsup, Engine: engine},
+							Algorithm:   algo, Procs: w.procs, HDThreshold: 50, Backend: backend,
+						}
+						resident := data
+						if backend == "ooc" {
+							o.Source, resident = store, nil
+						}
+						if resume {
+							o.CheckpointDir = t.TempDir()
+						}
+						if verr := o.Validate(); verr != nil {
+							var oe *OptionError
+							if !errors.As(verr, &oe) {
+								t.Errorf("%s: Validate returned %T, want *OptionError", name, verr)
+							}
+							if _, err := MineParallel(resident, o); !errors.As(err, &oe) {
+								t.Errorf("%s: Validate rejects the cell but MineParallel returned %v", name, err)
+							}
+							continue
+						}
+						legal++
+						if resume {
+							// The "killed" run stops at a pass boundary, which is
+							// all a kill can leave behind (atomic rename).
+							killed := o
+							killed.MaxPasses = 2
+							if _, err := MineParallel(resident, killed); err != nil {
+								t.Errorf("%s: interrupted run: %v", name, err)
+								continue
+							}
+						}
+						rep, err := MineParallel(resident, o)
+						if err != nil {
+							t.Errorf("%s: %v", name, err)
+							continue
+						}
+						if resume && rep.ResumedPasses != 2 {
+							t.Errorf("%s: resumed %d passes, want 2", name, rep.ResumedPasses)
+						}
+						got := resultBytes(t, rep.Result)
+						if !bytes.Equal(got, want) {
+							t.Errorf("%s: result differs from the naive miner", name)
+						}
+						perBackend = append(perBackend, got)
+					}
+					if len(perBackend) == 2 && !bytes.Equal(perBackend[0], perBackend[1]) {
+						t.Errorf("seed%d/%s/%s/resume=%v: inmem and ooc results differ", w.seed, algo, engine, resume)
+					}
+				}
+			}
+		}
+		if legal == 0 {
+			t.Errorf("seed %d: Validate admitted no cell", w.seed)
+		}
+	}
+}

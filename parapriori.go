@@ -156,9 +156,10 @@ type MineOptions struct {
 	// trie over dense items) or "bitset" (vertical per-item TID bitmaps,
 	// support by intersection).  Every backend mines identical itemsets;
 	// they differ in the operations counting spends, and therefore in
-	// virtual time.  CountEngines lists the registered names.  Parallel
-	// runs support non-default engines on CD, IDD and HD; the DHP knobs
-	// require the hash tree.
+	// virtual time.  CountEngines lists the registered names.  Every
+	// parallel formulation counts through the selected engine except HPA,
+	// which has no counting structure to replace; the DHP knobs require the
+	// hash tree.
 	Engine string
 	// Source, when non-nil, supplies the transactions instead of the
 	// positional dataset argument — a *Dataset, a FileSource, or a
@@ -204,7 +205,7 @@ func Mine(data *Dataset, o MineOptions) (*Result, error) {
 // ParallelOptions configures a parallel mining run.
 type ParallelOptions struct {
 	MineOptions
-	// Algorithm is the parallel formulation (CD, DD, DDComm, IDD or HD).
+	// Algorithm is the parallel formulation (CD, DD, DDComm, IDD, HD or HPA).
 	Algorithm Algorithm
 	// Procs is the number of emulated processors.
 	Procs int
@@ -227,9 +228,12 @@ type ParallelOptions struct {
 	// graceful degradation to the surviving processors when a rank is
 	// lost.  The mined itemsets stay identical to Mine's; Report.Restarts
 	// and Report.LostRanks record what the recovery did, and the
-	// retry/checkpoint costs appear on the virtual clock.  Only CD, IDD
-	// and HD support fault plans.  Runs with the same plan, seed and
-	// workload are bit-identical.
+	// retry/checkpoint costs appear on the virtual clock.  Fault-tolerant
+	// execution needs reliable messaging end to end, so only CD, IDD and
+	// HD support fault plans (DD's scatter and HPA's exchange use plain
+	// sends), and only on the in-memory backend (recovery re-homes a lost
+	// rank's resident shards).  Runs with the same plan, seed and workload
+	// are bit-identical.
 	Faults *FaultPlan
 	// MaxRestarts bounds recovery attempts before MineParallel gives up
 	// (default 8).
@@ -239,7 +243,7 @@ type ParallelOptions struct {
 	// on the next run over the same workload — a killed mining run restarts
 	// at its first unmined pass instead of from scratch.  Resumed passes
 	// are marked PassReport.Restored and counted in Report.ResumedPasses.
-	// Grid formulations only (CD, IDD, HD).
+	// Every formulation and both backends checkpoint.
 	CheckpointDir string
 	// Recovery selects the rollback strategy after a crash: "coordinated"
 	// (the default — every survivor re-charges a checkpoint restore) or
@@ -259,9 +263,9 @@ type ParallelOptions struct {
 	// per-rank shards) or "ooc" (out of core — each rank streams its own
 	// partition files of a PartitionedDataset one block at a time, so the
 	// resident set is the counting structure plus one block).  The "ooc"
-	// backend requires Source to be a PartitionedDataset and supports the
-	// grid formulations (CD, IDD, HD); mined itemsets are identical to the
-	// in-memory backend's.
+	// backend requires Source to be a PartitionedDataset; mined itemsets
+	// are identical to the in-memory backend's.  Every formulation streams
+	// except HPA, whose exchange kernel enumerates its resident shard.
 	Backend string
 }
 
@@ -280,7 +284,27 @@ func MineParallel(data *Dataset, o ParallelOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	prm := core.Params{
+	prm := o.coreParams(backend)
+	src, err := resolveSource("ParallelOptions", data, o.Source)
+	if err != nil {
+		return nil, err
+	}
+	if backend == core.BackendOOC {
+		// Validate() has already pinned Source to a partitioned store.
+		prm.Store = src.(*PartitionedDataset)
+		return core.Mine(nil, prm)
+	}
+	resident, err := MaterializeSource(src)
+	if err != nil {
+		return nil, err
+	}
+	return core.Mine(resident, prm)
+}
+
+// coreParams maps the options onto the mining core's parameters (all but
+// the transactions, which MineParallel resolves from Source).
+func (o ParallelOptions) coreParams(backend core.ExecBackend) core.Params {
+	return core.Params{
 		Algo:          o.Algorithm,
 		P:             o.Procs,
 		Machine:       o.Machine,
@@ -296,20 +320,6 @@ func MineParallel(data *Dataset, o ParallelOptions) (*Report, error) {
 		Recorder:      o.Recorder,
 		Backend:       backend,
 	}
-	src, err := resolveSource("ParallelOptions", data, o.Source)
-	if err != nil {
-		return nil, err
-	}
-	if backend == core.BackendOOC {
-		// Validate() has already pinned Source to a partitioned store.
-		prm.Store = src.(*PartitionedDataset)
-		return core.Mine(nil, prm)
-	}
-	resident, err := MaterializeSource(src)
-	if err != nil {
-		return nil, err
-	}
-	return core.Mine(resident, prm)
 }
 
 // GenerateRules derives association rules meeting the confidence threshold

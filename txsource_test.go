@@ -183,7 +183,10 @@ func TestSourceOptionErrors(t *testing.T) {
 	check(par(func(o *ParallelOptions) { o.Backend = "mmap" }), "ParallelOptions", "Backend")
 	check(par(func(o *ParallelOptions) { o.Source = nil }), "ParallelOptions", "Source")
 	check(par(func(o *ParallelOptions) { o.Source = data }), "ParallelOptions", "Source")
-	check(par(func(o *ParallelOptions) { o.Algorithm = DD }), "ParallelOptions", "Backend")
+	if err := par(func(o *ParallelOptions) { o.Algorithm = DD }); err != nil {
+		t.Fatalf("DD on the ooc backend rejected: %v", err)
+	}
+	check(par(func(o *ParallelOptions) { o.Algorithm = HPA }), "ParallelOptions", "Backend")
 	check(par(func(o *ParallelOptions) { o.Faults = &FaultPlan{} }), "ParallelOptions", "Faults")
 
 	o := ParallelOptions{Algorithm: CD, Procs: 2, MineOptions: MineOptions{MinSupport: 0.02, Source: store}, Backend: "ooc"}

@@ -100,9 +100,7 @@ func (o ParallelOptions) Validate() error {
 	if o.Procs < 1 {
 		return optErr(strct, "Procs", "must be at least 1 (got %d)", o.Procs)
 	}
-	switch o.Algorithm {
-	case CD, DD, DDComm, IDD, HD, HPA:
-	default:
+	if _, err := core.ParseAlgorithm(string(o.Algorithm)); err != nil {
 		return optErr(strct, "Algorithm", "unknown algorithm %q (want cd, dd, ddcomm, idd, hd or hpa)", string(o.Algorithm))
 	}
 	if o.PageBytes < 0 {
@@ -114,42 +112,16 @@ func (o ParallelOptions) Validate() error {
 	if o.FixedG < 0 {
 		return optErr(strct, "FixedG", "negative (%d)", o.FixedG)
 	}
-	if o.FixedG > 0 {
-		if o.Algorithm != HD {
-			return optErr(strct, "FixedG", "grid shape applies to HD only, not %q", string(o.Algorithm))
-		}
-		if o.Procs%o.FixedG != 0 {
-			return optErr(strct, "FixedG", "%d does not divide Procs %d", o.FixedG, o.Procs)
-		}
+	if o.FixedG > 0 && o.Procs%o.FixedG != 0 {
+		return optErr(strct, "FixedG", "%d does not divide Procs %d", o.FixedG, o.Procs)
 	}
 	if o.MaxRestarts < 0 {
 		return optErr(strct, "MaxRestarts", "negative (%d)", o.MaxRestarts)
-	}
-	if o.Faults != nil {
-		switch o.Algorithm {
-		case CD, IDD, HD:
-		default:
-			return optErr(strct, "Faults", "fault-tolerant execution supports cd, idd and hd, not %q", string(o.Algorithm))
-		}
-	}
-	if o.CheckpointDir != "" {
-		switch o.Algorithm {
-		case CD, IDD, HD:
-		default:
-			return optErr(strct, "CheckpointDir", "checkpoint persistence supports cd, idd and hd, not %q", string(o.Algorithm))
-		}
 	}
 	switch o.Recovery {
 	case "", "coordinated", "asymmetric":
 	default:
 		return optErr(strct, "Recovery", "unknown mode %q (want coordinated or asymmetric)", o.Recovery)
-	}
-	if o.Engine != "" && o.Engine != countengine.Default {
-		switch o.Algorithm {
-		case CD, IDD, HD:
-		default:
-			return optErr(strct, "Engine", "counting engine %q supports cd, idd and hd, not %q", o.Engine, string(o.Algorithm))
-		}
 	}
 	backend, err := core.ParseBackend(o.Backend)
 	if err != nil {
@@ -162,14 +134,11 @@ func (o ParallelOptions) Validate() error {
 		if _, ok := o.Source.(*PartitionedDataset); !ok {
 			return optErr(strct, "Source", "the ooc backend requires a *PartitionedDataset source, not %T", o.Source)
 		}
-		switch o.Algorithm {
-		case CD, IDD, HD:
-		default:
-			return optErr(strct, "Backend", "out-of-core execution supports cd, idd and hd, not %q", string(o.Algorithm))
-		}
-		if o.Faults != nil {
-			return optErr(strct, "Faults", "fault injection is not supported on the ooc backend")
-		}
+	}
+	// The algorithm × feature combinations no code path honours are listed
+	// once, in core; the fields carry the same names here.
+	if field, reason := o.coreParams(backend).Hole(); field != "" {
+		return optErr(strct, field, "%s", reason)
 	}
 	return nil
 }

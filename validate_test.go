@@ -73,7 +73,11 @@ func TestParallelOptionsValidate(t *testing.T) {
 	bad = ok
 	bad.Algorithm = HPA
 	bad.CheckpointDir = t.TempDir()
-	wantOptionError(t, bad.Validate(), "ParallelOptions", "CheckpointDir")
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("HPA with CheckpointDir rejected: %v", err)
+	}
+	bad.Engine = "trie"
+	wantOptionError(t, bad.Validate(), "ParallelOptions", "Engine")
 
 	if _, err := MineParallel(FromItems([][]Item{{1, 2}, {1, 2}}), ParallelOptions{
 		MineOptions: MineOptions{MinSupport: 0.5, MemoryBytes: 1 << 20},
