@@ -34,20 +34,21 @@ func TestReadNamedDatasetAPI(t *testing.T) {
 
 func TestTraceTimelineAPI(t *testing.T) {
 	data := tableI()
-	rep, err := MineParallel(data, ParallelOptions{
+	rec := NewSpanCollector()
+	if _, err := MineParallel(data, ParallelOptions{
 		MineOptions: MineOptions{MinSupport: 0.4},
 		Algorithm:   IDD,
 		Procs:       2,
-		Trace:       true,
-	})
-	if err != nil {
+		Recorder:    rec,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Trace) == 0 {
+	tr := rec.Trace()
+	if len(tr.Spans) == 0 {
 		t.Fatal("no trace recorded")
 	}
 	var sb strings.Builder
-	if err := TraceTimeline(&sb, rep, 50); err != nil {
+	if err := TraceTimeline(&sb, tr, 50); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "P0") || !strings.Contains(sb.String(), "P1") {

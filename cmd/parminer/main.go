@@ -17,9 +17,11 @@
 // processor streaming its own partition files one block at a time.
 //
 // -trace writes the run's span trace as Perfetto-loadable JSON (inspect it
-// with cmd/trace or load it at ui.perfetto.dev); -timeline renders the text
-// Gantt chart.  A bounded flight recorder runs on every mine regardless of
-// flags; -flight dumps its ring of most recent spans in the same format.
+// with cmd/trace or load it at ui.perfetto.dev); -timeline renders the same
+// spans as a text Gantt chart, the one `trace -timeline` prints of the
+// file.  A bounded flight recorder runs on every mine regardless of flags;
+// -flight dumps its ring — each rank's most recently completed spans,
+// structure included — in the same format.
 package main
 
 import (
@@ -193,13 +195,15 @@ func main() {
 	mach := preset.Machine()
 
 	// The flight recorder is always on: a bounded ring of recent spans per
-	// rank, teed alongside the optional full collector.  -flight dumps it in
-	// the same Perfetto format as -trace.
-	var col *parapriori.SpanCollector
-	if *traceOut != "" {
-		col = parapriori.NewSpanCollector()
-	}
+	// rank, teed alongside the full collector -trace and -timeline read.
+	// -flight dumps it in the same Perfetto format as -trace.
 	fr := parapriori.NewFlightRecorder(0)
+	var col *parapriori.SpanCollector
+	rec := parapriori.Recorder(fr)
+	if *traceOut != "" || *timeline {
+		col = parapriori.NewSpanCollector()
+		rec = parapriori.TeeRecorders(fr, col)
+	}
 	popt := parapriori.ParallelOptions{
 		MineOptions: parapriori.MineOptions{MinSupport: *minsup, Engine: *engine, Source: src},
 		Algorithm:   parapriori.Algorithm(*algoName),
@@ -207,13 +211,8 @@ func main() {
 		Machine:     mach,
 		HDThreshold: *hdm,
 		FixedG:      *fixedG,
-		Trace:       *timeline,
 		Backend:     *backend,
-	}
-	if col != nil {
-		popt.Recorder = parapriori.TeeRecorders(fr, col)
-	} else {
-		popt.Recorder = fr
+		Recorder:    rec,
 	}
 	rep, err := parapriori.MineParallel(data, popt)
 	if err != nil {
@@ -221,7 +220,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if col != nil {
+	if *traceOut != "" {
 		if err := writeTrace(*traceOut, col.Trace()); err != nil {
 			fmt.Fprintf(os.Stderr, "parminer: %v\n", err)
 			os.Exit(1)
@@ -272,7 +271,7 @@ func main() {
 		}
 	}
 	if *timeline {
-		if err := parapriori.TraceTimeline(os.Stdout, rep, 100); err != nil {
+		if err := parapriori.TraceTimeline(os.Stdout, col.Trace(), 100); err != nil {
 			fmt.Fprintf(os.Stderr, "parminer: %v\n", err)
 			os.Exit(1)
 		}

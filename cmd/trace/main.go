@@ -1,14 +1,20 @@
-// Command trace inspects span traces saved by `parminer -trace out.json`:
-// it prints the per-pass cost-attribution table (the measured counterpart of
-// the paper's parallel-runtime decomposition), renders a text Gantt chart of
-// the leaf compute/send/idle slices, or re-emits the trace as normalized,
-// byte-deterministic Perfetto JSON.
+// Command trace inspects span traces — a full trace saved by `parminer
+// -trace out.json`, or a flight-ring dump from `parminer -flight out.json`
+// or a server's /debug/flight: it prints the per-pass cost-attribution table
+// (the measured counterpart of the paper's parallel-runtime decomposition),
+// renders a text Gantt chart of the leaf compute/send/idle slices (at the
+// default width, the chart `parminer -timeline` prints of the same run),
+// prints the pass-duration histogram or the last n completed spans, or
+// re-emits the trace as normalized, byte-deterministic Perfetto JSON.
 //
 // Usage:
 //
-//	parminer -algo idd -p 8 -minsup 0.01 -trace trace.json t15i6.dat
+//	parminer -algo idd -p 8 -minsup 0.01 -trace trace.json -flight ring.json t15i6.dat
 //	trace trace.json                     # attribution table (the default)
+//	trace ring.json                      # the same table over the ring's window
 //	trace -timeline -width 120 trace.json
+//	trace -hist trace.json
+//	trace -flight 20 trace.json
 //	trace -perfetto normalized.json trace.json
 //
 // The Perfetto output loads in ui.perfetto.dev or chrome://tracing: one

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"parapriori/internal/obsv"
 )
 
 // Cluster is an emulated P-processor message-passing machine.
@@ -67,6 +69,16 @@ func (c *Cluster) Machine() Machine { return c.machine }
 
 // Proc returns processor i.
 func (c *Cluster) Proc(i int) *Proc { return c.procs[i] }
+
+// SetRecorder installs the span sink for subsequent Runs: every processor
+// records each compute, I/O, send, idle, retry and drop slice of its virtual
+// timeline into rec as the slice completes, from its own goroutine.  Nil —
+// the state of a new or Reset cluster — turns recording off.
+func (c *Cluster) SetRecorder(rec obsv.Recorder) {
+	for _, p := range c.procs {
+		p.rec = rec
+	}
+}
 
 // Run executes fn once per processor, each on its own goroutine (the SPMD
 // model of MPI programs), and waits for all of them.  It returns the join
@@ -176,7 +188,7 @@ func (c *Cluster) Revive(rank int) {
 
 // ResetComm clears all in-flight communication state between Runs of one
 // logical computation: queued and held messages, termination flags, and
-// reliable-layer sequence state.  Clocks, statistics, traces, and fault
+// reliable-layer sequence state.  Clocks, statistics, the recorder, and fault
 // schedules (including fired crash entries) are preserved — this is the
 // restart primitive for checkpoint recovery, not a full Reset.
 //
@@ -202,7 +214,7 @@ func (c *Cluster) ResetComm() {
 }
 
 // Reset returns the cluster to its initial state for an independent
-// experiment: clocks, port times, statistics, traces and tracing mode,
+// experiment: clocks, port times, statistics, the installed recorder,
 // communication state (including pending mailbox waiters from a faulted
 // run, which are cancelled via the mailbox generation), and any installed
 // fault plan are all cleared.
@@ -213,8 +225,7 @@ func (c *Cluster) Reset() {
 		p.clock = 0
 		p.portFree = 0
 		p.stats = Stats{}
-		p.tracing = false
-		p.trace = nil
+		p.rec = nil
 		p.clearFaultSchedule()
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"parapriori/internal/obsv"
 )
 
 // reliablePair runs a sender → receiver exchange of n sequenced messages
@@ -310,7 +312,7 @@ func TestResetAfterFaultedRun(t *testing.T) {
 	if err := c.InstallFaults(&plan); err != nil {
 		t.Fatal(err)
 	}
-	c.EnableTrace()
+	c.SetRecorder(obsv.NewCollector(obsv.ClockVirtual))
 	err := c.Run(func(p *Proc) error {
 		if p.ID() == 0 {
 			p.Send(1, "t", 1, 10) // never consumed: rank 1 crashes first
@@ -330,8 +332,8 @@ func TestResetAfterFaultedRun(t *testing.T) {
 	if c.MaxClock() != 0 {
 		t.Fatalf("clock after Reset = %v", c.MaxClock())
 	}
-	if tr := c.Trace(); len(tr) != 0 {
-		t.Fatalf("trace survived Reset: %d events", len(tr))
+	if c.Proc(0).rec != nil || c.Proc(1).rec != nil {
+		t.Fatal("recorder survived Reset")
 	}
 	// The crash entry must not re-fire (the plan was uninstalled) and the
 	// queued message must be gone.

@@ -1,6 +1,10 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"parapriori/internal/obsv"
+)
 
 // Stats is the per-processor accounting of where virtual time went.  The
 // paper reports exactly these decompositions ("for 64 processors the load
@@ -62,8 +66,9 @@ type Proc struct {
 	clock    float64
 	portFree float64
 	stats    Stats
-	tracing  bool
-	trace    []Event
+	// rec, when non-nil, receives every slice of the processor's timeline
+	// as a leaf span the moment the slice completes (Cluster.SetRecorder).
+	rec obsv.Recorder
 
 	// Reliable-layer state, all owned by the processor's goroutine.
 	// sendSeq[to] is the next outgoing sequence number per destination;
@@ -120,7 +125,7 @@ func (p *Proc) Compute(seconds float64, phase string) {
 	p.clock += seconds
 	p.stats.ComputeTime += seconds
 	p.addPhase(phase, seconds)
-	p.record(EvCompute, phase, p.clock-seconds, p.clock, -1, 0)
+	p.record(obsv.CatCompute, phase, p.clock-seconds, p.clock, -1, 0)
 	p.checkCrash()
 }
 
@@ -134,8 +139,32 @@ func (p *Proc) ReadIO(bytes int64, phase string) {
 	p.clock += seconds
 	p.stats.IOTime += seconds
 	p.addPhase(phase, seconds)
-	p.record(EvIO, phase, p.clock-seconds, p.clock, -1, int(bytes))
+	p.record(obsv.CatIO, phase, p.clock-seconds, p.clock, -1, int(bytes))
 	p.checkCrash()
+}
+
+// record emits one slice of the processor's virtual timeline as a leaf span
+// on its rank: the slice kind is the span's category, the phase label or
+// message tag its name (the category when unlabelled), and the counterpart
+// rank and message size become "peer"/"bytes" attributes when set (peer < 0
+// and bytes == 0 mean none).  Zero-length slices are skipped.  With no
+// recorder installed — the default: a large run completes a slice per
+// message and per compute charge — it costs one branch.
+func (p *Proc) record(cat, name string, start, end float64, peer, bytes int) {
+	if p.rec == nil || end <= start {
+		return
+	}
+	s := obsv.Span{Name: name, Cat: cat, Rank: p.id, Start: start, End: end}
+	if s.Name == "" {
+		s.Name = cat
+	}
+	if peer >= 0 {
+		s.Args = append(s.Args, obsv.Int("peer", int64(peer)))
+	}
+	if bytes > 0 {
+		s.Args = append(s.Args, obsv.Int("bytes", int64(bytes)))
+	}
+	p.rec.Record(s)
 }
 
 func (p *Proc) addPhase(phase string, seconds float64) {
@@ -176,7 +205,7 @@ func (p *Proc) SendBlocking(to int, tag string, payload any, bytes int, congesti
 	t := p.c.machine.transferTime(bytes, congestion)
 	p.clock += t
 	p.stats.SendTime += t
-	p.record(EvSend, tag, p.clock-t, p.clock, to, bytes)
+	p.record(obsv.CatSend, tag, p.clock-t, p.clock, to, bytes)
 	msg := p.prepSend(to, tag, payload, bytes, congestion)
 	p.c.boxes[to][p.id].put(msg)
 }
@@ -208,7 +237,7 @@ func (p *Proc) prepSend(to int, tag string, payload any, bytes int, congestion f
 	}
 	p.stats.BytesSent += int64(bytes)
 	p.stats.MessagesSent++
-	p.record(EvSend, tag, sendStart, p.clock, to, bytes)
+	p.record(obsv.CatSend, tag, sendStart, p.clock, to, bytes)
 	return msg
 }
 
@@ -314,7 +343,7 @@ func (p *Proc) completeRecv(msg Message) {
 		p.portFree = completion
 		if completion > p.clock {
 			p.stats.IdleTime += completion - p.clock
-			p.record(EvIdle, msg.Tag, p.clock, completion, msg.From, msg.Bytes)
+			p.record(obsv.CatIdle, msg.Tag, p.clock, completion, msg.From, msg.Bytes)
 			p.clock = completion
 		}
 	} else {
@@ -327,7 +356,7 @@ func (p *Proc) completeRecv(msg Message) {
 		}
 		if start > before {
 			p.stats.IdleTime += start - before
-			p.record(EvIdle, msg.Tag, before, start, msg.From, msg.Bytes)
+			p.record(obsv.CatIdle, msg.Tag, before, start, msg.From, msg.Bytes)
 		}
 		completion := start + t
 		p.portFree = completion
@@ -343,7 +372,7 @@ func (p *Proc) completeRecv(msg Message) {
 func (p *Proc) SyncClock(t float64) {
 	if t > p.clock {
 		p.stats.IdleTime += t - p.clock
-		p.record(EvIdle, "sync", p.clock, t, -1, 0)
+		p.record(obsv.CatIdle, "sync", p.clock, t, -1, 0)
 		p.clock = t
 	}
 	p.checkCrash()

@@ -17,6 +17,8 @@ package cluster
 // message-startup charge on the receiver per accepted frame, no ack frame
 // enqueued.
 
+import "parapriori/internal/obsv"
+
 // SendReliable posts a sequenced point-to-point message through the fault
 // plan (congestion factor 1).  Without an installed plan it is exactly
 // Send.
@@ -180,10 +182,10 @@ func (p *Proc) retryRecover(fs *faultState, tomb Message) (Message, bool) {
 		// NACK startup on the receiver's NIC.
 		p.clock += m.Latency
 		p.stats.SendTime += m.Latency
-		p.record(EvSend, "nack", p.clock-m.Latency, p.clock, tomb.From, 0)
+		p.record(obsv.CatSend, "nack", p.clock-m.Latency, p.clock, tomb.From, 0)
 		// Wait out the backoff before the retransmission can land.
 		p.stats.RetryTime += backoff
-		p.record(EvRetry, tomb.Tag, p.clock, p.clock+backoff, tomb.From, tomb.Bytes)
+		p.record(obsv.CatRetry, tomb.Tag, p.clock, p.clock+backoff, tomb.From, tomb.Bytes)
 		p.clock += backoff
 		backoff *= 2
 		p.stats.MessagesRetried++
@@ -215,7 +217,7 @@ func (p *Proc) chargeOccupancy(msg Message) {
 	p.portFree = completion
 	if completion > p.clock {
 		p.stats.RetryTime += completion - p.clock
-		p.record(EvDrop, msg.Tag, p.clock, completion, msg.From, msg.Bytes)
+		p.record(obsv.CatDrop, msg.Tag, p.clock, completion, msg.From, msg.Bytes)
 		p.clock = completion
 	}
 	p.checkCrash()
@@ -227,7 +229,7 @@ func (p *Proc) chargeAck(fs *faultState) {
 	m := p.c.machine
 	p.clock += m.Latency
 	p.stats.SendTime += m.Latency
-	p.record(EvSend, "ack", p.clock-m.Latency, p.clock, -1, 0)
+	p.record(obsv.CatSend, "ack", p.clock-m.Latency, p.clock, -1, 0)
 }
 
 // chargeDeadDetect charges the cost of discovering a terminated peer: the
@@ -240,7 +242,7 @@ func (p *Proc) chargeDeadDetect(fs *faultState, from int) {
 	}
 	cost := fs.plan.Reliable.detectCost(p.c.machine)
 	p.stats.RetryTime += cost
-	p.record(EvRetry, "detect", p.clock, p.clock+cost, from, 0)
+	p.record(obsv.CatRetry, "detect", p.clock, p.clock+cost, from, 0)
 	p.clock += cost
 }
 

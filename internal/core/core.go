@@ -85,17 +85,14 @@ type Params struct {
 	// bin-packing partitioner splits it by second item; 0 means the
 	// natural ceil(M/G).
 	SplitThreshold int
-	// Trace records every virtual-time event (compute slices, sends, disk
-	// reads, idle waits) into Report.Trace, for rendering with
-	// cluster.WriteTimeline.  Off by default: big runs generate an event
-	// per message.
-	Trace bool
 	// Recorder, when non-nil, receives the run's observability spans: a
 	// hierarchy of run → pass → engine section over the virtual clock, plus
-	// every cluster event as a leaf slice (a Recorder implies event
-	// tracing).  Spans carry only virtual time, so a seeded run records a
-	// bit-identical trace every time.  See package obsv for the collector
-	// and the Perfetto/attribution exporters.
+	// every slice of every processor's timeline (compute, disk read, send,
+	// idle wait, retry) as a leaf, each recorded as it completes.  Off by
+	// default: big runs complete a slice per message.  Spans carry only
+	// virtual time, so a seeded run records a bit-identical trace every
+	// time.  See package obsv for the collector, the flight ring and the
+	// Perfetto/attribution/timeline exporters.
 	Recorder obsv.Recorder
 	// Faults installs a deterministic fault plan on the emulated cluster
 	// and turns on fault-tolerant execution: pass-level checkpointing,
@@ -320,8 +317,6 @@ type Report struct {
 	Total cluster.Stats
 	// Wall is the real wall-clock duration of the emulated run.
 	Wall time.Duration
-	// Trace holds the virtual-time event log when Params.Trace was set.
-	Trace []cluster.Event
 	// Restarts is the number of recovery rollbacks a fault-tolerant run
 	// performed; LostRanks the processors permanently removed from the
 	// computation (declared dead or crashed with Crash.Permanent).
@@ -397,9 +392,7 @@ func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if prm.Trace || prm.Recorder != nil {
-		cl.EnableTrace()
-	}
+	cl.SetRecorder(prm.Recorder)
 	if err := cl.InstallFaults(prm.Faults); err != nil {
 		return nil, err
 	}
@@ -447,7 +440,7 @@ func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
 	} else if err := cl.Run(run.body); err != nil {
 		return nil, err
 	}
-	run.recordRunTrace(resumed)
+	run.runSpan(resumed)
 
 	rep := &Report{
 		Algo:          prm.Algo,
@@ -465,9 +458,6 @@ func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
 	}
 	for _, pass := range rep.Passes {
 		rep.Read.Add(pass.Read)
-	}
-	if prm.Trace {
-		rep.Trace = cl.Trace()
 	}
 	return rep, nil
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"parapriori/internal/apriori"
-	"parapriori/internal/cluster"
+	"parapriori/internal/obsv"
 )
 
 func TestChooseG(t *testing.T) {
@@ -138,27 +138,21 @@ func TestIDDImbalanceGrowsWithP(t *testing.T) {
 
 func TestTraceThroughCore(t *testing.T) {
 	d := testData(t)
-	rep, err := Mine(d, Params{Algo: IDD, P: 4, Trace: true, Apriori: apriori.Params{MinSupport: 0.02, MaxPasses: 2}})
+	rec := obsv.NewCollector(obsv.ClockVirtual)
+	rep, err := Mine(d, Params{Algo: IDD, P: 4, Recorder: rec, Apriori: apriori.Params{MinSupport: 0.02, MaxPasses: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Trace) == 0 {
-		t.Fatal("no trace recorded")
+	tr := rec.Trace()
+	if tr.Ranks() != rep.P {
+		t.Fatalf("trace covers %d ranks, want %d", tr.Ranks(), rep.P)
 	}
 	var sb strings.Builder
-	if err := cluster.WriteTimeline(&sb, rep.Trace, rep.P, 60); err != nil {
+	if err := obsv.WriteTimeline(&sb, tr, 60); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "P0") || !strings.Contains(sb.String(), "#") {
 		t.Errorf("timeline incomplete:\n%s", sb.String())
-	}
-	// No trace by default.
-	rep2, err := Mine(d, Params{Algo: IDD, P: 4, Apriori: apriori.Params{MinSupport: 0.02, MaxPasses: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep2.Trace) != 0 {
-		t.Error("trace recorded without Params.Trace")
 	}
 }
 

@@ -10,15 +10,16 @@ import (
 
 // Span emission for the mining engine.  When Params.Recorder is set, the
 // SPMD bodies emit a hierarchy over the virtual clock — run → pass →
-// section — and Mine converts the cluster's low-level event trace into leaf
-// slices, so an exported trace shows every rank's timeline from the whole
-// run down to individual compute slices and messages.  With a nil recorder
-// every hook is one branch.
+// section — into the same recorder the emulated machine emits its leaf
+// slices into, so an exported trace shows every rank's timeline from the
+// whole run down to individual compute slices and messages, and each
+// rank's spans arrive in the order that rank completed them.  With a nil
+// recorder every hook is one branch.
 
 // sec records one engine section span covering [start, now] on the
 // processor's rank.  Zero-duration sections (e.g. a checkpoint on a
 // fault-free run, where the checkpoint charges nothing) are skipped, like
-// the cluster's own event recording.
+// the cluster's own zero-length slices.
 func (r *run) sec(p *cluster.Proc, name string, start float64, args ...obsv.Attr) {
 	if r.rec == nil {
 		return
@@ -67,14 +68,12 @@ func (r *run) passSpan(p *cluster.Proc, tr *procTrace, extra ...obsv.Attr) {
 	})
 }
 
-// recordRunTrace finishes the observability trace after the cluster run:
-// the cluster's event log becomes leaf slices, and one cluster-wide run
-// span covers [0, MaxClock].
-func (r *run) recordRunTrace(resumed int) {
+// runSpan finishes the observability trace after the cluster run with one
+// cluster-wide span covering [0, MaxClock].
+func (r *run) runSpan(resumed int) {
 	if r.rec == nil {
 		return
 	}
-	obsv.RecordClusterTrace(r.rec, r.cl.Trace())
 	r.rec.Record(obsv.Span{
 		Name: "mine " + string(r.prm.Algo), Cat: obsv.CatRun, Rank: -1,
 		Start: 0, End: r.cl.MaxClock(),
@@ -88,8 +87,8 @@ func (r *run) recordRunTrace(resumed int) {
 }
 
 // WriteProm renders the run's outcome as Prometheus text exposition — one
-// scrape-shaped snapshot of a finished mine, so mining results flow through
-// the same registry and naming scheme as the serving tiers.  The values are
+// scrape-shaped snapshot of a finished mine, so mining results use the same
+// exposition writer and naming scheme as the serving tiers.  The values are
 // virtual-clock quantities: on a seeded run the exposition is bit-identical
 // between runs.
 func (r *Report) WriteProm(w *obsv.PromWriter) {

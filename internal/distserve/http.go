@@ -27,51 +27,9 @@ import (
 // wire bit-for-bit and the distributed ranking stays identical to the
 // in-process one.
 
-// ruleWire is the wire form of a rule, field-compatible with the single-node
-// serving API's rule encoding.
-type ruleWire struct {
-	Antecedent []itemset.Item `json:"antecedent"`
-	Consequent []itemset.Item `json:"consequent"`
-	Count      int64          `json:"count"`
-	Support    float64        `json:"support"`
-	Confidence float64        `json:"confidence"`
-	Lift       float64        `json:"lift"`
-	Leverage   float64        `json:"leverage"`
-}
-
-func toWire(r rules.Rule) ruleWire {
-	return ruleWire{
-		Antecedent: r.Antecedent,
-		Consequent: r.Consequent,
-		Count:      r.Count,
-		Support:    r.Support,
-		Confidence: r.Confidence,
-		Lift:       r.Lift,
-		Leverage:   r.Leverage,
-	}
-}
-
-func fromWire(w ruleWire) rules.Rule {
-	return rules.Rule{
-		Antecedent: itemset.Itemset(w.Antecedent),
-		Consequent: itemset.Itemset(w.Consequent),
-		Count:      w.Count,
-		Support:    w.Support,
-		Confidence: w.Confidence,
-		Lift:       w.Lift,
-		Leverage:   w.Leverage,
-	}
-}
-
-func toWireRules(rs []rules.Rule) []ruleWire {
-	out := make([]ruleWire, len(rs))
-	for i, r := range rs {
-		out[i] = toWire(r)
-	}
-	return out
-}
-
-func fromWireRules(ws []ruleWire) []rules.Rule {
+// fromWireRules decodes a wire rule list (serve.RuleJSON, the one rules
+// codec of the serving tiers).
+func fromWireRules(ws []serve.RuleJSON) []rules.Rule {
 	if len(ws) == 0 {
 		// nil, not an empty slice: decoded answers must be bit-identical
 		// to the in-process ones, which return nil for "no matches".
@@ -79,7 +37,7 @@ func fromWireRules(ws []ruleWire) []rules.Rule {
 	}
 	out := make([]rules.Rule, len(ws))
 	for i, w := range ws {
-		out[i] = fromWire(w)
+		out[i] = rules.Rule(w)
 	}
 	return out
 }
@@ -87,8 +45,8 @@ func fromWireRules(ws []ruleWire) []rules.Rule {
 // groupUpdateWire / groupRefWire / prepareWire are the JSON forms of the
 // publish protocol messages.
 type groupUpdateWire struct {
-	Shard int        `json:"shard"`
-	Rules []ruleWire `json:"rules"`
+	Shard int              `json:"shard"`
+	Rules []serve.RuleJSON `json:"rules"`
 }
 
 type groupRefWire struct {
@@ -107,7 +65,7 @@ type prepareWire struct {
 func toPrepareWire(req PrepareRequest) prepareWire {
 	w := prepareWire{Gen: req.Gen, Full: req.Full, Owned: req.Owned}
 	for _, up := range req.Upserts {
-		w.Upserts = append(w.Upserts, groupUpdateWire{Shard: up.Shard, Rules: toWireRules(up.Rules)})
+		w.Upserts = append(w.Upserts, groupUpdateWire{Shard: up.Shard, Rules: serve.RulesJSON(up.Rules)})
 	}
 	for _, rm := range req.Removes {
 		w.Removes = append(w.Removes, groupRefWire{Shard: rm.Shard, Ant: rm.Ant})
@@ -126,33 +84,29 @@ func fromPrepareWire(w prepareWire) PrepareRequest {
 	return req
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v) // response already committed; nothing to do on error
-}
+// Request-body caps of the two control-plane decoders: a prepare carries a
+// node's whole share of a full publish, a commit one generation number.
+// Variables only so tests can lower them.
+var (
+	maxPrepareBody int64 = 256 << 20
+	maxCommitBody  int64 = 4 << 10
+)
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// parseItems parses a comma-separated non-negative item list ("1,2,3").
-func parseItems(raw string) ([]itemset.Item, error) {
-	if strings.TrimSpace(raw) == "" {
-		return nil, fmt.Errorf("empty items")
+// decodeBody decodes the request's JSON body, at most limit bytes of it,
+// into v.  On failure it has answered — 413 for an oversized body, 400 for
+// a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		serve.WriteError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, tooLarge.Limit)
+	default:
+		serve.WriteError(w, http.StatusBadRequest, "%s: %v", what, err)
 	}
-	parts := strings.Split(raw, ",")
-	out := make([]itemset.Item, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad item %q", p)
-		}
-		out = append(out, itemset.Item(v))
-	}
-	return out, nil
+	return false
 }
 
 // NodeHandler is a node process's HTTP surface: the control-plane endpoints
@@ -170,44 +124,42 @@ func NodeHandler(n *Node) http.Handler {
 	mux.Handle("/", n.Server().Handler(nil))
 	mux.HandleFunc("/shard/prepare", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "use POST")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 			return
 		}
 		var pw prepareWire
-		if err := json.NewDecoder(r.Body).Decode(&pw); err != nil {
-			writeError(w, http.StatusBadRequest, "prepare: %v", err)
+		if !decodeBody(w, r, maxPrepareBody, "prepare", &pw) {
 			return
 		}
 		if err := n.Prepare(fromPrepareWire(pw)); err != nil {
-			writeError(w, http.StatusConflict, "%v", err)
+			serve.WriteError(w, http.StatusConflict, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"staged": pw.Gen})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"staged": pw.Gen})
 	})
 	mux.HandleFunc("/shard/commit", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "use POST")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 			return
 		}
 		var body struct {
 			Gen uint64 `json:"generation"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, "commit: %v", err)
+		if !decodeBody(w, r, maxCommitBody, "commit", &body) {
 			return
 		}
 		if err := n.Commit(body.Gen); err != nil {
-			writeError(w, http.StatusConflict, "%v", err)
+			serve.WriteError(w, http.StatusConflict, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"generation": body.Gen})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"generation": body.Gen})
 	})
 	mux.HandleFunc("/shard/state", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"id":         n.ID(),
 			"generation": n.Gen(),
 			"shards":     n.Shards(),
@@ -316,8 +268,8 @@ func (c *HTTPClient) Recommend(ctx context.Context, basket itemset.Itemset, k in
 		items[i] = strconv.Itoa(int(it))
 	}
 	var resp struct {
-		Generation uint64     `json:"generation"`
-		Rules      []ruleWire `json:"rules"`
+		Generation uint64           `json:"generation"`
+		Rules      []serve.RuleJSON `json:"rules"`
 	}
 	path := "/recommend?items=" + url.QueryEscape(strings.Join(items, ",")) + "&k=" + strconv.Itoa(k)
 	if link != "" {
@@ -365,41 +317,41 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/recommend", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
-		basket, err := parseItems(req.URL.Query().Get("items"))
+		basket, err := serve.ParseItems(req.URL.Query().Get("items"))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "items: %v", err)
+			serve.WriteError(w, http.StatusBadRequest, "items: %v", err)
 			return
 		}
 		k := 0
 		if raw := req.URL.Query().Get("k"); raw != "" {
 			k, err = strconv.Atoi(raw)
 			if err != nil || k < 0 {
-				writeError(w, http.StatusBadRequest, "bad k %q", raw)
+				serve.WriteError(w, http.StatusBadRequest, "bad k %q", raw)
 				return
 			}
 		}
 		res, err := r.Recommend(basket, k)
 		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, struct {
-			Generation   uint64         `json:"generation"`
-			Basket       []itemset.Item `json:"basket"`
-			Rules        []ruleWire     `json:"rules"`
-			Mixed        bool           `json:"mixed,omitempty"`
-			Partial      bool           `json:"partial,omitempty"`
-			MissedShards []int          `json:"missed_shards,omitempty"`
-			NodesQueried int            `json:"nodes_queried"`
-			Retries      int            `json:"retries,omitempty"`
-			Hedges       int            `json:"hedges,omitempty"`
+		serve.WriteJSON(w, http.StatusOK, struct {
+			Generation   uint64           `json:"generation"`
+			Basket       []itemset.Item   `json:"basket"`
+			Rules        []serve.RuleJSON `json:"rules"`
+			Mixed        bool             `json:"mixed,omitempty"`
+			Partial      bool             `json:"partial,omitempty"`
+			MissedShards []int            `json:"missed_shards,omitempty"`
+			NodesQueried int              `json:"nodes_queried"`
+			Retries      int              `json:"retries,omitempty"`
+			Hedges       int              `json:"hedges,omitempty"`
 		}{
 			Generation:   res.Generation,
 			Basket:       itemset.New(basket...),
-			Rules:        toWireRules(res.Rules),
+			Rules:        serve.RulesJSON(res.Rules),
 			Mixed:        res.Mixed,
 			Partial:      res.Partial,
 			MissedShards: res.MissedShards,
@@ -410,7 +362,7 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
 		m := r.Metrics()
@@ -426,7 +378,7 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 		for id, st := range r.Health() {
 			health[id] = st.String()
 		}
-		writeJSON(w, code, map[string]any{
+		serve.WriteJSON(w, code, map[string]any{
 			"status":     status,
 			"generation": m.Generation,
 			"nodes_up":   m.NodesUp,
@@ -436,29 +388,31 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
 		if serve.WantsProm(req) {
 			w.Header().Set("Content-Type", obsv.ContentType)
-			_, _ = w.Write(r.reg.Gather())
+			pw := obsv.NewPromWriter()
+			r.WriteProm(pw)
+			_, _ = w.Write(pw.Bytes())
 			return
 		}
-		writeJSON(w, http.StatusOK, r.Metrics())
+		serve.WriteJSON(w, http.StatusOK, r.Metrics())
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
 		serve.WriteFlight(w, r.flight, req.URL.Query().Get("format"))
 	})
 	mux.HandleFunc("/placement", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "use GET")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"shards":    r.opt.Shards,
 			"replicas":  r.opt.Replicas,
 			"nodes":     r.NodeIDs(),
@@ -473,25 +427,25 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 	})
 	mux.HandleFunc("/reload", func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "use POST")
+			serve.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 			return
 		}
 		if reload == nil {
-			writeError(w, http.StatusNotImplemented, "no reload source configured")
+			serve.WriteError(w, http.StatusNotImplemented, "no reload source configured")
 			return
 		}
 		rs, err := reload()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "reload: %v", err)
+			serve.WriteError(w, http.StatusInternalServerError, "reload: %v", err)
 			return
 		}
 		full := req.URL.Query().Get("full") != ""
 		stats, err := r.Publish(rs, full)
 		if err != nil {
-			writeError(w, http.StatusBadGateway, "publish: %v", err)
+			serve.WriteError(w, http.StatusBadGateway, "publish: %v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, stats)
+		serve.WriteJSON(w, http.StatusOK, stats)
 	})
 	return mux
 }

@@ -15,6 +15,7 @@ import (
 	"parapriori/internal/itemset"
 	"parapriori/internal/obsv"
 	"parapriori/internal/rules"
+	"parapriori/internal/serve"
 )
 
 // TestRouterMetricsPromNegotiation: the router's /metrics serves the
@@ -155,10 +156,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 			t.Fatalf("GET /recommend: HTTP %d", resp.StatusCode)
 		}
 		var body struct {
-			Generation uint64         `json:"generation"`
-			Rules      []ruleWire     `json:"rules"`
-			Partial    bool           `json:"partial"`
-			Extra      map[string]any `json:"-"`
+			Generation uint64           `json:"generation"`
+			Rules      []serve.RuleJSON `json:"rules"`
+			Partial    bool             `json:"partial"`
+			Extra      map[string]any   `json:"-"`
 		}
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatalf("decode /recommend: %v", err)
@@ -247,4 +248,60 @@ func serveRules(rs []rules.Rule) []rules.Rule {
 		}
 	}
 	return out
+}
+
+// TestControlPlaneBodyLimits: the two control-plane decoders read a bounded
+// body.  One byte over the cap is a 413 with a JSON error naming the
+// endpoint and the cap, a body at the cap still decodes, and garbage stays
+// a 400.
+func TestControlPlaneBodyLimits(t *testing.T) {
+	defer func(p, c int64) { maxPrepareBody, maxCommitBody = p, c }(maxPrepareBody, maxCommitBody)
+	maxPrepareBody, maxCommitBody = 512, 64
+
+	node := NewNode("n0", serve.Options{Shards: 4})
+	defer node.Close()
+	ts := httptest.NewServer(NodeHandler(node))
+	defer ts.Close()
+
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatalf("POST %s: HTTP %d with a non-JSON body: %v", path, resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode, e.Error
+	}
+	// Valid JSON padded with trailing whitespace inside the value's
+	// brackets, so the decoder has to read past the cap to finish it.
+	padded := func(prefix, suffix string, n int64) string {
+		return prefix + strings.Repeat(" ", int(n)-len(prefix)-len(suffix)) + suffix
+	}
+	for _, tc := range []struct {
+		path, what     string
+		limit          int64
+		prefix, suffix string
+	}{
+		{"/shard/prepare", "prepare", maxPrepareBody, `{"generation":1,"full":true,"owned":[0`, `]}`},
+		{"/shard/commit", "commit", maxCommitBody, `{"generation":1`, `}`},
+	} {
+		code, msg := post(tc.path, padded(tc.prefix, tc.suffix, tc.limit+1))
+		if want := fmt.Sprintf("%s: body exceeds %d bytes", tc.what, tc.limit); code != http.StatusRequestEntityTooLarge || msg != want {
+			t.Errorf("%s over the cap: HTTP %d %q, want 413 %q", tc.path, code, msg, want)
+		}
+		if code, msg := post(tc.path, padded(tc.prefix, tc.suffix, tc.limit)); code != http.StatusOK {
+			t.Errorf("%s at the cap: HTTP %d %q, want 200", tc.path, code, msg)
+		}
+		if code, msg := post(tc.path, "not json"); code != http.StatusBadRequest || !strings.HasPrefix(msg, tc.what+": ") {
+			t.Errorf("%s garbage: HTTP %d %q, want 400", tc.path, code, msg)
+		}
+	}
 }

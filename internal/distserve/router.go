@@ -54,7 +54,6 @@ type Router struct {
 	met    routerMetrics
 	flight *obsv.Flight    // always-on bounded ring of recent spans
 	rc     *obsv.RealClock // always non-nil: records into the flight ring, teed with Options.Recorder
-	reg    *obsv.Registry
 }
 
 // routerMetrics is the router's lock-free counter block.
@@ -89,8 +88,6 @@ func NewRouter(clients []Client, opt Options) (*Router, error) {
 	}
 	r.rc = obsv.NewRealClock(obsv.Tee(r.flight, opt.Recorder))
 	r.rc.SetMeta("tier", "router")
-	r.reg = obsv.NewRegistry()
-	r.reg.Register("router", r.WriteProm)
 	r.met.start = time.Now()
 	for _, c := range clients {
 		id := c.ID()
@@ -122,11 +119,6 @@ func (r *Router) Options() Options { return r.opt }
 // Flight returns the router's always-on flight recorder — the bounded ring
 // of recent request, fan-out and publish spans behind /debug/flight.
 func (r *Router) Flight() *obsv.Flight { return r.flight }
-
-// Registry returns the router's metrics registry.  The router family is
-// pre-registered; callers can graft additional families onto the same
-// /metrics exposition.
-func (r *Router) Registry() *obsv.Registry { return r.reg }
 
 // Generation returns the current cluster generation, 0 before the first
 // successful Publish.

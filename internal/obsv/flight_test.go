@@ -117,26 +117,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-// TestRegistryOrderAndReplace: collectors render in first-registration
-// order; re-registering replaces in place.
-func TestRegistryOrderAndReplace(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register("b", func(w *PromWriter) { w.Gauge("parapriori_b", "b.", 1) })
-	reg.Register("a", func(w *PromWriter) { w.Gauge("parapriori_a", "a.", 2) })
-	out := string(reg.Gather())
-	if strings.Index(out, "parapriori_b") > strings.Index(out, "parapriori_a") {
-		t.Fatalf("registration order not preserved:\n%s", out)
-	}
-	reg.Register("b", func(w *PromWriter) { w.Gauge("parapriori_b2", "b2.", 3) })
-	out = string(reg.Gather())
-	if !strings.Contains(out, "parapriori_b2") || strings.Contains(out, "parapriori_b 1") {
-		t.Fatalf("re-registration did not replace:\n%s", out)
-	}
-	if got := reg.Names(); !reflect.DeepEqual(got, []string{"b", "a"}) {
-		t.Fatalf("Names = %v", got)
-	}
-}
-
 // TestLintProm: a well-formed PromWriter exposition is clean, and each
 // convention violation is reported.
 func TestLintProm(t *testing.T) {

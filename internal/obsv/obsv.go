@@ -28,6 +28,9 @@
 //     (compute/send/idle/retry/IO and critical path per pass) — the measured
 //     counterpart of the paper's Section IV runtime decomposition, cross-
 //     checkable against cluster.Stats.
+//   - WriteTimeline: the text Gantt chart of the leaf slices, one row per
+//     rank — the only renderer; parminer -timeline and trace -timeline both
+//     print it.
 //   - PromWriter: Prometheus text exposition, used by the serving tier's
 //     /metrics endpoints.
 //
@@ -82,8 +85,8 @@ type Span struct {
 	Name string
 	// Cat classifies the span.  Structural categories ("run", "pass",
 	// "section", "request", "publish") nest; slice categories ("compute",
-	// "io", "send", "idle", "retry", "drop") are the leaf events of the
-	// cluster trace.
+	// "io", "send", "idle", "retry", "drop") are the leaf intervals of a
+	// processor's timeline.
 	Cat string
 	// Rank is the emulated processor (mining) or node ordinal (serving);
 	// -1 marks a cluster-wide span (the run itself).
@@ -118,7 +121,8 @@ const (
 	CatPublish = "publish"
 )
 
-// Slice (leaf) span categories, mirroring the cluster event kinds.
+// Slice (leaf) span categories: the kinds of interval an emulated processor
+// (package cluster) emits as it charges its virtual clock.
 const (
 	CatCompute = "compute"
 	CatIO      = "io"

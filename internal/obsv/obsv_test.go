@@ -6,8 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"parapriori/internal/cluster"
 )
 
 func sampleCollector() *Collector {
@@ -238,39 +236,36 @@ func TestAttribution(t *testing.T) {
 	}
 }
 
-func TestClusterSpans(t *testing.T) {
-	events := []cluster.Event{
-		{Proc: 0, Kind: cluster.EvCompute, Phase: "subset", Start: 0, End: 1},
-		{Proc: 0, Kind: cluster.EvSend, Phase: "ring", Start: 1, End: 1.5, Peer: 1, Bytes: 256},
-		{Proc: 1, Kind: cluster.EvIdle, Phase: "", Start: 0, End: 0.5, Peer: -1},
-		{Proc: 1, Kind: cluster.EvRetry, Phase: "backoff", Start: 2, End: 2.5, Peer: 0},
-		{Proc: 1, Kind: cluster.EvDrop, Phase: "drop", Start: 3, End: 3.1, Peer: 0, Bytes: 64},
-		{Proc: 0, Kind: cluster.EvIO, Phase: "io", Start: 4, End: 5, Peer: -1, Bytes: 1 << 20},
+func TestWriteTimeline(t *testing.T) {
+	tr := &Trace{Clock: ClockVirtual, Spans: []Span{
+		{Rank: -1, Cat: CatRun, Name: "mine", Start: 0, End: 1.0},
+		{Rank: 0, Cat: CatPass, Name: "pass k=1", Start: 0, End: 0.6},
+		{Rank: 0, Cat: CatCompute, Name: "subset", Start: 0, End: 0.5},
+		{Rank: 0, Cat: CatSend, Name: "ring", Start: 0.5, End: 0.6},
+		{Rank: 1, Cat: CatIdle, Name: "ring", Start: 0, End: 0.6},
+		{Rank: 1, Cat: CatCompute, Name: "subset", Start: 0.6, End: 1.0},
+	}}
+	var sb strings.Builder
+	if err := WriteTimeline(&sb, tr, 40); err != nil {
+		t.Fatal(err)
 	}
-	spans := ClusterSpans(events)
-	if len(spans) != len(events) {
-		t.Fatalf("got %d spans for %d events", len(spans), len(events))
+	want := "virtual time 0 .. 1.000000s   (# compute, > send, o io, . idle, r retry, x drop)\n" +
+		"P0   |###################>>>>>                |\n" +
+		"P1   |.......................#################|\n"
+	if sb.String() != want {
+		t.Errorf("timeline:\n%swant:\n%s", sb.String(), want)
 	}
-	wantCat := []string{CatCompute, CatSend, CatIdle, CatRetry, CatDrop, CatIO}
-	for i, s := range spans {
-		if s.Cat != wantCat[i] {
-			t.Errorf("span %d cat %q, want %q", i, s.Cat, wantCat[i])
-		}
-	}
-	if spans[2].Name != CatIdle {
-		t.Errorf("empty phase should fall back to category name, got %q", spans[2].Name)
-	}
-	if v, ok := spans[1].Arg("peer"); !ok || v != "1" {
-		t.Errorf("send span peer arg = %q, %v", v, ok)
-	}
-	if v, ok := spans[1].Arg("bytes"); !ok || v != "256" {
-		t.Errorf("send span bytes arg = %q, %v", v, ok)
-	}
+}
 
-	rec := NewCollector(ClockVirtual)
-	RecordClusterTrace(rec, events)
-	if got := len(rec.Trace().Spans); got != len(events) {
-		t.Fatalf("RecordClusterTrace recorded %d spans", got)
+func TestWriteTimelineEmpty(t *testing.T) {
+	// Structural spans alone paint nothing.
+	tr := &Trace{Clock: ClockVirtual, Spans: []Span{{Rank: 0, Cat: CatPass, Name: "pass k=1", Start: 0, End: 1}}}
+	var sb strings.Builder
+	if err := WriteTimeline(&sb, tr, 40); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != "(no slice spans)\n" {
+		t.Errorf("empty trace output: %q", sb.String())
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"strings"
 )
 
-// glyphForCat maps leaf slice categories to the timeline glyphs of
-// cluster.WriteTimeline, so a span trace renders with the same legend as the
-// event-level Gantt chart.
+// glyphForCat maps leaf slice categories to their timeline glyphs.
 var glyphForCat = map[string]byte{
 	CatCompute: '#',
 	CatSend:    '>',
@@ -22,7 +20,7 @@ var glyphForCat = map[string]byte{
 // per rank, `width` columns spanning [0, horizon] on the trace's clock.
 // Structural spans (run/pass/section/request/publish) are skipped — they
 // enclose the slices and would paint over them.  Later-starting slices win
-// ties for a cell, matching cluster.WriteTimeline.
+// ties for a cell, which makes waits visible at the tail of each pass.
 func WriteTimeline(w io.Writer, t *Trace, width int) error {
 	if width < 20 {
 		width = 20

@@ -12,30 +12,30 @@ import (
 	"parapriori/internal/rules"
 )
 
-// ruleJSON is the wire form of a rule — the serving layer's rules codec.
-// Quality measures ride along in full (support, confidence, and the newer
-// lift and leverage), so clients rank or filter without re-deriving
-// anything.
-type ruleJSON struct {
-	Antecedent []itemset.Item `json:"antecedent"`
-	Consequent []itemset.Item `json:"consequent"`
-	Count      int64          `json:"count"`
-	Support    float64        `json:"support"`
-	Confidence float64        `json:"confidence"`
-	Lift       float64        `json:"lift"`
-	Leverage   float64        `json:"leverage"`
+// RuleJSON is the wire form of a rule — the one rules codec of the serving
+// tiers: the single-node API, the node protocol and the router API all
+// carry it.  Quality measures ride along in full (support, confidence, and
+// the newer lift and leverage), so clients rank or filter without
+// re-deriving anything.  The fields are rules.Rule's under their JSON
+// names, so the two types convert directly.
+type RuleJSON struct {
+	Antecedent itemset.Itemset `json:"antecedent"`
+	Consequent itemset.Itemset `json:"consequent"`
+	Count      int64           `json:"count"`
+	Support    float64         `json:"support"`
+	Confidence float64         `json:"confidence"`
+	Lift       float64         `json:"lift"`
+	Leverage   float64         `json:"leverage"`
 }
 
-func toRuleJSON(r rules.Rule) ruleJSON {
-	return ruleJSON{
-		Antecedent: r.Antecedent,
-		Consequent: r.Consequent,
-		Count:      r.Count,
-		Support:    r.Support,
-		Confidence: r.Confidence,
-		Lift:       r.Lift,
-		Leverage:   r.Leverage,
+// RulesJSON encodes a rule list for the wire.  The result is never nil, so
+// "no matches" travels as [] rather than null.
+func RulesJSON(rs []rules.Rule) []RuleJSON {
+	out := make([]RuleJSON, len(rs))
+	for i, r := range rs {
+		out[i] = RuleJSON(r)
 	}
+	return out
 }
 
 // Handler returns the server's HTTP surface:
@@ -63,7 +63,8 @@ func (s *Server) Handler(reload func() (*Index, error)) http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as a JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -71,12 +72,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v) // the response is already committed; nothing to do on error
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError answers with status and a {"error": message} JSON body.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// parseItems parses a comma-separated non-negative item list ("1,2,3").
-func parseItems(raw string) ([]itemset.Item, error) {
+// ParseItems parses a comma-separated non-negative item list ("1,2,3").
+func ParseItems(raw string) ([]itemset.Item, error) {
 	if strings.TrimSpace(raw) == "" {
 		return nil, fmt.Errorf("empty items")
 	}
@@ -94,53 +96,50 @@ func parseItems(raw string) ([]itemset.Item, error) {
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	basket, err := parseItems(r.URL.Query().Get("items"))
+	basket, err := ParseItems(r.URL.Query().Get("items"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "items: %v", err)
+		WriteError(w, http.StatusBadRequest, "items: %v", err)
 		return
 	}
 	k := 0
 	if raw := r.URL.Query().Get("k"); raw != "" {
 		k, err = strconv.Atoi(raw)
 		if err != nil || k < 0 {
-			writeError(w, http.StatusBadRequest, "bad k %q", raw)
+			WriteError(w, http.StatusBadRequest, "bad k %q", raw)
 			return
 		}
 	}
 	out, gen, err := s.RecommendTraced(basket, k, sanitizeLink(r.URL.Query().Get("link")))
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	resp := struct {
 		Generation uint64         `json:"generation"`
 		Basket     []itemset.Item `json:"basket"`
-		Rules      []ruleJSON     `json:"rules"`
-	}{Generation: gen, Basket: itemset.New(basket...), Rules: make([]ruleJSON, len(out))}
-	for i, rr := range out {
-		resp.Rules[i] = toRuleJSON(rr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Rules      []RuleJSON     `json:"rules"`
+	}{Generation: gen, Basket: itemset.New(basket...), Rules: RulesJSON(out)}
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	snap := s.snap.Load()
 	if snap == nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", ErrNoSnapshot)
+		WriteError(w, http.StatusServiceUnavailable, "%v", ErrNoSnapshot)
 		return
 	}
 	limit := 100
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "bad limit %q", raw)
+			WriteError(w, http.StatusBadRequest, "bad limit %q", raw)
 			return
 		}
 		limit = v
@@ -149,13 +148,13 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("item"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "bad item %q", raw)
+			WriteError(w, http.StatusBadRequest, "bad item %q", raw)
 			return
 		}
 		filterItem = itemset.Item(v)
 	}
 	all := snap.idx.All()
-	sel := make([]ruleJSON, 0, limit)
+	sel := make([]RuleJSON, 0, limit)
 	for _, rr := range all {
 		if filterItem >= 0 && !rr.Antecedent.Contains(filterItem) && !rr.Consequent.Contains(filterItem) {
 			continue
@@ -163,26 +162,26 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		if len(sel) >= limit {
 			break
 		}
-		sel = append(sel, toRuleJSON(rr))
+		sel = append(sel, RuleJSON(rr))
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Generation uint64     `json:"generation"`
 		Total      int        `json:"total"`
-		Rules      []ruleJSON `json:"rules"`
+		Rules      []RuleJSON `json:"rules"`
 	}{Generation: snap.gen, Total: snap.idx.NumRules(), Rules: sel})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	snap := s.snap.Load()
 	if snap == nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "empty", "generation": 0})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "empty", "generation": 0})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "generation": snap.gen})
+	WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "generation": snap.gen})
 }
 
 // WantsProm reports whether the request negotiates the Prometheus text
@@ -196,15 +195,17 @@ func WantsProm(r *http.Request) bool {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	if WantsProm(r) {
 		w.Header().Set("Content-Type", obsv.ContentType)
-		_, _ = w.Write(s.reg.Gather())
+		pw := obsv.NewPromWriter()
+		s.WriteProm(pw)
+		_, _ = w.Write(pw.Bytes())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, s.Metrics())
 }
 
 // sanitizeLink accepts a caller-propagated span link only when it is short
@@ -227,7 +228,7 @@ func sanitizeLink(raw string) string {
 
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET")
+		WriteError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
 	WriteFlight(w, s.flight, r.URL.Query().Get("format"))
@@ -248,26 +249,26 @@ func WriteFlight(w http.ResponseWriter, f *obsv.Flight, format string) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_ = obsv.WriteAttribution(w, obsv.Attribution(tr))
 	default:
-		writeError(w, http.StatusBadRequest, "unknown format %q (want perfetto or attrib)", format)
+		WriteError(w, http.StatusBadRequest, "unknown format %q (want perfetto or attrib)", format)
 	}
 }
 
 func (s *Server) reloadHandler(reload func() (*Index, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "use POST")
+			WriteError(w, http.StatusMethodNotAllowed, "use POST")
 			return
 		}
 		if reload == nil {
-			writeError(w, http.StatusNotImplemented, "no reload source configured")
+			WriteError(w, http.StatusNotImplemented, "no reload source configured")
 			return
 		}
 		idx, err := reload()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "reload: %v", err)
+			WriteError(w, http.StatusInternalServerError, "reload: %v", err)
 			return
 		}
 		gen := s.Publish(idx)
-		writeJSON(w, http.StatusOK, map[string]any{"generation": gen, "num_rules": idx.NumRules()})
+		WriteJSON(w, http.StatusOK, map[string]any{"generation": gen, "num_rules": idx.NumRules()})
 	}
 }

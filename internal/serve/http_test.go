@@ -99,7 +99,7 @@ func TestRecommendRoundTrip(t *testing.T) {
 	var resp struct {
 		Generation uint64         `json:"generation"`
 		Basket     []itemset.Item `json:"basket"`
-		Rules      []ruleJSON     `json:"rules"`
+		Rules      []RuleJSON     `json:"rules"`
 	}
 	if code := getJSON(t, ts, "/recommend?items=3,1,2&k=5", &resp); code != http.StatusOK {
 		t.Fatalf("code %d", code)
@@ -134,7 +134,7 @@ func TestRulesEndpointRoundTrip(t *testing.T) {
 	var resp struct {
 		Generation uint64     `json:"generation"`
 		Total      int        `json:"total"`
-		Rules      []ruleJSON `json:"rules"`
+		Rules      []RuleJSON `json:"rules"`
 	}
 	if code := getJSON(t, ts, "/rules?limit=10", &resp); code != http.StatusOK {
 		t.Fatalf("code %d", code)
@@ -393,13 +393,13 @@ func TestHandlerMethodDiscipline(t *testing.T) {
 
 // TestParseItems covers the query-string item parser directly.
 func TestParseItems(t *testing.T) {
-	got, err := parseItems(" 3 , 1,2 ")
+	got, err := ParseItems(" 3 , 1,2 ")
 	if err != nil || !reflect.DeepEqual(got, []itemset.Item{3, 1, 2}) {
-		t.Fatalf("parseItems = %v, %v", got, err)
+		t.Fatalf("ParseItems = %v, %v", got, err)
 	}
 	for _, bad := range []string{"", "  ", "1,,2", "a", "1,-2"} {
-		if _, err := parseItems(bad); err == nil {
-			t.Fatalf("parseItems(%q) accepted", bad)
+		if _, err := ParseItems(bad); err == nil {
+			t.Fatalf("ParseItems(%q) accepted", bad)
 		}
 	}
 }

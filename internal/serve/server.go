@@ -37,9 +37,8 @@ type Server struct {
 	met    metrics
 	flight *obsv.Flight    // always-on bounded ring of recent spans
 	rc     *obsv.RealClock // always non-nil: records into the flight ring, teed with Options.Recorder
-	reg    *obsv.Registry
-	reqID  atomic.Uint64 // server-local span links for untraced callers
-	tasks  chan func()   // nil when Workers == 0
+	reqID  atomic.Uint64   // server-local span links for untraced callers
+	tasks  chan func()     // nil when Workers == 0
 	wg     sync.WaitGroup
 	once   sync.Once // guards Close
 	slow   func()    // test seam: injected latency on the recommend path
@@ -57,8 +56,6 @@ func NewServer(opt Options) *Server {
 	s := &Server{opt: opt, flight: obsv.NewFlight(obsv.ClockReal, 0)}
 	s.rc = obsv.NewRealClock(obsv.Tee(s.flight, opt.Recorder))
 	s.rc.SetMeta("tier", "serve")
-	s.reg = obsv.NewRegistry()
-	s.reg.Register("serve", s.WriteProm)
 	s.met.start = time.Now()
 	if opt.Workers > 0 {
 		// The pool is real serving concurrency, deliberately outside the
@@ -141,11 +138,6 @@ func (s *Server) publishAt(old *snapshot, idx *Index, gen uint64) bool {
 // Flight returns the server's always-on flight recorder — the bounded ring
 // of recently completed request/publish spans behind /debug/flight.
 func (s *Server) Flight() *obsv.Flight { return s.flight }
-
-// Registry returns the server's metrics registry.  The serve family is
-// pre-registered; callers can graft additional families (e.g. a mining
-// Report's counters) onto the same /metrics exposition.
-func (s *Server) Registry() *obsv.Registry { return s.reg }
 
 // Generation returns the current snapshot generation, 0 before the first
 // Publish.

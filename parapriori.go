@@ -219,9 +219,6 @@ type ParallelOptions struct {
 	HDThreshold int
 	// FixedG pins HD's grid rows instead of choosing them per pass.
 	FixedG int
-	// Trace records the virtual-time event log into Report.Trace for
-	// rendering with TraceTimeline.
-	Trace bool
 	// Faults, when non-nil, injects the plan's message and processor
 	// faults into the run and turns on fault-tolerant execution:
 	// pass-level checkpoints, crash recovery by coordinated rollback, and
@@ -253,10 +250,10 @@ type ParallelOptions struct {
 	// itemsets are identical under either mode.
 	Recovery string
 	// Recorder, when non-nil, receives the run's hierarchical spans (run →
-	// pass → section → message/compute slice) on the virtual clock; use
-	// NewSpanCollector and the span exporters (WriteSpanTrace,
-	// TraceAttribution) to consume them.  Setting a Recorder implies event
-	// tracing.  Traces of seeded runs are bit-identical run to run.
+	// pass → section → message/compute slice) on the virtual clock, each
+	// as it completes; use NewSpanCollector and the span exporters
+	// (WriteSpanTrace, TraceAttribution, TraceTimeline) to consume them.
+	// Traces of seeded runs are bit-identical run to run.
 	Recorder Recorder
 	// Backend selects where the transactions live during the run:
 	// "inmem" (the default — the dataset is resident and split into
@@ -312,7 +309,6 @@ func (o ParallelOptions) coreParams(backend core.ExecBackend) core.Params {
 		PageBytes:     o.PageBytes,
 		HDThreshold:   o.HDThreshold,
 		FixedG:        o.FixedG,
-		Trace:         o.Trace,
 		Faults:        o.Faults,
 		MaxRestarts:   o.MaxRestarts,
 		CheckpointDir: o.CheckpointDir,
@@ -423,17 +419,20 @@ func WriteResult(w io.Writer, res *Result) error { return apriori.WriteResult(w,
 // ReadResult loads a result saved by WriteResult.
 func ReadResult(r io.Reader) (*Result, error) { return apriori.ReadResult(r) }
 
-// TraceTimeline renders a parallel run's event log (recorded with
-// ParallelOptions.Trace) as a text Gantt chart: one row per processor,
-// compute as '#', sends as '>', disk I/O as 'o', idle waits as '.'.
-func TraceTimeline(w io.Writer, rep *Report, width int) error {
-	return cluster.WriteTimeline(w, rep.Trace, rep.P, width)
+// TraceTimeline renders a span trace's leaf slices (a run recorded through
+// ParallelOptions.Recorder, or a trace file read back with ReadSpanTrace)
+// as a text Gantt chart: one row per rank, width columns spanning the run,
+// compute as '#', sends as '>', disk I/O as 'o', idle waits as '.', retry
+// backoff as 'r' and discarded frames as 'x'.
+func TraceTimeline(w io.Writer, t *SpanTrace, width int) error {
+	return obsv.WriteTimeline(w, t, width)
 }
 
 // Observability: structured spans over the repo's two clocks.  Install a
 // collector on a parallel run (ParallelOptions.Recorder) or a server
 // (ServeOptions.Recorder), then export the assembled trace as Perfetto-
-// loadable JSON or distill it into the per-pass cost-attribution report:
+// loadable JSON, distill it into the per-pass cost-attribution report, or
+// draw it as a text Gantt chart:
 //
 //	rec := parapriori.NewSpanCollector()
 //	rep, _ := parapriori.MineParallel(data, parapriori.ParallelOptions{
@@ -443,6 +442,7 @@ func TraceTimeline(w io.Writer, rep *Report, width int) error {
 //	tr := rec.Trace()
 //	parapriori.WriteSpanTrace(f, tr)                               // open in ui.perfetto.dev
 //	parapriori.WriteAttributionTable(os.Stdout, parapriori.TraceAttribution(tr))
+//	parapriori.TraceTimeline(os.Stdout, tr, 100)
 type (
 	// Span is one named interval on one rank's timeline, carrying
 	// deterministic key/value attributes.
