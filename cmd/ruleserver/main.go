@@ -63,6 +63,11 @@
 //
 //	curl 'localhost:8080/debug/flight' > flight.json
 //
+// Every listener bounds how long a client may take to send a request or
+// hold an idle connection.  SIGTERM or SIGINT drains the process in every
+// mode: /healthz turns 503, the listener closes, requests in flight finish
+// (up to ten seconds), and the exit status is 0.
+//
 // -pprof ADDR additionally serves net/http/pprof on a separate listener
 // (keep it on localhost; it is operator-only):
 //
@@ -71,15 +76,19 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only by -pprof's listener
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
+	"time"
 
 	"parapriori"
 	"parapriori/internal/distserve"
@@ -115,7 +124,14 @@ func main() {
 		// operator-only, typically bound to localhost while the API is not.
 		go func() { //checkinv:allow rawchan the pprof listener is a second real-OS HTTP server
 			log.Printf("ruleserver: pprof on http://%s/debug/pprof/", *pprofAddr)
-			log.Fatal(http.ListenAndServe(*pprofAddr, nil))
+			srv := newHTTPServer(nil)
+			srv.Addr = *pprofAddr
+			// net/http leaves the whole-request read deadline armed while
+			// the handler runs and cancels the request's context when it
+			// fires; pprof's profile and trace handlers sleep on that
+			// context, so ?seconds=60 would be cut to readTimeout.
+			srv.ReadTimeout = 0
+			log.Fatal(srv.ListenAndServe())
 		}()
 	}
 
@@ -170,7 +186,72 @@ func main() {
 		log.Printf("ruleserver: SIGHUP reloaded %d rules (generation %d)", ix.NumRules(), gen)
 	})
 
-	log.Fatal(http.ListenAndServe(*addr, srv.Handler(build)))
+	if err := serveUntilSignal(*addr, srv.Handler(build)); err != nil {
+		log.Fatalf("ruleserver: %v", err)
+	}
+}
+
+// Listener limits.  A client that trickles its request, or parks an idle
+// keep-alive connection, holds a goroutine and a descriptor; these bound
+// for how long.  There is no write timeout: /debug/pprof/profile and a large
+// /rules page legitimately take long to send.  readTimeout also ends the
+// request's context that long after the request began; no serving handler
+// reads it, and the pprof listener, whose handlers do, runs without one.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second // whole request, a node's publish body included
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 10 * time.Second // in-flight requests get this long after SIGTERM
+)
+
+// newHTTPServer is the one place a listener of this command is configured.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// serveUntilSignal serves h on addr until SIGTERM or SIGINT, then drains:
+// /healthz turns 503 so a balancer takes the process out of rotation, the
+// listener closes, and requests already in flight get drainTimeout to
+// complete.  It returns nil after a clean drain.
+func serveUntilSignal(addr string, h http.Handler) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	log.Printf("ruleserver: listening on %s", ln.Addr())
+	var draining atomic.Bool
+	srv := newHTTPServer(drainHealthz(h, &draining))
+	// Signals and the accept loop are real-OS territory, like onHUP.
+	stop := make(chan os.Signal, 1) //checkinv:allow rawchan signal.Notify requires a raw channel
+	signal.Notify(stop, syscall.SIGTERM, os.Interrupt)
+	served := make(chan error, 1)           //checkinv:allow rawchan carries Serve's one result
+	go func() { served <- srv.Serve(ln) }() //checkinv:allow rawchan the accept loop; Shutdown or a listener error ends it
+	select {                                //checkinv:allow rawchan the listener failing or the operator's signal, whichever is first
+	case err := <-served: //checkinv:allow rawchan Serve returned by itself: the listener failed
+		return err
+	case sig := <-stop: //checkinv:allow rawchan the operator's signal
+		log.Printf("ruleserver: %v: draining", sig)
+		draining.Store(true)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		return srv.Shutdown(ctx)
+	}
+}
+
+// drainHealthz is h, except that /healthz answers 503 once draining is set.
+func drainHealthz(h http.Handler, draining *atomic.Bool) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" && draining.Load() {
+			serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // loadRules reads a saved mining result and generates rules from it.
@@ -193,7 +274,9 @@ func runNode(addr string, sopt serve.Options) {
 	n := distserve.NewNode(addr, sopt)
 	defer n.Close()
 	log.Printf("ruleserver: node awaiting shard assignments on %s", addr)
-	log.Fatal(http.ListenAndServe(addr, distserve.NodeHandler(n)))
+	if err := serveUntilSignal(addr, distserve.NodeHandler(n)); err != nil {
+		log.Fatalf("ruleserver: %v", err)
+	}
 }
 
 // runRouter shards the rule set across the node fleet and serves
@@ -255,7 +338,9 @@ func runRouter(addr, load string, minconf float64, nodeList string, opt distserv
 			stats.Gen, stats.Upserts, stats.Removes, stats.Bytes)
 	})
 
-	log.Fatal(http.ListenAndServe(addr, router.Handler(reload)))
+	if err := serveUntilSignal(addr, router.Handler(reload)); err != nil {
+		log.Fatalf("ruleserver: %v", err)
+	}
 }
 
 // onHUP runs f on every SIGHUP.  A plain signal channel is the idiomatic

@@ -81,11 +81,18 @@ func BenchmarkRecommend(b *testing.B) {
 
 // TestRecommendLatencyBudget is the testable floor under the benchmark: on
 // the 10⁵-rule index a cold query must come in far under a millisecond at
-// the p99, and the cache-hit path must beat the miss path by ≥ 5×.  The
-// thresholds are deliberately loose multiples of what the benchmark
-// measures (~tens of µs cold, ~1 µs hot) so a slow CI box cannot flake it,
-// while a complexity regression — say the index degrading to a full rule
-// scan — still trips it.
+// the p99, a cache-hit pass must cost under 12 µs a query, and must beat the
+// miss pass by ≥ 2×.  The thresholds are deliberately loose multiples of
+// what the benchmark measures (~8 µs cold, ~2 µs hot) so a slow CI box
+// cannot flake it, while a complexity regression — say the index degrading
+// to a full rule scan, or a hit re-running the query — still trips it.
+//
+// The hit budget is absolute because a ratio to the miss pass bounds the
+// hit path only as tightly as misses are slow: a miss is an id scan that
+// keeps k ids, within 5× of a hit, so the ratio alone would let hits slow
+// down as misses sped up.  12 µs is a fifth of the ~60 µs a miss cost when
+// it sorted every firing rule, the bound hits were first held to; the ratio
+// beside it only says the cache answers a hit without running the query.
 func TestRecommendLatencyBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency budget needs the full-size index")
@@ -136,14 +143,21 @@ func TestRecommendLatencyBudget(t *testing.T) {
 		}
 	}
 	missElapsed := time.Since(warm)
-	hot := time.Now()
-	for _, q := range qs {
-		if _, err := hit.Recommend(q, 10); err != nil {
-			t.Fatal(err)
+	// Best of three hit passes, for the reason the p99 above is.
+	hitElapsed := time.Duration(math.MaxInt64)
+	for pass := 0; pass < 3; pass++ {
+		hot := time.Now()
+		for _, q := range qs {
+			if _, err := hit.Recommend(q, 10); err != nil {
+				t.Fatal(err)
+			}
 		}
+		hitElapsed = min(hitElapsed, time.Since(hot))
 	}
-	hitElapsed := time.Since(hot)
-	if hitElapsed*5 > missElapsed {
-		t.Errorf("cache-hit path not ≥5× faster: hits %v vs misses %v", hitElapsed, missElapsed)
+	if perHit := hitElapsed / time.Duration(len(qs)); perHit >= 12*time.Microsecond {
+		t.Errorf("cache hit = %v a query in the best of three passes, budget < 12µs", perHit)
+	}
+	if hitElapsed*2 > missElapsed {
+		t.Errorf("cache-hit path not ≥2× faster: hits %v vs misses %v", hitElapsed, missElapsed)
 	}
 }

@@ -85,13 +85,23 @@ func ParseItems(raw string) ([]itemset.Item, error) {
 	parts := strings.Split(raw, ",")
 	out := make([]itemset.Item, 0, len(parts))
 	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad item %q", p)
+		it, err := parseItem(strings.TrimSpace(p))
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, itemset.Item(v))
+		out = append(out, it)
 	}
 	return out, nil
+}
+
+// parseItem parses one non-negative item id.  The bit size is Item's, so a
+// value past int32 is refused instead of wrapping onto another item.
+func parseItem(raw string) (itemset.Item, error) {
+	v, err := strconv.ParseInt(raw, 10, 32)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("bad item %q", raw)
+	}
+	return itemset.Item(v), nil
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
@@ -146,15 +156,15 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	}
 	filterItem := itemset.Item(-1)
 	if raw := r.URL.Query().Get("item"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			WriteError(w, http.StatusBadRequest, "bad item %q", raw)
+		it, err := parseItem(raw)
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		filterItem = itemset.Item(v)
+		filterItem = it
 	}
 	all := snap.idx.All()
-	sel := make([]RuleJSON, 0, limit)
+	sel := make([]RuleJSON, 0, min(limit, len(all))) // limit is the client's: never size by it alone
 	for _, rr := range all {
 		if filterItem >= 0 && !rr.Antecedent.Contains(filterItem) && !rr.Consequent.Contains(filterItem) {
 			continue

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -154,6 +155,22 @@ func TestRulesEndpointRoundTrip(t *testing.T) {
 	var e struct{ Error string }
 	if code := getJSON(t, ts, "/rules?limit=x", &e); code != http.StatusBadRequest {
 		t.Fatalf("bad limit: code %d", code)
+	}
+	// A limit is the client's number: the first of these once sized a slice
+	// and ran the process out of memory, the second panicked in makeslice.
+	for _, limit := range []string{"2000000000", "4000000000000"} {
+		if code := getJSON(t, ts, "/rules?limit="+limit, &resp); code != http.StatusOK {
+			t.Fatalf("limit %s: code %d", limit, code)
+		}
+		if resp.Total != len(rs) || len(resp.Rules) != len(rs) {
+			t.Fatalf("limit %s: total %d, page %d, want %d of both", limit, resp.Total, len(resp.Rules), len(rs))
+		}
+	}
+	// An item past int32 is refused, not wrapped onto item 1.
+	for _, path := range []string{"/rules?item=4294967297", "/recommend?items=4294967297"} {
+		if code := getJSON(t, ts, path, &e); code != http.StatusBadRequest {
+			t.Fatalf("%s: code %d, want 400", path, code)
+		}
 	}
 }
 
@@ -397,7 +414,11 @@ func TestParseItems(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, []itemset.Item{3, 1, 2}) {
 		t.Fatalf("ParseItems = %v, %v", got, err)
 	}
-	for _, bad := range []string{"", "  ", "1,,2", "a", "1,-2"} {
+	if got, err := ParseItems("2147483647"); err != nil || got[0] != math.MaxInt32 {
+		t.Fatalf("ParseItems(MaxInt32) = %v, %v", got, err)
+	}
+	// 4294967297 is 1<<32 + 1: narrowed unchecked it would be served as item 1.
+	for _, bad := range []string{"", "  ", "1,,2", "a", "1,-2", "2147483648", "4294967297", "1,4294967297"} {
 		if _, err := ParseItems(bad); err == nil {
 			t.Fatalf("ParseItems(%q) accepted", bad)
 		}

@@ -8,14 +8,20 @@
 //
 // The moving parts:
 //
-//   - Index: an immutable antecedent-keyed rule index.  Rules sharing an
-//     antecedent form one group; groups are sharded by a seeded hash of the
-//     antecedent and, within a shard, reachable through a per-item inverted
-//     index keyed by the antecedent's first (smallest) item.  A basket
-//     query visits only groups whose first item is in the basket — every
-//     antecedent ⊆ basket has its minimum item in the basket, so no
-//     basket-subset enumeration (2^|basket| work) is ever needed, and each
-//     matching group is visited exactly once.
+//   - Index: an immutable antecedent-keyed rule index.  The rules are
+//     stored once, sorted by rules.RankLess, so a rule's position — its id —
+//     is its rank.  Rules sharing an antecedent form one group, an ascending
+//     list of ids; groups are sharded by a seeded hash of the antecedent and,
+//     within a shard, reachable through a per-item inverted index keyed by
+//     the antecedent's first (smallest) item and ordered by each group's best
+//     id.  A basket query visits only groups whose first item is in the
+//     basket — every antecedent ⊆ basket has its minimum item in the basket,
+//     so no basket-subset enumeration (2^|basket| work) is ever needed, and
+//     each matching group is visited exactly once.  It marks the basket in a
+//     bitmap over the index's item dictionary, keeps the k smallest firing
+//     ids in a bounded heap, stops scanning wherever every remaining id is
+//     worse than the heap's worst, and builds Rule values for the k
+//     survivors only.
 //   - Server: holds the current snapshot (index + generation + query
 //     cache) behind an atomic.Pointer.  Readers never lock; Publish swaps
 //     the whole snapshot, so queries in flight keep the index they started
@@ -33,8 +39,10 @@
 package serve
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
-	"sync"
 
 	"parapriori/internal/itemset"
 	"parapriori/internal/obsv"
@@ -91,60 +99,196 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// group is one distinct antecedent and its rules, stored as a range into
-// the shard's rank-sorted rule slice.
+// group is one distinct antecedent.  Both per-group arrays are laid out in
+// group order, so group g owns Index.ids[groups[g].lo:groups[g+1].lo] and
+// Index.ants[groups[g].ant:groups[g+1].ant]; a sentinel entry closes the
+// last group.
 type group struct {
-	ant    itemset.Itemset
-	lo, hi int32
+	lo  int32 // first position of the group's rules in Index.ids/consOff
+	ant int32 // first position of the group's antecedent in Index.ants
 }
 
-// shard is an immutable slice of the index: the rule groups whose
-// antecedents hash here, plus the first-item inverted index over them.
+// shard is an immutable slice of the index: the groups whose antecedents
+// hash here, reachable through a first-item inverted index.  Groups are
+// numbered by (shard, first item, best rule id), so the shard's groups whose
+// antecedent starts at dictionary item d are the run off[d]..off[d+1] of
+// group numbers, in ascending order of their best (smallest) rule id, and
+// the shard's groups altogether are off[0]..off[len(off)-1].
 type shard struct {
-	rules   []rules.Rule
-	groups  []group
-	byFirst map[itemset.Item][]int32
+	off []int32
 }
 
 // Index is an immutable rule index, ready for concurrent basket queries.
 // Build one with NewIndex and install it on a Server with Publish.
+//
+// The rules are stored once, in serving-rank order (rules.RankLess), so a
+// rule's position in that slice — its id — is its rank: a smaller id always
+// outranks a larger one, and a query ranks by comparing int32s.
 type Index struct {
+	rules  []rules.Rule // rank order; rules[id]
+	groups []group      // len = number of groups + 1
+	// ids lists each group's rule ids, ascending within the group.
+	ids []int32
+	// consOff/cons hold, for the rule at position p of ids, its consequent
+	// in dictionary ids: cons[consOff[p]:consOff[p+1]].
+	consOff []int32
+	cons    []int32
+	ants    []int32 // every group's antecedent in dictionary ids
+	// dict numbers the items the rules mention 0..len(dict)-1, so a basket
+	// becomes a bitmap however sparse, large or negative the item ids are.
+	dict   map[itemset.Item]int32
 	shards []shard
-	nRules int
-
-	allOnce sync.Once
-	all     []rules.Rule
 }
 
-// NewIndex builds an index over the rule set.  The input is grouped by
-// antecedent, each group rank-sorted (rules.RankLess) and placed on a shard
-// by a seeded hash of the antecedent key; construction is deterministic for
-// a given rule set and options whatever the input order.
+// rankKey is what the build sorts: the three measures RankLess compares
+// first, and where the rule is in the input — to compare itemsets on the
+// rare full tie, and to fetch the rule once its rank is known.
+type rankKey struct {
+	conf, lift, sup float64
+	at              int32
+}
+
+// NewIndex builds an index over the rule set.  The rules are rank-sorted
+// once (rules.RankLess) and stored in that order; one pass over them forms
+// the antecedent groups — so a group's ids ascend, and groups are found in
+// the order of their best id — and each group is placed on a shard by a
+// seeded hash of the antecedent.  Construction is deterministic for a given
+// rule set and options whatever the input order, and allocates less than
+// two copies of the input.
 func NewIndex(rs []rules.Rule, opt Options) *Index {
 	opt = opt.WithDefaults()
-	ix := &Index{shards: make([]shard, opt.Shards)}
-	for _, g := range Groups(rs) {
-		sh := &ix.shards[hashKey(opt.HashSeed, g.Key)%uint64(opt.Shards)]
-		lo := int32(len(sh.rules))
-		sh.rules = append(sh.rules, g.Rules...)
-		sh.groups = append(sh.groups, group{ant: g.Ant, lo: lo, hi: int32(len(sh.rules))})
-		ix.nRules += len(g.Rules)
+	n := len(rs)
+	keys := make([]rankKey, n)
+	for i := range rs {
+		keys[i] = rankKey{rs[i].Confidence, rs[i].Lift, rs[i].Support, int32(i)}
 	}
-	for si := range ix.shards {
-		sh := &ix.shards[si]
-		sh.byFirst = make(map[itemset.Item][]int32)
-		for gi, g := range sh.groups {
-			if len(g.ant) == 0 {
-				continue // rule generation never emits empty antecedents
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		// The measures descend, hence b before a.
+		if c := cmp.Compare(b.conf, a.conf); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.lift, a.lift); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.sup, a.sup); c != 0 {
+			return c
+		}
+		ra, rb := &rs[a.at], &rs[b.at]
+		if c := ra.Antecedent.Compare(rb.Antecedent); c != 0 {
+			return c
+		}
+		return ra.Consequent.Compare(rb.Consequent)
+	})
+	all := make([]rules.Rule, n)
+	for id, k := range keys {
+		all[id] = rs[k.at]
+	}
+
+	// Pass 1: chain the rules of each antecedent in id order, and number the
+	// items.  An open-addressed table over the antecedents holds the last
+	// rule id seen for each, so a rule is linked behind its predecessor; the
+	// first rule of a chain — its head — is the group's best.  Only sizes are
+	// learnt here, which lets every array below be allocated exactly once.
+	const none = -1
+	ix := &Index{rules: all, dict: make(map[itemset.Item]int32), shards: make([]shard, opt.Shards)}
+	number := func(s itemset.Itemset) {
+		for _, it := range s {
+			if _, ok := ix.dict[it]; !ok {
+				ix.dict[it] = int32(len(ix.dict))
 			}
-			sh.byFirst[g.ant[0]] = append(sh.byFirst[g.ant[0]], int32(gi))
 		}
 	}
+	slots := make([]int32, 2*n)
+	for i := range slots {
+		slots[i] = none
+	}
+	next := make([]int32, n)
+	heads := make([]int32, 0, n)
+	nAnt, nCons := 0, 0
+	for id := range all {
+		ant := all[id].Antecedent
+		next[id] = none
+		nCons += len(all[id].Consequent)
+		number(all[id].Consequent)
+		s := int((hashItems(opt.HashSeed, ant) >> 32) * uint64(len(slots)) >> 32)
+		for ; ; s++ {
+			if s == len(slots) {
+				s = 0
+			}
+			if slots[s] == none {
+				heads = append(heads, int32(id))
+				nAnt += len(ant)
+				number(ant)
+				break
+			}
+			if all[slots[s]].Antecedent.Equal(ant) {
+				next[slots[s]] = int32(id)
+				break
+			}
+		}
+		slots[s] = int32(id)
+	}
+
+	// Order the groups by (shard, first item, best id) with a counting sort
+	// of the heads, which are in best-id order already: shard si's groups
+	// starting at item d become the contiguous run off[d]..off[d+1] of group
+	// numbers.  A shard has one more bucket than the dictionary has items,
+	// for a group with an empty antecedent: it fires for no basket (rule
+	// generation never emits one) but still counts as the shard's.
+	buckets := len(ix.dict) + 1
+	off := make([]int32, opt.Shards*buckets+1)
+	bucketOf := slots[:len(heads)] // the table is dead; its memory is not
+	for g, head := range heads {
+		ant := all[head].Antecedent
+		b := int32(len(ix.dict))
+		if len(ant) > 0 {
+			b = ix.dict[ant[0]]
+		}
+		b += int32(hashItems(opt.HashSeed, ant)%uint64(opt.Shards)) * int32(buckets)
+		bucketOf[g] = b
+		off[b+1]++
+	}
+	for b := 1; b < len(off); b++ {
+		off[b] += off[b-1]
+	}
+	order := make([]int32, len(heads))
+	for g, head := range heads {
+		order[off[bucketOf[g]]] = head
+		off[bucketOf[g]]++
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	for si := range ix.shards {
+		ix.shards[si].off = off[si*buckets : (si+1)*buckets+1]
+	}
+
+	// Pass 2: lay every group out in that order, so a scan of one posting
+	// list reads groups, ants, ids and cons front to back.
+	ix.groups = make([]group, 0, len(heads)+1)
+	ix.ants = make([]int32, 0, nAnt)
+	ix.ids = make([]int32, 0, n)
+	ix.consOff = make([]int32, 0, n+1)
+	ix.cons = make([]int32, 0, nCons)
+	for _, head := range order {
+		ix.groups = append(ix.groups, group{lo: int32(len(ix.ids)), ant: int32(len(ix.ants))})
+		for _, it := range all[head].Antecedent {
+			ix.ants = append(ix.ants, ix.dict[it])
+		}
+		for id := head; id != none; id = next[id] {
+			ix.ids = append(ix.ids, id)
+			ix.consOff = append(ix.consOff, int32(len(ix.cons)))
+			for _, it := range all[id].Consequent {
+				ix.cons = append(ix.cons, ix.dict[it])
+			}
+		}
+	}
+	ix.groups = append(ix.groups, group{lo: int32(len(ix.ids)), ant: int32(len(ix.ants))})
+	ix.consOff = append(ix.consOff, int32(len(ix.cons)))
 	return ix
 }
 
 // NumRules returns the number of rules in the index.
-func (ix *Index) NumRules() int { return ix.nRules }
+func (ix *Index) NumRules() int { return len(ix.rules) }
 
 // NumShards returns the shard count the index was built with.
 func (ix *Index) NumShards() int { return len(ix.shards) }
@@ -152,69 +296,200 @@ func (ix *Index) NumShards() int { return len(ix.shards) }
 // ShardRuleCounts returns the number of rules on each shard.
 func (ix *Index) ShardRuleCounts() []int {
 	out := make([]int, len(ix.shards))
-	for i := range ix.shards {
-		out[i] = len(ix.shards[i].rules)
+	for i, sh := range ix.shards {
+		out[i] = int(ix.groups[sh.off[len(sh.off)-1]].lo - ix.groups[sh.off[0]].lo)
 	}
 	return out
 }
 
-// All returns every rule in serving-rank order.  The slice is computed once
-// and shared; callers must not modify it.
-func (ix *Index) All() []rules.Rule {
-	ix.allOnce.Do(func() {
-		all := make([]rules.Rule, 0, ix.nRules)
-		for si := range ix.shards {
-			all = append(all, ix.shards[si].rules...)
-		}
-		sort.Slice(all, func(i, j int) bool { return rules.RankLess(all[i], all[j]) })
-		ix.all = all
-	})
-	return ix.all
+// All returns every rule in serving-rank order.  It is the index's own
+// storage; callers must not modify it.
+func (ix *Index) All() []rules.Rule { return ix.rules }
+
+// basketBits is a basket translated for the scan: the dictionary ids of the
+// items the index knows, and the same set as a bitmap, so that "is this item
+// in the basket" is one bit test.  Items no rule mentions can match nothing
+// and are dropped.
+type basketBits struct {
+	items []int32
+	bits  []uint64
 }
 
-// query appends to dst every rule of the shard that fires for the basket: the
-// antecedent is contained in the basket and the consequent recommends at
-// least one item the basket does not already hold.  For each basket item the
-// inverted index yields the groups whose antecedent *starts* there, so a
-// group is tested once and only when its cheapest necessary condition holds.
+func (b *basketBits) has(d int32) bool { return b.bits[d>>6]&(1<<(d&63)) != 0 }
+
+// mark translates a basket into buffers the caller provides; items may be
+// unsorted or repeated.  bits must be zero; it is replaced when the
+// dictionary does not fit in it.
 //
 //checkinv:hotpath
-func (sh *shard) query(basket itemset.Itemset, dst []rules.Rule) []rules.Rule {
+func (ix *Index) mark(basket []itemset.Item, items []int32, bits []uint64) basketBits {
+	if words := (len(ix.dict) + 63) / 64; words > len(bits) {
+		// The one allocation of the inline query path besides its answer: a
+		// dictionary of more items than the caller's stack bitmap covers.
+		bits = make([]uint64, words)
+	}
+	b := basketBits{items: items, bits: bits}
 	for _, it := range basket {
-		for _, gi := range sh.byFirst[it] {
-			g := sh.groups[gi]
-			if !basket.ContainsAll(g.ant) {
-				continue
+		if d, ok := ix.dict[it]; ok && !b.has(d) {
+			b.bits[d>>6] |= 1 << (d & 63)
+			b.items = append(b.items, d)
+		}
+	}
+	return b
+}
+
+// topK keeps the k smallest rule ids offered to it — the k best-ranked —
+// as a max-heap once k are held; a negative k keeps every id.  k = 0 keeps
+// one: RankTruncate(matches, 0) is empty but not nil when something fires,
+// and one kept id, cut by rank, tells the two apart.
+type topK struct {
+	ids []int32
+	k   int
+	// limit is the largest id that can still enter: every id until the heap
+	// is full, then the heap's worst.  It only ever falls, which is what
+	// makes leaving a scan at the first id above it exact.
+	limit int32
+}
+
+func newTopK(buf []int32, k int) topK {
+	if k == 0 {
+		k = 1
+	}
+	return topK{ids: buf[:0], k: k, limit: math.MaxInt32}
+}
+
+// push offers an id not above limit (ids are distinct, so below it once
+// the heap is full).
+//
+//checkinv:hotpath
+func (t *topK) push(id int32) {
+	n := len(t.ids)
+	if n == t.k {
+		t.ids[0] = id
+		siftDown(t.ids, 0)
+		t.limit = t.ids[0]
+		return
+	}
+	if n == cap(t.ids) {
+		// Grown by hand: storing append's result through t makes the
+		// compiler move the caller's stack buffer to the heap.
+		grown := make([]int32, n, 2*n+16)
+		copy(grown, t.ids)
+		t.ids = grown
+	}
+	t.ids = t.ids[:n+1]
+	t.ids[n] = id
+	if n+1 == t.k {
+		for i := t.k/2 - 1; i >= 0; i-- {
+			siftDown(t.ids, i)
+		}
+		t.limit = t.ids[0]
+	}
+}
+
+// siftDown restores the max-heap property below position i.
+func siftDown(h []int32, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] >= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// query offers to t every rule of the shard that fires for the basket and
+// can still reach the top k: the antecedent is contained in the basket and
+// the consequent recommends at least one item the basket does not already
+// hold.  For each basket item the inverted index yields the groups whose
+// antecedent *starts* there, so a group is tested once and only when its
+// cheapest necessary condition holds.  Both loops stop early, exactly: a
+// run of groups ascends by best id and a group's ids ascend, so past the
+// first id above t.limit — which only falls — nothing can enter.
+//
+//checkinv:hotpath
+func (sh *shard) query(ix *Index, b basketBits, t *topK) {
+	for _, d := range b.items {
+	nextGroup:
+		for g := sh.off[d]; g < sh.off[d+1]; g++ {
+			from, to := ix.groups[g], ix.groups[g+1]
+			if ix.ids[from.lo] > t.limit {
+				break
 			}
-			for _, r := range sh.rules[g.lo:g.hi] {
-				if !basket.ContainsAll(r.Consequent) {
-					dst = append(dst, r)
+			for _, a := range ix.ants[from.ant+1 : to.ant] {
+				if !b.has(a) {
+					continue nextGroup
+				}
+			}
+		nextRule:
+			for p := from.lo; p < to.lo; p++ {
+				if ix.ids[p] > t.limit {
+					break
+				}
+				for _, c := range ix.cons[ix.consOff[p]:ix.consOff[p+1]] {
+					if !b.has(c) {
+						t.push(ix.ids[p])
+						continue nextRule
+					}
 				}
 			}
 		}
 	}
-	return dst
+}
+
+// rank turns the ids a scan kept into its answer: sorted ascending — which
+// is serving-rank order — cut to k, and only then materialised as rules.
+func (ix *Index) rank(ids []int32, k int) []rules.Rule {
+	if len(ids) == 0 {
+		return nil
+	}
+	slices.Sort(ids)
+	if k >= 0 && len(ids) > k {
+		ids = ids[:k]
+	}
+	out := make([]rules.Rule, len(ids))
+	for i, id := range ids {
+		out[i] = ix.rules[id]
+	}
+	return out
 }
 
 // Recommend answers a basket query against this index alone — no cache, no
-// worker pool — returning at most k rules in serving-rank order.  It is the
-// reference path the Server's cached/pooled path must agree with, and what
-// the oracle tests exercise.
+// worker pool — returning at most k rules in serving-rank order; a negative
+// k returns every firing rule.  It is the Server's inline query path, and
+// what the oracle tests exercise.  The scan keeps k rule ids, not rules: the
+// basket bitmap, the id heap and the basket's dictionary ids live in this
+// frame, and the answer is the only allocation.
 //
 //checkinv:hotpath
 func (ix *Index) Recommend(basket itemset.Itemset, k int) []rules.Rule {
-	var matches []rules.Rule
+	var (
+		items [64]int32
+		bits  [64]uint64
+		heap  [128]int32
+	)
+	b := ix.mark(basket, items[:0], bits[:])
+	t := newTopK(heap[:], k)
 	for si := range ix.shards {
-		matches = ix.shards[si].query(basket, matches)
+		ix.shards[si].query(ix, b, &t)
 	}
-	return RankTruncate(matches, k)
+	return ix.rank(t.ids, k)
 }
 
-// RankTruncate sorts matches into serving-rank order and truncates to k.
-// RankLess is a strict total order, so the result is deterministic whatever
-// order the per-shard scans delivered the matches in — the property that
-// also lets the distributed router merge per-node top-K lists into a global
-// top-K bit-identical to a single-node scan.
+// RankTruncate sorts matches into serving-rank order and truncates to k; a
+// negative k keeps them all.  RankLess is a strict total order, so the
+// result is deterministic whatever order the matches arrive in — the
+// property that lets the distributed router merge per-node top-K lists into
+// a global top-K bit-identical to a single-node scan.  The index itself
+// ranks by comparing rule ids (see Index); this is the merge for callers
+// holding rules from more than one index.
 //
 //checkinv:hotpath
 func RankTruncate(matches []rules.Rule, k int) []rules.Rule {
@@ -225,14 +500,17 @@ func RankTruncate(matches []rules.Rule, k int) []rules.Rule {
 	return matches
 }
 
-// hashKey hashes an antecedent key for shard placement with a splitmix64
-// absorb-per-byte construction — deterministic for a given seed, and
-// reseedable per deployment without touching query results (shard placement
-// never affects ranking).
-func hashKey(seed uint64, key string) uint64 {
+// hashItems hashes an antecedent for shard placement with a splitmix64
+// absorb-per-byte construction over its canonical key (itemset.Key: four
+// big-endian bytes an item) — deterministic for a given seed, and reseedable
+// per deployment without touching query results (shard placement never
+// affects ranking).
+func hashItems(seed uint64, s itemset.Itemset) uint64 {
 	h := seed
-	for i := 0; i < len(key); i++ {
-		h = splitmix64(h ^ uint64(key[i]))
+	for _, it := range s {
+		for shift := 24; shift >= 0; shift -= 8 {
+			h = splitmix64(h ^ uint64(byte(uint32(it)>>shift)))
+		}
 	}
 	return splitmix64(h)
 }

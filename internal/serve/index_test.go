@@ -2,9 +2,13 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"parapriori/internal/apriori"
 	"parapriori/internal/itemset"
@@ -73,26 +77,283 @@ func randomBasket(rng *rand.Rand, nItems, maxLen int) itemset.Itemset {
 	return itemset.New(raw...)
 }
 
-// TestRecommendMatchesOracle drives randomized synthetic rule sets and
-// baskets through the sharded index and checks exact agreement with the
-// brute-force oracle, across shard counts and K values.
-func TestRecommendMatchesOracle(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rs := synthRules(300, 25, seed)
-		for _, shards := range []int{1, 3, 8} {
-			ix := NewIndex(rs, Options{Shards: shards})
-			rng := rand.New(rand.NewSource(seed * 100))
-			for q := 0; q < 50; q++ {
-				basket := randomBasket(rng, 25, 6)
-				k := 1 + rng.Intn(12)
-				got := ix.Recommend(basket, k)
-				want := oracle(rs, basket, k)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d shards %d basket %v k %d:\n got %v\nwant %v",
-						seed, shards, basket, k, got, want)
-				}
+// remapItems rewrites every item of a rule set through f, re-sorting the
+// itemsets (f need not be monotone).
+func remapItems(rs []rules.Rule, f func(itemset.Item) itemset.Item) []rules.Rule {
+	remap := func(s itemset.Itemset) itemset.Itemset {
+		out := make([]itemset.Item, len(s))
+		for i, it := range s {
+			out[i] = f(it)
+		}
+		return itemset.New(out...)
+	}
+	out := make([]rules.Rule, len(rs))
+	for i, r := range rs {
+		r.Antecedent, r.Consequent = remap(r.Antecedent), remap(r.Consequent)
+		out[i] = r
+	}
+	return out
+}
+
+// sparseItem scatters the small ids synthRules draws over the whole int32
+// range: negative, past 2²⁰, and next to both ends.
+func sparseItem(it itemset.Item) itemset.Item {
+	switch it % 4 {
+	case 0:
+		return -7 - 1000*it
+	case 1:
+		return 1<<20 + 4099*it
+	case 2:
+		return math.MaxInt32 - it
+	default:
+		return math.MinInt32 + it
+	}
+}
+
+// heavyRules is a rule set one basket fires more than a thousand rules of:
+// every 1-, 2- and 3-item antecedent over items 0..11, each recommending
+// the four items 100..103 — 298 antecedents, 1192 rules — with measures on
+// a coarse grid, so ties abound.  heavyBasket is that basket.
+func heavyRules() (rs []rules.Rule, heavyBasket itemset.Itemset) {
+	rng := rand.New(rand.NewSource(99))
+	emit := func(ant ...itemset.Item) {
+		for c := itemset.Item(100); c < 104; c++ {
+			rs = append(rs, rules.Rule{
+				Antecedent: itemset.New(ant...),
+				Consequent: itemset.New(c),
+				Count:      int64(1 + rng.Intn(50)),
+				Support:    float64(1+rng.Intn(5)) / 50,
+				Confidence: float64(1+rng.Intn(10)) / 10,
+				Lift:       float64(1+rng.Intn(4)) / 2,
+			})
+		}
+	}
+	const n = 12
+	for a := itemset.Item(0); a < n; a++ {
+		emit(a)
+		for b := a + 1; b < n; b++ {
+			emit(a, b)
+			for c := b + 1; c < n; c++ {
+				emit(a, b, c)
 			}
 		}
+		heavyBasket = append(heavyBasket, a)
+	}
+	return rs, heavyBasket
+}
+
+// oracleCase is one rule set and the baskets to ask it.
+type oracleCase struct {
+	name    string
+	rules   []rules.Rule
+	baskets []itemset.Itemset
+}
+
+func oracleCases() []oracleCase {
+	baskets := func(seed int64, n int, f func(itemset.Item) itemset.Item) []itemset.Itemset {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]itemset.Itemset, n)
+		for i := range out {
+			raw := randomBasket(rng, 25, 6)
+			for j := range raw {
+				raw[j] = f(raw[j])
+			}
+			out[i] = itemset.New(raw...)
+		}
+		return out
+	}
+	same := func(it itemset.Item) itemset.Item { return it }
+	var cases []oracleCase
+	for seed := int64(1); seed <= 3; seed++ {
+		cases = append(cases, oracleCase{fmt.Sprintf("synthetic-%d", seed), synthRules(300, 25, seed), baskets(seed*100, 25, same)})
+	}
+
+	// Item ids that are no use as array indices.
+	cases = append(cases, oracleCase{"sparse-ids", remapItems(synthRules(300, 25, 4), sparseItem), baskets(400, 25, sparseItem)})
+
+	// Every measure equal: the order is the itemset compare alone.
+	tied := synthRules(300, 25, 5)
+	for i := range tied {
+		tied[i].Confidence, tied[i].Lift, tied[i].Support = 0.5, 1.25, 0.02
+	}
+	cases = append(cases, oracleCase{"all-tied", tied, baskets(500, 25, same)})
+
+	// The same rule more than once.
+	dup := synthRules(200, 25, 6)
+	dup = append(dup, dup[:80]...)
+	dup = append(dup, dup[40:60]...)
+	cases = append(cases, oracleCase{"duplicates", dup, baskets(600, 25, same)})
+
+	// One basket firing 1192 rules, its subsets, and baskets holding items
+	// no rule mentions (or nothing else).
+	heavy, heavyBasket := heavyRules()
+	cases = append(cases, oracleCase{"heavy", heavy, []itemset.Itemset{
+		heavyBasket,
+		heavyBasket[:7],
+		itemset.New(append(heavyBasket.Clone(), -5, 50, 9999, math.MaxInt32)...),
+		itemset.New(append(heavyBasket.Clone(), 100, 101, 102)...), // one consequent left to recommend
+		itemset.New(append(heavyBasket.Clone(), 100, 101, 102, 103)...),
+		itemset.New(-5, 50, 9999),
+		{},
+	}})
+	return cases
+}
+
+// TestRecommendMatchesOracle drives rule sets and baskets chosen to reach
+// every corner of the id scan — sparse and negative item ids, full rank
+// ties, duplicate rules, a basket firing more rules than any heap holds,
+// basket items the index has never seen — through the bare index, the
+// inline server and the pooled server, across shard counts and K values,
+// and checks each answer equal to the brute-force oracle's.
+func TestRecommendMatchesOracle(t *testing.T) {
+	const maxK = 100
+	for _, c := range oracleCases() {
+		for _, shards := range []int{1, 3, 8, 64} {
+			ix := NewIndex(c.rules, Options{Shards: shards})
+			inline := NewServer(Options{Shards: shards, CacheSize: -1, MaxK: maxK})
+			pooled := NewServer(Options{Shards: shards, CacheSize: -1, MaxK: maxK, Workers: 3})
+			inline.Publish(ix)
+			pooled.Publish(ix)
+			for _, basket := range c.baskets {
+				for _, k := range []int{-1, 0, 1, 10, maxK, 5000} {
+					where := fmt.Sprintf("%s shards %d basket %v k %d", c.name, shards, basket, k)
+					if got, want := ix.Recommend(basket, k), oracle(c.rules, basket, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: index\n got %v\nwant %v", where, got, want)
+					}
+					// The pool's merge under the raw k, which Recommend below
+					// never hands it: k <= 0 must mean there what it means
+					// to the index.
+					if got, want := pooled.query(ix, basket, k), oracle(c.rules, basket, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: pooled query\n got %v\nwant %v", where, got, want)
+					}
+					// The server reads k <= 0 as DefaultK and caps it at MaxK.
+					served := k
+					if served <= 0 {
+						served = DefaultK
+					}
+					want := oracle(c.rules, basket, min(served, maxK))
+					for name, s := range map[string]*Server{"inline": inline, "pooled": pooled} {
+						got, err := s.Recommend(basket, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: %s server\n got %v\nwant %v", where, name, got, want)
+						}
+					}
+				}
+			}
+			inline.Close()
+			pooled.Close()
+		}
+	}
+}
+
+// FuzzRecommendMatchesOracle holds the index to the oracle on fuzzed
+// baskets and K over a fixed rule set that combines the awkward shapes:
+// sparse ids, duplicates, and a family of rules one basket fires a
+// thousand of.  Basket bytes pick items two at a time from the rules' own
+// universe plus a few strangers, so most inputs fire something.
+func FuzzRecommendMatchesOracle(f *testing.F) {
+	heavy, heavyBasket := heavyRules()
+	rs := append(remapItems(synthRules(300, 25, 4), sparseItem), heavy...)
+	rs = append(rs, rs[:50]...)
+	universe := []itemset.Item{-5, 50, 9999, math.MaxInt32, math.MinInt32}
+	seen := map[itemset.Item]bool{}
+	for _, r := range rs {
+		for _, it := range append(r.Antecedent.Clone(), r.Consequent...) {
+			if !seen[it] {
+				seen[it] = true
+				universe = append(universe, it)
+			}
+		}
+	}
+	sort.Slice(universe, func(i, j int) bool { return universe[i] < universe[j] })
+	ix := NewIndex(rs, Options{Shards: 3})
+
+	pick := func(basket itemset.Itemset) []byte {
+		var raw []byte
+		for _, it := range basket {
+			i := sort.Search(len(universe), func(i int) bool { return universe[i] >= it })
+			raw = append(raw, byte(i>>8), byte(i))
+		}
+		return raw
+	}
+	f.Add(pick(heavyBasket), 10)
+	f.Add(pick(heavyBasket), -1)
+	f.Add(pick(heavyBasket[:3]), 0)
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 1}, 1)
+	f.Add([]byte{}, 5)
+	f.Fuzz(func(t *testing.T, raw []byte, k int) {
+		var items []itemset.Item
+		for i := 0; i+1 < len(raw); i += 2 {
+			items = append(items, universe[(int(raw[i])<<8|int(raw[i+1]))%len(universe)])
+		}
+		basket := itemset.New(items...)
+		if got, want := ix.Recommend(basket, k), oracle(rs, basket, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("basket %v k %d:\n got %v\nwant %v", basket, k, got, want)
+		}
+	})
+}
+
+var sinkRules []rules.Rule
+
+// TestRecommendAllocBudget: a query keeps rule ids, not rules, so what it
+// allocates is its answer and nothing else — one object of k rules — whether
+// the basket fires twelve rules or twelve hundred.  The byte bound is twice
+// the answer plus 256 B of slack for the allocator's size classes.
+func TestRecommendAllocBudget(t *testing.T) {
+	const k = 10
+	rs, heavyBasket := heavyRules()
+	ix := NewIndex(rs, Options{})
+	if n := len(oracle(rs, heavyBasket, -1)); n <= 1000 {
+		t.Fatalf("the heavy basket fires %d rules, want > 1000", n)
+	}
+	for _, basket := range []itemset.Itemset{heavyBasket[:2], heavyBasket} {
+		matches := len(oracle(rs, basket, -1))
+		if got := len(ix.Recommend(basket, k)); got != k {
+			t.Fatalf("%d matches: %d rules returned, want %d", matches, got, k)
+		}
+		objects := testing.AllocsPerRun(200, func() { sinkRules = ix.Recommend(basket, k) })
+		if objects != 1 {
+			t.Errorf("%d matches: %v objects per query, want 1 (the answer)", matches, objects)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			sinkRules = ix.Recommend(basket, k)
+		}
+		runtime.ReadMemStats(&after)
+		perQuery := (after.TotalAlloc - before.TotalAlloc) / runs
+		if budget := uint64(2*k*unsafe.Sizeof(rules.Rule{}) + 256); perQuery > budget {
+			t.Errorf("%d matches: %d B per query, budget %d", matches, perQuery, budget)
+		}
+	}
+}
+
+// TestIndexStoresRulesOnce: All() is the index's one copy of the rules — the
+// input sorted by RankLess, the same backing array on every call — and a
+// build costs less than two copies of its input.
+func TestIndexStoresRulesOnce(t *testing.T) {
+	rs := synthRules(100_000, 2_000, 42) // BenchmarkRecommend's rule set
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ix := NewIndex(rs, Options{Shards: 8})
+	runtime.ReadMemStats(&after)
+	built := after.TotalAlloc - before.TotalAlloc
+	if budget := 2 * uint64(len(rs)) * uint64(unsafe.Sizeof(rules.Rule{})); built >= budget {
+		t.Errorf("NewIndex allocated %d B over %d rules, budget < %d", built, len(rs), budget)
+	}
+
+	want := append([]rules.Rule(nil), rs...)
+	sort.Slice(want, func(i, j int) bool { return rules.RankLess(want[i], want[j]) })
+	all := ix.All()
+	if !reflect.DeepEqual(all, want) {
+		t.Fatal("All() is not the input sorted by RankLess")
+	}
+	if again := ix.All(); &again[0] != &all[0] || len(again) != len(all) {
+		t.Fatal("All() returned a different backing array on the second call")
 	}
 }
 

@@ -245,40 +245,38 @@ func (s *Server) RecommendTraced(basket []itemset.Item, k int, link string) ([]r
 	return append([]rules.Rule(nil), out...), snap.gen, nil
 }
 
-// query runs the per-shard scans — inline, or fanned out across the worker
-// pool — and merges them into one ranked, truncated result.  The merge
-// sorts with the total-order comparator, so scheduling can reorder the
-// scans without ever reordering the answer.
+// query answers a cache miss: Index.Recommend inline, or — with a worker
+// pool — one top-k scan per shard fanned out across it and merged.  Rule
+// ids are ranks, so sorting the shards' ids is the whole merge and
+// scheduling can reorder the scans without ever reordering the answer.
 //
 //checkinv:hotpath
 func (s *Server) query(ix *Index, basket itemset.Itemset, k int) []rules.Rule {
-	var matches []rules.Rule
 	if s.tasks == nil || len(ix.shards) == 1 {
-		for si := range ix.shards {
-			matches = ix.shards[si].query(basket, matches)
-		}
-		return RankTruncate(matches, k)
+		return ix.Recommend(basket, k)
 	}
-	per := make([][]rules.Rule, len(ix.shards))
+	b := ix.mark(basket, nil, nil) // read by every worker, so on the heap
+	per := make([]topK, len(ix.shards))
 	var wg sync.WaitGroup
 	for si := range ix.shards {
 		si := si
 		wg.Add(1)
 		s.tasks <- func() { //checkinv:allow rawchan,hotalloc — fan one query's shard scans out to the pool; one closure per shard is the fan-out itself
 			defer wg.Done()
-			per[si] = ix.shards[si].query(basket, nil)
+			per[si] = newTopK(nil, k)
+			ix.shards[si].query(ix, b, &per[si])
 		}
 	}
 	wg.Wait()
 	total := 0
-	for _, p := range per {
-		total += len(p)
+	for i := range per {
+		total += len(per[i].ids)
 	}
-	merged := make([]rules.Rule, 0, total)
-	for _, p := range per {
-		merged = append(merged, p...)
+	merged := make([]int32, 0, total)
+	for i := range per {
+		merged = append(merged, per[i].ids...)
 	}
-	return RankTruncate(merged, k)
+	return ix.rank(merged, k)
 }
 
 // cacheKey builds the canonical cache key: the basket's canonical itemset
