@@ -4,9 +4,9 @@
 // candidate hash tree, and pruning by minimum support.
 //
 // The package also exports the two reusable building blocks every parallel
-// formulation shares — FirstPass and Gen — and supports the memory-capped,
-// multi-partition counting mode that the CD algorithm falls back to when
-// the hash tree does not fit in main memory (Figure 12).
+// formulation shares — FirstPassSource and Gen — and supports the
+// memory-capped, multi-partition counting mode that the CD algorithm falls
+// back to when the hash tree does not fit in main memory (Figure 12).
 package apriori
 
 import (
@@ -135,13 +135,6 @@ func (r *Result) SupportIndex() map[string]int64 {
 // the resident source a *Dataset is.
 func Mine(data *itemset.Dataset, p Params) (*Result, error) {
 	return MineSource(data, p)
-}
-
-// FirstPass computes F1, the frequent items, with a single array-counting
-// scan (no hash tree is needed for size-1 candidates).
-func FirstPass(data *itemset.Dataset, minCount int64) ([]Frequent, PassStats) {
-	f1, stats, _ := FirstPassSource(data, minCount) // a resident scan cannot fail
-	return f1, stats
 }
 
 // Gen is apriori_gen: it extends the frequent (k-1)-itemsets prev into the

@@ -260,7 +260,7 @@ func TestGenAllocsIndependentOfM(t *testing.T) {
 
 func TestFirstPass(t *testing.T) {
 	d := paperData()
-	f1, stats := FirstPass(d, 3)
+	f1, stats, _ := FirstPassSource(d, 3)
 	// Counts: Bread 3, Beer 3, Coke 3, Diaper 3, Milk 4 — all ≥ 3.
 	if len(f1) != 5 {
 		t.Fatalf("F1 = %v", f1)
@@ -268,7 +268,7 @@ func TestFirstPass(t *testing.T) {
 	if stats.K != 1 || stats.Frequent != 5 {
 		t.Errorf("stats = %+v", stats)
 	}
-	f1, _ = FirstPass(d, 4)
+	f1, _, _ = FirstPassSource(d, 4)
 	if len(f1) != 1 || !f1[0].Items.Equal(itemset.New(5)) {
 		t.Errorf("F1 at minCount 4 = %v", f1)
 	}

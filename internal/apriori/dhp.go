@@ -53,15 +53,15 @@ func (b *pairBuckets) admits(c itemset.Itemset, minCount int64) bool {
 // FirstPassDHP is FirstPass plus DHP's pair-bucket construction: one scan
 // computes both the item counts and the pair hash table with `buckets`
 // entries.
-func FirstPassDHP(data *itemset.Dataset, minCount int64, buckets int) ([]Frequent, *pairBuckets, PassStats) {
+func FirstPassDHP(data *itemset.Dataset, minCount int64, buckets int) ([]Frequent, *pairBuckets, PassStats, error) {
 	pb := newPairBuckets(buckets)
 	counts := make([]int64, data.NumItems)
+	if err := itemset.CountItems(counts, data.Transactions); err != nil {
+		return nil, nil, PassStats{}, err
+	}
 	var bytes int64
 	for _, t := range data.Transactions {
 		bytes += int64(t.Bytes())
-		for _, it := range t.Items {
-			counts[it]++
-		}
 		pb.addTransaction(t.Items)
 	}
 	var f1 []Frequent
@@ -76,7 +76,7 @@ func FirstPassDHP(data *itemset.Dataset, minCount int64, buckets int) ([]Frequen
 		Frequent:     len(f1),
 		TreeParts:    1,
 		BytesScanned: bytes,
-	}
+	}, nil
 }
 
 // filterC2 drops the size-2 candidates whose DHP bucket cannot reach the

@@ -92,7 +92,7 @@ func TestPairBucketsSoundness(t *testing.T) {
 	// it: admits never rejects a truly frequent pair.
 	d := randomData(99, 300, 30)
 	minCount := int64(5)
-	_, pb, _ := FirstPassDHP(d, minCount, 64)
+	_, pb, _, _ := FirstPassDHP(d, minCount, 64)
 	truth := map[string]int64{}
 	for _, txn := range d.Transactions {
 		items := txn.Items
@@ -115,8 +115,8 @@ func TestPairBucketsSoundness(t *testing.T) {
 
 func TestFirstPassDHPMatchesFirstPass(t *testing.T) {
 	d := randomData(3, 200, 40)
-	plain, _ := FirstPass(d, 4)
-	withDHP, pb, _ := FirstPassDHP(d, 4, 128)
+	plain, _, _ := FirstPassSource(d, 4)
+	withDHP, pb, _, _ := FirstPassDHP(d, 4, 128)
 	if pb == nil {
 		t.Fatal("no buckets built")
 	}

@@ -42,7 +42,10 @@ func MineNaive(data *itemset.Dataset, p Params) (*Result, error) {
 	minCount := p.MinCount(data.Len())
 	res := &Result{N: data.Len(), MinCount: minCount}
 
-	f1, stats1 := FirstPass(data, minCount)
+	f1, stats1, err := FirstPassSource(data, minCount)
+	if err != nil {
+		return nil, fmt.Errorf("apriori: naive pass 1: %w", err)
+	}
 	res.Levels = append(res.Levels, f1)
 	res.Passes = append(res.Passes, stats1)
 

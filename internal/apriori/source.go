@@ -36,9 +36,6 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 	if engB.Name() != countengine.Default && (p.DHPBuckets > 0 || p.DHPTrim) {
 		return nil, fmt.Errorf("apriori: DHP filtering requires the hashtree engine, not %q", engB.Name())
 	}
-	if prep, ok := engB.(countengine.DatasetPreparer); ok && resident {
-		prep.Prepare(data)
-	}
 	minCount := p.MinCount(info.NumTxns)
 	res := &Result{N: info.NumTxns, MinCount: minCount}
 
@@ -46,9 +43,17 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 	var stats1 PassStats
 	var dhp *pairBuckets
 	if p.DHPBuckets > 0 {
-		f1, dhp, stats1 = FirstPassDHP(data, minCount, p.DHPBuckets)
-	} else if f1, stats1, err = FirstPassSource(src, minCount); err != nil {
+		f1, dhp, stats1, err = FirstPassDHP(data, minCount, p.DHPBuckets)
+	} else {
+		f1, stats1, err = FirstPassSource(src, minCount)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("apriori: pass 1: %w", err)
+	}
+	// Only now is every item known to lie inside the vocabulary the
+	// prepared index is sized by.
+	if prep, ok := engB.(countengine.DatasetPreparer); ok && resident {
+		prep.Prepare(data)
 	}
 	res.Levels = append(res.Levels, f1)
 	res.Passes = append(res.Passes, stats1)
@@ -97,7 +102,10 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 	return res, nil
 }
 
-// FirstPassSource computes F1 with one streaming array-counting scan.
+// FirstPassSource computes F1, the frequent items, with one streaming
+// array-counting scan (no hash tree is needed for size-1 candidates).  An
+// item outside the source's declared vocabulary is an
+// *itemset.ItemRangeError, one out of order an *itemset.ItemOrderError.
 func FirstPassSource(src itemset.Source, minCount int64) ([]Frequent, PassStats, error) {
 	info := src.Info()
 	counts := make([]int64, info.NumItems)
@@ -105,11 +113,8 @@ func FirstPassSource(src itemset.Source, minCount int64) ([]Frequent, PassStats,
 	err := src.Blocks(func(blk []itemset.Transaction) error {
 		for _, t := range blk {
 			bytes += int64(t.Bytes())
-			for _, it := range t.Items {
-				counts[it]++
-			}
 		}
-		return nil
+		return itemset.CountItems(counts, blk)
 	})
 	if err != nil {
 		return nil, PassStats{}, err

@@ -19,16 +19,20 @@ func (r *run) firstPass(p *cluster.Proc, tr *procTrace) error {
 
 	counts := make([]int64, r.numItems)
 	var items int64
+	var bad error // the first item out of range or out of order
 	st := r.openStream(p, false)
 	err := scan(p, st, func(blk []itemset.Transaction) {
+		if bad == nil {
+			bad = itemset.CountItems(counts, blk)
+		}
 		for _, t := range blk {
-			for _, it := range t.Items {
-				counts[it]++
-			}
 			items += int64(len(t.Items))
 		}
 	})
 	read := st.close()
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
 		return err
 	}

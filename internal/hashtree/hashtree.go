@@ -8,10 +8,25 @@
 // transaction contains.  The tree keeps detailed operation counters
 // (traversal steps, distinct leaf visits, leaf checks) because the paper's
 // Section IV analysis — and Figure 11 — are stated in exactly those units.
+//
+// The counters are the cost model and are charged exactly as the textbook
+// tree would earn them; what the host executes at a leaf is a separate
+// matter.  A leaf is scanned the first time a transaction reaches it, one
+// bitmap test per item of each candidate.  The exception is pass 2's dense
+// tree: a leaf that holds more than MaxLeaf candidates sits at depth k and
+// cannot split — it is saturated — so the walk that reaches it has consumed k
+// transaction items, and that k-tuple is the only candidate the arrival can
+// match.  When k = 2 and the candidates are whole first-item rows of a
+// complete C2 (New verifies it), every arrival at a saturated leaf looks its
+// pair up in a direct index and the leaf's size is charged to LeafChecks
+// without being scanned.  DESIGN.md, "Host work vs charged work", has the
+// exactness argument.
 package hashtree
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"parapriori/internal/itemset"
 )
@@ -87,9 +102,9 @@ type node struct {
 	// is nobody's child).
 	child int32
 	// start and end delimit a leaf's candidates in the slot-ordered arrays
-	// (Tree.perm, Tree.items, Tree.counts).
+	// (Tree.perm, Tree.items).
 	start, end int32
-	// stamp is the ID of the last Subset call that checked this leaf; it
+	// stamp is the ID of the last Subset call that was charged for this leaf; it
 	// implements the paper's "if this node is revisited due to a different
 	// candidate from the same transaction, no checking needs to be
 	// performed" memoization.
@@ -99,19 +114,35 @@ type node struct {
 // Tree is a candidate hash tree for candidates of a single size k.
 //
 // The candidates are stored leaf by leaf: slot s of the tree holds candidate
-// perm[s], its k items at items[s*k:(s+1)*k] and its count at counts[s], so
-// checking a leaf reads one contiguous run of memory.
+// perm[s] and its k items at items[s*k:(s+1)*k], so checking a leaf reads one
+// contiguous run of memory.
 type Tree struct {
-	k      int
-	cfg    Config
-	nodes  []node
-	perm   []int32
-	items  []itemset.Item
+	k     int
+	cfg   Config
+	nodes []node
+	perm  []int32
+	items []itemset.Item
+	// counts is indexed like New's cands, not by slot: that is the order
+	// Counts returns and the one the pair index computes, so only a match
+	// found by slot goes through perm.
 	counts []int64
 	// marks is a bitmap over the candidates' item range.  Subset sets the
 	// bits of the transaction's items for the duration of one call, which
-	// turns a leaf's containment test into k bit tests.
-	marks  []uint64
+	// turns a scanned leaf's containment test into k bit tests.
+	marks []uint64
+	// pairBase and pairCol are the direct index of a complete C2, both
+	// indexed by item and nil unless New verified its conditions (see
+	// pairIndex): candidate {a, b} is cands[pairBase[a]+pairCol[b]], and
+	// either entry is noPair for an item that heads no row, or appears in
+	// no candidate.
+	pairBase, pairCol []int32
+	// txn, offs and first are the state of one Subset call: the
+	// transaction, the child offset (hash) of each of its items, and the item
+	// the root loop is walking from.
+	txn   itemset.Itemset
+	offs  []int32
+	first itemset.Item
+
 	leaves int
 	stats  Stats
 	stamp  uint64
@@ -120,14 +151,18 @@ type Tree struct {
 	collect *[]int32
 }
 
+// noPair marks an absent entry of the pair index.  It is so negative that a
+// sum with any present entry (each below 2^30 in magnitude) stays negative.
+const noPair = math.MinInt32 / 2
+
 // New builds a hash tree over the given candidate itemsets, all of which
 // must have exactly k non-negative items in sorted order.  The tree copies
 // the items; cands is only read.
 //
 // The shape is the one inserting the candidates one at a time produces — a
 // node at depth d < k is internal exactly when more than MaxLeaf candidates
-// hash to it, and a leaf keeps its candidates in the order given — but it is
-// built top-down, by a stable counting sort per internal node.
+// hash to it — but it is built top-down, by a stable counting sort per
+// internal node.
 func New(k int, cands []itemset.Itemset, cfg Config) (*Tree, error) {
 	cfg = cfg.withDefaults()
 	maxItem := itemset.Item(-1)
@@ -156,7 +191,10 @@ func New(k int, cands []itemset.Itemset, cfg Config) (*Tree, error) {
 	for i := range t.perm {
 		t.perm[i] = int32(i)
 	}
-	t.split(0, 0, cands, make([]int32, len(cands)), make([]int32, cfg.Fanout))
+	saturated := t.split(0, 0, cands, make([]int32, len(cands)), make([]int32, cfg.Fanout))
+	if saturated && k == 2 {
+		t.pairIndex(cands, int(maxItem)+1)
+	}
 	for _, ci := range t.perm {
 		t.items = append(t.items, cands[ci]...)
 	}
@@ -165,12 +203,17 @@ func New(k int, cands []itemset.Itemset, cfg Config) (*Tree, error) {
 
 // split turns node ni (at the given depth) into an internal node if it holds
 // more candidates than a leaf may and has an item left to hash on, and
-// recurses into its children.  tmp (len(perm)) and cursor (Fanout) are
-// scratch space shared by the whole build.
-func (t *Tree) split(ni int32, depth int, cands []itemset.Itemset, tmp, cursor []int32) {
+// recurses into its children.  It reports whether the subtree has a
+// saturated leaf: more than MaxLeaf candidates with no item left.  tmp
+// (len(perm)) and cursor (Fanout) are scratch space shared by the whole
+// build.
+func (t *Tree) split(ni int32, depth int, cands []itemset.Itemset, tmp, cursor []int32) (saturated bool) {
 	start, end := t.nodes[ni].start, t.nodes[ni].end
-	if int(end-start) <= t.cfg.MaxLeaf || depth >= t.k {
-		return
+	if int(end-start) <= t.cfg.MaxLeaf {
+		return false
+	}
+	if depth >= t.k {
+		return true
 	}
 	first := int32(len(t.nodes))
 	t.nodes[ni].child = first
@@ -196,8 +239,54 @@ func (t *Tree) split(ni int32, depth int, cands []itemset.Itemset, tmp, cursor [
 	}
 	copy(t.perm[start:end], tmp[start:end])
 	for h := int32(0); h < int32(t.cfg.Fanout); h++ {
-		t.split(first+h, depth+1, cands, tmp, cursor)
+		if t.split(first+h, depth+1, cands, tmp, cursor) {
+			saturated = true
+		}
 	}
+	return saturated
+}
+
+// pairIndex builds the direct index of a k = 2 tree, or leaves it nil.  It
+// verifies rather than assumes what pass 2 produces (C2 = all pairs of F1,
+// bin-packed by whole first-item rows): with U the items that appear in any
+// candidate, the candidates of each first item a are contiguous in cands and
+// are exactly {a, u} for every u in U above a, in ascending order.  Then
+// {a, b} sits pairCol[b]-pairCol[a]-1 places into a's row, pairCol being the
+// rank in U.  Rows with holes (DD's round-robin share, a DHP-filtered C2, a
+// row split across parts), duplicates and unordered rows all fail the check,
+// and the tree scans its saturated leaves like any other.
+func (t *Tree) pairIndex(cands []itemset.Itemset, numItems int) {
+	marks := t.marks
+	for _, c := range cands {
+		marks[c[0]>>6] |= 1 << (c[0] & 63)
+		marks[c[1]>>6] |= 1 << (c[1] & 63)
+	}
+	tables := make([]int32, 2*numItems)
+	base, col := tables[:numItems], tables[numItems:]
+	size := int32(0) // |U| once the loop ends
+	for it := range col {
+		base[it], col[it] = noPair, noPair
+		if marks[it>>6]&(1<<(it&63)) != 0 {
+			col[it] = size
+			size++
+		}
+	}
+	clear(marks)
+	for i := 0; i < len(cands); {
+		a := cands[i][0]
+		n := int(size - col[a] - 1) // items of U above a; cands[i][1] is one
+		if base[a] != noPair || i+n > len(cands) {
+			return
+		}
+		for j, c := range cands[i : i+n] {
+			if c[0] != a || col[c[1]] != col[a]+1+int32(j) {
+				return
+			}
+		}
+		base[a] = int32(i) - col[a] - 1
+		i += n
+	}
+	t.pairBase, t.pairCol = base, col
 }
 
 // MustNew is New for statically correct inputs (tests, examples).
@@ -227,10 +316,20 @@ func (t *Tree) hash(it itemset.Item) int { return int(it) % t.cfg.Fanout }
 // distinct leaf nodes visited for this transaction (the per-transaction
 // quantity averaged in Figure 11).
 //
+// txn must hold the Itemset invariant (strictly increasing: a repeated item
+// would reach a pair-indexed leaf once per copy) and no negative item (its
+// hash would index nodes below the child block).  The miners' first pass
+// turns an item outside the source's vocabulary, or out of order, into a
+// typed error (*itemset.ItemRangeError, *itemset.ItemOrderError) before any
+// tree is built.
+//
 // rootFilter, if non-nil, is consulted only for the *starting* item of a
 // candidate (the loop at the root): items for which it reports false are
-// skipped.  This is IDD's bitmap pruning; pass nil for the serial algorithm,
-// CD and DD.
+// skipped.  This is IDD's bitmap pruning, built from the first items of the
+// tree's own candidates.  A candidate whose first item the filter rejects is
+// outside that contract: it is counted only if an admitted path happens to
+// reach its leaf and the leaf is scanned, never through the pair index.  Pass
+// nil for the serial algorithm, CD and DD.
 //
 //checkinv:hotpath
 func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) int {
@@ -249,8 +348,15 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) i
 		// Degenerate tree: everything sits in the root leaf.
 		visited = 1
 		t.stats.LeafVisits++
-		t.checkLeaf(root)
+		t.stats.LeafChecks += int64(root.end - root.start)
+		t.scanLeaf(root)
 	} else {
+		// Hash every item once; the walk reaches each of them many times.
+		offs, fanout := t.offs[:0], itemset.Item(t.cfg.Fanout)
+		for _, it := range txn {
+			offs = append(offs, int32(it%fanout))
+		}
+		t.txn, t.offs = txn, offs
 		// The root loop: every transaction item that passes the filter is
 		// a possible first item of a candidate.
 		last := len(txn) - t.k
@@ -259,8 +365,10 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) i
 				continue
 			}
 			t.stats.Traversals++
-			visited += t.walk(root.child+int32(t.hash(txn[i])), txn, i+1, 1)
+			t.first = txn[i]
+			visited += t.walk(root.child+offs[i], i+1, 1)
 		}
+		t.txn = nil
 	}
 	for _, it := range txn {
 		if w := uint32(it) >> 6; int(w) < len(t.marks) {
@@ -271,38 +379,54 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) i
 }
 
 // walk recurses below an internal-node hash step: node ni was reached having
-// consumed depth items, with txn[pos:] remaining.
+// consumed depth items, the last of them txn[pos-1], with txn[pos:]
+// remaining.  It is the cost model: every hash step and every distinct leaf
+// is charged here, whatever the host then does at the leaf.
 //
 //checkinv:hotpath
-func (t *Tree) walk(ni int32, txn itemset.Itemset, pos, depth int) int {
+func (t *Tree) walk(ni int32, pos, depth int) int {
 	n := &t.nodes[ni]
 	if n.child == 0 {
-		if n.stamp == t.stamp {
-			return 0 // already checked for this transaction
+		size := int(n.end - n.start)
+		// A saturated leaf (so depth == k == 2) of a pair-indexed tree.
+		indexed := t.pairCol != nil && size > t.cfg.MaxLeaf
+		visited := 0
+		if n.stamp != t.stamp {
+			n.stamp = t.stamp
+			t.stats.LeafVisits++
+			t.stats.LeafChecks += int64(size)
+			visited = 1
+			if !indexed {
+				t.scanLeaf(n)
+			}
 		}
-		n.stamp = t.stamp
-		t.stats.LeafVisits++
-		t.checkLeaf(n)
-		return 1
+		if indexed {
+			// Every arrival, charged or not: this one can match the pair it
+			// consumed and nothing else, and a later one matches another.
+			t.lookup(t.first, t.txn[pos-1])
+		}
+		return visited
 	}
-	visited := 0
 	// Need k-depth more items; the next one can start no later than
 	// len(txn)-(k-depth).
+	txn, offs := t.txn, t.offs
 	last := len(txn) - (t.k - depth)
+	if last < pos {
+		return 0
+	}
+	t.stats.Traversals += int64(last - pos + 1)
+	visited := 0
 	for i := pos; i <= last; i++ {
-		t.stats.Traversals++
-		visited += t.walk(n.child+int32(t.hash(txn[i])), txn, i+1, depth+1)
+		visited += t.walk(n.child+offs[i], i+1, depth+1)
 	}
 	return visited
 }
 
-// checkLeaf bumps the count of every candidate in the leaf whose items are
-// all marked, i.e. that the current transaction contains — the innermost
-// loop of the whole miner.
+// scanLeaf bumps the count of every candidate in the leaf whose items are
+// all marked, i.e. that the current transaction contains.
 //
 //checkinv:hotpath
-func (t *Tree) checkLeaf(n *node) {
-	t.stats.LeafChecks += int64(n.end - n.start)
+func (t *Tree) scanLeaf(n *node) {
 	k, marks := t.k, t.marks
 	items := t.items[int(n.start)*k : int(n.end)*k]
 candidates:
@@ -314,17 +438,37 @@ candidates:
 				continue candidates
 			}
 		}
-		t.counts[s]++
-		if t.collect != nil {
-			*t.collect = append(*t.collect, t.perm[s])
+		t.match(t.perm[s])
+	}
+}
+
+// lookup counts candidate {a, b} of a pair-indexed tree, if it has one: a < b
+// are the items the walk consumed on its way to a saturated leaf.  That pair
+// is the only candidate the arrival can match, because a candidate the
+// transaction contains is reached by the positions of its own items and by
+// no others.
+//
+//checkinv:hotpath
+func (t *Tree) lookup(a, b itemset.Item) {
+	if int(b) < len(t.pairCol) {
+		if ci := t.pairBase[a] + t.pairCol[b]; ci >= 0 {
+			t.match(ci)
 		}
+	}
+}
+
+// match records that the current transaction contains candidate ci.
+func (t *Tree) match(ci int32) {
+	t.counts[ci]++
+	if t.collect != nil {
+		*t.collect = append(*t.collect, ci)
 	}
 }
 
 // SubsetCollect is Subset plus match reporting: the index (in the order New
 // received them) of every candidate contained in txn is also appended to
-// *out.  DHP's transaction trimming needs the matches to decide which items
-// can still contribute to larger itemsets.
+// *out, in no specified order.  DHP's transaction trimming needs the matches
+// to decide which items can still contribute to larger itemsets.
 func (t *Tree) SubsetCollect(txn itemset.Itemset, rootFilter func(itemset.Item) bool, out *[]int32) int {
 	t.collect = out
 	visited := t.Subset(txn, rootFilter)
@@ -337,11 +481,7 @@ func (t *Tree) SubsetCollect(txn itemset.Itemset, rootFilter func(itemset.Item) 
 // (generation-ordered) candidates, so index i refers to the same candidate
 // everywhere — that is what makes the count vectors reducible.
 func (t *Tree) Counts() []int64 {
-	out := make([]int64, len(t.counts))
-	for s, ci := range t.perm {
-		out[ci] = t.counts[s]
-	}
-	return out
+	return slices.Clone(t.counts)
 }
 
 // MemoryBytes estimates the resident size of the tree: candidates plus node

@@ -2,10 +2,13 @@ package hashtree
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"parapriori/internal/datagen"
 	"parapriori/internal/itemset"
+	"parapriori/internal/partition"
 )
 
 func cands(sets ...[]itemset.Item) []itemset.Itemset {
@@ -358,4 +361,82 @@ func TestQuickCountEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestSubsetAllocFree: a Subset call allocates nothing once the per-tree
+// scratch has grown to the longest transaction, whether its saturated leaves
+// are answered by the pair index (k = 2) or scanned (k = 3).
+func TestSubsetAllocFree(t *testing.T) {
+	universe := make(itemset.Itemset, 16)
+	for i := range universe {
+		universe[i] = itemset.Item(3 * i)
+	}
+	rng := rand.New(rand.NewSource(5))
+	txns := randomSets(rng, 30, 9, 50)
+	for _, k := range []int{2, 3} {
+		tree := MustNew(k, subsets(universe, k), Config{Fanout: 2, MaxLeaf: 2})
+		if indexed := tree.pairCol != nil; indexed != (k == 2) {
+			t.Fatalf("k=%d: direct pair index = %v", k, indexed)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, txn := range txns {
+				tree.Subset(txn, nil)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("k=%d: %v allocations per %d Subset calls, want 0", k, allocs, len(txns))
+		}
+		if tree.Stats().LeafChecks == 0 {
+			t.Errorf("k=%d: no leaf was charged", k)
+		}
+	}
+}
+
+// BenchmarkSubsetPass2 is the shape of the mine-wide workload's second pass:
+// the complete C2 over the 713 most frequent of 1 000 items, bin-packed
+// eight ways by first item (whole rows per part, as HD's 8×1 grid places
+// them), one tree per part with its first-item filter, T15.I6 transactions.
+// Every leaf is saturated (1 024 leaves of ~30 candidates, MaxLeaf 16).
+func BenchmarkSubsetPass2(b *testing.B) {
+	p := datagen.Defaults()
+	p.NumTransactions = 2000
+	data := datagen.MustGenerate(p)
+	freq := make([]int, p.NumItems)
+	for _, t := range data.Transactions {
+		for _, it := range t.Items {
+			freq[it]++
+		}
+	}
+	byFreq := make(itemset.Itemset, p.NumItems)
+	for i := range byFreq {
+		byFreq[i] = itemset.Item(i)
+	}
+	sort.SliceStable(byFreq, func(i, j int) bool { return freq[byFreq[i]] > freq[byFreq[j]] })
+	c2 := subsets(itemset.New(byFreq[:713]...), 2)
+
+	var trees []*Tree
+	var filters []func(itemset.Item) bool
+	for _, part := range partition.BinPack(c2, 8, 0).PerProc {
+		firsts := make([]bool, p.NumItems)
+		for _, c := range part {
+			firsts[c[0]] = true
+		}
+		trees = append(trees, MustNew(2, part, Config{}))
+		filters = append(filters, func(it itemset.Item) bool { return firsts[it] })
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r, tree := range trees {
+			for _, t := range data.Transactions {
+				tree.Subset(t.Items, filters[r])
+			}
+		}
+	}
+	b.StopTimer()
+	var s Stats
+	for _, tree := range trees {
+		s.Add(tree.Stats())
+	}
+	b.ReportMetric(float64(s.LeafChecks)/float64(s.Transactions), "checks/txn")
 }

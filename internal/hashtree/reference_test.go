@@ -3,11 +3,12 @@ package hashtree
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"parapriori/internal/itemset"
+	"parapriori/internal/partition"
 )
 
 // refTree is the textbook candidate hash tree the flat Tree replaced, kept
@@ -151,12 +152,85 @@ func randomSets(rng *rand.Rand, n, k, nItems int) []itemset.Itemset {
 	return out
 }
 
-// TestDifferentialAgainstReference drives the flat tree and the reference
-// tree with the same candidates and transactions and demands the same
-// visits, the same matches in the same order, the same counts, the same
-// number of leaves and the same operation counters — over k = 1..5, fanout
-// 2..32, trees that never split, transactions carrying items beyond the
-// largest candidate item, and with a root filter.
+// differ drives the flat tree and the reference tree with the same candidates
+// and 80 random transactions and demands the same visits, the same matches
+// (as sets: SubsetCollect's order is unspecified), the same counts, the same
+// number of leaves and the same operation counters.  Transaction items reach
+// past the candidates' range and past the last word of the mark bitmap.
+//
+// One comparison is narrowed: on a pair-indexed tree, a candidate whose first
+// item the filter rejects is left out of the matches and the counts (the
+// reference counts it whenever an admitted path collides into its leaf, the
+// index never does; Subset's doc puts it outside the filter contract).
+// Visits and Stats are compared under every filter.
+func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []itemset.Itemset, cfg Config, filter func(itemset.Item) bool) *Tree {
+	t.Helper()
+	tree, ref := MustNew(k, cs, cfg), newRefTree(k, cs, cfg)
+	if tree.Leaves() != ref.leaves() {
+		t.Fatalf("%s: %d leaves, reference %d", name, tree.Leaves(), ref.leaves())
+	}
+	inContract := func(ci int32) bool {
+		return tree.pairCol == nil || filter == nil || filter(cs[ci][0])
+	}
+	var matches []int32
+	for i := 0; i < 80; i++ {
+		txn := make([]itemset.Item, rng.Intn(14))
+		for j := range txn {
+			txn[j] = itemset.Item(rng.Intn(2*nItems + 200))
+			if rng.Intn(3) > 0 {
+				txn[j] %= itemset.Item(nItems)
+			}
+		}
+		set := itemset.New(txn...)
+		matches = matches[:0]
+		var got int
+		if i%2 == 0 {
+			got = tree.SubsetCollect(set, filter, &matches)
+		} else {
+			got = tree.Subset(set, filter)
+		}
+		if want := ref.subset(set, filter); got != want {
+			t.Fatalf("%s: txn %v visited %d leaves, reference %d", name, set, got, want)
+		}
+		if i%2 == 0 && !sameSet(matches, ref.matches, inContract) {
+			t.Fatalf("%s: txn %v matched %v, reference %v", name, set, matches, ref.matches)
+		}
+	}
+	for ci, got := range tree.Counts() {
+		if inContract(int32(ci)) && got != ref.counts[ci] {
+			t.Fatalf("%s: candidate %v counted %d, reference %d", name, cs[ci], got, ref.counts[ci])
+		}
+	}
+	if tree.Stats() != ref.stats {
+		t.Fatalf("%s: stats %+v, reference %+v", name, tree.Stats(), ref.stats)
+	}
+	return tree
+}
+
+// firstItemFilter is IDD's root filter: it admits the first item of every
+// candidate and nothing else.
+func firstItemFilter(cs []itemset.Itemset) func(itemset.Item) bool {
+	firsts := map[itemset.Item]bool{}
+	for _, c := range cs {
+		firsts[c[0]] = true
+	}
+	return func(it itemset.Item) bool { return firsts[it] }
+}
+
+// rejectingFilter admits about three quarters of the candidates' first items
+// and nothing else, so some candidates in the tree can only be found through
+// another candidate's path.
+func rejectingFilter(rng *rand.Rand, cs []itemset.Itemset) func(itemset.Item) bool {
+	firsts := map[itemset.Item]bool{}
+	for _, c := range cs {
+		firsts[c[0]] = rng.Intn(4) > 0
+	}
+	return func(it itemset.Item) bool { return firsts[it] }
+}
+
+// TestDifferentialAgainstReference compares the flat tree with the textbook
+// one over k = 1..5, fanout 2..32, trees that never split and a root filter
+// that rejects some of the candidates' own first items.
 func TestDifferentialAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 200; trial++ {
@@ -173,51 +247,109 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		cs := randomSets(rng, nCands, k, nItems)
 		var filter func(itemset.Item) bool
 		if trial%3 == 0 {
-			firsts := map[itemset.Item]bool{}
-			for _, c := range cs {
-				firsts[c[0]] = rng.Intn(4) > 0
-			}
-			filter = func(it itemset.Item) bool { return firsts[it] }
+			filter = rejectingFilter(rng, cs)
 		}
 		name := fmt.Sprintf("trial %d k=%d cfg=%+v cands=%d filter=%v", trial, k, cfg, nCands, filter != nil)
+		differ(t, name, rng, k, nItems, cs, cfg, filter)
+	}
+}
 
-		tree, ref := MustNew(k, cs, cfg), newRefTree(k, cs, cfg)
-		if tree.Leaves() != ref.leaves() {
-			t.Fatalf("%s: %d leaves, reference %d", name, tree.Leaves(), ref.leaves())
+// TestDifferentialSaturated forces what the random trials meet only by
+// chance: leaves at depth k that hold more than MaxLeaf candidates.  Every
+// k-subset of ten scattered items is far more than Fanout^k·MaxLeaf.  Whole
+// first-item rows at k = 2, in lexicographic order or in bin-packing's, must
+// get the direct pair index; rows with holes or back to front, DD's
+// round-robin share, a shuffled list, duplicates, a repeated row and every
+// k > 2 must not, and are scanned.  Each runs without a filter, with IDD's and with a rejecting one.
+func TestDifferentialSaturated(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	const nItems = 24
+	for _, k := range []int{2, 3, 4} {
+		universe := itemset.New(randomSets(rng, 1, 10, nItems)[0]...)
+		all := subsets(universe, k)
+		packed := partition.BinPack(all, 3, 0).PerProc[1]
+		holes := slices.DeleteFunc(slices.Clone(all), func(itemset.Itemset) bool { return rng.Intn(3) == 0 })
+		descending := slices.Clone(all) // whole rows, each back to front
+		slices.SortStableFunc(descending, func(a, b itemset.Itemset) int {
+			if a[0] != b[0] {
+				return int(a[0] - b[0])
+			}
+			return slices.Compare(b, a)
+		})
+		shuffled := slices.Clone(all)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		shapes := []struct {
+			name string
+			cs   []itemset.Itemset
+			rows bool // whole first-item rows, each contiguous and ascending
+		}{
+			{"complete", all, true},
+			{"bin-packed share", packed, true},
+			{"rows with holes", holes, false},
+			{"rows descending", descending, false},
+			{"round-robin share", partition.RoundRobin(all, 3)[1], false},
+			{"shuffled", shuffled, false},
+			{"duplicates", append(slices.Clone(all), all[1], all[len(all)/2], all[1]), false},
+			{"first row twice", append(slices.Clone(all), all[:binomial(len(universe)-1, k-1)]...), false},
 		}
-		var matches []int32
-		for i := 0; i < 80; i++ {
-			// Items up to 2*nItems+200: beyond the candidates' range and
-			// beyond the last word of the mark bitmap.
-			txn := make([]itemset.Item, rng.Intn(14))
-			for j := range txn {
-				txn[j] = itemset.Item(rng.Intn(2*nItems + 200))
-				if rng.Intn(3) > 0 {
-					txn[j] %= itemset.Item(nItems)
+		for _, fanout := range []int{2, 3} {
+			for _, maxLeaf := range []int{1, 2} {
+				for _, sh := range shapes {
+					filters := []struct {
+						name string
+						fn   func(itemset.Item) bool
+					}{
+						{"none", nil},
+						{"first items", firstItemFilter(sh.cs)},
+						{"rejecting", rejectingFilter(rng, sh.cs)},
+					}
+					for _, f := range filters {
+						filter := f.fn
+						cfg := Config{Fanout: fanout, MaxLeaf: maxLeaf}
+						name := fmt.Sprintf("%s k=%d cfg=%+v filter=%s", sh.name, k, cfg, f.name)
+						tree := differ(t, name, rng, k, nItems, sh.cs, cfg, filter)
+						saturated := 0
+						for _, n := range tree.nodes {
+							if n.child == 0 && int(n.end-n.start) > maxLeaf {
+								saturated++
+							}
+						}
+						if saturated == 0 {
+							t.Errorf("%s: no saturated leaf", name)
+						}
+						if got, want := tree.pairCol != nil, k == 2 && sh.rows; got != want {
+							t.Errorf("%s: direct pair index = %v, want %v", name, got, want)
+						}
+					}
 				}
 			}
-			set := itemset.New(txn...)
-			matches = matches[:0]
-			var got int
-			if i%2 == 0 {
-				got = tree.SubsetCollect(set, filter, &matches)
-			} else {
-				got = tree.Subset(set, filter)
-			}
-			if want := ref.subset(set, filter); got != want {
-				t.Fatalf("%s: txn %v visited %d leaves, reference %d", name, set, got, want)
-			}
-			if i%2 == 0 && !reflect.DeepEqual(append([]int32{}, matches...), append([]int32{}, ref.matches...)) {
-				t.Fatalf("%s: txn %v matched %v, reference %v", name, set, matches, ref.matches)
-			}
-		}
-		if got := tree.Counts(); !reflect.DeepEqual(got, ref.counts) {
-			t.Fatalf("%s: counts %v, reference %v", name, got, ref.counts)
-		}
-		if tree.Stats() != ref.stats {
-			t.Fatalf("%s: stats %+v, reference %+v", name, tree.Stats(), ref.stats)
 		}
 	}
+}
+
+// subsets returns every k-subset of the sorted universe, in lexicographic
+// order.
+func subsets(universe itemset.Itemset, k int) []itemset.Itemset {
+	if k == 0 {
+		return []itemset.Itemset{{}}
+	}
+	var out []itemset.Itemset
+	for i, it := range universe {
+		for _, rest := range subsets(universe[i+1:], k-1) {
+			out = append(out, append(itemset.Itemset{it}, rest...))
+		}
+	}
+	return out
+}
+
+// sameSet reports whether a and b hold the same matches, in any order, among
+// those keep admits.
+func sameSet(a, b []int32, keep func(int32) bool) bool {
+	drop := func(ci int32) bool { return !keep(ci) }
+	a, b = slices.DeleteFunc(slices.Clone(a), drop), slices.DeleteFunc(slices.Clone(b), drop)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }
 
 func binomial(n, k int) int {

@@ -33,6 +33,54 @@ type Source interface {
 	Blocks(fn func(block []Transaction) error) error
 }
 
+// ItemRangeError reports a transaction item outside [0, NumItems), the
+// vocabulary its source declared.  Every miner indexes per-item tables by
+// item, so its first pass returns this error where it would otherwise panic
+// or count into the wrong slot.
+type ItemRangeError struct {
+	Txn      int64 // the transaction's ID
+	Item     Item
+	NumItems int
+}
+
+func (e *ItemRangeError) Error() string {
+	return fmt.Sprintf("itemset: transaction %d has item %d, outside the source's %d items", e.Txn, e.Item, e.NumItems)
+}
+
+// ItemOrderError reports a transaction whose items are not strictly
+// increasing: Item follows Prev, which is no smaller.  Counting structures
+// rely on the Itemset invariant (a repeated item would be counted once per
+// copy), so the first pass rejects the transaction instead.
+type ItemOrderError struct {
+	Txn        int64 // the transaction's ID
+	Item, Prev Item
+}
+
+func (e *ItemOrderError) Error() string {
+	return fmt.Sprintf("itemset: transaction %d has item %d after item %d, not in strictly increasing order", e.Txn, e.Item, e.Prev)
+}
+
+// CountItems is the first pass's array counting of one block: it adds every
+// item occurrence to counts, which is indexed by item and NumItems long, and
+// stops with an *ItemRangeError at an item counts has no slot for, or an
+// *ItemOrderError at one that does not exceed its predecessor.
+func CountItems(counts []int64, block []Transaction) error {
+	for _, t := range block {
+		prev := Item(-1)
+		for _, it := range t.Items {
+			if uint(it) >= uint(len(counts)) {
+				return &ItemRangeError{Txn: t.ID, Item: it, NumItems: len(counts)}
+			}
+			if it <= prev {
+				return &ItemOrderError{Txn: t.ID, Item: it, Prev: prev}
+			}
+			prev = it
+			counts[it]++
+		}
+	}
+	return nil
+}
+
 // sourceBlockTxns is the block granularity Dataset and FileSource stream at.
 // It only bounds callback size (and FileSource's resident set); the counting
 // cost model charges per transaction, so the value does not affect results.

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"parapriori/internal/itemset"
 )
 
 func sourceFixture(t *testing.T) *Dataset {
@@ -192,4 +194,72 @@ func TestSourceOptionErrors(t *testing.T) {
 	o := ParallelOptions{Algorithm: CD, Procs: 2, MineOptions: MineOptions{MinSupport: 0.02, Source: store}, Backend: "ooc"}
 	_, err = MineParallel(data, o)
 	check(err, "ParallelOptions", "Source")
+}
+
+// lyingSource declares a smaller vocabulary than its transactions use.
+type lyingSource struct{ *Dataset }
+
+func (s lyingSource) Info() TxSourceInfo {
+	info := s.Dataset.Info()
+	info.NumItems = 2
+	return info
+}
+
+// TestItemOutOfRangeIsTypedError: an item outside [0, NumItems) — negative
+// in a resident dataset, too large from a source that under-declares its
+// vocabulary — comes back from the first pass of every miner as an
+// *itemset.ItemRangeError naming the transaction, never as an index panic.
+// A repeated or out-of-order item, which only a hand-built Dataset or a
+// custom source can carry, is an *itemset.ItemOrderError the same way, never
+// a count taken twice.  (The ooc backend runs the same first pass but cannot
+// be fed such an item: the store refuses it when it is written.)
+func TestItemOutOfRangeIsTypedError(t *testing.T) {
+	negative := FromItems([][]Item{{-5, 1, 2}, {1, 2}})
+	tooLarge := lyingSource{FromItems([][]Item{{0, 1}, {0, 1, 7}})}
+	repeated := itemset.NewDataset([]Transaction{{ID: 0, Items: Itemset{1, 2}}, {ID: 1, Items: Itemset{0, 2, 2, 3}}})
+	check := func(name string, err error, txn int64, item Item, numItems int) {
+		t.Helper()
+		var re *itemset.ItemRangeError
+		if !errors.As(err, &re) {
+			t.Errorf("%s: got %v, want an *itemset.ItemRangeError", name, err)
+			return
+		}
+		if re.Txn != txn || re.Item != item || re.NumItems != numItems {
+			t.Errorf("%s: got %+v, want transaction %d, item %d, %d items", name, *re, txn, item, numItems)
+		}
+	}
+	checkOrder := func(name string, err error) {
+		t.Helper()
+		var oe *itemset.ItemOrderError
+		if !errors.As(err, &oe) {
+			t.Errorf("%s: got %v, want an *itemset.ItemOrderError", name, err)
+			return
+		}
+		if want := (itemset.ItemOrderError{Txn: 1, Item: 2, Prev: 2}); *oe != want {
+			t.Errorf("%s: got %+v, want %+v", name, *oe, want)
+		}
+	}
+	for _, engine := range CountEngines() {
+		_, err := Mine(negative, MineOptions{MinSupport: 0.5, Engine: engine})
+		check("Mine/"+engine+"/negative", err, 0, -5, 3)
+		_, err = Mine(nil, MineOptions{MinSupport: 0.5, Engine: engine, Source: tooLarge})
+		check("Mine/"+engine+"/too large", err, 1, 7, 2)
+		_, err = Mine(repeated, MineOptions{MinSupport: 0.5, Engine: engine})
+		checkOrder("Mine/"+engine+"/repeated", err)
+	}
+	_, err := Mine(negative, MineOptions{MinSupport: 0.5, DHPBuckets: 16})
+	check("Mine/dhp/negative", err, 0, -5, 3)
+	for _, algo := range []Algorithm{CD, DD, DDComm, IDD, HD, HPA} {
+		o := ParallelOptions{Algorithm: algo, Procs: 2, MineOptions: MineOptions{MinSupport: 0.5}}
+		_, err := MineParallel(negative, o)
+		check("MineParallel/"+string(algo)+"/negative", err, 0, -5, 3)
+		_, err = MineParallel(repeated, o)
+		checkOrder("MineParallel/"+string(algo)+"/repeated", err)
+		o.Source = tooLarge
+		_, err = MineParallel(nil, o)
+		check("MineParallel/"+string(algo)+"/too large", err, 1, 7, 2)
+	}
+	if _, err := WritePartitionedDataset(filepath.Join(t.TempDir(), "store"), tooLarge, PartitionOptions{}); err == nil {
+		t.Error("the store accepted an item outside its vocabulary")
+	}
 }
