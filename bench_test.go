@@ -73,14 +73,16 @@ func BenchmarkHPAStudy(b *testing.B) { benchExperiment(b, "hpa") }
 // Micro-benchmarks for the core operations the figures are built from.
 // ----------------------------------------------------------------------
 
-// benchData builds the sparse benchmark workload through the same harness
-// the BENCH_mining.json sweep uses (experiments.BenchWorkloads), so micro-
-// benchmark numbers and the tracked artifact describe the same data.
+// benchData generates the sparse T12.I4 workload of the pinned engine cells
+// (cd/<engine>/t12.sparse in internal/core/testdata/reports.golden), so the
+// micro-benchmarks' wall-clock numbers and the pinned virtual-clock ones
+// describe the same data.
 func benchData(b *testing.B, n int) *Dataset {
 	b.Helper()
-	w := experiments.BenchWorkloads(experiments.Config{Seed: 7})[0]
-	w.Gen.NumTransactions = n
-	data, err := experiments.BenchData(w)
+	data, err := Generate(GenOptions{
+		NumTransactions: n, NumItems: 300, NumPatterns: 200, AvgTxnLen: 12, AvgPatternLen: 4,
+		Correlation: 0.5, CorruptionMean: 0.5, CorruptionDev: 0.1, Seed: 7,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func BenchmarkLeafSizeAblation(b *testing.B) {
 
 // BenchmarkEngines compares the pluggable counting engines on the serial
 // miner, with allocation counts — the real-time counterpart of the virtual
-// numbers in BENCH_mining.json (regenerate with scripts/bench_mining.sh).
+// numbers pinned in reports.golden's cd/<engine>/t12.sparse cells.
 func BenchmarkEngines(b *testing.B) {
 	data := benchData(b, 4000)
 	for _, eng := range CountEngines() {

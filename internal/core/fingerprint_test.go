@@ -12,24 +12,31 @@ import (
 	"parapriori/internal/apriori"
 	"parapriori/internal/cluster"
 	"parapriori/internal/countengine"
+	"parapriori/internal/datagen"
+	"parapriori/internal/hashtree"
 	"parapriori/internal/itemset"
 	"parapriori/internal/txstore"
 )
 
-// fingerprintCell is one configuration whose whole Report is pinned.
+// fingerprintCell is one configuration whose whole Report is pinned: the
+// parameters and the resident dataset they mine (nil when prm.Store does).
 type fingerprintCell struct {
 	name string
 	prm  Params
+	data *itemset.Dataset
 }
 
-// fingerprintCells enumerates the pinned configurations over one fixed-seed
+// fingerprintCells enumerates the pinned configurations.  Over one fixed-seed
 // dataset and its spilled store: every algorithm × engine × backend, the
 // single-processor edge of each algorithm under a memory cap, a memory-capped
 // multi-part CD, a pinned HD grid, two more machines, and one fault plan per
 // fault-tolerant formulation.  SP2 is the base machine because its disk is
 // not free: the order in which I/O and messages are charged shows in the
-// clocks.
-func fingerprintCells(store *txstore.Store) []fingerprintCell {
+// clocks.  Then the engine comparison on two datasets of its own: CD × 4 on
+// the T3E with the experiments' Fanout 64 / MaxLeaf 16 tree, every engine, on
+// a sparse T12.I4 workload and on a dense small-alphabet one where
+// transactions hit most candidates.
+func fingerprintCells(tb testing.TB, data *itemset.Dataset, store *txstore.Store) []fingerprintCell {
 	sp2 := cluster.SP2()
 	capped := cluster.SP2()
 	capped.MemoryBytes = 2048
@@ -39,11 +46,11 @@ func fingerprintCells(store *txstore.Store) []fingerprintCell {
 	var cells []fingerprintCell
 	add := func(name string, prm Params) {
 		for _, be := range backends {
-			c := prm
-			if c.Backend = be; be == BackendOOC {
-				c.Store = store
+			c := fingerprintCell{name: name + "/" + string(be), prm: prm, data: data}
+			if c.prm.Backend = be; be == BackendOOC {
+				c.prm.Store, c.data = store, nil
 			}
-			cells = append(cells, fingerprintCell{name: name + "/" + string(be), prm: c})
+			cells = append(cells, c)
 		}
 	}
 	for _, algo := range []Algorithm{CD, DD, DDComm, IDD, HD, HPA} {
@@ -73,6 +80,30 @@ func fingerprintCells(store *txstore.Store) []fingerprintCell {
 	}
 	asym := &cluster.FaultPlan{Seed: 4, Drop: 0.02, Crashes: []cluster.Crash{{Rank: 1, At: 0.08}}}
 	add("hd/faults-asymmetric", Params{Algo: HD, P: 6, Machine: sp2, HDThreshold: 100, Apriori: ap, Faults: asym, Recovery: RecoveryAsymmetric})
+
+	for _, w := range []struct {
+		name   string
+		gen    datagen.Params
+		minsup float64
+	}{
+		{"t12.sparse", datagen.Params{NumTransactions: 4000, NumItems: 300, NumPatterns: 200, AvgTxnLen: 12, AvgPatternLen: 4,
+			Correlation: 0.5, CorruptionMean: 0.5, CorruptionDev: 0.1, Seed: 7}, 0.01},
+		{"t10.dense", datagen.Params{NumTransactions: 1500, NumItems: 80, NumPatterns: 60, AvgTxnLen: 10, AvgPatternLen: 4,
+			Correlation: 0.5, CorruptionMean: 0.5, CorruptionDev: 0.1, Seed: 8}, 0.03},
+	} {
+		d, err := datagen.Generate(w.gen)
+		if err != nil {
+			tb.Fatalf("generate %s: %v", w.name, err)
+		}
+		for _, eng := range countengine.Names() {
+			cells = append(cells, fingerprintCell{
+				name: "cd/" + eng + "/" + w.name,
+				prm: Params{Algo: CD, P: 4, Machine: cluster.T3E(), Apriori: apriori.Params{
+					MinSupport: w.minsup, Engine: eng, Tree: hashtree.Config{Fanout: 64, MaxLeaf: 16}}},
+				data: d,
+			})
+		}
+	}
 	return cells
 }
 
@@ -141,13 +172,9 @@ func TestReportFingerprints(t *testing.T) {
 	}
 
 	data, store := oocFixture(t)
-	for _, cell := range fingerprintCells(store) {
-		var d *itemset.Dataset
-		if cell.prm.Backend == BackendInMem {
-			d = data
-		}
+	for _, cell := range fingerprintCells(t, data, store) {
 		want, pinned := golden[cell.name]
-		rep, err := Mine(d, cell.prm)
+		rep, err := Mine(cell.data, cell.prm)
 		if err != nil {
 			if pinned {
 				t.Errorf("%s: %v", cell.name, err)

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -228,4 +231,24 @@ func churnOne(data *itemset.Dataset, v1 []rules.Rule, r, topK, killProbes, stall
 	row.probes = m.Probes
 	row.p99ms = m.P99LatencyMicros / 1000
 	return row, nil
+}
+
+// hashAnswer absorbs one (basket, ranked rules) pair into h, floats by IEEE
+// bit pattern so any drift shows.
+func hashAnswer(h io.Writer, basket itemset.Itemset, rs []rules.Rule) {
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.BigEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	io.WriteString(h, basket.Key())
+	put(uint64(len(rs)))
+	for _, r := range rs {
+		io.WriteString(h, r.Antecedent.Key())
+		io.WriteString(h, r.Consequent.Key())
+		put(uint64(r.Count))
+		for _, f := range [...]float64{r.Support, r.Confidence, r.Lift, r.Leverage} {
+			put(math.Float64bits(f))
+		}
+	}
 }

@@ -183,10 +183,7 @@ func All() []Named {
 		{"hpa", "HPA vs IDD vs DD communication volume (Section III-E)", HPAStudy},
 		{"faults", "Recovery overhead under loss/straggler/crash faults (CD, IDD, HD)", Faults},
 		{"attrib", "Per-pass cost attribution from span traces, reconciled with cluster stats", Attrib},
-		{"loadgen", "Distributed serving under closed-loop load (throughput, p99, delta publish)", LoadGen},
 		{"churn", "Serving under churn: kill/restore and straggler injection at R=1 vs R=2", Churn},
-		{"enginebench", "Counting-engine comparison: hashtree vs trie vs bitset (BENCH_mining.json)", EngineBenchTable},
-		{"outofcore", "Peak heap vs database size, in-memory vs out-of-core CD", OutOfCore},
 	}
 }
 

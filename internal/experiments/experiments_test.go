@@ -57,7 +57,7 @@ func runFresh(t *testing.T, name string) *Result {
 }
 
 func TestAllRegistered(t *testing.T) {
-	want := []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "model", "ablate", "hpa", "faults", "attrib", "loadgen", "churn", "enginebench", "outofcore"}
+	want := []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "model", "ablate", "hpa", "faults", "attrib", "churn"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() has %d entries, want %d", len(all), len(want))

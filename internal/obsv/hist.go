@@ -8,10 +8,10 @@ import (
 
 // Deterministic duration histograms over trace spans.  The mining engine's
 // virtual clock makes span durations exactly reproducible for a seeded run,
-// so a histogram of them is a *distribution-shaped* regression artifact:
-// BENCH_mining.json records one per engine, and a perf change that shifts
-// only the tail (a straggler rank, one bad pass) moves buckets that a mean
-// would smear away.
+// so a histogram of them is a *distribution-shaped* view of a run:
+// `cmd/trace -hist` prints one per trace, and a perf change that shifts only
+// the tail (a straggler rank, one bad pass) moves buckets that a mean would
+// smear away.
 
 // HistBase is the default lower bound of the first finite bucket: one
 // virtual microsecond, comfortably below any real pass on the modeled
@@ -146,21 +146,6 @@ func Quantile(sorted []float64, q float64) float64 {
 // PassHistogram buckets PassDurations(t, -1) with the default base.
 func PassHistogram(t *Trace) Histogram {
 	return NewHistogram(PassDurations(t, -1), 0)
-}
-
-// SectionSeconds sums the durations of the trace's engine-section spans by
-// section name ("count", "tree build", "reduce", ...), over all ranks and
-// passes.  This is the breakdown BENCH_mining.json's speedup criterion is
-// stated in: the "count" entry is the total virtual time the run spent
-// counting candidate subsets.
-func SectionSeconds(t *Trace) map[string]float64 {
-	out := make(map[string]float64)
-	for _, s := range t.Spans {
-		if s.Cat == CatSection {
-			out[s.Name] += s.Dur()
-		}
-	}
-	return out
 }
 
 // WriteHistogram renders the histogram as an aligned text table with

@@ -96,19 +96,6 @@ func TestPassDurations(t *testing.T) {
 	}
 }
 
-func TestSectionSeconds(t *testing.T) {
-	secs := SectionSeconds(tracePasses())
-	if got := secs["count"]; math.Abs(got-0.39) > 1e-12 {
-		t.Errorf("count = %v, want 0.39", got)
-	}
-	if got := secs["reduce"]; math.Abs(got-0.05) > 1e-12 {
-		t.Errorf("reduce = %v, want 0.05", got)
-	}
-	if _, ok := secs["mine cd"]; ok {
-		t.Error("run span counted as a section")
-	}
-}
-
 func TestWriteHistogram(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteHistogram(&buf, PassHistogram(tracePasses())); err != nil {

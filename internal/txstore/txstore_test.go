@@ -174,6 +174,60 @@ func TestAppendOrderEnforced(t *testing.T) {
 	}
 }
 
+// TestRefusedAppendLeavesNoBytes: an item outside the vocabulary, at either
+// end of the transaction, is refused with the typed error the miners' first
+// passes return and before anything is encoded — a writer that carries on
+// closes into a store whose scan is exactly the accepted transactions.
+func TestRefusedAppendLeavesNoBytes(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWriter(dir, 10, Options{Partitions: 2, BlockBytes: 16})
+	if err != nil {
+		t.Fatalf("new writer: %v", err)
+	}
+	var accepted []itemset.Transaction
+	for _, step := range []struct {
+		txn    itemset.Transaction
+		refuse itemset.Item // the item named by the refusal; 0 = accepted
+	}{
+		{txn: itemset.Transaction{ID: 0, Items: itemset.New(1, 2)}},
+		{txn: itemset.Transaction{ID: 1, Items: itemset.Itemset{-5, 1, 2}}, refuse: -5},
+		{txn: itemset.Transaction{ID: 1, Items: itemset.New(2, 3, 15)}, refuse: 15},
+		{txn: itemset.Transaction{ID: 1, Items: itemset.Itemset{-1, 10}}, refuse: -1},
+		{txn: itemset.Transaction{ID: 2, Items: itemset.New(0, 9)}},
+		{txn: itemset.Transaction{ID: 3, Items: itemset.Itemset{10}}, refuse: 10},
+		{txn: itemset.Transaction{ID: 3}},
+		{txn: itemset.Transaction{ID: 4, Items: itemset.New(3, 4, 5)}},
+	} {
+		err := w.Append(step.txn)
+		if step.refuse == 0 {
+			if err != nil {
+				t.Fatalf("append %d %v: %v", step.txn.ID, step.txn.Items, err)
+			}
+			accepted = append(accepted, step.txn)
+			continue
+		}
+		var re *itemset.ItemRangeError
+		if !errors.As(err, &re) {
+			t.Fatalf("append %d %v: got %v, want an *itemset.ItemRangeError", step.txn.ID, step.txn.Items, err)
+		}
+		if want := (itemset.ItemRangeError{Txn: step.txn.ID, Item: step.refuse, NumItems: 10}); *re != want {
+			t.Errorf("append %d %v: got %+v, want %+v", step.txn.ID, step.txn.Items, *re, want)
+		}
+	}
+	man, err := w.Close()
+	if err != nil {
+		t.Fatalf("close after refused appends: %v", err)
+	}
+	if man.Transactions != len(accepted) {
+		t.Errorf("manifest counts %d transactions, %d were accepted", man.Transactions, len(accepted))
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	sameTxns(t, accepted, byID(t, s))
+}
+
 // drain reads partition i to the end, returning the first non-EOF error.
 func drain(s *Store, i int) error {
 	r, err := s.OpenPartition(i, true)

@@ -148,13 +148,24 @@ func (p *partWriter) flushBlock() error {
 
 // Append spills one transaction.  IDs must be non-decreasing across the
 // stream and items strictly increasing within the transaction, exactly as
-// itemset.WriteBinary requires.
+// itemset.WriteBinary requires; an item outside the writer's vocabulary is
+// an *itemset.ItemRangeError.  A refused transaction is not in the store,
+// in whole or in part: the caller may carry on with the next one.
 func (w *Writer) Append(t itemset.Transaction) error {
 	if w.closed {
 		return fmt.Errorf("txstore: Append after Close")
 	}
 	if t.ID < 0 || (w.n > 0 && t.ID < w.lastID) {
 		return fmt.Errorf("txstore: transaction IDs must be non-decreasing (%d after %d)", t.ID, w.lastID)
+	}
+	// Items ascend (AppendTransaction refuses them otherwise), so the two
+	// ends bound them all.  Checked before anything is encoded.
+	if n := len(t.Items); n > 0 {
+		for _, it := range [2]itemset.Item{t.Items[0], t.Items[n-1]} {
+			if uint(it) >= uint(w.num) {
+				return &itemset.ItemRangeError{Txn: t.ID, Item: it, NumItems: w.num}
+			}
+		}
 	}
 	var p *partWriter
 	if w.opt.Partitions > 0 {
@@ -182,9 +193,6 @@ func (w *Writer) Append(t itemset.Transaction) error {
 	}
 	if n := len(t.Items); n > 0 {
 		last := int(t.Items[n-1])
-		if last >= w.num {
-			return fmt.Errorf("txstore: transaction %d: item %d outside vocabulary %d", w.n, last, w.num)
-		}
 		if p.info.MinItem == -1 || int(t.Items[0]) < p.info.MinItem {
 			p.info.MinItem = int(t.Items[0])
 		}

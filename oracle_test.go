@@ -16,7 +16,9 @@ import (
 // legal, and requires every legal cell to mine exactly what the naive miner
 // mines (and the two backends of a cell to agree byte for byte) and every
 // illegal cell to fail with a *OptionError.  A combination that becomes
-// legal is therefore tested the moment Validate admits it.
+// legal is therefore tested the moment Validate admits it.  The serial miner
+// is the same axis without a formulation: every engine, over the resident
+// dataset and streamed from the store.
 func TestLegalCellsMatchNaive(t *testing.T) {
 	workloads := []struct {
 		seed                 int64
@@ -47,6 +49,24 @@ func TestLegalCellsMatchNaive(t *testing.T) {
 		want := resultBytes(t, naive)
 		if len(naive.Levels) < 3 {
 			t.Fatalf("seed %d: only %d levels, nothing to resume into", w.seed, len(naive.Levels))
+		}
+
+		for _, engine := range CountEngines() {
+			for _, src := range []struct {
+				name string
+				data *Dataset
+				o    MineOptions
+			}{
+				{"dataset", data, MineOptions{MinSupport: w.minsup, Engine: engine}},
+				{"store", nil, MineOptions{MinSupport: w.minsup, Engine: engine, Source: store}},
+			} {
+				res, err := Mine(src.data, src.o)
+				if err != nil {
+					t.Errorf("seed%d/serial/%s/%s: %v", w.seed, engine, src.name, err)
+				} else if !bytes.Equal(resultBytes(t, res), want) {
+					t.Errorf("seed%d/serial/%s/%s: result differs from the naive miner", w.seed, engine, src.name)
+				}
+			}
 		}
 
 		legal := 0

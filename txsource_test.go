@@ -211,8 +211,9 @@ func (s lyingSource) Info() TxSourceInfo {
 // *itemset.ItemRangeError naming the transaction, never as an index panic.
 // A repeated or out-of-order item, which only a hand-built Dataset or a
 // custom source can carry, is an *itemset.ItemOrderError the same way, never
-// a count taken twice.  (The ooc backend runs the same first pass but cannot
-// be fed such an item: the store refuses it when it is written.)
+// a count taken twice.  The ooc backend runs the same first pass but cannot
+// be fed such an item: the store refuses it with the same error when it is
+// written.
 func TestItemOutOfRangeIsTypedError(t *testing.T) {
 	negative := FromItems([][]Item{{-5, 1, 2}, {1, 2}})
 	tooLarge := lyingSource{FromItems([][]Item{{0, 1}, {0, 1, 7}})}
@@ -259,7 +260,10 @@ func TestItemOutOfRangeIsTypedError(t *testing.T) {
 		_, err = MineParallel(nil, o)
 		check("MineParallel/"+string(algo)+"/too large", err, 1, 7, 2)
 	}
-	if _, err := WritePartitionedDataset(filepath.Join(t.TempDir(), "store"), tooLarge, PartitionOptions{}); err == nil {
-		t.Error("the store accepted an item outside its vocabulary")
+	for _, o := range []PartitionOptions{{}, {Partitions: 2}} { // size-rolled, round-robin
+		_, err := WritePartitionedDataset(filepath.Join(t.TempDir(), "store"), negative, o)
+		check("spill/negative", err, 0, -5, 3)
+		_, err = WritePartitionedDataset(filepath.Join(t.TempDir(), "store"), tooLarge, o)
+		check("spill/too large", err, 1, 7, 2)
 	}
 }
