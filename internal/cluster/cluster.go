@@ -176,16 +176,6 @@ func (c *Cluster) CrashedRanks() []int {
 	return out
 }
 
-// Revive clears the crash/termination record of one rank so a subsequent
-// Run can respawn it.  The rank's virtual clock stays where the crash left
-// it — recovery time is real time.  The fired crash entry does not re-fire.
-func (c *Cluster) Revive(rank int) {
-	c.termMu.Lock()
-	c.term[rank] = termInfo{}
-	c.termMu.Unlock()
-	c.procs[rank].crashPending = nil
-}
-
 // ResetComm clears all in-flight communication state between Runs of one
 // logical computation: queued and held messages, termination flags, and
 // reliable-layer sequence state.  Clocks, statistics, the recorder, and fault

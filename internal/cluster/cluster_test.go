@@ -272,7 +272,7 @@ func TestReset(t *testing.T) {
 	if s := c.TotalStats(); s.ComputeTime != 0 || s.MessagesSent != 0 {
 		t.Errorf("stats after Reset = %+v", s)
 	}
-	if _, ok := c.boxes[1][0].tryTake(); ok {
+	if len(c.boxes[1][0].queue) != 0 {
 		t.Error("mailbox not drained by Reset")
 	}
 }

@@ -59,16 +59,13 @@ func (cm *Comm) Rank(p *Proc) int {
 // Member returns the global ID of the given communicator rank.
 func (cm *Comm) Member(rank int) int { return cm.members[rank] }
 
-// sendRank / recvRank translate communicator ranks to global ranks.  They
-// route through the reliable layer, so every collective survives an
-// installed fault plan; with no plan the reliable operations are exactly
-// Send/Recv.
+// sendRank / recvRank translate communicator ranks to global ranks.
 func (cm *Comm) sendRank(p *Proc, rank int, tag string, payload any, bytes int) {
-	p.SendReliable(cm.members[rank], tag, payload, bytes)
+	p.Send(cm.members[rank], tag, payload, bytes)
 }
 
 func (cm *Comm) recvRank(p *Proc, rank int, tag string) Message {
-	return p.RecvReliable(cm.members[rank], tag)
+	return p.Recv(cm.members[rank], tag)
 }
 
 // AllReduceInt64 element-wise sums vec across the communicator and returns

@@ -6,10 +6,10 @@ import (
 )
 
 // FaultPlan is a seeded, virtual-clock-driven fault schedule for a run.
-// Message faults (drop, duplicate, delay, reorder) apply to the reliable
-// messaging layer (SendReliable/RecvReliable); processor faults (crashes,
-// stragglers) fire when a processor's virtual clock reaches the configured
-// time.  Every decision is a pure function of (Seed, fault kind, sender,
+// Message faults (drop, duplicate, delay, reorder) apply to every frame any
+// send posts while the plan is installed, and every receive recovers from
+// them (reliable.go); processor faults (crashes, stragglers) fire when a
+// processor's virtual clock reaches the configured time.  Every decision is a pure function of (Seed, fault kind, sender,
 // receiver, sequence number, attempt) — no wall clock, no shared RNG — so
 // two runs with the same plan and workload are bit-identical regardless of
 // goroutine scheduling.
@@ -44,7 +44,7 @@ type FaultPlan struct {
 
 // Crash schedules one processor failure: the processor panics with a
 // *CrashError at the first charging-operation boundary where its virtual
-// clock has reached At.  Crash entries are one-shot: a revived processor
+// clock has reached At.  Crash entries are one-shot: a respawned processor
 // does not re-fire the same entry.
 type Crash struct {
 	Rank int
@@ -176,7 +176,7 @@ type faultState struct {
 }
 
 // InstallFaults installs a fault plan on the cluster.  Passing nil
-// uninstalls faults (the reliable layer degenerates to plain Send/Recv).
+// uninstalls faults (sends and receives go straight through the mailboxes).
 // Install before Run; a plan installed mid-run is a data race.
 func (c *Cluster) InstallFaults(plan *FaultPlan) error {
 	if plan == nil {
@@ -210,9 +210,6 @@ func (c *Cluster) InstallFaults(plan *FaultPlan) error {
 	return nil
 }
 
-// FaultPlanInstalled reports whether a fault plan is active.
-func (c *Cluster) FaultPlanInstalled() bool { return c.faults != nil }
-
 // clearFaultSchedule drops the per-processor fault schedule and its
 // progress.
 func (p *Proc) clearFaultSchedule() {
@@ -225,8 +222,8 @@ func (p *Proc) clearFaultSchedule() {
 // virtual clock has reached the crash time.  It is called at
 // charging-operation boundaries, so a crash takes effect at the first
 // operation that crosses At.  Entries are one-shot: crashIdx survives
-// Revive and ResetComm, so a revived processor does not crash again on the
-// same entry.
+// ResetComm, so a respawned processor does not crash again on the same
+// entry.
 func (p *Proc) checkCrash() {
 	for p.crashIdx < len(p.crashes) {
 		e := p.crashes[p.crashIdx]

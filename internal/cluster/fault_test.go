@@ -20,13 +20,13 @@ func reliablePair(t *testing.T, plan *FaultPlan, n int) ([]Message, Stats, []flo
 	err := c.Run(func(p *Proc) error {
 		if p.ID() == 0 {
 			for i := 0; i < n; i++ {
-				p.SendReliable(1, "t", i, 100)
+				p.Send(1, "t", i, 100)
 				p.Compute(1e-6, "work")
 			}
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			got = append(got, p.RecvReliable(0, "t"))
+			got = append(got, p.Recv(0, "t"))
 		}
 		return nil
 	})
@@ -97,38 +97,41 @@ func TestReliableFaultDeterminism(t *testing.T) {
 }
 
 func TestReliableNoPlanIsPlain(t *testing.T) {
-	// Without a plan the reliable operations must charge exactly like
-	// Send/Recv so fault-free runs are bit-identical to the pre-fault code.
-	run := func(reliable bool) (Stats, float64) {
+	// Without a plan a send/receive pair charges latency plus transfer and
+	// allocates no sequencing state; an installed plan that injects nothing
+	// adds exactly the receiver's ack startup.
+	run := func(plan *FaultPlan) (Stats, float64, bool) {
 		c := MustNew(2, fastMachine())
+		if err := c.InstallFaults(plan); err != nil {
+			t.Fatal(err)
+		}
 		err := c.Run(func(p *Proc) error {
 			if p.ID() == 0 {
-				if reliable {
-					p.SendReliable(1, "t", 42, 1000)
-				} else {
-					p.Send(1, "t", 42, 1000)
-				}
+				p.Send(1, "t", 42, 1000)
 				return nil
 			}
-			if reliable {
-				p.RecvReliable(0, "t")
-			} else {
-				p.Recv(0, "t")
-			}
+			p.Recv(0, "t")
 			return nil
 		})
 		if err != nil {
-			return Stats{}, 0
+			t.Fatal(err)
 		}
-		return c.Proc(1).Stats(), c.MaxClock()
+		return c.Proc(1).Stats(), c.MaxClock(), c.Proc(0).sendSeq != nil
 	}
-	sr, cr := run(true)
-	sp, cp := run(false)
-	if cr != cp {
-		t.Errorf("reliable path clock %v != plain %v without a plan", cr, cp)
+	m := fastMachine()
+	sp, cp, seqp := run(nil)
+	if want := m.Latency + m.transferTime(1000, 1); cp != want {
+		t.Errorf("plain clock %v, want latency + transfer = %v", cp, want)
 	}
-	if sr.IdleTime != sp.IdleTime || sr.SendTime != sp.SendTime || sr.RetryTime != 0 {
-		t.Errorf("reliable path stats differ without a plan: %+v vs %+v", sr, sp)
+	if seqp || sp.RetryTime != 0 || sp.SendTime != 0 {
+		t.Errorf("no plan, yet the reliable layer ran: sequenced=%v stats=%+v", seqp, sp)
+	}
+	se, ce, seqe := run(&FaultPlan{})
+	if !seqe {
+		t.Error("a frame sent under a plan was not sequenced")
+	}
+	if ce != cp+m.Latency || se.SendTime != m.Latency || se.IdleTime != sp.IdleTime || se.RetryTime != 0 {
+		t.Errorf("empty plan should add one ack startup: clock %v vs %v, stats %+v vs %+v", ce, cp, se, sp)
 	}
 }
 
@@ -142,10 +145,10 @@ func TestRetryExhaustionDeclaresPeerDead(t *testing.T) {
 	}
 	err := c.Run(func(p *Proc) error {
 		if p.ID() == 0 {
-			p.SendReliable(1, "t", 1, 100)
+			p.Send(1, "t", 1, 100)
 			return nil
 		}
-		p.RecvReliable(0, "t")
+		p.Recv(0, "t")
 		return nil
 	})
 	var de *DeadRankError
@@ -169,10 +172,10 @@ func TestCrashTerminatesAndSurfaces(t *testing.T) {
 	err := c.Run(func(p *Proc) error {
 		if p.ID() == 1 {
 			p.Compute(10, "work") // crosses the crash time
-			p.SendReliable(0, "t", 1, 100)
+			p.Send(0, "t", 1, 100)
 			return nil
 		}
-		p.RecvReliable(1, "t")
+		p.Recv(1, "t")
 		return nil
 	})
 	var ce *CrashError
@@ -215,55 +218,6 @@ func TestStragglerSlowsCompute(t *testing.T) {
 	// Five seconds at full speed, then five 1s charges slowed 3x.
 	if slow != 5+15 {
 		t.Errorf("straggler clock %v, want 20", slow)
-	}
-}
-
-func TestRecvTimeout(t *testing.T) {
-	c := MustNew(2, fastMachine())
-	err := c.Run(func(p *Proc) error {
-		if p.ID() == 0 {
-			p.Compute(1.0, "work") // message hits the wire at t=1
-			p.Send(1, "t", 42, 100)
-			return nil
-		}
-		// Deadline t=0.5 expires before the sender's message is ready.
-		if _, ok := p.RecvTimeout(0, "t", 0.5); ok {
-			return errors.New("timeout receive unexpectedly succeeded")
-		}
-		if p.Clock() != 0.5 {
-			return fmt.Errorf("clock after timeout = %v, want 0.5", p.Clock())
-		}
-		// A longer deadline sees the message; it stayed queued.
-		msg, ok := p.RecvTimeout(0, "t", 10)
-		if !ok {
-			return errors.New("second receive timed out")
-		}
-		if msg.Payload.(int) != 42 {
-			return fmt.Errorf("payload %v", msg.Payload)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvTimeoutDeadSender(t *testing.T) {
-	c := MustNew(2, fastMachine())
-	err := c.Run(func(p *Proc) error {
-		if p.ID() == 0 {
-			return nil // terminates without sending
-		}
-		if _, ok := p.RecvTimeout(0, "t", 2); ok {
-			return errors.New("receive from terminated sender succeeded")
-		}
-		if p.Clock() != 2 {
-			return fmt.Errorf("clock after timeout = %v, want 2", p.Clock())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -439,7 +393,8 @@ func TestFaultyCollectives(t *testing.T) {
 
 // FuzzSeqDedup feeds adversarial frame schedules (drop/dup/reorder rates
 // and seeds) through the reliable layer and asserts exactly-once, in-order
-// delivery.
+// delivery.  The sender rotates through the three send kinds, so contended
+// and blocking frames are sequenced, duplicated and tombstoned too.
 func FuzzSeqDedup(f *testing.F) {
 	f.Add(uint64(1), 0.2, 0.3, 0.3, 20)
 	f.Add(uint64(42), 0.0, 0.9, 0.0, 8)
@@ -461,12 +416,19 @@ func FuzzSeqDedup(f *testing.F) {
 		err := c.Run(func(p *Proc) error {
 			if p.ID() == 0 {
 				for i := 0; i < n; i++ {
-					p.SendReliable(1, "t", i, 50)
+					switch i % 3 {
+					case 0:
+						p.Send(1, "t", i, 50)
+					case 1:
+						p.SendContended(1, "t", i, 50, 3)
+					case 2:
+						p.SendBlocking(1, "t", i, 50, 2)
+					}
 				}
 				return nil
 			}
 			for i := 0; i < n; i++ {
-				got = append(got, p.RecvReliable(0, "t").Payload.(int))
+				got = append(got, p.Recv(0, "t").Payload.(int))
 			}
 			return nil
 		})

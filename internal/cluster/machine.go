@@ -28,6 +28,19 @@
 // approximation of that link contention (Section III-B calls this pattern
 // "significantly more than O(N)").  Structured patterns — neighbor shifts,
 // binomial trees, ring all-gathers — use disjoint links and keep factor 1.
+//
+// # Messaging and faults
+//
+// There are five messaging primitives: Send, SendContended and SendBlocking
+// (structured, congested, and congested with the sender waiting out the
+// transfer) and Recv and RecvAny (by tag, or whatever comes next).  A
+// program never chooses between a plain and a reliable operation:
+// reliability is a property of the machine.  With a FaultPlan installed
+// every frame any of the three sends posts is sequenced and may be dropped,
+// duplicated, delayed or reordered, and every receive runs the retry
+// protocol that recovers from it, on the virtual clock (reliable.go); with
+// none installed frames go straight through the mailboxes and none of that
+// code runs.
 package cluster
 
 // Machine is the cost model of the emulated parallel computer.

@@ -15,7 +15,7 @@ type Message struct {
 	// congestion is the pattern congestion factor (see package comment).
 	congestion float64
 	// seq is the reliable layer's per-(sender, receiver) sequence number,
-	// starting at 1; 0 marks an unsequenced (plain Send) message.
+	// starting at 1; 0 on a machine with no fault plan, which never reads it.
 	seq int64
 	// tomb marks a frame the fault plan corrupted in flight: it arrives so
 	// the receiver's NIC detects the loss locally, but the payload only
@@ -71,37 +71,6 @@ func (m *mailbox) takeOrDone() (Message, bool) {
 		m.cond.Wait()
 	}
 	if m.gen != gen {
-		return Message{}, false
-	}
-	msg := m.queue[0]
-	m.queue = m.queue[1:]
-	return msg, true
-}
-
-// peekOrDone blocks like takeOrDone but leaves the message queued.  With a
-// single consumer per mailbox the head cannot change between a peek and the
-// following take.
-func (m *mailbox) peekOrDone() (Message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	gen := m.gen
-	for len(m.queue) == 0 {
-		if m.done || m.gen != gen {
-			return Message{}, false
-		}
-		m.cond.Wait()
-	}
-	if m.gen != gen {
-		return Message{}, false
-	}
-	return m.queue[0], true
-}
-
-// tryTake removes the head of the queue if one is present.
-func (m *mailbox) tryTake() (Message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.queue) == 0 {
 		return Message{}, false
 	}
 	msg := m.queue[0]

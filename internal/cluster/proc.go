@@ -181,8 +181,7 @@ func (p *Proc) addPhase(phase string, seconds float64) {
 // *structured* communication pattern (congestion factor 1): neighbor
 // shifts, tree exchanges, ring all-gathers.
 func (p *Proc) Send(to int, tag string, payload any, bytes int) {
-	msg := p.prepSend(to, tag, payload, bytes, 1)
-	p.c.boxes[to][p.id].put(msg)
+	p.post(p.prepSend(to, tag, payload, bytes, 1))
 }
 
 // SendContended posts a message belonging to an *unstructured* pattern.
@@ -190,8 +189,7 @@ func (p *Proc) Send(to int, tag string, payload any, bytes int) {
 // distance between sender and receiver — multiplies the transfer occupancy
 // at the receiver, modeling the shared-link contention of Section III-B.
 func (p *Proc) SendContended(to int, tag string, payload any, bytes int, congestion float64) {
-	msg := p.prepSend(to, tag, payload, bytes, congestion)
-	p.c.boxes[to][p.id].put(msg)
+	p.post(p.prepSend(to, tag, payload, bytes, congestion))
 }
 
 // SendBlocking posts a message through a *synchronous* send: the sender's
@@ -206,8 +204,18 @@ func (p *Proc) SendBlocking(to int, tag string, payload any, bytes int, congesti
 	p.clock += t
 	p.stats.SendTime += t
 	p.record(obsv.CatSend, tag, p.clock-t, p.clock, to, bytes)
-	msg := p.prepSend(to, tag, payload, bytes, congestion)
-	p.c.boxes[to][p.id].put(msg)
+	p.post(p.prepSend(to, tag, payload, bytes, congestion))
+}
+
+// post puts a charged frame on the wire: straight into the destination's
+// mailbox on a reliable machine, sequenced and through the plan's
+// drop/delay/dup/reorder decisions when one is installed (reliable.go).
+func (p *Proc) post(msg Message) {
+	if fs := p.c.faults; fs != nil {
+		p.transmitFaulty(fs, msg)
+		return
+	}
+	p.c.boxes[msg.To][p.id].put(msg)
 }
 
 // prepSend validates the destination, charges the sender's side of the
@@ -253,16 +261,15 @@ func (p *Proc) prepSend(to int, tag string, payload any, bytes int, congestion f
 // became available overlaps the transfer (the MPI_Irecv / compute /
 // MPI_Waitall pattern of Figure 6).  The receive port serializes
 // concurrent arrivals either way.
+//
+// Under an installed fault plan the receive is the sequenced one of
+// reliable.go: the next in-order frame from the sender, whatever the plan
+// did to it on the way.
 func (p *Proc) Recv(from int, tag string) Message {
-	p.flushAllHeld()
-	msg, ok := p.c.boxes[p.id][from].takeOrDone()
-	if !ok {
-		p.panicDeadPeer(from, tag, false)
-	}
+	msg := p.recv(from, tag)
 	if msg.Tag != tag {
 		panic(&TagMismatchError{Rank: p.id, From: from, Want: tag, Got: msg.Tag})
 	}
-	p.completeRecv(msg)
 	return msg
 }
 
@@ -271,63 +278,19 @@ func (p *Proc) Recv(from int, tag string) Message {
 // candidate pages terminated by a sentinel); the caller dispatches on
 // Message.Tag itself.  Like Recv it panics a *DeadRankError when the sender
 // terminated with nothing queued.
-func (p *Proc) RecvAny(from int) Message {
-	p.flushAllHeld()
+func (p *Proc) RecvAny(from int) Message { return p.recv(from, "<any>") }
+
+// recv is the one receive: tag only names the wait in a *DeadRankError.
+func (p *Proc) recv(from int, tag string) Message {
+	if fs := p.c.faults; fs != nil {
+		return p.recvSequenced(fs, from, tag)
+	}
 	msg, ok := p.c.boxes[p.id][from].takeOrDone()
 	if !ok {
-		p.panicDeadPeer(from, "<any>", false)
+		panic(&DeadRankError{Rank: p.id, Peer: from, Tag: tag, Clock: p.clock})
 	}
 	p.completeRecv(msg)
 	return msg
-}
-
-// RecvTimeout receives like Recv but gives up at a virtual-time deadline of
-// Clock() + timeout.  It returns ok == false — with the clock advanced to
-// the deadline, the wait charged as idle time — when the sender terminated
-// with nothing queued, or when the next message's transfer would complete
-// after the deadline (the message stays queued for a later receive).  A
-// tag mismatch on a message that is consumed still panics a
-// *TagMismatchError.
-//
-// The deadline is virtual: the goroutine still blocks until a message
-// arrives or the sender terminates, because only one of those events can
-// reveal what the virtual timeline contains.  Determinism is preserved —
-// the outcome depends on virtual clocks alone, never on scheduling.
-func (p *Proc) RecvTimeout(from int, tag string, timeout float64) (Message, bool) {
-	p.flushAllHeld()
-	deadline := p.clock + timeout
-	box := p.c.boxes[p.id][from]
-	msg, ok := box.peekOrDone()
-	if !ok {
-		p.SyncClock(deadline)
-		return Message{}, false
-	}
-	if p.recvCompletion(msg) > deadline {
-		p.SyncClock(deadline)
-		return Message{}, false
-	}
-	// Single consumer per mailbox: the peeked head is still the head.
-	msg, _ = box.tryTake()
-	if msg.Tag != tag {
-		panic(&TagMismatchError{Rank: p.id, From: from, Want: tag, Got: msg.Tag})
-	}
-	p.completeRecv(msg)
-	return msg, true
-}
-
-// recvCompletion returns the virtual time at which the message's transfer
-// would complete for this receiver, without consuming anything.
-func (p *Proc) recvCompletion(msg Message) float64 {
-	m := p.c.machine
-	t := m.transferTime(msg.Bytes, msg.congestion)
-	start := msg.readyAt
-	if !m.Overlap && p.clock > start {
-		start = p.clock
-	}
-	if p.portFree > start {
-		start = p.portFree
-	}
-	return start + t
 }
 
 func (p *Proc) completeRecv(msg Message) {

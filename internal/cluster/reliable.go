@@ -1,10 +1,12 @@
 package cluster
 
-// The reliable messaging layer.  SendReliable/RecvReliable wrap Send/Recv
-// with sequence numbers, duplicate suppression, reorder recovery, and a
-// receiver-side retry protocol, all charged to the virtual clock.  With no
-// fault plan installed both degenerate to the plain operations — identical
-// charging, identical stats — so fault-free runs are unchanged.
+// The reliable messaging layer: what Send*/Recv* do under an installed
+// fault plan.  Reliability belongs to the machine, not to the call site —
+// there is one send family and one receive, and a plan puts sequence
+// numbers, duplicate suppression, reorder recovery and a receiver-side
+// retry protocol beneath every one of them, all charged to the virtual
+// clock.  With no plan installed none of this file runs: a frame goes
+// straight into the mailbox and comes straight out.
 //
 // The retry protocol is NIC-level, driven entirely by the receiver: a
 // dropped frame arrives as a tombstone (the corrupted frame still occupies
@@ -19,30 +21,6 @@ package cluster
 
 import "parapriori/internal/obsv"
 
-// SendReliable posts a sequenced point-to-point message through the fault
-// plan (congestion factor 1).  Without an installed plan it is exactly
-// Send.
-func (p *Proc) SendReliable(to int, tag string, payload any, bytes int) {
-	fs := p.c.faults
-	if fs == nil {
-		p.Send(to, tag, payload, bytes)
-		return
-	}
-	msg := p.prepSend(to, tag, payload, bytes, 1)
-	msg.seq = p.nextSeq(to)
-	p.transmitFaulty(fs, msg)
-}
-
-// nextSeq returns the next sequence number for the destination, starting
-// at 1 (0 marks unsequenced messages).
-func (p *Proc) nextSeq(to int) int64 {
-	if p.sendSeq == nil {
-		p.initReliableState()
-	}
-	p.sendSeq[to]++
-	return p.sendSeq[to]
-}
-
 func (p *Proc) initReliableState() {
 	n := p.P()
 	p.sendSeq = make([]int64, n)
@@ -51,11 +29,19 @@ func (p *Proc) initReliableState() {
 	p.recvBuf = make([]map[int64]Message, n)
 }
 
-// transmitFaulty runs the frame through the plan's drop/delay/dup/reorder
-// decisions and delivers it (or holds it for reordering).
+// transmitFaulty gives the frame its per-destination sequence number
+// (starting at 1), runs it through the plan's drop/delay/dup/reorder
+// decisions and delivers it (or holds it for reordering).  The congestion
+// factor stays on the frame, so a contended or blocking send is retried and
+// discarded at its own occupancy.
 func (p *Proc) transmitFaulty(fs *faultState, msg Message) {
 	plan := &fs.plan
 	to := msg.To
+	if p.sendSeq == nil {
+		p.initReliableState()
+	}
+	p.sendSeq[to]++
+	msg.seq = p.sendSeq[to]
 	if plan.Delay > 0 && plan.roll(kDelay, msg.From, to, msg.seq, 0) < plan.Delay {
 		msg.readyAt += plan.DelaySeconds
 	}
@@ -101,27 +87,20 @@ func (p *Proc) flushAllHeld() {
 	}
 }
 
-// RecvReliable receives the next in-order sequenced message from the given
-// sender, running the retry protocol on corrupted frames, suppressing
-// duplicates, and buffering early arrivals.  Without an installed plan it
-// is exactly Recv.
-func (p *Proc) RecvReliable(from int, tag string) Message {
-	fs := p.c.faults
-	if fs == nil {
-		return p.Recv(from, tag)
-	}
+// recvSequenced receives the next in-order frame from the given sender,
+// running the retry protocol on corrupted frames, suppressing duplicates,
+// and buffering early arrivals.
+func (p *Proc) recvSequenced(fs *faultState, from int, tag string) Message {
 	p.flushAllHeld()
 	if p.recvExpect == nil {
 		p.initReliableState()
 	}
 	want := p.recvExpect[from] + 1
-	if buf := p.recvBuf[from]; buf != nil {
-		if msg, ok := buf[want]; ok {
-			// Arrived early, already charged when buffered.
-			delete(buf, want)
-			p.recvExpect[from] = want
-			return p.checkTag(msg, tag)
-		}
+	if msg, ok := p.recvBuf[from][want]; ok {
+		// Arrived early, already charged when buffered.
+		delete(p.recvBuf[from], want)
+		p.recvExpect[from] = want
+		return msg
 	}
 	box := p.c.boxes[p.id][from]
 	for {
@@ -130,7 +109,7 @@ func (p *Proc) RecvReliable(from int, tag string) Message {
 			p.chargeDeadDetect(fs, from)
 			panic(&DeadRankError{Rank: p.id, Peer: from, Tag: tag, Clock: p.clock})
 		}
-		if msg.seq != 0 && msg.seq < want {
+		if msg.seq < want {
 			// Stale frame (duplicate of an accepted sequence number): the
 			// NIC discards it after it occupies the port.
 			p.chargeOccupancy(msg)
@@ -145,12 +124,10 @@ func (p *Proc) RecvReliable(from int, tag string) Message {
 			msg = recovered
 		}
 		p.completeRecv(msg)
-		p.chargeAck(fs)
-		if msg.seq == 0 || msg.seq == want {
-			if msg.seq == want {
-				p.recvExpect[from] = want
-			}
-			return p.checkTag(msg, tag)
+		p.chargeAck()
+		if msg.seq == want {
+			p.recvExpect[from] = want
+			return msg
 		}
 		// Early arrival: buffer it (keyed access only) and keep draining.
 		if p.recvBuf[from] == nil {
@@ -158,13 +135,6 @@ func (p *Proc) RecvReliable(from int, tag string) Message {
 		}
 		p.recvBuf[from][msg.seq] = msg
 	}
-}
-
-func (p *Proc) checkTag(msg Message, tag string) Message {
-	if msg.Tag != tag {
-		panic(&TagMismatchError{Rank: p.id, From: msg.From, Want: tag, Got: msg.Tag})
-	}
-	return msg
 }
 
 // retryRecover runs the receiver-side retry protocol on a corrupted frame:
@@ -225,7 +195,7 @@ func (p *Proc) chargeOccupancy(msg Message) {
 
 // chargeAck models the acknowledgement of an accepted frame: one message
 // startup on the receiver's NIC, no ack frame enqueued.
-func (p *Proc) chargeAck(fs *faultState) {
+func (p *Proc) chargeAck() {
 	m := p.c.machine
 	p.clock += m.Latency
 	p.stats.SendTime += m.Latency
@@ -244,9 +214,4 @@ func (p *Proc) chargeDeadDetect(fs *faultState, from int) {
 	p.stats.RetryTime += cost
 	p.record(obsv.CatRetry, "detect", p.clock, p.clock+cost, from, 0)
 	p.clock += cost
-}
-
-// panicDeadPeer is the plain (non-reliable) receive's dead-sender exit.
-func (p *Proc) panicDeadPeer(from int, tag string, retriesExhausted bool) {
-	panic(&DeadRankError{Rank: p.id, Peer: from, Tag: tag, Clock: p.clock, RetriesExhausted: retriesExhausted})
 }

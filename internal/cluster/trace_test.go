@@ -91,9 +91,9 @@ func TestFaultSlices(t *testing.T) {
 	if err := c.Run(func(p *Proc) error {
 		for i := 0; i < 32; i++ {
 			if p.ID() == 0 {
-				p.SendReliable(1, "m", i, 100)
+				p.Send(1, "m", i, 100)
 			} else {
-				p.RecvReliable(0, "m")
+				p.Recv(0, "m")
 			}
 		}
 		return nil

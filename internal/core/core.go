@@ -97,9 +97,9 @@ type Params struct {
 	// Faults installs a deterministic fault plan on the emulated cluster
 	// and turns on fault-tolerant execution: pass-level checkpointing,
 	// crash recovery via coordinated rollback, and graceful degradation to
-	// the surviving processors when a rank is permanently lost.  Only the
-	// grid formulations (CD, IDD, HD) on the in-memory backend support it
-	// (see Hole).
+	// the surviving processors when a rank is permanently lost.  Every
+	// formulation on every backend runs under a plan: the machine, not the
+	// algorithm, makes its messages reliable.
 	Faults *cluster.FaultPlan
 	// MaxRestarts bounds the recovery attempts before Mine gives up and
 	// returns the last failure.  Defaults to 8.
@@ -208,9 +208,10 @@ func (p Params) validate() error {
 
 // Hole reports the first algorithm × feature combination in p that no code
 // path honours, as the offending field and the reason, or "", "" when the
-// combination is legal.  These are all the holes in the option matrix, and
-// this is the one place they are written; every other combination of
-// formulation, counting engine, backend, checkpointing and fault plan runs.
+// combination is legal.  These three are all the holes in the option matrix
+// — a misuse guard and HPA's two — and this is the one place they are
+// written; every other combination of formulation, counting engine, backend,
+// checkpointing and fault plan runs.
 func (p Params) Hole() (field, reason string) {
 	nonDefaultEngine := p.Apriori.Engine != "" && p.Apriori.Engine != countengine.Default
 	switch {
@@ -219,11 +220,7 @@ func (p Params) Hole() (field, reason string) {
 	case p.Algo == HPA && nonDefaultEngine:
 		return "Engine", fmt.Sprintf("hpa has no counting structure for engine %q to replace: owners probe a table of whole itemsets", p.Apriori.Engine)
 	case p.Algo == HPA && p.Backend == BackendOOC:
-		return "Backend", "hpa's exchange kernel enumerates the rank's resident shard (it is kept as the Section III-E baseline), so it cannot stream a store"
-	case p.Faults != nil && !formulations[p.Algo].grid:
-		return "Faults", fmt.Sprintf("fault-tolerant execution needs reliable messaging end to end; %q moves its data with plain sends (cd, idd and hd qualify)", p.Algo)
-	case p.Faults != nil && p.Backend == BackendOOC:
-		return "Faults", "recovery hands a lost rank's resident shards to its successor; re-executing store partitions is not implemented"
+		return "Backend", "hpa's exchange kernel enumerates the rank's resident shards (it is kept as the Section III-E baseline), so it cannot stream a store"
 	}
 	return "", ""
 }

@@ -30,7 +30,7 @@ type fingerprintCell struct {
 // dataset and its spilled store: every algorithm × engine × backend, the
 // single-processor edge of each algorithm under a memory cap, a memory-capped
 // multi-part CD, a pinned HD grid, two more machines, and one fault plan per
-// fault-tolerant formulation.  SP2 is the base machine because its disk is
+// formulation and backend.  SP2 is the base machine because its disk is
 // not free: the order in which I/O and messages are charged shows in the
 // clocks.  Then the engine comparison on two datasets of its own: CD × 4 on
 // the T3E with the experiments' Fanout 64 / MaxLeaf 16 tree, every engine, on
@@ -68,16 +68,18 @@ func fingerprintCells(tb testing.TB, data *itemset.Dataset, store *txstore.Store
 		add(string(algo)+"/cow", Params{Algo: algo, P: 6, Machine: cluster.COW(), Apriori: ap})
 	}
 
-	// Fault plans are in-memory only.  The crash times sit inside pass 2 and
-	// pass 3 of the fault-free SP2 run, so both land mid-computation.
-	backends = backends[:1]
-	for _, algo := range []Algorithm{CD, IDD, HD} {
+	// One fault plan for every formulation on both backends (add's HPA × ooc
+	// cell is a hole Mine rejects).  The crash times sit inside pass 2 and
+	// pass 3 of CD's fault-free in-memory SP2 run; in every cell both land
+	// mid-computation.
+	for _, algo := range []Algorithm{CD, DD, DDComm, IDD, HD, HPA} {
 		plan := &cluster.FaultPlan{
 			Seed: 9, Drop: 0.05, Dup: 0.03, Reorder: 0.03,
 			Crashes: []cluster.Crash{{Rank: 2, At: 0.05}, {Rank: 4, At: 0.12, Permanent: true}},
 		}
 		add(string(algo)+"/faults", Params{Algo: algo, P: 6, Machine: sp2, HDThreshold: 100, Apriori: ap, Faults: plan})
 	}
+	backends = backends[:1]
 	asym := &cluster.FaultPlan{Seed: 4, Drop: 0.02, Crashes: []cluster.Crash{{Rank: 1, At: 0.08}}}
 	add("hd/faults-asymmetric", Params{Algo: HD, P: 6, Machine: sp2, HDThreshold: 100, Apriori: ap, Faults: asym, Recovery: RecoveryAsymmetric})
 

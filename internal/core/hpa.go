@@ -23,9 +23,10 @@ import (
 // On the pass skeleton HPA is a placement (placeHashed) and a count step
 // (hpaTable) whose kernel, hpaExchange, is kept as first written: it is the
 // baseline, it has no counting structure for an engine to replace, and it
-// reads the rank's resident shard itself — charging the read after the
+// reads the rank's resident shards itself — charging the read after the
 // enumeration, so refitting it to the transaction stream would move every
-// send's timestamp.
+// send's timestamp.  It addresses its peers through the column communicator
+// like every other kernel, so a degraded run is a smaller hash ring.
 
 // placeHashed keeps the candidates hashing to this row.
 func placeHashed(_ *run, _ *cluster.Proc, _, g, row int, cands []itemset.Itemset) share {
@@ -53,21 +54,22 @@ type hpaCount struct {
 	cands []itemset.Itemset
 }
 
-func (c hpaCount) count(r *run, p *cluster.Proc, _ *cluster.Comm, _ string, _ func(itemset.Item) bool, pl *passLocal) ([]int64, error) {
+func (c hpaCount) count(r *run, p *cluster.Proc, col *cluster.Comm, _ string, _ func(itemset.Item) bool, pl *passLocal) ([]int64, error) {
 	counts := make([]int64, len(c.cands))
 	table := make(map[string]*int64, len(c.cands))
 	for i, cand := range c.cands {
 		table[cand.Key()] = &counts[i]
 	}
-	pl.bytesMoved += r.hpaExchange(p, c.k, r.shards[p.ID()], table)
+	pl.bytesMoved += r.hpaExchange(p, col, c.k, table)
 	return counts, nil
 }
 
-// hpaExchange enumerates each local transaction's potential size-k
-// candidates, routes them to their owners in pages, and counts the ones
-// that arrive here.  Returns the bytes this processor sent.
-func (r *run) hpaExchange(p *cluster.Proc, k int, shard *itemset.Dataset, counts map[string]*int64) int64 {
-	procs, me := r.prm.P, p.ID()
+// hpaExchange enumerates the potential size-k candidates of each transaction
+// in the shards the rank owns, routes them to their owners on cm in pages,
+// and counts the ones that arrive here.  Returns the bytes this processor
+// sent.
+func (r *run) hpaExchange(p *cluster.Proc, cm *cluster.Comm, k int, counts map[string]*int64) int64 {
+	procs, me := cm.Size(), cm.Rank(p)
 	tag := fmt.Sprintf("k%d/hpa", k)
 
 	// Outgoing buffers, one page per destination.
@@ -84,7 +86,7 @@ func (r *run) hpaExchange(p *cluster.Proc, k int, shard *itemset.Dataset, counts
 		}
 		b := 16 + subsetBytes*len(outbuf[dst])
 		dist := cluster.RingDistance(me, dst, procs)
-		p.SendContended(dst, tag, outbuf[dst], b, float64(dist))
+		p.SendContended(cm.Member(dst), tag, outbuf[dst], b, float64(dist))
 		sent += int64(b)
 		outbuf[dst] = nil
 	}
@@ -94,22 +96,26 @@ func (r *run) hpaExchange(p *cluster.Proc, k int, shard *itemset.Dataset, counts
 		}
 	}
 
-	var enumerated int64
-	for _, t := range shard.Transactions {
-		forEachSubset(t.Items, k, func(s itemset.Itemset) {
-			enumerated++
-			owner := hpaOwner(s, procs)
-			if owner == me {
-				count(s)
-				return
-			}
-			outbuf[owner] = append(outbuf[owner], s.Clone())
-			if len(outbuf[owner]) >= pageCap {
-				flush(owner)
-			}
-		})
+	var enumerated, read int64
+	for _, si := range r.ownedShards[p.ID()] {
+		shard := r.shards[si]
+		for _, t := range shard.Transactions {
+			forEachSubset(t.Items, k, func(s itemset.Itemset) {
+				enumerated++
+				owner := hpaOwner(s, procs)
+				if owner == me {
+					count(s)
+					return
+				}
+				outbuf[owner] = append(outbuf[owner], s.Clone())
+				if len(outbuf[owner]) >= pageCap {
+					flush(owner)
+				}
+			})
+		}
+		read += int64(shard.Bytes())
 	}
-	p.ReadIO(int64(shard.Bytes()), "io")
+	p.ReadIO(read, "io")
 	// Enumeration+hashing per potential candidate, and a table probe for
 	// the locally-owned ones.
 	m := p.Machine()
@@ -121,7 +127,7 @@ func (r *run) hpaExchange(p *cluster.Proc, k int, shard *itemset.Dataset, counts
 			continue
 		}
 		flush(dst)
-		p.Send(dst, tag+"/done", nil, 16)
+		p.Send(cm.Member(dst), tag+"/done", nil, 16)
 	}
 	// Drain every incoming stream to its sentinel.
 	for src := 0; src < procs; src++ {
@@ -129,7 +135,7 @@ func (r *run) hpaExchange(p *cluster.Proc, k int, shard *itemset.Dataset, counts
 			continue
 		}
 		for {
-			msg := p.RecvAny(src)
+			msg := p.RecvAny(cm.Member(src))
 			if msg.Tag == tag+"/done" {
 				break
 			}

@@ -27,10 +27,9 @@ type formulation struct {
 	build func(r *run, p *cluster.Proc, k int, cands []itemset.Itemset) (counter, error)
 	// grid marks the points of HD's grid (CD is 1 × P, IDD is P × 1).  Only
 	// they replicate C_k, so only they can need the memory-capped multi-scan;
-	// their count time spans build, count and reduce where DD, DD+comm and
-	// HPA have always reported the data movement alone (the reports are the
-	// contract, so the window stays part of the formulation); and only they
-	// message reliably end to end, which fault-tolerant execution needs.
+	// and their count time spans build, count and reduce where DD, DD+comm
+	// and HPA have always reported the data movement alone (the reports are
+	// the contract, so the window stays part of the formulation).
 	grid bool
 }
 
@@ -323,6 +322,7 @@ func (c *engineCount) count(r *run, p *cluster.Proc, col *cluster.Comm, tag stri
 	// Blocks reach other ranks whenever the column has more than one
 	// member, so the stream may recycle buffers only on a singleton.
 	st := r.openStream(p, col.Size() > 1)
+	defer st.close() // a crash or a dead peer panics out of the movement mid-scan
 	sent, err := c.move(p, col, tag+"/"+c.name, st, process)
 	pl.read.Add(st.close())
 	if err != nil {
@@ -398,10 +398,10 @@ func ringCount(p *cluster.Proc, cm *cluster.Comm, tag string, st txStream, proce
 		}
 		for s := 0; s < size-1; s++ {
 			b := pageBytesOf(cur)
-			p.SendReliable(cm.Member(right), tag, cur, b)
+			p.Send(cm.Member(right), tag, cur, b)
 			sent += int64(b)
 			process(cur)
-			msg := p.RecvReliable(cm.Member(left), tag)
+			msg := p.Recv(cm.Member(left), tag)
 			cur = msg.Payload.([]itemset.Transaction)
 		}
 		process(cur)

@@ -21,6 +21,7 @@ func (r *run) firstPass(p *cluster.Proc, tr *procTrace) error {
 	var items int64
 	var bad error // the first item out of range or out of order
 	st := r.openStream(p, false)
+	defer st.close() // a crash panics out of the scan
 	err := scan(p, st, func(blk []itemset.Transaction) {
 		if bad == nil {
 			bad = itemset.CountItems(counts, blk)

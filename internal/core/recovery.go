@@ -8,21 +8,25 @@ import (
 	"parapriori/internal/cluster"
 )
 
-// This file implements fault-tolerant execution for the grid formulations
-// (CD, IDD, HD): pass-level checkpointing of the frequent levels and a
-// coordinated-rollback recovery driver.
+// This file implements fault-tolerant execution for every formulation on
+// both backends: pass-level checkpointing of the frequent levels and a
+// coordinated-rollback recovery driver.  Nothing here is per algorithm —
+// the emulated machine makes every message reliable under a plan (package
+// cluster), and the one pass body resumes from whatever levels it holds.
 //
 // The recovery model is global rollback to the last pass every surviving
-// processor completed.  The grid engine's passes are collective — every
-// active processor finishes pass k together or not at all — so the minimum
-// completed level across survivors is a consistent cut.  On failure the
-// driver truncates every survivor's levels to that cut, clears the
-// in-flight communication state (cluster.ResetComm), revives transient
-// crashers (their virtual clocks keep the crash time — recovery time is
-// real time), removes permanent losses from the active set (their shards
-// are adopted by the ring successor, and the grid reshapes over the
-// survivors), and re-runs the SPMD body.  Bodies resume from their
-// checkpoint: k = last completed level + 1.
+// processor completed.  The passes are collective — every active processor
+// finishes pass k together or not at all — so the minimum completed level
+// across survivors is a consistent cut.  On failure the driver truncates
+// every survivor's levels to that cut, clears the in-flight communication
+// state (cluster.ResetComm), respawns transient crashers (their virtual
+// clocks keep the crash time — recovery time is real time), removes
+// permanent losses from the active set, and re-runs the SPMD body over the
+// survivors' smaller grid.  A lost rank's data is re-assigned at the
+// backend's own granularity: resident shards are adopted by the ring
+// successor, store partitions are re-split over the survivors
+// (ownedPartsOf) — partition-granular re-execution.  Bodies resume from
+// their checkpoint: k = last completed level + 1.
 //
 // Params.Recovery picks who pays the restore charge on re-entry.
 // RecoveryCoordinated (the default) bills every active rank — the classic

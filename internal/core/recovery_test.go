@@ -14,6 +14,12 @@ func crashPlan(rank int, at float64) *cluster.FaultPlan {
 	return &cluster.FaultPlan{Seed: 1, Crashes: []cluster.Crash{{Rank: rank, At: at}}}
 }
 
+// faultAlgos is every formulation that counts through the engine seam.  HPA
+// enumerates every size-k subset of every transaction — a fault cell of it
+// is seconds here, tens under -race — so it runs one plan, the one that
+// shrinks its hash ring (TestPermanentCrashDegrades).
+var faultAlgos = []Algorithm{CD, DD, DDComm, IDD, HD}
+
 func mineFaulty(t *testing.T, algo Algorithm, p int, plan *cluster.FaultPlan) *Report {
 	t.Helper()
 	d := testData(t)
@@ -30,12 +36,12 @@ func mineFaulty(t *testing.T, algo Algorithm, p int, plan *cluster.FaultPlan) *R
 }
 
 // TestCrashRecoveryMatchesSerial is the acceptance criterion: a crash plus
-// recovery run for each grid formulation still mines exactly the serial
+// recovery run for each formulation still mines exactly the serial
 // algorithm's frequent itemsets.
 func TestCrashRecoveryMatchesSerial(t *testing.T) {
 	d := testData(t)
 	want := serialResult(t, d, 0.02)
-	for _, algo := range []Algorithm{CD, IDD, HD} {
+	for _, algo := range faultAlgos {
 		t.Run(string(algo), func(t *testing.T) {
 			rep := mineFaulty(t, algo, 4, crashPlan(2, 10e-3))
 			if rep.Restarts == 0 {
@@ -54,7 +60,7 @@ func TestCrashRecoveryMatchesSerial(t *testing.T) {
 func TestPermanentCrashDegrades(t *testing.T) {
 	d := testData(t)
 	want := serialResult(t, d, 0.02)
-	for _, algo := range []Algorithm{CD, IDD, HD} {
+	for _, algo := range []Algorithm{CD, DD, DDComm, IDD, HD, HPA} {
 		t.Run(string(algo), func(t *testing.T) {
 			plan := &cluster.FaultPlan{Seed: 2, Crashes: []cluster.Crash{{Rank: 1, At: 10e-3, Permanent: true}}}
 			rep := mineFaulty(t, algo, 4, plan)
@@ -76,7 +82,7 @@ func TestLossyRunMatchesSerial(t *testing.T) {
 	d := testData(t)
 	want := serialResult(t, d, 0.02)
 	plan := &cluster.FaultPlan{Seed: 3, Drop: 0.05, Dup: 0.05, Reorder: 0.05}
-	for _, algo := range []Algorithm{CD, IDD, HD} {
+	for _, algo := range faultAlgos {
 		t.Run(string(algo), func(t *testing.T) {
 			rep := mineFaulty(t, algo, 4, plan)
 			assertSameFrequent(t, want, rep)
@@ -98,7 +104,7 @@ func TestFaultDeterminism(t *testing.T) {
 		Crashes:    []cluster.Crash{{Rank: 1, At: 15e-3}},
 		Stragglers: []cluster.Straggler{{Rank: 2, At: 5e-3, Factor: 2}},
 	}
-	for _, algo := range []Algorithm{CD, IDD, HD} {
+	for _, algo := range faultAlgos {
 		t.Run(string(algo), func(t *testing.T) {
 			a := mineFaulty(t, algo, 4, plan)
 			b := mineFaulty(t, algo, 4, plan)
@@ -144,18 +150,18 @@ func TestStragglerAddsOverhead(t *testing.T) {
 	assertSameFrequent(t, serialResult(t, d, 0.02), slow)
 }
 
-// TestFaultsRejectedForDD: the non-grid formulations must refuse a plan.
-func TestFaultsRejectedForDD(t *testing.T) {
-	d := testData(t)
-	for _, algo := range []Algorithm{DD, DDComm, HPA} {
-		_, err := Mine(d, Params{
-			Algo:    algo,
-			P:       4,
-			Apriori: apriori.Params{MinSupport: 0.02},
-			Faults:  &cluster.FaultPlan{Drop: 0.1},
-		})
-		if err == nil {
-			t.Errorf("%s accepted a fault plan", algo)
+// TestFaultsLegalEverywhere: a fault plan is not a hole for any formulation
+// on either backend; what Hole still lists has nothing to do with faults.
+func TestFaultsLegalEverywhere(t *testing.T) {
+	for algo := range formulations {
+		for _, be := range []ExecBackend{BackendInMem, BackendOOC} {
+			prm := Params{Algo: algo, P: 4, Backend: be, Faults: &cluster.FaultPlan{Drop: 0.1}}
+			plain := prm
+			plain.Faults = nil
+			field, _ := prm.Hole()
+			if plainField, _ := plain.Hole(); field != plainField {
+				t.Errorf("%s/%s: Hole reports %q under a fault plan, %q without", algo, be, field, plainField)
+			}
 		}
 	}
 }
@@ -168,7 +174,7 @@ func TestFaultsRejectedForDD(t *testing.T) {
 func TestAsymmetricRecoveryCheaper(t *testing.T) {
 	d := testData(t)
 	want := serialResult(t, d, 0.02)
-	for _, algo := range []Algorithm{CD, IDD, HD} {
+	for _, algo := range faultAlgos {
 		t.Run(string(algo), func(t *testing.T) {
 			mine := func(mode RecoveryMode) *Report {
 				t.Helper()

@@ -49,7 +49,10 @@ type txStream interface {
 	// on every call after that).  A block is valid until the following next
 	// or close unless the stream was opened shared.
 	next(p *cluster.Proc) ([]itemset.Transaction, error)
-	// close ends the scan and returns what it read from disk.
+	// close ends the scan, releasing any open partition file, and returns
+	// what it read from disk.  Closing again is harmless and returns the
+	// same stats, so a scan is closed both deferred — a scheduled crash
+	// panics out of next — and where its stats are wanted.
 	close() ReadStats
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"parapriori/internal/apriori"
@@ -12,13 +13,17 @@ import (
 
 // TestLegalCellsMatchNaive is the option matrix's oracle.  It holds no list
 // of supported combinations: it enumerates algorithm × engine × backend ×
-// {plain, CheckpointDir kill-and-resume}, asks Validate which cells are
-// legal, and requires every legal cell to mine exactly what the naive miner
-// mines (and the two backends of a cell to agree byte for byte) and every
-// illegal cell to fail with a *OptionError.  A combination that becomes
-// legal is therefore tested the moment Validate admits it.  The serial miner
-// is the same axis without a formulation: every engine, over the resident
-// dataset and streamed from the store.
+// {plain, CheckpointDir kill-and-resume, a seeded fault plan}, asks Validate
+// which cells are legal, and requires every legal cell to mine exactly what
+// the naive miner mines (and the two backends of a cell to agree byte for
+// byte) and every illegal cell to fail with a *OptionError.  A combination
+// that becomes legal is therefore tested the moment Validate admits it.  The
+// fault plan drops, duplicates and reorders 5 % of the frames and crashes
+// two ranks — one transiently, one for good — at 30 % and 60 % of the cell's
+// own fault-free response time, so both land mid-run whatever the cell's
+// clock; the run must recover, lose exactly a rank, and repeat bit for bit.
+// The serial miner is the same axis without a formulation: every engine,
+// over the resident dataset and streamed from the store.
 func TestLegalCellsMatchNaive(t *testing.T) {
 	workloads := []struct {
 		seed                 int64
@@ -72,10 +77,12 @@ func TestLegalCellsMatchNaive(t *testing.T) {
 		legal := 0
 		for _, algo := range []Algorithm{CD, DD, DDComm, IDD, HD, HPA} {
 			for _, engine := range CountEngines() {
-				for _, resume := range []bool{false, true} {
+				var plainRT [2]float64 // the plain cell's response time, per backend
+				for _, mode := range []string{"plain", "resume", "faults"} {
+					resume := mode == "resume"
 					var perBackend [][]byte
-					for _, backend := range []string{"inmem", "ooc"} {
-						name := fmt.Sprintf("seed%d/%s/%s/%s/resume=%v", w.seed, algo, engine, backend, resume)
+					for bi, backend := range []string{"inmem", "ooc"} {
+						name := fmt.Sprintf("seed%d/%s/%s/%s/%s", w.seed, algo, engine, backend, mode)
 						o := ParallelOptions{
 							MineOptions: MineOptions{MinSupport: w.minsup, Engine: engine},
 							Algorithm:   algo, Procs: w.procs, HDThreshold: 50, Backend: backend,
@@ -84,8 +91,17 @@ func TestLegalCellsMatchNaive(t *testing.T) {
 						if backend == "ooc" {
 							o.Source, resident = store, nil
 						}
-						if resume {
+						switch mode {
+						case "resume":
 							o.CheckpointDir = t.TempDir()
+						case "faults":
+							o.Faults = &FaultPlan{
+								Seed: uint64(w.seed), Drop: 0.05, Dup: 0.05, Reorder: 0.05,
+								Crashes: []Crash{
+									{Rank: 1, At: 0.3 * plainRT[bi]},
+									{Rank: w.procs - 1, At: 0.6 * plainRT[bi], Permanent: true},
+								},
+							}
 						}
 						if verr := o.Validate(); verr != nil {
 							var oe *OptionError
@@ -113,8 +129,26 @@ func TestLegalCellsMatchNaive(t *testing.T) {
 							t.Errorf("%s: %v", name, err)
 							continue
 						}
-						if resume && rep.ResumedPasses != 2 {
-							t.Errorf("%s: resumed %d passes, want 2", name, rep.ResumedPasses)
+						switch mode {
+						case "plain":
+							plainRT[bi] = rep.ResponseTime
+						case "resume":
+							if rep.ResumedPasses != 2 {
+								t.Errorf("%s: resumed %d passes, want 2", name, rep.ResumedPasses)
+							}
+						case "faults":
+							if rep.Restarts == 0 || len(rep.LostRanks) != 1 {
+								t.Errorf("%s: %d restarts, lost ranks %v: the plan's crashes did not both land", name, rep.Restarts, rep.LostRanks)
+							}
+							again, err := MineParallel(resident, o)
+							if err != nil {
+								t.Errorf("%s: second run: %v", name, err)
+								continue
+							}
+							rep.Wall, again.Wall = 0, 0
+							if !reflect.DeepEqual(rep, again) {
+								t.Errorf("%s: two runs under one plan report differently:\n%+v\n%+v", name, rep, again)
+							}
 						}
 						got := resultBytes(t, rep.Result)
 						if !bytes.Equal(got, want) {
@@ -123,7 +157,7 @@ func TestLegalCellsMatchNaive(t *testing.T) {
 						perBackend = append(perBackend, got)
 					}
 					if len(perBackend) == 2 && !bytes.Equal(perBackend[0], perBackend[1]) {
-						t.Errorf("seed%d/%s/%s/resume=%v: inmem and ooc results differ", w.seed, algo, engine, resume)
+						t.Errorf("seed%d/%s/%s/%s: inmem and ooc results differ", w.seed, algo, engine, mode)
 					}
 				}
 			}

@@ -225,12 +225,12 @@ type ParallelOptions struct {
 	// graceful degradation to the surviving processors when a rank is
 	// lost.  The mined itemsets stay identical to Mine's; Report.Restarts
 	// and Report.LostRanks record what the recovery did, and the
-	// retry/checkpoint costs appear on the virtual clock.  Fault-tolerant
-	// execution needs reliable messaging end to end, so only CD, IDD and
-	// HD support fault plans (DD's scatter and HPA's exchange use plain
-	// sends), and only on the in-memory backend (recovery re-homes a lost
-	// rank's resident shards).  Runs with the same plan, seed and workload
-	// are bit-identical.
+	// retry/checkpoint costs appear on the virtual clock.  Every
+	// formulation on both backends runs under a plan: the emulated machine
+	// makes every message reliable, a lost rank's resident shards go to its
+	// ring successor, and on the "ooc" backend the store's partitions are
+	// re-split over the survivors.  Runs with the same plan, seed and
+	// workload are bit-identical.
 	Faults *FaultPlan
 	// MaxRestarts bounds recovery attempts before MineParallel gives up
 	// (default 8).
@@ -262,7 +262,8 @@ type ParallelOptions struct {
 	// resident set is the counting structure plus one block).  The "ooc"
 	// backend requires Source to be a PartitionedDataset; mined itemsets
 	// are identical to the in-memory backend's.  Every formulation streams
-	// except HPA, whose exchange kernel enumerates its resident shard.
+	// except HPA, whose exchange kernel enumerates its resident shards, and
+	// the backend combines with every other option, Faults included.
 	Backend string
 }
 

@@ -189,7 +189,9 @@ func TestSourceOptionErrors(t *testing.T) {
 		t.Fatalf("DD on the ooc backend rejected: %v", err)
 	}
 	check(par(func(o *ParallelOptions) { o.Algorithm = HPA }), "ParallelOptions", "Backend")
-	check(par(func(o *ParallelOptions) { o.Faults = &FaultPlan{} }), "ParallelOptions", "Faults")
+	if err := par(func(o *ParallelOptions) { o.Faults = &FaultPlan{} }); err != nil {
+		t.Fatalf("a fault plan on the ooc backend rejected: %v", err)
+	}
 
 	o := ParallelOptions{Algorithm: CD, Procs: 2, MineOptions: MineOptions{MinSupport: 0.02, Source: store}, Backend: "ooc"}
 	_, err = MineParallel(data, o)

@@ -69,7 +69,9 @@ func TestParallelOptionsValidate(t *testing.T) {
 	bad = ok
 	bad.Algorithm = DD
 	bad.Faults = &FaultPlan{}
-	wantOptionError(t, bad.Validate(), "ParallelOptions", "Faults")
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("DD with a fault plan rejected: %v", err)
+	}
 	bad = ok
 	bad.Algorithm = HPA
 	bad.CheckpointDir = t.TempDir()
