@@ -71,9 +71,14 @@ func seededFile(t *testing.T, path string) {
 	}
 }
 
+// overclaim is a malformed binary dataset: 15 bytes whose header claims 2^33
+// transactions over 10 items and which then hold one.
+const overclaim = "PAPD\x01\x0a\x80\x80\x80\x80\x20\x00\x02\x01\x02"
+
 // TestGoldenCLI pins the serial miner's flags and output: the per-pass
 // summary, the itemset listing (the same bytes from every engine), rules
-// with -top, and -save / -load round-tripping the frequent itemsets.
+// with -top, -save / -load round-tripping the frequent itemsets, and a
+// malformed input refused in one line.
 func TestGoldenCLI(t *testing.T) {
 	dir := t.TempDir()
 	dat, freq := filepath.Join(dir, "seeded.dat"), filepath.Join(dir, "freq.txt")
@@ -101,6 +106,13 @@ func TestGoldenCLI(t *testing.T) {
 	section("-minsup", "0.12", dat)
 	section("-minsup", "0.08", "-rules", "-minconf", "0.9", "-top", "5", dat)
 	section("-load", freq, "-rules", "-minconf", "0.9", "-top", "5")
+
+	bad := filepath.Join(dir, "overclaim.bin")
+	if err := os.WriteFile(bad, []byte(overclaim), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := apriori(t, bad)
+	fmt.Fprintf(&got, "$ apriori $TMP/overclaim.bin\nexit %d\n%s%s\n", code, stdout, stderr)
 
 	listing := run("-minsup", "0.08", dat)
 	for _, engine := range parapriori.CountEngines() {

@@ -36,6 +36,19 @@ func main() {
 		return
 	}
 
+	// Misuse is refused before anything runs: -run all mines for minutes.
+	switch *format {
+	case "text":
+	case "csv", "json":
+		if *plot {
+			fmt.Fprintf(os.Stderr, "experiments: -plot draws an ASCII chart into the output; it needs -format text, not %s\n", *format)
+			os.Exit(2)
+		}
+	default:
+		fmt.Fprintf(os.Stderr, "experiments: unknown format %q (want text, csv or json)\n", *format)
+		os.Exit(2)
+	}
+
 	cfg := experiments.Config{Scale: *scale, Quick: *quick, Seed: *seed}
 	var todo []experiments.Named
 	if *run == "all" {
@@ -64,9 +77,6 @@ func main() {
 			werr = res.WriteCSV(os.Stdout)
 		case "json":
 			werr = res.WriteJSON(os.Stdout)
-		default:
-			fmt.Fprintf(os.Stderr, "experiments: unknown format %q (want text, csv or json)\n", *format)
-			os.Exit(2)
 		}
 		if werr != nil {
 			fmt.Fprintf(os.Stderr, "experiments: writing %s: %v\n", n.Name, werr)

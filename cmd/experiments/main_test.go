@@ -79,12 +79,16 @@ func TestGoldenCLI(t *testing.T) {
 }
 
 // TestUsageErrors pins the misuse paths: an unknown experiment (a retired
-// one included) or format is exit 2.
+// one included) or format is exit 2, and so is -plot into a machine-readable
+// format — each before any experiment has run, so nothing is on stdout.
 func TestUsageErrors(t *testing.T) {
 	if code, _, stderr := runCLI(t, "-run", "loadgen"); code != 2 || !strings.Contains(stderr, `unknown experiment "loadgen"`) {
 		t.Errorf("-run loadgen: exit %d, stderr %q", code, stderr)
 	}
-	if code, _, stderr := runCLI(t, "-run", "table2", "-quick", "-format", "xml"); code != 2 || !strings.Contains(stderr, `unknown format "xml"`) {
-		t.Errorf("-format xml: exit %d, stderr %q", code, stderr)
+	if code, stdout, stderr := runCLI(t, "-run", "table2", "-quick", "-format", "xml"); code != 2 || stdout != "" || !strings.Contains(stderr, `unknown format "xml"`) {
+		t.Errorf("-format xml: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+	if code, stdout, stderr := runCLI(t, "-run", "table2", "-quick", "-format", "json", "-plot"); code != 2 || stdout != "" || !strings.Contains(stderr, "-plot") {
+		t.Errorf("-format json -plot: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
 }

@@ -29,18 +29,33 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// parminer runs the command and returns its stdout; a non-zero exit fails
-// the test with the command's stderr.
-func parminer(t *testing.T, args ...string) string {
+// run runs the command and returns (exit code, stdout, stderr).
+func run(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "PARMINER_TEST_MAIN=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	code := 0
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("parminer %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("parminer %v: %v", args, err)
+		}
+		code = ee.ExitCode()
 	}
-	return stdout.String()
+	return code, stdout.String(), stderr.String()
+}
+
+// parminer runs the command and returns its stdout; a non-zero exit fails
+// the test with the command's stderr.
+func parminer(t *testing.T, args ...string) string {
+	t.Helper()
+	code, stdout, stderr := run(t, args...)
+	if code != 0 {
+		t.Fatalf("parminer %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
+	}
+	return stdout
 }
 
 // seededData generates the tests' transaction set: small enough that no
@@ -74,9 +89,14 @@ func fileSHA(t *testing.T, path string) string {
 	return fmt.Sprintf("%x", sha256.Sum256(raw))
 }
 
+// overclaim is a malformed binary dataset: 15 bytes whose header claims 2^33
+// transactions over 10 items and which then hold one.
+const overclaim = "PAPD\x01\x0a\x80\x80\x80\x80\x20\x00\x02\x01\x02"
+
 // TestGoldenCLI pins parminer's flags and output formats: the text summary
 // with -passes and -timeline, the -json summary, the out-of-core read
-// columns, and the bytes of the -trace and -flight files.
+// columns, the bytes of the -trace and -flight files, and a malformed input
+// refused in one line.
 func TestGoldenCLI(t *testing.T) {
 	dir := t.TempDir()
 	data := seededData(t)
@@ -112,6 +132,13 @@ func TestGoldenCLI(t *testing.T) {
 	section("-algo", "hd", "-p", "4", "-minsup", "0.05", "-json", dat)
 	section("-algo", "cd", "-p", "4", "-minsup", "0.05", "-machine", "sp2", "-engine", "bitset",
 		"-backend", "ooc", "-store", store, "-passes")
+
+	bad := filepath.Join(dir, "overclaim.bin")
+	if err := os.WriteFile(bad, []byte(overclaim), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := run(t, "-algo", "cd", "-p", "4", bad)
+	fmt.Fprintf(&got, "$ parminer -algo cd -p 4 $TMP/overclaim.bin\nexit %d\n%s%s\n", code, stdout, stderr)
 
 	// The Gantt chart parminer prints is the chart `trace -timeline -width
 	// 100` renders from the trace file the same invocation wrote.
@@ -161,16 +188,12 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-backend", "ooc", "x.dat"}, "-backend ooc requires -store"},
 		{[]string{"-store", "dir", "x.dat"}, "mutually exclusive"},
 	} {
-		cmd := exec.Command(os.Args[0], tc.args...)
-		cmd.Env = append(os.Environ(), "PARMINER_TEST_MAIN=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-			t.Errorf("parminer %v: err = %v, want exit 2", tc.args, err)
+		code, _, stderr := run(t, tc.args...)
+		if code != 2 {
+			t.Errorf("parminer %v: exit %d, want 2", tc.args, code)
 		}
-		if !strings.Contains(stderr.String(), tc.want) {
-			t.Errorf("parminer %v: stderr %q lacks %q", tc.args, stderr.String(), tc.want)
+		if !strings.Contains(stderr, tc.want) {
+			t.Errorf("parminer %v: stderr %q lacks %q", tc.args, stderr, tc.want)
 		}
 	}
 }

@@ -80,9 +80,14 @@ func seededFiles(t *testing.T, dat, freq string) {
 	create(freq, func(f *os.File) error { return parapriori.WriteResult(f, res) })
 }
 
+// overclaim is a malformed binary dataset: 15 bytes whose header claims 2^33
+// transactions over 10 items and which then hold one.
+const overclaim = "PAPD\x01\x0a\x80\x80\x80\x80\x20\x00\x02\x01\x02"
+
 // TestGoldenCLI pins the rule generator's flags and output: saved itemsets
 // with -top, the -item filter, mining on the fly, the emulated-cluster
-// generation with its virtual time, and vocabulary labels.
+// generation with its virtual time, vocabulary labels, and a malformed
+// -mine input refused in one line.
 func TestGoldenCLI(t *testing.T) {
 	dir := t.TempDir()
 	dat, freq, vocab := filepath.Join(dir, "seeded.dat"), filepath.Join(dir, "freq.txt"), filepath.Join(dir, "names.txt")
@@ -115,6 +120,12 @@ func TestGoldenCLI(t *testing.T) {
 		shown := strings.ReplaceAll(strings.Join(args, " "), dir, "$TMP")
 		fmt.Fprintf(&got, "$ rules %s\n%s%s\n", shown, stdout, stderr)
 	}
+	bad := filepath.Join(dir, "overclaim.bin")
+	if err := os.WriteFile(bad, []byte(overclaim), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := rules(t, "-mine", bad)
+	fmt.Fprintf(&got, "$ rules -mine $TMP/overclaim.bin\nexit %d\n%s%s\n", code, stdout, stderr)
 
 	const golden = "testdata/cli.golden"
 	if *update {

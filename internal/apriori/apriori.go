@@ -45,20 +45,23 @@ type Params struct {
 	// pairs into this many buckets, and size-2 candidates whose bucket
 	// count is below the support threshold are pruned before counting.
 	// Sound (bucket counts upper-bound pair supports), so results are
-	// identical to plain Apriori.
+	// identical to plain Apriori.  The buckets ride the one first pass, so
+	// the filter works over every source and in front of every engine.
 	DHPBuckets int
 	// DHPTrim enables DHP's transaction trimming: after counting pass k,
 	// items that matched fewer than k candidates are removed from the
 	// working copy of each transaction, and transactions too short to
 	// support a (k+1)-itemset are dropped entirely.  Results are identical
-	// to plain Apriori; later passes scan less data.  Incompatible with
-	// MemoryBytes (trimming assumes a single scan per pass).
+	// to plain Apriori; later passes scan less data.  Trimming reads the
+	// hash tree's match sets and rewrites a resident working copy, so it
+	// requires the hashtree engine and a *Dataset source, and is
+	// incompatible with MemoryBytes (it assumes a single scan per pass).
 	DHPTrim bool
 	// Engine selects the support-counting backend (see
 	// internal/countengine): "hashtree" (the default), "trie" or "bitset".
 	// Every backend produces identical frequent itemsets; they differ in
-	// which operations counting spends.  The DHP knobs require the hash
-	// tree (the pair filter and trimming read its match sets).
+	// which operations counting spends.  Only DHPTrim is tied to the hash
+	// tree; DHPBuckets filters candidates before any engine sees them.
 	Engine string
 }
 

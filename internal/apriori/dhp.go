@@ -10,9 +10,10 @@ import (
 // hash table over the *pairs* occurring in each transaction.  A bucket's
 // count is an upper bound on the support of every pair hashing into it, so
 // any size-2 candidate whose bucket is below the minimum support can be
-// pruned before the hash tree for pass 2 is ever built.  PDM — the parallel
-// algorithm Section III-E relates to CD — is the parallel formulation of
-// exactly this idea.
+// pruned before the counting structure for pass 2 is ever built — whichever
+// engine builds it, and whatever source the first pass scanned.  PDM — the
+// parallel algorithm Section III-E relates to CD — is the parallel
+// formulation of exactly this idea.
 //
 // Pass 2 is where the technique earns its keep (C2 is the largest candidate
 // set in most workloads, including this paper's Table II), so, like the
@@ -36,11 +37,16 @@ func (b *pairBuckets) bucket(x, y itemset.Item) int {
 	return int((uint64(x)*131071 + uint64(y)) % uint64(len(b.counts)))
 }
 
-// addTransaction hashes every pair of the transaction.
-func (b *pairBuckets) addTransaction(items itemset.Itemset) {
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			b.counts[b.bucket(items[i], items[j])]++
+// addBlock hashes every pair of every transaction of the block.  It is the
+// first pass's second reader: CountItems has already found the block's items
+// inside the vocabulary and in order.
+func (b *pairBuckets) addBlock(blk []itemset.Transaction) {
+	for _, t := range blk {
+		items := t.Items
+		for i := 0; i < len(items); i++ {
+			for j := i + 1; j < len(items); j++ {
+				b.counts[b.bucket(items[i], items[j])]++
+			}
 		}
 	}
 }
@@ -48,35 +54,6 @@ func (b *pairBuckets) addTransaction(items itemset.Itemset) {
 // admits reports whether a size-2 candidate could still be frequent.
 func (b *pairBuckets) admits(c itemset.Itemset, minCount int64) bool {
 	return b.counts[b.bucket(c[0], c[1])] >= minCount
-}
-
-// FirstPassDHP is FirstPass plus DHP's pair-bucket construction: one scan
-// computes both the item counts and the pair hash table with `buckets`
-// entries.
-func FirstPassDHP(data *itemset.Dataset, minCount int64, buckets int) ([]Frequent, *pairBuckets, PassStats, error) {
-	pb := newPairBuckets(buckets)
-	counts := make([]int64, data.NumItems)
-	if err := itemset.CountItems(counts, data.Transactions); err != nil {
-		return nil, nil, PassStats{}, err
-	}
-	var bytes int64
-	for _, t := range data.Transactions {
-		bytes += int64(t.Bytes())
-		pb.addTransaction(t.Items)
-	}
-	var f1 []Frequent
-	for it, c := range counts {
-		if c >= minCount {
-			f1 = append(f1, Frequent{Items: itemset.Itemset{itemset.Item(it)}, Count: c})
-		}
-	}
-	return f1, pb, PassStats{
-		K:            1,
-		Candidates:   data.NumItems,
-		Frequent:     len(f1),
-		TreeParts:    1,
-		BytesScanned: bytes,
-	}, nil
 }
 
 // filterC2 drops the size-2 candidates whose DHP bucket cannot reach the

@@ -1,7 +1,9 @@
 package apriori
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"parapriori/internal/itemset"
@@ -92,7 +94,10 @@ func TestPairBucketsSoundness(t *testing.T) {
 	// it: admits never rejects a truly frequent pair.
 	d := randomData(99, 300, 30)
 	minCount := int64(5)
-	_, pb, _, _ := FirstPassDHP(d, minCount, 64)
+	pb := newPairBuckets(64)
+	if _, _, err := FirstPassSource(d, minCount, pb.addBlock); err != nil {
+		t.Fatal(err)
+	}
 	truth := map[string]int64{}
 	for _, txn := range d.Transactions {
 		items := txn.Items
@@ -113,19 +118,28 @@ func TestPairBucketsSoundness(t *testing.T) {
 	}
 }
 
-func TestFirstPassDHPMatchesFirstPass(t *testing.T) {
+// TestFirstPassReadersSeeAcceptedBlocks: whatever rides the first pass is
+// handed a block only after CountItems has accepted it, so a second reader
+// may index by item without checking — and riding along changes nothing the
+// pass itself reports.
+func TestFirstPassReadersSeeAcceptedBlocks(t *testing.T) {
 	d := randomData(3, 200, 40)
-	plain, _, _ := FirstPassSource(d, 4)
-	withDHP, pb, _, _ := FirstPassDHP(d, 4, 128)
-	if pb == nil {
-		t.Fatal("no buckets built")
+	plain, plainStats, _ := FirstPassSource(d, 4)
+	seen := 0
+	ridden, riddenStats, err := FirstPassSource(d, 4, func(blk []itemset.Transaction) { seen += len(blk) })
+	if err != nil || seen != d.Len() {
+		t.Fatalf("reader saw %d of %d transactions, err %v", seen, d.Len(), err)
 	}
-	if len(plain) != len(withDHP) {
-		t.Fatalf("F1 sizes differ: %d vs %d", len(plain), len(withDHP))
+	if !reflect.DeepEqual(plain, ridden) || plainStats != riddenStats {
+		t.Error("a second reader changed the first pass's own result")
 	}
-	for i := range plain {
-		if !plain[i].Items.Equal(withDHP[i].Items) || plain[i].Count != withDHP[i].Count {
-			t.Errorf("F1[%d] differs", i)
-		}
+
+	bad := itemset.NewDataset([]itemset.Transaction{{ID: 0, Items: itemset.Itemset{1, 2}}, {ID: 1, Items: itemset.Itemset{-5, 3}}})
+	_, _, err = FirstPassSource(bad, 1, func(blk []itemset.Transaction) {
+		t.Errorf("reader handed a block CountItems refuses: %v", blk)
+	})
+	var re *itemset.ItemRangeError
+	if !errors.As(err, &re) {
+		t.Errorf("got %v, want an *itemset.ItemRangeError", err)
 	}
 }

@@ -17,36 +17,36 @@ import (
 //
 // What needs the transactions resident is keyed on the source being a
 // *Dataset: vertical engines index it once up front instead of re-scanning
-// it every pass, and the DHP knobs — the pair filter and trimming both work
-// on a resident working copy, the very thing a streaming source exists to
-// avoid — are rejected on anything else.
+// it every pass, and DHPTrim — which rewrites a resident working copy from
+// the hash tree's match sets, the very thing a streaming source exists to
+// avoid — is rejected on anything else and on any other engine.  DHPBuckets
+// is neither: the pair buckets ride the first pass and only remove
+// candidates before a counting structure is built.
 func MineSource(src itemset.Source, p Params) (*Result, error) {
 	data, resident := src.(*itemset.Dataset)
 	if p.DHPTrim && p.MemoryBytes > 0 {
 		return nil, fmt.Errorf("apriori: DHPTrim is incompatible with a memory cap (multi-scan counting)")
 	}
-	if !resident && (p.DHPBuckets > 0 || p.DHPTrim) {
-		return nil, fmt.Errorf("apriori: DHP filtering requires an in-memory dataset, not a streaming source")
+	if !resident && p.DHPTrim {
+		return nil, fmt.Errorf("apriori: DHPTrim requires an in-memory dataset, not a streaming source")
 	}
 	info := src.Info()
 	engB, err := countengine.New(p.Engine, countengine.Config{Tree: p.Tree, NumItems: info.NumItems})
 	if err != nil {
 		return nil, fmt.Errorf("apriori: %w", err)
 	}
-	if engB.Name() != countengine.Default && (p.DHPBuckets > 0 || p.DHPTrim) {
-		return nil, fmt.Errorf("apriori: DHP filtering requires the hashtree engine, not %q", engB.Name())
+	if engB.Name() != countengine.Default && p.DHPTrim {
+		return nil, fmt.Errorf("apriori: DHPTrim requires the hashtree engine, not %q", engB.Name())
 	}
 	minCount := p.MinCount(info.NumTxns)
 	res := &Result{N: info.NumTxns, MinCount: minCount}
 
-	var f1 []Frequent
-	var stats1 PassStats
-	var dhp *pairBuckets
-	if p.DHPBuckets > 0 {
-		f1, dhp, stats1, err = FirstPassDHP(data, minCount, p.DHPBuckets)
-	} else {
-		f1, stats1, err = FirstPassSource(src, minCount)
+	dhp := newPairBuckets(p.DHPBuckets)
+	var also []func([]itemset.Transaction)
+	if dhp != nil {
+		also = append(also, dhp.addBlock)
 	}
+	f1, stats1, err := FirstPassSource(src, minCount, also...)
 	if err != nil {
 		return nil, fmt.Errorf("apriori: pass 1: %w", err)
 	}
@@ -106,15 +106,23 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 // array-counting scan (no hash tree is needed for size-1 candidates).  An
 // item outside the source's declared vocabulary is an
 // *itemset.ItemRangeError, one out of order an *itemset.ItemOrderError.
-func FirstPassSource(src itemset.Source, minCount int64) ([]Frequent, PassStats, error) {
+// Whatever else the scan should feed (DHP's pair buckets) rides along in
+// also: each is handed a block only once CountItems has accepted it.
+func FirstPassSource(src itemset.Source, minCount int64, also ...func(blk []itemset.Transaction)) ([]Frequent, PassStats, error) {
 	info := src.Info()
 	counts := make([]int64, info.NumItems)
 	var bytes int64
 	err := src.Blocks(func(blk []itemset.Transaction) error {
+		if err := itemset.CountItems(counts, blk); err != nil {
+			return err
+		}
 		for _, t := range blk {
 			bytes += int64(t.Bytes())
 		}
-		return itemset.CountItems(counts, blk)
+		for _, read := range also {
+			read(blk)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, PassStats{}, err

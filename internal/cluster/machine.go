@@ -74,12 +74,12 @@ type Machine struct {
 	// misses.  Calibrated at roughly TTravers/8 — the DESIGN.md derivation
 	// counts ~3-4 cycles for the compare against the ~25-30 cycle average
 	// of a hash step once misses are amortized in.
-	TArray float64
-	TCheck float64 // per candidate containment test at a leaf
-	TInsert  float64 // per candidate insertion during tree construction
-	TGen     float64 // per candidate produced by apriori_gen (replicated work)
-	TItem    float64 // per item touched in scanning work (F1, filtering)
-	TReduce  float64 // per element combined in a reduction
+	TArray  float64
+	TCheck  float64 // per candidate containment test at a leaf
+	TInsert float64 // per candidate insertion during tree construction
+	TGen    float64 // per candidate produced by apriori_gen (replicated work)
+	TItem   float64 // per item touched in scanning work (F1, filtering)
+	TReduce float64 // per element combined in a reduction
 	// TWord is the cost of one 64-bit bitmap word operation (AND +
 	// popcount), the counting unit of the vertical bitset engine.  Far
 	// cheaper than a tree traversal step: it is straight-line register

@@ -81,10 +81,6 @@ type Params struct {
 	// FixedG, if positive, pins HD's row count G instead of choosing it
 	// per pass (the paper's Figures 13–15 pin the grid, e.g. 8×8).
 	FixedG int
-	// SplitThreshold bounds a first-item candidate group before the
-	// bin-packing partitioner splits it by second item; 0 means the
-	// natural ceil(M/G).
-	SplitThreshold int
 	// Recorder, when non-nil, receives the run's observability spans: a
 	// hierarchy of run → pass → engine section over the virtual clock, plus
 	// every slice of every processor's timeline (compute, disk read, send,

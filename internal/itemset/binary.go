@@ -19,6 +19,16 @@ import (
 //
 // Sorted itemsets make delta coding effective: typical gaps fit in one
 // byte.
+//
+// What a reader enforces, whichever door the bytes come through: numItems is
+// at most 2^31-1 (Item is an int32); every item integer — the first item and
+// every gap — is below numItems before it is narrowed to an Item, a gap is
+// never zero, and the running item stays below numItems, so an accepted
+// transaction is strictly increasing and inside the vocabulary; an ID delta
+// may not carry the running ID past 2^63-1, so accepted IDs never decrease
+// and a writer takes back whatever a reader accepted.  The counts in the
+// header say how much to read, never how much to allocate: a reader grows
+// with the transactions it has actually decoded.
 
 const (
 	binaryMagic   = "PAPD"
@@ -56,7 +66,8 @@ func AppendTransaction(dst []byte, t Transaction, prevID int64) ([]byte, error) 
 // from buf, appending its items to the items slice (an arena the caller may
 // reuse across calls).  It returns the transaction ID, the extended items
 // slice, the number of bytes consumed, or an error if the encoding is
-// malformed or an item falls outside [0, numItems).
+// malformed or an item falls outside [0, numItems).  numItems must not
+// exceed math.MaxInt32: every header that supplies it is held to that.
 //
 // Sorted items over a vocabulary of hundreds make nearly every gap — and
 // every ID delta and item count — a one-byte varint, so each integer takes
@@ -74,7 +85,9 @@ func DecodeTransaction(buf []byte, prevID int64, numItems int, items []Item) (id
 		}
 		n = w
 	}
-	id = prevID + int64(idDelta)
+	if id = prevID + int64(idDelta); id < prevID {
+		return 0, items, 0, fmt.Errorf("itemset: transaction ID delta %d overflows after ID %d", idDelta, prevID)
+	}
 	if n < len(buf) && buf[n] < 0x80 {
 		count = uint64(buf[n])
 		n++
@@ -100,6 +113,9 @@ func DecodeTransaction(buf []byte, prevID int64, numItems int, items []Item) (id
 				return 0, items, 0, fmt.Errorf("itemset: transaction %d item %d: truncated", id, j)
 			}
 			n += w
+		}
+		if delta >= uint64(numItems) {
+			return 0, items, 0, fmt.Errorf("itemset: transaction %d item %d: delta %d outside vocabulary %d", id, j, delta, numItems)
 		}
 		if j == 0 {
 			prev = Item(delta)
@@ -152,77 +168,12 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 
 // ReadBinary decodes a dataset written by WriteBinary.
 func ReadBinary(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReader(r)
-	var magic [5]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("itemset: reading binary header: %w", err)
-	}
-	if string(magic[:4]) != binaryMagic {
-		return nil, fmt.Errorf("itemset: bad magic %q (not a binary dataset)", magic[:4])
-	}
-	if magic[4] != binaryVersion {
-		return nil, fmt.Errorf("itemset: unsupported binary version %d", magic[4])
-	}
-	numItems, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("itemset: reading numItems: %w", err)
-	}
-	numTxns, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("itemset: reading transaction count: %w", err)
-	}
-	const maxReasonable = 1 << 34
-	if numItems > maxReasonable || numTxns > maxReasonable {
-		return nil, fmt.Errorf("itemset: implausible header (items %d, transactions %d)", numItems, numTxns)
-	}
-	d := &Dataset{NumItems: int(numItems), Transactions: make([]Transaction, 0, numTxns)}
-	prevID := int64(0)
-	for i := uint64(0); i < numTxns; i++ {
-		idDelta, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("itemset: transaction %d: reading ID: %w", i, err)
-		}
-		id := prevID + int64(idDelta)
-		prevID = id
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("itemset: transaction %d: reading length: %w", i, err)
-		}
-		if count > numItems {
-			return nil, fmt.Errorf("itemset: transaction %d: %d items exceeds vocabulary %d", i, count, numItems)
-		}
-		items := make(Itemset, count)
-		prev := Item(0)
-		for j := range items {
-			delta, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("itemset: transaction %d item %d: %w", i, j, err)
-			}
-			if j == 0 {
-				prev = Item(delta)
-			} else {
-				if delta == 0 {
-					return nil, fmt.Errorf("itemset: transaction %d item %d: zero gap (duplicate item)", i, j)
-				}
-				prev += Item(delta)
-			}
-			if int(prev) >= int(numItems) {
-				return nil, fmt.Errorf("itemset: transaction %d item %d: item %d outside vocabulary %d", i, j, prev, numItems)
-			}
-			items[j] = prev
-		}
-		d.Transactions = append(d.Transactions, Transaction{ID: id, Items: items})
-	}
-	return d, nil
+	return collect(bufio.NewReader(r), streamBinary)
 }
 
 // ReadAuto detects the dataset format (binary vs basket text) from the
 // first bytes and decodes accordingly.
 func ReadAuto(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err == nil && string(head) == binaryMagic {
-		return ReadBinary(br)
-	}
-	return Read(br)
+	return collect(br, sniff(br))
 }

@@ -2,7 +2,11 @@ package itemset
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -175,5 +179,103 @@ func TestReadAuto(t *testing.T) {
 	// Text starting with digits must not be mistaken for binary.
 	if _, err := ReadAuto(strings.NewReader("1 2 3\n")); err != nil {
 		t.Errorf("plain text rejected: %v", err)
+	}
+}
+
+// binaryFile frames transaction encodings as a binary dataset file.
+func binaryFile(numItems, numTxns uint64, body ...[]byte) []byte {
+	out := append([]byte(binaryMagic), binaryVersion)
+	out = append(out, uvarints(numItems, numTxns)...)
+	for _, b := range body {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// craftedTxns are single-transaction encodings over a vocabulary of 10 whose
+// item integers only look legal once narrowed to an int32 — the inputs the
+// decoders used to disagree on, or agree wrongly on.
+func craftedTxns() []struct {
+	name string
+	txn  []byte
+} {
+	return []struct {
+		name string
+		txn  []byte
+	}{
+		{"first item 2^32-1 narrows to -1", uvarints(0, 1, 1<<32-1)},
+		{"gap 2^32 narrows to 0, {3 3}", uvarints(0, 2, 3, 1<<32)},
+		{"gap 2^32-2 narrows to -2, {5 3}", uvarints(0, 2, 5, 1<<32-2)},
+		{"ID delta 2^63 turns the ID negative", uvarints(1<<63, 1, 4)},
+	}
+}
+
+// hugeCountFile is a 15-byte file whose header claims 2^33 transactions.
+func hugeCountFile() []byte { return binaryFile(10, 1<<33, uvarints(0, 2, 1, 2)) }
+
+// writeTemp writes raw to a fresh file and returns its path.
+func writeTemp(t *testing.T, raw []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "data.bin")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCraftedItemsRejectedByEveryDoor: an item integer is checked before it
+// is narrowed, so none of the crafted encodings yields a transaction from
+// any decoder — a resident read, a streaming open, a block decode (the
+// store's CRC-framed door is TestCraftedBlockRejected in txstore).
+func TestCraftedItemsRejectedByEveryDoor(t *testing.T) {
+	for _, c := range craftedTxns() {
+		name, txn := c.name, c.txn
+		file := binaryFile(10, 1, txn)
+		if d, err := ReadBinary(bytes.NewReader(file)); err == nil {
+			t.Errorf("%s: ReadBinary accepted %v", name, d.Transactions)
+		}
+		if d, err := ReadAuto(bytes.NewReader(file)); err == nil {
+			t.Errorf("%s: ReadAuto accepted %v", name, d.Transactions)
+		}
+		if _, err := OpenFile(writeTemp(t, file)); err == nil {
+			t.Errorf("%s: OpenFile accepted the file", name)
+		}
+		if id, items, _, err := DecodeTransaction(txn, 0, 10, nil); err == nil {
+			t.Errorf("%s: DecodeTransaction returned ID %d, items %v", name, id, items)
+		}
+	}
+	// A vocabulary an Item cannot index is refused at the header.
+	wide := binaryFile(1<<31, 0)
+	if _, err := ReadBinary(bytes.NewReader(wide)); err == nil {
+		t.Error("ReadBinary accepted numItems 2^31")
+	}
+	if _, err := OpenFile(writeTemp(t, wide)); err == nil {
+		t.Error("OpenFile accepted numItems 2^31")
+	}
+}
+
+// TestHeaderCannotSizeAllocation: the header's transaction count says how
+// far to read, not how much to allocate.  A 15-byte file claiming 2^33
+// transactions fails at its first missing one having allocated next to
+// nothing — not a 256 GiB make.
+func TestHeaderCannotSizeAllocation(t *testing.T) {
+	file := hugeCountFile()
+	if len(file) != 15 {
+		t.Fatalf("fixture is %d bytes, want 15", len(file))
+	}
+	for name, read := range map[string]func(io.Reader) (*Dataset, error){"ReadBinary": ReadBinary, "ReadAuto": ReadAuto} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := read(bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s accepted a file with one of its 2^33 transactions", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s allocated %d bytes rejecting a 15-byte file", name, got)
+		}
+	}
+	if _, err := OpenFile(writeTemp(t, file)); err == nil {
+		t.Error("OpenFile accepted the file")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -102,28 +103,7 @@ func (d *Dataset) Pages(pageBytes int) [][]Transaction {
 // non-negative integers.  Lines beginning with '#' and blank lines are
 // skipped.  Transaction IDs are assigned sequentially from 0.
 func Read(r io.Reader) (*Dataset, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var txns []Transaction
-	var id int64
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if len(text) == 0 || text[0] == '#' {
-			continue
-		}
-		items, err := parseItems(text)
-		if err != nil {
-			return nil, fmt.Errorf("itemset: line %d: %w", line, err)
-		}
-		txns = append(txns, Transaction{ID: id, Items: New(items...)})
-		id++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("itemset: reading dataset: %w", err)
-	}
-	return NewDataset(txns), nil
+	return collect(bufio.NewReader(r), streamText)
 }
 
 func parseItems(text string) ([]Item, error) {
@@ -146,6 +126,9 @@ func parseItems(text string) ([]Item, error) {
 		}
 		if v < 0 {
 			return nil, fmt.Errorf("negative item %d", v)
+		}
+		if v >= math.MaxInt32 { // NumItems = item+1 must itself fit the binary header's bound
+			return nil, fmt.Errorf("item %d too large", v)
 		}
 		items = append(items, Item(v))
 	}

@@ -16,7 +16,9 @@ func decodeTransactionRef(buf []byte, prevID int64, numItems int, items []Item) 
 		return 0, items, 0, fmt.Errorf("itemset: truncated transaction ID")
 	}
 	n = w
-	id = prevID + int64(idDelta)
+	if id = prevID + int64(idDelta); id < prevID {
+		return 0, items, 0, fmt.Errorf("itemset: transaction ID delta %d overflows after ID %d", idDelta, prevID)
+	}
 	count, w := binary.Uvarint(buf[n:])
 	if w <= 0 {
 		return 0, items, 0, fmt.Errorf("itemset: transaction %d: truncated item count", id)
@@ -32,6 +34,9 @@ func decodeTransactionRef(buf []byte, prevID int64, numItems int, items []Item) 
 			return 0, items, 0, fmt.Errorf("itemset: transaction %d item %d: truncated", id, j)
 		}
 		n += w
+		if delta >= uint64(numItems) {
+			return 0, items, 0, fmt.Errorf("itemset: transaction %d item %d: delta %d outside vocabulary %d", id, j, delta, numItems)
+		}
 		if j == 0 {
 			prev = Item(delta)
 		} else {
@@ -108,6 +113,11 @@ func decodeCases() []struct {
 		{[]byte{0x01, 0x02, 0x05, 0x80}, 300},     // item cut mid-varint
 		{[]byte{0x01, 0x02, 0x05}, 300},           // item missing
 		{nil, 300},
+		{uvarints(0, 1, 1<<32-1), 10},            // item narrows to -1
+		{uvarints(0, 2, 3, 1<<32), 10},           // gap narrows to 0
+		{uvarints(0, 2, 5, 1<<32-2), 10},         // gap narrows to -2
+		{uvarints(1<<63, 1, 4), 10},              // ID delta turns the ID negative
+		{uvarints(1<<62, 0, 1<<62, 0, 1, 0), 10}, // ID deltas sum past 2^63-1
 	}
 }
 

@@ -49,6 +49,10 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("PAPD\x01\x05\x02\x00\x01\x05"))
 	f.Add([]byte("JUNK"))
 	f.Add([]byte{})
+	for _, c := range craftedTxns() {
+		f.Add(binaryFile(10, 1, c.txn))
+	}
+	f.Add(hugeCountFile())
 	f.Fuzz(func(t *testing.T, in []byte) {
 		d, err := ReadBinary(bytes.NewReader(in))
 		if err != nil {
@@ -59,7 +63,7 @@ func FuzzReadBinary(f *testing.F) {
 				t.Fatalf("accepted unsorted transaction %v", tx.Items)
 			}
 			for _, it := range tx.Items {
-				if int(it) >= d.NumItems {
+				if it < 0 || int(it) >= d.NumItems {
 					t.Fatalf("accepted out-of-vocabulary item %d (numItems %d)", it, d.NumItems)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -112,17 +113,59 @@ func Materialize(src Source) (*Dataset, error) {
 	if d, ok := src.(*Dataset); ok {
 		return d, nil
 	}
-	info := src.Info()
-	d := &Dataset{NumItems: info.NumItems, Transactions: make([]Transaction, 0, info.NumTxns)}
+	d := &Dataset{NumItems: src.Info().NumItems}
 	err := src.Blocks(func(block []Transaction) error {
-		for _, t := range block {
-			d.Transactions = append(d.Transactions, Transaction{ID: t.ID, Items: t.Items.Clone()})
-		}
+		d.Transactions = appendBlock(d.Transactions, block)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	return d, nil
+}
+
+// appendBlock copies a block — valid only during its callback — onto txns:
+// one item arena per block, each transaction a capacity-clipped slice of it.
+// txns grows with what has been decoded; no source's claimed count sizes it.
+func appendBlock(txns, block []Transaction) []Transaction {
+	n := 0
+	for _, t := range block {
+		n += len(t.Items)
+	}
+	arena := make(Itemset, 0, n)
+	for _, t := range block {
+		lo := len(arena)
+		arena = append(arena, t.Items...)
+		txns = append(txns, Transaction{ID: t.ID, Items: arena[lo:len(arena):len(arena)]})
+	}
+	return txns
+}
+
+// streamFunc decodes one format from br block by block: it calls fn (when
+// non-nil) per block, whose slices it reuses, and returns the SourceInfo
+// accumulated over the whole stream.
+type streamFunc func(br *bufio.Reader, fn func(block []Transaction) error) (SourceInfo, error)
+
+// sniff picks the decoder for br from its first bytes, which it leaves
+// unread: the binary magic means binary, anything else is basket text.
+func sniff(br *bufio.Reader) streamFunc {
+	if head, err := br.Peek(len(binaryMagic)); err == nil && string(head) == binaryMagic {
+		return streamBinary
+	}
+	return streamText
+}
+
+// collect is the resident reader: the streaming decoder's blocks, kept.
+func collect(br *bufio.Reader, stream streamFunc) (*Dataset, error) {
+	d := &Dataset{}
+	info, err := stream(br, func(block []Transaction) error {
+		d.Transactions = appendBlock(d.Transactions, block)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	d.NumItems = info.NumItems
 	return d, nil
 }
 
@@ -167,11 +210,7 @@ func (f *FileSource) stream(fn func(block []Transaction) error) (SourceInfo, err
 	}
 	defer fh.Close()
 	br := bufio.NewReaderSize(fh, 1<<20)
-	head, err := br.Peek(4)
-	if err == nil && string(head) == binaryMagic {
-		return streamBinary(br, fn)
-	}
-	return streamText(br, fn)
+	return sniff(br)(br, fn)
 }
 
 // streamBinary streams a WriteBinary-encoded dataset block by block.
@@ -179,6 +218,9 @@ func streamBinary(br *bufio.Reader, fn func(block []Transaction) error) (SourceI
 	var magic [5]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return SourceInfo{}, fmt.Errorf("itemset: reading binary header: %w", err)
+	}
+	if string(magic[:4]) != binaryMagic {
+		return SourceInfo{}, fmt.Errorf("itemset: bad magic %q (not a binary dataset)", magic[:4])
 	}
 	if magic[4] != binaryVersion {
 		return SourceInfo{}, fmt.Errorf("itemset: unsupported binary version %d", magic[4])
@@ -191,14 +233,16 @@ func streamBinary(br *bufio.Reader, fn func(block []Transaction) error) (SourceI
 	if err != nil {
 		return SourceInfo{}, fmt.Errorf("itemset: reading transaction count: %w", err)
 	}
+	// numTxns bounds the loop below and nothing else; numItems must fit an
+	// Item for the gap check to mean anything once a gap is narrowed.
 	const maxReasonable = 1 << 34
-	if numItems > maxReasonable || numTxns > maxReasonable {
+	if numItems > math.MaxInt32 || numTxns > maxReasonable {
 		return SourceInfo{}, fmt.Errorf("itemset: implausible header (items %d, transactions %d)", numItems, numTxns)
 	}
 	info := SourceInfo{NumItems: int(numItems)}
-	block := make([]Transaction, 0, sourceBlockTxns)
-	items := make(Itemset, 0, 16*sourceBlockTxns)
-	offs := make([]int32, 0, sourceBlockTxns+1)
+	var block []Transaction
+	var items Itemset
+	var offs []int32
 	flush := func() error {
 		if len(block) == 0 {
 			return nil
@@ -223,6 +267,9 @@ func streamBinary(br *bufio.Reader, fn func(block []Transaction) error) (SourceI
 			return SourceInfo{}, fmt.Errorf("itemset: transaction %d: reading ID: %w", i, err)
 		}
 		id := prevID + int64(idDelta)
+		if id < prevID {
+			return SourceInfo{}, fmt.Errorf("itemset: transaction %d: ID delta %d overflows after ID %d", i, idDelta, prevID)
+		}
 		prevID = id
 		count, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -237,6 +284,9 @@ func streamBinary(br *bufio.Reader, fn func(block []Transaction) error) (SourceI
 			delta, err := binary.ReadUvarint(br)
 			if err != nil {
 				return SourceInfo{}, fmt.Errorf("itemset: transaction %d item %d: %w", i, j, err)
+			}
+			if delta >= numItems {
+				return SourceInfo{}, fmt.Errorf("itemset: transaction %d item %d: delta %d outside vocabulary %d", i, j, delta, numItems)
 			}
 			if j == 0 {
 				prev = Item(delta)
@@ -277,7 +327,7 @@ func streamText(br *bufio.Reader, fn func(block []Transaction) error) (SourceInf
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var info SourceInfo
-	block := make([]Transaction, 0, sourceBlockTxns)
+	var block []Transaction
 	var id int64
 	line := 0
 	flush := func() error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -60,7 +61,7 @@ func (m *Manifest) validate() error {
 	if m.Version != partVersion {
 		return bad("unsupported version %d", m.Version)
 	}
-	if m.NumItems < 0 || m.NumItems > 1<<34 {
+	if m.NumItems < 0 || m.NumItems > math.MaxInt32 {
 		return bad("implausible num_items %d", m.NumItems)
 	}
 	if m.Transactions < 0 {
@@ -94,7 +95,9 @@ func (m *Manifest) validate() error {
 				return bad("partition %d: empty partition with non-sentinel ranges", i)
 			}
 		} else {
-			if p.MinItem < 0 || p.MaxItem < p.MinItem || p.MaxItem >= m.NumItems {
+			// A partition of empty transactions has IDs but no item range.
+			itemless := p.MinItem == -1 && p.MaxItem == -1
+			if !itemless && (p.MinItem < 0 || p.MaxItem < p.MinItem || p.MaxItem >= m.NumItems) {
 				return bad("partition %d: item range [%d,%d] outside vocabulary %d", i, p.MinItem, p.MaxItem, m.NumItems)
 			}
 			if p.MinID < 0 || p.MaxID < p.MinID {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/bits"
 	"os"
 
@@ -117,7 +118,7 @@ func (r *BlockReader) readHeader(numItems int) error {
 	if err != nil {
 		return &TruncatedError{File: r.path, Block: -1}
 	}
-	if num == 0 || num > 1<<34 {
+	if num == 0 || num > math.MaxInt32 { // an Item is an int32; DecodeTransaction relies on it
 		return &CorruptError{File: r.path, Block: -1, Reason: fmt.Sprintf("implausible numItems %d", num)}
 	}
 	if numItems > 0 && int(num) != numItems {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -347,6 +348,52 @@ func TestCorruptLengthTyped(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 			t.Errorf("%s: rejecting the frame allocated %d bytes", name, got)
+		}
+	}
+}
+
+// TestCraftedBlockRejected puts transaction encodings whose item integers
+// only look legal once narrowed to an int32 — item 2^32-1 (-1), gap 2^32
+// ({3 3}), gap 2^32-2 ({5 3}) — and an ID delta that wraps the ID negative
+// into a block behind a valid checksum.  The checksum vouches for the bytes,
+// not for what they say: the decode must refuse each as a *CorruptError
+// rather than hand a miner an item it indexes tables by.
+func TestCraftedBlockRejected(t *testing.T) {
+	dir, s := spillOne(t)
+	path := filepath.Join(dir, s.Manifest().Partitions[0].File)
+	header := append([]byte(partMagic), partVersion)
+	header = binary.AppendUvarint(header, 0)
+	header = binary.AppendUvarint(header, uint64(s.Manifest().NumItems))
+	for _, c := range []struct {
+		name string
+		ints []uint64
+	}{
+		{"item 2^32-1", []uint64{0, 1, 1<<32 - 1}},
+		{"gap 2^32", []uint64{0, 2, 3, 1 << 32}},
+		{"gap 2^32-2", []uint64{0, 2, 5, 1<<32 - 2}},
+		{"ID delta 2^63", []uint64{1 << 63, 1, 4}},
+	} {
+		name := c.name
+		var payload []byte
+		for _, v := range c.ints {
+			payload = binary.AppendUvarint(payload, v)
+		}
+		file := binary.AppendUvarint(append([]byte(nil), header...), 1)
+		file = binary.AppendUvarint(file, uint64(len(payload)))
+		file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload))
+		file = append(file, payload...)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatalf("%s: rewrite: %v", name, err)
+		}
+		r, err := s.OpenPartition(0, true)
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		txns, _, err := r.Next()
+		r.Close()
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: got transactions %v, error %v; want *CorruptError", name, txns, err)
 		}
 	}
 }

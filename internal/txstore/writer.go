@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -66,8 +67,8 @@ type Writer struct {
 // NewWriter creates (or truncates into) a store under dir.  numItems is the
 // item vocabulary size; every appended item must lie in [0, numItems).
 func NewWriter(dir string, numItems int, o Options) (*Writer, error) {
-	if numItems <= 0 {
-		return nil, fmt.Errorf("txstore: non-positive numItems %d", numItems)
+	if numItems <= 0 || numItems > math.MaxInt32 {
+		return nil, fmt.Errorf("txstore: numItems %d outside [1, 2^31-1]", numItems)
 	}
 	o = o.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -23,7 +24,8 @@ import (
 // own fault-free response time, so both land mid-run whatever the cell's
 // clock; the run must recover, lose exactly a rank, and repeat bit for bit.
 // The serial miner is the same axis without a formulation: every engine,
-// over the resident dataset and streamed from the store.
+// with and without DHP's pair filter, over the resident dataset, streamed
+// from a file and streamed from the store.
 func TestLegalCellsMatchNaive(t *testing.T) {
 	workloads := []struct {
 		seed                 int64
@@ -56,22 +58,44 @@ func TestLegalCellsMatchNaive(t *testing.T) {
 			t.Fatalf("seed %d: only %d levels, nothing to resume into", w.seed, len(naive.Levels))
 		}
 
+		var bin bytes.Buffer
+		if err := WriteDatasetBinary(&bin, data); err != nil {
+			t.Fatal(err)
+		}
+		binPath := filepath.Join(t.TempDir(), "txns.bin")
+		if err := os.WriteFile(binPath, bin.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		file, err := OpenDatasetFile(binPath)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		pruned := 0
 		for _, engine := range CountEngines() {
-			for _, src := range []struct {
-				name string
-				data *Dataset
-				o    MineOptions
-			}{
-				{"dataset", data, MineOptions{MinSupport: w.minsup, Engine: engine}},
-				{"store", nil, MineOptions{MinSupport: w.minsup, Engine: engine, Source: store}},
-			} {
-				res, err := Mine(src.data, src.o)
-				if err != nil {
-					t.Errorf("seed%d/serial/%s/%s: %v", w.seed, engine, src.name, err)
-				} else if !bytes.Equal(resultBytes(t, res), want) {
-					t.Errorf("seed%d/serial/%s/%s: result differs from the naive miner", w.seed, engine, src.name)
+			for _, buckets := range []int{0, 512} {
+				for _, src := range []struct {
+					name string
+					data *Dataset
+					src  TxSource
+				}{{"dataset", data, nil}, {"file", nil, file}, {"store", nil, store}} {
+					name := fmt.Sprintf("seed%d/serial/%s/dhp%d/%s", w.seed, engine, buckets, src.name)
+					res, err := Mine(src.data, MineOptions{MinSupport: w.minsup, Engine: engine, DHPBuckets: buckets, Source: src.src})
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+						continue
+					}
+					if !bytes.Equal(resultBytes(t, res), want) {
+						t.Errorf("%s: result differs from the naive miner", name)
+					}
+					if buckets == 0 && res.Passes[1].DHPPruned != 0 {
+						t.Errorf("%s: a plain run reports DHP pruning", name)
+					}
+					pruned += res.Passes[1].DHPPruned
 				}
 			}
+		}
+		if pruned == 0 {
+			t.Errorf("seed %d: DHPBuckets pruned no candidate in any cell: the filter never ran", w.seed)
 		}
 
 		legal := 0

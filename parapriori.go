@@ -143,13 +143,16 @@ type MineOptions struct {
 	// filter: the first pass also hashes transaction pairs into this many
 	// buckets and prunes size-2 candidates from cold buckets.  Results are
 	// identical to plain Apriori; pass 2 just counts fewer candidates.
-	// Serial mining only.
+	// Serial mining only — over any Source and with any Engine, since the
+	// buckets ride the one first pass and only remove candidates.
 	DHPBuckets int
 	// DHPTrim enables DHP's transaction trimming: after pass k, items that
 	// matched fewer than k candidates are dropped from a working copy of
 	// each transaction, and transactions too short for a (k+1)-itemset are
 	// dropped entirely.  Identical results, less data scanned in later
-	// passes.  Serial mining only; incompatible with MemoryBytes.
+	// passes.  Serial mining only; incompatible with MemoryBytes; and,
+	// because it reads the hash tree's match sets and rewrites a resident
+	// copy, only with the hashtree Engine and a *Dataset.
 	DHPTrim bool
 	// Engine selects the support-counting backend: "hashtree" (the paper's
 	// candidate hash tree, the default), "trie" (flat prefix-compressed
@@ -158,7 +161,7 @@ type MineOptions struct {
 	// they differ in the operations counting spends, and therefore in
 	// virtual time.  CountEngines lists the registered names.  Every
 	// parallel formulation counts through the selected engine except HPA,
-	// which has no counting structure to replace; the DHP knobs require the
+	// which has no counting structure to replace; DHPTrim requires the
 	// hash tree.
 	Engine string
 	// Source, when non-nil, supplies the transactions instead of the
@@ -166,7 +169,7 @@ type MineOptions struct {
 	// PartitionedDataset.  Setting both Source and the dataset argument is
 	// an error; so is setting neither.  Streaming (non-Dataset) sources
 	// mine identical itemsets with one extra scan per hash-tree partition;
-	// the DHP knobs require a resident dataset.
+	// DHPTrim requires a resident dataset.
 	Source TxSource
 }
 

@@ -173,7 +173,10 @@ func TestSourceOptionErrors(t *testing.T) {
 	check(err, "MineOptions", "Source")
 	_, err = Mine(nil, MineOptions{MinSupport: 0.02})
 	check(err, "MineOptions", "Source")
-	_, err = Mine(nil, MineOptions{MinSupport: 0.02, Source: store, DHPBuckets: 64})
+	if _, err = Mine(nil, MineOptions{MinSupport: 0.02, Source: store, DHPBuckets: 64}); err != nil {
+		t.Fatalf("DHPBuckets over a store rejected: %v", err)
+	}
+	_, err = Mine(nil, MineOptions{MinSupport: 0.02, Source: store, DHPTrim: true})
 	check(err, "MineOptions", "Source")
 
 	par := func(mut func(*ParallelOptions)) error {

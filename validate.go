@@ -77,12 +77,12 @@ func (o MineOptions) validate(strct string, serial bool) error {
 	if !countengine.Known(o.Engine) {
 		return optErr(strct, "Engine", "unknown engine %q (want one of %v)", o.Engine, countengine.Names())
 	}
-	if o.Engine != "" && o.Engine != countengine.Default && (o.DHPBuckets > 0 || o.DHPTrim) {
-		return optErr(strct, "Engine", "DHP filtering requires the hashtree engine, not %q", o.Engine)
+	if o.Engine != "" && o.Engine != countengine.Default && o.DHPTrim {
+		return optErr(strct, "Engine", "DHP trimming reads the hash tree's match sets; it requires the hashtree engine, not %q", o.Engine)
 	}
 	if o.Source != nil {
-		if _, resident := o.Source.(*itemset.Dataset); !resident && (o.DHPBuckets > 0 || o.DHPTrim) {
-			return optErr(strct, "Source", "DHP filtering requires a resident dataset, not a streaming source")
+		if _, resident := o.Source.(*itemset.Dataset); !resident && o.DHPTrim {
+			return optErr(strct, "Source", "DHP trimming rewrites a resident working copy; it requires a *Dataset, not a streaming source")
 		}
 	}
 	return nil
