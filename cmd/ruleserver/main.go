@@ -1,8 +1,8 @@
 // Command ruleserver serves association-rule recommendations over HTTP from
 // frequent itemsets saved by `apriori -save`.  Rules are generated at
-// startup, indexed into shards, and served lock-free from an atomic snapshot;
-// re-mining the data and then sending SIGHUP (or POST /reload) hot-swaps the
-// fresh rules in with zero downtime.
+// startup, indexed by their antecedents' first items, and served lock-free
+// from an atomic snapshot; re-mining the data and then sending SIGHUP (or
+// POST /reload) hot-swaps the fresh rules in with zero downtime.
 //
 // Single-node usage:
 //
@@ -101,7 +101,6 @@ func main() {
 		addr    = flag.String("addr", ":8080", "listen address")
 		load    = flag.String("load", "", "frequent itemsets saved by apriori -save (required unless -node)")
 		minconf = flag.Float64("minconf", 0.8, "minimum confidence for generated rules")
-		shards  = flag.Int("shards", 0, "index shards within one server (0 = default)")
 		workers = flag.Int("workers", 0, "query worker pool size (0 = inline execution)")
 		cache   = flag.Int("cache", 0, "query cache entries (0 = default, negative = disabled)")
 
@@ -135,7 +134,7 @@ func main() {
 		}()
 	}
 
-	sopt := serve.Options{Shards: *shards, Workers: *workers, CacheSize: *cache}
+	sopt := serve.Options{Workers: *workers, CacheSize: *cache}
 
 	if *nodeMode {
 		runNode(*addr, sopt)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -21,16 +23,87 @@ import (
 	"parapriori"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/cli.golden")
+
 // TestMain lets the test binary stand in for the command: re-executed with
 // RULESERVER_TEST_MAIN set it runs main() on its arguments, so the tests
 // drive the real flag parsing, listeners, signal handling and exit status
 // without a separate build.
 func TestMain(m *testing.M) {
 	if os.Getenv("RULESERVER_TEST_MAIN") == "1" {
+		// The command's flags alone: -h must not list the test binary's.
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// run runs the command to completion — for the paths that exit instead of
+// serving — and returns (exit code, stdout, stderr).
+func run(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Args[0] = "ruleserver" // the name flag's usage line prints
+	cmd.Env = append(os.Environ(), "RULESERVER_TEST_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	code := 0
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("ruleserver %v: %v", args, err)
+		}
+		code = ee.ExitCode()
+	}
+	return code, stdout.String(), stderr.String()
+}
+
+// TestGoldenCLI pins the command's flag surface: the -h listing of every
+// flag with its default and help text.
+func TestGoldenCLI(t *testing.T) {
+	code, stdout, stderr := run(t, "-h")
+	got := fmt.Sprintf("$ ruleserver -h\nexit %d\n%s%s", code, stdout, stderr)
+
+	const golden = "testdata/cli.golden"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o666); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output moved (rerun with -update only if the change is meant):\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestUsageErrors pins the misuse paths, each exit 2 before anything
+// listens: the two exclusive modes together, a router missing its rules or
+// its nodes, a single server missing its rules, and the retired -shards
+// flag.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-node", "-router"}, "-node and -router are mutually exclusive"},
+		{[]string{"-router", "-nodes", "localhost:1"}, "-router requires -load"},
+		{[]string{"-router", "-load", "freq.txt"}, "-router requires -nodes"},
+		{nil, "-load <saved result> is required\nUsage of ruleserver:"},
+		{[]string{"-shards", "4", "-load", "freq.txt"}, "flag provided but not defined: -shards"},
+	} {
+		code, _, stderr := run(t, tc.args...)
+		if code != 2 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("ruleserver %v: exit %d, stderr %q; want exit 2 mentioning %q", tc.args, code, stderr, tc.want)
+		}
+	}
 }
 
 var listening = regexp.MustCompile(`ruleserver: listening on (\S+)`)

@@ -37,9 +37,9 @@
 //     rules never existed.
 //
 //   - Delta publish: the router diffs the new rule set's antecedent groups
-//     against the previous generation's canonical bytes (serve.DiffGroups)
-//     and ships each owner only the groups that changed on its shards, plus
-//     tombstones for vanished groups.  Generations advance cluster-wide;
+//     (serve.Groups) against the previous generation's canonical bytes,
+//     per node, and ships each owner only the groups that changed on its
+//     shards, plus tombstones for vanished groups.  Generations advance cluster-wide;
 //     the cut-over happens only after every owner acknowledged its Prepare.
 //
 // Like package serve, distserve runs on the real clock and real goroutines
@@ -90,8 +90,7 @@ type Options struct {
 	Replicas int
 	// Seed seeds the item→shard hash, the rendezvous placement weights and
 	// the router's replica-selection sequence.  Zero selects a fixed
-	// default, keeping placement reproducible run to run — the distributed
-	// analogue of serve.Options.HashSeed.
+	// default, keeping placement reproducible run to run.
 	Seed uint64
 	// RequestTimeout is the per-call deadline the router applies to every
 	// fan-out leg, and the default budget HTTPClient applies to calls whose

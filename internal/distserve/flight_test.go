@@ -290,9 +290,9 @@ func TestPromConformance(t *testing.T) {
 	rs := synthRules(200, 40, 30)
 
 	// Single-node serve.Server exposition.
-	srv := serve.NewServer(serve.Options{Shards: 4})
+	srv := serve.NewServer(serve.Options{})
 	t.Cleanup(srv.Close)
-	srv.Publish(serve.NewIndex(rs, serve.Options{Shards: 4}))
+	srv.Publish(serve.NewIndex(rs, serve.Options{}))
 	if _, err := srv.Recommend([]itemset.Item{1, 2}, 5); err != nil {
 		t.Fatalf("recommend: %v", err)
 	}

@@ -122,11 +122,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 func NodeHandler(n *Node) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", n.Server().Handler(nil))
-	mux.HandleFunc("/shard/prepare", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
+	mux.HandleFunc("/shard/prepare", serve.Only(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		var pw prepareWire
 		if !decodeBody(w, r, maxPrepareBody, "prepare", &pw) {
 			return
@@ -136,12 +132,8 @@ func NodeHandler(n *Node) http.Handler {
 			return
 		}
 		serve.WriteJSON(w, http.StatusOK, map[string]any{"staged": pw.Gen})
-	})
-	mux.HandleFunc("/shard/commit", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
+	}))
+	mux.HandleFunc("/shard/commit", serve.Only(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
 			Gen uint64 `json:"generation"`
 		}
@@ -153,19 +145,15 @@ func NodeHandler(n *Node) http.Handler {
 			return
 		}
 		serve.WriteJSON(w, http.StatusOK, map[string]any{"generation": body.Gen})
-	})
-	mux.HandleFunc("/shard/state", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
+	}))
+	mux.HandleFunc("/shard/state", serve.Only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"id":         n.ID(),
 			"generation": n.Gen(),
 			"shards":     n.Shards(),
 			"num_rules":  n.NumRules(),
 		})
-	})
+	}))
 	return mux
 }
 
@@ -315,23 +303,11 @@ func (c *HTTPClient) Metrics(ctx context.Context) (serve.Metrics, error) {
 // mined result file); nil disables /reload with 501.
 func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/recommend", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		basket, err := serve.ParseItems(req.URL.Query().Get("items"))
+	mux.HandleFunc("/recommend", serve.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
+		basket, k, err := serve.ParseRecommendQuery(req.URL.Query())
 		if err != nil {
-			serve.WriteError(w, http.StatusBadRequest, "items: %v", err)
+			serve.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
-		}
-		k := 0
-		if raw := req.URL.Query().Get("k"); raw != "" {
-			k, err = strconv.Atoi(raw)
-			if err != nil || k < 0 {
-				serve.WriteError(w, http.StatusBadRequest, "bad k %q", raw)
-				return
-			}
 		}
 		res, err := r.Recommend(basket, k)
 		if err != nil {
@@ -359,12 +335,8 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 			Retries:      res.Retries,
 			Hedges:       res.Hedges,
 		})
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
+	}))
+	mux.HandleFunc("/healthz", serve.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
 		m := r.Metrics()
 		status := "ok"
 		code := http.StatusOK
@@ -385,12 +357,8 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 			"num_nodes":  m.NumNodes,
 			"health":     health,
 		})
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
+	}))
+	mux.HandleFunc("/metrics", serve.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
 		if serve.WantsProm(req) {
 			w.Header().Set("Content-Type", obsv.ContentType)
 			pw := obsv.NewPromWriter()
@@ -399,19 +367,11 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 			return
 		}
 		serve.WriteJSON(w, http.StatusOK, r.Metrics())
-	})
-	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
+	}))
+	mux.HandleFunc("/debug/flight", serve.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
 		serve.WriteFlight(w, r.flight, req.URL.Query().Get("format"))
-	})
-	mux.HandleFunc("/placement", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
+	}))
+	mux.HandleFunc("/placement", serve.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"shards":    r.opt.Shards,
 			"replicas":  r.opt.Replicas,
@@ -424,12 +384,8 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 				return nil
 			}(),
 		})
-	})
-	mux.HandleFunc("/reload", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			serve.WriteError(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
+	}))
+	mux.HandleFunc("/reload", serve.Only(http.MethodPost, func(w http.ResponseWriter, req *http.Request) {
 		if reload == nil {
 			serve.WriteError(w, http.StatusNotImplemented, "no reload source configured")
 			return
@@ -446,6 +402,6 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 			return
 		}
 		serve.WriteJSON(w, http.StatusOK, stats)
-	})
+	}))
 	return mux
 }

@@ -1,12 +1,14 @@
 package distserve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strconv"
 	"strings"
@@ -258,7 +260,7 @@ func TestControlPlaneBodyLimits(t *testing.T) {
 	defer func(p, c int64) { maxPrepareBody, maxCommitBody = p, c }(maxPrepareBody, maxCommitBody)
 	maxPrepareBody, maxCommitBody = 512, 64
 
-	node := NewNode("n0", serve.Options{Shards: 4})
+	node := NewNode("n0", serve.Options{})
 	defer node.Close()
 	ts := httptest.NewServer(NodeHandler(node))
 	defer ts.Close()
@@ -304,4 +306,147 @@ func TestControlPlaneBodyLimits(t *testing.T) {
 			t.Errorf("%s garbage: HTTP %d %q, want 400", tc.path, code, msg)
 		}
 	}
+}
+
+// FuzzRecommendQuery drives arbitrary items, k and link strings through
+// /recommend on a single server and on a one-node router.  Each must answer
+// 200 or 400 with a JSON body, 400 exactly when serve.ParseRecommendQuery
+// refuses the query, and a 200's rules must be Index.Recommend's for the
+// parsed basket under the server's K clamp.
+func FuzzRecommendQuery(f *testing.F) {
+	rs := synthRules(200, 40, 30)
+	opt := Options{Shards: 4}.WithDefaults()
+	ix := serve.NewIndex(rs, opt.Node)
+	single := serve.NewServer(opt.Node)
+	f.Cleanup(single.Close)
+	single.Publish(ix)
+	c, err := NewCluster(1, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(c.Close)
+	if _, err := c.Router.Publish(rs, true); err != nil {
+		f.Fatal(err)
+	}
+	handlers := []struct {
+		name string
+		h    http.Handler
+	}{{"single", single.Handler(nil)}, {"router", c.Router.Handler(nil)}}
+
+	f.Add("1,2,3", "5", "")
+	f.Add(" 3 , 1,2,2 ", "", "r-1.x_y")
+	f.Add("", "", "")
+	f.Add("1,,2", "3", "")
+	f.Add("4294967297", "", "")
+	f.Add("7", "-1", "a b")
+	f.Add("7,9", "+0", "")
+	f.Add("39", "99999999999999999999", "")
+	f.Add("2147483647,0", "1000", "")
+	f.Fuzz(func(t *testing.T, items, k, link string) {
+		q := url.Values{"items": {items}, "k": {k}, "link": {link}}
+		basket, kk, parseErr := serve.ParseRecommendQuery(q)
+		for _, tier := range handlers {
+			rec := httptest.NewRecorder()
+			tier.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/recommend?"+q.Encode(), nil))
+			body := rec.Body.Bytes()
+			if !json.Valid(body) {
+				t.Fatalf("%s %v: HTTP %d with a non-JSON body %q", tier.name, q, rec.Code, body)
+			}
+			switch {
+			case rec.Code == http.StatusBadRequest && parseErr != nil:
+				continue
+			case rec.Code != http.StatusOK || parseErr != nil:
+				t.Fatalf("%s %v: HTTP %d %s (decoder error %v)", tier.name, q, rec.Code, body, parseErr)
+			}
+			var resp struct {
+				Rules []serve.RuleJSON `json:"rules"`
+			}
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatalf("%s %v: %v", tier.name, q, err)
+			}
+			if kk <= 0 {
+				kk = serve.DefaultK
+			}
+			want := serve.RulesJSON(ix.Recommend(itemset.New(basket...), min(kk, opt.Node.MaxK)))
+			if !reflect.DeepEqual(resp.Rules, want) {
+				t.Fatalf("%s %v:\n got %v\nwant %v", tier.name, q, resp.Rules, want)
+			}
+		}
+	})
+}
+
+// FuzzControlPlaneBodies posts arbitrary bytes to a serving node's
+// /shard/prepare and then /shard/commit.  Every answer is 200, 400, 409 or
+// 413 and nothing panics; a prepare never changes what the node serves, and
+// neither does a commit that is refused.
+func FuzzControlPlaneBodies(f *testing.F) {
+	prepareCap, commitCap := maxPrepareBody, maxCommitBody
+	f.Cleanup(func() { maxPrepareBody, maxCommitBody = prepareCap, commitCap })
+	maxPrepareBody, maxCommitBody = 4<<10, 64 // a 413 within the fuzzer's reach
+
+	rs := synthRules(60, 12, 7)
+	gen1 := PrepareRequest{Gen: 1, Full: true, Owned: []int{0, 1}}
+	for i, g := range serve.Groups(rs) {
+		gen1.Upserts = append(gen1.Upserts, GroupUpdate{Shard: i % 2, Rules: g.Rules})
+	}
+	baskets := [][]itemset.Item{{1, 2, 3}, {0, 4, 5, 6, 7}, {8, 9, 10, 11}, {2}}
+
+	wire := func(req PrepareRequest) []byte {
+		raw, err := json.Marshal(toPrepareWire(req))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	gen2 := gen1
+	gen2.Gen, gen2.Full, gen2.Upserts = 2, false, gen1.Upserts[:3]
+	f.Add(wire(gen2), []byte(`{"generation":2}`))
+	f.Add(wire(PrepareRequest{Gen: 2, Owned: []int{1}, Removes: []GroupRef{{Shard: 1, Ant: itemset.New(3)}}}), []byte(`{"generation":3}`))
+	f.Add([]byte(`{"generation":2,"owned":[0],"upserts":[{"shard":5,"rules":[]}]}`), []byte(`{"generation":2}`))
+	f.Add([]byte(`{"generation":2,"owned":[0],"upserts":[{"shard":0,"rules":[]}]}`), []byte(`{"generation":1}`))
+	f.Add([]byte(`{"generation":1,"full":true}`), []byte(`{"generation":0}`))
+	f.Add([]byte(`not json`), []byte(`{"generation":"2"}`))
+	f.Add([]byte(`{"generation":2,"full":true,"owned":[0],"upserts":[{"shard":0,"rules":[{"antecedent":[5,3],"consequent":[]}]}]}`), []byte(`{"generation":2} trailing`))
+	f.Add([]byte(`{"generation":2,"owned":[0,1`+strings.Repeat(",1", 2100)+`]}`), []byte(`{"generation":2`+strings.Repeat(" ", 60)+`}`))
+	f.Fuzz(func(t *testing.T, prepare, commit []byte) {
+		node := NewNode("n0", serve.Options{})
+		defer node.Close()
+		if err := node.Prepare(gen1); err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Commit(1); err != nil {
+			t.Fatal(err)
+		}
+		served := func() string {
+			var sb strings.Builder
+			fmt.Fprintf(&sb, "gen %d shards %v rules %d\n", node.Gen(), node.Shards(), node.NumRules())
+			for _, b := range baskets {
+				rs, gen, err := node.Recommend(b, 5)
+				fmt.Fprintf(&sb, "%v: %d %v %v\n", b, gen, rs, err)
+			}
+			return sb.String()
+		}
+		h := NodeHandler(node)
+		before := served()
+		for _, step := range []struct {
+			path string
+			body []byte
+		}{{"/shard/prepare", prepare}, {"/shard/commit", commit}} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, step.path, bytes.NewReader(step.body)))
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			default:
+				t.Fatalf("%s %q: HTTP %d %s", step.path, step.body, rec.Code, rec.Body)
+			}
+			if !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("%s %q: HTTP %d with a non-JSON body %q", step.path, step.body, rec.Code, rec.Body)
+			}
+			after := served()
+			if (rec.Code != http.StatusOK || step.path == "/shard/prepare") && after != before {
+				t.Fatalf("%s %q: HTTP %d changed what the node serves:\nbefore %s\nafter  %s", step.path, step.body, rec.Code, before, after)
+			}
+			before = after
+		}
+	})
 }

@@ -21,7 +21,7 @@ func BenchmarkRecommend(b *testing.B) {
 		baskets = 4096
 	)
 	rs := synthRules(nRules, nItems, 42)
-	ix := NewIndex(rs, Options{Shards: 8})
+	ix := NewIndex(rs, Options{})
 	rng := rand.New(rand.NewSource(7))
 	qs := make([][]itemset.Item, baskets)
 	for i := range qs {
@@ -58,21 +58,21 @@ func BenchmarkRecommend(b *testing.B) {
 	}
 
 	b.Run("miss", func(b *testing.B) {
-		s := NewServer(Options{Shards: 8, CacheSize: -1}) // cache disabled: every query cold
+		s := NewServer(Options{CacheSize: -1}) // cache disabled: every query cold
 		defer s.Close()
 		s.Publish(ix)
 		run(b, s)
 	})
 
 	b.Run("hit", func(b *testing.B) {
-		s := NewServer(Options{Shards: 8, CacheSize: baskets})
+		s := NewServer(Options{CacheSize: baskets})
 		defer s.Close()
 		s.Publish(ix)
 		run(b, s) // the warm-up pass fills the cache, so the timed pass hits
 	})
 
 	b.Run("pooled-miss", func(b *testing.B) {
-		s := NewServer(Options{Shards: 8, Workers: 8, CacheSize: -1})
+		s := NewServer(Options{Workers: 8, CacheSize: -1})
 		defer s.Close()
 		s.Publish(ix)
 		run(b, s)
@@ -98,7 +98,7 @@ func TestRecommendLatencyBudget(t *testing.T) {
 		t.Skip("latency budget needs the full-size index")
 	}
 	rs := synthRules(100_000, 2_000, 42)
-	ix := NewIndex(rs, Options{Shards: 8})
+	ix := NewIndex(rs, Options{})
 	rng := rand.New(rand.NewSource(9))
 	qs := make([][]itemset.Item, 512)
 	for i := range qs {
@@ -115,7 +115,7 @@ func TestRecommendLatencyBudget(t *testing.T) {
 	// p99 is judged: a pass preempted by a neighbour (a concurrent go test
 	// compile on a two-core box) must not own the verdict, while a
 	// complexity regression slows all three.
-	miss := NewServer(Options{Shards: 8, CacheSize: -1})
+	miss := NewServer(Options{CacheSize: -1})
 	defer miss.Close()
 	miss.Publish(ix)
 	passP99 := func() float64 {
@@ -133,7 +133,7 @@ func TestRecommendLatencyBudget(t *testing.T) {
 		t.Errorf("cold p99 = %.0fµs in the best of three passes, budget < 1000µs", best)
 	}
 
-	hit := NewServer(Options{Shards: 8, CacheSize: len(qs)})
+	hit := NewServer(Options{CacheSize: len(qs)})
 	defer hit.Close()
 	hit.Publish(ix)
 	warm := time.Now()

@@ -10,9 +10,9 @@ import (
 )
 
 // RuleGroup is one distinct antecedent and its rules in serving-rank order —
-// the unit of index construction, shard placement and delta publishing.  A
-// rule set decomposes into groups uniquely (Groups), and a group's canonical
-// byte encoding (Canonical) changes exactly when any of its rules change, so
+// the unit of distributed shard placement and delta publishing.  A rule set
+// decomposes into groups uniquely (Groups), and a group's canonical byte
+// encoding (Canonical) changes exactly when any of its rules change, so
 // comparing canonical bytes across two rule sets yields the minimal set of
 // groups a distributed publisher must re-ship.
 type RuleGroup struct {
@@ -27,8 +27,8 @@ type RuleGroup struct {
 
 // Groups decomposes a rule set into antecedent groups, each rank-sorted,
 // ordered by antecedent key.  The decomposition is deterministic for a given
-// rule set whatever the input order — the property index construction and
-// delta computation both rely on.
+// rule set whatever the input order — the property delta computation relies
+// on.
 func Groups(rs []rules.Rule) []RuleGroup {
 	byAnt := make(map[string][]rules.Rule, len(rs))
 	for _, r := range rs {
@@ -74,40 +74,4 @@ func (g RuleGroup) Canonical() []byte {
 		}
 	}
 	return dst
-}
-
-// DiffGroups compares the groups of a new rule set against the canonical
-// bytes of the previous generation (key → Canonical()) and returns the
-// delta: the groups whose bytes changed or appeared (upserts, in key order)
-// and the keys that vanished (removes, sorted).  An empty prev map
-// degenerates to a full publish: every group is an upsert.
-func DiffGroups(prev map[string][]byte, next []RuleGroup) (upserts []RuleGroup, removes []string) {
-	seen := make(map[string]bool, len(next))
-	for _, g := range next {
-		seen[g.Key] = true
-		if old, ok := prev[g.Key]; ok && bytesEqual(old, g.Canonical()) {
-			continue
-		}
-		upserts = append(upserts, g)
-	}
-	for k := range prev {
-		if !seen[k] {
-			removes = append(removes, k)
-		}
-	}
-	sort.Strings(removes)
-	return upserts, removes
-}
-
-// bytesEqual avoids importing bytes for one comparison.
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

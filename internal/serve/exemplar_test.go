@@ -15,9 +15,9 @@ import (
 // "miss", with the basket hash and generation matching the request that
 // produced it.
 func TestExemplarResolvesInFlight(t *testing.T) {
-	s := NewServer(Options{Shards: 4, CacheSize: 128})
+	s := NewServer(Options{CacheSize: 128})
 	defer s.Close()
-	s.Publish(NewIndex(synthRules(80, 12, 3), Options{Shards: 4}))
+	s.Publish(NewIndex(synthRules(80, 12, 3), Options{}))
 
 	// Background traffic: the same basket over and over, so the fast path is
 	// all cache hits.

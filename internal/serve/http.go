@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -54,13 +55,26 @@ func RulesJSON(rs []rules.Rule) []RuleJSON {
 // mined result file); nil disables /reload with 501.
 func (s *Server) Handler(reload func() (*Index, error)) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/recommend", s.handleRecommend)
-	mux.HandleFunc("/rules", s.handleRules)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/flight", s.handleFlight)
-	mux.HandleFunc("/reload", s.reloadHandler(reload))
+	mux.HandleFunc("/recommend", Only(http.MethodGet, s.handleRecommend))
+	mux.HandleFunc("/rules", Only(http.MethodGet, s.handleRules))
+	mux.HandleFunc("/healthz", Only(http.MethodGet, s.handleHealthz))
+	mux.HandleFunc("/metrics", Only(http.MethodGet, s.handleMetrics))
+	mux.HandleFunc("/debug/flight", Only(http.MethodGet, s.handleFlight))
+	mux.HandleFunc("/reload", Only(http.MethodPost, s.reloadHandler(reload)))
 	return mux
+}
+
+// Only hands h the requests that use method and answers any other with 405
+// and a {"error": "use <method>"} JSON body: the one method guard of every
+// serving tier's endpoints.
+func Only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			WriteError(w, http.StatusMethodNotAllowed, "use %s", method)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // WriteJSON answers with status and v as a JSON body.
@@ -104,25 +118,32 @@ func parseItem(raw string) (itemset.Item, error) {
 	return itemset.Item(v), nil
 }
 
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	basket, err := ParseItems(r.URL.Query().Get("items"))
+// ParseRecommendQuery decodes a /recommend query: the basket from items
+// (ParseItems) and K from k, zero — the server's default — when absent.
+// The error's text is the 400 body every serving tier answers with.
+func ParseRecommendQuery(q url.Values) ([]itemset.Item, int, error) {
+	basket, err := ParseItems(q.Get("items"))
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "items: %v", err)
-		return
+		return nil, 0, fmt.Errorf("items: %v", err)
 	}
 	k := 0
-	if raw := r.URL.Query().Get("k"); raw != "" {
+	if raw := q.Get("k"); raw != "" {
 		k, err = strconv.Atoi(raw)
 		if err != nil || k < 0 {
-			WriteError(w, http.StatusBadRequest, "bad k %q", raw)
-			return
+			return nil, 0, fmt.Errorf("bad k %q", raw)
 		}
 	}
-	out, gen, err := s.RecommendTraced(basket, k, sanitizeLink(r.URL.Query().Get("link")))
+	return basket, k, nil
+}
+
+func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	basket, k, err := ParseRecommendQuery(q)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	out, gen, err := s.RecommendTraced(basket, k, sanitizeLink(q.Get("link")))
 	if err != nil {
 		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
@@ -136,10 +157,6 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	snap := s.snap.Load()
 	if snap == nil {
 		WriteError(w, http.StatusServiceUnavailable, "%v", ErrNoSnapshot)
@@ -182,10 +199,6 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	snap := s.snap.Load()
 	if snap == nil {
 		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "empty", "generation": 0})
@@ -204,10 +217,6 @@ func WantsProm(r *http.Request) bool {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	if WantsProm(r) {
 		w.Header().Set("Content-Type", obsv.ContentType)
 		pw := obsv.NewPromWriter()
@@ -237,10 +246,6 @@ func sanitizeLink(raw string) string {
 }
 
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	WriteFlight(w, s.flight, r.URL.Query().Get("format"))
 }
 
@@ -265,10 +270,6 @@ func WriteFlight(w http.ResponseWriter, f *obsv.Flight, format string) {
 
 func (s *Server) reloadHandler(reload func() (*Index, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			WriteError(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
 		if reload == nil {
 			WriteError(w, http.StatusNotImplemented, "no reload source configured")
 			return

@@ -20,7 +20,7 @@ import (
 
 func newTestServer(t *testing.T, reload func() (*Index, error)) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewServer(Options{Shards: 4, Workers: 2, CacheSize: 128})
+	s := NewServer(Options{Workers: 2, CacheSize: 128})
 	ts := httptest.NewServer(s.Handler(reload))
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
@@ -73,7 +73,7 @@ func TestHealthzRoundTrip(t *testing.T) {
 	if code := getJSON(t, ts, "/healthz", &h); code != http.StatusServiceUnavailable || h.Status != "empty" {
 		t.Fatalf("empty server: code %d body %+v", code, h)
 	}
-	s.Publish(NewIndex(synthRules(50, 10, 1), Options{Shards: 4}))
+	s.Publish(NewIndex(synthRules(50, 10, 1), Options{}))
 	if code := getJSON(t, ts, "/healthz", &h); code != http.StatusOK || h.Status != "ok" || h.Generation != 1 {
 		t.Fatalf("published server: code %d body %+v", code, h)
 	}
@@ -90,7 +90,7 @@ func TestRecommendRoundTrip(t *testing.T) {
 		t.Fatalf("pre-publish code %d", code)
 	}
 
-	s.Publish(NewIndex(rs, Options{Shards: 4}))
+	s.Publish(NewIndex(rs, Options{}))
 	for _, bad := range []string{"/recommend", "/recommend?items=", "/recommend?items=1,x", "/recommend?items=-4", "/recommend?items=1&k=-2", "/recommend?items=1&k=x"} {
 		if code := getJSON(t, ts, bad, &e); code != http.StatusBadRequest {
 			t.Fatalf("%s: code %d, want 400", bad, code)
@@ -130,7 +130,7 @@ func TestRecommendRoundTrip(t *testing.T) {
 func TestRulesEndpointRoundTrip(t *testing.T) {
 	rs := synthRules(120, 12, 4)
 	s, ts := newTestServer(t, nil)
-	s.Publish(NewIndex(rs, Options{Shards: 4}))
+	s.Publish(NewIndex(rs, Options{}))
 
 	var resp struct {
 		Generation uint64     `json:"generation"`
@@ -176,7 +176,7 @@ func TestRulesEndpointRoundTrip(t *testing.T) {
 
 func TestMetricsRoundTrip(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	s.Publish(NewIndex(synthRules(80, 10, 6), Options{Shards: 4}))
+	s.Publish(NewIndex(synthRules(80, 10, 6), Options{}))
 	for i := 0; i < 3; i++ {
 		if _, err := s.Recommend([]itemset.Item{1, 2}, 5); err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 	if m.Queries != 3 || m.CacheHits != 2 || m.CacheMisses != 1 {
 		t.Fatalf("metrics: %+v", m)
 	}
-	if m.SnapshotGeneration != 1 || m.NumRules != 80 || len(m.ShardRules) != 4 {
+	if m.SnapshotGeneration != 1 || m.NumRules != 80 {
 		t.Fatalf("snapshot metrics: %+v", m)
 	}
 	if m.P99LatencyMicros < m.P50LatencyMicros || m.P99LatencyMicros <= 0 {
@@ -201,10 +201,10 @@ func TestMetricsRoundTrip(t *testing.T) {
 // header returns the text exposition; bare GETs keep returning JSON.
 func TestMetricsPromNegotiation(t *testing.T) {
 	rec := obsv.NewCollector(obsv.ClockReal)
-	s := NewServer(Options{Shards: 4, CacheSize: 128, Recorder: rec})
+	s := NewServer(Options{CacheSize: 128, Recorder: rec})
 	ts := httptest.NewServer(s.Handler(nil))
 	t.Cleanup(func() { ts.Close(); s.Close() })
-	s.Publish(NewIndex(synthRules(80, 10, 6), Options{Shards: 4}))
+	s.Publish(NewIndex(synthRules(80, 10, 6), Options{}))
 	for i := 0; i < 3; i++ {
 		if _, err := s.Recommend([]itemset.Item{1, 2}, 5); err != nil {
 			t.Fatal(err)
@@ -232,7 +232,6 @@ func TestMetricsPromNegotiation(t *testing.T) {
 		"parapriori_cache_hits_total 2\n",
 		"# TYPE parapriori_query_latency_seconds histogram",
 		"parapriori_query_latency_seconds_count 3\n",
-		`parapriori_shard_rules{shard="0"}`,
 		"parapriori_snapshot_generation 1\n",
 		"parapriori_rules 80\n",
 	} {
@@ -282,10 +281,10 @@ func TestReloadRoundTrip(t *testing.T) {
 		if reloads == 3 {
 			return nil, fmt.Errorf("source went away")
 		}
-		return NewIndex(synthRules(60+reloads, 10, int64(reloads)), Options{Shards: 4}), nil
+		return NewIndex(synthRules(60+reloads, 10, int64(reloads)), Options{}), nil
 	}
 	s, ts := newTestServer(t, reload)
-	s.Publish(NewIndex(synthRules(50, 10, 99), Options{Shards: 4}))
+	s.Publish(NewIndex(synthRules(50, 10, 99), Options{}))
 
 	var e struct{ Error string }
 	if code := getJSON(t, ts, "/reload", &e); code != http.StatusMethodNotAllowed {
@@ -323,7 +322,7 @@ func TestServerSmoke(t *testing.T) {
 	gen := atomic.Int64{}
 	reload := func() (*Index, error) {
 		n := gen.Add(1)
-		return NewIndex(synthRules(2000, 100, n), Options{Shards: 4}), nil
+		return NewIndex(synthRules(2000, 100, n), Options{}), nil
 	}
 	s, ts := newTestServer(t, reload)
 	first, _ := reload()
@@ -399,7 +398,7 @@ func TestServerSmoke(t *testing.T) {
 // TestHandlerMethodDiscipline: non-GET on the read endpoints is rejected.
 func TestHandlerMethodDiscipline(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	s.Publish(NewIndex(synthRules(10, 5, 8), Options{Shards: 4}))
+	s.Publish(NewIndex(synthRules(10, 5, 8), Options{}))
 	for _, path := range []string{"/recommend?items=1", "/rules", "/healthz", "/metrics"} {
 		var e struct{ Error string }
 		if code := postJSON(t, ts, path, &e); code != http.StatusMethodNotAllowed {

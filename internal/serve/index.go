@@ -2,7 +2,7 @@
 // concurrent rule-serving subsystem over the association rules the mining
 // side produces.  The batch stage (serial or parallel Apriori plus
 // ap-genrules) periodically emits a rule set; this package turns it into an
-// immutable, sharded in-memory index and answers basket queries
+// immutable in-memory index and answers basket queries
 // ("customers with these items in the cart should see what?") while a
 // fresh index can be published at any moment with zero downtime.
 //
@@ -11,13 +11,12 @@
 //   - Index: an immutable antecedent-keyed rule index.  The rules are
 //     stored once, sorted by rules.RankLess, so a rule's position — its id —
 //     is its rank.  Rules sharing an antecedent form one group, an ascending
-//     list of ids; groups are sharded by a seeded hash of the antecedent and,
-//     within a shard, reachable through a per-item inverted index keyed by
-//     the antecedent's first (smallest) item and ordered by each group's best
-//     id.  A basket query visits only groups whose first item is in the
-//     basket — every antecedent ⊆ basket has its minimum item in the basket,
-//     so no basket-subset enumeration (2^|basket| work) is ever needed, and
-//     each matching group is visited exactly once.  It marks the basket in a
+//     list of ids; a group is reachable only through the posting run of its
+//     antecedent's first (smallest) item, ordered by each group's best id.  A
+//     basket query scans one run per distinct basket item the index knows —
+//     every antecedent ⊆ basket has its minimum item in the basket, so no
+//     basket-subset enumeration (2^|basket| work) is ever needed, and each
+//     matching group is visited exactly once.  It marks the basket in a
 //     bitmap over the index's item dictionary, keeps the k smallest firing
 //     ids in a bounded heap, stops scanning wherever every remaining id is
 //     worse than the heap's worst, and builds Rule values for the k
@@ -49,22 +48,16 @@ import (
 	"parapriori/internal/rules"
 )
 
-// Options configures index construction and the server.
+// Options configures the server.  The index layout has no options.
 type Options struct {
-	// Shards is the number of index shards (default 8).  Antecedent groups
-	// are placed by hash, so shards are balanced for rule sets with many
-	// distinct antecedents.
-	Shards int
 	// Workers is the size of the query worker pool.  Zero serves each
-	// query by scanning shards inline on the calling goroutine; with
-	// Workers > 0, per-shard scans of one query fan out across the pool.
+	// query inline on the calling goroutine; with Workers > 0, a cache
+	// miss fans one posting-run scan per known basket item out across the
+	// pool, and a basket with at most one known item still runs inline.
 	Workers int
 	// CacheSize bounds the per-snapshot query cache in entries (default
 	// 1024).  Negative disables caching.
 	CacheSize int
-	// HashSeed seeds the antecedent→shard placement hash.  Zero selects a
-	// fixed default, keeping shard contents reproducible run to run.
-	HashSeed uint64
 	// MaxK caps a query's K (default 100): a client cannot force a
 	// full-index sort by asking for everything.
 	MaxK int
@@ -84,14 +77,8 @@ const DefaultK = 10
 // calls it too so router-side query clamping (DefaultK, MaxK) agrees exactly
 // with what each node's server will do.
 func (o Options) WithDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 1024
-	}
-	if o.HashSeed == 0 {
-		o.HashSeed = 0x5ca1ab1e0ddba11
 	}
 	if o.MaxK <= 0 {
 		o.MaxK = 100
@@ -106,16 +93,6 @@ func (o Options) WithDefaults() Options {
 type group struct {
 	lo  int32 // first position of the group's rules in Index.ids/consOff
 	ant int32 // first position of the group's antecedent in Index.ants
-}
-
-// shard is an immutable slice of the index: the groups whose antecedents
-// hash here, reachable through a first-item inverted index.  Groups are
-// numbered by (shard, first item, best rule id), so the shard's groups whose
-// antecedent starts at dictionary item d are the run off[d]..off[d+1] of
-// group numbers, in ascending order of their best (smallest) rule id, and
-// the shard's groups altogether are off[0]..off[len(off)-1].
-type shard struct {
-	off []int32
 }
 
 // Index is an immutable rule index, ready for concurrent basket queries.
@@ -136,8 +113,12 @@ type Index struct {
 	ants    []int32 // every group's antecedent in dictionary ids
 	// dict numbers the items the rules mention 0..len(dict)-1, so a basket
 	// becomes a bitmap however sparse, large or negative the item ids are.
-	dict   map[itemset.Item]int32
-	shards []shard
+	dict map[itemset.Item]int32
+	// off is the first-item inverted index (CSR).  Groups are numbered by
+	// (first item, best rule id), so the groups whose antecedent starts at
+	// dictionary item d are the run off[d]..off[d+1] of group numbers, in
+	// ascending order of their best (smallest) rule id.
+	off []int32
 }
 
 // rankKey is what the build sorts: the three measures RankLess compares
@@ -151,12 +132,12 @@ type rankKey struct {
 // NewIndex builds an index over the rule set.  The rules are rank-sorted
 // once (rules.RankLess) and stored in that order; one pass over them forms
 // the antecedent groups — so a group's ids ascend, and groups are found in
-// the order of their best id — and each group is placed on a shard by a
-// seeded hash of the antecedent.  Construction is deterministic for a given
-// rule set and options whatever the input order, and allocates less than
-// two copies of the input.
-func NewIndex(rs []rules.Rule, opt Options) *Index {
-	opt = opt.WithDefaults()
+// the order of their best id — and a counting sort files each group under
+// its antecedent's first item.  Construction is deterministic for a given
+// rule set whatever the input order, and allocates less than two copies of
+// the input.  No option shapes the index; callers pass the serving options
+// they hold.
+func NewIndex(rs []rules.Rule, _ Options) *Index {
 	n := len(rs)
 	keys := make([]rankKey, n)
 	for i := range rs {
@@ -190,7 +171,7 @@ func NewIndex(rs []rules.Rule, opt Options) *Index {
 	// first rule of a chain — its head — is the group's best.  Only sizes are
 	// learnt here, which lets every array below be allocated exactly once.
 	const none = -1
-	ix := &Index{rules: all, dict: make(map[itemset.Item]int32), shards: make([]shard, opt.Shards)}
+	ix := &Index{rules: all, dict: make(map[itemset.Item]int32)}
 	number := func(s itemset.Itemset) {
 		for _, it := range s {
 			if _, ok := ix.dict[it]; !ok {
@@ -210,7 +191,7 @@ func NewIndex(rs []rules.Rule, opt Options) *Index {
 		next[id] = none
 		nCons += len(all[id].Consequent)
 		number(all[id].Consequent)
-		s := int((hashItems(opt.HashSeed, ant) >> 32) * uint64(len(slots)) >> 32)
+		s := int((hashItems(ant) >> 32) * uint64(len(slots)) >> 32)
 		for ; ; s++ {
 			if s == len(slots) {
 				s = 0
@@ -229,14 +210,13 @@ func NewIndex(rs []rules.Rule, opt Options) *Index {
 		slots[s] = int32(id)
 	}
 
-	// Order the groups by (shard, first item, best id) with a counting sort
-	// of the heads, which are in best-id order already: shard si's groups
-	// starting at item d become the contiguous run off[d]..off[d+1] of group
-	// numbers.  A shard has one more bucket than the dictionary has items,
-	// for a group with an empty antecedent: it fires for no basket (rule
-	// generation never emits one) but still counts as the shard's.
-	buckets := len(ix.dict) + 1
-	off := make([]int32, opt.Shards*buckets+1)
+	// Order the groups by (first item, best id) with a counting sort of the
+	// heads, which are in best-id order already: the groups starting at item
+	// d become the contiguous run off[d]..off[d+1] of group numbers.  There
+	// is one more bucket than the dictionary has items, for a group with an
+	// empty antecedent: it fires for no basket (rule generation never emits
+	// one), but its rules are still laid out.
+	off := make([]int32, len(ix.dict)+2)
 	bucketOf := slots[:len(heads)] // the table is dead; its memory is not
 	for g, head := range heads {
 		ant := all[head].Antecedent
@@ -244,7 +224,6 @@ func NewIndex(rs []rules.Rule, opt Options) *Index {
 		if len(ant) > 0 {
 			b = ix.dict[ant[0]]
 		}
-		b += int32(hashItems(opt.HashSeed, ant)%uint64(opt.Shards)) * int32(buckets)
 		bucketOf[g] = b
 		off[b+1]++
 	}
@@ -258,9 +237,7 @@ func NewIndex(rs []rules.Rule, opt Options) *Index {
 	}
 	copy(off[1:], off)
 	off[0] = 0
-	for si := range ix.shards {
-		ix.shards[si].off = off[si*buckets : (si+1)*buckets+1]
-	}
+	ix.off = off
 
 	// Pass 2: lay every group out in that order, so a scan of one posting
 	// list reads groups, ants, ids and cons front to back.
@@ -289,18 +266,6 @@ func NewIndex(rs []rules.Rule, opt Options) *Index {
 
 // NumRules returns the number of rules in the index.
 func (ix *Index) NumRules() int { return len(ix.rules) }
-
-// NumShards returns the shard count the index was built with.
-func (ix *Index) NumShards() int { return len(ix.shards) }
-
-// ShardRuleCounts returns the number of rules on each shard.
-func (ix *Index) ShardRuleCounts() []int {
-	out := make([]int, len(ix.shards))
-	for i, sh := range ix.shards {
-		out[i] = int(ix.groups[sh.off[len(sh.off)-1]].lo - ix.groups[sh.off[0]].lo)
-	}
-	return out
-}
 
 // All returns every rule in serving-rank order.  It is the index's own
 // storage; callers must not modify it.
@@ -405,39 +370,37 @@ func siftDown(h []int32, i int) {
 	}
 }
 
-// query offers to t every rule of the shard that fires for the basket and
-// can still reach the top k: the antecedent is contained in the basket and
-// the consequent recommends at least one item the basket does not already
-// hold.  For each basket item the inverted index yields the groups whose
-// antecedent *starts* there, so a group is tested once and only when its
-// cheapest necessary condition holds.  Both loops stop early, exactly: a
-// run of groups ascends by best id and a group's ids ascend, so past the
+// scan offers to t every rule in basket item d's posting run that fires for
+// the basket and can still reach the top k: the antecedent is contained in
+// the basket and the consequent recommends at least one item the basket
+// does not already hold.  The run holds the groups whose antecedent
+// *starts* at d, so over the basket's items a group is tested once and
+// only when its cheapest necessary condition holds.  Both loops stop early,
+// exactly: a run ascends by best id and a group's ids ascend, so past the
 // first id above t.limit — which only falls — nothing can enter.
 //
 //checkinv:hotpath
-func (sh *shard) query(ix *Index, b basketBits, t *topK) {
-	for _, d := range b.items {
-	nextGroup:
-		for g := sh.off[d]; g < sh.off[d+1]; g++ {
-			from, to := ix.groups[g], ix.groups[g+1]
-			if ix.ids[from.lo] > t.limit {
+func (ix *Index) scan(d int32, b basketBits, t *topK) {
+nextGroup:
+	for g := ix.off[d]; g < ix.off[d+1]; g++ {
+		from, to := ix.groups[g], ix.groups[g+1]
+		if ix.ids[from.lo] > t.limit {
+			return
+		}
+		for _, a := range ix.ants[from.ant+1 : to.ant] {
+			if !b.has(a) {
+				continue nextGroup
+			}
+		}
+	nextRule:
+		for p := from.lo; p < to.lo; p++ {
+			if ix.ids[p] > t.limit {
 				break
 			}
-			for _, a := range ix.ants[from.ant+1 : to.ant] {
-				if !b.has(a) {
-					continue nextGroup
-				}
-			}
-		nextRule:
-			for p := from.lo; p < to.lo; p++ {
-				if ix.ids[p] > t.limit {
-					break
-				}
-				for _, c := range ix.cons[ix.consOff[p]:ix.consOff[p+1]] {
-					if !b.has(c) {
-						t.push(ix.ids[p])
-						continue nextRule
-					}
+			for _, c := range ix.cons[ix.consOff[p]:ix.consOff[p+1]] {
+				if !b.has(c) {
+					t.push(ix.ids[p])
+					continue nextRule
 				}
 			}
 		}
@@ -477,8 +440,8 @@ func (ix *Index) Recommend(basket itemset.Itemset, k int) []rules.Rule {
 	)
 	b := ix.mark(basket, items[:0], bits[:])
 	t := newTopK(heap[:], k)
-	for si := range ix.shards {
-		ix.shards[si].query(ix, b, &t)
+	for _, d := range b.items {
+		ix.scan(d, b, &t)
 	}
 	return ix.rank(t.ids, k)
 }
@@ -500,13 +463,13 @@ func RankTruncate(matches []rules.Rule, k int) []rules.Rule {
 	return matches
 }
 
-// hashItems hashes an antecedent for shard placement with a splitmix64
-// absorb-per-byte construction over its canonical key (itemset.Key: four
-// big-endian bytes an item) — deterministic for a given seed, and reseedable
-// per deployment without touching query results (shard placement never
-// affects ranking).
-func hashItems(seed uint64, s itemset.Itemset) uint64 {
-	h := seed
+// hashItems hashes an antecedent for the build's chaining table with a
+// splitmix64 absorb-per-byte construction over its canonical key
+// (itemset.Key: four big-endian bytes an item).  The seed is the one the
+// index's retired shard placement defaulted to, so the table probes as it
+// did then.
+func hashItems(s itemset.Itemset) uint64 {
+	h := uint64(0x5ca1ab1e0ddba11)
 	for _, it := range s {
 		for shift := 24; shift >= 0; shift -= 8 {
 			h = splitmix64(h ^ uint64(byte(uint32(it)>>shift)))

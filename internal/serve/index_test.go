@@ -185,7 +185,7 @@ func oracleCases() []oracleCase {
 	cases = append(cases, oracleCase{"duplicates", dup, baskets(600, 25, same)})
 
 	// One basket firing 1192 rules, its subsets, and baskets holding items
-	// no rule mentions (or nothing else).
+	// no rule mentions (or nothing else, or one item the rules do mention).
 	heavy, heavyBasket := heavyRules()
 	cases = append(cases, oracleCase{"heavy", heavy, []itemset.Itemset{
 		heavyBasket,
@@ -194,6 +194,8 @@ func oracleCases() []oracleCase {
 		itemset.New(append(heavyBasket.Clone(), 100, 101, 102)...), // one consequent left to recommend
 		itemset.New(append(heavyBasket.Clone(), 100, 101, 102, 103)...),
 		itemset.New(-5, 50, 9999),
+		itemset.New(4),
+		itemset.New(4, -5, 9999),
 		{},
 	}})
 	return cases
@@ -202,49 +204,42 @@ func oracleCases() []oracleCase {
 // TestRecommendMatchesOracle drives rule sets and baskets chosen to reach
 // every corner of the id scan — sparse and negative item ids, full rank
 // ties, duplicate rules, a basket firing more rules than any heap holds,
-// basket items the index has never seen — through the bare index, the
-// inline server and the pooled server, across shard counts and K values,
-// and checks each answer equal to the brute-force oracle's.
+// basket items the index has never seen — through the inline path
+// (Workers 0 is Index.Recommend) and the pool's per-item fan-out, its
+// one-item inline fallback and its merge (Workers 1 and 3, over baskets
+// with none, one and many items the index knows), across K values, and
+// checks each answer equal to the brute-force oracle's.
 func TestRecommendMatchesOracle(t *testing.T) {
 	const maxK = 100
 	for _, c := range oracleCases() {
-		for _, shards := range []int{1, 3, 8, 64} {
-			ix := NewIndex(c.rules, Options{Shards: shards})
-			inline := NewServer(Options{Shards: shards, CacheSize: -1, MaxK: maxK})
-			pooled := NewServer(Options{Shards: shards, CacheSize: -1, MaxK: maxK, Workers: 3})
-			inline.Publish(ix)
-			pooled.Publish(ix)
+		ix := NewIndex(c.rules, Options{})
+		for _, workers := range []int{0, 1, 3} {
+			s := NewServer(Options{Workers: workers, CacheSize: -1, MaxK: maxK})
+			s.Publish(ix)
 			for _, basket := range c.baskets {
 				for _, k := range []int{-1, 0, 1, 10, maxK, 5000} {
-					where := fmt.Sprintf("%s shards %d basket %v k %d", c.name, shards, basket, k)
-					if got, want := ix.Recommend(basket, k), oracle(c.rules, basket, k); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: index\n got %v\nwant %v", where, got, want)
-					}
-					// The pool's merge under the raw k, which Recommend below
+					where := fmt.Sprintf("%s workers %d basket %v k %d", c.name, workers, basket, k)
+					// The miss path under the raw k, which Recommend below
 					// never hands it: k <= 0 must mean there what it means
 					// to the index.
-					if got, want := pooled.query(ix, basket, k), oracle(c.rules, basket, k); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: pooled query\n got %v\nwant %v", where, got, want)
+					if got, want := s.query(ix, basket, k), oracle(c.rules, basket, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: query\n got %v\nwant %v", where, got, want)
 					}
 					// The server reads k <= 0 as DefaultK and caps it at MaxK.
 					served := k
 					if served <= 0 {
 						served = DefaultK
 					}
-					want := oracle(c.rules, basket, min(served, maxK))
-					for name, s := range map[string]*Server{"inline": inline, "pooled": pooled} {
-						got, err := s.Recommend(basket, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: %s server\n got %v\nwant %v", where, name, got, want)
-						}
+					got, err := s.Recommend(basket, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := oracle(c.rules, basket, min(served, maxK)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: server\n got %v\nwant %v", where, got, want)
 					}
 				}
 			}
-			inline.Close()
-			pooled.Close()
+			s.Close()
 		}
 	}
 }
@@ -269,7 +264,9 @@ func FuzzRecommendMatchesOracle(f *testing.F) {
 		}
 	}
 	sort.Slice(universe, func(i, j int) bool { return universe[i] < universe[j] })
-	ix := NewIndex(rs, Options{Shards: 3})
+	ix := NewIndex(rs, Options{})
+	pooled := NewServer(Options{Workers: 3})
+	f.Cleanup(pooled.Close)
 
 	pick := func(basket itemset.Itemset) []byte {
 		var raw []byte
@@ -290,8 +287,12 @@ func FuzzRecommendMatchesOracle(f *testing.F) {
 			items = append(items, universe[(int(raw[i])<<8|int(raw[i+1]))%len(universe)])
 		}
 		basket := itemset.New(items...)
-		if got, want := ix.Recommend(basket, k), oracle(rs, basket, k); !reflect.DeepEqual(got, want) {
+		want := oracle(rs, basket, k)
+		if got := ix.Recommend(basket, k); !reflect.DeepEqual(got, want) {
 			t.Fatalf("basket %v k %d:\n got %v\nwant %v", basket, k, got, want)
+		}
+		if got := pooled.query(ix, basket, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("basket %v k %d: pooled\n got %v\nwant %v", basket, k, got, want)
 		}
 	})
 }
@@ -339,7 +340,7 @@ func TestIndexStoresRulesOnce(t *testing.T) {
 	rs := synthRules(100_000, 2_000, 42) // BenchmarkRecommend's rule set
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ix := NewIndex(rs, Options{Shards: 8})
+	ix := NewIndex(rs, Options{})
 	runtime.ReadMemStats(&after)
 	built := after.TotalAlloc - before.TotalAlloc
 	if budget := 2 * uint64(len(rs)) * uint64(unsafe.Sizeof(rules.Rule{})); built >= budget {
@@ -381,7 +382,7 @@ func TestRecommendMatchesOracleOnMinedRules(t *testing.T) {
 	if len(rs) == 0 {
 		t.Fatal("no rules mined; workload too sparse for the test")
 	}
-	ix := NewIndex(rs, Options{Shards: 4})
+	ix := NewIndex(rs, Options{})
 	for q := 0; q < 80; q++ {
 		basket := randomBasket(rng, 12, 5)
 		got := ix.Recommend(basket, 10)
@@ -400,10 +401,13 @@ func TestIndexBuildDeterministic(t *testing.T) {
 	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	a := NewIndex(rs, Options{Shards: 5})
-	b := NewIndex(shuffled, Options{Shards: 5})
-	if !reflect.DeepEqual(a.ShardRuleCounts(), b.ShardRuleCounts()) {
-		t.Fatalf("shard layout depends on input order: %v vs %v", a.ShardRuleCounts(), b.ShardRuleCounts())
+	a := NewIndex(rs, Options{})
+	b := NewIndex(shuffled, Options{})
+	layout := func(ix *Index) []any {
+		return []any{ix.dict, ix.off, ix.groups, ix.ants, ix.ids, ix.consOff, ix.cons}
+	}
+	if !reflect.DeepEqual(layout(a), layout(b)) {
+		t.Fatal("posting layout depends on input order")
 	}
 	rng := rand.New(rand.NewSource(5))
 	for q := 0; q < 40; q++ {
@@ -419,23 +423,26 @@ func TestIndexBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestIndexAccounting checks NumRules/ShardRuleCounts/All agree and that
-// every rule landed on exactly one shard.
+// TestIndexAccounting checks NumRules and All agree and that every rule is
+// laid out exactly once, in a group some posting run reaches.
 func TestIndexAccounting(t *testing.T) {
 	rs := synthRules(250, 40, 9)
-	ix := NewIndex(rs, Options{Shards: 6})
+	ix := NewIndex(rs, Options{})
 	if ix.NumRules() != len(rs) {
 		t.Fatalf("NumRules = %d, want %d", ix.NumRules(), len(rs))
 	}
-	if ix.NumShards() != 6 {
-		t.Fatalf("NumShards = %d, want 6", ix.NumShards())
+	if runs, groups := ix.off[len(ix.off)-1], int32(len(ix.groups)-1); ix.off[0] != 0 || runs != groups {
+		t.Fatalf("posting runs cover groups %d..%d, want 0..%d", ix.off[0], runs, groups)
 	}
-	total := 0
-	for _, c := range ix.ShardRuleCounts() {
-		total += c
+	seen := make([]bool, len(rs))
+	for _, id := range ix.ids {
+		if seen[id] {
+			t.Fatalf("rule %d laid out twice", id)
+		}
+		seen[id] = true
 	}
-	if total != len(rs) {
-		t.Fatalf("shard counts sum to %d, want %d", total, len(rs))
+	if len(ix.ids) != len(rs) {
+		t.Fatalf("%d rules laid out, want %d", len(ix.ids), len(rs))
 	}
 	if got := len(ix.All()); got != len(rs) {
 		t.Fatalf("All() has %d rules, want %d", got, len(rs))

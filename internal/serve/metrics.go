@@ -160,7 +160,6 @@ type Metrics struct {
 	SnapshotGeneration uint64  `json:"snapshot_generation"`
 	Reloads            int64   `json:"reloads"`
 	NumRules           int     `json:"num_rules"`
-	ShardRules         []int   `json:"shard_rules"`
 	// Exemplars are the latency histogram's per-bucket slowest recent
 	// requests; each SpanID resolves in the /debug/flight ring.
 	Exemplars []Exemplar `json:"exemplars,omitempty"`
@@ -189,7 +188,6 @@ func (s *Server) Metrics() Metrics {
 	if snap := s.snap.Load(); snap != nil {
 		m.SnapshotGeneration = snap.gen
 		m.NumRules = snap.idx.NumRules()
-		m.ShardRules = snap.idx.ShardRuleCounts()
 	}
 	return m
 }
@@ -205,9 +203,6 @@ func (s *Server) WriteProm(w *obsv.PromWriter) {
 	w.Counter("parapriori_reloads_total", "Snapshot publishes since start.", float64(m.Reloads))
 	w.Gauge("parapriori_snapshot_generation", "Generation of the currently served snapshot (0 before the first publish).", float64(m.SnapshotGeneration))
 	w.Gauge("parapriori_rules", "Rules in the currently served index.", float64(m.NumRules))
-	for i, n := range m.ShardRules {
-		w.Gauge("parapriori_shard_rules", "Rules per index shard.", float64(n), obsv.Int("shard", int64(i)))
-	}
 	w.Histogram("parapriori_query_latency_seconds", "Query latency (power-of-two buckets).",
 		s.met.latency.UppersSeconds(), s.met.latency.Counts(), s.met.latency.SumSeconds())
 }

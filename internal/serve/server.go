@@ -59,7 +59,7 @@ func NewServer(opt Options) *Server {
 	s.met.start = time.Now()
 	if opt.Workers > 0 {
 		// The pool is real serving concurrency, deliberately outside the
-		// simulation's comm layer: queries fan per-shard scans out to a
+		// simulation's comm layer: queries fan per-item scans out to a
 		// fixed set of workers so one slow scan cannot pile goroutines up.
 		s.tasks = make(chan func(), 4*opt.Workers) //checkinv:allow rawchan — serving worker pool, not simulation traffic
 		for i := 0; i < opt.Workers; i++ {
@@ -246,25 +246,31 @@ func (s *Server) RecommendTraced(basket []itemset.Item, k int, link string) ([]r
 }
 
 // query answers a cache miss: Index.Recommend inline, or — with a worker
-// pool — one top-k scan per shard fanned out across it and merged.  Rule
-// ids are ranks, so sorting the shards' ids is the whole merge and
-// scheduling can reorder the scans without ever reordering the answer.
+// pool — one top-k scan per known basket item fanned out across it and
+// merged (a basket with at most one known item has nothing to fan out and
+// scans inline).  A group is reachable from exactly one item, so the scans
+// keep disjoint id sets; ids are ranks, so sorting them together is the
+// whole merge and scheduling can reorder the scans without ever reordering
+// the answer.
 //
 //checkinv:hotpath
 func (s *Server) query(ix *Index, basket itemset.Itemset, k int) []rules.Rule {
-	if s.tasks == nil || len(ix.shards) == 1 {
+	if s.tasks == nil {
 		return ix.Recommend(basket, k)
 	}
 	b := ix.mark(basket, nil, nil) // read by every worker, so on the heap
-	per := make([]topK, len(ix.shards))
+	per := make([]topK, len(b.items))
 	var wg sync.WaitGroup
-	for si := range ix.shards {
-		si := si
+	for i, d := range b.items {
+		per[i] = newTopK(nil, k)
+		if len(per) == 1 {
+			ix.scan(d, b, &per[i])
+			break
+		}
 		wg.Add(1)
-		s.tasks <- func() { //checkinv:allow rawchan,hotalloc — fan one query's shard scans out to the pool; one closure per shard is the fan-out itself
+		s.tasks <- func() { //checkinv:allow rawchan,hotalloc — fan one query's per-item scans out to the pool; one closure per item is the fan-out itself
 			defer wg.Done()
-			per[si] = newTopK(nil, k)
-			ix.shards[si].query(ix, b, &per[si])
+			ix.scan(d, b, &per[i])
 		}
 	}
 	wg.Wait()

@@ -26,9 +26,9 @@ func TestRecommendBeforePublish(t *testing.T) {
 // return exactly what the bare index returns, on hits and on misses.
 func TestServerMatchesIndex(t *testing.T) {
 	rs := synthRules(500, 30, 21)
-	ix := NewIndex(rs, Options{Shards: 4})
+	ix := NewIndex(rs, Options{})
 	for _, workers := range []int{0, 3} {
-		s := NewServer(Options{Shards: 4, Workers: workers, CacheSize: 64})
+		s := NewServer(Options{Workers: workers, CacheSize: 64})
 		s.Publish(ix)
 		rng := rand.New(rand.NewSource(33))
 		for q := 0; q < 60; q++ {
@@ -54,9 +54,9 @@ func TestServerMatchesIndex(t *testing.T) {
 // ranked results, across repeated calls and pooled vs inline execution.
 func TestRecommendDeterministic(t *testing.T) {
 	rs := synthRules(800, 25, 13)
-	ix := NewIndex(rs, Options{Shards: 8})
-	inline := NewServer(Options{Shards: 8, CacheSize: -1})
-	pooled := NewServer(Options{Shards: 8, Workers: 4, CacheSize: -1})
+	ix := NewIndex(rs, Options{})
+	inline := NewServer(Options{CacheSize: -1})
+	pooled := NewServer(Options{Workers: 4, CacheSize: -1})
 	defer inline.Close()
 	defer pooled.Close()
 	inline.Publish(ix)
@@ -80,9 +80,9 @@ func TestRecommendDeterministic(t *testing.T) {
 }
 
 func TestCacheHitCounting(t *testing.T) {
-	s := NewServer(Options{Shards: 2, CacheSize: 16})
+	s := NewServer(Options{CacheSize: 16})
 	defer s.Close()
-	s.Publish(NewIndex(synthRules(100, 10, 3), Options{Shards: 2}))
+	s.Publish(NewIndex(synthRules(100, 10, 3), Options{}))
 	basket := []itemset.Item{1, 2, 3}
 	if _, err := s.Recommend(basket, 5); err != nil {
 		t.Fatal(err)
@@ -118,9 +118,9 @@ func TestCacheInvalidatedOnSwap(t *testing.T) {
 			Antecedent: itemset.New(1),
 			Consequent: itemset.New(cons),
 			Support:    0.5, Confidence: 0.9, Lift: 1.5,
-		}}, Options{Shards: 2})
+		}}, Options{})
 	}
-	s := NewServer(Options{Shards: 2, CacheSize: 16})
+	s := NewServer(Options{CacheSize: 16})
 	defer s.Close()
 	s.Publish(mk(7))
 	basket := []itemset.Item{1}
@@ -195,9 +195,9 @@ func TestLRUDisabled(t *testing.T) {
 // TestResultAliasing: mutating a returned recommendation must not corrupt
 // the cache's copy.
 func TestResultAliasing(t *testing.T) {
-	s := NewServer(Options{Shards: 2, CacheSize: 8})
+	s := NewServer(Options{CacheSize: 8})
 	defer s.Close()
-	s.Publish(NewIndex(synthRules(50, 8, 5), Options{Shards: 2}))
+	s.Publish(NewIndex(synthRules(50, 8, 5), Options{}))
 	basket := []itemset.Item{1, 2, 3, 4}
 	a, err := s.Recommend(basket, 5)
 	if err != nil || len(a) == 0 {
@@ -216,9 +216,9 @@ func TestResultAliasing(t *testing.T) {
 
 func TestKDefaultsAndCap(t *testing.T) {
 	rs := synthRules(300, 8, 17) // few items → broad baskets match many rules
-	s := NewServer(Options{Shards: 2, MaxK: 7, CacheSize: -1})
+	s := NewServer(Options{MaxK: 7, CacheSize: -1})
 	defer s.Close()
-	s.Publish(NewIndex(rs, Options{Shards: 2}))
+	s.Publish(NewIndex(rs, Options{}))
 	basket := []itemset.Item{0, 1, 2, 3, 4, 5, 6, 7}
 	got, err := s.Recommend(basket, 1000)
 	if err != nil {

@@ -549,14 +549,14 @@ func MachineByName(name string) (MachinePreset, bool) { return cluster.ByName(na
 //	recs, _ := srv.Recommend([]parapriori.Item{3, 4}, 10)
 //	http.ListenAndServe(":8080", srv.Handler(nil))
 //
-// ServeOptions configures the rule index and server (shards, worker pool,
-// cache size, placement seed, K cap).  It is a defined type (not an alias)
+// ServeOptions configures the server (worker pool, cache size, K cap, span
+// recorder); the rule index takes no options.  It is a defined type (not an alias)
 // so it can carry Validate; zero fields select defaults throughout.
 type ServeOptions serve.Options
 
 type (
-	// RuleIndex is an immutable sharded index over a rule set, answering
-	// basket queries without scanning every rule.
+	// RuleIndex is an immutable index over a rule set, answering basket
+	// queries without scanning every rule.
 	RuleIndex = serve.Index
 	// Server serves basket recommendations from an atomically hot-swappable
 	// RuleIndex snapshot with a per-snapshot query cache.
@@ -569,7 +569,7 @@ type (
 // ErrNoSnapshot is returned by Server.Recommend before the first Publish.
 var ErrNoSnapshot = serve.ErrNoSnapshot
 
-// BuildIndex builds an immutable sharded index over rules (as produced by
+// BuildIndex builds an immutable index over rules (as produced by
 // GenerateRules or GenerateRulesOn).
 func BuildIndex(rs []Rule, o ServeOptions) *RuleIndex { return serve.NewIndex(rs, serve.Options(o)) }
 

@@ -159,9 +159,6 @@ func (o RuleGenOptions) Validate() error {
 // throughout and are always valid; only contradictions are errors.
 func (o ServeOptions) Validate() error {
 	const strct = "ServeOptions"
-	if o.Shards < 0 {
-		return optErr(strct, "Shards", "negative (%d)", o.Shards)
-	}
 	if o.Workers < 0 {
 		return optErr(strct, "Workers", "negative (%d); zero means inline execution", o.Workers)
 	}
