@@ -3,6 +3,7 @@ package countengine
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"parapriori/internal/itemset"
 )
@@ -23,6 +24,12 @@ import (
 //   - Prepared (the serial miner): the builder indexes the whole dataset
 //     once up front (DatasetPreparer), and every pass reuses the index,
 //     skipping the per-pass re-scan entirely.
+//
+// What is charged is the column-per-item algorithm: a column is as long as
+// its last set bit needs, an intersection runs to the shortest column of the
+// candidate, k words per step.  What runs is one paged layout (vertical)
+// whose host work is smaller; every counter and MemoryBytes are the column
+// model's, computed from the logical column lengths.
 
 func init() {
 	Register("bitset", func(cfg Config) Builder { return &bitsetBuilder{cfg: cfg} })
@@ -34,42 +41,137 @@ type bitsetBuilder struct {
 	// Prepare.  Written once before mining starts (the serial miner's
 	// single goroutine); the parallel grid never calls Prepare and its
 	// SPMD goroutines only read the nil.
-	prepared *verticalIndex
+	prepared *vertical
 }
 
 func (b *bitsetBuilder) Name() string { return "bitset" }
 
-// verticalIndex holds one TID bitmap per original item.
-type verticalIndex struct {
-	cols [][]uint64
-	n    int
+const (
+	pageWords = 64              // words per column page
+	rowShift  = 12              // log2 of the transactions a page covers (64 × 64)
+	rowMask   = 1<<rowShift - 1 // a transaction's bit offset inside its page
+)
+
+// page is one column's bits for 4 096 consecutive transactions.
+type page [pageWords]uint64
+
+// row is page r of every column side by side: column c's page is row[c].
+type row []page
+
+// rowPool recycles streaming engines' rows across passes and ranks.  A row
+// is cleared when taken, never when returned.
+var rowPool sync.Pool // of *row
+
+func takeRow(width int) *row {
+	if r, ok := rowPool.Get().(*row); ok && cap(*r) >= width {
+		*r = (*r)[:width]
+		clear(*r)
+		return r
+	}
+	r := make(row, width)
+	return &r
 }
 
-func (ix *verticalIndex) add(items itemset.Itemset) {
-	tid := ix.n
-	ix.n++
-	w, bit := tid>>6, uint64(1)<<(tid&63)
-	for _, it := range items {
-		for int(it) >= len(ix.cols) {
-			ix.cols = append(ix.cols, nil)
-		}
-		col := ix.cols[it]
-		for len(col) <= w {
-			col = append(col, 0)
-		}
-		col[w] |= bit
-		ix.cols[it] = col
+// vertical is the TID-bitmap index of both modes.  Every item maps to a
+// column; an item in no candidate (streaming), or at or beyond the span,
+// maps to the extra sink column, so setting a bit never branches on the
+// item.  In prepared mode the span covers every item the dataset holds, so
+// the sink stays empty and doubles as the all-zero column.
+type vertical struct {
+	remap []int32 // item → column
+	sink  int32   // the sink's column index: the number of real columns
+	rows  []*row  // a row is allocated when a transaction first reaches it
+	n     int     // transactions added
+	// words, once set, is each column's logical length (see columnWords);
+	// it outlives the rows, which a streaming engine releases in Counts.
+	words []int
+}
+
+// column returns the column an item's bits live in.
+func (v *vertical) column(it itemset.Item) int32 {
+	if uint(it) < uint(len(v.remap)) {
+		return v.remap[it]
 	}
+	return v.sink
+}
+
+// add appends the transactions, one TID each, and returns the items it
+// touched.  This is the one bit-setting loop of both modes.
+//
+//checkinv:hotpath
+func (v *vertical) add(txns []itemset.Transaction) (touched int64) {
+	remap, sink := v.remap, v.sink
+	for i := range txns {
+		tid := v.n
+		v.n++
+		r := tid >> rowShift
+		if r == len(v.rows) {
+			v.rows = append(v.rows, takeRow(int(sink)+1))
+		}
+		pages := *v.rows[r]
+		w, bit := (tid&rowMask)>>6, uint64(1)<<(tid&63)
+		items := txns[i].Items
+		touched += int64(len(items))
+		for _, it := range items {
+			c := sink // v.column, spelled out so the table stays in registers
+			if uint(it) < uint(len(remap)) {
+				c = remap[it]
+			}
+			pages[c][w] |= bit
+		}
+	}
+	return touched
+}
+
+// columnWords returns each column's logical length in words: one past its
+// last non-zero word, exactly the length a column grown one word at a time
+// to hold its last set bit reaches.
+func (v *vertical) columnWords() []int {
+	if v.words != nil {
+		return v.words
+	}
+	words := make([]int, int(v.sink)+1)
+	for c := range words {
+	rows:
+		for r := len(v.rows) - 1; r >= 0; r-- {
+			p := &(*v.rows[r])[c]
+			for w := pageWords - 1; w >= 0; w-- {
+				if p[w] != 0 {
+					words[c] = r*pageWords + w + 1
+					break rows
+				}
+			}
+		}
+	}
+	return words
+}
+
+// release fixes the column lengths at words and hands the rows back to the
+// pool.
+func (v *vertical) release(words []int) {
+	v.words = words
+	for _, r := range v.rows {
+		rowPool.Put(r)
+	}
+	v.rows = nil
 }
 
 // Prepare indexes the dataset once; subsequent NewPass engines count
 // against it.  See DatasetPreparer for the streaming contract.
 func (b *bitsetBuilder) Prepare(data *itemset.Dataset) {
-	ix := &verticalIndex{cols: make([][]uint64, data.NumItems)}
+	span := data.NumItems
 	for i := range data.Transactions {
-		ix.add(data.Transactions[i].Items)
+		for _, it := range data.Transactions[i].Items {
+			span = max(span, int(it)+1)
+		}
 	}
-	b.prepared = ix
+	v := &vertical{remap: make([]int32, span), sink: int32(span)}
+	for i := range v.remap {
+		v.remap[i] = int32(i)
+	}
+	v.add(data.Transactions)
+	v.words = v.columnWords()
+	b.prepared = v
 }
 
 func (b *bitsetBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) {
@@ -81,157 +183,95 @@ func (b *bitsetBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) 
 			return nil, fmt.Errorf("countengine: bitset candidate %v is not sorted", c)
 		}
 	}
-	e := &bitsetEngine{
-		k:       k,
-		cands:   cands,
-		counts:  make([]int64, len(cands)),
-		colRefs: make([][]uint64, 0, k),
-	}
-	if b.prepared != nil {
-		e.prepared = b.prepared
-		return e, nil
-	}
-	// Streaming mode: bitmap columns only for the items the candidates
-	// actually contain.
-	span := b.cfg.NumItems
-	for _, c := range cands {
-		if len(c) > 0 && int(c[k-1])+1 > span {
-			span = int(c[k-1]) + 1
+	e := &bitsetEngine{k: k, counts: make([]int64, len(cands)), ix: b.prepared}
+	if e.ix == nil {
+		// Streaming mode: columns only for the items the candidates
+		// actually contain, numbered in order of first appearance.
+		span := b.cfg.NumItems
+		for _, c := range cands {
+			if len(c) > 0 && int(c[k-1])+1 > span {
+				span = int(c[k-1]) + 1
+			}
 		}
+		v := &vertical{remap: make([]int32, span)}
+		for i := range v.remap {
+			v.remap[i] = -1
+		}
+		for _, c := range cands {
+			for _, it := range c {
+				if v.remap[it] < 0 {
+					v.remap[it] = v.sink
+					v.sink++
+					e.stats.BuildOps++
+				}
+			}
+		}
+		for i, c := range v.remap {
+			if c < 0 {
+				v.remap[i] = v.sink
+			}
+		}
+		e.ix, e.streaming = v, true
 	}
-	e.remap = make([]int32, span)
-	for i := range e.remap {
-		e.remap[i] = -1
-	}
+	e.cols = make([]int32, 0, k*len(cands))
 	for _, c := range cands {
 		for _, it := range c {
-			if e.remap[it] < 0 {
-				e.remap[it] = int32(len(e.cols))
-				e.cols = append(e.cols, nil)
-				e.stats.BuildOps++
-			}
+			e.cols = append(e.cols, e.ix.column(it))
 		}
 	}
 	return e, nil
 }
 
 type bitsetEngine struct {
-	k     int
-	cands []itemset.Itemset
-	// prepared, when non-nil, is the shared whole-dataset index; otherwise
-	// the engine streams into its own columns.
-	prepared *verticalIndex
-	remap    []int32
-	cols     [][]uint64
-	n        int
-	counts   []int64
-	counted  bool
-	colRefs  [][]uint64
-	stats    Stats
+	k int
+	// ix is the engine's own index (streaming) or the builder's shared,
+	// read-only one (prepared).
+	ix        *vertical
+	streaming bool
+	cols      []int32 // candidate i's columns are cols[i*k : i*k+k]
+	counts    []int64
+	counted   bool
+	stats     Stats
 }
 
-func (e *bitsetEngine) Len() int { return len(e.cands) }
+func (e *bitsetEngine) Len() int { return len(e.counts) }
 
 // CountBlock appends the block to the vertical index (a no-op beyond
 // bookkeeping in prepared mode); the actual counting is deferred to Counts,
 // one intersection per candidate.
-//
-//checkinv:hotpath
 func (e *bitsetEngine) CountBlock(txns []itemset.Transaction, rootFilter func(itemset.Item) bool) {
 	// rootFilter is ignored: it only ever excludes candidates outside this
 	// engine's own candidate set (the grid builds per-row engines over the
 	// filtered share), so intersection counts are unaffected.
-	if e.prepared != nil {
-		e.stats.Transactions += int64(len(txns))
-		return
+	e.stats.Transactions += int64(len(txns))
+	if e.streaming {
+		e.stats.ItemTouches += e.ix.add(txns)
 	}
-	for i := range txns {
-		items := txns[i].Items
-		e.stats.Transactions++
-		e.stats.ItemTouches += int64(len(items))
-		tid := e.n
-		e.n++
-		w, bit := tid>>6, uint64(1)<<(tid&63)
-		for _, it := range items {
-			if int(it) >= len(e.remap) {
-				continue
-			}
-			di := e.remap[it]
-			if di < 0 {
-				continue
-			}
-			col := e.cols[di]
-			if w >= len(col) {
-				col = growColumn(col, w)
-				e.cols[di] = col
-			}
-			col[w] |= bit
-		}
-	}
-}
-
-// growColumn extends col with zero words to length w+1 — the same logical
-// length the per-item loop used to reach, so MemoryBytes and WordOps are
-// unchanged.  A column grows once per 64 transactions at most, so this stays
-// out of line and off the per-item path.
-//
-//go:noinline
-func growColumn(col []uint64, w int) []uint64 {
-	for len(col) <= w {
-		col = append(col, 0)
-	}
-	return col
-}
-
-// column returns the TID bitmap of an original item (nil when the item was
-// never streamed).
-func (e *bitsetEngine) column(it itemset.Item) []uint64 {
-	if e.prepared != nil {
-		if int(it) < len(e.prepared.cols) {
-			return e.prepared.cols[it]
-		}
-		return nil
-	}
-	if int(it) < len(e.remap) {
-		if di := e.remap[it]; di >= 0 {
-			return e.cols[di]
-		}
-	}
-	return nil
 }
 
 // Counts intersects each candidate's item bitmaps.  The work happens here,
 // not in CountBlock; callers snapshot Stats around the call to charge it.
+// The charge is k words per step up to the candidate's shortest column; the
+// host walks the rows once, every candidate's pages per row.
 //
 //checkinv:hotpath
 func (e *bitsetEngine) Counts() []int64 {
 	if !e.counted {
 		e.counted = true
-		for ci := range e.cands {
-			refs := e.colRefs[:0]
-			nw := -1
-			for _, it := range e.cands[ci] {
-				col := e.column(it)
-				if nw < 0 || len(col) < nw {
-					nw = len(col)
-				}
-				refs = append(refs, col)
+		k, words := e.k, e.ix.columnWords()
+		for i := 0; k > 0 && i < len(e.counts); i++ {
+			cols := e.cols[i*k : i*k+k]
+			nw := words[cols[0]]
+			for _, c := range cols[1:] {
+				nw = min(nw, words[c])
 			}
-			e.colRefs = refs
-			if len(refs) == 0 || nw <= 0 {
-				continue
-			}
-			first := refs[0]
-			var cnt int64
-			for w := 0; w < nw; w++ {
-				v := first[w]
-				for j := 1; j < len(refs); j++ {
-					v &= refs[j][w]
-				}
-				cnt += int64(bits.OnesCount64(v))
-			}
-			e.stats.WordOps += int64(nw * len(refs))
-			e.counts[ci] = cnt
+			e.stats.WordOps += int64(nw * k)
+		}
+		for _, r := range e.ix.rows {
+			intersect(e.counts, *r, e.cols, k)
+		}
+		if e.streaming {
+			e.ix.release(words)
 		}
 	}
 	out := make([]int64, len(e.counts))
@@ -239,16 +279,84 @@ func (e *bitsetEngine) Counts() []int64 {
 	return out
 }
 
+// intersect adds one row's share of every candidate's support.
+//
+//checkinv:hotpath
+func intersect(counts []int64, pages row, cols []int32, k int) {
+	switch k {
+	case 0:
+	case 1:
+		for i := range counts {
+			counts[i] += popcount1(&pages[cols[i]])
+		}
+	case 2:
+		for i := range counts {
+			counts[i] += popcount2(&pages[cols[2*i]], &pages[cols[2*i+1]])
+		}
+	case 3:
+		for i := range counts {
+			counts[i] += popcount3(&pages[cols[3*i]], &pages[cols[3*i+1]], &pages[cols[3*i+2]])
+		}
+	default:
+		for i := range counts {
+			counts[i] += popcountK(pages, cols[i*k:i*k+k])
+		}
+	}
+}
+
+//checkinv:hotpath
+func popcount1(a *page) int64 {
+	n := 0
+	for w := range a {
+		n += bits.OnesCount64(a[w])
+	}
+	return int64(n)
+}
+
+//checkinv:hotpath
+func popcount2(a, b *page) int64 {
+	n := 0
+	for w := range a {
+		n += bits.OnesCount64(a[w] & b[w])
+	}
+	return int64(n)
+}
+
+//checkinv:hotpath
+func popcount3(a, b, c *page) int64 {
+	n := 0
+	for w := range a {
+		n += bits.OnesCount64(a[w] & b[w] & c[w])
+	}
+	return int64(n)
+}
+
+// popcountK is the general kernel, for k ≥ 4.
+//
+//checkinv:hotpath
+func popcountK(pages row, cols []int32) int64 {
+	acc := pages[cols[0]]
+	for _, c := range cols[1:] {
+		p := &pages[c]
+		for w := range acc {
+			acc[w] &= p[w]
+		}
+	}
+	return popcount1(&acc)
+}
+
 func (e *bitsetEngine) Stats() Stats { return e.stats }
 
+// MemoryBytes is the column model's size: the count vector, the streaming
+// remap and every real column at its logical length (the sink and the
+// pages' unused tails are host detail).
 func (e *bitsetEngine) MemoryBytes() int {
-	bytes := len(e.counts)*8 + len(e.remap)*4
-	cols := e.cols
-	if e.prepared != nil {
-		cols = e.prepared.cols
+	bytes := len(e.counts) * 8
+	if e.streaming {
+		bytes += len(e.ix.remap) * 4
 	}
-	for _, col := range cols {
-		bytes += len(col) * 8
+	for _, w := range e.ix.columnWords()[:e.ix.sink] {
+		bytes += w * 8
 	}
 	return bytes
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Binary dataset format.  Basket text files are convenient but large and
@@ -74,6 +75,9 @@ func AppendTransaction(dst []byte, t Transaction, prevID int64) ([]byte, error) 
 // that branch inline and only a continuation byte calls binary.Uvarint.  The
 // branch is written out three times because a helper holding the fallback
 // call is over the inliner's budget, and as a call it costs what it saves.
+// When the count's next bytes are all one-byte varints, the items are those
+// bytes summed (appendGapRun); a run that breaks a rule is dropped and
+// decoded again by the checked loop, which alone words the errors.
 func DecodeTransaction(buf []byte, prevID int64, numItems int, items []Item) (id int64, out []Item, n int, err error) {
 	var idDelta, count uint64
 	if len(buf) > 0 && buf[0] < 0x80 {
@@ -100,6 +104,11 @@ func DecodeTransaction(buf []byte, prevID int64, numItems int, items []Item) (id
 	}
 	if count > uint64(numItems) {
 		return 0, items, 0, fmt.Errorf("itemset: transaction %d: %d items exceeds vocabulary %d", id, count, numItems)
+	}
+	if count > 0 && count <= uint64(len(buf)-n) {
+		if run, ok := appendGapRun(items, buf[n:n+int(count)], numItems); ok {
+			return id, run, n + int(count), nil
+		}
 	}
 	prev := Item(0)
 	for j := uint64(0); j < count; j++ {
@@ -131,6 +140,47 @@ func DecodeTransaction(buf []byte, prevID int64, numItems int, items []Item) (id
 		items = append(items, prev)
 	}
 	return id, items, n, nil
+}
+
+// appendGapRun decodes a transaction's items from run, its count bytes,
+// provided every one is a one-byte varint — checked a word at a time — and
+// appends them to items.  The gaps are summed without a branch per byte: a
+// zero gap is caught by the sign of gap−1, and since the sum only grows, the
+// last item alone is held below numItems (which also bounds every gap and
+// every narrowing).  ok is false, with items as given, when the run is not
+// all one-byte or breaks either rule; whatever it wrote past len(items) is
+// then garbage the caller's checked decode overwrites.
+//
+//checkinv:hotpath
+func appendGapRun(items []Item, run []byte, numItems int) (_ []Item, ok bool) {
+	var high uint64
+	rest := run
+	for ; len(rest) >= 8; rest = rest[8:] {
+		high |= binary.LittleEndian.Uint64(rest)
+	}
+	for _, b := range rest {
+		high |= uint64(b)
+	}
+	if high&0x8080808080808080 != 0 {
+		return items, false
+	}
+	start := len(items)
+	grown := slices.Grow(items, len(run))[:start+len(run)]
+	out := grown[start:]
+	run = run[:len(out)]
+	cur := int(run[0])
+	out[0] = Item(cur)
+	zero := 0
+	for j := 1; j < len(run); j++ {
+		gap := int(run[j])
+		zero |= gap - 1
+		cur += gap
+		out[j] = Item(cur)
+	}
+	if zero < 0 || cur >= numItems {
+		return items, false
+	}
+	return grown, true
 }
 
 // WriteBinary encodes the dataset in the compact binary format.

@@ -53,25 +53,44 @@ func decodeTransactionRef(buf []byte, prevID int64, numItems int, items []Item) 
 	return id, items, n, nil
 }
 
+// arenaSentinel fills the spare capacity of checkBlockDecode's arena: an
+// item the decoder did not write shows up as it.
+const arenaSentinel = Item(-7)
+
 // checkBlockDecode decodes payload as a block — transaction after
 // transaction until it is consumed or one fails — with both decoders, and
 // requires the same ID, items, consumed length and error text at every step.
-// It reports whether the whole payload decoded.
+// DecodeTransaction appends into one arena reused across the block, as the
+// store's reader does, starting from a non-empty prefix and with its spare
+// capacity sentinel-filled before every call: what came before must be
+// untouched and what it appends must be the reference's items.  It reports
+// whether the whole payload decoded.
 func checkBlockDecode(t *testing.T, payload []byte, numItems int) bool {
 	t.Helper()
+	arena := append(make([]Item, 0, 16), 5, 1, 4)
+	prefix := append([]Item(nil), arena...)
 	var prev int64
 	for off := 0; off < len(payload); {
-		gid, gout, gn, gerr := DecodeTransaction(payload[off:], prev, numItems, nil)
+		spare := arena[len(arena):cap(arena)]
+		for i := range spare {
+			spare[i] = arenaSentinel
+		}
+		gid, gout, gn, gerr := DecodeTransaction(payload[off:], prev, numItems, arena)
 		wid, wout, wn, werr := decodeTransactionRef(payload[off:], prev, numItems, nil)
 		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
 			t.Fatalf("offset %d of %x: error %v, reference %v", off, payload, gerr, werr)
 		}
-		if gid != wid || gn != wn || !Itemset(gout).Equal(Itemset(wout)) {
-			t.Fatalf("offset %d of %x: got id %d items %v n %d, reference id %d items %v n %d", off, payload, gid, gout, gn, wid, wout, wn)
+		if len(gout) < len(prefix) || !Itemset(gout[:len(prefix)]).Equal(Itemset(prefix)) {
+			t.Fatalf("offset %d of %x: arena prefix %v became %v", off, payload, prefix, gout[:min(len(prefix), len(gout))])
+		}
+		if got := gout[len(prefix):]; gid != wid || gn != wn || !Itemset(got).Equal(Itemset(wout)) {
+			t.Fatalf("offset %d of %x: got id %d items %v n %d, reference id %d items %v n %d", off, payload, gid, got, gn, wid, wout, wn)
 		}
 		if gerr != nil {
 			return false
 		}
+		prefix = append(prefix, wout...)
+		arena = gout
 		prev, off = gid, off+gn
 	}
 	return true
@@ -118,6 +137,14 @@ func decodeCases() []struct {
 		{uvarints(0, 2, 5, 1<<32-2), 10},         // gap narrows to -2
 		{uvarints(1<<63, 1, 4), 10},              // ID delta turns the ID negative
 		{uvarints(1<<62, 0, 1<<62, 0, 1, 0), 10}, // ID deltas sum past 2^63-1
+		// The one-byte run and its fallback to the checked loop.
+		{uvarints(0, 3, 1, 2, 3), 6},                              // run sums to exactly numItems
+		{uvarints(0, 3, 1, 2, 3, 0, 3, 1, 2, 3), 7},               // runs ending at numItems-1, twice
+		{uvarints(0, 3, 1, 2, 0), 300},                            // zero gap as the last item
+		{uvarints(0, 4, 1, 2, 200, 3), 300},                       // one multi-byte gap among one-byte gaps
+		{uvarints(0, 3, 1, 100, 2), 50},                           // numItems < 128, a gap ≥ numItems
+		{uvarints(0, 5, 1, 2, 3), 300},                            // all-one-byte count overruns the buffer
+		{uvarints(0, 12, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), 13}, // a run past one word
 	}
 }
 
