@@ -40,7 +40,10 @@
 // Node processes need no -load: the router ships each node the antecedent
 // groups its shards own, and on reload ships only the groups whose canonical
 // bytes changed.  Answers are bit-identical to the single-node server over
-// the same rule set.
+// the same rule set.  No flag has to be repeated across the fleet for that:
+// placement flags are the router's alone, -workers and -cache change a
+// node's speed but not its answers, and every mode caps k at the same
+// built-in 100.
 //
 // Endpoints (single node and per-node): GET /recommend, /rules, /healthz,
 // /metrics, /debug/flight, POST /reload; node mode adds POST /shard/prepare,

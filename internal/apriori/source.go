@@ -112,27 +112,18 @@ func FirstPassSource(src itemset.Source, minCount int64, also ...func(blk []item
 	info := src.Info()
 	counts := make([]int64, info.NumItems)
 	var bytes int64
-	err := src.Blocks(func(blk []itemset.Transaction) error {
-		if err := itemset.CountItems(counts, blk); err != nil {
-			return err
-		}
+	riders := append([]func([]itemset.Transaction){func(blk []itemset.Transaction) {
 		for _, t := range blk {
 			bytes += int64(t.Bytes())
 		}
-		for _, read := range also {
-			read(blk)
-		}
-		return nil
+	}}, also...)
+	err := src.Blocks(func(blk []itemset.Transaction) error {
+		return FirstPassBlock(counts, blk, riders...)
 	})
 	if err != nil {
 		return nil, PassStats{}, err
 	}
-	var f1 []Frequent
-	for it, c := range counts {
-		if c >= minCount {
-			f1 = append(f1, Frequent{Items: itemset.Itemset{itemset.Item(it)}, Count: c})
-		}
-	}
+	f1 := FrequentItems(counts, minCount)
 	return f1, PassStats{
 		K:            1,
 		Candidates:   info.NumItems,
@@ -140,6 +131,32 @@ func FirstPassSource(src itemset.Source, minCount int64, also ...func(blk []item
 		TreeParts:    1,
 		BytesScanned: bytes,
 	}, nil
+}
+
+// FirstPassBlock is the first pass's step over one block, serial or per
+// rank: it adds the block's items to counts and, once CountItems has
+// accepted the block, hands it to each rider in turn.  A block CountItems
+// refuses reaches no rider, and its error is returned.
+func FirstPassBlock(counts []int64, blk []itemset.Transaction, riders ...func(blk []itemset.Transaction)) error {
+	if err := itemset.CountItems(counts, blk); err != nil {
+		return err
+	}
+	for _, read := range riders {
+		read(blk)
+	}
+	return nil
+}
+
+// FrequentItems is F1 from the first pass's item counts: every item whose
+// count reaches minCount, in item order.
+func FrequentItems(counts []int64, minCount int64) []Frequent {
+	var f1 []Frequent
+	for it, c := range counts {
+		if c >= minCount {
+			f1 = append(f1, Frequent{Items: itemset.Itemset{itemset.Item(it)}, Count: c})
+		}
+	}
+	return f1
 }
 
 // countSource builds the counting structure(s) for the size-k candidates

@@ -69,10 +69,6 @@ type Params struct {
 	// shape, MaxPasses).  Apriori.MemoryBytes is ignored here; the
 	// per-processor memory cap comes from Machine.MemoryBytes.
 	Apriori apriori.Params
-	// PageBytes is the buffer size for transaction movement in DD/IDD/HD
-	// (the paper's one-page buffers; our T3E messages are 16 KB).
-	// Defaults to 16384.
-	PageBytes int
 	// HDThreshold is m, the minimum number of candidates per grid row
 	// before HD adds rows: G = smallest divisor of P that is at least
 	// ceil(M/m).  The paper used m = 50K on 64 processors.  Defaults to
@@ -97,9 +93,6 @@ type Params struct {
 	// formulation on every backend runs under a plan: the machine, not the
 	// algorithm, makes its messages reliable.
 	Faults *cluster.FaultPlan
-	// MaxRestarts bounds the recovery attempts before Mine gives up and
-	// returns the last failure.  Defaults to 8.
-	MaxRestarts int
 	// CheckpointDir, when non-empty, persists every completed pass's
 	// frequent levels to <dir>/checkpoint.freq (WriteResult codec, written
 	// atomically via temp file + rename) and resumes from that file on the
@@ -108,10 +101,6 @@ type Params struct {
 	// Restored in the report.  A checkpoint mined from a different workload
 	// (transaction or minimum count mismatch) is an error.
 	CheckpointDir string
-	// Recovery selects how survivors participate in crash recovery;
-	// empty defaults to RecoveryCoordinated.  See the RecoveryMode
-	// constants.
-	Recovery RecoveryMode
 	// Backend selects the execution backend: BackendInMem (the default)
 	// mines a resident *Dataset; BackendOOC streams Store's partition
 	// files.  See the ExecBackend constants.
@@ -122,43 +111,24 @@ type Params struct {
 	Store *txstore.Store
 }
 
-// RecoveryMode selects the rollback strategy after a rank crash.
-type RecoveryMode string
-
 const (
-	// RecoveryCoordinated is the classic global rollback: every survivor
-	// truncates to the last globally completed pass and re-charges a
-	// checkpoint restore (read the frequent levels back, touch every
-	// item).  Simple and always consistent, but the restore cost scales
-	// with P — every processor pays it for one rank's crash.
-	RecoveryCoordinated RecoveryMode = "coordinated"
-	// RecoveryAsymmetric rolls state back the same way — the passes are
-	// collective, so everyone re-enters at the same level — but only the
-	// crashed (or checkpoint-restored) ranks pay the restore charge:
-	// survivors still hold their frequent levels in memory and simply wait
-	// at the pass collectives while the replayers catch up.  Recovery cost
-	// drops from P restores to (number crashed) restores.
-	RecoveryAsymmetric RecoveryMode = "asymmetric"
+	// PageBytes is the buffer size for transaction movement in DD/IDD/HD:
+	// the paper's one-page buffers, sized to the T3E's 16 KB messages.
+	PageBytes = 16384
+	// MaxRestarts bounds the recovery attempts before Mine gives up and
+	// returns the last failure.
+	MaxRestarts = 8
 )
 
 func (p Params) withDefaults() Params {
 	if p.Machine.Name == "" {
 		p.Machine = cluster.T3E()
 	}
-	if p.PageBytes <= 0 {
-		p.PageBytes = 16384
-	}
 	if p.HDThreshold <= 0 {
 		p.HDThreshold = 5000
 	}
 	if p.P <= 0 {
 		p.P = 1
-	}
-	if p.MaxRestarts <= 0 {
-		p.MaxRestarts = 8
-	}
-	if p.Recovery == "" {
-		p.Recovery = RecoveryCoordinated
 	}
 	if p.Backend == "" {
 		p.Backend = BackendInMem
@@ -175,11 +145,6 @@ func (p Params) validate() error {
 	}
 	if p.FixedG > 0 && p.P%p.FixedG != 0 {
 		return fmt.Errorf("core: FixedG %d does not divide P %d", p.FixedG, p.P)
-	}
-	switch p.Recovery {
-	case "", RecoveryCoordinated, RecoveryAsymmetric:
-	default:
-		return fmt.Errorf("core: unknown recovery mode %q", p.Recovery)
 	}
 	if !countengine.Known(p.Apriori.Engine) {
 		return fmt.Errorf("core: unknown counting engine %q (want one of %v)", p.Apriori.Engine, countengine.Names())

@@ -79,9 +79,6 @@ func fingerprintCells(tb testing.TB, data *itemset.Dataset, store *txstore.Store
 		}
 		add(string(algo)+"/faults", Params{Algo: algo, P: 6, Machine: sp2, HDThreshold: 100, Apriori: ap, Faults: plan})
 	}
-	backends = backends[:1]
-	asym := &cluster.FaultPlan{Seed: 4, Drop: 0.02, Crashes: []cluster.Crash{{Rank: 1, At: 0.08}}}
-	add("hd/faults-asymmetric", Params{Algo: HD, P: 6, Machine: sp2, HDThreshold: 100, Apriori: ap, Faults: asym, Recovery: RecoveryAsymmetric})
 
 	for _, w := range []struct {
 		name   string

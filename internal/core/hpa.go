@@ -76,7 +76,7 @@ func (r *run) hpaExchange(p *cluster.Proc, cm *cluster.Comm, k int, counts map[s
 	outbuf := make([][]itemset.Itemset, procs)
 	var sent int64
 	subsetBytes := 4 * k
-	pageCap := r.prm.PageBytes / subsetBytes
+	pageCap := PageBytes / subsetBytes
 	if pageCap < 1 {
 		pageCap = 1
 	}

@@ -19,15 +19,17 @@ func (r *run) firstPass(p *cluster.Proc, tr *procTrace) error {
 
 	counts := make([]int64, r.numItems)
 	var items int64
+	addItems := func(blk []itemset.Transaction) {
+		for _, t := range blk {
+			items += int64(len(t.Items))
+		}
+	}
 	var bad error // the first item out of range or out of order
 	st := r.openStream(p, false)
 	defer st.close() // a crash panics out of the scan
 	err := scan(p, st, func(blk []itemset.Transaction) {
 		if bad == nil {
-			bad = itemset.CountItems(counts, blk)
-		}
-		for _, t := range blk {
-			items += int64(len(t.Items))
+			bad = apriori.FirstPassBlock(counts, blk, addItems)
 		}
 	})
 	read := st.close()
@@ -44,12 +46,7 @@ func (r *run) firstPass(p *cluster.Proc, tr *procTrace) error {
 	global := r.world.AllReduceInt64(p, "f1", counts)
 	r.sec(p, "reduce", countStart, obsv.Int("k", 1))
 
-	var f1 []apriori.Frequent
-	for it, c := range global {
-		if c >= r.minCount {
-			f1 = append(f1, apriori.Frequent{Items: itemset.Itemset{itemset.Item(it)}, Count: c})
-		}
-	}
+	f1 := apriori.FrequentItems(global, r.minCount)
 	tr.passes = append(tr.passes, passLocal{
 		k:          1,
 		candidates: r.numItems,

@@ -3,18 +3,20 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 
 	"parapriori/internal/apriori"
+	"parapriori/internal/txstore"
 )
 
 // Persistent pass-level checkpoints.  With Params.CheckpointDir set, the
 // first active rank rewrites <dir>/checkpoint.freq after every completed
 // pass — the full frequent levels so far in the WriteResult codec, written
-// to a temp file and renamed so a kill mid-write leaves the previous
-// checkpoint intact.  The next Mine over the same workload (same transaction
+// to a synced temp file and renamed (txstore.WriteAtomic) so a kill or a
+// crash mid-write leaves the previous checkpoint intact.  The next Mine over the same workload (same transaction
 // count and minimum count — the codec header records both) seeds every
 // rank's levels from the file and resumes at the first unmined pass, through
 // the same resume path a fault-rollback uses.  A checkpoint from a different
@@ -33,22 +35,10 @@ func (r *run) persistCheckpoint(rank int) error {
 		return nil
 	}
 	res := &apriori.Result{N: r.nTxns, MinCount: r.minCount, Levels: r.perProc[rank].levels}
-	final := filepath.Join(r.prm.CheckpointDir, checkpointFile)
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
+	err := txstore.WriteAtomic(filepath.Join(r.prm.CheckpointDir, checkpointFile), func(w io.Writer) error {
+		return apriori.WriteResult(w, res)
+	})
 	if err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := apriori.WriteResult(f, res); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	return nil

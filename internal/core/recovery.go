@@ -26,18 +26,11 @@ import (
 // backend's own granularity: resident shards are adopted by the ring
 // successor, store partitions are re-split over the survivors
 // (ownedPartsOf) — partition-granular re-execution.  Bodies resume from
-// their checkpoint: k = last completed level + 1.
-//
-// Params.Recovery picks who pays the restore charge on re-entry.
-// RecoveryCoordinated (the default) bills every active rank — the classic
-// model where everyone reloads from the checkpoint.  RecoveryAsymmetric
-// bills only the ranks that crashed: the rollback cut is the same (passes
-// are collective), but survivors keep their frequent levels in memory and
-// idle at the pass barrier while the replayers reload, so total recovery
-// I/O drops from P restores to one per crashed rank.
+// their checkpoint: k = last completed level + 1, and every active rank pays
+// the restore charge on re-entry.
 
 // mineWithRecovery drives cl.Run to completion through faults, restarting
-// up to prm.MaxRestarts times.
+// up to MaxRestarts times.
 func (r *run) mineWithRecovery(body func(p *cluster.Proc) error) error {
 	for {
 		err := r.cl.Run(body)
@@ -50,7 +43,7 @@ func (r *run) mineWithRecovery(body func(p *cluster.Proc) error) error {
 			// fault; recovery would mask it.
 			return err
 		}
-		if r.restarts >= r.prm.MaxRestarts {
+		if r.restarts >= MaxRestarts {
 			return fmt.Errorf("core: giving up after %d recovery attempts: %w", r.restarts, err)
 		}
 		r.restarts++
@@ -72,15 +65,6 @@ func (r *run) mineWithRecovery(body func(p *cluster.Proc) error) error {
 			return err
 		}
 
-		// Asymmetric recovery charges the checkpoint restore only to the
-		// ranks that actually lost their in-memory state — the crashers.
-		// Survivors truncate bookkeeping to the consistent cut but keep
-		// their levels in memory, so their re-entry is free.
-		replay := make(map[int]bool, len(crashes))
-		for _, ce := range crashes {
-			replay[ce.Rank] = true
-		}
-
 		// Roll every survivor back to the last globally completed pass.
 		minL := -1
 		for _, g := range r.active {
@@ -92,9 +76,7 @@ func (r *run) mineWithRecovery(body func(p *cluster.Proc) error) error {
 			tr := &r.perProc[g]
 			tr.levels = tr.levels[:minL]
 			tr.passes = tr.passes[:minL]
-			if r.prm.Recovery != RecoveryAsymmetric || replay[g] {
-				r.restartWant[g] = true
-			}
+			r.restartWant[g] = true
 		}
 		r.cl.ResetComm()
 	}

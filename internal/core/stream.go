@@ -68,7 +68,7 @@ func (r *run) openStream(p *cluster.Proc, shared bool) txStream {
 	var pages [][]itemset.Transaction
 	var bytes int64
 	for _, si := range r.ownedShards[p.ID()] {
-		pages = append(pages, r.shards[si].Pages(r.prm.PageBytes)...)
+		pages = append(pages, r.shards[si].Pages(PageBytes)...)
 		bytes += int64(r.shards[si].Bytes())
 	}
 	p.ReadIO(bytes, "io")

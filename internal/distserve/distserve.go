@@ -56,27 +56,30 @@ import (
 	"time"
 
 	"parapriori/internal/itemset"
-	"parapriori/internal/obsv"
 	"parapriori/internal/serve"
 )
 
-// Default knobs of the HA serving tier.
+// DefaultRequestTimeout is the per-leg query deadline when
+// Options.RequestTimeout is zero.
+const DefaultRequestTimeout = 2 * time.Second
+
+// The failure detector's fixed parameters.
 const (
-	// DefaultRequestTimeout is the per-leg query deadline when
-	// Options.RequestTimeout is zero.
-	DefaultRequestTimeout = 2 * time.Second
-	// DefaultProbeInterval is the failure detector's base probe period when
-	// Options.ProbeInterval is zero.
-	DefaultProbeInterval = 500 * time.Millisecond
-	// DefaultFailThreshold is the consecutive-failure count that marks a
-	// node Down when Options.FailThreshold is zero.
-	DefaultFailThreshold = 3
+	// probeInterval is the base period of background probes of non-Up
+	// nodes.  Probes back off exponentially per node while it stays down;
+	// the query path never waits on a probe.
+	probeInterval = 500 * time.Millisecond
+	// failThreshold is the number of consecutive failed calls after which
+	// a Suspect node is marked Down and dropped from replica selection.  A
+	// single failure marks it Suspect; any success restores Up.
+	failThreshold = 3
 )
 
 // Options configures the distributed tier.  Router and in-process nodes are
-// built from one Options value; HTTP node processes must be started with
-// the same shard count, seed and serving options for placement and query
-// clamping to agree (cmd/ruleserver wires this up).
+// built from one Options value.  An HTTP node process takes only the serving
+// options (Node), which shape its speed, not its answers: placement is the
+// router's, and router and nodes clamp K with the same constants,
+// serve.DefaultK and serve.MaxK.
 type Options struct {
 	// Shards is the number of index shards S distributed across the nodes
 	// (default 32).  More shards give finer placement granularity and
@@ -104,30 +107,13 @@ type Options struct {
 	// Zero derives the delay from the router's observed p99 latency;
 	// negative disables hedging.
 	HedgeDelay time.Duration
-	// ProbeInterval is the failure detector's base period for background
-	// probes of non-Up nodes (default DefaultProbeInterval).  Probes back
-	// off exponentially per node while it stays down; the query path never
-	// waits on a probe.
-	ProbeInterval time.Duration
-	// FailThreshold is the number of consecutive failed calls after which
-	// a Suspect node is marked Down and dropped from replica selection
-	// (default DefaultFailThreshold).  A single failure marks it Suspect;
-	// any success restores Up.
-	FailThreshold int
 	// Node is the per-node serving configuration (query cache, worker
-	// pool, MaxK).  The router clamps K with the same defaults, so
-	// router-side and node-side query semantics match exactly.
+	// pool).  Each node's server defaults its zero fields itself.
 	Node serve.Options
-	// Recorder, when non-nil, receives the router's real-time spans: one
-	// request span plus per-node fan-out spans for each Recommend (legs
-	// share a "link" attribute with their request so a trace shows which
-	// replica leg — primary, retry or hedge — produced the answer), and
-	// prepare/commit spans for each publish.  Node-side request spans are
-	// configured separately through Node.Recorder.
-	Recorder obsv.Recorder
 }
 
-// WithDefaults returns the options with every zero field defaulted.
+// WithDefaults returns the options with every zero field of the tier's own
+// defaulted; Node is passed through as it is.
 func (o Options) WithDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 32
@@ -141,13 +127,6 @@ func (o Options) WithDefaults() Options {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = DefaultRequestTimeout
 	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = DefaultProbeInterval
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = DefaultFailThreshold
-	}
-	o.Node = o.Node.WithDefaults()
 	return o
 }
 

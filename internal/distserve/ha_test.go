@@ -106,8 +106,8 @@ func TestFailureDetectorTransitions(t *testing.T) {
 
 	// Each query picks the victim first (it is the preferred replica and
 	// load ties break to HRW order), fails, and retries on the survivor —
-	// FailThreshold such failures take the detector to Down.
-	for i := 0; i < c.Router.Options().FailThreshold; i++ {
+	// failThreshold such failures take the detector to Down.
+	for i := 0; i < failThreshold; i++ {
 		got, err := c.Router.Recommend(basket, 5)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
@@ -118,7 +118,7 @@ func TestFailureDetectorTransitions(t *testing.T) {
 	}
 	if st := c.Router.Health()[victim]; st != HealthDown {
 		t.Fatalf("detector state for %s after %d failures = %v, want down",
-			victim, c.Router.Options().FailThreshold, st)
+			victim, failThreshold, st)
 	}
 
 	// Down nodes are skipped: the next queries go straight to the

@@ -10,7 +10,7 @@ import (
 // HealthState is the failure detector's view of one node.
 //
 // Transitions are driven by call outcomes — every query leg and every probe
-// is evidence.  One failure moves Up → Suspect; FailThreshold consecutive
+// is evidence.  One failure moves Up → Suspect; failThreshold consecutive
 // failures move Suspect → Down; any success moves the node straight back to
 // Up and resets the failure count.  Suspect nodes still receive queries
 // (one bad response must not shed load from a healthy node); Down nodes are
@@ -24,7 +24,7 @@ const (
 	HealthUp HealthState = iota
 	// HealthSuspect — at least one consecutive failure, below threshold.
 	HealthSuspect
-	// HealthDown — FailThreshold consecutive failures; excluded from
+	// HealthDown — failThreshold consecutive failures; excluded from
 	// replica selection until a probe or a desperation call succeeds.
 	HealthDown
 )
@@ -61,9 +61,8 @@ func (h *nodeHealth) observeSuccess() {
 }
 
 // observeFailure records a failed call and advances Up → Suspect → Down.
-func (h *nodeHealth) observeFailure(threshold int) {
-	n := h.fails.Add(1)
-	if int(n) >= threshold {
+func (h *nodeHealth) observeFailure() {
+	if h.fails.Add(1) >= failThreshold {
 		h.state.Store(int32(HealthDown))
 	} else {
 		h.state.Store(int32(HealthSuspect))
@@ -117,30 +116,44 @@ func (r *Router) pick2(cands []string, health map[string]*nodeHealth) string {
 // operators use it to drive recovery deterministically; the background
 // prober calls the same per-node probe on its own clock.
 func (r *Router) ProbeOnce() int {
-	r.mu.RLock()
-	type target struct {
-		c Client
-		h *nodeHealth
-	}
-	ids := make([]string, 0, len(r.health))
-	for id, h := range r.health {
-		if h.State() != HealthUp {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids) // probe in node-ID order, independent of map layout
-	targets := make([]target, 0, len(ids))
-	for _, id := range ids {
-		targets = append(targets, target{r.clients[id], r.health[id]})
-	}
-	r.mu.RUnlock()
 	ok := 0
-	for _, t := range targets {
+	for _, t := range r.probeTargets(false) {
 		if r.probe(t.c, t.h) {
 			ok++
 		}
 	}
 	return ok
+}
+
+// probeTarget is one node a probe round is about to call.
+type probeTarget struct {
+	c Client
+	h *nodeHealth
+}
+
+// probeTargets lists the non-Up nodes in node-ID order.  With backoff set it
+// honours each node's backoff schedule: a node still waiting out its gap has
+// one tick taken off the wait and sits this round out.
+func (r *Router) probeTargets(backoff bool) []probeTarget {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	ids := make([]string, 0, len(r.health))
+	for id, h := range r.health {
+		if h.State() == HealthUp {
+			continue
+		}
+		if backoff && h.probeWait.Load() > 0 {
+			h.probeWait.Add(-1)
+			continue
+		}
+		ids = append(ids, id)
+	}
+	sort.Strings(ids) // probe in node-ID order, independent of map layout
+	targets := make([]probeTarget, len(ids))
+	for i, id := range ids {
+		targets[i] = probeTarget{r.clients[id], r.health[id]}
+	}
+	return targets
 }
 
 // probe issues one health probe (a Metrics call under the request budget)
@@ -150,7 +163,7 @@ func (r *Router) probe(c Client, h *nodeHealth) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opt.RequestTimeout)
 	defer cancel()
 	if _, err := c.Metrics(ctx); err != nil {
-		h.observeFailure(r.opt.FailThreshold)
+		h.observeFailure()
 		return false
 	}
 	h.observeSuccess()
@@ -158,7 +171,7 @@ func (r *Router) probe(c Client, h *nodeHealth) bool {
 }
 
 // StartProber launches the background failure-detector probe loop: every
-// ProbeInterval tick it probes the non-Up nodes whose backoff has elapsed.
+// probeInterval tick it probes the non-Up nodes whose backoff has elapsed.
 // A node that keeps failing is probed at exponentially growing gaps (1, 2,
 // 4, … ticks, capped at 64) so a long outage costs a trickle of probes, not
 // a stream — the exponential backoff lives here on the probe path, never on
@@ -172,10 +185,9 @@ func (r *Router) StartProber() {
 	stop := make(chan struct{}) //checkinv:allow rawchan prober shutdown signal on the real clock, joined by StopProber
 	done := make(chan struct{}) //checkinv:allow rawchan prober join channel, closed when the loop exits
 	r.probeStop, r.probeDone = stop, done
-	interval := r.opt.ProbeInterval
 	go func() { //checkinv:allow rawchan,goroleak the prober is joined by StopProber via probeDone; real-OS serving territory
 		defer close(done) //checkinv:allow rawchan signals prober exit to StopProber
-		t := time.NewTicker(interval)
+		t := time.NewTicker(probeInterval)
 		defer t.Stop()
 		for {
 			select { //checkinv:allow rawchan ticker-driven probe loop, real-OS serving territory
@@ -190,29 +202,7 @@ func (r *Router) StartProber() {
 
 // probeTick runs one scheduled probe round, honoring per-node backoff.
 func (r *Router) probeTick() {
-	r.mu.RLock()
-	type target struct {
-		c Client
-		h *nodeHealth
-	}
-	ids := make([]string, 0, len(r.health))
-	for id, h := range r.health {
-		if h.State() == HealthUp {
-			continue
-		}
-		if h.probeWait.Load() > 0 {
-			h.probeWait.Add(-1)
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // probe in node-ID order, independent of map layout
-	targets := make([]target, 0, len(ids))
-	for _, id := range ids {
-		targets = append(targets, target{r.clients[id], r.health[id]})
-	}
-	r.mu.RUnlock()
-	for _, t := range targets {
+	for _, t := range r.probeTargets(true) {
 		if !r.probe(t.c, t.h) {
 			gap := t.h.probeGap.Load()
 			if gap == 0 {

@@ -23,10 +23,9 @@ import (
 // TestRouterMetricsPromNegotiation: the router's /metrics serves the
 // Prometheus text exposition under Accept: text/plain — including per-node
 // families gathered over the node protocol — and keeps JSON as the default.
-// The router's recorder sees request, fan-out and publish spans.
+// The router's flight ring holds its request, fan-out and publish spans.
 func TestRouterMetricsPromNegotiation(t *testing.T) {
-	rec := obsv.NewCollector(obsv.ClockReal)
-	router, _ := httpFleet(t, 2, Options{Shards: 16, Recorder: rec})
+	router, _ := httpFleet(t, 2, Options{Shards: 16})
 	if _, err := router.Publish(synthRules(200, 40, 30), true); err != nil {
 		t.Fatalf("publish: %v", err)
 	}
@@ -82,7 +81,7 @@ func TestRouterMetricsPromNegotiation(t *testing.T) {
 	}
 
 	// Span census: one request span, ≥1 fan-out span, prepare + commit.
-	tr := rec.Trace()
+	tr := router.Flight().Trace()
 	var reqs, fans, preps, commits int
 	for _, sp := range tr.Spans {
 		switch {
@@ -367,7 +366,7 @@ func FuzzRecommendQuery(f *testing.F) {
 			if kk <= 0 {
 				kk = serve.DefaultK
 			}
-			want := serve.RulesJSON(ix.Recommend(itemset.New(basket...), min(kk, opt.Node.MaxK)))
+			want := serve.RulesJSON(ix.Recommend(itemset.New(basket...), min(kk, serve.MaxK)))
 			if !reflect.DeepEqual(resp.Rules, want) {
 				t.Fatalf("%s %v:\n got %v\nwant %v", tier.name, q, resp.Rules, want)
 			}

@@ -66,7 +66,6 @@ type stagedState struct {
 // NewNode creates an empty node.  It answers ErrNoSnapshot until the first
 // Prepare/Commit lands.  Call Close to stop its serving worker pool.
 func NewNode(id string, opt serve.Options) *Node {
-	opt = opt.WithDefaults()
 	return &Node{
 		id:     id,
 		opt:    opt,

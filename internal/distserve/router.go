@@ -53,7 +53,7 @@ type Router struct {
 
 	met    routerMetrics
 	flight *obsv.Flight    // always-on bounded ring of recent spans
-	rc     *obsv.RealClock // always non-nil: records into the flight ring, teed with Options.Recorder
+	rc     *obsv.RealClock // always non-nil: records into the flight ring
 }
 
 // routerMetrics is the router's lock-free counter block.
@@ -86,7 +86,7 @@ func NewRouter(clients []Client, opt Options) (*Router, error) {
 		held:    make(map[string]map[int]bool, len(clients)),
 		flight:  obsv.NewFlight(obsv.ClockReal, 0),
 	}
-	r.rc = obsv.NewRealClock(obsv.Tee(r.flight, opt.Recorder))
+	r.rc = obsv.NewRealClock(r.flight)
 	r.rc.SetMeta("tier", "router")
 	r.met.start = time.Now()
 	for _, c := range clients {
@@ -466,7 +466,7 @@ func (r *Router) hedgeDelay() time.Duration {
 }
 
 // Recommend answers a basket query: clamp K exactly as a single node would
-// (serve.DefaultK, Options.Node.MaxK), fan one leg out per replica group
+// (serve.DefaultK, serve.MaxK), fan one leg out per replica group
 // covering the shards of the basket's items, and merge the per-node top-K
 // lists under the RankLess total order.  Each leg runs under
 // Options.RequestTimeout; a failed leg is retried once against the next
@@ -515,9 +515,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	if k <= 0 {
 		k = serve.DefaultK
 	}
-	if k > r.opt.Node.MaxK {
-		k = r.opt.Node.MaxK
-	}
+	k = min(k, serve.MaxK)
 
 	r.mu.RLock()
 	if r.gen == 0 {
@@ -623,7 +621,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 			ok := int64(1)
 			if err != nil {
 				ok = 0
-				h.observeFailure(r.opt.FailThreshold)
+				h.observeFailure()
 				var te *TimeoutError
 				if errors.As(err, &te) {
 					r.met.timeouts.Add(1)
@@ -786,7 +784,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 				ok := int64(1)
 				if err != nil {
 					ok = 0
-					health[id].observeFailure(r.opt.FailThreshold)
+					health[id].observeFailure()
 				} else {
 					health[id].observeSuccess()
 				}

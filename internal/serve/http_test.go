@@ -200,8 +200,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 // TestMetricsPromNegotiation: GET /metrics with a Prometheus-style Accept
 // header returns the text exposition; bare GETs keep returning JSON.
 func TestMetricsPromNegotiation(t *testing.T) {
-	rec := obsv.NewCollector(obsv.ClockReal)
-	s := NewServer(Options{CacheSize: 128, Recorder: rec})
+	s := NewServer(Options{CacheSize: 128})
 	ts := httptest.NewServer(s.Handler(nil))
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	s.Publish(NewIndex(synthRules(80, 10, 6), Options{}))
@@ -255,8 +254,8 @@ func TestMetricsPromNegotiation(t *testing.T) {
 		t.Fatalf("JSON view: code %d metrics %+v", code, m)
 	}
 
-	// The recorder saw one request span per query and the publish span.
-	tr := rec.Trace()
+	// The flight ring holds one request span per query and the publish span.
+	tr := s.Flight().Trace()
 	reqs, pubs := 0, 0
 	for _, sp := range tr.Spans {
 		switch sp.Cat {

@@ -44,7 +44,6 @@ import (
 	"sort"
 
 	"parapriori/internal/itemset"
-	"parapriori/internal/obsv"
 	"parapriori/internal/rules"
 )
 
@@ -58,30 +57,22 @@ type Options struct {
 	// CacheSize bounds the per-snapshot query cache in entries (default
 	// 1024).  Negative disables caching.
 	CacheSize int
-	// MaxK caps a query's K (default 100): a client cannot force a
-	// full-index sort by asking for everything.
-	MaxK int
-	// Recorder, when non-nil, receives a real-time span per request and
-	// publish (obsv.CatRequest / obsv.CatPublish), timed on an epoch anchored
-	// at server construction.  The server's bounded flight ring (Flight,
-	// /debug/flight) records those spans unconditionally; a Recorder here is
-	// teed in alongside it for unbounded collection.
-	Recorder obsv.Recorder
 }
 
-// DefaultK is the result size when a query does not specify K.
-const DefaultK = 10
+const (
+	// DefaultK is the result size when a query does not specify K.
+	DefaultK = 10
+	// MaxK caps a query's K: a client cannot force a full-index sort by
+	// asking for everything.  Server and the distributed router clamp with
+	// the same constant, so every node of a fleet agrees with its router.
+	MaxK = 100
+)
 
-// WithDefaults returns the options with every zero field replaced by its
-// default.  The serving layer applies it internally; the distributed tier
-// calls it too so router-side query clamping (DefaultK, MaxK) agrees exactly
-// with what each node's server will do.
-func (o Options) WithDefaults() Options {
+// withDefaults returns the options with every zero field replaced by its
+// default.
+func (o Options) withDefaults() Options {
 	if o.CacheSize == 0 {
 		o.CacheSize = 1024
-	}
-	if o.MaxK <= 0 {
-		o.MaxK = 100
 	}
 	return o
 }

@@ -210,14 +210,13 @@ func oracleCases() []oracleCase {
 // with none, one and many items the index knows), across K values, and
 // checks each answer equal to the brute-force oracle's.
 func TestRecommendMatchesOracle(t *testing.T) {
-	const maxK = 100
 	for _, c := range oracleCases() {
 		ix := NewIndex(c.rules, Options{})
 		for _, workers := range []int{0, 1, 3} {
-			s := NewServer(Options{Workers: workers, CacheSize: -1, MaxK: maxK})
+			s := NewServer(Options{Workers: workers, CacheSize: -1})
 			s.Publish(ix)
 			for _, basket := range c.baskets {
-				for _, k := range []int{-1, 0, 1, 10, maxK, 5000} {
+				for _, k := range []int{-1, 0, 1, 10, MaxK, 5000} {
 					where := fmt.Sprintf("%s workers %d basket %v k %d", c.name, workers, basket, k)
 					// The miss path under the raw k, which Recommend below
 					// never hands it: k <= 0 must mean there what it means
@@ -234,7 +233,7 @@ func TestRecommendMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := oracle(c.rules, basket, min(served, maxK)); !reflect.DeepEqual(got, want) {
+					if want := oracle(c.rules, basket, min(served, MaxK)); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: server\n got %v\nwant %v", where, got, want)
 					}
 				}

@@ -36,7 +36,7 @@ type Server struct {
 	snap   atomic.Pointer[snapshot]
 	met    metrics
 	flight *obsv.Flight    // always-on bounded ring of recent spans
-	rc     *obsv.RealClock // always non-nil: records into the flight ring, teed with Options.Recorder
+	rc     *obsv.RealClock // always non-nil: records into the flight ring
 	reqID  atomic.Uint64   // server-local span links for untraced callers
 	tasks  chan func()     // nil when Workers == 0
 	wg     sync.WaitGroup
@@ -48,13 +48,14 @@ type Server struct {
 // ErrNoSnapshot until the first Publish.  With opt.Workers > 0 it starts
 // the query worker pool; call Close to stop it.
 //
-// The flight recorder is always on: every request/publish span lands in a
-// bounded ring dumpable via /debug/flight or Flight(), teed into
-// Options.Recorder when one is installed.
+// The flight recorder is always on: one real-time span per request and per
+// publish (obsv.CatRequest / obsv.CatPublish), timed on an epoch anchored at
+// server construction, lands in a bounded ring dumpable via /debug/flight or
+// Flight().
 func NewServer(opt Options) *Server {
-	opt = opt.WithDefaults()
+	opt = opt.withDefaults()
 	s := &Server{opt: opt, flight: obsv.NewFlight(obsv.ClockReal, 0)}
-	s.rc = obsv.NewRealClock(obsv.Tee(s.flight, opt.Recorder))
+	s.rc = obsv.NewRealClock(s.flight)
 	s.rc.SetMeta("tier", "serve")
 	s.met.start = time.Now()
 	if opt.Workers > 0 {
@@ -161,7 +162,7 @@ func (s *Server) Index() *Index {
 // contained in the basket, consequent offering at least one new item —
 // ranked by confidence, then lift, then support, with deterministic
 // tie-breaking (rules.RankLess).  k <= 0 selects DefaultK; k is capped at
-// Options.MaxK.  The result is the caller's to keep.
+// MaxK.  The result is the caller's to keep.
 //
 // Determinism contract: for a fixed snapshot, basket and K, the returned
 // ranking is byte-identical across calls, cache hits or misses, pooled or
@@ -221,9 +222,7 @@ func (s *Server) RecommendTraced(basket []itemset.Item, k int, link string) ([]r
 	if k <= 0 {
 		k = DefaultK
 	}
-	if k > s.opt.MaxK {
-		k = s.opt.MaxK
-	}
+	k = min(k, MaxK)
 
 	var key string
 	if snap.cache != nil {

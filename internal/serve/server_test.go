@@ -215,20 +215,28 @@ func TestResultAliasing(t *testing.T) {
 }
 
 func TestKDefaultsAndCap(t *testing.T) {
-	rs := synthRules(300, 8, 17) // few items → broad baskets match many rules
-	s := NewServer(Options{MaxK: 7, CacheSize: -1})
+	// Half the items in the basket: rules with their antecedent in it and
+	// their consequent outside it fire, a few hundred of them.
+	rs := synthRules(2000, 40, 17)
+	s := NewServer(Options{CacheSize: -1})
 	defer s.Close()
 	s.Publish(NewIndex(rs, Options{}))
-	basket := []itemset.Item{0, 1, 2, 3, 4, 5, 6, 7}
+	var basket []itemset.Item
+	for it := range itemset.Item(20) {
+		basket = append(basket, it)
+	}
+	avail := len(oracle(rs, itemset.New(basket...), -1))
+	if avail <= MaxK {
+		t.Fatalf("fixture fires %d rules; the cap needs more than MaxK=%d", avail, MaxK)
+	}
 	got, err := s.Recommend(basket, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) > 7 {
-		t.Fatalf("MaxK not enforced: got %d rules", len(got))
+	if len(got) != MaxK {
+		t.Fatalf("MaxK not enforced: got %d rules, want exactly %d of %d", len(got), MaxK, avail)
 	}
-	ix := s.Index()
-	if want := ix.Recommend(itemset.New(basket...), -1); len(want) > 7 && len(got) != 7 {
-		t.Fatalf("expected exactly MaxK=7 results, got %d (available %d)", len(got), len(want))
+	if got, _ := s.Recommend(basket, 0); len(got) != DefaultK {
+		t.Fatalf("k=0 served %d rules, want DefaultK=%d", len(got), DefaultK)
 	}
 }

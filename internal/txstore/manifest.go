@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -123,15 +124,56 @@ func writeManifest(dir string, m *Manifest) error {
 		return fmt.Errorf("txstore: encoding manifest: %w", err)
 	}
 	data = append(data, '\n')
-	path := filepath.Join(dir, ManifestName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("txstore: writing manifest: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	err = WriteAtomic(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("txstore: writing manifest: %w", err)
 	}
 	return nil
+}
+
+// WriteAtomic replaces path with what write produces, durably.  The bytes go
+// to path+".tmp", which is synced and closed before it is renamed over path;
+// the directory is synced after the rename, so the new name survives a crash
+// as well as the bytes it names.  A failure before the rename removes the
+// temp file and leaves path as it was.
+func WriteAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes a directory's entries — a rename, a newly created file —
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // readManifest loads and validates dir's manifest.

@@ -217,7 +217,8 @@ func (w *Writer) Append(t itemset.Transaction) error {
 	return nil
 }
 
-// finishPart flushes a partition's pending block and closes its file.
+// finishPart flushes a partition's pending block, syncs its file to disk
+// (the manifest written after it vouches for these bytes) and closes it.
 func (w *Writer) finishPart(p *partWriter) error {
 	if p.file == nil {
 		return nil
@@ -227,6 +228,9 @@ func (w *Writer) finishPart(p *partWriter) error {
 	}
 	if err := p.bw.Flush(); err != nil {
 		return fmt.Errorf("txstore: flushing %s: %w", p.info.File, err)
+	}
+	if err := p.file.Sync(); err != nil {
+		return fmt.Errorf("txstore: syncing %s: %w", p.info.File, err)
 	}
 	if err := p.file.Close(); err != nil {
 		return fmt.Errorf("txstore: closing %s: %w", p.info.File, err)

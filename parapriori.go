@@ -214,9 +214,6 @@ type ParallelOptions struct {
 	Procs int
 	// Machine is the cost model; the zero value selects MachineT3E().
 	Machine Machine
-	// PageBytes is the transaction-page size moved between processors
-	// (default 16 KiB).
-	PageBytes int
 	// HDThreshold is HD's minimum candidates per grid row (the paper's m;
 	// default 5000).
 	HDThreshold int
@@ -235,9 +232,6 @@ type ParallelOptions struct {
 	// re-split over the survivors.  Runs with the same plan, seed and
 	// workload are bit-identical.
 	Faults *FaultPlan
-	// MaxRestarts bounds recovery attempts before MineParallel gives up
-	// (default 8).
-	MaxRestarts int
 	// CheckpointDir, when non-empty, persists each completed pass's
 	// frequent itemsets to <dir>/checkpoint.freq and resumes from that file
 	// on the next run over the same workload — a killed mining run restarts
@@ -245,13 +239,6 @@ type ParallelOptions struct {
 	// are marked PassReport.Restored and counted in Report.ResumedPasses.
 	// Every formulation and both backends checkpoint.
 	CheckpointDir string
-	// Recovery selects the rollback strategy after a crash: "coordinated"
-	// (the default — every survivor re-charges a checkpoint restore) or
-	// "asymmetric" (only crashed ranks pay the restore; survivors keep
-	// their levels in memory and wait at the pass barrier, so recovery
-	// I/O drops from Procs restores to one per crashed rank).  The mined
-	// itemsets are identical under either mode.
-	Recovery string
 	// Recorder, when non-nil, receives the run's hierarchical spans (run →
 	// pass → section → message/compute slice) on the virtual clock, each
 	// as it completes; use NewSpanCollector and the span exporters
@@ -310,13 +297,10 @@ func (o ParallelOptions) coreParams(backend core.ExecBackend) core.Params {
 		P:             o.Procs,
 		Machine:       o.Machine,
 		Apriori:       o.MineOptions.params(),
-		PageBytes:     o.PageBytes,
 		HDThreshold:   o.HDThreshold,
 		FixedG:        o.FixedG,
 		Faults:        o.Faults,
-		MaxRestarts:   o.MaxRestarts,
 		CheckpointDir: o.CheckpointDir,
-		Recovery:      core.RecoveryMode(o.Recovery),
 		Recorder:      o.Recorder,
 		Backend:       backend,
 	}
@@ -433,10 +417,10 @@ func TraceTimeline(w io.Writer, t *SpanTrace, width int) error {
 }
 
 // Observability: structured spans over the repo's two clocks.  Install a
-// collector on a parallel run (ParallelOptions.Recorder) or a server
-// (ServeOptions.Recorder), then export the assembled trace as Perfetto-
-// loadable JSON, distill it into the per-pass cost-attribution report, or
-// draw it as a text Gantt chart:
+// collector on a parallel run (ParallelOptions.Recorder); a server records
+// its own spans into an always-on flight ring (Server.Flight).  Then export
+// the assembled trace as Perfetto-loadable JSON, distill it into the
+// per-pass cost-attribution report, or draw it as a text Gantt chart:
 //
 //	rec := parapriori.NewSpanCollector()
 //	rep, _ := parapriori.MineParallel(data, parapriori.ParallelOptions{
@@ -453,7 +437,7 @@ type (
 	Span = obsv.Span
 	// SpanAttr is one key/value attribute on a span or trace.
 	SpanAttr = obsv.Attr
-	// Recorder is the pluggable span sink a run or server emits into.
+	// Recorder is the pluggable span sink a mining run emits into.
 	Recorder = obsv.Recorder
 	// SpanCollector is the standard in-memory Recorder; its Trace() output
 	// is deterministically ordered.
@@ -549,9 +533,10 @@ func MachineByName(name string) (MachinePreset, bool) { return cluster.ByName(na
 //	recs, _ := srv.Recommend([]parapriori.Item{3, 4}, 10)
 //	http.ListenAndServe(":8080", srv.Handler(nil))
 //
-// ServeOptions configures the server (worker pool, cache size, K cap, span
-// recorder); the rule index takes no options.  It is a defined type (not an alias)
-// so it can carry Validate; zero fields select defaults throughout.
+// ServeOptions configures the server (worker pool, cache size); the rule
+// index takes no options, and a query's K is capped at a fixed 100.  It is a
+// defined type (not an alias) so it can carry Validate; zero fields select
+// defaults throughout.
 type ServeOptions serve.Options
 
 type (

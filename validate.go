@@ -103,9 +103,6 @@ func (o ParallelOptions) Validate() error {
 	if _, err := core.ParseAlgorithm(string(o.Algorithm)); err != nil {
 		return optErr(strct, "Algorithm", "unknown algorithm %q (want cd, dd, ddcomm, idd, hd or hpa)", string(o.Algorithm))
 	}
-	if o.PageBytes < 0 {
-		return optErr(strct, "PageBytes", "negative (%d)", o.PageBytes)
-	}
 	if o.HDThreshold < 0 {
 		return optErr(strct, "HDThreshold", "negative (%d)", o.HDThreshold)
 	}
@@ -114,14 +111,6 @@ func (o ParallelOptions) Validate() error {
 	}
 	if o.FixedG > 0 && o.Procs%o.FixedG != 0 {
 		return optErr(strct, "FixedG", "%d does not divide Procs %d", o.FixedG, o.Procs)
-	}
-	if o.MaxRestarts < 0 {
-		return optErr(strct, "MaxRestarts", "negative (%d)", o.MaxRestarts)
-	}
-	switch o.Recovery {
-	case "", "coordinated", "asymmetric":
-	default:
-		return optErr(strct, "Recovery", "unknown mode %q (want coordinated or asymmetric)", o.Recovery)
 	}
 	backend, err := core.ParseBackend(o.Backend)
 	if err != nil {
@@ -161,9 +150,6 @@ func (o ServeOptions) Validate() error {
 	const strct = "ServeOptions"
 	if o.Workers < 0 {
 		return optErr(strct, "Workers", "negative (%d); zero means inline execution", o.Workers)
-	}
-	if o.MaxK < 0 {
-		return optErr(strct, "MaxK", "negative (%d)", o.MaxK)
 	}
 	return nil
 }

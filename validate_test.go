@@ -99,7 +99,6 @@ func TestRuleGenOptionsValidate(t *testing.T) {
 
 func TestServeOptionsValidate(t *testing.T) {
 	wantOptionError(t, ServeOptions{Workers: -1}.Validate(), "ServeOptions", "Workers")
-	wantOptionError(t, ServeOptions{MaxK: -1}.Validate(), "ServeOptions", "MaxK")
 	if err := (ServeOptions{CacheSize: -1}).Validate(); err != nil {
 		t.Fatalf("negative CacheSize means disabled and must be valid: %v", err)
 	}
