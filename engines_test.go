@@ -91,14 +91,9 @@ func TestEngineRestrictions(t *testing.T) {
 	if _, err := Mine(data, MineOptions{MinSupport: 0.05, Engine: "btree"}); err == nil {
 		t.Error("unknown serial engine accepted")
 	}
-	// The pair filter only removes candidates before an engine sees them;
-	// trimming reads the hash tree's match sets.
+	// The pair filter only removes candidates before an engine sees them.
 	if _, err := Mine(data, MineOptions{MinSupport: 0.05, Engine: "trie", DHPBuckets: 64}); err != nil {
 		t.Errorf("DHPBuckets with the trie engine: %v", err)
-	}
-	var oe *OptionError
-	if _, err := Mine(data, MineOptions{MinSupport: 0.05, Engine: "trie", DHPTrim: true}); !errors.As(err, &oe) || oe.Field != "Engine" {
-		t.Errorf("DHPTrim with the trie engine: got %v, want an Engine OptionError", err)
 	}
 	// DD and DD+comm count through the engine seam like the grid
 	// formulations; HPA probes a table of whole itemsets and has no

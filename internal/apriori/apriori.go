@@ -3,10 +3,11 @@
 // wise candidate generation (apriori_gen), support counting through a
 // candidate hash tree, and pruning by minimum support.
 //
-// The package also exports the two reusable building blocks every parallel
-// formulation shares — FirstPassSource and Gen — and supports the
-// memory-capped, multi-partition counting mode that the CD algorithm falls
-// back to when the hash tree does not fit in main memory (Figure 12).
+// The package also exports the building blocks every parallel formulation
+// shares — the first pass (FirstPassBlock, FrequentItems) and Gen — and
+// TreeParts, the number of scans CD's memory-capped counting needs when the
+// hash tree does not fit in a processor's memory (Figure 12).  The serial
+// miner itself has no memory cap: it counts each pass in one scan.
 package apriori
 
 import (
@@ -35,11 +36,6 @@ type Params struct {
 	// frequent itemsets of that size.  The paper's scalability experiments
 	// (Figures 13–15) measure pass 3 only; MaxPasses makes that expressible.
 	MaxPasses int
-	// MemoryBytes, if positive, caps the resident size of the candidate
-	// hash tree.  When the candidates of a pass do not fit, they are split
-	// into ceil(need/cap) partitions and the transactions are scanned once
-	// per partition — the extra-I/O regime of Figure 12.
-	MemoryBytes int
 	// DHPBuckets, if positive, enables the DHP hash filter of Park, Chen &
 	// Yu (see dhp.go): the first pass additionally hashes transaction
 	// pairs into this many buckets, and size-2 candidates whose bucket
@@ -48,20 +44,10 @@ type Params struct {
 	// identical to plain Apriori.  The buckets ride the one first pass, so
 	// the filter works over every source and in front of every engine.
 	DHPBuckets int
-	// DHPTrim enables DHP's transaction trimming: after counting pass k,
-	// items that matched fewer than k candidates are removed from the
-	// working copy of each transaction, and transactions too short to
-	// support a (k+1)-itemset are dropped entirely.  Results are identical
-	// to plain Apriori; later passes scan less data.  Trimming reads the
-	// hash tree's match sets and rewrites a resident working copy, so it
-	// requires the hashtree engine and a *Dataset source, and is
-	// incompatible with MemoryBytes (it assumes a single scan per pass).
-	DHPTrim bool
 	// Engine selects the support-counting backend (see
 	// internal/countengine): "hashtree" (the default), "trie" or "bitset".
 	// Every backend produces identical frequent itemsets; they differ in
-	// which operations counting spends.  Only DHPTrim is tied to the hash
-	// tree; DHPBuckets filters candidates before any engine sees them.
+	// which operations counting spends.
 	Engine string
 }
 
@@ -78,17 +64,11 @@ func (p Params) MinCount(n int) int64 {
 // PassStats records what one level-wise pass did; the experiment harnesses
 // aggregate these into the paper's tables.
 type PassStats struct {
-	K             int
-	Candidates    int
-	Frequent      int
-	TreeParts     int   // number of hash-tree partitions (1 unless memory-capped)
-	BytesScanned  int64 // transaction bytes read, counting repeated scans
-	Tree          hashtree.Stats
-	TreeMemory    int   // estimated resident bytes of the (largest) tree
-	GenCandidates int   // candidates produced by apriori_gen before counting
-	DHPPruned     int   // size-2 candidates removed by the DHP bucket filter
-	TrimmedItems  int64 // items removed from the working set by DHP trimming
-	TrimmedTxns   int   // transactions dropped entirely by DHP trimming
+	K          int
+	Candidates int
+	Frequent   int
+	Tree       hashtree.Stats
+	DHPPruned  int // size-2 candidates removed by the DHP bucket filter
 }
 
 // Result is the outcome of a mining run.
@@ -232,13 +212,14 @@ func compareSkipping(s, cand itemset.Itemset, skip int) int {
 }
 
 // TreeParts returns how many hash-tree partitions the size-k candidate set
-// needs under the memory cap of p (1 when uncapped or when it fits).
-func TreeParts(numCands, k int, p Params) int {
-	if p.MemoryBytes <= 0 || numCands == 0 {
+// needs when a tree shaped by tree may occupy at most memoryBytes (1 when
+// memoryBytes is not positive or when the candidates fit).
+func TreeParts(numCands, k int, tree hashtree.Config, memoryBytes int) int {
+	if memoryBytes <= 0 || numCands == 0 {
 		return 1
 	}
-	need := hashtree.EstimateMemoryBytes(numCands, k, p.Tree)
-	parts := (need + p.MemoryBytes - 1) / p.MemoryBytes
+	need := hashtree.EstimateMemoryBytes(numCands, k, tree)
+	parts := (need + memoryBytes - 1) / memoryBytes
 	if parts < 1 {
 		parts = 1
 	}

@@ -1,9 +1,6 @@
 package apriori
 
-import (
-	"parapriori/internal/hashtree"
-	"parapriori/internal/itemset"
-)
+import "parapriori/internal/itemset"
 
 // DHP support: Park, Chen & Yu's "effective hash-based algorithm for mining
 // association rules" [15 in the paper] augments Apriori's first pass with a
@@ -66,63 +63,4 @@ func (b *pairBuckets) filterC2(cands []itemset.Itemset, minCount int64) ([]items
 		}
 	}
 	return kept, len(cands) - len(kept)
-}
-
-// countAndTrim is DHP's second device: while counting pass k it records
-// which candidates each transaction matched, then *trims* the working set
-// for pass k+1 — an item survives only if it occurs in at least k matched
-// size-k candidates (every frequent (k+1)-itemset in t has k+1 frequent
-// k-subsets in t, each item appearing in k of them, so trimming is exact),
-// and a transaction survives only if at least k+1 items remain.  It returns
-// the counted candidates, the trimmed working set and the pass statistics.
-func countAndTrim(working []itemset.Transaction, numItems, k int, cands []itemset.Itemset, p Params) ([]Frequent, []itemset.Transaction, PassStats, error) {
-	stats := PassStats{K: k, Candidates: len(cands), GenCandidates: len(cands), TreeParts: 1}
-	tree, err := hashtree.New(k, cands, p.Tree)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	stats.TreeMemory = tree.MemoryBytes()
-
-	hits := make([]int64, numItems)
-	var matches []int32
-	kept := working[:0]
-	for _, t := range working {
-		stats.BytesScanned += int64(t.Bytes())
-		matches = matches[:0]
-		tree.SubsetCollect(t.Items, nil, &matches)
-		if len(matches) == 0 {
-			stats.TrimmedTxns++
-			continue
-		}
-		for _, ci := range matches {
-			for _, it := range cands[ci] {
-				hits[it]++
-			}
-		}
-		trimmed := make(itemset.Itemset, 0, len(t.Items))
-		for _, it := range t.Items {
-			if hits[it] >= int64(k) {
-				trimmed = append(trimmed, it)
-			}
-		}
-		stats.TrimmedItems += int64(len(t.Items) - len(trimmed))
-		for _, ci := range matches {
-			for _, it := range cands[ci] {
-				hits[it] = 0
-			}
-		}
-		if len(trimmed) >= k+1 {
-			kept = append(kept, itemset.Transaction{ID: t.ID, Items: trimmed})
-		} else {
-			stats.TrimmedTxns++
-		}
-	}
-	stats.Tree = tree.Stats()
-
-	counts := tree.Counts()
-	out := make([]Frequent, len(cands))
-	for i, c := range cands {
-		out[i] = Frequent{Items: c, Count: counts[i]}
-	}
-	return out, kept, stats, nil
 }

@@ -64,12 +64,7 @@ func MineNaive(data *itemset.Dataset, p Params) (*Result, error) {
 		}
 		frequent := Prune(counted, minCount)
 		res.Levels = append(res.Levels, frequent)
-		res.Passes = append(res.Passes, PassStats{
-			K:          k,
-			Candidates: len(cands),
-			Frequent:   len(frequent),
-			TreeParts:  1,
-		})
+		res.Passes = append(res.Passes, PassStats{K: k, Candidates: len(cands), Frequent: len(frequent)})
 		if len(frequent) == 0 {
 			break
 		}

@@ -9,34 +9,24 @@ import (
 
 // MineSource runs the serial Apriori algorithm over a transaction source —
 // the one serial pass loop.  The source is scanned block by block, once per
-// pass, or once per hash-tree partition under a memory cap, so for a
-// streaming source (a partitioned store, a file) the resident set is the
-// counting structure plus one block, never the database.  Counts are
-// accumulated in candidate order whatever the block boundaries, so the
+// pass, so for a streaming source (a partitioned store, a file) the resident
+// set is the counting structure plus one block, never the database.  Counts
+// are accumulated in candidate order whatever the block boundaries, so the
 // results are identical for identical transaction multisets.
 //
-// What needs the transactions resident is keyed on the source being a
-// *Dataset: vertical engines index it once up front instead of re-scanning
-// it every pass, and DHPTrim — which rewrites a resident working copy from
-// the hash tree's match sets, the very thing a streaming source exists to
-// avoid — is rejected on anything else and on any other engine.  DHPBuckets
-// is neither: the pair buckets ride the first pass and only remove
-// candidates before a counting structure is built.
+// Only the vertical engines' whole-dataset index is keyed on the source
+// being a *Dataset: they build it once up front instead of re-scanning the
+// dataset every pass.  DHPBuckets works over every source and engine: the
+// pair buckets ride the first pass and only remove candidates before a
+// counting structure is built.
 func MineSource(src itemset.Source, p Params) (*Result, error) {
-	data, resident := src.(*itemset.Dataset)
-	if p.DHPTrim && p.MemoryBytes > 0 {
-		return nil, fmt.Errorf("apriori: DHPTrim is incompatible with a memory cap (multi-scan counting)")
-	}
-	if !resident && p.DHPTrim {
-		return nil, fmt.Errorf("apriori: DHPTrim requires an in-memory dataset, not a streaming source")
+	if err := p.Tree.Validate(); err != nil {
+		return nil, fmt.Errorf("apriori: %w", err)
 	}
 	info := src.Info()
 	engB, err := countengine.New(p.Engine, countengine.Config{Tree: p.Tree, NumItems: info.NumItems})
 	if err != nil {
 		return nil, fmt.Errorf("apriori: %w", err)
-	}
-	if engB.Name() != countengine.Default && p.DHPTrim {
-		return nil, fmt.Errorf("apriori: DHPTrim requires the hashtree engine, not %q", engB.Name())
 	}
 	minCount := p.MinCount(info.NumTxns)
 	res := &Result{N: info.NumTxns, MinCount: minCount}
@@ -52,18 +42,13 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 	}
 	// Only now is every item known to lie inside the vocabulary the
 	// prepared index is sized by.
-	if prep, ok := engB.(countengine.DatasetPreparer); ok && resident {
-		prep.Prepare(data)
+	if data, resident := src.(*itemset.Dataset); resident {
+		if prep, ok := engB.(countengine.DatasetPreparer); ok {
+			prep.Prepare(data)
+		}
 	}
 	res.Levels = append(res.Levels, f1)
 	res.Passes = append(res.Passes, stats1)
-
-	// DHP trimming works on a private copy of the transactions so the
-	// caller's dataset is never modified.
-	var working []itemset.Transaction
-	if p.DHPTrim {
-		working = append([]itemset.Transaction(nil), data.Transactions...)
-	}
 
 	prev := frequentItemsets(f1)
 	for k := 2; len(prev) > 0; k++ {
@@ -78,18 +63,11 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 		if len(cands) == 0 {
 			break
 		}
-		var level []Frequent
-		var stats PassStats
-		if p.DHPTrim {
-			level, working, stats, err = countAndTrim(working, info.NumItems, k, cands, p)
-		} else {
-			level, stats, err = countSource(src, info, k, cands, p, engB)
-		}
+		level, stats, err := countSource(src, k, cands, engB)
 		if err != nil {
 			return nil, fmt.Errorf("apriori: pass %d: %w", k, err)
 		}
 		frequent := Prune(level, minCount)
-		stats.K = k
 		stats.Frequent = len(frequent)
 		stats.DHPPruned = dhpPruned
 		res.Levels = append(res.Levels, frequent)
@@ -111,26 +89,14 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 func FirstPassSource(src itemset.Source, minCount int64, also ...func(blk []itemset.Transaction)) ([]Frequent, PassStats, error) {
 	info := src.Info()
 	counts := make([]int64, info.NumItems)
-	var bytes int64
-	riders := append([]func([]itemset.Transaction){func(blk []itemset.Transaction) {
-		for _, t := range blk {
-			bytes += int64(t.Bytes())
-		}
-	}}, also...)
 	err := src.Blocks(func(blk []itemset.Transaction) error {
-		return FirstPassBlock(counts, blk, riders...)
+		return FirstPassBlock(counts, blk, also...)
 	})
 	if err != nil {
 		return nil, PassStats{}, err
 	}
 	f1 := FrequentItems(counts, minCount)
-	return f1, PassStats{
-		K:            1,
-		Candidates:   info.NumItems,
-		Frequent:     len(f1),
-		TreeParts:    1,
-		BytesScanned: bytes,
-	}, nil
+	return f1, PassStats{K: 1, Candidates: info.NumItems, Frequent: len(f1)}, nil
 }
 
 // FirstPassBlock is the first pass's step over one block, serial or per
@@ -159,43 +125,27 @@ func FrequentItems(counts []int64, minCount int64) []Frequent {
 	return f1
 }
 
-// countSource builds the counting structure(s) for the size-k candidates
-// with the run's engine builder and scans the source to compute their
-// supports.  It returns every candidate with its count (unpruned), plus the
-// pass statistics.  When p.MemoryBytes caps the structure below what the
-// candidates need, the candidate set is partitioned and each partition's
-// structure is fed by a fresh scan of the source — exactly the multi-scan CD
-// regime of Figure 12.
-func countSource(src itemset.Source, info itemset.SourceInfo, k int, cands []itemset.Itemset, p Params, engB countengine.Builder) ([]Frequent, PassStats, error) {
-	stats := PassStats{K: k, Candidates: len(cands), GenCandidates: len(cands)}
-	parts := TreeParts(len(cands), k, p)
-	stats.TreeParts = parts
-
+// countSource builds the size-k candidates' counting structure with the
+// run's engine builder and scans the source once to compute their supports.
+// It returns every candidate with its count (unpruned), plus the pass
+// statistics.
+func countSource(src itemset.Source, k int, cands []itemset.Itemset, engB countengine.Builder) ([]Frequent, PassStats, error) {
+	stats := PassStats{K: k, Candidates: len(cands)}
+	eng, err := engB.NewPass(k, cands)
+	if err != nil {
+		return nil, stats, err
+	}
+	if err := src.Blocks(func(blk []itemset.Transaction) error {
+		eng.CountBlock(blk, nil)
+		return nil
+	}); err != nil {
+		return nil, stats, err
+	}
+	counts := eng.Counts() // before Stats: an engine may defer work to Counts
+	stats.Tree = eng.Stats().TreeStats()
 	out := make([]Frequent, len(cands))
-	for part := 0; part < parts; part++ {
-		lo, hi := part*len(cands)/parts, (part+1)*len(cands)/parts
-		if lo == hi {
-			continue
-		}
-		eng, err := engB.NewPass(k, cands[lo:hi])
-		if err != nil {
-			return nil, stats, err
-		}
-		if m := eng.MemoryBytes(); m > stats.TreeMemory {
-			stats.TreeMemory = m
-		}
-		if err := src.Blocks(func(blk []itemset.Transaction) error {
-			eng.CountBlock(blk, nil)
-			return nil
-		}); err != nil {
-			return nil, stats, err
-		}
-		counts := eng.Counts()
-		stats.BytesScanned += info.Bytes
-		stats.Tree.Add(eng.Stats().TreeStats())
-		for i := lo; i < hi; i++ {
-			out[i] = Frequent{Items: cands[i], Count: counts[i-lo]}
-		}
+	for i, c := range counts {
+		out[i] = Frequent{Items: cands[i], Count: c}
 	}
 	return out, stats, nil
 }

@@ -66,8 +66,7 @@ type Params struct {
 	// Machine is the cost model; zero value means cluster.T3E().
 	Machine cluster.Machine
 	// Apriori carries the mining parameters (minimum support, hash-tree
-	// shape, MaxPasses).  Apriori.MemoryBytes is ignored here; the
-	// per-processor memory cap comes from Machine.MemoryBytes.
+	// shape, MaxPasses, engine).
 	Apriori apriori.Params
 	// HDThreshold is m, the minimum number of candidates per grid row
 	// before HD adds rows: G = smallest divisor of P that is at least
@@ -142,6 +141,9 @@ func (p Params) validate() error {
 	}
 	if p.Apriori.MinSupport <= 0 || p.Apriori.MinSupport > 1 {
 		return fmt.Errorf("core: MinSupport %v outside (0, 1]", p.Apriori.MinSupport)
+	}
+	if err := p.Apriori.Tree.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if p.FixedG > 0 && p.P%p.FixedG != 0 {
 		return fmt.Errorf("core: FixedG %d does not divide P %d", p.FixedG, p.P)
@@ -534,7 +536,6 @@ func (r *run) assembleResult() *apriori.Result {
 			K:          pl.k,
 			Candidates: pl.candidates,
 			Frequent:   pl.frequent,
-			TreeParts:  pl.treeParts,
 			Tree:       pl.tree,
 		})
 	}

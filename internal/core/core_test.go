@@ -7,6 +7,7 @@ import (
 	"parapriori/internal/apriori"
 	"parapriori/internal/cluster"
 	"parapriori/internal/datagen"
+	"parapriori/internal/hashtree"
 	"parapriori/internal/itemset"
 )
 
@@ -182,6 +183,7 @@ func TestParamsValidation(t *testing.T) {
 		{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 0}},
 		{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 1.5}},
 		{Algo: HD, P: 4, FixedG: 3, Apriori: apriori.Params{MinSupport: 0.1}},
+		{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 0.1, Tree: hashtree.Config{Fanout: 1}}},
 	}
 	for i, prm := range cases {
 		if _, err := Mine(d, prm); err == nil {

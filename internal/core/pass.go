@@ -122,10 +122,7 @@ func (r *run) body(p *cluster.Proc) error {
 		// partitioning is that M/G candidates fit in memory.
 		parts := 1
 		if g == 1 && f.grid {
-			parts = apriori.TreeParts(len(cands), k, apriori.Params{
-				Tree:        r.prm.Apriori.Tree,
-				MemoryBytes: p.Machine().MemoryBytes,
-			})
+			parts = apriori.TreeParts(len(cands), k, r.prm.Apriori.Tree, p.Machine().MemoryBytes)
 		}
 		pl.candidates, pl.localCands, pl.candImbalance = len(cands), len(mine.cands), mine.imbalance
 		pl.gridRows, pl.gridCols, pl.treeParts = g, cols, parts

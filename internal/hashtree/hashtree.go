@@ -24,6 +24,7 @@
 package hashtree
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -46,6 +47,17 @@ type Config struct {
 	// that sets S, the average number of candidates per leaf, in the
 	// Section IV analysis.  Defaults to 16.
 	MaxLeaf int
+}
+
+// Validate reports a shape no tree may take.  Zero or negative fields select
+// the defaults; a Fanout of 1 hashes every item to the one child, so a split
+// never divides its candidates, and the memory estimates that decide CD's
+// multi-scan (Figure 12) divide by Fanout-1.
+func (c Config) Validate() error {
+	if c.Fanout == 1 {
+		return errors.New("hashtree: Fanout 1 cannot split a leaf (want 0 for the default, or at least 2)")
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -146,9 +158,6 @@ type Tree struct {
 	leaves int
 	stats  Stats
 	stamp  uint64
-	// collect, when non-nil, receives the index of every candidate the
-	// current Subset call matches (used by DHP transaction trimming).
-	collect *[]int32
 }
 
 // noPair marks an absent entry of the pair index.  It is so negative that a
@@ -438,7 +447,7 @@ candidates:
 				continue candidates
 			}
 		}
-		t.match(t.perm[s])
+		t.counts[t.perm[s]]++
 	}
 }
 
@@ -452,28 +461,9 @@ candidates:
 func (t *Tree) lookup(a, b itemset.Item) {
 	if int(b) < len(t.pairCol) {
 		if ci := t.pairBase[a] + t.pairCol[b]; ci >= 0 {
-			t.match(ci)
+			t.counts[ci]++
 		}
 	}
-}
-
-// match records that the current transaction contains candidate ci.
-func (t *Tree) match(ci int32) {
-	t.counts[ci]++
-	if t.collect != nil {
-		*t.collect = append(*t.collect, ci)
-	}
-}
-
-// SubsetCollect is Subset plus match reporting: the index (in the order New
-// received them) of every candidate contained in txn is also appended to
-// *out, in no specified order.  DHP's transaction trimming needs the matches
-// to decide which items can still contribute to larger itemsets.
-func (t *Tree) SubsetCollect(txn itemset.Itemset, rootFilter func(itemset.Item) bool, out *[]int32) int {
-	t.collect = out
-	visited := t.Subset(txn, rootFilter)
-	t.collect = nil
-	return visited
 }
 
 // Counts returns the support counts of the candidates in the order New

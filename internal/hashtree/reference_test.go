@@ -153,10 +153,12 @@ func randomSets(rng *rand.Rand, n, k, nItems int) []itemset.Itemset {
 }
 
 // differ drives the flat tree and the reference tree with the same candidates
-// and 80 random transactions and demands the same visits, the same matches
-// (as sets: SubsetCollect's order is unspecified), the same counts, the same
-// number of leaves and the same operation counters.  Transaction items reach
-// past the candidates' range and past the last word of the mark bitmap.
+// and 80 random transactions and demands the same visits, the same matches,
+// the same counts, the same number of leaves and the same operation counters.
+// A transaction's matches are the candidates whose count its Subset call
+// moved, and every move must be by exactly one, so a candidate counted twice
+// for one transaction fails.  Transaction items reach past the candidates'
+// range and past the last word of the mark bitmap.
 //
 // One comparison is narrowed: on a pair-indexed tree, a candidate whose first
 // item the filter rejects is left out of the matches and the counts (the
@@ -173,6 +175,7 @@ func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []items
 		return tree.pairCol == nil || filter == nil || filter(cs[ci][0])
 	}
 	var matches []int32
+	before := tree.Counts()
 	for i := 0; i < 80; i++ {
 		txn := make([]itemset.Item, rng.Intn(14))
 		for j := range txn {
@@ -182,17 +185,23 @@ func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []items
 			}
 		}
 		set := itemset.New(txn...)
-		matches = matches[:0]
-		var got int
-		if i%2 == 0 {
-			got = tree.SubsetCollect(set, filter, &matches)
-		} else {
-			got = tree.Subset(set, filter)
-		}
+		got := tree.Subset(set, filter)
 		if want := ref.subset(set, filter); got != want {
 			t.Fatalf("%s: txn %v visited %d leaves, reference %d", name, set, got, want)
 		}
-		if i%2 == 0 && !sameSet(matches, ref.matches, inContract) {
+		after := tree.Counts()
+		matches = matches[:0]
+		for ci := range after {
+			switch after[ci] - before[ci] {
+			case 0:
+			case 1:
+				matches = append(matches, int32(ci))
+			default:
+				t.Fatalf("%s: txn %v moved candidate %v's count by %d", name, set, cs[ci], after[ci]-before[ci])
+			}
+		}
+		before = after
+		if !sameSet(matches, ref.matches, inContract) {
 			t.Fatalf("%s: txn %v matched %v, reference %v", name, set, matches, ref.matches)
 		}
 	}

@@ -128,17 +128,13 @@ type MineOptions struct {
 	// transaction count, e.g. 0.001 for the paper's 0.1%.
 	MinSupport float64
 	// HashTreeFanout is the hash-table width of internal tree nodes
-	// (default 8).
+	// (default 32; 1 is refused, since such a tree cannot split a leaf).
 	HashTreeFanout int
 	// MaxLeafSize is the number of candidates a leaf holds before
 	// splitting (default 16); it sets S in the paper's analysis.
 	MaxLeafSize int
 	// MaxPasses, if positive, stops after frequent itemsets of that size.
 	MaxPasses int
-	// MemoryBytes, if positive, caps the hash tree and forces partitioned,
-	// multi-scan counting when candidates exceed it (serial mining only;
-	// parallel runs take the cap from the Machine).
-	MemoryBytes int
 	// DHPBuckets, if positive, enables the DHP (Park/Chen/Yu) pair-hash
 	// filter: the first pass also hashes transaction pairs into this many
 	// buckets and prunes size-2 candidates from cold buckets.  Results are
@@ -146,14 +142,6 @@ type MineOptions struct {
 	// Serial mining only — over any Source and with any Engine, since the
 	// buckets ride the one first pass and only remove candidates.
 	DHPBuckets int
-	// DHPTrim enables DHP's transaction trimming: after pass k, items that
-	// matched fewer than k candidates are dropped from a working copy of
-	// each transaction, and transactions too short for a (k+1)-itemset are
-	// dropped entirely.  Identical results, less data scanned in later
-	// passes.  Serial mining only; incompatible with MemoryBytes; and,
-	// because it reads the hash tree's match sets and rewrites a resident
-	// copy, only with the hashtree Engine and a *Dataset.
-	DHPTrim bool
 	// Engine selects the support-counting backend: "hashtree" (the paper's
 	// candidate hash tree, the default), "trie" (flat prefix-compressed
 	// trie over dense items) or "bitset" (vertical per-item TID bitmaps,
@@ -161,27 +149,23 @@ type MineOptions struct {
 	// they differ in the operations counting spends, and therefore in
 	// virtual time.  CountEngines lists the registered names.  Every
 	// parallel formulation counts through the selected engine except HPA,
-	// which has no counting structure to replace; DHPTrim requires the
-	// hash tree.
+	// which has no counting structure to replace.
 	Engine string
 	// Source, when non-nil, supplies the transactions instead of the
 	// positional dataset argument — a *Dataset, a FileSource, or a
 	// PartitionedDataset.  Setting both Source and the dataset argument is
 	// an error; so is setting neither.  Streaming (non-Dataset) sources
-	// mine identical itemsets with one extra scan per hash-tree partition;
-	// DHPTrim requires a resident dataset.
+	// mine identical itemsets, scanned once per pass.
 	Source TxSource
 }
 
 func (o MineOptions) params() apriori.Params {
 	return apriori.Params{
-		MinSupport:  o.MinSupport,
-		Tree:        hashtree.Config{Fanout: o.HashTreeFanout, MaxLeaf: o.MaxLeafSize},
-		MaxPasses:   o.MaxPasses,
-		MemoryBytes: o.MemoryBytes,
-		DHPBuckets:  o.DHPBuckets,
-		DHPTrim:     o.DHPTrim,
-		Engine:      o.Engine,
+		MinSupport: o.MinSupport,
+		Tree:       hashtree.Config{Fanout: o.HashTreeFanout, MaxLeaf: o.MaxLeafSize},
+		MaxPasses:  o.MaxPasses,
+		DHPBuckets: o.DHPBuckets,
+		Engine:     o.Engine,
 	}
 }
 
@@ -262,8 +246,8 @@ type ParallelOptions struct {
 // response time and per-pass behaviour of the chosen formulation.
 //
 // Options are validated first; misconfigurations — including the serial-only
-// MineOptions knobs (MemoryBytes, DHPBuckets, DHPTrim), which earlier
-// versions ignored silently — return a *OptionError naming the field.
+// DHPBuckets, which earlier versions ignored silently — return a *OptionError
+// naming the field.
 func MineParallel(data *Dataset, o ParallelOptions) (*Report, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err

@@ -37,7 +37,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	const minsup = 0.015
-	serial, err := Mine(reloaded, MineOptions{MinSupport: minsup, DHPBuckets: 1 << 12, DHPTrim: true})
+	serial, err := Mine(reloaded, MineOptions{MinSupport: minsup, DHPBuckets: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}

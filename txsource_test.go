@@ -176,8 +176,6 @@ func TestSourceOptionErrors(t *testing.T) {
 	if _, err = Mine(nil, MineOptions{MinSupport: 0.02, Source: store, DHPBuckets: 64}); err != nil {
 		t.Fatalf("DHPBuckets over a store rejected: %v", err)
 	}
-	_, err = Mine(nil, MineOptions{MinSupport: 0.02, Source: store, DHPTrim: true})
-	check(err, "MineOptions", "Source")
 
 	par := func(mut func(*ParallelOptions)) error {
 		o := ParallelOptions{Algorithm: CD, Procs: 2, MineOptions: MineOptions{MinSupport: 0.02, Source: store}, Backend: "ooc"}

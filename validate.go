@@ -5,7 +5,6 @@ import (
 
 	"parapriori/internal/core"
 	"parapriori/internal/countengine"
-	"parapriori/internal/itemset"
 )
 
 // OptionError reports an invalid or contradictory field in an options
@@ -37,8 +36,8 @@ func (o MineOptions) Validate() error {
 }
 
 // validate implements Validate for both the serial and the embedded-in-
-// ParallelOptions case; serial reports whether the serial-only knobs
-// (MemoryBytes, DHPBuckets, DHPTrim) are legal at all.
+// ParallelOptions case; serial reports whether the serial-only DHPBuckets is
+// legal at all.
 func (o MineOptions) validate(strct string, serial bool) error {
 	if o.MinSupport <= 0 || o.MinSupport > 1 {
 		return optErr(strct, "MinSupport", "%v outside (0, 1]", o.MinSupport)
@@ -46,52 +45,32 @@ func (o MineOptions) validate(strct string, serial bool) error {
 	if o.HashTreeFanout < 0 {
 		return optErr(strct, "HashTreeFanout", "negative (%d)", o.HashTreeFanout)
 	}
+	if err := o.params().Tree.Validate(); err != nil {
+		return optErr(strct, "HashTreeFanout", "%v", err)
+	}
 	if o.MaxLeafSize < 0 {
 		return optErr(strct, "MaxLeafSize", "negative (%d)", o.MaxLeafSize)
 	}
 	if o.MaxPasses < 0 {
 		return optErr(strct, "MaxPasses", "negative (%d)", o.MaxPasses)
 	}
-	if o.MemoryBytes < 0 {
-		return optErr(strct, "MemoryBytes", "negative (%d)", o.MemoryBytes)
-	}
 	if o.DHPBuckets < 0 {
 		return optErr(strct, "DHPBuckets", "negative (%d)", o.DHPBuckets)
 	}
-	if !serial {
-		// These knobs configure the serial miner only.  MineParallel used
-		// to zero or ignore them silently; now the contradiction is named.
-		if o.MemoryBytes > 0 {
-			return optErr(strct, "MemoryBytes", "serial mining only — the parallel memory cap comes from Machine.MemoryBytes")
-		}
-		if o.DHPBuckets > 0 {
-			return optErr(strct, "DHPBuckets", "DHP filtering is serial mining only")
-		}
-		if o.DHPTrim {
-			return optErr(strct, "DHPTrim", "DHP trimming is serial mining only")
-		}
-	}
-	if o.DHPTrim && o.MemoryBytes > 0 {
-		return optErr(strct, "DHPTrim", "incompatible with MemoryBytes: trimming rewrites the transactions the multi-scan passes must rescan")
+	if !serial && o.DHPBuckets > 0 {
+		// The pair filter has no parallel form yet (PDM).
+		return optErr(strct, "DHPBuckets", "DHP filtering is serial mining only")
 	}
 	if !countengine.Known(o.Engine) {
 		return optErr(strct, "Engine", "unknown engine %q (want one of %v)", o.Engine, countengine.Names())
-	}
-	if o.Engine != "" && o.Engine != countengine.Default && o.DHPTrim {
-		return optErr(strct, "Engine", "DHP trimming reads the hash tree's match sets; it requires the hashtree engine, not %q", o.Engine)
-	}
-	if o.Source != nil {
-		if _, resident := o.Source.(*itemset.Dataset); !resident && o.DHPTrim {
-			return optErr(strct, "Source", "DHP trimming rewrites a resident working copy; it requires a *Dataset, not a streaming source")
-		}
 	}
 	return nil
 }
 
 // Validate checks the options for a parallel mining run.  It returns nil
 // or a *OptionError naming the first offending field — including the
-// MineOptions knobs that only the serial miner honors, which MineParallel
-// previously ignored without comment.
+// MineOptions knob only the serial miner honors (DHPBuckets), which
+// MineParallel previously ignored without comment.
 func (o ParallelOptions) Validate() error {
 	const strct = "ParallelOptions"
 	if err := o.MineOptions.validate(strct, false); err != nil {

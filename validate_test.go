@@ -23,13 +23,17 @@ func TestMineOptionsValidate(t *testing.T) {
 	wantOptionError(t, MineOptions{}.Validate(), "MineOptions", "MinSupport")
 	wantOptionError(t, MineOptions{MinSupport: 1.5}.Validate(), "MineOptions", "MinSupport")
 	wantOptionError(t, MineOptions{MinSupport: 0.1, MaxPasses: -1}.Validate(), "MineOptions", "MaxPasses")
-	wantOptionError(t, MineOptions{MinSupport: 0.1, DHPTrim: true, MemoryBytes: 1 << 20}.Validate(), "MineOptions", "DHPTrim")
-	if err := (MineOptions{MinSupport: 0.1, DHPTrim: true}).Validate(); err != nil {
+	// A fanout-1 tree cannot split a leaf, and its memory estimate divides
+	// by Fanout-1: refused up front, not a divide-by-zero panic later.
+	wantOptionError(t, MineOptions{MinSupport: 0.1, HashTreeFanout: 1}.Validate(), "MineOptions", "HashTreeFanout")
+	if err := (MineOptions{MinSupport: 0.1, HashTreeFanout: 2, DHPBuckets: 64}).Validate(); err != nil {
 		t.Fatalf("valid serial options rejected: %v", err)
 	}
 	if _, err := Mine(FromItems([][]Item{{1, 2}}), MineOptions{MinSupport: -1}); err == nil {
 		t.Fatal("Mine accepted negative support")
 	}
+	_, err := Mine(FromItems([][]Item{{1, 2}, {1, 2, 3}}), MineOptions{MinSupport: 0.2, HashTreeFanout: 1})
+	wantOptionError(t, err, "MineOptions", "HashTreeFanout")
 }
 
 func TestParallelOptionsValidate(t *testing.T) {
@@ -46,17 +50,14 @@ func TestParallelOptionsValidate(t *testing.T) {
 	bad.Algorithm = "bogus"
 	wantOptionError(t, bad.Validate(), "ParallelOptions", "Algorithm")
 
-	// The serial-only knobs MineParallel used to ignore silently are now
-	// named errors.
-	bad = ok
-	bad.MemoryBytes = 1 << 20
-	wantOptionError(t, bad.Validate(), "ParallelOptions", "MemoryBytes")
+	// The serial-only knob MineParallel used to ignore silently is now a
+	// named error.
 	bad = ok
 	bad.DHPBuckets = 1024
 	wantOptionError(t, bad.Validate(), "ParallelOptions", "DHPBuckets")
 	bad = ok
-	bad.DHPTrim = true
-	wantOptionError(t, bad.Validate(), "ParallelOptions", "DHPTrim")
+	bad.HashTreeFanout = 1
+	wantOptionError(t, bad.Validate(), "ParallelOptions", "HashTreeFanout")
 
 	bad = ok
 	bad.FixedG = 3 // does not divide 8
@@ -81,12 +82,14 @@ func TestParallelOptionsValidate(t *testing.T) {
 	bad.Engine = "trie"
 	wantOptionError(t, bad.Validate(), "ParallelOptions", "Engine")
 
-	if _, err := MineParallel(FromItems([][]Item{{1, 2}, {1, 2}}), ParallelOptions{
-		MineOptions: MineOptions{MinSupport: 0.5, MemoryBytes: 1 << 20},
-		Algorithm:   CD, Procs: 2,
-	}); err == nil {
-		t.Fatal("MineParallel accepted the serial-only MemoryBytes knob")
-	}
+	// Under a memory cap CD sizes its tree partitions from the fanout.
+	capped := MachineT3E()
+	capped.MemoryBytes = 2048
+	_, err := MineParallel(FromItems([][]Item{{1, 2}, {1, 2}, {1, 2, 3}}), ParallelOptions{
+		MineOptions: MineOptions{MinSupport: 0.2, HashTreeFanout: 1},
+		Algorithm:   CD, Procs: 2, Machine: capped,
+	})
+	wantOptionError(t, err, "ParallelOptions", "HashTreeFanout")
 }
 
 func TestRuleGenOptionsValidate(t *testing.T) {
