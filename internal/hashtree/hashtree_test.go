@@ -191,6 +191,19 @@ func TestRejectsBadCandidates(t *testing.T) {
 	}
 }
 
+func TestConfigValidate(t *testing.T) {
+	// Zero and negative fields select the defaults; a fanout of 1 never
+	// divides a leaf and would divide the memory estimates by zero.
+	for _, c := range []Config{{}, {Fanout: -3, MaxLeaf: -1}, {Fanout: 2}, {Fanout: 32, MaxLeaf: 1}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
+		}
+	}
+	if err := (Config{Fanout: 1, MaxLeaf: 16}).Validate(); err == nil {
+		t.Error("fanout 1 accepted")
+	}
+}
+
 func TestLeafSplitting(t *testing.T) {
 	// 20 candidates of size 2 sharing no structure, MaxLeaf 2: the tree
 	// must split and leaves stay small where depth allows.
