@@ -242,21 +242,21 @@ func rowsHD(r *run, m int) int {
 // same deterministic bin-packing, so no communication is needed to agree on
 // the assignment (each processor "locally regenerates and stores" its
 // share, as Section III-C describes): all are charged for it, the host
-// packs once (passcache.go).
+// packs once and copies each row's share once (passcache.go).
 func placeBinPacked(r *run, p *cluster.Proc, k, g, row int, cands []itemset.Itemset) share {
 	if g == 1 {
 		return share{cands: cands}
 	}
 	partStart := p.Clock()
-	asg := r.binPack(k, g, cands)
+	asg, mine := r.binPack(k, g, row, cands)
 	chargeScan(p, int64(len(cands)), "partition")
 	bm := bitmap.New(r.numItems)
-	for _, c := range asg.PerProc[row] {
-		bm.Set(int(c[0]))
+	for _, grp := range asg.GroupsOf[row] {
+		bm.Set(int(grp.First))
 	}
 	r.sec(p, "partition", partStart, obsv.Int("k", int64(k)))
 	return share{
-		cands:     asg.PerProc[row],
+		cands:     mine,
 		filter:    func(it itemset.Item) bool { return bm.Test(int(it)) },
 		imbalance: asg.Imbalance(),
 	}

@@ -11,44 +11,60 @@ import (
 	"parapriori/internal/partition"
 )
 
-// TestPassCacheComputesOncePerKey asks for C_2 and its partition from eight
-// ranks at once, as a pass does: all must be handed the one
-// shared slice, equal to a private apriori.Gen / partition.BinPack, and a
-// different row count must get its own partition.
+// TestPassCacheComputesOncePerKey asks for C_2, its partition and the
+// rank's row share from eight ranks at once, as a pass does, on an 8 × 1
+// grid and on HD's 2 × 4 one: all must be handed the one shared C_2 and
+// partition, equal to a private apriori.Gen / partition.BinPack; every
+// column of a row the one share, equal to Share of that row; and a
+// different row count its own partition.
 func TestPassCacheComputesOncePerKey(t *testing.T) {
 	var prev []apriori.Frequent
 	for it := 0; it < 60; it++ {
 		prev = append(prev, apriori.Frequent{Items: itemset.Itemset{itemset.Item(it)}, Count: 9})
 	}
-	r := &run{prm: Params{P: 8}.withDefaults()}
 	const ranks = 8
-	var cands [ranks][]itemset.Itemset
-	var asgs [ranks]*partition.Assignment
-	cl, err := cluster.New(ranks, cluster.T3E())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Run(func(p *cluster.Proc) error {
-		cands[p.ID()] = r.candidates(2, prev)
-		asgs[p.ID()] = r.binPack(2, ranks, cands[p.ID()])
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := apriori.Gen(itemsetsOf(prev))
-	if !reflect.DeepEqual(cands[0], want) {
-		t.Fatalf("cached C_2 differs from apriori.Gen: %d vs %d candidates", len(cands[0]), len(want))
-	}
-	if !reflect.DeepEqual(asgs[0], partition.BinPack(want, ranks, 0)) {
-		t.Fatal("cached partition differs from partition.BinPack")
-	}
-	for i := 1; i < ranks; i++ {
-		if &cands[i][0] != &cands[0][0] || asgs[i] != asgs[0] {
-			t.Fatalf("rank %d was handed its own copy", i)
+	for _, g := range []int{ranks, 2} {
+		r := &run{prm: Params{P: ranks}.withDefaults()}
+		cols := ranks / g
+		var cands, shares [ranks][]itemset.Itemset
+		var asgs [ranks]*partition.Assignment
+		cl, err := cluster.New(ranks, cluster.T3E())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if seven := r.binPack(2, 7, cands[0]); seven == asgs[0] || len(seven.PerProc) != 7 {
-		t.Fatalf("a 7-row grid was handed the 8-row partition")
+		if err := cl.Run(func(p *cluster.Proc) error {
+			cands[p.ID()] = r.candidates(2, prev)
+			asgs[p.ID()], shares[p.ID()] = r.binPack(2, g, p.ID()/cols, cands[p.ID()])
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := apriori.Gen(itemsetsOf(prev))
+		if !reflect.DeepEqual(cands[0], want) {
+			t.Fatalf("cached C_2 differs from apriori.Gen: %d vs %d candidates", len(cands[0]), len(want))
+		}
+		packed := partition.BinPack(want, g, 0)
+		if !reflect.DeepEqual(asgs[0], packed) {
+			t.Fatalf("g=%d: cached partition differs from partition.BinPack", g)
+		}
+		for i := 0; i < ranks; i++ {
+			if &cands[i][0] != &cands[0][0] || asgs[i] != asgs[0] {
+				t.Fatalf("g=%d: rank %d was handed its own C_2 or partition", g, i)
+			}
+			row, lead := i/cols, i/cols*cols
+			if !reflect.DeepEqual(shares[i], packed.Share(row)) {
+				t.Fatalf("g=%d: rank %d's share differs from row %d's Share", g, i, row)
+			}
+			if &shares[i][0] != &shares[lead][0] {
+				t.Fatalf("g=%d: rank %d was handed its own copy of row %d's share", g, i, row)
+			}
+			if row > 0 && &shares[i][0] == &shares[0][0] {
+				t.Fatalf("g=%d: row %d was handed row 0's share", g, row)
+			}
+		}
+		if seven, _ := r.binPack(2, 7, 0, cands[0]); seven == asgs[0] || len(seven.Counts) != 7 {
+			t.Fatalf("g=%d: a 7-row grid was handed the %d-row partition", g, g)
+		}
 	}
 }
 

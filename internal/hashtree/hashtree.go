@@ -13,14 +13,14 @@
 // tree would earn them; what the host executes at a leaf is a separate
 // matter.  A leaf is scanned the first time a transaction reaches it, one
 // bitmap test per item of each candidate.  The exception is pass 2's dense
-// tree: a leaf that holds more than MaxLeaf candidates sits at depth k and
-// cannot split — it is saturated — so the walk that reaches it has consumed k
-// transaction items, and that k-tuple is the only candidate the arrival can
-// match.  When k = 2 and the candidates are whole first-item rows of a
-// complete C2 (New verifies it), every arrival at a saturated leaf looks its
-// pair up in a direct index and the leaf's size is charged to LeafChecks
-// without being scanned.  DESIGN.md, "Host work vs charged work", has the
-// exactness argument.
+// tree.  When k = 2, some leaf overflows MaxLeaf and the candidates are whole
+// first-item rows of a complete C2 (New verifies it), the tree gets a direct
+// pair index, and every depth-2 arrival of that pair-indexed tree — a leaf
+// of any size — looks up the pair it consumed: having consumed two
+// transaction items, that pair is the only candidate the arrival can match.
+// The leaf's size is charged to LeafChecks on its first visit without being
+// scanned.  DESIGN.md, "Host work vs charged work", has the exactness
+// argument.
 package hashtree
 
 import (
@@ -138,10 +138,16 @@ type Tree struct {
 	// Counts returns and the one the pair index computes, so only a match
 	// found by slot goes through perm.
 	counts []int64
-	// marks is a bitmap over the candidates' item range.  Subset sets the
-	// bits of the transaction's items for the duration of one call, which
-	// turns a scanned leaf's containment test into k bit tests.
-	marks []uint64
+	// marks is a bitmap over the candidates' item range.  The first leaf
+	// scan of a Subset call sets the bits of the transaction's items
+	// (marked records it) and the call clears them on return, which turns a
+	// scanned leaf's containment test into k bit tests.  A call that scans
+	// no leaf, the usual case on a pair-indexed tree, never touches it.
+	marks  []uint64
+	marked bool
+	// mask is Fanout-1 when Fanout is a power of two, so an item hashes
+	// with an AND; otherwise it is 0 and an item hashes with the modulo.
+	mask int32
 	// pairBase and pairCol are the direct index of a complete C2, both
 	// indexed by item and nil unless New verified its conditions (see
 	// pairIndex): candidate {a, b} is cands[pairBase[a]+pairCol[b]], and
@@ -196,6 +202,9 @@ func New(k int, cands []itemset.Itemset, cfg Config) (*Tree, error) {
 		marks:  make([]uint64, (int(maxItem)+64)/64),
 		leaves: 1,
 		stats:  Stats{Inserts: int64(len(cands))},
+	}
+	if cfg.Fanout&(cfg.Fanout-1) == 0 {
+		t.mask = int32(cfg.Fanout - 1)
 	}
 	for i := range t.perm {
 		t.perm[i] = int32(i)
@@ -319,7 +328,23 @@ func (t *Tree) Stats() Stats { return t.stats }
 // ResetStats zeroes the operation counters.
 func (t *Tree) ResetStats() { t.stats = Stats{} }
 
-func (t *Tree) hash(it itemset.Item) int { return int(it) % t.cfg.Fanout }
+// hash is the child offset of a non-negative item.
+func (t *Tree) hash(it itemset.Item) int32 {
+	if t.mask != 0 {
+		return int32(it) & t.mask
+	}
+	return int32(it) % int32(t.cfg.Fanout)
+}
+
+// mark sets the bits of the current transaction's items in marks.
+func (t *Tree) mark() {
+	for _, it := range t.txn {
+		if w := uint32(it) >> 6; int(w) < len(t.marks) {
+			t.marks[w] |= 1 << (uint32(it) & 63)
+		}
+	}
+	t.marked = true
+}
 
 // Subset counts the candidates contained in txn and returns the number of
 // distinct leaf nodes visited for this transaction (the per-transaction
@@ -347,11 +372,7 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) i
 	if len(txn) < t.k {
 		return 0 // too short to contain any candidate
 	}
-	for _, it := range txn {
-		if w := uint32(it) >> 6; int(w) < len(t.marks) {
-			t.marks[w] |= 1 << (uint32(it) & 63)
-		}
-	}
+	t.txn = txn
 	visited := 0
 	if root := &t.nodes[0]; root.child == 0 {
 		// Degenerate tree: everything sits in the root leaf.
@@ -361,11 +382,11 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) i
 		t.scanLeaf(root)
 	} else {
 		// Hash every item once; the walk reaches each of them many times.
-		offs, fanout := t.offs[:0], itemset.Item(t.cfg.Fanout)
+		offs := t.offs[:0]
 		for _, it := range txn {
-			offs = append(offs, int32(it%fanout))
+			offs = append(offs, t.hash(it))
 		}
-		t.txn, t.offs = txn, offs
+		t.offs = offs
 		// The root loop: every transaction item that passes the filter is
 		// a possible first item of a candidate.
 		last := len(txn) - t.k
@@ -377,13 +398,16 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) i
 			t.first = txn[i]
 			visited += t.walk(root.child+offs[i], i+1, 1)
 		}
-		t.txn = nil
 	}
-	for _, it := range txn {
-		if w := uint32(it) >> 6; int(w) < len(t.marks) {
-			t.marks[w] = 0
+	if t.marked {
+		for _, it := range txn {
+			if w := uint32(it) >> 6; int(w) < len(t.marks) {
+				t.marks[w] = 0
+			}
 		}
+		t.marked = false
 	}
+	t.txn = nil
 	return visited
 }
 
@@ -396,14 +420,13 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) i
 func (t *Tree) walk(ni int32, pos, depth int) int {
 	n := &t.nodes[ni]
 	if n.child == 0 {
-		size := int(n.end - n.start)
-		// A saturated leaf (so depth == k == 2) of a pair-indexed tree.
-		indexed := t.pairCol != nil && size > t.cfg.MaxLeaf
+		// A depth-2 leaf of a pair-indexed tree (so k == 2), of any size.
+		indexed := t.pairCol != nil && depth == 2
 		visited := 0
 		if n.stamp != t.stamp {
 			n.stamp = t.stamp
 			t.stats.LeafVisits++
-			t.stats.LeafChecks += int64(size)
+			t.stats.LeafChecks += int64(n.end - n.start)
 			visited = 1
 			if !indexed {
 				t.scanLeaf(n)
@@ -432,10 +455,17 @@ func (t *Tree) walk(ni int32, pos, depth int) int {
 }
 
 // scanLeaf bumps the count of every candidate in the leaf whose items are
-// all marked, i.e. that the current transaction contains.
+// all marked, i.e. that the current transaction contains.  The first
+// non-empty leaf of a Subset call marks the transaction.
 //
 //checkinv:hotpath
 func (t *Tree) scanLeaf(n *node) {
+	if n.start == n.end {
+		return
+	}
+	if !t.marked {
+		t.mark()
+	}
 	k, marks := t.k, t.marks
 	items := t.items[int(n.start)*k : int(n.end)*k]
 candidates:
@@ -452,7 +482,7 @@ candidates:
 }
 
 // lookup counts candidate {a, b} of a pair-indexed tree, if it has one: a < b
-// are the items the walk consumed on its way to a saturated leaf.  That pair
+// are the items the walk consumed on its way to a depth-2 leaf.  That pair
 // is the only candidate the arrival can match, because a candidate the
 // transaction contains is reached by the positions of its own items and by
 // no others.

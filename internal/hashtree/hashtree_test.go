@@ -377,7 +377,7 @@ func TestQuickCountEquivalence(t *testing.T) {
 }
 
 // TestSubsetAllocFree: a Subset call allocates nothing once the per-tree
-// scratch has grown to the longest transaction, whether its saturated leaves
+// scratch has grown to the longest transaction, whether its depth-k leaves
 // are answered by the pair index (k = 2) or scanned (k = 3).
 func TestSubsetAllocFree(t *testing.T) {
 	universe := make(itemset.Itemset, 16)
@@ -409,7 +409,9 @@ func TestSubsetAllocFree(t *testing.T) {
 // the complete C2 over the 713 most frequent of 1 000 items, bin-packed
 // eight ways by first item (whole rows per part, as HD's 8×1 grid places
 // them), one tree per part with its first-item filter, T15.I6 transactions.
-// Every leaf is saturated (1 024 leaves of ~30 candidates, MaxLeaf 16).
+// Each part's tree has about 1 000 depth-2 leaves of ~30 candidates
+// (MaxLeaf 16), and 143–248 of them hold 16 or fewer; the pair index
+// answers every depth-2 arrival, whatever its leaf's size.
 func BenchmarkSubsetPass2(b *testing.B) {
 	p := datagen.Defaults()
 	p.NumTransactions = 2000
@@ -429,7 +431,9 @@ func BenchmarkSubsetPass2(b *testing.B) {
 
 	var trees []*Tree
 	var filters []func(itemset.Item) bool
-	for _, part := range partition.BinPack(c2, 8, 0).PerProc {
+	asg := partition.BinPack(c2, 8, 0)
+	for i := range asg.Counts {
+		part := asg.Share(i)
 		firsts := make([]bool, p.NumItems)
 		for _, c := range part {
 			firsts[c[0]] = true

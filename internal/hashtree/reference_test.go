@@ -157,8 +157,9 @@ func randomSets(rng *rand.Rand, n, k, nItems int) []itemset.Itemset {
 // the same counts, the same number of leaves and the same operation counters.
 // A transaction's matches are the candidates whose count its Subset call
 // moved, and every move must be by exactly one, so a candidate counted twice
-// for one transaction fails.  Transaction items reach past the candidates'
-// range and past the last word of the mark bitmap.
+// for one transaction fails.  Every call must leave the mark bitmap clear.
+// Transaction items reach past the candidates' range and past the last word
+// of the mark bitmap.
 //
 // One comparison is narrowed: on a pair-indexed tree, a candidate whose first
 // item the filter rejects is left out of the matches and the counts (the
@@ -188,6 +189,9 @@ func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []items
 		got := tree.Subset(set, filter)
 		if want := ref.subset(set, filter); got != want {
 			t.Fatalf("%s: txn %v visited %d leaves, reference %d", name, set, got, want)
+		}
+		if w := slices.IndexFunc(tree.marks, func(w uint64) bool { return w != 0 }); w >= 0 {
+			t.Fatalf("%s: txn %v left word %d of the mark bitmap set", name, set, w)
 		}
 		after := tree.Counts()
 		matches = matches[:0]
@@ -265,65 +269,52 @@ func TestDifferentialAgainstReference(t *testing.T) {
 
 // TestDifferentialSaturated forces what the random trials meet only by
 // chance: leaves at depth k that hold more than MaxLeaf candidates.  Every
-// k-subset of ten scattered items is far more than Fanout^k·MaxLeaf.  Whole
-// first-item rows at k = 2, in lexicographic order or in bin-packing's, must
-// get the direct pair index; rows with holes or back to front, DD's
-// round-robin share, a shuffled list, duplicates, a repeated row and every
-// k > 2 must not, and are scanned.  Each runs without a filter, with IDD's and with a rejecting one.
+// k-subset of max(10, 3·Fanout) scattered items is far more than
+// Fanout^k·MaxLeaf.  Whole first-item rows at k = 2, in lexicographic order
+// or in bin-packing's, must get the direct pair index; rows with holes or back
+// to front, DD's round-robin share, a shuffled list, duplicates, a repeated
+// row and every k > 2 must not, and are scanned.  Each runs without a filter,
+// with IDD's and with a rejecting one, at power-of-two fanouts (hashed by
+// mask) and at fanout 3 (by modulo).
 func TestDifferentialSaturated(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	const nItems = 24
 	for _, k := range []int{2, 3, 4} {
-		universe := itemset.New(randomSets(rng, 1, 10, nItems)[0]...)
-		all := subsets(universe, k)
-		packed := partition.BinPack(all, 3, 0).PerProc[1]
-		holes := slices.DeleteFunc(slices.Clone(all), func(itemset.Itemset) bool { return rng.Intn(3) == 0 })
-		descending := slices.Clone(all) // whole rows, each back to front
-		slices.SortStableFunc(descending, func(a, b itemset.Itemset) int {
-			if a[0] != b[0] {
-				return int(a[0] - b[0])
+		for _, fanout := range []int{2, 3, 4, 8} {
+			universe := itemset.New(randomSets(rng, 1, max(10, 3*fanout), nItems)[0]...)
+			all := subsets(universe, k)
+			packed := partition.BinPack(all, 3, 0).Share(1)
+			holes := slices.DeleteFunc(slices.Clone(all), func(itemset.Itemset) bool { return rng.Intn(3) == 0 })
+			descending := slices.Clone(all) // whole rows, each back to front
+			slices.SortStableFunc(descending, func(a, b itemset.Itemset) int {
+				if a[0] != b[0] {
+					return int(a[0] - b[0])
+				}
+				return slices.Compare(b, a)
+			})
+			shuffled := slices.Clone(all)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			shapes := []struct {
+				name string
+				cs   []itemset.Itemset
+				rows bool // whole first-item rows, each contiguous and ascending
+			}{
+				{"complete", all, true},
+				{"bin-packed share", packed, true},
+				{"rows with holes", holes, false},
+				{"rows descending", descending, false},
+				{"round-robin share", partition.RoundRobin(all, 3)[1], false},
+				{"shuffled", shuffled, false},
+				{"duplicates", append(slices.Clone(all), all[1], all[len(all)/2], all[1]), false},
+				{"first row twice", append(slices.Clone(all), all[:binomial(len(universe)-1, k-1)]...), false},
 			}
-			return slices.Compare(b, a)
-		})
-		shuffled := slices.Clone(all)
-		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		shapes := []struct {
-			name string
-			cs   []itemset.Itemset
-			rows bool // whole first-item rows, each contiguous and ascending
-		}{
-			{"complete", all, true},
-			{"bin-packed share", packed, true},
-			{"rows with holes", holes, false},
-			{"rows descending", descending, false},
-			{"round-robin share", partition.RoundRobin(all, 3)[1], false},
-			{"shuffled", shuffled, false},
-			{"duplicates", append(slices.Clone(all), all[1], all[len(all)/2], all[1]), false},
-			{"first row twice", append(slices.Clone(all), all[:binomial(len(universe)-1, k-1)]...), false},
-		}
-		for _, fanout := range []int{2, 3} {
 			for _, maxLeaf := range []int{1, 2} {
 				for _, sh := range shapes {
-					filters := []struct {
-						name string
-						fn   func(itemset.Item) bool
-					}{
-						{"none", nil},
-						{"first items", firstItemFilter(sh.cs)},
-						{"rejecting", rejectingFilter(rng, sh.cs)},
-					}
-					for _, f := range filters {
-						filter := f.fn
+					for _, f := range filtersFor(rng, sh.cs) {
 						cfg := Config{Fanout: fanout, MaxLeaf: maxLeaf}
 						name := fmt.Sprintf("%s k=%d cfg=%+v filter=%s", sh.name, k, cfg, f.name)
-						tree := differ(t, name, rng, k, nItems, sh.cs, cfg, filter)
-						saturated := 0
-						for _, n := range tree.nodes {
-							if n.child == 0 && int(n.end-n.start) > maxLeaf {
-								saturated++
-							}
-						}
-						if saturated == 0 {
+						tree := differ(t, name, rng, k, nItems, sh.cs, cfg, f.fn)
+						if leafSizes(tree)[k].max <= maxLeaf {
 							t.Errorf("%s: no saturated leaf", name)
 						}
 						if got, want := tree.pairCol != nil, k == 2 && sh.rows; got != want {
@@ -334,6 +325,79 @@ func TestDifferentialSaturated(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDifferentialPairIndexedSmallLeaves gives a pair-indexed tree every
+// kind of leaf, at every fanout: a complete C2 over the class-0 items
+// {0, f, 2f, 3f} and y = f+1, alone in class 1, with MaxLeaf 2.  The six
+// class-0 pairs fill a saturated depth-2 leaf; {0, y} and {f, y} a depth-2
+// leaf of two, which the pair index answers like the saturated one; and y's
+// row {y, 2f}, {y, 3f} a depth-1 leaf of two, which is scanned.
+func TestDifferentialPairIndexedSmallLeaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, fanout := range []int{2, 3, 4, 8} {
+		f := itemset.Item(fanout)
+		cs := subsets(itemset.New(0, f, f+1, 2*f, 3*f), 2)
+		cfg := Config{Fanout: fanout, MaxLeaf: 2}
+		for _, filter := range filtersFor(rng, cs) {
+			name := fmt.Sprintf("cfg=%+v filter=%s", cfg, filter.name)
+			tree := differ(t, name, rng, 2, int(3*f)+1, cs, cfg, filter.fn)
+			if tree.pairCol == nil {
+				t.Fatalf("%s: no direct pair index", name)
+			}
+			sizes := leafSizes(tree)
+			if d1, d2 := sizes[1], sizes[2]; d2.max <= 2 || d2.min > 2 || d1.max == 0 {
+				t.Errorf("%s: depth-1 leaves %+v, depth-2 leaves %+v; want a saturated depth-2 leaf, a small one and a non-empty depth-1 one", name, d1, d2)
+			}
+		}
+	}
+}
+
+type namedFilter struct {
+	name string
+	fn   func(itemset.Item) bool
+}
+
+// filtersFor returns the root filters the differential tests run on cs:
+// none, IDD's, and one rejecting some of the candidates' own first items.
+func filtersFor(rng *rand.Rand, cs []itemset.Itemset) []namedFilter {
+	return []namedFilter{
+		{"none", nil},
+		{"first items", firstItemFilter(cs)},
+		{"rejecting", rejectingFilter(rng, cs)},
+	}
+}
+
+// sizeRange is the least and greatest candidate count of a set of non-empty
+// leaves (both 0 when there is none).
+type sizeRange struct{ min, max int }
+
+// leafSizes walks tree from the root and returns, by depth, the size range of
+// its non-empty leaves.
+func leafSizes(tree *Tree) map[int]sizeRange {
+	out := map[int]sizeRange{}
+	var walk func(ni int32, depth int)
+	walk = func(ni int32, depth int) {
+		n := tree.nodes[ni]
+		if n.child != 0 {
+			for h := int32(0); h < int32(tree.cfg.Fanout); h++ {
+				walk(n.child+h, depth+1)
+			}
+			return
+		}
+		size := int(n.end - n.start)
+		if size == 0 {
+			return
+		}
+		r, ok := out[depth]
+		if !ok || size < r.min {
+			r.min = size
+		}
+		r.max = max(r.max, size)
+		out[depth] = r
+	}
+	walk(0, 0)
+	return out
 }
 
 // subsets returns every k-subset of the sorted universe, in lexicographic

@@ -65,13 +65,28 @@ func Groups(cands []itemset.Itemset, splitThreshold int) []Group {
 
 // Assignment is the result of packing candidate groups onto P processors.
 type Assignment struct {
-	// PerProc[i] holds the candidates owned by processor i, still in
-	// lexicographic order within each group.
-	PerProc [][]itemset.Itemset
-	// GroupsOf[i] holds the groups assigned to processor i.
+	// GroupsOf[i] holds the groups assigned to processor i, in packing
+	// order.
 	GroupsOf [][]Group
-	// Counts[i] is len(PerProc[i]).
+	// Counts[i] is the number of candidates processor i owns.
 	Counts []int
+	// cands is the sorted slice the groups index into.
+	cands []itemset.Itemset
+}
+
+// Share returns the candidates owned by processor i: its groups' runs
+// concatenated in packing order, each still in lexicographic order.  Every
+// call copies the headers into a new slice (nil when i owns nothing), so the
+// processors of a grid can each build their own share concurrently.
+func (a *Assignment) Share(i int) []itemset.Itemset {
+	if a.Counts[i] == 0 {
+		return nil
+	}
+	out := make([]itemset.Itemset, 0, a.Counts[i])
+	for _, g := range a.GroupsOf[i] {
+		out = append(out, a.cands[g.Start:g.End]...)
+	}
+	return out
 }
 
 // Imbalance returns (max - mean) / mean over the per-processor candidate
@@ -133,12 +148,12 @@ func BinPack(cands []itemset.Itemset, p, splitThreshold int) *Assignment {
 	})
 
 	asg := &Assignment{
-		PerProc:  make([][]itemset.Itemset, p),
 		GroupsOf: make([][]Group, p),
 		Counts:   make([]int, p),
+		cands:    cands,
 	}
-	// Place the groups first, so each processor's slices can be allocated
-	// at their final size before any candidate is copied.
+	// Place the groups first, so each processor's group list can be
+	// allocated at its final size.
 	owner := make([]int, len(groups))
 	numGroups := make([]int, p)
 	for _, gi := range order {
@@ -153,16 +168,14 @@ func BinPack(cands []itemset.Itemset, p, splitThreshold int) *Assignment {
 		numGroups[best]++
 		asg.Counts[best] += groups[gi].Size()
 	}
-	for i := range asg.PerProc {
-		if numGroups[i] > 0 {
-			asg.PerProc[i] = make([]itemset.Itemset, 0, asg.Counts[i])
-			asg.GroupsOf[i] = make([]Group, 0, numGroups[i])
+	for i, n := range numGroups {
+		if n > 0 {
+			asg.GroupsOf[i] = make([]Group, 0, n)
 		}
 	}
 	for _, gi := range order {
-		g, best := groups[gi], owner[gi]
-		asg.GroupsOf[best] = append(asg.GroupsOf[best], g)
-		asg.PerProc[best] = append(asg.PerProc[best], cands[g.Start:g.End]...)
+		best := owner[gi]
+		asg.GroupsOf[best] = append(asg.GroupsOf[best], groups[gi])
 	}
 	return asg
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -96,8 +97,8 @@ func TestBinPackBalances(t *testing.T) {
 	}
 	// Every candidate appears exactly once across processors.
 	seen := map[string]int{}
-	for _, cs := range asg.PerProc {
-		for _, c := range cs {
+	for p := range asg.Counts {
+		for _, c := range asg.Share(p) {
 			seen[c.Key()]++
 		}
 	}
@@ -118,8 +119,8 @@ func TestBinPackGroupIntegrity(t *testing.T) {
 	cands := sortedCands(sizes)
 	asg := BinPack(cands, 3, 1<<30) // threshold huge: no splits
 	owner := map[itemset.Item]int{}
-	for p, cs := range asg.PerProc {
-		for _, c := range cs {
+	for p := range asg.Counts {
+		for _, c := range asg.Share(p) {
 			if prev, ok := owner[c[0]]; ok && prev != p {
 				t.Fatalf("first item %d split across processors %d and %d", c[0], prev, p)
 			}
@@ -155,12 +156,13 @@ func TestBinPackDeterministic(t *testing.T) {
 	cands := sortedCands(sizes)
 	a := BinPack(cands, 4, 0)
 	b := BinPack(cands, 4, 0)
-	for p := range a.PerProc {
-		if len(a.PerProc[p]) != len(b.PerProc[p]) {
+	for p := range a.Counts {
+		as, bs := a.Share(p), b.Share(p)
+		if len(as) != len(bs) {
 			t.Fatalf("nondeterministic pack at proc %d", p)
 		}
-		for i := range a.PerProc[p] {
-			if !a.PerProc[p][i].Equal(b.PerProc[p][i]) {
+		for i := range as {
+			if !as[i].Equal(bs[i]) {
 				t.Fatalf("nondeterministic candidate order at proc %d", p)
 			}
 		}
@@ -186,6 +188,81 @@ func TestBinPackRealCandidates(t *testing.T) {
 	}
 }
 
+// refPerProc is the longest-processing-time packing written out directly,
+// candidates and all: groups by decreasing size (ties by first, then second
+// item), each appended to the processor holding the fewest candidates (the
+// lowest index on a tie).
+func refPerProc(cands []itemset.Itemset, groups []Group, p int) [][]itemset.Itemset {
+	groups = slices.Clone(groups)
+	sort.SliceStable(groups, func(a, b int) bool {
+		ga, gb := groups[a], groups[b]
+		if ga.Size() != gb.Size() {
+			return ga.Size() > gb.Size()
+		}
+		if ga.First != gb.First {
+			return ga.First < gb.First
+		}
+		return ga.Second < gb.Second
+	})
+	out := make([][]itemset.Itemset, p)
+	for _, g := range groups {
+		best := 0
+		for i := range out {
+			if len(out[i]) < len(out[best]) {
+				best = i
+			}
+		}
+		out[best] = append(out[best], cands[g.Start:g.End]...)
+	}
+	return out
+}
+
+// TestShareIsThePacking checks Share against the packing it reads, over
+// random group sizes with and without second-item splits: the shares
+// together are a permutation of the candidates, share i is its GroupsOf[i]
+// runs in order, and it equals refPerProc's slice element for element.
+func TestShareIsThePacking(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 60; trial++ {
+		var cands []itemset.Itemset
+		for first, firsts := 0, 1+rng.Intn(30); first < firsts; first++ {
+			for j, n := 0, rng.Intn(25); j < n; j++ {
+				cands = append(cands, itemset.New(itemset.Item(first), itemset.Item(100+j/3), itemset.Item(1000+j)))
+			}
+		}
+		p := 1 + rng.Intn(9)
+		threshold := 0 // the natural one, which splits the largest rows
+		if trial%2 == 1 {
+			threshold = 1 << 30
+		}
+		asg := BinPack(cands, p, threshold)
+		split := threshold
+		if split == 0 {
+			split = (len(cands) + p - 1) / p
+		}
+		ref := refPerProc(cands, Groups(cands, split), p)
+		var all []itemset.Itemset
+		for i := range asg.Counts {
+			share := asg.Share(i)
+			var runs []itemset.Itemset
+			for _, g := range asg.GroupsOf[i] {
+				runs = append(runs, cands[g.Start:g.End]...)
+			}
+			if len(share) != asg.Counts[i] || !slices.EqualFunc(share, runs, itemset.Itemset.Equal) {
+				t.Fatalf("trial %d: share %d is not its groups' runs", trial, i)
+			}
+			if !slices.EqualFunc(share, ref[i], itemset.Itemset.Equal) {
+				t.Fatalf("trial %d: share %d differs from the reference packing", trial, i)
+			}
+			all = append(all, share...)
+		}
+		slices.SortFunc(all, itemset.Itemset.Compare)
+		if !slices.EqualFunc(all, cands, itemset.Itemset.Equal) {
+			t.Fatalf("trial %d: the shares are not a permutation of the %d candidates", trial, len(cands))
+		}
+	}
+}
+
 // TestBinPackAllocsIndependentOfM pins the sized-before-copying assignment:
 // with the number of first-item groups held at 100, packing 100 K and 400 K
 // candidates costs the same number of allocations.
@@ -205,8 +282,8 @@ func TestBinPackAllocsIndependentOfM(t *testing.T) {
 		var asg *Assignment
 		allocs := testing.AllocsPerRun(3, func() { asg = BinPack(cands, 8, 0) })
 		total := 0
-		for _, part := range asg.PerProc {
-			total += len(part)
+		for p := range asg.Counts {
+			total += len(asg.Share(p))
 		}
 		if total != len(cands) {
 			t.Fatalf("assignment holds %d of %d candidates", total, len(cands))
@@ -257,7 +334,7 @@ func TestBinPackEdgeCases(t *testing.T) {
 		t.Error("empty pack has imbalance")
 	}
 	asg := BinPack(sortedCands([]int{3}), 0, 0) // p < 1 clamps to 1
-	if len(asg.PerProc) != 1 || len(asg.PerProc[0]) != 3 {
+	if len(asg.Counts) != 1 || len(asg.Share(0)) != 3 {
 		t.Errorf("p=0 pack = %+v", asg.Counts)
 	}
 	// More processors than groups: some processors stay empty but all

@@ -392,10 +392,10 @@ func WriteResult(w io.Writer, res *Result) error { return apriori.WriteResult(w,
 func ReadResult(r io.Reader) (*Result, error) { return apriori.ReadResult(r) }
 
 // TraceTimeline renders a span trace's leaf slices (a run recorded through
-// ParallelOptions.Recorder, or a trace file read back with ReadSpanTrace)
-// as a text Gantt chart: one row per rank, width columns spanning the run,
-// compute as '#', sends as '>', disk I/O as 'o', idle waits as '.', retry
-// backoff as 'r' and discarded frames as 'x'.
+// ParallelOptions.Recorder, or a FlightRecorder's dump) as a text Gantt
+// chart: one row per rank, width columns spanning the run, compute as '#',
+// sends as '>', disk I/O as 'o', idle waits as '.', retry backoff as 'r' and
+// discarded frames as 'x'.
 func TraceTimeline(w io.Writer, t *SpanTrace, width int) error {
 	return obsv.WriteTimeline(w, t, width)
 }
@@ -461,16 +461,10 @@ func TeeRecorders(recs ...Recorder) Recorder { return obsv.Tee(recs...) }
 // byte-deterministic for deterministic span sets.
 func WriteSpanTrace(w io.Writer, t *SpanTrace) error { return obsv.WriteTrace(w, t) }
 
-// ReadSpanTrace parses trace-event JSON written by WriteSpanTrace.
-func ReadSpanTrace(r io.Reader) (*SpanTrace, error) { return obsv.ReadTrace(r) }
-
 // TraceAttribution distills a trace into per-pass cost buckets — the
 // measured counterpart of the paper's parallel-runtime decomposition.  The
 // category totals reconcile exactly with the run's cluster Stats.
 func TraceAttribution(t *SpanTrace) []PassCost { return obsv.Attribution(t) }
-
-// TotalTraceCost sums attribution buckets into one total.
-func TotalTraceCost(costs []PassCost) PassCost { return obsv.TotalCost(costs) }
 
 // WriteAttributionTable renders attribution buckets as an aligned text
 // table, one row per pass plus the out-of-pass bucket and the total.
