@@ -4,7 +4,7 @@
 // candidate hash tree, and pruning by minimum support.
 //
 // The package also exports the building blocks every parallel formulation
-// shares — the first pass (FirstPassBlock, FrequentItems) and Gen — and
+// shares — the first pass (FirstPassBlock, FrequentItems) and GenFlat — and
 // TreeParts, the number of scans CD's memory-capped counting needs when the
 // hash tree does not fit in a processor's memory (Figure 12).  The serial
 // miner itself has no memory cap: it counts each pass in one scan.
@@ -120,21 +120,32 @@ func Mine(data *itemset.Dataset, p Params) (*Result, error) {
 	return MineSource(data, p)
 }
 
-// Gen is apriori_gen: it extends the frequent (k-1)-itemsets prev into the
-// size-k candidate set, using the join step (merge two frequent sets that
+// Gen is GenFlat with a header per candidate, for callers outside the
+// counting path: each candidate is a capacity-clipped view into GenFlat's one
+// array, so appending to one never touches its neighbour.
+func Gen(prev []itemset.Itemset) []itemset.Itemset {
+	if len(prev) == 0 {
+		return nil
+	}
+	return GenFlat(prev).Itemsets()
+}
+
+// GenFlat is apriori_gen: it extends the frequent (k-1)-itemsets prev into
+// the size-k candidate set, using the join step (merge two frequent sets that
 // share their first k-2 items) followed by the subset-prune step (drop any
 // candidate with an infrequent (k-1)-subset).  prev must be sorted
 // lexicographically; the output is sorted lexicographically, which is what
 // makes candidate order — and therefore CD's reducible count vectors —
 // identical on every processor.
 //
-// The candidates are carved out of one backing array, so a call allocates a
-// fixed number of objects however many candidates it produces; each
-// candidate's capacity is clipped to its length, so appending to one never
-// touches its neighbour.
-func Gen(prev []itemset.Itemset) []itemset.Itemset {
+// The candidates are stored flat, stride k, so a call makes one or two
+// allocations however many candidates it produces, none of them holding a
+// pointer.
+//
+//checkinv:hotpath
+func GenFlat(prev []itemset.Itemset) itemset.Flat {
 	if len(prev) == 0 {
-		return nil
+		return itemset.Flat{}
 	}
 	k := len(prev[0]) + 1
 	// prev is sorted, so sets sharing a (k-2)-prefix are adjacent, and a run
@@ -164,11 +175,7 @@ func Gen(prev []itemset.Itemset) []itemset.Itemset {
 		// Pruning removed most joins: do not pin the slack.
 		flat = append(make([]itemset.Item, 0, len(flat)), flat...)
 	}
-	cands := make([]itemset.Itemset, len(flat)/k)
-	for i := range cands {
-		cands[i] = flat[i*k : (i+1)*k : (i+1)*k]
-	}
-	return cands
+	return itemset.Flat{K: k, Items: flat}
 }
 
 func samePrefix(a, b itemset.Itemset, n int) bool {

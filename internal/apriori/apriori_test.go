@@ -2,6 +2,7 @@ package apriori
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -227,8 +228,53 @@ func TestGenMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestGenFlatEqualsGen holds GenFlat to Gen element for element, with each
+// of Gen's headers capacity-clipped, on random levels from empty to 156 sets.
+func TestGenFlatEqualsGen(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 40; trial++ {
+		k1 := 1 + rng.Intn(4)
+		seen := map[string]bool{}
+		var prev []itemset.Itemset
+		for i := 0; i < trial*4; i++ {
+			s := itemset.New(randomItems(rng, k1, k1+6)...)
+			if !seen[s.Key()] {
+				seen[s.Key()] = true
+				prev = append(prev, s)
+			}
+		}
+		sort.Slice(prev, func(i, j int) bool { return prev[i].Compare(prev[j]) < 0 })
+		flat, headers := GenFlat(prev), Gen(prev)
+		if flat.Len() != len(headers) {
+			t.Fatalf("trial %d: GenFlat made %d candidates, Gen %d", trial, flat.Len(), len(headers))
+		}
+		if len(prev) > 0 && flat.K != k1+1 {
+			t.Fatalf("trial %d: GenFlat stride %d, want %d", trial, flat.K, k1+1)
+		}
+		for i, c := range headers {
+			if !flat.At(i).Equal(c) || cap(c) != len(c) {
+				t.Fatalf("trial %d: GenFlat[%d] = %v, Gen[%d] = %v (capacity %d)", trial, i, flat.At(i), i, c, cap(c))
+			}
+		}
+	}
+	if got := GenFlat(nil); got.Len() != 0 || got.Items != nil {
+		t.Errorf("GenFlat(nil) = %+v", got)
+	}
+}
+
+// randomItems draws n distinct items below limit.
+func randomItems(rng *rand.Rand, n, limit int) []itemset.Item {
+	out := make([]itemset.Item, n)
+	for i, it := range rng.Perm(limit)[:n] {
+		out[i] = itemset.Item(it)
+	}
+	return out
+}
+
 // TestGenAllocsIndependentOfM pins the flat candidate storage: generating
 // 125 K and 500 K pairs, or 117 K triples, costs the same few allocations.
+// GenFlat makes at most two, and allocates at most 5 % over the 4·k bytes
+// per candidate its items take.
 func TestGenAllocsIndependentOfM(t *testing.T) {
 	singles := func(n int) []itemset.Itemset {
 		out := make([]itemset.Itemset, n)
@@ -254,6 +300,19 @@ func TestGenAllocsIndependentOfM(t *testing.T) {
 		}
 		if allocs > 3 {
 			t.Errorf("%s: %v allocations for %d candidates, want at most 3", c.name, allocs, len(got))
+		}
+
+		var flat itemset.Flat
+		if allocs := testing.AllocsPerRun(3, func() { flat = GenFlat(c.prev) }); allocs > 2 {
+			t.Errorf("%s: GenFlat made %v allocations, want at most 2", c.name, allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		flat = GenFlat(c.prev)
+		runtime.ReadMemStats(&after)
+		bound := 4 * float64(flat.K*flat.Len()) * 1.05
+		if bytes := after.TotalAlloc - before.TotalAlloc; float64(bytes) > bound {
+			t.Errorf("%s: GenFlat allocated %d bytes for %d candidates of %d items, want at most %.0f", c.name, bytes, flat.Len(), flat.K, bound)
 		}
 	}
 }

@@ -54,13 +54,13 @@ func (b *pairBuckets) admits(c itemset.Itemset, minCount int64) bool {
 }
 
 // filterC2 drops the size-2 candidates whose DHP bucket cannot reach the
-// minimum support, returning the survivors and the number pruned.
-func (b *pairBuckets) filterC2(cands []itemset.Itemset, minCount int64) ([]itemset.Itemset, int) {
-	kept := cands[:0]
-	for _, c := range cands {
-		if b.admits(c, minCount) {
-			kept = append(kept, c)
+// minimum support, in place, returning the survivors and the number pruned.
+func (b *pairBuckets) filterC2(cands itemset.Flat, minCount int64) (itemset.Flat, int) {
+	kept := itemset.Flat{K: cands.K, Items: cands.Items[:0]}
+	for i := 0; i < cands.Len(); i++ {
+		if c := cands.At(i); b.admits(c, minCount) {
+			kept.Items = append(kept.Items, c...)
 		}
 	}
-	return kept, len(cands) - len(kept)
+	return kept, cands.Len() - kept.Len()
 }

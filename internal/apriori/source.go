@@ -55,12 +55,12 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 		if p.MaxPasses > 0 && k > p.MaxPasses {
 			break
 		}
-		cands := Gen(prev)
+		cands := GenFlat(prev)
 		dhpPruned := 0
 		if k == 2 && dhp != nil {
 			cands, dhpPruned = dhp.filterC2(cands, minCount)
 		}
-		if len(cands) == 0 {
+		if cands.Len() == 0 {
 			break
 		}
 		level, stats, err := countSource(src, k, cands, engB)
@@ -129,9 +129,9 @@ func FrequentItems(counts []int64, minCount int64) []Frequent {
 // run's engine builder and scans the source once to compute their supports.
 // It returns every candidate with its count (unpruned), plus the pass
 // statistics.
-func countSource(src itemset.Source, k int, cands []itemset.Itemset, engB countengine.Builder) ([]Frequent, PassStats, error) {
-	stats := PassStats{K: k, Candidates: len(cands)}
-	eng, err := engB.NewPass(k, cands)
+func countSource(src itemset.Source, k int, cands itemset.Flat, engB countengine.Builder) ([]Frequent, PassStats, error) {
+	stats := PassStats{K: k, Candidates: cands.Len()}
+	eng, err := engB.NewPassFlat(cands)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -143,9 +143,9 @@ func countSource(src itemset.Source, k int, cands []itemset.Itemset, engB counte
 	}
 	counts := eng.Counts() // before Stats: an engine may defer work to Counts
 	stats.Tree = eng.Stats().TreeStats()
-	out := make([]Frequent, len(cands))
+	out := make([]Frequent, len(counts))
 	for i, c := range counts {
-		out[i] = Frequent{Items: cands[i], Count: c}
+		out[i] = Frequent{Items: cands.At(i), Count: c}
 	}
 	return out, stats, nil
 }

@@ -75,11 +75,16 @@ func (cm *Comm) recvRank(p *Proc, rank int, tag string) Message {
 // steps, each carrying the whole vector.
 //
 // Every member must call it with a vector of the same length; the input is
-// not modified.
+// never written.  On a one-member communicator the sum is the input, and
+// the input itself is returned, uncopied; a caller that writes the result
+// must own vec.
 func (cm *Comm) AllReduceInt64(p *Proc, tag string, vec []int64) []int64 {
 	rank, size := cm.Rank(p), cm.Size()
 	if rank < 0 {
 		panic(fmt.Sprintf("cluster: proc %d not in communicator for AllReduce %q", p.ID(), tag))
+	}
+	if size == 1 {
+		return vec
 	}
 	acc := append([]int64(nil), vec...)
 	bytes := 8 * len(acc)

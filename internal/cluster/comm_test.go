@@ -27,17 +27,30 @@ func TestAllReduceSums(t *testing.T) {
 	}
 }
 
+// TestAllReduceDoesNotMutateInput runs on a pair and on a singleton
+// communicator.  The singleton hands the input back as the sum, uncopied.
 func TestAllReduceDoesNotMutateInput(t *testing.T) {
-	c := MustNew(2, fastMachine())
-	world := c.World()
-	_ = c.Run(func(pr *Proc) error {
-		vec := []int64{5}
-		world.AllReduceInt64(pr, "t", vec)
-		if vec[0] != 5 {
-			return fmt.Errorf("input mutated: %v", vec)
+	for _, p := range []int{1, 2} {
+		c := MustNew(p, fastMachine())
+		world := c.World()
+		err := c.Run(func(pr *Proc) error {
+			vec := []int64{5}
+			sum := world.AllReduceInt64(pr, "t", vec)
+			if vec[0] != 5 {
+				return fmt.Errorf("input mutated: %v", vec)
+			}
+			if want := int64(5 * p); sum[0] != want {
+				return fmt.Errorf("sum %v, want %d", sum, want)
+			}
+			if aliased := &sum[0] == &vec[0]; aliased != (p == 1) {
+				return fmt.Errorf("result shares the input: %v, want %v", aliased, p == 1)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
 		}
-		return nil
-	})
+	}
 }
 
 func TestAllGatherDeliversAll(t *testing.T) {

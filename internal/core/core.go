@@ -611,7 +611,7 @@ func imbalanceFloat(xs []float64) float64 {
 }
 
 // sortFrequent orders a frequent level lexicographically, the canonical
-// order apriori.Gen requires.
+// order apriori.GenFlat requires.
 func sortFrequent(level []apriori.Frequent) {
 	sort.Slice(level, func(i, j int) bool { return level[i].Items.Compare(level[j].Items) < 0 })
 }

@@ -29,14 +29,15 @@ import (
 // like every other kernel, so a degraded run is a smaller hash ring.
 
 // placeHashed keeps the candidates hashing to this row.
-func placeHashed(_ *run, _ *cluster.Proc, _, g, row int, cands []itemset.Itemset) share {
-	var mine []itemset.Itemset
+func placeHashed(_ *run, _ *cluster.Proc, _, g, row int, cands itemset.Flat) share {
+	mine := itemset.Flat{K: cands.K}
 	owners := make([]int, g)
-	for _, c := range cands {
+	for i := 0; i < cands.Len(); i++ {
+		c := cands.At(i)
 		owner := hpaOwner(c, g)
 		owners[owner]++
 		if owner == row {
-			mine = append(mine, c)
+			mine.Items = append(mine.Items, c...)
 		}
 	}
 	return share{cands: mine, imbalance: partition.Imbalance(owners)}
@@ -44,23 +45,22 @@ func placeHashed(_ *run, _ *cluster.Proc, _, g, row int, cands []itemset.Itemset
 
 // hpaTable is HPA's build step: a lookup table over the owned candidates,
 // whose construction stands in for tree construction.
-func hpaTable(_ *run, p *cluster.Proc, k int, cands []itemset.Itemset) (counter, error) {
-	chargeBuild(p, int64(len(cands)))
-	return hpaCount{k: k, cands: cands}, nil
+func hpaTable(_ *run, p *cluster.Proc, cands itemset.Flat) (counter, error) {
+	chargeBuild(p, int64(cands.Len()))
+	return hpaCount{cands: cands}, nil
 }
 
 type hpaCount struct {
-	k     int
-	cands []itemset.Itemset
+	cands itemset.Flat
 }
 
 func (c hpaCount) count(r *run, p *cluster.Proc, col *cluster.Comm, _ string, _ func(itemset.Item) bool, pl *passLocal) ([]int64, error) {
-	counts := make([]int64, len(c.cands))
-	table := make(map[string]*int64, len(c.cands))
-	for i, cand := range c.cands {
-		table[cand.Key()] = &counts[i]
+	counts := make([]int64, c.cands.Len())
+	table := make(map[string]*int64, len(counts))
+	for i := range counts {
+		table[c.cands.At(i).Key()] = &counts[i]
 	}
-	pl.bytesMoved += r.hpaExchange(p, col, c.k, table)
+	pl.bytesMoved += r.hpaExchange(p, col, c.cands.K, table)
 	return counts, nil
 }
 

@@ -21,10 +21,10 @@ type formulation struct {
 	// the m candidates, the columns partition the transactions.
 	rows func(r *run, m int) int
 	// place selects the candidates grid row `row` of g counts.
-	place func(r *run, p *cluster.Proc, k, g, row int, cands []itemset.Itemset) share
+	place func(r *run, p *cluster.Proc, k, g, row int, cands itemset.Flat) share
 	// build makes the structure that counts one part of a rank's share,
 	// charging its construction.
-	build func(r *run, p *cluster.Proc, k int, cands []itemset.Itemset) (counter, error)
+	build func(r *run, p *cluster.Proc, cands itemset.Flat) (counter, error)
 	// grid marks the points of HD's grid (CD is 1 × P, IDD is P × 1).  Only
 	// they replicate C_k, so only they can need the memory-capped multi-scan;
 	// and their count time spans build, count and reduce where DD, DD+comm
@@ -44,7 +44,7 @@ var formulations = map[Algorithm]formulation{
 
 // share is a grid row's part of C_k.
 type share struct {
-	cands []itemset.Itemset
+	cands itemset.Flat
 	// filter, when non-nil, passes the items that start one of cands: the
 	// root-level pruning only a first-item-aligned placement permits.
 	filter func(itemset.Item) bool
@@ -105,13 +105,14 @@ func (r *run) body(p *cluster.Proc) error {
 		pl := passLocal{k: k, clockStart: p.Clock()}
 
 		cands := r.candidates(k, prev)
-		chargeGen(p, len(cands))
+		m := cands.Len()
+		chargeGen(p, m)
 		r.sec(p, "candidate gen", pl.clockStart, kArg)
-		if len(cands) == 0 {
+		if m == 0 {
 			break
 		}
 
-		g := f.rows(r, len(cands))
+		g := f.rows(r, m)
 		cols := np / g
 		row, col := vr/cols, vr%cols
 		rowComm, colComm := r.gridComms(row, col, g, cols)
@@ -122,9 +123,10 @@ func (r *run) body(p *cluster.Proc) error {
 		// partitioning is that M/G candidates fit in memory.
 		parts := 1
 		if g == 1 && f.grid {
-			parts = apriori.TreeParts(len(cands), k, r.prm.Apriori.Tree, p.Machine().MemoryBytes)
+			parts = apriori.TreeParts(m, k, r.prm.Apriori.Tree, p.Machine().MemoryBytes)
 		}
-		pl.candidates, pl.localCands, pl.candImbalance = len(cands), len(mine.cands), mine.imbalance
+		local := mine.cands.Len()
+		pl.candidates, pl.localCands, pl.candImbalance = m, local, mine.imbalance
 		pl.gridRows, pl.gridCols, pl.treeParts = g, cols, parts
 
 		// Every processor joins every part's movement and reduction even if
@@ -134,12 +136,12 @@ func (r *run) body(p *cluster.Proc) error {
 		computeBefore := p.Stats().ComputeTime
 		var frequentLocal []apriori.Frequent
 		for part := 0; part < parts; part++ {
-			partCands := mine.cands[part*len(mine.cands)/parts : (part+1)*len(mine.cands)/parts]
+			partCands := mine.cands.Slice(part*local/parts, (part+1)*local/parts)
 			partArg := obsv.Int("part", int64(part))
 			tag := fmt.Sprintf("k%d.p%d", k, part)
 
 			buildStart := p.Clock()
-			ctr, err := f.build(r, p, k, partCands)
+			ctr, err := f.build(r, p, partCands)
 			if err != nil {
 				return fmt.Errorf("pass %d: %w", k, err)
 			}
@@ -243,13 +245,13 @@ func rowsHD(r *run, m int) int {
 // the assignment (each processor "locally regenerates and stores" its
 // share, as Section III-C describes): all are charged for it, the host
 // packs once and copies each row's share once (passcache.go).
-func placeBinPacked(r *run, p *cluster.Proc, k, g, row int, cands []itemset.Itemset) share {
+func placeBinPacked(r *run, p *cluster.Proc, k, g, row int, cands itemset.Flat) share {
 	if g == 1 {
 		return share{cands: cands}
 	}
 	partStart := p.Clock()
 	asg, mine := r.binPack(k, g, row, cands)
-	chargeScan(p, int64(len(cands)), "partition")
+	chargeScan(p, int64(cands.Len()), "partition")
 	bm := bitmap.New(r.numItems)
 	for _, grp := range asg.GroupsOf[row] {
 		bm.Set(int(grp.First))
@@ -266,11 +268,11 @@ func placeBinPacked(r *run, p *cluster.Proc, k, g, row int, cands []itemset.Item
 // first items, so no root filtering is possible and every processor
 // processes *all* N transactions against its M/P candidates — the redundant
 // work Section III-B analyzes.
-func placeRoundRobin(_ *run, _ *cluster.Proc, _, g, row int, cands []itemset.Itemset) share {
+func placeRoundRobin(_ *run, _ *cluster.Proc, _, g, row int, cands itemset.Flat) share {
 	parts := partition.RoundRobin(cands, g)
 	counts := make([]int, g)
 	for i, part := range parts {
-		counts[i] = len(part)
+		counts[i] = part.Len()
 	}
 	return share{cands: parts[row], imbalance: partition.Imbalance(counts)}
 }
@@ -278,9 +280,9 @@ func placeRoundRobin(_ *run, _ *cluster.Proc, _, g, row int, cands []itemset.Ite
 // engineCounter returns the build step of the formulations that count
 // through the engine seam: a countengine.Engine over the part, fed by move —
 // the column's data movement — under the given tag suffix.
-func engineCounter(move mover, name string) func(*run, *cluster.Proc, int, []itemset.Itemset) (counter, error) {
-	return func(r *run, p *cluster.Proc, k int, cands []itemset.Itemset) (counter, error) {
-		eng, err := r.engB.NewPass(k, cands)
+func engineCounter(move mover, name string) func(*run, *cluster.Proc, itemset.Flat) (counter, error) {
+	return func(r *run, p *cluster.Proc, cands itemset.Flat) (counter, error) {
+		eng, err := r.engB.NewPassFlat(cands)
 		if err != nil {
 			return nil, err
 		}

@@ -89,11 +89,12 @@ func exchangeFrequent(p *cluster.Proc, cm *cluster.Comm, tag string, local []apr
 }
 
 // pruneLocal keeps the candidates whose global counts meet the threshold.
-func pruneLocal(cands []itemset.Itemset, counts []int64, minCount int64) []apriori.Frequent {
+// The frequent sets are views into cands.
+func pruneLocal(cands itemset.Flat, counts []int64, minCount int64) []apriori.Frequent {
 	var out []apriori.Frequent
-	for i, c := range cands {
-		if counts[i] >= minCount {
-			out = append(out, apriori.Frequent{Items: c, Count: counts[i]})
+	for i, c := range counts {
+		if c >= minCount {
+			out = append(out, apriori.Frequent{Items: cands.At(i), Count: c})
 		}
 	}
 	return out

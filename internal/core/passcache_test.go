@@ -3,19 +3,22 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"parapriori/internal/apriori"
 	"parapriori/internal/cluster"
+	"parapriori/internal/datagen"
 	"parapriori/internal/itemset"
 	"parapriori/internal/partition"
 )
 
 // TestPassCacheComputesOncePerKey asks for C_2, its partition and the
 // rank's row share from eight ranks at once, as a pass does, on an 8 × 1
-// grid and on HD's 2 × 4 one: all must be handed the one shared C_2 and
-// partition, equal to a private apriori.Gen / partition.BinPack; every
-// column of a row the one share, equal to Share of that row; and a
+// grid and on HD's 2 × 4 one: all must be handed the one shared flat C_2 and
+// partition, equal to a private apriori.GenFlat / partition.BinPackFlat (and
+// to the header adapters' output); every column of a row the one flat share,
+// its Items the same backing array, equal to Share of that row; and a
 // different row count its own partition.
 func TestPassCacheComputesOncePerKey(t *testing.T) {
 	var prev []apriori.Frequent
@@ -26,7 +29,7 @@ func TestPassCacheComputesOncePerKey(t *testing.T) {
 	for _, g := range []int{ranks, 2} {
 		r := &run{prm: Params{P: ranks}.withDefaults()}
 		cols := ranks / g
-		var cands, shares [ranks][]itemset.Itemset
+		var cands, shares [ranks]itemset.Flat
 		var asgs [ranks]*partition.Assignment
 		cl, err := cluster.New(ranks, cluster.T3E())
 		if err != nil {
@@ -39,26 +42,29 @@ func TestPassCacheComputesOncePerKey(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		want := apriori.Gen(itemsetsOf(prev))
+		want := apriori.GenFlat(itemsetsOf(prev))
 		if !reflect.DeepEqual(cands[0], want) {
-			t.Fatalf("cached C_2 differs from apriori.Gen: %d vs %d candidates", len(cands[0]), len(want))
+			t.Fatalf("cached C_2 differs from apriori.GenFlat: %d vs %d candidates", cands[0].Len(), want.Len())
 		}
-		packed := partition.BinPack(want, g, 0)
-		if !reflect.DeepEqual(asgs[0], packed) {
-			t.Fatalf("g=%d: cached partition differs from partition.BinPack", g)
+		if !reflect.DeepEqual(want.Itemsets(), apriori.Gen(itemsetsOf(prev))) {
+			t.Fatal("apriori.Gen differs from apriori.GenFlat")
+		}
+		packed := partition.BinPackFlat(want, g, 0)
+		if !reflect.DeepEqual(asgs[0], packed) || !reflect.DeepEqual(packed, partition.BinPack(want.Itemsets(), g, 0)) {
+			t.Fatalf("g=%d: cached partition differs from partition.BinPackFlat or partition.BinPack", g)
 		}
 		for i := 0; i < ranks; i++ {
-			if &cands[i][0] != &cands[0][0] || asgs[i] != asgs[0] {
+			if &cands[i].Items[0] != &cands[0].Items[0] || asgs[i] != asgs[0] {
 				t.Fatalf("g=%d: rank %d was handed its own C_2 or partition", g, i)
 			}
 			row, lead := i/cols, i/cols*cols
 			if !reflect.DeepEqual(shares[i], packed.Share(row)) {
 				t.Fatalf("g=%d: rank %d's share differs from row %d's Share", g, i, row)
 			}
-			if &shares[i][0] != &shares[lead][0] {
+			if &shares[i].Items[0] != &shares[lead].Items[0] {
 				t.Fatalf("g=%d: rank %d was handed its own copy of row %d's share", g, i, row)
 			}
-			if row > 0 && &shares[i][0] == &shares[0][0] {
+			if row > 0 && &shares[i].Items[0] == &shares[0].Items[0] {
 				t.Fatalf("g=%d: row %d was handed row 0's share", g, row)
 			}
 		}
@@ -66,6 +72,43 @@ func TestPassCacheComputesOncePerKey(t *testing.T) {
 			t.Fatalf("g=%d: a 7-row grid was handed the %d-row partition", g, g)
 		}
 	}
+}
+
+// TestFlatCandidatesAllocBound guards the flat C_k: it mines pass 2 of a
+// dense input (400 items, ~79 K candidates) with HD on an 8 × 1 grid and
+// bounds the run's allocation per C_2 candidate.  With C_k, the row shares
+// and the count vectors flat and handed over, a run allocates ~52 bytes per
+// candidate; a share held as []itemset.Itemset adds its 24-byte headers
+// (~76), and headers on C_2 itself as many again.
+func TestFlatCandidatesAllocBound(t *testing.T) {
+	p := datagen.Defaults()
+	p.NumTransactions = 2000
+	p.NumItems = 400
+	p.AvgTxnLen = 15
+	p.Seed = 5
+	d, err := datagen.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := Params{Algo: HD, P: 8, Apriori: apriori.Params{MinSupport: 0.01, MaxPasses: 2}}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := Mine(d, prm)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass2 := rep.Passes[1]
+	if pass2.GridRows != 8 || pass2.Candidates < 70000 {
+		t.Fatalf("pass 2 ran %d candidates on %d rows; want a dense C_2 on 8", pass2.Candidates, pass2.GridRows)
+	}
+	const bound = 64 // bytes per C_2 candidate
+	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(pass2.Candidates)
+	if per > bound {
+		t.Fatalf("mining allocated %.1f bytes per C_2 candidate, want at most %d: are per-candidate headers back?", per, bound)
+	}
+	t.Logf("%.1f bytes per C_2 candidate (bound %d)", per, bound)
 }
 
 // TestSharedCandidatesStayExact runs IDD and HD on eight ranks that build

@@ -175,35 +175,32 @@ func (b *bitsetBuilder) Prepare(data *itemset.Dataset) {
 }
 
 func (b *bitsetBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) {
-	for _, c := range cands {
-		if len(c) != k {
-			return nil, fmt.Errorf("countengine: bitset candidate %v has %d items, want %d", c, len(c), k)
-		}
+	return newPass(b, k, cands)
+}
+
+func (b *bitsetBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
+	k, m := cands.K, cands.Len()
+	span := b.cfg.NumItems
+	for i := 0; i < m; i++ {
+		c := cands.At(i)
 		if !c.Valid() {
 			return nil, fmt.Errorf("countengine: bitset candidate %v is not sorted", c)
 		}
+		span = max(span, int(c[k-1])+1)
 	}
-	e := &bitsetEngine{k: k, counts: make([]int64, len(cands)), ix: b.prepared}
+	e := &bitsetEngine{k: k, counts: make([]int64, m), ix: b.prepared}
 	if e.ix == nil {
 		// Streaming mode: columns only for the items the candidates
 		// actually contain, numbered in order of first appearance.
-		span := b.cfg.NumItems
-		for _, c := range cands {
-			if len(c) > 0 && int(c[k-1])+1 > span {
-				span = int(c[k-1]) + 1
-			}
-		}
 		v := &vertical{remap: make([]int32, span)}
 		for i := range v.remap {
 			v.remap[i] = -1
 		}
-		for _, c := range cands {
-			for _, it := range c {
-				if v.remap[it] < 0 {
-					v.remap[it] = v.sink
-					v.sink++
-					e.stats.BuildOps++
-				}
+		for _, it := range cands.Items {
+			if v.remap[it] < 0 {
+				v.remap[it] = v.sink
+				v.sink++
+				e.stats.BuildOps++
 			}
 		}
 		for i, c := range v.remap {
@@ -213,11 +210,9 @@ func (b *bitsetBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) 
 		}
 		e.ix, e.streaming = v, true
 	}
-	e.cols = make([]int32, 0, k*len(cands))
-	for _, c := range cands {
-		for _, it := range c {
-			e.cols = append(e.cols, e.ix.column(it))
-		}
+	e.cols = make([]int32, len(cands.Items))
+	for i, it := range cands.Items {
+		e.cols[i] = e.ix.column(it)
 	}
 	return e, nil
 }
@@ -274,9 +269,7 @@ func (e *bitsetEngine) Counts() []int64 {
 			e.ix.release(words)
 		}
 	}
-	out := make([]int64, len(e.counts))
-	copy(out, e.counts)
-	return out
+	return e.counts
 }
 
 // intersect adds one row's share of every candidate's support.

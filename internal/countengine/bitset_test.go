@@ -239,7 +239,8 @@ func runAgainstModel(t *testing.T, eng countengine.Engine, m *columnModel, txns 
 // TestBitsetMatchesColumnModel holds the paged engine to the column model it
 // is charged as — counts, every Stats field and MemoryBytes — over stream
 // lengths around the word and page boundaries, several block sizes, k = 1…5,
-// both modes, and transaction items past the streaming remap.
+// both modes, and transaction items past the streaming remap.  Each engine
+// is built twice, from flat candidates and from headers.
 func TestBitsetMatchesColumnModel(t *testing.T) {
 	data, levels := bitsetWorkload(t)
 	rng := rand.New(rand.NewSource(3))
@@ -261,18 +262,18 @@ func TestBitsetMatchesColumnModel(t *testing.T) {
 					for _, block := range []int{1, 7, max(n, 1)} {
 						name := fmt.Sprintf("n=%d/items=%d/k=%d/ghosts=%v/block=%d", n, numItems, k, ghosts, block)
 						t.Run(name+"/streaming", func(t *testing.T) {
-							eng, err := newBuilder(t, "bitset", numItems).NewPass(k, cands)
-							if err != nil {
-								t.Fatal(err)
+							viaFlat, viaHeaders := buildBoth(t, newBuilder(t, "bitset", numItems), k, cands)
+							for _, eng := range []countengine.Engine{viaFlat, viaHeaders} {
+								runAgainstModel(t, eng, newStreamingModel(k, numItems, cands), txns, block, true)
 							}
-							runAgainstModel(t, eng, newStreamingModel(k, numItems, cands), txns, block, true)
+							sameEngine(t, name, viaFlat, viaHeaders)
 						})
 						t.Run(name+"/prepared", func(t *testing.T) {
-							eng, err := pb.NewPass(k, cands)
-							if err != nil {
-								t.Fatal(err)
+							viaFlat, viaHeaders := buildBoth(t, pb, k, cands)
+							for _, eng := range []countengine.Engine{viaFlat, viaHeaders} {
+								runAgainstModel(t, eng, newPreparedModel(k, prepared, cands), txns, block, false)
 							}
-							runAgainstModel(t, eng, newPreparedModel(k, prepared, cands), txns, block, false)
+							sameEngine(t, name, viaFlat, viaHeaders)
 						})
 					}
 				}

@@ -104,10 +104,14 @@ type Engine interface {
 	// *first* item passes (IDD's bitmap pruning); backends whose candidate
 	// set is already restricted to passing candidates may ignore it.
 	CountBlock(txns []itemset.Transaction, rootFilter func(itemset.Item) bool)
-	// Counts returns the support counts in the candidate order NewPass
-	// received — the order CD's count-vector reduction depends on.
+	// Counts returns the support counts in the candidate order the engine
+	// was built with — the order CD's count-vector reduction depends on.
 	// Deferred backends (bitset) do their counting work here, so callers
 	// must snapshot Stats around the call to charge it.
+	//
+	// The vector is the engine's own, handed over, not copied: the caller
+	// may keep and read it, and a later CountBlock counts on into it, so a
+	// caller that wants a snapshot between blocks clones it.
 	Counts() []int64
 	// Stats returns the accumulated operation counters.
 	Stats() Stats
@@ -115,15 +119,34 @@ type Engine interface {
 	MemoryBytes() int
 }
 
-// Builder creates per-pass engines.  NewPass must be safe to call from
-// concurrent SPMD goroutines.
+// Builder creates per-pass engines.  Both constructors must be safe to call
+// from concurrent SPMD goroutines.
+//
+// Every backend builds from the flat form, which is how the miners hand
+// over a pass's candidates.  NewPass is the header form, for callers that
+// hold a []itemset.Itemset: each backend's NewPass is newPass, one copy into
+// a Flat and then NewPassFlat, so there is one build per backend.
 type Builder interface {
 	// Name returns the registered backend name.
 	Name() string
-	// NewPass builds an engine over the size-k candidates.  The candidate
-	// slice is not modified and may arrive in any order (IDD rows receive
+	// NewPassFlat builds an engine over the candidates of cands, each
+	// cands.K items.  The candidates are only read, and the engine keeps no
+	// reference to them.  They may arrive in any order (IDD rows receive
 	// group-concatenated, not globally sorted, candidates).
+	NewPassFlat(cands itemset.Flat) (Engine, error)
+	// NewPass builds the same engine over size-k candidates held as
+	// headers.  A candidate of another size is an error.
 	NewPass(k int, cands []itemset.Itemset) (Engine, error)
+}
+
+// newPass is every backend's NewPass: the candidates copied flat, then b's
+// NewPassFlat.
+func newPass(b Builder, k int, cands []itemset.Itemset) (Engine, error) {
+	flat, err := itemset.FlatOf(k, cands)
+	if err != nil {
+		return nil, fmt.Errorf("countengine: %s: %w", b.Name(), err)
+	}
+	return b.NewPassFlat(flat)
 }
 
 // DatasetPreparer is implemented by builders that can index the whole

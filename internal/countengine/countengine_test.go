@@ -1,6 +1,7 @@
 package countengine_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -62,14 +63,48 @@ func newBuilder(t *testing.T, name string, numItems int) countengine.Builder {
 	return b
 }
 
-func countAll(t *testing.T, b countengine.Builder, k int, cands []itemset.Itemset, data *itemset.Dataset, filter func(itemset.Item) bool) []int64 {
+// buildBoth builds b's engine over the size-k candidates twice: from the flat
+// form, as the miners do, and from headers through NewPass.
+func buildBoth(t *testing.T, b countengine.Builder, k int, cands []itemset.Itemset) (viaFlat, viaHeaders countengine.Engine) {
 	t.Helper()
-	eng, err := b.NewPass(k, cands)
+	flat, err := itemset.FlatOf(k, cands)
 	if err != nil {
+		t.Fatalf("FlatOf(k=%d): %v", k, err)
+	}
+	if viaFlat, err = b.NewPassFlat(flat); err != nil {
+		t.Fatalf("%s.NewPassFlat(k=%d): %v", b.Name(), k, err)
+	}
+	if viaHeaders, err = b.NewPass(k, cands); err != nil {
 		t.Fatalf("%s.NewPass(k=%d): %v", b.Name(), k, err)
 	}
-	eng.CountBlock(data.Transactions, filter)
-	return eng.Counts()
+	return viaFlat, viaHeaders
+}
+
+// sameEngine requires two engines built over the same candidates, one from
+// each form, to agree on Counts, Stats and MemoryBytes.
+func sameEngine(t *testing.T, name string, viaFlat, viaHeaders countengine.Engine) {
+	t.Helper()
+	if got, want := viaHeaders.Counts(), viaFlat.Counts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: built from headers it counts %v, from flat %v", name, got, want)
+	}
+	if got, want := viaHeaders.Stats(), viaFlat.Stats(); got != want {
+		t.Fatalf("%s: built from headers its Stats are %+v, from flat %+v", name, got, want)
+	}
+	if got, want := viaHeaders.MemoryBytes(), viaFlat.MemoryBytes(); got != want {
+		t.Fatalf("%s: built from headers it takes %d bytes, from flat %d", name, got, want)
+	}
+}
+
+// countAll counts the dataset through b's engine over the candidates, built
+// from flat and from headers, which must agree; it returns the counts.
+func countAll(t *testing.T, b countengine.Builder, k int, cands []itemset.Itemset, data *itemset.Dataset, filter func(itemset.Item) bool) []int64 {
+	t.Helper()
+	viaFlat, viaHeaders := buildBoth(t, b, k, cands)
+	for _, eng := range []countengine.Engine{viaFlat, viaHeaders} {
+		eng.CountBlock(data.Transactions, filter)
+	}
+	sameEngine(t, fmt.Sprintf("%s k=%d", b.Name(), k), viaFlat, viaHeaders)
+	return viaFlat.Counts()
 }
 
 func TestRegistry(t *testing.T) {

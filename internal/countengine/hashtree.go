@@ -23,7 +23,11 @@ type hashtreeBuilder struct {
 func (b *hashtreeBuilder) Name() string { return "hashtree" }
 
 func (b *hashtreeBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) {
-	tree, err := hashtree.New(k, cands, b.cfg.Tree)
+	return newPass(b, k, cands)
+}
+
+func (b *hashtreeBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
+	tree, err := hashtree.NewFlat(cands, b.cfg.Tree)
 	if err != nil {
 		return nil, err
 	}

@@ -58,35 +58,31 @@ type trieEngine struct {
 }
 
 func (b *trieBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) {
+	return newPass(b, k, cands)
+}
+
+func (b *trieBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
+	k, m := cands.K, cands.Len()
 	maxItem := itemset.Item(-1)
-	for _, c := range cands {
-		if len(c) != k {
-			return nil, fmt.Errorf("countengine: trie candidate %v has %d items, want %d", c, len(c), k)
-		}
+	for i := 0; i < m; i++ {
+		c := cands.At(i)
 		if !c.Valid() {
 			return nil, fmt.Errorf("countengine: trie candidate %v is not sorted", c)
 		}
-		if last := c[k-1]; last > maxItem {
-			maxItem = last
-		}
+		maxItem = max(maxItem, c[k-1])
 	}
-	span := b.cfg.NumItems
-	if int(maxItem)+1 > span {
-		span = int(maxItem) + 1
-	}
+	span := max(b.cfg.NumItems, int(maxItem)+1)
 	e := &trieEngine{
 		k:      k,
 		levels: make([]trieLevel, k),
 		remap:  make([]int32, span),
-		counts: make([]int64, len(cands)),
+		counts: make([]int64, m),
 	}
 	for i := range e.remap {
 		e.remap[i] = -1
 	}
-	for _, c := range cands {
-		for _, it := range c {
-			e.remap[it] = 0
-		}
+	for _, it := range cands.Items {
+		e.remap[it] = 0
 	}
 	// Assign dense ids in ascending item order: the remap is monotone, so
 	// remapped transactions keep their sort order.
@@ -101,16 +97,16 @@ func (b *trieBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) {
 	// trie is built over the sorted view while leaves remember the original
 	// index, so Counts() comes out in the caller's order (the order CD's
 	// reductions depend on).
-	perm := make([]int32, len(cands))
+	perm := make([]int32, m)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	sort.Slice(perm, func(i, j int) bool {
-		return cands[perm[i]].Compare(cands[perm[j]]) < 0
+		return cands.At(int(perm[i])).Compare(cands.At(int(perm[j]))) < 0
 	})
 
-	if len(cands) > 0 {
-		e.build(cands, perm, 0, 0, len(perm))
+	if m > 0 {
+		e.build(cands.Items, perm, 0, 0, m)
 		for level := 0; level < k-1; level++ {
 			next := int32(len(e.levels[level+1].items))
 			e.levels[level].child = append(e.levels[level].child, next)
@@ -131,30 +127,31 @@ func (b *trieBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) {
 // build materializes the trie nodes for the sorted candidate range
 // perm[lo:hi], all of which share their first `level` items, in DFS order —
 // which is what lays each node's children out contiguously in the next
-// level's arrays.
-func (e *trieEngine) build(cands []itemset.Itemset, perm []int32, level, lo, hi int) {
+// level's arrays.  items is the candidates' flat item array, stride k.
+func (e *trieEngine) build(items []itemset.Item, perm []int32, level, lo, hi int) {
 	lv := &e.levels[level]
+	at := func(j int) itemset.Item { return items[int(perm[j])*e.k+level] }
 	if level == e.k-1 {
 		// One leaf per candidate: duplicates (which apriori_gen never
 		// emits, but the seam does not forbid) each keep their own count
 		// slot.
 		for j := lo; j < hi; j++ {
 			e.stats.BuildOps++
-			lv.items = append(lv.items, e.remap[cands[perm[j]][level]])
+			lv.items = append(lv.items, e.remap[at(j)])
 			lv.child = append(lv.child, perm[j])
 		}
 		return
 	}
 	for s := lo; s < hi; {
-		v := cands[perm[s]][level]
+		v := at(s)
 		t := s
-		for t < hi && cands[perm[t]][level] == v {
+		for t < hi && at(t) == v {
 			t++
 		}
 		e.stats.BuildOps++
 		lv.items = append(lv.items, e.remap[v])
 		lv.child = append(lv.child, int32(len(e.levels[level+1].items)))
-		e.build(cands, perm, level+1, s, t)
+		e.build(items, perm, level+1, s, t)
 		s = t
 	}
 }
@@ -267,11 +264,7 @@ func (e *trieEngine) lowerBound(items []int32, lo, hi, v int32) int32 {
 	return lo
 }
 
-func (e *trieEngine) Counts() []int64 {
-	out := make([]int64, len(e.counts))
-	copy(out, e.counts)
-	return out
-}
+func (e *trieEngine) Counts() []int64 { return e.counts }
 
 func (e *trieEngine) Stats() Stats { return e.stats }
 

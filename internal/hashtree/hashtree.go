@@ -14,9 +14,9 @@
 // matter.  A leaf is scanned the first time a transaction reaches it, one
 // bitmap test per item of each candidate.  The exception is pass 2's dense
 // tree.  When k = 2, some leaf overflows MaxLeaf and the candidates are whole
-// first-item rows of a complete C2 (New verifies it), the tree gets a direct
-// pair index, and every depth-2 arrival of that pair-indexed tree — a leaf
-// of any size — looks up the pair it consumed: having consumed two
+// first-item rows of a complete C2 (NewFlat verifies it), the tree gets a
+// direct pair index, and every depth-2 arrival of that pair-indexed tree — a
+// leaf of any size — looks up the pair it consumed: having consumed two
 // transaction items, that pair is the only candidate the arrival can match.
 // The leaf's size is charged to LeafChecks on its first visit without being
 // scanned.  DESIGN.md, "Host work vs charged work", has the exactness
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"parapriori/internal/itemset"
 )
@@ -134,7 +133,7 @@ type Tree struct {
 	nodes []node
 	perm  []int32
 	items []itemset.Item
-	// counts is indexed like New's cands, not by slot: that is the order
+	// counts is indexed like NewFlat's cands, not by slot: that is the order
 	// Counts returns and the one the pair index computes, so only a match
 	// found by slot goes through perm.
 	counts []int64
@@ -149,7 +148,7 @@ type Tree struct {
 	// with an AND; otherwise it is 0 and an item hashes with the modulo.
 	mask int32
 	// pairBase and pairCol are the direct index of a complete C2, both
-	// indexed by item and nil unless New verified its conditions (see
+	// indexed by item and nil unless NewFlat verified its conditions (see
 	// pairIndex): candidate {a, b} is cands[pairBase[a]+pairCol[b]], and
 	// either entry is noPair for an item that heads no row, or appears in
 	// no candidate.
@@ -170,38 +169,45 @@ type Tree struct {
 // sum with any present entry (each below 2^30 in magnitude) stays negative.
 const noPair = math.MinInt32 / 2
 
-// New builds a hash tree over the given candidate itemsets, all of which
-// must have exactly k non-negative items in sorted order.  The tree copies
-// the items; cands is only read.
+// New is NewFlat over candidate itemsets held as headers, all of which must
+// have exactly k items.
+func New(k int, cands []itemset.Itemset, cfg Config) (*Tree, error) {
+	flat, err := itemset.FlatOf(k, cands)
+	if err != nil {
+		return nil, fmt.Errorf("hashtree: %w", err)
+	}
+	return NewFlat(flat, cfg)
+}
+
+// NewFlat builds a hash tree over the candidates of cands, each a sorted set
+// of cands.K non-negative items.  The tree copies the items; cands is only
+// read.
 //
 // The shape is the one inserting the candidates one at a time produces — a
 // node at depth d < k is internal exactly when more than MaxLeaf candidates
 // hash to it — but it is built top-down, by a stable counting sort per
 // internal node.
-func New(k int, cands []itemset.Itemset, cfg Config) (*Tree, error) {
+func NewFlat(cands itemset.Flat, cfg Config) (*Tree, error) {
 	cfg = cfg.withDefaults()
+	k, m := cands.K, cands.Len()
 	maxItem := itemset.Item(-1)
-	for _, c := range cands {
-		if len(c) != k {
-			return nil, fmt.Errorf("hashtree: candidate %v has %d items, want %d", c, len(c), k)
-		}
-		if !c.Valid() || (k > 0 && c[0] < 0) {
+	for i := 0; i < m; i++ {
+		c := cands.At(i)
+		if !c.Valid() || c[0] < 0 {
 			return nil, fmt.Errorf("hashtree: candidate %v is not a sorted set of non-negative items", c)
 		}
-		if k > 0 && c[k-1] > maxItem {
-			maxItem = c[k-1]
-		}
+		maxItem = max(maxItem, c[k-1])
 	}
 	t := &Tree{
 		k:      k,
 		cfg:    cfg,
-		nodes:  []node{{end: int32(len(cands))}},
-		perm:   make([]int32, len(cands)),
-		items:  make([]itemset.Item, 0, len(cands)*k),
-		counts: make([]int64, len(cands)),
+		nodes:  []node{{end: int32(m)}},
+		perm:   make([]int32, m),
+		items:  make([]itemset.Item, 0, m*k),
+		counts: make([]int64, m),
 		marks:  make([]uint64, (int(maxItem)+64)/64),
 		leaves: 1,
-		stats:  Stats{Inserts: int64(len(cands))},
+		stats:  Stats{Inserts: int64(m)},
 	}
 	if cfg.Fanout&(cfg.Fanout-1) == 0 {
 		t.mask = int32(cfg.Fanout - 1)
@@ -209,12 +215,12 @@ func New(k int, cands []itemset.Itemset, cfg Config) (*Tree, error) {
 	for i := range t.perm {
 		t.perm[i] = int32(i)
 	}
-	saturated := t.split(0, 0, cands, make([]int32, len(cands)), make([]int32, cfg.Fanout))
+	saturated := t.split(0, 0, cands.Items, make([]int32, m), make([]int32, cfg.Fanout))
 	if saturated && k == 2 {
-		t.pairIndex(cands, int(maxItem)+1)
+		t.pairIndex(cands.Items, int(maxItem)+1)
 	}
 	for _, ci := range t.perm {
-		t.items = append(t.items, cands[ci]...)
+		t.items = append(t.items, cands.At(int(ci))...)
 	}
 	return t, nil
 }
@@ -222,10 +228,12 @@ func New(k int, cands []itemset.Itemset, cfg Config) (*Tree, error) {
 // split turns node ni (at the given depth) into an internal node if it holds
 // more candidates than a leaf may and has an item left to hash on, and
 // recurses into its children.  It reports whether the subtree has a
-// saturated leaf: more than MaxLeaf candidates with no item left.  tmp
-// (len(perm)) and cursor (Fanout) are scratch space shared by the whole
-// build.
-func (t *Tree) split(ni int32, depth int, cands []itemset.Itemset, tmp, cursor []int32) (saturated bool) {
+// saturated leaf: more than MaxLeaf candidates with no item left.  items is
+// the candidates' flat item array, stride k; tmp (len(perm)) and cursor
+// (Fanout) are scratch space shared by the whole build.
+//
+//checkinv:hotpath
+func (t *Tree) split(ni int32, depth int, items []itemset.Item, tmp, cursor []int32) (saturated bool) {
 	start, end := t.nodes[ni].start, t.nodes[ni].end
 	if int(end-start) <= t.cfg.MaxLeaf {
 		return false
@@ -240,8 +248,9 @@ func (t *Tree) split(ni int32, depth int, cands []itemset.Itemset, tmp, cursor [
 	for h := range cursor {
 		cursor[h] = 0
 	}
+	k := t.k
 	for _, ci := range t.perm[start:end] {
-		cursor[t.hash(cands[ci][depth])]++
+		cursor[t.hash(items[int(ci)*k+depth])]++
 	}
 	pos := start
 	for h, n := range cursor {
@@ -251,13 +260,13 @@ func (t *Tree) split(ni int32, depth int, cands []itemset.Itemset, tmp, cursor [
 		pos += n
 	}
 	for _, ci := range t.perm[start:end] {
-		h := t.hash(cands[ci][depth])
+		h := t.hash(items[int(ci)*k+depth])
 		tmp[cursor[h]] = ci
 		cursor[h]++
 	}
 	copy(t.perm[start:end], tmp[start:end])
 	for h := int32(0); h < int32(t.cfg.Fanout); h++ {
-		if t.split(first+h, depth+1, cands, tmp, cursor) {
+		if t.split(first+h, depth+1, items, tmp, cursor) {
 			saturated = true
 		}
 	}
@@ -272,12 +281,15 @@ func (t *Tree) split(ni int32, depth int, cands []itemset.Itemset, tmp, cursor [
 // {a, b} sits pairCol[b]-pairCol[a]-1 places into a's row, pairCol being the
 // rank in U.  Rows with holes (DD's round-robin share, a DHP-filtered C2, a
 // row split across parts), duplicates and unordered rows all fail the check,
-// and the tree scans its saturated leaves like any other.
-func (t *Tree) pairIndex(cands []itemset.Itemset, numItems int) {
+// and the tree scans its saturated leaves like any other.  items is the
+// candidates' flat item array, stride 2: candidate i is {items[2i],
+// items[2i+1]}.
+//
+//checkinv:hotpath
+func (t *Tree) pairIndex(items []itemset.Item, numItems int) {
 	marks := t.marks
-	for _, c := range cands {
-		marks[c[0]>>6] |= 1 << (c[0] & 63)
-		marks[c[1]>>6] |= 1 << (c[1] & 63)
+	for _, it := range items {
+		marks[it>>6] |= 1 << (it & 63)
 	}
 	tables := make([]int32, 2*numItems)
 	base, col := tables[:numItems], tables[numItems:]
@@ -290,14 +302,15 @@ func (t *Tree) pairIndex(cands []itemset.Itemset, numItems int) {
 		}
 	}
 	clear(marks)
-	for i := 0; i < len(cands); {
-		a := cands[i][0]
-		n := int(size - col[a] - 1) // items of U above a; cands[i][1] is one
-		if base[a] != noPair || i+n > len(cands) {
+	m := len(items) / 2
+	for i := 0; i < m; {
+		a := items[2*i]
+		n := int(size - col[a] - 1) // items of U above a; items[2i+1] is one
+		if base[a] != noPair || i+n > m {
 			return
 		}
-		for j, c := range cands[i : i+n] {
-			if c[0] != a || col[c[1]] != col[a]+1+int32(j) {
+		for j := 0; j < n; j++ {
+			if items[2*(i+j)] != a || col[items[2*(i+j)+1]] != col[a]+1+int32(j) {
 				return
 			}
 		}
@@ -496,12 +509,15 @@ func (t *Tree) lookup(a, b itemset.Item) {
 	}
 }
 
-// Counts returns the support counts of the candidates in the order New
+// Counts returns the support counts of the candidates in the order NewFlat
 // received them.  All processors in CD build their trees over the same
 // (generation-ordered) candidates, so index i refers to the same candidate
 // everywhere — that is what makes the count vectors reducible.
+//
+// The vector is the tree's own, not a copy: later Subset calls count on into
+// it, so a caller that wants a snapshot clones it.
 func (t *Tree) Counts() []int64 {
-	return slices.Clone(t.counts)
+	return t.counts
 }
 
 // MemoryBytes estimates the resident size of the tree: candidates plus node

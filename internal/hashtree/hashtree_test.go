@@ -435,10 +435,14 @@ func BenchmarkSubsetPass2(b *testing.B) {
 	for i := range asg.Counts {
 		part := asg.Share(i)
 		firsts := make([]bool, p.NumItems)
-		for _, c := range part {
-			firsts[c[0]] = true
+		for j := 0; j < part.Len(); j++ {
+			firsts[part.At(j)[0]] = true
 		}
-		trees = append(trees, MustNew(2, part, Config{}))
+		tree, err := NewFlat(part, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		trees = append(trees, tree)
 		filters = append(filters, func(it itemset.Item) bool { return firsts[it] })
 	}
 	b.ReportAllocs()

@@ -166,9 +166,17 @@ func randomSets(rng *rand.Rand, n, k, nItems int) []itemset.Itemset {
 // reference counts it whenever an admitted path collides into its leaf, the
 // index never does; Subset's doc puts it outside the filter contract).
 // Visits and Stats are compared under every filter.
+//
+// The tree under test is built from the flat candidates; a second one, built
+// by New from the same candidates held as headers, is driven alongside and
+// must end with the same visits, counts, Stats and MemoryBytes.
 func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []itemset.Itemset, cfg Config, filter func(itemset.Item) bool) *Tree {
 	t.Helper()
-	tree, ref := MustNew(k, cs, cfg), newRefTree(k, cs, cfg)
+	tree, err := NewFlat(mustFlat(k, cs), cfg)
+	if err != nil {
+		t.Fatalf("%s: NewFlat: %v", name, err)
+	}
+	headers, ref := MustNew(k, cs, cfg), newRefTree(k, cs, cfg)
 	if tree.Leaves() != ref.leaves() {
 		t.Fatalf("%s: %d leaves, reference %d", name, tree.Leaves(), ref.leaves())
 	}
@@ -176,7 +184,9 @@ func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []items
 		return tree.pairCol == nil || filter == nil || filter(cs[ci][0])
 	}
 	var matches []int32
-	before := tree.Counts()
+	// Counts hands over the tree's own vector, so the previous transaction's
+	// counts are a copy.
+	before := slices.Clone(tree.Counts())
 	for i := 0; i < 80; i++ {
 		txn := make([]itemset.Item, rng.Intn(14))
 		for j := range txn {
@@ -189,6 +199,9 @@ func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []items
 		got := tree.Subset(set, filter)
 		if want := ref.subset(set, filter); got != want {
 			t.Fatalf("%s: txn %v visited %d leaves, reference %d", name, set, got, want)
+		}
+		if viaHeaders := headers.Subset(set, filter); viaHeaders != got {
+			t.Fatalf("%s: txn %v visited %d leaves of the tree built from headers, %d of the flat one", name, set, viaHeaders, got)
 		}
 		if w := slices.IndexFunc(tree.marks, func(w uint64) bool { return w != 0 }); w >= 0 {
 			t.Fatalf("%s: txn %v left word %d of the mark bitmap set", name, set, w)
@@ -204,7 +217,7 @@ func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []items
 				t.Fatalf("%s: txn %v moved candidate %v's count by %d", name, set, cs[ci], after[ci]-before[ci])
 			}
 		}
-		before = after
+		copy(before, after)
 		if !sameSet(matches, ref.matches, inContract) {
 			t.Fatalf("%s: txn %v matched %v, reference %v", name, set, matches, ref.matches)
 		}
@@ -217,7 +230,20 @@ func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []items
 	if tree.Stats() != ref.stats {
 		t.Fatalf("%s: stats %+v, reference %+v", name, tree.Stats(), ref.stats)
 	}
+	if !slices.Equal(headers.Counts(), tree.Counts()) || headers.Stats() != tree.Stats() || headers.MemoryBytes() != tree.MemoryBytes() {
+		t.Fatalf("%s: the tree built from headers counts %v, %+v, %d bytes; the flat one %v, %+v, %d bytes", name,
+			headers.Counts(), headers.Stats(), headers.MemoryBytes(), tree.Counts(), tree.Stats(), tree.MemoryBytes())
+	}
 	return tree
+}
+
+// mustFlat is itemset.FlatOf for candidates known to hold k items each.
+func mustFlat(k int, cs []itemset.Itemset) itemset.Flat {
+	f, err := itemset.FlatOf(k, cs)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 // firstItemFilter is IDD's root filter: it admits the first item of every
@@ -283,7 +309,7 @@ func TestDifferentialSaturated(t *testing.T) {
 		for _, fanout := range []int{2, 3, 4, 8} {
 			universe := itemset.New(randomSets(rng, 1, max(10, 3*fanout), nItems)[0]...)
 			all := subsets(universe, k)
-			packed := partition.BinPack(all, 3, 0).Share(1)
+			packed := partition.BinPack(all, 3, 0).Share(1).Itemsets()
 			holes := slices.DeleteFunc(slices.Clone(all), func(itemset.Itemset) bool { return rng.Intn(3) == 0 })
 			descending := slices.Clone(all) // whole rows, each back to front
 			slices.SortStableFunc(descending, func(a, b itemset.Itemset) int {
@@ -303,7 +329,7 @@ func TestDifferentialSaturated(t *testing.T) {
 				{"bin-packed share", packed, true},
 				{"rows with holes", holes, false},
 				{"rows descending", descending, false},
-				{"round-robin share", partition.RoundRobin(all, 3)[1], false},
+				{"round-robin share", partition.RoundRobin(mustFlat(k, all), 3)[1].Itemsets(), false},
 				{"shuffled", shuffled, false},
 				{"duplicates", append(slices.Clone(all), all[1], all[len(all)/2], all[1]), false},
 				{"first row twice", append(slices.Clone(all), all[:binomial(len(universe)-1, k-1)]...), false},

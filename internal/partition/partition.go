@@ -17,7 +17,7 @@ import (
 
 // Group is a run of candidates sharing a first item (or a first-and-second
 // item pair when the group was split for skew).  Start and End index into
-// the lexicographically sorted candidate slice the group was built from, so
+// the lexicographically sorted candidates the group was built from, so
 // groups never copy candidates.
 type Group struct {
 	First     itemset.Item
@@ -30,26 +30,26 @@ type Group struct {
 // Size returns the number of candidates in the group.
 func (g Group) Size() int { return g.End - g.Start }
 
-// Groups partitions the sorted candidate slice into first-item groups,
-// splitting any group larger than splitThreshold by second item.  A
-// splitThreshold <= 0 disables splitting.  Candidates must be sorted
-// lexicographically (apriori.Gen output order) and have at least 2 items
-// when splitting can trigger.
-func Groups(cands []itemset.Itemset, splitThreshold int) []Group {
+// Groups partitions the sorted candidates into first-item groups, splitting
+// any group larger than splitThreshold by second item.  A splitThreshold <=
+// 0 disables splitting, and so do candidates of one item.  Candidates must
+// be sorted lexicographically (apriori.GenFlat output order).
+func Groups(cands itemset.Flat, splitThreshold int) []Group {
 	var out []Group
-	for start := 0; start < len(cands); {
+	k, items, m := cands.K, cands.Items, cands.Len()
+	for start := 0; start < m; {
 		end := start
-		first := cands[start][0]
-		for end < len(cands) && cands[end][0] == first {
+		first := items[start*k]
+		for end < m && items[end*k] == first {
 			end++
 		}
-		if splitThreshold > 0 && end-start > splitThreshold && len(cands[start]) >= 2 {
+		if splitThreshold > 0 && end-start > splitThreshold && k >= 2 {
 			// Split the oversized run by second item; within the run the
 			// candidates are still sorted, so sub-runs are contiguous too.
 			for s := start; s < end; {
 				e := s
-				second := cands[s][1]
-				for e < end && cands[e][1] == second {
+				second := items[s*k+1]
+				for e < end && items[e*k+1] == second {
 					e++
 				}
 				out = append(out, Group{First: first, Second: second, HasSecond: true, Start: s, End: e})
@@ -70,21 +70,26 @@ type Assignment struct {
 	GroupsOf [][]Group
 	// Counts[i] is the number of candidates processor i owns.
 	Counts []int
-	// cands is the sorted slice the groups index into.
-	cands []itemset.Itemset
+	// cands is the sorted candidates the groups index into.
+	cands itemset.Flat
 }
 
 // Share returns the candidates owned by processor i: its groups' runs
 // concatenated in packing order, each still in lexicographic order.  Every
-// call copies the headers into a new slice (nil when i owns nothing), so the
-// processors of a grid can each build their own share concurrently.
-func (a *Assignment) Share(i int) []itemset.Itemset {
+// call copies the groups' items into a new array, k items per candidate (no
+// array when i owns nothing), so the processors of a grid can each build
+// their own share concurrently.
+//
+//checkinv:hotpath
+func (a *Assignment) Share(i int) itemset.Flat {
+	k := a.cands.K
+	out := itemset.Flat{K: k}
 	if a.Counts[i] == 0 {
-		return nil
+		return out
 	}
-	out := make([]itemset.Itemset, 0, a.Counts[i])
+	out.Items = make([]itemset.Item, 0, a.Counts[i]*k)
 	for _, g := range a.GroupsOf[i] {
-		out = append(out, a.cands[g.Start:g.End]...)
+		out.Items = append(out.Items, a.cands.Items[g.Start*k:g.End*k]...)
 	}
 	return out
 }
@@ -116,19 +121,33 @@ func Imbalance(counts []int) float64 {
 	return (float64(max) - mean) / mean
 }
 
-// BinPack distributes the sorted candidates over p processors using the
+// BinPack is BinPackFlat over sorted candidates held as headers, all of one
+// size.
+func BinPack(cands []itemset.Itemset, p, splitThreshold int) *Assignment {
+	k := 0
+	if len(cands) > 0 {
+		k = len(cands[0])
+	}
+	flat, err := itemset.FlatOf(k, cands)
+	if err != nil {
+		panic("partition: " + err.Error())
+	}
+	return BinPackFlat(flat, p, splitThreshold)
+}
+
+// BinPackFlat distributes the sorted candidates over p processors using the
 // longest-processing-time heuristic over first-item groups: groups are
 // sorted by decreasing size and each is placed on the currently least
 // loaded processor.  splitThreshold bounds the size of a single group
 // before it is split by second item; pass 0 to use the natural threshold
-// ceil(len(cands)/p), the point past which one group alone would overflow
-// its processor.
-func BinPack(cands []itemset.Itemset, p, splitThreshold int) *Assignment {
+// ceil(cands.Len()/p), the point past which one group alone would overflow
+// its processor.  The assignment keeps cands, which Share reads.
+func BinPackFlat(cands itemset.Flat, p, splitThreshold int) *Assignment {
 	if p < 1 {
 		p = 1
 	}
 	if splitThreshold <= 0 && p > 0 {
-		splitThreshold = (len(cands) + p - 1) / p
+		splitThreshold = (cands.Len() + p - 1) / p
 	}
 	groups := Groups(cands, splitThreshold)
 	order := make([]int, len(groups))
@@ -182,13 +201,19 @@ func BinPack(cands []itemset.Itemset, p, splitThreshold int) *Assignment {
 
 // RoundRobin distributes candidates over p processors the way DD does:
 // candidate i goes to processor i mod p.
-func RoundRobin(cands []itemset.Itemset, p int) [][]itemset.Itemset {
+//
+//checkinv:hotpath
+func RoundRobin(cands itemset.Flat, p int) []itemset.Flat {
 	if p < 1 {
 		p = 1
 	}
-	out := make([][]itemset.Itemset, p)
-	for i, c := range cands {
-		out[i%p] = append(out[i%p], c)
+	k, m := cands.K, cands.Len()
+	out := make([]itemset.Flat, p)
+	for j := range out {
+		out[j] = itemset.Flat{K: k, Items: make([]itemset.Item, 0, (m-j+p-1)/p*k)}
+	}
+	for i := 0; i < m; i++ {
+		out[i%p].Items = append(out[i%p].Items, cands.At(i)...)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -23,9 +24,22 @@ func sortedCands(sizes []int) []itemset.Itemset {
 	return out
 }
 
+// flat is itemset.FlatOf for test candidates of one size.
+func flat(cands []itemset.Itemset) itemset.Flat {
+	k := 0
+	if len(cands) > 0 {
+		k = len(cands[0])
+	}
+	f, err := itemset.FlatOf(k, cands)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func TestGroupsBasic(t *testing.T) {
 	cands := sortedCands([]int{3, 0, 2, 5})
-	groups := Groups(cands, 0)
+	groups := Groups(flat(cands), 0)
 	if len(groups) != 3 {
 		t.Fatalf("got %d groups, want 3", len(groups))
 	}
@@ -46,7 +60,7 @@ func TestGroupsSplitBySecondItem(t *testing.T) {
 		itemset.New(0, 2, 10), itemset.New(0, 2, 11),
 		itemset.New(0, 3, 10), itemset.New(0, 3, 11),
 	}
-	groups := Groups(cands, 2)
+	groups := Groups(flat(cands), 2)
 	if len(groups) != 3 {
 		t.Fatalf("got %d groups, want 3: %+v", len(groups), groups)
 	}
@@ -66,7 +80,7 @@ func TestGroupsCoverAllCandidates(t *testing.T) {
 			total += sizes[i]
 		}
 		cands := sortedCands(sizes)
-		groups := Groups(cands, int(threshold%20))
+		groups := Groups(flat(cands), int(threshold%20))
 		covered := 0
 		prevEnd := 0
 		for _, g := range groups {
@@ -98,7 +112,7 @@ func TestBinPackBalances(t *testing.T) {
 	// Every candidate appears exactly once across processors.
 	seen := map[string]int{}
 	for p := range asg.Counts {
-		for _, c := range asg.Share(p) {
+		for _, c := range asg.Share(p).Itemsets() {
 			seen[c.Key()]++
 		}
 	}
@@ -120,7 +134,7 @@ func TestBinPackGroupIntegrity(t *testing.T) {
 	asg := BinPack(cands, 3, 1<<30) // threshold huge: no splits
 	owner := map[itemset.Item]int{}
 	for p := range asg.Counts {
-		for _, c := range asg.Share(p) {
+		for _, c := range asg.Share(p).Itemsets() {
 			if prev, ok := owner[c[0]]; ok && prev != p {
 				t.Fatalf("first item %d split across processors %d and %d", c[0], prev, p)
 			}
@@ -157,14 +171,8 @@ func TestBinPackDeterministic(t *testing.T) {
 	a := BinPack(cands, 4, 0)
 	b := BinPack(cands, 4, 0)
 	for p := range a.Counts {
-		as, bs := a.Share(p), b.Share(p)
-		if len(as) != len(bs) {
+		if as, bs := a.Share(p), b.Share(p); as.K != bs.K || !slices.Equal(as.Items, bs.Items) {
 			t.Fatalf("nondeterministic pack at proc %d", p)
-		}
-		for i := range as {
-			if !as[i].Equal(bs[i]) {
-				t.Fatalf("nondeterministic candidate order at proc %d", p)
-			}
 		}
 	}
 }
@@ -220,7 +228,8 @@ func refPerProc(cands []itemset.Itemset, groups []Group, p int) [][]itemset.Item
 // TestShareIsThePacking checks Share against the packing it reads, over
 // random group sizes with and without second-item splits: the shares
 // together are a permutation of the candidates, share i is its GroupsOf[i]
-// runs in order, and it equals refPerProc's slice element for element.
+// runs of the flat items in order, a fresh array of its own, and it equals
+// refPerProc's slice element for element.
 func TestShareIsThePacking(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
@@ -235,26 +244,33 @@ func TestShareIsThePacking(t *testing.T) {
 		if trial%2 == 1 {
 			threshold = 1 << 30
 		}
-		asg := BinPack(cands, p, threshold)
+		c := flat(cands)
+		asg := BinPackFlat(c, p, threshold)
+		if !reflect.DeepEqual(asg, BinPack(cands, p, threshold)) {
+			t.Fatalf("trial %d: BinPack over headers differs from BinPackFlat", trial)
+		}
 		split := threshold
 		if split == 0 {
 			split = (len(cands) + p - 1) / p
 		}
-		ref := refPerProc(cands, Groups(cands, split), p)
+		ref := refPerProc(cands, Groups(c, split), p)
 		var all []itemset.Itemset
 		for i := range asg.Counts {
 			share := asg.Share(i)
-			var runs []itemset.Itemset
+			var runs []itemset.Item
 			for _, g := range asg.GroupsOf[i] {
-				runs = append(runs, cands[g.Start:g.End]...)
+				runs = append(runs, c.Items[g.Start*c.K:g.End*c.K]...)
 			}
-			if len(share) != asg.Counts[i] || !slices.EqualFunc(share, runs, itemset.Itemset.Equal) {
+			if share.K != c.K || share.Len() != asg.Counts[i] || !slices.Equal(share.Items, runs) {
 				t.Fatalf("trial %d: share %d is not its groups' runs", trial, i)
 			}
-			if !slices.EqualFunc(share, ref[i], itemset.Itemset.Equal) {
+			if share.Len() > 0 && &share.Items[0] == &asg.Share(i).Items[0] {
+				t.Fatalf("trial %d: share %d is not a fresh copy", trial, i)
+			}
+			if !slices.EqualFunc(share.Itemsets(), ref[i], itemset.Itemset.Equal) {
 				t.Fatalf("trial %d: share %d differs from the reference packing", trial, i)
 			}
-			all = append(all, share...)
+			all = append(all, share.Itemsets()...)
 		}
 		slices.SortFunc(all, itemset.Itemset.Compare)
 		if !slices.EqualFunc(all, cands, itemset.Itemset.Equal) {
@@ -265,28 +281,31 @@ func TestShareIsThePacking(t *testing.T) {
 
 // TestBinPackAllocsIndependentOfM pins the sized-before-copying assignment:
 // with the number of first-item groups held at 100, packing 100 K and 400 K
-// candidates costs the same number of allocations.
+// flat candidates costs the same number of allocations, and so does each
+// share's copy: one array.
 func TestBinPackAllocsIndependentOfM(t *testing.T) {
-	build := func(perGroup int) []itemset.Itemset {
-		flat := make([]itemset.Item, 0, 2*100*perGroup)
-		out := make([]itemset.Itemset, 0, 100*perGroup)
+	build := func(perGroup int) itemset.Flat {
+		c := itemset.Flat{K: 2, Items: make([]itemset.Item, 0, 2*100*perGroup)}
 		for first := 0; first < 100; first++ {
 			for j := 0; j < perGroup; j++ {
-				flat = append(flat, itemset.Item(first), itemset.Item(100+j))
-				out = append(out, flat[len(flat)-2:])
+				c.Items = append(c.Items, itemset.Item(first), itemset.Item(100+j))
 			}
 		}
-		return out
+		return c
 	}
-	measure := func(cands []itemset.Itemset) float64 {
+	measure := func(cands itemset.Flat) float64 {
 		var asg *Assignment
-		allocs := testing.AllocsPerRun(3, func() { asg = BinPack(cands, 8, 0) })
+		allocs := testing.AllocsPerRun(3, func() { asg = BinPackFlat(cands, 8, 0) })
 		total := 0
 		for p := range asg.Counts {
-			total += len(asg.Share(p))
+			var share itemset.Flat
+			if a := testing.AllocsPerRun(3, func() { share = asg.Share(p) }); a != 1 {
+				t.Fatalf("Share(%d): %v allocations, want 1", p, a)
+			}
+			total += share.Len()
 		}
-		if total != len(cands) {
-			t.Fatalf("assignment holds %d of %d candidates", total, len(cands))
+		if total != cands.Len() {
+			t.Fatalf("assignment holds %d of %d candidates", total, cands.Len())
 		}
 		return allocs
 	}
@@ -298,15 +317,15 @@ func TestBinPackAllocsIndependentOfM(t *testing.T) {
 
 func TestRoundRobin(t *testing.T) {
 	cands := sortedCands([]int{10})
-	parts := RoundRobin(cands, 3)
-	if len(parts[0]) != 4 || len(parts[1]) != 3 || len(parts[2]) != 3 {
-		t.Errorf("sizes = %d, %d, %d", len(parts[0]), len(parts[1]), len(parts[2]))
+	parts := RoundRobin(flat(cands), 3)
+	if parts[0].Len() != 4 || parts[1].Len() != 3 || parts[2].Len() != 3 {
+		t.Errorf("sizes = %d, %d, %d", parts[0].Len(), parts[1].Len(), parts[2].Len())
 	}
 	// candidate i goes to processor i mod p
-	if !parts[1][0].Equal(cands[1]) || !parts[2][1].Equal(cands[5]) {
+	if !parts[1].At(0).Equal(cands[1]) || !parts[2].At(1).Equal(cands[5]) {
 		t.Error("round-robin order broken")
 	}
-	if got := RoundRobin(cands, 0); len(got) != 1 {
+	if got := RoundRobin(flat(cands), 0); len(got) != 1 {
 		t.Errorf("p=0 should clamp to 1, got %d parts", len(got))
 	}
 }
@@ -334,7 +353,7 @@ func TestBinPackEdgeCases(t *testing.T) {
 		t.Error("empty pack has imbalance")
 	}
 	asg := BinPack(sortedCands([]int{3}), 0, 0) // p < 1 clamps to 1
-	if len(asg.Counts) != 1 || len(asg.Share(0)) != 3 {
+	if len(asg.Counts) != 1 || asg.Share(0).Len() != 3 {
 		t.Errorf("p=0 pack = %+v", asg.Counts)
 	}
 	// More processors than groups: some processors stay empty but all
