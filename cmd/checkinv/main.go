@@ -7,22 +7,21 @@
 //
 //	go run ./cmd/checkinv ./...
 //	go run ./cmd/checkinv -json internal/core
-//	go run ./cmd/checkinv -disable mapiter,floatcmp ./...
 //	go run ./cmd/checkinv -allpkgs internal/checkinv/testdata/src/walltime
 //	go run ./cmd/checkinv -debt ./...
-//	go run ./cmd/checkinv -fix ./...
+//	go run ./cmd/checkinv -list
 //
 // Findings print as "file:line: [rule] message"; the exit status is 1 when
 // any finding survives, 2 on a loading error, 0 on a clean tree.  Rules are
-// path-scoped (see DESIGN.md, "Correctness tooling"); -allpkgs applies
-// every enabled rule to every matched package regardless of scope, which is
-// how the fixture directories are exercised.  _test.go files are analyzed
-// too by default (-tests=false restores source-only runs): a wall-clock
-// read or a map-order dependence in a test is the same determinism bug in
-// disguise.  Intentional sites are annotated in the source with
-// //checkinv:allow <rule>; -fix inserts those annotations for the current
-// findings, and -debt reports every annotation in the tree with its rule,
-// age and reason, flagging stale ones.
+// path-scoped (-list prints each scope; see DESIGN.md, "Correctness
+// tooling"); -allpkgs applies every rule to every matched package
+// regardless of scope, which is how the fixture directories are exercised.
+// _test.go files are analyzed too: a wall-clock read or a map-order
+// dependence in a test is the same determinism bug in disguise.
+// Intentional sites are annotated in the source with
+// //checkinv:allow <rule> [reason]; -debt reports every annotation in the
+// tree with its rules, age and reason, flagging each rule that suppressed
+// nothing as stale.
 //
 // Packages whose content (including every module-internal dependency) is
 // unchanged since the last run are served from a findings cache under
@@ -54,13 +53,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		jsonOut  = fs.Bool("json", false, "emit findings (or -debt entries) as a JSON array")
-		disable  = fs.String("disable", "", "comma-separated rules to skip")
 		allPkgs  = fs.Bool("allpkgs", false, "apply rules to every package, ignoring path scopes")
-		list     = fs.Bool("list", false, "list the available rules and exit")
-		tests    = fs.Bool("tests", true, "also analyze _test.go files (in-package and external test packages)")
+		list     = fs.Bool("list", false, "list the available rules with their scopes and exit")
 		cacheDir = fs.String("cache", "auto", `findings cache directory; "auto" picks the user cache dir, "off" disables caching`)
-		fix      = fs.Bool("fix", false, "insert //checkinv:allow annotations for the findings instead of failing")
-		debt     = fs.Bool("debt", false, "report every allow annotation (rule, used/stale, age, reason) instead of findings")
+		debt     = fs.Bool("debt", false, "report every allow annotation (rules, used/stale, age, reason) instead of findings")
 		timings  = fs.Bool("timings", false, "print cache and phase timings to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -69,32 +65,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *list {
 		for _, az := range checkinv.Analyzers() {
-			fmt.Fprintf(stdout, "%-12s %s\n", az.Name, az.Doc)
+			scope := "every package"
+			if az.Scope != nil {
+				scope = strings.Join(az.Scope, " ")
+			}
+			fmt.Fprintf(stdout, "%-12s %s\n%-12s scope: %s\n", az.Name, az.Doc, "", scope)
 		}
 		return 0
-	}
-
-	analyzers := checkinv.Analyzers()
-	if *disable != "" {
-		off := map[string]bool{}
-		for _, name := range strings.Split(*disable, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if checkinv.AnalyzerByName(name) == nil {
-				fmt.Fprintf(stderr, "checkinv: unknown rule %q (see -list)\n", name)
-				return 2
-			}
-			off[name] = true
-		}
-		var kept []*checkinv.Analyzer
-		for _, az := range analyzers {
-			if !off[az.Name] {
-				kept = append(kept, az)
-			}
-		}
-		analyzers = kept
 	}
 
 	patterns := fs.Args()
@@ -119,12 +96,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	res, err := checkinv.RunTree(checkinv.RunOptions{
-		Dir:       cwd,
-		Patterns:  patterns,
-		Analyzers: analyzers,
-		AllPkgs:   *allPkgs,
-		Tests:     *tests,
-		CacheDir:  dir,
+		Dir:      cwd,
+		Patterns: patterns,
+		AllPkgs:  *allPkgs,
+		CacheDir: dir,
 	})
 	if err != nil {
 		return fatal(stderr, err)
@@ -156,17 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return emitJSON(stdout, stderr, entries)
 		}
 		checkinv.WriteDebt(stdout, entries)
-		return 0
-	}
-
-	if *fix && len(res.Findings) > 0 {
-		changed, err := checkinv.ApplyFixes(res.Findings)
-		for _, f := range changed {
-			fmt.Fprintf(stdout, "checkinv: annotated %s\n", relPath(cwd, f))
-		}
-		if err != nil {
-			return fatal(stderr, err)
-		}
 		return 0
 	}
 

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"parapriori/internal/checkinv"
 )
 
 // writeModule lays out a throwaway module with one in-scope walltime
@@ -31,13 +33,7 @@ func Add(a, b int) int { return a + b }
 `,
 	}
 	for name, content := range files {
-		p := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(p), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
+		writeFile(t, root, name, content)
 	}
 	return root
 }
@@ -104,33 +100,30 @@ func TestEndToEndCacheWarm(t *testing.T) {
 	}
 }
 
-// TestEndToEndFix runs -fix on a temp copy and asserts the tree is clean
-// afterwards, with the annotation inserted where the finding was.
-func TestEndToEndFix(t *testing.T) {
-	root := writeModule(t)
-	cache := filepath.Join(root, ".cache")
-
-	code, stdout, stderr := runIn(t, root, "-fix", "-cache", cache, "./...")
-	if code != 0 {
-		t.Fatalf("-fix exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "annotated") {
-		t.Errorf("-fix stdout = %q, want the annotated file reported", stdout)
-	}
-	data, err := os.ReadFile(filepath.Join(root, "internal", "core", "core.go"))
-	if err != nil {
+// writeFile replaces one module file.
+func writeFile(t *testing.T, root, name, content string) {
+	t.Helper()
+	p := filepath.Join(root, filepath.FromSlash(name))
+	if err := os.MkdirAll(filepath.Dir(p), 0o777); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "//checkinv:allow walltime") {
-		t.Errorf("fixed file lacks the inserted directive:\n%s", data)
+	if err := os.WriteFile(p, []byte(content), 0o666); err != nil {
+		t.Fatal(err)
 	}
+}
 
-	// The annotated tree must now be clean — and the annotation edit must
-	// invalidate the cached entry rather than replay the stale finding.
-	code, stdout, stderr = runIn(t, root, "-cache", cache, "./...")
+// debtEntries runs -debt -json in root and decodes the report.
+func debtEntries(t *testing.T, root string, args ...string) []checkinv.DebtEntry {
+	t.Helper()
+	code, stdout, stderr := runIn(t, root, append([]string{"-debt", "-json"}, args...)...)
 	if code != 0 {
-		t.Errorf("post-fix run exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
+		t.Fatalf("-debt -json exit = %d; stderr: %s", code, stderr)
 	}
+	var entries []checkinv.DebtEntry
+	if err := json.Unmarshal([]byte(stdout), &entries); err != nil {
+		t.Fatalf("-debt -json output is not JSON: %v\n%s", err, stdout)
+	}
+	return entries
 }
 
 // TestEndToEndDebt asserts -debt reports the annotation with its rule and
@@ -138,9 +131,15 @@ func TestEndToEndFix(t *testing.T) {
 func TestEndToEndDebt(t *testing.T) {
 	root := writeModule(t)
 	cache := filepath.Join(root, ".cache")
-	if code, _, stderr := runIn(t, root, "-fix", "-cache", cache, "./..."); code != 0 {
-		t.Fatalf("-fix exit = %d; stderr: %s", code, stderr)
-	}
+	writeFile(t, root, "internal/core/core.go", `package core
+
+import "time"
+
+// Tick reads the wall clock on purpose.
+//
+//checkinv:allow walltime the test's own clock
+func Tick() time.Time { return time.Now() }
+`)
 
 	code, stdout, stderr := runIn(t, root, "-debt", "-cache", cache, "./...")
 	if code != 0 {
@@ -153,21 +152,53 @@ func TestEndToEndDebt(t *testing.T) {
 		t.Errorf("-debt output = %q, want the summary line", stdout)
 	}
 
-	code, stdout, _ = runIn(t, root, "-debt", "-json", "-cache", cache, "./...")
-	if code != 0 {
-		t.Fatalf("-debt -json exit = %d", code)
-	}
-	var entries []struct {
-		File  string   `json:"file"`
-		Line  int      `json:"line"`
-		Rules []string `json:"rules"`
-		Used  bool     `json:"used"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &entries); err != nil {
-		t.Fatalf("-debt -json output is not JSON: %v\n%s", err, stdout)
-	}
+	entries := debtEntries(t, root, "-cache", cache, "./...")
 	if len(entries) != 1 || !entries[0].Used || entries[0].Rules[0] != "walltime" {
 		t.Errorf("-debt -json entries = %+v, want one used walltime site", entries)
+	}
+
+	// The annotated tree is clean, and the annotation edit invalidated the
+	// cached entry rather than replaying the stale finding.
+	if code, stdout, stderr := runIn(t, root, "-cache", cache, "./..."); code != 0 {
+		t.Errorf("annotated run exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+}
+
+// TestEndToEndRawchanScope pins rawchan to the virtual-clock packages: a
+// goroutine in internal/core is a finding, the same joined goroutine in
+// real-clock serving code is not, so an allow there is reported stale.
+func TestEndToEndRawchanScope(t *testing.T) {
+	spawn := func(pkg, allow string) string {
+		return "package " + pkg + `
+
+import "sync"
+
+func Spawn() {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done() }()` + allow + `
+	wg.Wait()
+}
+`
+	}
+	root := writeModule(t)
+	cache := filepath.Join(root, ".cache")
+	writeFile(t, root, "internal/core/core.go", spawn("core", ""))
+	code, stdout, stderr := runIn(t, root, "-cache", cache, "./...")
+	if code != 1 || !strings.Contains(stdout, "internal/core/core.go:8: [rawchan]") {
+		t.Fatalf("goroutine in internal/core: exit = %d, want 1 with a rawchan finding\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+
+	if err := os.RemoveAll(filepath.Join(root, "internal", "core")); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, root, "internal/distserve/spawn.go", spawn("distserve", " //checkinv:allow rawchan not needed"))
+	if code, stdout, stderr := runIn(t, root, "-cache", cache, "./..."); code != 0 {
+		t.Fatalf("goroutine in internal/distserve: exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	entries := debtEntries(t, root, "-cache", cache, "./...")
+	if len(entries) != 1 || entries[0].Used || entries[0].File != "internal/distserve/spawn.go" {
+		t.Errorf("-debt -json entries = %+v, want the distserve site reported unused", entries)
 	}
 }
 
@@ -198,6 +229,11 @@ func TestListRules(t *testing.T) {
 	for _, rule := range []string{"walltime", "mapiter", "rawchan", "floatcmp", "snapshotmut", "goroleak", "hotalloc"} {
 		if !strings.Contains(stdout, rule) {
 			t.Errorf("-list output lacks %s:\n%s", rule, stdout)
+		}
+	}
+	for _, scope := range []string{"scope: internal/core internal/apriori", "scope: every package"} {
+		if !strings.Contains(stdout, scope) {
+			t.Errorf("-list output lacks %q:\n%s", scope, stdout)
 		}
 	}
 }

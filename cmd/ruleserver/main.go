@@ -124,7 +124,7 @@ func main() {
 	if *pprofAddr != "" {
 		// The profiling surface stays off the serving listener: it is
 		// operator-only, typically bound to localhost while the API is not.
-		go func() { //checkinv:allow rawchan the pprof listener is a second real-OS HTTP server
+		go func() {
 			log.Printf("ruleserver: pprof on http://%s/debug/pprof/", *pprofAddr)
 			srv := newHTTPServer(nil)
 			srv.Addr = *pprofAddr
@@ -229,14 +229,14 @@ func serveUntilSignal(addr string, h http.Handler) error {
 	var draining atomic.Bool
 	srv := newHTTPServer(drainHealthz(h, &draining))
 	// Signals and the accept loop are real-OS territory, like onHUP.
-	stop := make(chan os.Signal, 1) //checkinv:allow rawchan signal.Notify requires a raw channel
+	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGTERM, os.Interrupt)
-	served := make(chan error, 1)           //checkinv:allow rawchan carries Serve's one result
-	go func() { served <- srv.Serve(ln) }() //checkinv:allow rawchan the accept loop; Shutdown or a listener error ends it
-	select {                                //checkinv:allow rawchan the listener failing or the operator's signal, whichever is first
-	case err := <-served: //checkinv:allow rawchan Serve returned by itself: the listener failed
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
 		return err
-	case sig := <-stop: //checkinv:allow rawchan the operator's signal
+	case sig := <-stop:
 		log.Printf("ruleserver: %v: draining", sig)
 		draining.Store(true)
 		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
@@ -349,10 +349,10 @@ func runRouter(addr, load string, minconf float64, nodeList string, opt distserv
 // shape here; this is real-OS territory, outside the simulation's
 // determinism rules.
 func onHUP(f func()) {
-	hup := make(chan os.Signal, 1) //checkinv:allow rawchan signal.Notify requires a raw channel
+	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
-	go func() { //checkinv:allow rawchan serving runs on the real OS, not the emulated cluster
-		for range hup { //checkinv:allow rawchan draining the signal channel is the same real-OS territory
+	go func() {
+		for range hup {
 			f()
 		}
 	}()

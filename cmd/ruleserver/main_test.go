@@ -238,7 +238,7 @@ func TestDrainOnSIGTERM(t *testing.T) {
 			var answered, broken atomic.Int64
 			for c := 0; c < 2; c++ {
 				clients.Add(1)
-				go func() { //checkinv:allow rawchan test load against a real process, joined by the WaitGroup
+				go func() {
 					defer clients.Done()
 					for !stop.Load() {
 						code, body, err := get(p.addr, "/metrics")

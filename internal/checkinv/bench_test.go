@@ -17,7 +17,7 @@ func BenchmarkDriverCold(b *testing.B) {
 		b.StopTimer()
 		dir := b.TempDir()
 		b.StartTimer()
-		if _, err := RunTree(RunOptions{Dir: root, Tests: true, CacheDir: dir}); err != nil {
+		if _, err := RunTree(RunOptions{Dir: root, CacheDir: dir}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func BenchmarkDriverWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
-	opts := RunOptions{Dir: root, Tests: true, CacheDir: dir}
+	opts := RunOptions{Dir: root, CacheDir: dir}
 	if _, err := RunTree(opts); err != nil {
 		b.Fatal(err)
 	}

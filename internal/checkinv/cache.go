@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,7 +20,7 @@ import (
 
 // cacheVersion invalidates every entry when the analyzer suite changes
 // behavior.  Bump it whenever a rule's findings or the entry schema move.
-const cacheVersion = "checkinv-v2.0"
+const cacheVersion = "checkinv-v3.0"
 
 // Cache is the driver's per-package findings cache, the payoff of the
 // long-carried ROADMAP item: `go run ./cmd/checkinv ./...` used to
@@ -34,16 +36,15 @@ type Cache struct {
 	dir string
 
 	mu       sync.Mutex
-	dirInfo  map[string]dirInfo // abs dir (+tests marker) → own hash, imports
-	deepHash map[string]string  // abs dir (+tests marker) → hash incl. transitive deps
-	visiting map[string]bool    // cycle guard for deepHash (test-package loops)
+	dirInfo  map[string]dirInfo // abs dir → own hashes, imports
+	deepHash map[string]string  // abs dir → source hash incl. transitive deps
 }
 
-// dirInfo is one directory's own content hash and the import paths its
-// files mention.
+// dirInfo is one directory's own content hashes and the import paths its
+// files mention, for the package sources and the _test.go files apart.
 type dirInfo struct {
-	hash    string
-	imports []string
+	srcHash, testHash       string
+	srcImports, testImports []string
 }
 
 // NewCache opens (creating if needed) a cache rooted at dir.
@@ -55,7 +56,6 @@ func NewCache(dir string) (*Cache, error) {
 		dir:      dir,
 		dirInfo:  map[string]dirInfo{},
 		deepHash: map[string]string{},
-		visiting: map[string]bool{},
 	}, nil
 }
 
@@ -86,42 +86,49 @@ type cacheEntry struct {
 }
 
 // Key computes the cache key for a package directory under the given
-// configuration string (analyzer set, scope mode, tests mode).
-func (c *Cache) Key(dir, modRoot, modPath, config string, tests bool) (string, error) {
-	deep, err := c.deepDirHash(dir, modRoot, modPath, tests)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\n%s\n%s\n%s\n", cacheVersion, runtime.Version(), modPath, config, deep)
-	return hex.EncodeToString(h.Sum(nil))[:32], nil
-}
-
-// deepDirHash hashes the directory's own Go files plus, recursively, every
-// module-internal directory it imports.  Memoized per Cache; import cycles
-// through external test packages are cut with a constant marker.
-func (c *Cache) deepDirHash(dir, modRoot, modPath string, tests bool) (string, error) {
+// configuration string (analyzer set with scopes, scope mode).  The
+// directory's _test.go files are analyzed with it, so they and their
+// imports join the key; dependencies count source-only, since a
+// dependency's test files cannot change this package's types or findings.
+func (c *Cache) Key(dir, modRoot, modPath, config string) (string, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err
 	}
-	memoKey := abs
-	if tests {
-		memoKey += "\x00tests"
+	deep, err := c.deepDirHash(abs, modRoot, modPath, nil)
+	if err != nil {
+		return "", err
 	}
-	c.mu.Lock()
-	if h, ok := c.deepHash[memoKey]; ok {
-		c.mu.Unlock()
-		return h, nil
+	info, err := c.ownDirHash(abs)
+	if err != nil {
+		return "", err
 	}
-	if c.visiting[memoKey] {
-		c.mu.Unlock()
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\n%s\n%s\n%s\n%s\ntests %s\n", cacheVersion, runtime.Version(), modPath, config, deep, info.testHash)
+	if err := c.hashDeps(h, info.testImports, modRoot, modPath, nil); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil))[:32], nil
+}
+
+// deepDirHash hashes the directory's package sources plus, recursively,
+// every module-internal directory they import.  Memoized per Cache.  path
+// holds the directories this call descends from: an import cycle (a tree
+// that would not build) is cut there with a constant marker.  The guard is
+// per call chain, not shared, because keys are computed concurrently and a
+// directory another goroutine is hashing is not a cycle.  abs is absolute.
+func (c *Cache) deepDirHash(abs, modRoot, modPath string, path []string) (string, error) {
+	if slices.Contains(path, abs) {
 		return "cycle", nil
 	}
-	c.visiting[memoKey] = true
+	c.mu.Lock()
+	memo, ok := c.deepHash[abs]
 	c.mu.Unlock()
+	if ok {
+		return memo, nil
+	}
 
-	own, imports, err := c.ownDirHash(abs, tests)
+	info, err := c.ownDirHash(abs)
 	if err != nil {
 		return "", err
 	}
@@ -130,58 +137,69 @@ func (c *Cache) deepDirHash(dir, modRoot, modPath string, tests bool) (string, e
 		return "", err
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "dir %s %s\n", filepath.ToSlash(rel), own)
-	for _, imp := range filterModuleImports(imports, modPath) {
-		sub := imp
-		if sub == modPath {
-			sub = ""
-		} else {
-			sub = strings.TrimPrefix(sub, modPath+"/")
-		}
-		depDir := filepath.Join(modRoot, filepath.FromSlash(sub))
-		// Dependencies are hashed source-only: test files of a dependency
-		// cannot change this package's types or findings.
-		dh, err := c.deepDirHash(depDir, modRoot, modPath, false)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "dep %s %s\n", imp, dh)
+	fmt.Fprintf(h, "dir %s %s\n", filepath.ToSlash(rel), info.srcHash)
+	if err := c.hashDeps(h, info.srcImports, modRoot, modPath, append(path[:len(path):len(path)], abs)); err != nil {
+		return "", err
 	}
 	sum := hex.EncodeToString(h.Sum(nil))
 
 	c.mu.Lock()
-	c.deepHash[memoKey] = sum
-	delete(c.visiting, memoKey)
+	c.deepHash[abs] = sum
 	c.mu.Unlock()
 	return sum, nil
 }
 
-// ownDirHash hashes the directory's Go files and returns the
-// module-internal import paths they mention, sorted.  Imports are read
+// hashDeps writes the deep hash of every module-internal import into h.
+func (c *Cache) hashDeps(h io.Writer, imports []string, modRoot, modPath string, path []string) error {
+	for _, imp := range filterModuleImports(imports, modPath) {
+		sub := strings.TrimPrefix(strings.TrimPrefix(imp, modPath), "/")
+		dh, err := c.deepDirHash(filepath.Join(modRoot, filepath.FromSlash(sub)), modRoot, modPath, path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(h, "dep %s %s\n", imp, dh)
+	}
+	return nil
+}
+
+// ownDirHash hashes the directory's package sources and its _test.go files
+// separately, with the import paths each set mentions.  Imports are read
 // with a comments-and-bodies-free parse — cheap enough to run on every
 // invocation even for a full tree.
-func (c *Cache) ownDirHash(abs string, tests bool) (string, []string, error) {
-	key := abs
-	if tests {
-		key += "\x00tests"
-	}
+func (c *Cache) ownDirHash(abs string) (dirInfo, error) {
 	c.mu.Lock()
-	if info, ok := c.dirInfo[key]; ok {
+	if info, ok := c.dirInfo[abs]; ok {
 		c.mu.Unlock()
-		return info.hash, info.imports, nil
+		return info, nil
 	}
 	c.mu.Unlock()
 
-	srcNames, testNames, err := goFileNames(abs, tests)
+	srcNames, testNames, err := goFileNames(abs)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			// An import of a vanished directory: the dependent package has
 			// type errors either way; a constant marker keys that state.
-			return "missing", nil, nil
+			return dirInfo{srcHash: "missing"}, nil
 		}
-		return "", nil, err
+		return dirInfo{}, err
 	}
-	names := append(append([]string{}, srcNames...), testNames...)
+	var info dirInfo
+	if info.srcHash, info.srcImports, err = hashFiles(abs, srcNames); err != nil {
+		return dirInfo{}, err
+	}
+	if info.testHash, info.testImports, err = hashFiles(abs, testNames); err != nil {
+		return dirInfo{}, err
+	}
+
+	c.mu.Lock()
+	c.dirInfo[abs] = info
+	c.mu.Unlock()
+	return info, nil
+}
+
+// hashFiles hashes the named files of one directory and returns the import
+// paths they mention, sorted.
+func hashFiles(abs string, names []string) (string, []string, error) {
 	h := sha256.New()
 	importSet := map[string]bool{}
 	fset := token.NewFileSet()
@@ -198,8 +216,7 @@ func (c *Cache) ownDirHash(abs string, tests bool) (string, []string, error) {
 			continue // unparsable files change the hash; imports best-effort
 		}
 		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			importSet[path] = true
+			importSet[strings.Trim(imp.Path.Value, `"`)] = true
 		}
 	}
 	var imports []string
@@ -207,12 +224,7 @@ func (c *Cache) ownDirHash(abs string, tests bool) (string, []string, error) {
 		imports = append(imports, path)
 	}
 	sort.Strings(imports)
-	sum := hex.EncodeToString(h.Sum(nil))
-
-	c.mu.Lock()
-	c.dirInfo[key] = dirInfo{hash: sum, imports: imports}
-	c.mu.Unlock()
-	return sum, imports, nil
+	return hex.EncodeToString(h.Sum(nil)), imports, nil
 }
 
 // filterModuleImports keeps only module-internal import paths.

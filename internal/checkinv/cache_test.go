@@ -1,8 +1,12 @@
 package checkinv
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -128,7 +132,7 @@ func TestCacheKeyTracksDependencies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := c.Key(filepath.Join(root, pkg), root, "tmpmod", "cfg", false)
+		k, err := c.Key(filepath.Join(root, pkg), root, "tmpmod", "cfg")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,13 +155,137 @@ func TestCacheKeyTracksDependencies(t *testing.T) {
 		t.Error("c's key changed though nothing it can see did")
 	}
 
-	// A dependency's _test.go files cannot change a dependent's findings:
-	// with tests off they are invisible, so a's key must not move.
+	// A dependency's _test.go files cannot change a dependent's findings,
+	// so a's key must not move; b's own test files are analyzed with b, so
+	// its key must.
 	if err := os.WriteFile(filepath.Join(root, "b", "b_test.go"), []byte("package b\n\nvar T = V + 1\n"), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	if a2 := key("a"); a2 != a1 {
 		t.Error("a's key changed when only b's test file did")
+	}
+	if b2 := key("b"); b2 == b1 {
+		t.Error("b's key unchanged after its own test file changed")
+	}
+}
+
+// TestCacheKeyConcurrentStable asserts keys computed concurrently, as
+// RunTree computes them, equal keys computed one at a time: a directory
+// another goroutine is still hashing is not an import cycle.
+func TestCacheKeyConcurrentStable(t *testing.T) {
+	files := map[string]string{
+		"go.mod":       "module tmpmod\n\ngo 1.22\n",
+		"base/base.go": "package base\n\nimport \"tmpmod/leaf\"\n\nvar V = leaf.V\n",
+		"leaf/leaf.go": "package leaf\n\nvar V = 1\n",
+	}
+	dirs := []string{"base", "leaf"}
+	for i := 0; i < 16; i++ {
+		dir := fmt.Sprintf("p%d", i)
+		files[dir+"/p.go"] = "package " + dir + "\n\nimport \"tmpmod/base\"\n\nvar V = base.V\n"
+		dirs = append(dirs, dir)
+	}
+	root := writeTree(t, files)
+	keys := func(concurrent bool) []string {
+		c, err := NewCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(dirs))
+		var wg sync.WaitGroup
+		for i, d := range dirs {
+			i, d := i, d
+			key := func() {
+				defer wg.Done()
+				k, err := c.Key(filepath.Join(root, d), root, "tmpmod", "cfg")
+				if err != nil {
+					t.Error(err)
+				}
+				out[i] = k
+			}
+			wg.Add(1)
+			if concurrent {
+				go key()
+			} else {
+				key()
+			}
+		}
+		wg.Wait()
+		return out
+	}
+	want := keys(false)
+	for rep := 0; rep < 20; rep++ {
+		if got := keys(true); !slices.Equal(got, want) {
+			t.Fatalf("repetition %d: concurrent keys differ from sequential ones", rep)
+		}
+	}
+}
+
+// TestCacheKeyTracksScope asserts a rule's scope is part of the key: the
+// same tree under the same rule names but one narrowed scope must not hit
+// entries analyzed under the old one.
+func TestCacheKeyTracksScope(t *testing.T) {
+	root := tmpModule(t)
+	c, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(analyzers []*Analyzer) string {
+		k, err := c.Key(filepath.Join(root, "internal", "core"), root, "tmpmod",
+			driverConfig(RunOptions{Analyzers: analyzers}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	narrowed := *RawchanAnalyzer
+	narrowed.Scope = []string{"internal/core"}
+	base := key(Analyzers())
+	if again := key(Analyzers()); again != base {
+		t.Fatal("key is not a function of the tree and the rule set")
+	}
+	var swapped []*Analyzer
+	for _, az := range Analyzers() {
+		if az == RawchanAnalyzer {
+			az = &narrowed
+		}
+		swapped = append(swapped, az)
+	}
+	if key(swapped) == base {
+		t.Error("key unchanged after rawchan's scope changed")
+	}
+}
+
+// TestStaleRulePerSite asserts a directive is used only when every rule it
+// names suppressed a finding: over a line with a walltime finding alone,
+// //checkinv:allow rawchan,walltime is stale for rawchan, and the debt
+// report names that rule.
+func TestStaleRulePerSite(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod": "module tmpmod\n\ngo 1.22\n",
+		"internal/core/core.go": `package core
+
+import "time"
+
+func Tick() time.Time { return time.Now() } //checkinv:allow rawchan,walltime reason
+`,
+	})
+	res, err := RunTree(RunOptions{Dir: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Findings) != 0 {
+		t.Fatalf("findings = %v, want the walltime one suppressed", res.Findings)
+	}
+	if len(res.Allows) != 1 {
+		t.Fatalf("allow sites = %+v, want one", res.Allows)
+	}
+	if a := res.Allows[0]; a.Used || !slices.Equal(a.Idle, []string{"rawchan"}) {
+		t.Errorf("site used=%v idle=%v, want stale for rawchan alone", a.Used, a.Idle)
+	}
+	var b strings.Builder
+	WriteDebt(&b, DebtEntries(res.Allows, root))
+	if !strings.Contains(b.String(), "STALE(rawchan)") || !strings.Contains(b.String(), "1 stale") {
+		t.Errorf("debt report does not name the idle rule:\n%s", b.String())
 	}
 }
 

@@ -10,19 +10,23 @@
 //   - mapiter: ranging over a map while appending to an outer slice, sending
 //     on a channel or writing output leaks Go's randomized map iteration
 //     order into mined itemsets and per-pass statistics.
-//   - rawchan: raw channel operations in internal/core bypass the cluster
-//     comm layer, so the traffic escapes the cost model (and the virtual
-//     clocks) entirely.
+//   - rawchan: raw channel operations in the packages whose code runs inside
+//     a processor program (core and the mining kernels it drives) bypass the
+//     cluster comm layer, so the traffic escapes the cost model (and the
+//     virtual clocks) entirely.  Real-clock serving code is out of its scope.
 //   - floatcmp: == / != on floating-point operands in the analysis and
 //     experiments packages, where model/measured comparisons must tolerate
 //     rounding.
 //
-// Findings at intentional sites are suppressed with an annotation:
+// Each rule's path scope is data (Analyzer.Scope), so a scope change
+// reaches the findings cache key.  Findings at intentional sites are
+// suppressed with an annotation:
 //
 //	//checkinv:allow <rule>[,<rule>...] [reason]
 //
 // placed either at the end of the offending line or on a line of its own
-// directly above it.  The driver is cmd/checkinv; see DESIGN.md's
+// directly above it.  A directive is stale unless every rule it names
+// suppressed a finding.  The driver is cmd/checkinv; see DESIGN.md's
 // "Correctness tooling" section for the full grammar and rationale.
 package checkinv
 
@@ -31,6 +35,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,15 +56,15 @@ func (f Finding) String() string {
 
 // Analyzer is one invariant checker.
 type Analyzer struct {
-	// Name is the rule name used in output, -disable and allow annotations.
+	// Name is the rule name used in output and allow annotations.
 	Name string
 	// Doc is a one-line description for -list.
 	Doc string
-	// Applies reports whether the rule is in scope for a package, given its
-	// module-relative directory ("internal/core", "cmd/checkinv", "" for the
-	// module root).  The runner consults it; Check itself is scope-free so
-	// tests can point it at fixtures.
-	Applies func(rel string) bool
+	// Scope lists the module-relative directories ("internal/core", "cmd")
+	// the rule applies to, each with everything beneath it; nil means every
+	// package.  The runner consults it and the cache key records it; Check
+	// itself is scope-free so tests can point it at fixtures.
+	Scope []string
 	// Check inspects one package and reports findings through the pass.
 	Check func(p *Pass)
 }
@@ -119,14 +124,10 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// AnalyzerByName returns the named analyzer, or nil.
-func AnalyzerByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
+// inScope reports whether the analyzer applies to the package at the
+// module-relative directory rel.
+func (az *Analyzer) inScope(rel string) bool {
+	return az.Scope == nil || underAny(rel, az.Scope...)
 }
 
 // underAny reports whether the module-relative directory rel is one of the
@@ -185,14 +186,14 @@ func runPackage(pkg *Package, analyzers []*Analyzer, allPaths bool) PkgResult {
 	allow := collectAllows(pkg.Fset, pkg.Files)
 	var res PkgResult
 	for _, az := range analyzers {
-		if !allPaths && az.Applies != nil && !az.Applies(pkg.Rel) {
+		if !allPaths && !az.inScope(pkg.Rel) {
 			continue
 		}
 		pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info, rule: az.Name}
 		az.Check(pass)
 		for _, f := range pass.findings {
 			if site := allow.allows(f.Pos.Filename, f.Pos.Line, f.Rule); site != nil {
-				site.Used = true
+				site.use(f.Rule)
 				continue
 			}
 			res.Findings = append(res.Findings, f)
@@ -225,15 +226,27 @@ func SortFindings(fs []Finding) {
 const allowDirective = "//checkinv:allow"
 
 // AllowSite is one //checkinv:allow directive in the source: where it is,
-// which rules it suppresses, the free-text reason, and whether any finding
-// actually needed it in the last analysis — the raw material of the
-// suppression-debt report.
+// which rules it suppresses, the free-text reason, and which of its rules
+// no finding needed in the last analysis — the raw material of the
+// suppression-debt report.  Used holds only when Idle is empty: a
+// directive with one idle rule is stale for that rule.
 type AllowSite struct {
 	File   string   `json:"file"`
 	Line   int      `json:"line"`
 	Rules  []string `json:"rules"`
 	Reason string   `json:"reason,omitempty"`
 	Used   bool     `json:"used"`
+	Idle   []string `json:"idle,omitempty"`
+}
+
+// use records that the directive suppressed a finding of rule — through
+// its "all" entry when it does not name the rule itself.
+func (s *AllowSite) use(rule string) {
+	if !slices.Contains(s.Rules, rule) {
+		rule = "all"
+	}
+	s.Idle = slices.DeleteFunc(s.Idle, func(r string) bool { return r == rule })
+	s.Used = len(s.Idle) == 0
 }
 
 // allowSet indexes allow directives by (file, line, rule), sharing one
@@ -324,6 +337,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) *allowSet {
 					File:   pos.Filename,
 					Line:   pos.Line,
 					Rules:  rules,
+					Idle:   slices.Clone(rules),
 					Reason: strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), fields[0])),
 				}
 				out.all = append(out.all, site)

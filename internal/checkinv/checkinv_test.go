@@ -20,6 +20,16 @@ func parseSrc(t *testing.T, fset *token.FileSet, name, src string) []*ast.File {
 	return []*ast.File{f}
 }
 
+// analyzerByName returns the named analyzer, or nil.
+func analyzerByName(name string) *Analyzer {
+	for _, a := range Analyzers() {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
 // loadFixture parses and type-checks one testdata/src/<name> fixture
 // package with the production loader.
 func loadFixture(t *testing.T, name string) *Package {
@@ -85,7 +95,7 @@ func collectWants(t *testing.T, pkg *Package) []want {
 // and no finding may lack a want.
 func checkFixture(t *testing.T, analyzer string) {
 	t.Helper()
-	az := AnalyzerByName(analyzer)
+	az := analyzerByName(analyzer)
 	if az == nil {
 		t.Fatalf("no analyzer %q", analyzer)
 	}
@@ -150,39 +160,54 @@ func TestScoping(t *testing.T) {
 	if got := Run([]*Package{pkg}, Analyzers(), false); len(got) != 0 {
 		t.Errorf("scoped run over out-of-scope package produced findings: %v", got)
 	}
+}
+
+// TestRuleScopes pins every rule's scope by the packages it must and must
+// not reach.  rawchan guards the virtual clock only: the comm layer and the
+// real-clock serving code are out of it, while goroleak still covers
+// serving's goroutines.
+func TestRuleScopes(t *testing.T) {
 	for _, tc := range []struct {
-		rule, rel string
-		want      bool
+		rule    string
+		in, out []string
 	}{
-		{"walltime", "internal/core", true},
-		{"walltime", "internal/cluster", true},
-		{"walltime", "internal/apriori", false},
-		{"walltime", "cmd/experiments", false},
-		{"mapiter", "internal/apriori", true},
-		{"mapiter", "internal", true},
-		{"mapiter", "cmd/parminer", false},
-		{"rawchan", "internal/core", true},
-		{"rawchan", "internal/serve", true},
-		{"rawchan", "cmd/ruleserver", true},
-		{"rawchan", "internal/cluster", false},
-		{"floatcmp", "internal/analysis", true},
-		{"floatcmp", "internal/experiments", true},
-		{"floatcmp", "internal/core", false},
-		{"snapshotmut", "internal/serve", true},
-		{"snapshotmut", "cmd/ruleserver", true},
-		{"snapshotmut", "scripts", false},
-		{"goroleak", "internal/serve", true},
-		{"goroleak", "internal/distserve", true},
-		{"goroleak", "internal/obsv", true},
-		{"goroleak", "internal/core", false},
-		{"goroleak", "cmd/ruleserver", false},
-		{"hotalloc", "internal/hashtree", true},
-		{"hotalloc", "cmd/parminer", true},
+		{"walltime",
+			[]string{"internal/core", "internal/cluster", "internal/obsv", "internal/experiments"},
+			[]string{"internal/apriori", "internal/serve", "cmd/experiments"}},
+		{"mapiter",
+			[]string{"internal", "internal/apriori", "internal/distserve"},
+			[]string{"cmd/parminer", ""}},
+		{"rawchan",
+			[]string{"internal/core", "internal/apriori", "internal/countengine", "internal/hashtree",
+				"internal/partition", "internal/itemset", "internal/txstore"},
+			[]string{"internal/cluster", "internal/serve", "internal/distserve", "internal/obsv",
+				"internal/experiments", "cmd/ruleserver", "cmd/parminer", "internal/corex"}},
+		{"floatcmp",
+			[]string{"internal/analysis", "internal/experiments"},
+			[]string{"internal/core", "cmd/experiments"}},
+		{"snapshotmut",
+			[]string{"internal/serve", "cmd/ruleserver"},
+			[]string{"scripts", ""}},
+		{"goroleak",
+			[]string{"internal/serve", "internal/distserve", "internal/obsv"},
+			[]string{"internal/core", "cmd/ruleserver"}},
+		{"hotalloc",
+			[]string{"internal/hashtree", "cmd/parminer", "scripts", ""},
+			nil},
 	} {
-		az := AnalyzerByName(tc.rule)
-		if got := az.Applies(tc.rel); got != tc.want {
-			t.Errorf("%s.Applies(%q) = %v, want %v", tc.rule, tc.rel, got, tc.want)
-		}
+		t.Run(tc.rule, func(t *testing.T) {
+			az := analyzerByName(tc.rule)
+			for _, rel := range tc.in {
+				if !az.inScope(rel) {
+					t.Errorf("%s does not reach %q; want it in scope", tc.rule, rel)
+				}
+			}
+			for _, rel := range tc.out {
+				if az.inScope(rel) {
+					t.Errorf("%s reaches %q; want it out of scope", tc.rule, rel)
+				}
+			}
+		})
 	}
 }
 
@@ -279,8 +304,8 @@ func TestAllowSkipBounded(t *testing.T) {
 	}
 }
 
-// TestLoaderIncludesTestFiles exercises the Tests mode of the loader on the
-// testload fixture: the in-package _test.go file joins the package's own
+// TestLoaderIncludesTestFiles exercises the loader on the testload
+// fixture: the in-package _test.go file joins the package's own
 // type-check, the external (package foo_test) file becomes a second Package
 // with the same Rel, and the walltime rule fires in both.
 func TestLoaderIncludesTestFiles(t *testing.T) {
@@ -290,23 +315,12 @@ func TestLoaderIncludesTestFiles(t *testing.T) {
 	}
 	dir := filepath.Join("testdata", "src", "testload")
 
-	ld := NewLoader()
-	pkgs, err := ld.LoadDir(dir, root, modPath)
+	pkgs, err := NewLoader().LoadDir(dir, root, modPath)
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
-		t.Fatalf("without Tests: %d packages, want 1 with the single non-test file", len(pkgs))
-	}
-
-	ld = NewLoader()
-	ld.Tests = true
-	pkgs, err = ld.LoadDir(dir, root, modPath)
-	if err != nil {
-		t.Fatalf("LoadDir(Tests): %v", err)
-	}
 	if len(pkgs) != 2 {
-		t.Fatalf("with Tests: %d packages, want 2 (package + external tests)", len(pkgs))
+		t.Fatalf("%d packages, want 2 (package + external tests)", len(pkgs))
 	}
 	prim, ext := pkgs[0], pkgs[1]
 	if len(prim.Files) != 2 {

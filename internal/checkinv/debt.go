@@ -11,14 +11,16 @@ import (
 )
 
 // DebtEntry is one //checkinv:allow site in the suppression-debt report:
-// where it is, what it suppresses, whether the last analysis actually
-// needed it (an unused directive is stale and should be deleted), how old
-// the directive line is, and the justification its author left.
+// where it is, what it suppresses, whether the last analysis needed every
+// rule it names (Idle lists the ones it did not; they are stale and should
+// be deleted), how old the directive line is, and the justification its
+// author left.
 type DebtEntry struct {
 	File   string   `json:"file"`
 	Line   int      `json:"line"`
 	Rules  []string `json:"rules"`
 	Used   bool     `json:"used"`
+	Idle   []string `json:"idle,omitempty"`
 	Age    string   `json:"age,omitempty"` // commit date of the line, best-effort via git
 	Reason string   `json:"reason,omitempty"`
 }
@@ -35,6 +37,7 @@ func DebtEntries(allows []AllowSite, modRoot string) []DebtEntry {
 			Line:   a.Line,
 			Rules:  a.Rules,
 			Used:   a.Used,
+			Idle:   a.Idle,
 			Age:    blameDate(modRoot, a.File, a.Line),
 			Reason: a.Reason,
 		})
@@ -67,13 +70,14 @@ func blameDate(modRoot, file string, line int) string {
 }
 
 // WriteDebt renders the suppression-debt report as text: one line per
-// directive, stale (unused) sites called out so they can be deleted.
+// directive, stale sites called out with their idle rules so those can be
+// deleted.
 func WriteDebt(w io.Writer, entries []DebtEntry) {
 	stale := 0
 	for _, e := range entries {
 		status := "used"
 		if !e.Used {
-			status = "STALE"
+			status = "STALE(" + strings.Join(e.Idle, ",") + ")"
 			stale++
 		}
 		age := e.Age

@@ -21,8 +21,6 @@ type RunOptions struct {
 	Analyzers []*Analyzer
 	// AllPkgs applies every rule to every package, ignoring path scopes.
 	AllPkgs bool
-	// Tests includes _test.go files.
-	Tests bool
 	// CacheDir enables the per-package findings cache rooted there; empty
 	// disables caching.
 	CacheDir string
@@ -72,7 +70,6 @@ func RunTree(opt RunOptions) (*RunResult, error) {
 		return nil, err
 	}
 	loader := NewLoader()
-	loader.Tests = opt.Tests
 	dirs, err := loader.Dirs(opt.Dir, opt.Patterns)
 	if err != nil {
 		return nil, err
@@ -103,7 +100,7 @@ func RunTree(opt RunOptions) (*RunResult, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				keys[i], keyErrs[i] = cache.Key(d, root, modPath, config, opt.Tests)
+				keys[i], keyErrs[i] = cache.Key(d, root, modPath, config)
 				if keyErrs[i] == nil {
 					entries[i] = cache.Get(keys[i])
 				}
@@ -207,13 +204,16 @@ func RunTree(opt RunOptions) (*RunResult, error) {
 	return res, nil
 }
 
-// driverConfig folds every finding-relevant option into the cache key.
+// driverConfig folds every finding-relevant option into the cache key:
+// each enabled rule with its scope, so a scope change re-analyzes, and the
+// scope mode.
 func driverConfig(opt RunOptions) string {
-	names := make([]string, 0, len(opt.Analyzers))
+	var b strings.Builder
 	for _, az := range opt.Analyzers {
-		names = append(names, az.Name)
+		fmt.Fprintf(&b, "rule=%s scope=%s\n", az.Name, strings.Join(az.Scope, ","))
 	}
-	return fmt.Sprintf("analyzers=%s allpkgs=%t tests=%t", strings.Join(names, ","), opt.AllPkgs, opt.Tests)
+	fmt.Fprintf(&b, "allpkgs=%t", opt.AllPkgs)
+	return b.String()
 }
 
 // packEntry converts one package's results to cache form with

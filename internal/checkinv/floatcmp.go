@@ -12,11 +12,9 @@ import (
 // (the intended check is a tolerance).  Comparisons where both operands are
 // compile-time constants are exact by construction and stay quiet.
 var FloatcmpAnalyzer = &Analyzer{
-	Name: "floatcmp",
-	Doc:  "flag ==/!= on floating-point operands in analysis/experiments",
-	Applies: func(rel string) bool {
-		return underAny(rel, "internal/analysis", "internal/experiments")
-	},
+	Name:  "floatcmp",
+	Doc:   "flag ==/!= on floating-point operands in analysis/experiments",
+	Scope: []string{"internal/analysis", "internal/experiments"},
 	Check: checkFloatcmp,
 }
 

@@ -22,11 +22,9 @@ import (
 // visible at the spawn site — is flagged and needs a //checkinv:allow
 // goroleak annotation explaining who reaps the goroutine.
 var GoroleakAnalyzer = &Analyzer{
-	Name: "goroleak",
-	Doc:  "flag unjoined goroutines in internal/serve, internal/distserve and internal/obsv",
-	Applies: func(rel string) bool {
-		return underAny(rel, "internal/serve", "internal/distserve", "internal/obsv")
-	},
+	Name:  "goroleak",
+	Doc:   "flag unjoined goroutines in internal/serve, internal/distserve and internal/obsv",
+	Scope: []string{"internal/serve", "internal/distserve", "internal/obsv"},
 	Check: checkGoroleak,
 }
 

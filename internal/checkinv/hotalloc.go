@@ -28,9 +28,7 @@ import (
 var HotallocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "flag per-iteration heap escapes in //checkinv:hotpath functions",
-	Applies: func(rel string) bool {
-		return true // opt-in via the annotation, so every package is in scope
-	},
+	// Opt-in via the annotation, so every package is in scope (nil Scope).
 	Check: checkHotalloc,
 }
 

@@ -60,14 +60,14 @@ func ModuleRoot(dir string) (root, modPath string, err error) {
 // (caching) source importer, so common dependencies are checked once per
 // process.  Parsing fans out across goroutines; type-checking runs
 // sequentially because the shared importer keeps one dependency graph.
+//
+// _test.go files are always loaded: in-package test files join the
+// package's own type-check, and an external test package (package
+// foo_test) comes back as its own Package with the same Rel, so path-scoped
+// rules apply to it like any file in the directory.
 type Loader struct {
 	Fset     *token.FileSet
 	importer types.Importer
-	// Tests includes _test.go files in the analysis: in-package test files
-	// join the package's own type-check, and an external test package
-	// (package foo_test) comes back as its own Package with the same Rel,
-	// so path-scoped rules apply to it like any file in the directory.
-	Tests bool
 }
 
 // NewLoader returns a loader backed by the stdlib source importer, which
@@ -187,18 +187,16 @@ func (l *Loader) LoadDirs(dirs []string, modRoot, modPath string) ([]*Package, e
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the package in dir.  Without Tests it
-// returns at most one Package (nil slice when the directory holds no
-// non-test Go files); with Tests the in-package _test.go files join that
-// type-check and a second Package is appended for an external test package
-// (package foo_test), when one exists.
+// LoadDir parses and type-checks the package in dir: the package with its
+// in-package _test.go files, then the external test package (package
+// foo_test) when one exists.
 func (l *Loader) LoadDir(dir, modRoot, modPath string) ([]*Package, error) {
 	return l.LoadDirs([]string{dir}, modRoot, modPath)
 }
 
 // goFileNames returns the directory's Go file names split into sources and
-// (when tests is set) test files, each sorted.
-func goFileNames(dir string, tests bool) (srcNames, testNames []string, err error) {
+// test files, each sorted.
+func goFileNames(dir string) (srcNames, testNames []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkinv: %w", err)
@@ -209,9 +207,7 @@ func goFileNames(dir string, tests bool) (srcNames, testNames []string, err erro
 			continue
 		}
 		if strings.HasSuffix(n, "_test.go") {
-			if tests {
-				testNames = append(testNames, n)
-			}
+			testNames = append(testNames, n)
 			continue
 		}
 		srcNames = append(srcNames, n)
@@ -221,10 +217,9 @@ func goFileNames(dir string, tests bool) (srcNames, testNames []string, err erro
 	return srcNames, testNames, nil
 }
 
-// parseDir parses one directory's files; nil when it holds no Go files in
-// scope.
+// parseDir parses one directory's files; nil when it holds no Go files.
 func (l *Loader) parseDir(dir, modRoot, modPath string) (*parsedDir, error) {
-	srcNames, testNames, err := goFileNames(dir, l.Tests)
+	srcNames, testNames, err := goFileNames(dir)
 	if err != nil {
 		return nil, err
 	}

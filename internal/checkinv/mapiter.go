@@ -27,11 +27,9 @@ import (
 // unconditionally: the order has already escaped by the time any later
 // statement could repair it.
 var MapiterAnalyzer = &Analyzer{
-	Name: "mapiter",
-	Doc:  "flag map iteration whose nondeterministic order reaches output",
-	Applies: func(rel string) bool {
-		return underAny(rel, "internal")
-	},
+	Name:  "mapiter",
+	Doc:   "flag map iteration whose nondeterministic order reaches output",
+	Scope: []string{"internal"},
 	Check: checkMapiter,
 }
 

@@ -24,11 +24,9 @@ import (
 // Intentional mutations (e.g. a field with its own lock) are annotated
 // //checkinv:allow snapshotmut with the reason.
 var SnapshotmutAnalyzer = &Analyzer{
-	Name: "snapshotmut",
-	Doc:  "flag writes to atomic.Pointer-published snapshot types outside their constructors",
-	Applies: func(rel string) bool {
-		return underAny(rel, "internal", "cmd")
-	},
+	Name:  "snapshotmut",
+	Doc:   "flag writes to atomic.Pointer-published snapshot types outside their constructors",
+	Scope: []string{"internal", "cmd"},
 	Check: checkSnapshotmut,
 }
 

@@ -22,11 +22,9 @@ var wallFuncs = map[string]bool{
 // Proc.Compute/ReadIO/Send/Recv; a time.Now slipping into a figure makes
 // the result depend on the host machine and the scheduler.
 var WalltimeAnalyzer = &Analyzer{
-	Name: "walltime",
-	Doc:  "forbid time.Now/Since/Sleep (and friends) in simulation packages",
-	Applies: func(rel string) bool {
-		return underAny(rel, "internal/cluster", "internal/core", "internal/obsv", "internal/analysis", "internal/experiments")
-	},
+	Name:  "walltime",
+	Doc:   "forbid time.Now/Since/Sleep (and friends) in simulation packages",
+	Scope: []string{"internal/cluster", "internal/core", "internal/obsv", "internal/analysis", "internal/experiments"},
 	Check: checkWalltime,
 }
 

@@ -292,7 +292,7 @@ func TestBitsetConcurrentEngines(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func(g int) { //checkinv:allow rawchan real goroutines share one builder's row pool for the race detector; no processor program runs here
 			defer wg.Done()
 			txns := data.Transactions[g*1000:]
 			for k := 1; k <= 5; k++ {

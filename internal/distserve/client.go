@@ -106,9 +106,9 @@ func (c *LocalClient) gate(ctx context.Context) error {
 	if d := time.Duration(c.delay.Load()); d > 0 {
 		t := time.NewTimer(d)
 		defer t.Stop()
-		select { //checkinv:allow rawchan injected straggler delay races the caller's deadline, real-clock by design
-		case <-t.C: //checkinv:allow rawchan the injected delay elapsing
-		case <-ctx.Done(): //checkinv:allow rawchan the caller's deadline winning the race
+		select {
+		case <-t.C:
+		case <-ctx.Done():
 			budget := time.Duration(0)
 			if dl, ok := ctx.Deadline(); ok {
 				budget = time.Until(dl) + d // approximate: the stall consumed the budget

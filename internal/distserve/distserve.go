@@ -43,8 +43,10 @@
 //     the cut-over happens only after every owner acknowledged its Prepare.
 //
 // Like package serve, distserve runs on the real clock and real goroutines
-// — it is a production subsystem, not an emulation — so its raw
-// concurrency sites carry reviewed //checkinv:allow rawchan annotations.
+// — it is a production subsystem, not an emulation — so raw channels and
+// goroutines are the right tool here: checkinv's rawchan rule guards only
+// the virtual-clock packages, and its goroleak rule keeps every goroutine
+// joined.
 // The in-process Cluster wiring (goroutine nodes, direct calls) keeps the
 // whole tier testable under -race in the emulated-cluster spirit of the
 // repo; the HTTP transport in http.go runs the same protocol between real

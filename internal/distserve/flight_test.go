@@ -184,10 +184,10 @@ func TestRouterFlightSmoke(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errc := make(chan error, 64) //checkinv:allow rawchan — test goroutine error sink, drained after the WaitGroup join
+	errc := make(chan error, 64)
 	fail := func(format string, args ...any) {
-		select { //checkinv:allow rawchan best-effort deposit, the sink is large enough in practice
-		case errc <- fmt.Errorf(format, args...): //checkinv:allow rawchan same sink
+		select {
+		case errc <- fmt.Errorf(format, args...):
 		default:
 		}
 	}
@@ -200,7 +200,7 @@ func TestRouterFlightSmoke(t *testing.T) {
 		for i := range baskets {
 			baskets[i] = randBasket(rng, 40)
 		}
-		go func(baskets [][]itemset.Item) { //checkinv:allow rawchan — test load goroutines, joined by WaitGroup
+		go func(baskets [][]itemset.Item) {
 			defer wg.Done()
 			for _, b := range baskets {
 				items := make([]string, len(b))
@@ -224,7 +224,7 @@ func TestRouterFlightSmoke(t *testing.T) {
 	// coherent generation (the coherence machinery's job, exercised here
 	// purely as load while the flight ring records publish spans).
 	wg.Add(1)
-	go func() { //checkinv:allow rawchan — test load goroutines, joined by WaitGroup
+	go func() {
 		defer wg.Done()
 		resp, err := front.Client().Post(front.URL+"/reload", "", nil)
 		if err != nil {
@@ -241,7 +241,7 @@ func TestRouterFlightSmoke(t *testing.T) {
 	// The flight poller: every dump taken mid-flight must be valid Perfetto
 	// JSON, in both formats.
 	wg.Add(1)
-	go func() { //checkinv:allow rawchan — test load goroutines, joined by WaitGroup
+	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			body, code, err := get("/debug/flight")
@@ -257,8 +257,8 @@ func TestRouterFlightSmoke(t *testing.T) {
 	}()
 
 	wg.Wait()
-	close(errc)             //checkinv:allow rawchan — sealing the test error sink after the join
-	for err := range errc { //checkinv:allow rawchan — draining the sealed sink, no goroutines left
+	close(errc)
+	for err := range errc {
 		t.Error(err)
 	}
 

@@ -175,7 +175,7 @@ func TestChaosChurnZeroPartial(t *testing.T) {
 		for w := 0; w < workers; w++ {
 			w := w
 			wg.Add(1)
-			go func() { //checkinv:allow rawchan — test load goroutines, joined by WaitGroup
+			go func() {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(1000*gen) + int64(w)))
 				for !stop.Load() {
@@ -292,9 +292,9 @@ func TestHedgedStragglerExact(t *testing.T) {
 // caller-supplied context deadline.
 func TestHTTPClientTimeout(t *testing.T) {
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select { //checkinv:allow rawchan a deliberately slow real HTTP handler, nothing but wall time here
-		case <-r.Context().Done(): //checkinv:allow rawchan the client giving up
-		case <-time.After(2 * time.Second): //checkinv:allow rawchan the stall the test never waits out
+		select {
+		case <-r.Context().Done():
+		case <-time.After(2 * time.Second):
 		}
 	}))
 	defer slow.Close()

@@ -182,18 +182,18 @@ func (r *Router) StartProber() {
 	if r.probeStop != nil {
 		return
 	}
-	stop := make(chan struct{}) //checkinv:allow rawchan prober shutdown signal on the real clock, joined by StopProber
-	done := make(chan struct{}) //checkinv:allow rawchan prober join channel, closed when the loop exits
+	stop := make(chan struct{})
+	done := make(chan struct{})
 	r.probeStop, r.probeDone = stop, done
-	go func() { //checkinv:allow rawchan,goroleak the prober is joined by StopProber via probeDone; real-OS serving territory
-		defer close(done) //checkinv:allow rawchan signals prober exit to StopProber
+	go func() { //checkinv:allow goroleak the prober is joined by StopProber via probeDone; real-OS serving territory
+		defer close(done)
 		t := time.NewTicker(probeInterval)
 		defer t.Stop()
 		for {
-			select { //checkinv:allow rawchan ticker-driven probe loop, real-OS serving territory
-			case <-stop: //checkinv:allow rawchan shutdown signal from StopProber
+			select {
+			case <-stop:
 				return
-			case <-t.C: //checkinv:allow rawchan real-clock probe schedule
+			case <-t.C:
 				r.probeTick()
 			}
 		}
@@ -226,6 +226,6 @@ func (r *Router) StopProber() {
 	if stop == nil {
 		return
 	}
-	close(stop) //checkinv:allow rawchan tells the prober loop to exit
-	<-done      //checkinv:allow rawchan joining the prober goroutine
+	close(stop)
+	<-done
 }

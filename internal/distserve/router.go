@@ -292,7 +292,7 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 	for i, id := range ids {
 		i, c := i, clients[id]
 		wg.Add(1)
-		go func() { //checkinv:allow rawchan — real-OS publish fan-out, joined by WaitGroup below
+		go func() {
 			defer wg.Done()
 			prepErrs[i] = c.Prepare(pubCtx, reqs[i])
 		}()
@@ -318,7 +318,7 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 	for i, id := range ids {
 		i, c := i, clients[id]
 		wg.Add(1)
-		go func() { //checkinv:allow rawchan — real-OS publish fan-out, joined by WaitGroup below
+		go func() {
 			defer wg.Done()
 			commitErrs[i] = c.Commit(pubCtx, newGen)
 		}()
@@ -603,7 +603,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	// Buffered to the member count: every node receives at most one leg
 	// per query, so abandoned stragglers can always deposit their answer
 	// and exit without a receiver.
-	resCh := make(chan legResult, len(clients)) //checkinv:allow rawchan — scatter-gather legs on the real clock, drained or abandoned-buffered below
+	resCh := make(chan legResult, len(clients))
 
 	assigned := make(map[string][]int) // node → shards its leg is responsible for
 	launch := func(id, attempt string) {
@@ -612,7 +612,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 		r.met.fanout.Add(1)
 		c, h, rank := clients[id], health[id], legs
 		h.outstanding.Add(1)
-		go func() { //checkinv:allow rawchan,goroleak — fan-out leg; result lands in the buffered channel above, which outlives abandoned legs
+		go func() { //checkinv:allow goroleak — fan-out leg; result lands in the buffered channel above, which outlives abandoned legs
 			legStart := r.rc.Now()
 			ctx, cancel := context.WithTimeout(context.Background(), r.opt.RequestTimeout)
 			rs, gen, err := c.Recommend(ctx, b, k, link)
@@ -637,7 +637,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 				obsv.String("node", id),
 				obsv.String("attempt", attempt),
 				obsv.Int("ok", ok))
-			resCh <- legResult{node: id, rules: rs, gen: gen, err: err} //checkinv:allow rawchan buffered for all possible legs, never blocks
+			resCh <- legResult{node: id, rules: rs, gen: gen, err: err}
 		}()
 	}
 	for _, s := range shards { // deterministic launch order: sorted shards
@@ -720,8 +720,8 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 		hedgeCh = t.C
 	}
 	for pending > 0 && !allCovered() {
-		select { //checkinv:allow rawchan — gather loop over the leg channel and the hedge timer
-		case lr := <-resCh: //checkinv:allow rawchan one leg's answer arriving
+		select {
+		case lr := <-resCh:
 			pending--
 			if lr.err != nil {
 				// One retry for the failed leg's shards, against the next
@@ -738,7 +738,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 			for _, s := range ownsTouched[lr.node] {
 				covered[s] = true
 			}
-		case <-hedgeCh: //checkinv:allow rawchan the hedge timer firing on the real clock
+		case <-hedgeCh:
 			hedgeCh = nil // one-shot
 			n := reissue(shards, "hedge", false)
 			hedges += n

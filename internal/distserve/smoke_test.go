@@ -33,7 +33,7 @@ func TestDistServeSmoke(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
-		go func() { //checkinv:allow rawchan — test load goroutines, joined by WaitGroup
+		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for i := 0; i < queriesPerWorker; i++ {

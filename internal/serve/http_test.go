@@ -333,13 +333,13 @@ func TestServerSmoke(t *testing.T) {
 	)
 	var failures atomic.Int64
 	var wg sync.WaitGroup
-	start := make(chan struct{}) //checkinv:allow rawchan — test start barrier
+	start := make(chan struct{})
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func(c int) { //checkinv:allow rawchan — concurrent test client
+		go func(c int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(c)))
-			<-start //checkinv:allow rawchan — test start barrier
+			<-start
 			for i := 0; i < perClient; i++ {
 				items := fmt.Sprintf("%d,%d,%d", rng.Intn(100), rng.Intn(100), rng.Intn(100))
 				resp, err := ts.Client().Get(ts.URL + "/recommend?items=" + items + "&k=5")
@@ -363,7 +363,7 @@ func TestServerSmoke(t *testing.T) {
 		return m.SnapshotGeneration
 	}
 
-	close(start) //checkinv:allow rawchan — test start barrier
+	close(start)
 	gens := []uint64{metricsGen()}
 	for swap := 0; swap < 2; swap++ { // two hot swaps while the clients hammer
 		var r struct {

@@ -62,12 +62,12 @@ func NewServer(opt Options) *Server {
 		// The pool is real serving concurrency, deliberately outside the
 		// simulation's comm layer: queries fan per-item scans out to a
 		// fixed set of workers so one slow scan cannot pile goroutines up.
-		s.tasks = make(chan func(), 4*opt.Workers) //checkinv:allow rawchan — serving worker pool, not simulation traffic
+		s.tasks = make(chan func(), 4*opt.Workers)
 		for i := 0; i < opt.Workers; i++ {
 			s.wg.Add(1)
-			go func() { //checkinv:allow rawchan — pool worker; lifecycle bounded by Close
+			go func() {
 				defer s.wg.Done()
-				for f := range s.tasks { //checkinv:allow rawchan — drains the task queue until Close
+				for f := range s.tasks {
 					f()
 				}
 			}()
@@ -81,7 +81,7 @@ func NewServer(opt Options) *Server {
 func (s *Server) Close() {
 	s.once.Do(func() {
 		if s.tasks != nil {
-			close(s.tasks) //checkinv:allow rawchan — pool shutdown
+			close(s.tasks)
 			s.wg.Wait()
 		}
 	})
@@ -267,7 +267,7 @@ func (s *Server) query(ix *Index, basket itemset.Itemset, k int) []rules.Rule {
 			break
 		}
 		wg.Add(1)
-		s.tasks <- func() { //checkinv:allow rawchan,hotalloc — fan one query's per-item scans out to the pool; one closure per item is the fan-out itself
+		s.tasks <- func() { //checkinv:allow hotalloc — fan one query's per-item scans out to the pool; one closure per item is the fan-out itself
 			defer wg.Done()
 			ix.scan(d, b, &per[i])
 		}
