@@ -40,11 +40,11 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
-// TestGoldenCLI pins the registry listing — thirteen entries: the paper's
-// evaluation and the serving study, not the wall-clock sweeps bench/ measures
-// — and one virtual-clock experiment in each machine-readable format (the
-// text format ends in a wall-clock line; its body is export_test.go's
-// business).
+// TestGoldenCLI pins the registry listing — twelve entries: the paper's
+// evaluation and the extensions that price the miner, not the wall-clock
+// sweeps bench/ measures — and one virtual-clock experiment in each
+// machine-readable format (the text format ends in a wall-clock line; its
+// body is export_test.go's business).
 func TestGoldenCLI(t *testing.T) {
 	var got strings.Builder
 	for _, args := range [][]string{

@@ -296,11 +296,7 @@ func runRouter(addr, load string, minconf float64, nodeList string, opt distserv
 	var clients []distserve.Client
 	for _, raw := range strings.Split(nodeList, ",") {
 		if raw = strings.TrimSpace(raw); raw != "" {
-			if opt.RequestTimeout > 0 {
-				clients = append(clients, distserve.NewHTTPClientBudget(raw, opt.RequestTimeout))
-			} else {
-				clients = append(clients, distserve.NewHTTPClient(raw))
-			}
+			clients = append(clients, distserve.NewHTTPClient(raw, opt.RequestTimeout))
 		}
 	}
 	router, err := distserve.NewRouter(clients, opt)

@@ -179,9 +179,9 @@ func TestRuleScopes(t *testing.T) {
 			[]string{"cmd/parminer", ""}},
 		{"rawchan",
 			[]string{"internal/core", "internal/apriori", "internal/countengine", "internal/hashtree",
-				"internal/partition", "internal/itemset", "internal/txstore"},
+				"internal/partition", "internal/itemset", "internal/txstore", "internal/experiments"},
 			[]string{"internal/cluster", "internal/serve", "internal/distserve", "internal/obsv",
-				"internal/experiments", "cmd/ruleserver", "cmd/parminer", "internal/corex"}},
+				"cmd/experiments", "cmd/ruleserver", "cmd/parminer", "internal/corex"}},
 		{"floatcmp",
 			[]string{"internal/analysis", "internal/experiments"},
 			[]string{"internal/core", "cmd/experiments"}},

@@ -9,20 +9,20 @@ import (
 // RawchanAnalyzer forbids raw channel machinery in the packages whose code
 // runs inside a processor program on the virtual clock: internal/core and
 // the mining kernels it drives (apriori, countengine, hashtree, partition,
-// itemset, txstore).  There, all inter-processor traffic must flow through
+// itemset, txstore), plus internal/experiments, whose drivers only price
+// the miner.  There, all inter-processor traffic must flow through
 // cluster.Proc.Send/Recv and the cluster.Comm collectives so it is charged
 // to the virtual clocks; a bare channel (or goroutine) is traffic the cost
 // model never sees, which silently deflates the communication figures the
 // paper's evaluation is about.  Package cluster itself is exempt — it is
 // the comm layer.  The serving packages and commands run on the real OS
 // clock, where a raw channel is the right tool; they are out of scope, and
-// goroleak still keeps their goroutines joined.  internal/experiments stays
-// out too while its churn experiment drives a real-clock serving fleet.
+// goroleak still keeps their goroutines joined.
 var RawchanAnalyzer = &Analyzer{
 	Name: "rawchan",
 	Doc:  "forbid raw channels/goroutines in the virtual-clock packages (core and its mining kernels)",
 	Scope: []string{"internal/core", "internal/apriori", "internal/countengine", "internal/hashtree",
-		"internal/partition", "internal/itemset", "internal/txstore"},
+		"internal/partition", "internal/itemset", "internal/txstore", "internal/experiments"},
 	Check: checkRawchan,
 }
 

@@ -161,7 +161,7 @@ func (c *LocalClient) Metrics(ctx context.Context) (serve.Metrics, error) {
 }
 
 // Cluster is an in-process serving fleet: n nodes and a router wired with
-// LocalClients.  It is how the tests and the load-generator experiment run
+// LocalClients.  It is how the tests and the serve-churn benchmark run
 // a whole multi-node deployment inside one process under -race — the
 // emulated-cluster spirit of the repo, applied to the serving tier.
 type Cluster struct {

@@ -103,12 +103,6 @@ type Options struct {
 	// that misses its deadline fails with a *TimeoutError and the router
 	// retries the next live replica.
 	RequestTimeout time.Duration
-	// HedgeDelay controls straggler hedging: after this long with fan-out
-	// legs still outstanding, the router re-issues the slowest legs'
-	// shards to alternate replicas and takes whichever answer lands first.
-	// Zero derives the delay from the router's observed p99 latency;
-	// negative disables hedging.
-	HedgeDelay time.Duration
 	// Node is the per-node serving configuration (query cache, worker
 	// pool).  Each node's server defaults its zero fields itself.
 	Node serve.Options

@@ -103,29 +103,34 @@ func assertMatch(t *testing.T, c *Cluster, srv *serve.Server, basket []itemset.I
 	}
 }
 
-// TestDistributedMatchesSingleNode is the oracle property test: across shard
-// and node counts, the scatter-gathered top-K is bit-identical to one
-// serve.Server over the full rule set.
+// TestDistributedMatchesSingleNode is the oracle property test: across shard,
+// node and replica counts, the scatter-gathered top-K is bit-identical to one
+// serve.Server over the full rule set — so replication never changes an
+// answer, only availability.
 func TestDistributedMatchesSingleNode(t *testing.T) {
 	rs := synthRules(400, 60, 1)
 	for _, shards := range []int{1, 4, 32} {
 		for _, nodes := range []int{1, 2, 3, 5} {
 			t.Run(fmt.Sprintf("shards=%d/nodes=%d", shards, nodes), func(t *testing.T) {
-				opt := Options{Shards: shards}
-				c := mustCluster(t, nodes, opt)
-				if _, err := c.Router.Publish(rs, true); err != nil {
-					t.Fatalf("publish: %v", err)
-				}
-				srv := singleNode(t, rs, opt)
-				rng := rand.New(rand.NewSource(7))
-				n := 60
-				if testing.Short() {
-					n = 15
-				}
-				for i := 0; i < n; i++ {
-					basket := randBasket(rng, 60)
-					k := []int{0, 1, 5, 10, 50}[rng.Intn(5)]
-					assertMatch(t, c, srv, basket, k, "gen1")
+				for r := 1; r <= min(3, nodes); r++ {
+					t.Run(fmt.Sprintf("replicas=%d", r), func(t *testing.T) {
+						opt := Options{Shards: shards, Replicas: r}
+						c := mustCluster(t, nodes, opt)
+						if _, err := c.Router.Publish(rs, true); err != nil {
+							t.Fatalf("publish: %v", err)
+						}
+						srv := singleNode(t, rs, opt)
+						rng := rand.New(rand.NewSource(7))
+						n := 60
+						if testing.Short() {
+							n = 15
+						}
+						for i := 0; i < n; i++ {
+							basket := randBasket(rng, 60)
+							k := []int{0, 1, 5, 10, 50}[rng.Intn(5)]
+							assertMatch(t, c, srv, basket, k, "gen1")
+						}
+					})
 				}
 			})
 		}

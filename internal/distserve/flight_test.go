@@ -27,7 +27,7 @@ import (
 // request span and its fan-out legs — and, through the propagated link, in
 // the straggler node's own flight ring to the causal cache-miss span.
 func TestStragglerExemplarResolvesAcrossTiers(t *testing.T) {
-	opt := Options{Shards: 8, HedgeDelay: -1}
+	opt := Options{Shards: 8}
 	c := mustCluster(t, 3, opt)
 	if _, err := c.Router.Publish(synthRules(200, 40, 7), true); err != nil {
 		t.Fatalf("publish: %v", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,10 +18,9 @@ import (
 	"parapriori/internal/serve"
 )
 
-// haOptions is the replicated-tier configuration the HA tests share: R=2,
-// hedging off (so leg counts are a pure function of failures, not timing).
+// haOptions is the replicated-tier configuration the HA tests share: R=2.
 func haOptions(shards int) Options {
-	return Options{Shards: shards, Seed: 42, Replicas: 2, HedgeDelay: -1}
+	return Options{Shards: shards, Seed: 42, Replicas: 2}
 }
 
 // TestReplicaFailoverExact is the tentpole property test: with R=2 and ANY
@@ -165,21 +165,41 @@ func TestChaosChurnZeroPartial(t *testing.T) {
 	const workers = 4
 	var stop atomic.Bool
 	var queries atomic.Int64
+	// epoch counts restores; seen[w] is the epoch at which worker w's last
+	// finished query started (MaxInt64 once the worker has exited).
+	var epoch atomic.Int64
+	var seen [workers]atomic.Int64
 	lastGen := make([]uint64, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
+
+	// settle waits until every worker has finished a query that started
+	// after the latest restore, so no query spans two kill windows: one
+	// that did could see both replicas of a shard fail, an R=2 double
+	// failure of the schedule's own making.
+	settle := func() {
+		e := epoch.Add(1)
+		for w := range seen {
+			for seen[w].Load() < e {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}
 
 	phase := func(gen uint64) {
 		stop.Store(false)
 		start := queries.Load()
 		for w := 0; w < workers; w++ {
 			w := w
+			seen[w].Store(epoch.Load())
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer seen[w].Store(math.MaxInt64)
 				rng := rand.New(rand.NewSource(int64(1000*gen) + int64(w)))
 				for !stop.Load() {
 					basket := randBasket(rng, 45)
+					e := epoch.Load()
 					got, err := c.Router.Recommend(basket, 10)
 					if err != nil {
 						errs[w] = err
@@ -200,6 +220,7 @@ func TestChaosChurnZeroPartial(t *testing.T) {
 						errs[w] = fmt.Errorf("basket %v diverged from the gen-%d oracle", basket, got.Generation)
 						return
 					}
+					seen[w].Store(e)
 				}
 			}()
 		}
@@ -209,9 +230,12 @@ func TestChaosChurnZeroPartial(t *testing.T) {
 			time.Sleep(8 * time.Millisecond)
 			c.Clients[i].SetDown(false)
 			c.Router.ProbeOnce()
+			settle()
 		}
 		stop.Store(true)
 		wg.Wait()
+		// An abandoned leg's failure can land after the last probe round.
+		c.Router.ProbeOnce()
 		for w, err := range errs {
 			if err != nil {
 				t.Fatalf("gen %d worker %d: %v", gen, w, err)
@@ -253,7 +277,7 @@ func TestHedgedStragglerExact(t *testing.T) {
 	// the one we stall — the first query must hedge to the other replica,
 	// and choice-of-two load awareness steers later queries off the
 	// straggler while its leg is still outstanding.
-	opt := Options{Shards: 1, Seed: 42, Replicas: 2, HedgeDelay: 2 * time.Millisecond}
+	opt := Options{Shards: 1, Seed: 42, Replicas: 2}
 	c := mustCluster(t, 2, opt)
 	if _, err := c.Router.Publish(rs, true); err != nil {
 		t.Fatalf("publish: %v", err)
@@ -286,11 +310,42 @@ func TestHedgedStragglerExact(t *testing.T) {
 	}
 }
 
+// TestAdaptiveHedgeClamp pins the hedge delay to the router's observed p99
+// (the upper bound of its log bucket), clamped to [500µs, RequestTimeout/2].
+func TestAdaptiveHedgeClamp(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		obs     []time.Duration
+		want    time.Duration
+	}{
+		{"empty", 0, nil, 500 * time.Microsecond},
+		{"below floor", 0, []time.Duration{100 * time.Microsecond}, 500 * time.Microsecond},
+		{"mid range", 0, []time.Duration{3 * time.Millisecond}, 4096 * time.Microsecond},
+		{"above ceiling", 100 * time.Millisecond, []time.Duration{80 * time.Millisecond}, 50 * time.Millisecond},
+		{"default ceiling", 0, []time.Duration{1500 * time.Millisecond}, DefaultRequestTimeout / 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mustCluster(t, 1, Options{RequestTimeout: tc.timeout})
+			for _, d := range tc.obs {
+				c.Router.met.latency.Observe(d)
+			}
+			if got := c.Router.hedgeDelay(); got != tc.want {
+				t.Fatalf("hedgeDelay() = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestHTTPClientTimeout pins the transport satellite: a slow HTTP node must
 // produce a typed *TimeoutError (distinguishable from a refused connection)
 // that still unwraps to ErrNodeDown, under both the per-client budget and a
 // caller-supplied context deadline.
 func TestHTTPClientTimeout(t *testing.T) {
+	if c := NewHTTPClient("host:9001", 0); c.budget != DefaultRequestTimeout || c.base != "http://host:9001" {
+		t.Fatalf("NewHTTPClient(_, 0) = base %q budget %v, want http://host:9001 and %v", c.base, c.budget, DefaultRequestTimeout)
+	}
+
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
@@ -299,7 +354,7 @@ func TestHTTPClientTimeout(t *testing.T) {
 	}))
 	defer slow.Close()
 
-	cl := NewHTTPClientBudget(slow.URL, 20*time.Millisecond)
+	cl := NewHTTPClient(slow.URL, 20*time.Millisecond)
 	_, _, err := cl.Recommend(context.Background(), nil, 5, "")
 	var te *TimeoutError
 	if !errors.As(err, &te) {
@@ -325,7 +380,7 @@ func TestHTTPClientTimeout(t *testing.T) {
 	}
 
 	// A refused connection is ErrNodeDown but NOT a timeout.
-	dead := NewHTTPClientBudget("http://127.0.0.1:1", time.Second)
+	dead := NewHTTPClient("http://127.0.0.1:1", time.Second)
 	_, _, err = dead.Recommend(context.Background(), nil, 5, "")
 	if err == nil || !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("refused connection = %v, want ErrNodeDown", err)

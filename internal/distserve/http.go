@@ -171,20 +171,17 @@ type HTTPClient struct {
 
 // NewHTTPClient builds a client for a node at baseURL (e.g.
 // "http://host:9001"; a missing scheme defaults to http, a trailing slash is
-// trimmed) with the default call budget (DefaultRequestTimeout).
-func NewHTTPClient(baseURL string) *HTTPClient {
-	return NewHTTPClientBudget(baseURL, DefaultRequestTimeout)
-}
-
-// NewHTTPClientBudget is NewHTTPClient with an explicit default budget for
-// calls whose context carries no deadline (<= 0 means no default — such
-// calls then run unbounded).  The router always supplies per-call
-// deadlines from Options.RequestTimeout; the budget is the floor for
-// direct users of the client.
-func NewHTTPClientBudget(baseURL string, budget time.Duration) *HTTPClient {
+// trimmed).  budget is the deadline for calls whose context carries none
+// (<= 0 means DefaultRequestTimeout).  The router always supplies per-call
+// deadlines from Options.RequestTimeout; the budget is the floor for direct
+// users of the client.
+func NewHTTPClient(baseURL string, budget time.Duration) *HTTPClient {
 	base := strings.TrimRight(baseURL, "/")
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
+	}
+	if budget <= 0 {
+		budget = DefaultRequestTimeout
 	}
 	return &HTTPClient{base: base, budget: budget, hc: &http.Client{}}
 }
@@ -196,9 +193,6 @@ func (c *HTTPClient) ID() string { return c.base }
 func (c *HTTPClient) withBudget(ctx context.Context) (context.Context, context.CancelFunc, time.Duration) {
 	if dl, ok := ctx.Deadline(); ok {
 		return ctx, func() {}, time.Until(dl)
-	}
-	if c.budget <= 0 {
-		return ctx, func() {}, 0
 	}
 	ctx, cancel := context.WithTimeout(ctx, c.budget)
 	return ctx, cancel, c.budget

@@ -114,7 +114,7 @@ func httpFleet(t *testing.T, n int, opt Options) (*Router, []*Node) {
 		t.Cleanup(ts.Close)
 		t.Cleanup(node.Close)
 		nodes[i] = node
-		clients[i] = NewHTTPClient(ts.URL)
+		clients[i] = NewHTTPClient(ts.URL, 0)
 	}
 	r, err := NewRouter(clients, opt)
 	if err != nil {

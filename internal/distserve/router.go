@@ -445,24 +445,13 @@ type Result struct {
 	Hedges  int `json:"hedges,omitempty"`
 }
 
-// hedgeDelay resolves the straggler-hedging delay: the configured value,
-// or (when zero) the router's observed p99 latency clamped to a sane band
-// under the request deadline.  Returns < 0 when hedging is disabled.
+// hedgeDelay is the straggler-hedging delay: after this long with fan-out
+// legs still outstanding, Recommend re-issues the uncovered shards to
+// alternate replicas and takes whichever answer lands first.  It is the
+// router's observed p99 latency, clamped to [500µs, RequestTimeout/2].
 func (r *Router) hedgeDelay() time.Duration {
-	d := r.opt.HedgeDelay
-	if d < 0 {
-		return -1
-	}
-	if d == 0 {
-		d = time.Duration(r.met.latency.Percentile(0.99)) * time.Microsecond
-		if min := 500 * time.Microsecond; d < min {
-			d = min
-		}
-		if max := r.opt.RequestTimeout / 2; d > max {
-			d = max
-		}
-	}
-	return d
+	d := time.Duration(r.met.latency.Percentile(0.99)) * time.Microsecond
+	return min(max(d, 500*time.Microsecond), r.opt.RequestTimeout/2)
 }
 
 // Recommend answers a basket query: clamp K exactly as a single node would
@@ -713,12 +702,9 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	}
 	var answers []answer
 	pending := legs
-	var hedgeCh <-chan time.Time
-	if d := r.hedgeDelay(); d >= 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeCh = t.C
-	}
+	hedge := time.NewTimer(r.hedgeDelay())
+	defer hedge.Stop()
+	hedgeCh := hedge.C
 	for pending > 0 && !allCovered() {
 		select {
 		case lr := <-resCh:

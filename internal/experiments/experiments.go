@@ -183,7 +183,6 @@ func All() []Named {
 		{"hpa", "HPA vs IDD vs DD communication volume (Section III-E)", HPAStudy},
 		{"faults", "Recovery overhead under loss/straggler/crash faults (CD, IDD, HD)", Faults},
 		{"attrib", "Per-pass cost attribution from span traces, reconciled with cluster stats", Attrib},
-		{"churn", "Serving under churn: kill/restore and straggler injection at R=1 vs R=2", Churn},
 	}
 }
 

@@ -22,8 +22,7 @@ func quickCfg() Config {
 
 // memo holds each experiment's quick-config result for the life of the test
 // binary.  Several tests read different columns of the same experiment;
-// running it once per test multiplied the package's wall time and, on a
-// two-core box, the contention the wall-clock churn assertions see.  The
+// running it once per test multiplied the package's wall time.  The
 // package's tests run sequentially, so the map needs no lock.
 var memo = map[string]*Result{}
 
@@ -57,7 +56,7 @@ func runFresh(t *testing.T, name string) *Result {
 }
 
 func TestAllRegistered(t *testing.T) {
-	want := []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "model", "ablate", "hpa", "faults", "attrib", "churn"}
+	want := []string{"table2", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "model", "ablate", "hpa", "faults", "attrib"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() has %d entries, want %d", len(all), len(want))
