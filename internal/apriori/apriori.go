@@ -138,9 +138,11 @@ func Gen(prev []itemset.Itemset) []itemset.Itemset {
 // makes candidate order — and therefore CD's reducible count vectors —
 // identical on every processor.
 //
-// The candidates are stored flat, stride k, so a call makes one or two
+// The candidates are stored flat, stride k, so a call makes two or three
 // allocations however many candidates it produces, none of them holding a
-// pointer.
+// pointer: the prefix-run bounds, the candidates, and a tighter copy of them
+// when pruning dropped most joins.  With nothing pruned (always at k = 2,
+// where one run covers the whole level) the candidates fill their array.
 //
 //checkinv:hotpath
 func GenFlat(prev []itemset.Itemset) itemset.Flat {
@@ -149,7 +151,9 @@ func GenFlat(prev []itemset.Itemset) itemset.Flat {
 	}
 	k := len(prev[0]) + 1
 	// prev is sorted, so sets sharing a (k-2)-prefix are adjacent, and a run
-	// of r of them joins into r(r-1)/2 candidates before pruning.
+	// of r of them joins into r(r-1)/2 candidates before pruning.  Run r is
+	// prev[ends[r-1]:ends[r]].
+	ends := make([]int32, 1, len(prev)+1)
 	joins := 0
 	for i := 0; i < len(prev); {
 		j := i + 1
@@ -157,23 +161,33 @@ func GenFlat(prev []itemset.Itemset) itemset.Flat {
 			j++
 		}
 		joins += (j - i) * (j - i - 1) / 2
+		ends = append(ends, int32(j))
 		i = j
 	}
-	flat := make([]itemset.Item, 0, joins*k)
-	for i := range prev {
-		for j := i + 1; j < len(prev) && samePrefix(prev[i], prev[j], k-2); j++ {
-			// prev[i] < prev[j] lexicographically with equal prefixes, so
-			// the joined set is prev[i] + last item of prev[j], in order.
-			n := len(flat)
-			flat = append(append(flat, prev[i]...), prev[j][k-2])
-			if !pruneOK(flat[n:], prev) {
-				flat = flat[:n]
+	flat := make([]itemset.Item, joins*k)
+	n := 0
+	for r := 1; r < len(ends); r++ {
+		run := prev[ends[r-1]:ends[r]]
+		for i, a := range run {
+			for _, b := range run[i+1:] {
+				// a < b lexicographically with equal prefixes, so the joined
+				// set is a + the last item of b, in order.
+				cand := flat[n : n+k]
+				for x, it := range a {
+					cand[x] = it
+				}
+				cand[k-1] = b[k-2]
+				if k >= 3 && !pruneOK(cand, prev) {
+					continue
+				}
+				n += k
 			}
 		}
 	}
-	if len(flat) < cap(flat)/2 {
+	flat = flat[:n]
+	if n < cap(flat)/2 {
 		// Pruning removed most joins: do not pin the slack.
-		flat = append(make([]itemset.Item, 0, len(flat)), flat...)
+		flat = append(make([]itemset.Item, 0, n), flat...)
 	}
 	return itemset.Flat{K: k, Items: flat}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"parapriori/internal/bitmap"
 	"parapriori/internal/cluster"
 	"parapriori/internal/itemset"
 	"parapriori/internal/partition"
@@ -54,7 +55,7 @@ type hpaCount struct {
 	cands itemset.Flat
 }
 
-func (c hpaCount) count(r *run, p *cluster.Proc, col *cluster.Comm, _ string, _ func(itemset.Item) bool, pl *passLocal) ([]int64, error) {
+func (c hpaCount) count(r *run, p *cluster.Proc, col *cluster.Comm, _ string, _ *bitmap.Bitmap, pl *passLocal) ([]int64, error) {
 	counts := make([]int64, c.cands.Len())
 	table := make(map[string]*int64, len(counts))
 	for i := range counts {

@@ -45,9 +45,9 @@ var formulations = map[Algorithm]formulation{
 // share is a grid row's part of C_k.
 type share struct {
 	cands itemset.Flat
-	// filter, when non-nil, passes the items that start one of cands: the
+	// filter, when non-nil, holds the items that start one of cands: the
 	// root-level pruning only a first-item-aligned placement permits.
-	filter func(itemset.Item) bool
+	filter *bitmap.Bitmap
 	// imbalance is (max-mean)/mean of the rows' candidate counts.
 	imbalance float64
 }
@@ -57,7 +57,7 @@ type counter interface {
 	// count moves the column's transactions past the structure and returns
 	// the supports it saw, in candidate order, adding what it moved and read
 	// to pl.
-	count(r *run, p *cluster.Proc, col *cluster.Comm, tag string, filter func(itemset.Item) bool, pl *passLocal) ([]int64, error)
+	count(r *run, p *cluster.Proc, col *cluster.Comm, tag string, filter *bitmap.Bitmap, pl *passLocal) ([]int64, error)
 }
 
 // body is the SPMD program of every formulation.  The np participating
@@ -244,24 +244,17 @@ func rowsHD(r *run, m int) int {
 // same deterministic bin-packing, so no communication is needed to agree on
 // the assignment (each processor "locally regenerates and stores" its
 // share, as Section III-C describes): all are charged for it, the host
-// packs once and copies each row's share once (passcache.go).
+// packs once and copies each row's share and sets its first items in a
+// bitmap once (passcache.go).
 func placeBinPacked(r *run, p *cluster.Proc, k, g, row int, cands itemset.Flat) share {
 	if g == 1 {
 		return share{cands: cands}
 	}
 	partStart := p.Clock()
-	asg, mine := r.binPack(k, g, row, cands)
+	_, mine := r.binPack(k, g, row, cands)
 	chargeScan(p, int64(cands.Len()), "partition")
-	bm := bitmap.New(r.numItems)
-	for _, grp := range asg.GroupsOf[row] {
-		bm.Set(int(grp.First))
-	}
 	r.sec(p, "partition", partStart, obsv.Int("k", int64(k)))
-	return share{
-		cands:     mine,
-		filter:    func(it itemset.Item) bool { return bm.Test(int(it)) },
-		imbalance: asg.Imbalance(),
-	}
+	return mine
 }
 
 // placeRoundRobin is DD's placement [6]: it balances counts but scatters
@@ -297,7 +290,7 @@ type engineCount struct {
 	name string
 }
 
-func (c *engineCount) count(r *run, p *cluster.Proc, col *cluster.Comm, tag string, filter func(itemset.Item) bool, pl *passLocal) ([]int64, error) {
+func (c *engineCount) count(r *run, p *cluster.Proc, col *cluster.Comm, tag string, filter *bitmap.Bitmap, pl *passLocal) ([]int64, error) {
 	eng := c.eng
 	process := func(page []itemset.Transaction) {
 		if len(page) == 0 {

@@ -18,8 +18,9 @@ import (
 // grid and on HD's 2 × 4 one: all must be handed the one shared flat C_2 and
 // partition, equal to a private apriori.GenFlat / partition.BinPackFlat (and
 // to the header adapters' output); every column of a row the one flat share,
-// its Items the same backing array, equal to Share of that row; and a
-// different row count its own partition.
+// its Items the same backing array, equal to Share of that row, and the one
+// bitmap of exactly that row's first items; and a different row count its
+// own partition.
 func TestPassCacheComputesOncePerKey(t *testing.T) {
 	var prev []apriori.Frequent
 	for it := 0; it < 60; it++ {
@@ -27,9 +28,10 @@ func TestPassCacheComputesOncePerKey(t *testing.T) {
 	}
 	const ranks = 8
 	for _, g := range []int{ranks, 2} {
-		r := &run{prm: Params{P: ranks}.withDefaults()}
+		r := &run{prm: Params{P: ranks}.withDefaults(), numItems: len(prev)}
 		cols := ranks / g
-		var cands, shares [ranks]itemset.Flat
+		var cands [ranks]itemset.Flat
+		var shares [ranks]share
 		var asgs [ranks]*partition.Assignment
 		cl, err := cluster.New(ranks, cluster.T3E())
 		if err != nil {
@@ -58,14 +60,23 @@ func TestPassCacheComputesOncePerKey(t *testing.T) {
 				t.Fatalf("g=%d: rank %d was handed its own C_2 or partition", g, i)
 			}
 			row, lead := i/cols, i/cols*cols
-			if !reflect.DeepEqual(shares[i], packed.Share(row)) {
+			if !reflect.DeepEqual(shares[i].cands, packed.Share(row)) {
 				t.Fatalf("g=%d: rank %d's share differs from row %d's Share", g, i, row)
 			}
-			if &shares[i].Items[0] != &shares[lead].Items[0] {
+			if &shares[i].cands.Items[0] != &shares[lead].cands.Items[0] || shares[i].filter != shares[lead].filter {
 				t.Fatalf("g=%d: rank %d was handed its own copy of row %d's share", g, i, row)
 			}
-			if row > 0 && &shares[i].Items[0] == &shares[0].Items[0] {
+			if row > 0 && &shares[i].cands.Items[0] == &shares[0].cands.Items[0] {
 				t.Fatalf("g=%d: row %d was handed row 0's share", g, row)
+			}
+			firsts := map[int]bool{}
+			for _, grp := range packed.GroupsOf[row] {
+				firsts[int(grp.First)] = true
+			}
+			for it := 0; it < len(prev); it++ {
+				if shares[i].filter.Test(it) != firsts[it] {
+					t.Fatalf("g=%d: rank %d's filter has item %d = %v, want %v", g, i, it, shares[i].filter.Test(it), firsts[it])
+				}
 			}
 		}
 		if seven, _ := r.binPack(2, 7, 0, cands[0]); seven == asgs[0] || len(seven.Counts) != 7 {
@@ -77,9 +88,12 @@ func TestPassCacheComputesOncePerKey(t *testing.T) {
 // TestFlatCandidatesAllocBound guards the flat C_k: it mines pass 2 of a
 // dense input (400 items, ~79 K candidates) with HD on an 8 × 1 grid and
 // bounds the run's allocation per C_2 candidate.  With C_k, the row shares
-// and the count vectors flat and handed over, a run allocates ~52 bytes per
-// candidate; a share held as []itemset.Itemset adds its 24-byte headers
-// (~76), and headers on C_2 itself as many again.
+// and the count vectors flat and handed over, and each rank's pair-indexed
+// tree holding its counts but no candidate slots, a run allocates ~35 bytes
+// per candidate.  Trees that keep the slot arrays (a permutation, the items
+// in slot order, a mark bitmap) bring it to ~52; a share held as
+// []itemset.Itemset adds its 24-byte headers, and headers on C_2 itself as
+// many again.
 func TestFlatCandidatesAllocBound(t *testing.T) {
 	p := datagen.Defaults()
 	p.NumTransactions = 2000
@@ -103,10 +117,10 @@ func TestFlatCandidatesAllocBound(t *testing.T) {
 	if pass2.GridRows != 8 || pass2.Candidates < 70000 {
 		t.Fatalf("pass 2 ran %d candidates on %d rows; want a dense C_2 on 8", pass2.Candidates, pass2.GridRows)
 	}
-	const bound = 64 // bytes per C_2 candidate
+	const bound = 44 // bytes per C_2 candidate
 	per := float64(after.TotalAlloc-before.TotalAlloc) / float64(pass2.Candidates)
 	if per > bound {
-		t.Fatalf("mining allocated %.1f bytes per C_2 candidate, want at most %d: are per-candidate headers back?", per, bound)
+		t.Fatalf("mining allocated %.1f bytes per C_2 candidate, want at most %d: are per-candidate headers or tree slots back?", per, bound)
 	}
 	t.Logf("%.1f bytes per C_2 candidate (bound %d)", per, bound)
 }

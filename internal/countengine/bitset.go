@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"parapriori/internal/bitmap"
 	"parapriori/internal/itemset"
 )
 
@@ -234,7 +235,7 @@ func (e *bitsetEngine) Len() int { return len(e.counts) }
 // CountBlock appends the block to the vertical index (a no-op beyond
 // bookkeeping in prepared mode); the actual counting is deferred to Counts,
 // one intersection per candidate.
-func (e *bitsetEngine) CountBlock(txns []itemset.Transaction, rootFilter func(itemset.Item) bool) {
+func (e *bitsetEngine) CountBlock(txns []itemset.Transaction, rootFilter *bitmap.Bitmap) {
 	// rootFilter is ignored: it only ever excludes candidates outside this
 	// engine's own candidate set (the grid builds per-row engines over the
 	// filtered share), so intersection counts are unaffected.

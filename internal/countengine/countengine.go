@@ -25,6 +25,7 @@ import (
 	"sort"
 	"sync"
 
+	"parapriori/internal/bitmap"
 	"parapriori/internal/hashtree"
 	"parapriori/internal/itemset"
 )
@@ -95,15 +96,16 @@ func Delta(before, after Stats) Stats {
 }
 
 // Engine counts the supports of one pass's candidate set.  Engines are not
-// goroutine-safe; each SPMD processor builds its own via Builder.NewPass.
+// goroutine-safe; each SPMD processor builds its own via Builder.NewPassFlat.
 type Engine interface {
 	// Len returns the number of candidates the engine was built over.
 	Len() int
 	// CountBlock streams a block of transactions through the engine.
 	// rootFilter, if non-nil, restricts counting to candidates whose
-	// *first* item passes (IDD's bitmap pruning); backends whose candidate
-	// set is already restricted to passing candidates may ignore it.
-	CountBlock(txns []itemset.Transaction, rootFilter func(itemset.Item) bool)
+	// *first* item's bit is set (IDD's bitmap pruning); backends whose
+	// candidate set is already restricted to passing candidates may ignore
+	// it.
+	CountBlock(txns []itemset.Transaction, rootFilter *bitmap.Bitmap)
 	// Counts returns the support counts in the candidate order the engine
 	// was built with — the order CD's count-vector reduction depends on.
 	// Deferred backends (bitset) do their counting work here, so callers

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"parapriori/internal/apriori"
+	"parapriori/internal/bitmap"
 	"parapriori/internal/countengine"
 	"parapriori/internal/datagen"
 	"parapriori/internal/hashtree"
@@ -97,7 +98,7 @@ func sameEngine(t *testing.T, name string, viaFlat, viaHeaders countengine.Engin
 
 // countAll counts the dataset through b's engine over the candidates, built
 // from flat and from headers, which must agree; it returns the counts.
-func countAll(t *testing.T, b countengine.Builder, k int, cands []itemset.Itemset, data *itemset.Dataset, filter func(itemset.Item) bool) []int64 {
+func countAll(t *testing.T, b countengine.Builder, k int, cands []itemset.Itemset, data *itemset.Dataset, filter *bitmap.Bitmap) []int64 {
 	t.Helper()
 	viaFlat, viaHeaders := buildBoth(t, b, k, cands)
 	for _, eng := range []countengine.Engine{viaFlat, viaHeaders} {
@@ -177,17 +178,16 @@ func TestRootFilter(t *testing.T) {
 	reject := func(it itemset.Item) bool { return it%3 != 0 }
 	for k, cands := range levels {
 		var kept []itemset.Itemset
-		firsts := map[itemset.Item]bool{}
+		filter := bitmap.New(data.NumItems)
 		for _, c := range cands {
 			if reject(c[0]) {
 				kept = append(kept, c)
-				firsts[c[0]] = true
+				filter.Set(int(c[0]))
 			}
 		}
 		if len(kept) == 0 {
 			continue
 		}
-		filter := func(it itemset.Item) bool { return firsts[it] }
 		want := countAll(t, newBuilder(t, "hashtree", data.NumItems), k, kept, data, nil)
 		for _, name := range countengine.Names() {
 			if got := countAll(t, newBuilder(t, name, data.NumItems), k, kept, data, filter); !reflect.DeepEqual(got, want) {

@@ -1,6 +1,7 @@
 package countengine
 
 import (
+	"parapriori/internal/bitmap"
 	"parapriori/internal/hashtree"
 	"parapriori/internal/itemset"
 )
@@ -40,7 +41,7 @@ type hashtreeEngine struct {
 
 func (e *hashtreeEngine) Len() int { return e.tree.Len() }
 
-func (e *hashtreeEngine) CountBlock(txns []itemset.Transaction, rootFilter func(itemset.Item) bool) {
+func (e *hashtreeEngine) CountBlock(txns []itemset.Transaction, rootFilter *bitmap.Bitmap) {
 	for _, t := range txns {
 		e.tree.Subset(t.Items, rootFilter)
 	}

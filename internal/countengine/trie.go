@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"parapriori/internal/bitmap"
 	"parapriori/internal/itemset"
 )
 
@@ -159,14 +160,14 @@ func (e *trieEngine) build(items []itemset.Item, perm []int32, level, lo, hi int
 func (e *trieEngine) Len() int { return len(e.counts) }
 
 //checkinv:hotpath
-func (e *trieEngine) CountBlock(txns []itemset.Transaction, rootFilter func(itemset.Item) bool) {
+func (e *trieEngine) CountBlock(txns []itemset.Transaction, rootFilter *bitmap.Bitmap) {
 	for i := range txns {
 		e.countTxn(txns[i].Items, rootFilter)
 	}
 }
 
 //checkinv:hotpath
-func (e *trieEngine) countTxn(txn itemset.Itemset, rootFilter func(itemset.Item) bool) {
+func (e *trieEngine) countTxn(txn itemset.Itemset, rootFilter *bitmap.Bitmap) {
 	e.stats.Transactions++
 	e.stats.ItemTouches += int64(len(txn))
 	// Remap to the dense candidate alphabet, dropping items no candidate
@@ -194,7 +195,7 @@ func (e *trieEngine) countTxn(txn itemset.Itemset, rootFilter func(itemset.Item)
 			continue
 		}
 		e.stats.ArraySteps++
-		if rootFilter != nil && !rootFilter(e.orig[di]) {
+		if rootFilter != nil && !rootFilter.Test(int(e.orig[di])) {
 			continue
 		}
 		if e.k == 1 {

@@ -14,20 +14,23 @@
 // matter.  A leaf is scanned the first time a transaction reaches it, one
 // bitmap test per item of each candidate.  The exception is pass 2's dense
 // tree.  When k = 2, some leaf overflows MaxLeaf and the candidates are whole
-// first-item rows of a complete C2 (NewFlat verifies it), the tree gets a
-// direct pair index, and every depth-2 arrival of that pair-indexed tree — a
-// leaf of any size — looks up the pair it consumed: having consumed two
-// transaction items, that pair is the only candidate the arrival can match.
-// The leaf's size is charged to LeafChecks on its first visit without being
-// scanned.  DESIGN.md, "Host work vs charged work", has the exactness
-// argument.
+// first-item rows of a complete C2 (NewFlat verifies it), the tree is
+// pair-indexed: it is shaped from a histogram of the candidates' hashes and
+// holds the direct pair index and the counts, no candidate slots.  It never
+// scans.  A depth-2 arrival looks up the pair it consumed, the only candidate
+// it can match; a depth-1 arrival looks up its first item with each later
+// transaction item.  The leaf's size is charged to LeafChecks on its first
+// visit all the same.  DESIGN.md, "Host work vs charged work", has the
+// exactness argument.
 package hashtree
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
+	"parapriori/internal/bitmap"
 	"parapriori/internal/itemset"
 )
 
@@ -112,8 +115,8 @@ type node struct {
 	// which sit next to each other in Tree.nodes; 0 marks a leaf (the root
 	// is nobody's child).
 	child int32
-	// start and end delimit a leaf's candidates in the slot-ordered arrays
-	// (Tree.perm, Tree.items).
+	// start and end delimit a node's candidates in slot order (the order of
+	// Tree.perm and Tree.items, which a pair-indexed tree does not keep).
 	start, end int32
 	// stamp is the ID of the last Subset call that was charged for this leaf; it
 	// implements the paper's "if this node is revisited due to a different
@@ -126,7 +129,8 @@ type node struct {
 //
 // The candidates are stored leaf by leaf: slot s of the tree holds candidate
 // perm[s] and its k items at items[s*k:(s+1)*k], so checking a leaf reads one
-// contiguous run of memory.
+// contiguous run of memory.  A pair-indexed tree stores no slot: its perm,
+// items and marks are nil.
 type Tree struct {
 	k     int
 	cfg   Config
@@ -141,7 +145,7 @@ type Tree struct {
 	// scan of a Subset call sets the bits of the transaction's items
 	// (marked records it) and the call clears them on return, which turns a
 	// scanned leaf's containment test into k bit tests.  A call that scans
-	// no leaf, the usual case on a pair-indexed tree, never touches it.
+	// no leaf never touches it.
 	marks  []uint64
 	marked bool
 	// mask is Fanout-1 when Fanout is a power of two, so an item hashes
@@ -180,21 +184,36 @@ func New(k int, cands []itemset.Itemset, cfg Config) (*Tree, error) {
 }
 
 // NewFlat builds a hash tree over the candidates of cands, each a sorted set
-// of cands.K non-negative items.  The tree copies the items; cands is only
-// read.
+// of cands.K non-negative items.  The tree copies what it needs of the items;
+// cands is only read.
 //
 // The shape is the one inserting the candidates one at a time produces — a
 // node at depth d < k is internal exactly when more than MaxLeaf candidates
-// hash to it — but it is built top-down, by a stable counting sort per
-// internal node.
+// hash to it.  A pair-indexed tree (see pairTree) takes it from a histogram;
+// every other tree is built top-down, by a stable counting sort per internal
+// node (split).
 func NewFlat(cands itemset.Flat, cfg Config) (*Tree, error) {
+	t, numItems, err := newRoot(cands, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if t.k == 2 && t.pairTree(cands.Items, numItems) {
+		return t, nil
+	}
+	t.build(cands.Items, numItems)
+	return t, nil
+}
+
+// newRoot validates cands and returns a one-leaf tree over them, with no
+// candidate stored yet, and one more than the largest item.
+func newRoot(cands itemset.Flat, cfg Config) (*Tree, int, error) {
 	cfg = cfg.withDefaults()
 	k, m := cands.K, cands.Len()
 	maxItem := itemset.Item(-1)
 	for i := 0; i < m; i++ {
 		c := cands.At(i)
 		if !c.Valid() || c[0] < 0 {
-			return nil, fmt.Errorf("hashtree: candidate %v is not a sorted set of non-negative items", c)
+			return nil, 0, fmt.Errorf("hashtree: candidate %v is not a sorted set of non-negative items", c)
 		}
 		maxItem = max(maxItem, c[k-1])
 	}
@@ -202,44 +221,44 @@ func NewFlat(cands itemset.Flat, cfg Config) (*Tree, error) {
 		k:      k,
 		cfg:    cfg,
 		nodes:  []node{{end: int32(m)}},
-		perm:   make([]int32, m),
-		items:  make([]itemset.Item, 0, m*k),
 		counts: make([]int64, m),
-		marks:  make([]uint64, (int(maxItem)+64)/64),
 		leaves: 1,
 		stats:  Stats{Inserts: int64(m)},
 	}
 	if cfg.Fanout&(cfg.Fanout-1) == 0 {
 		t.mask = int32(cfg.Fanout - 1)
 	}
+	return t, int(maxItem) + 1, nil
+}
+
+// build shapes the tree by split and stores the candidates slot by slot, with
+// the mark bitmap their scans read.
+func (t *Tree) build(items []itemset.Item, numItems int) {
+	m := len(t.counts)
+	t.perm = make([]int32, m)
 	for i := range t.perm {
 		t.perm[i] = int32(i)
 	}
-	saturated := t.split(0, 0, cands.Items, make([]int32, m), make([]int32, cfg.Fanout))
-	if saturated && k == 2 {
-		t.pairIndex(cands.Items, int(maxItem)+1)
-	}
+	t.marks = make([]uint64, (numItems+63)/64)
+	t.split(0, 0, items, make([]int32, m), make([]int32, t.cfg.Fanout))
+	k := t.k
+	t.items = make([]itemset.Item, 0, m*k)
 	for _, ci := range t.perm {
-		t.items = append(t.items, cands.At(int(ci))...)
+		t.items = append(t.items, items[int(ci)*k:int(ci+1)*k]...)
 	}
-	return t, nil
 }
 
 // split turns node ni (at the given depth) into an internal node if it holds
 // more candidates than a leaf may and has an item left to hash on, and
-// recurses into its children.  It reports whether the subtree has a
-// saturated leaf: more than MaxLeaf candidates with no item left.  items is
-// the candidates' flat item array, stride k; tmp (len(perm)) and cursor
-// (Fanout) are scratch space shared by the whole build.
+// recurses into its children.  items is the candidates' flat item array,
+// stride k; tmp (len(perm)) and cursor (Fanout) are scratch space shared by
+// the whole build.
 //
 //checkinv:hotpath
-func (t *Tree) split(ni int32, depth int, items []itemset.Item, tmp, cursor []int32) (saturated bool) {
+func (t *Tree) split(ni int32, depth int, items []itemset.Item, tmp, cursor []int32) {
 	start, end := t.nodes[ni].start, t.nodes[ni].end
-	if int(end-start) <= t.cfg.MaxLeaf {
-		return false
-	}
-	if depth >= t.k {
-		return true
+	if int(end-start) <= t.cfg.MaxLeaf || depth >= t.k {
+		return
 	}
 	first := int32(len(t.nodes))
 	t.nodes[ni].child = first
@@ -266,58 +285,107 @@ func (t *Tree) split(ni int32, depth int, items []itemset.Item, tmp, cursor []in
 	}
 	copy(t.perm[start:end], tmp[start:end])
 	for h := int32(0); h < int32(t.cfg.Fanout); h++ {
-		if t.split(first+h, depth+1, items, tmp, cursor) {
-			saturated = true
-		}
+		t.split(first+h, depth+1, items, tmp, cursor)
 	}
-	return saturated
 }
 
-// pairIndex builds the direct index of a k = 2 tree, or leaves it nil.  It
-// verifies rather than assumes what pass 2 produces (C2 = all pairs of F1,
-// bin-packed by whole first-item rows): with U the items that appear in any
-// candidate, the candidates of each first item a are contiguous in cands and
-// are exactly {a, u} for every u in U above a, in ascending order.  Then
-// {a, b} sits pairCol[b]-pairCol[a]-1 places into a's row, pairCol being the
-// rank in U.  Rows with holes (DD's round-robin share, a DHP-filtered C2, a
-// row split across parts), duplicates and unordered rows all fail the check,
-// and the tree scans its saturated leaves like any other.  items is the
-// candidates' flat item array, stride 2: candidate i is {items[2i],
-// items[2i+1]}.
+// pairTree makes a k = 2 tree pair-indexed, or leaves it untouched and
+// reports false.  One Fanout × Fanout histogram of (hash(c0), hash(c1)) over
+// the candidates is the whole shape split would produce: row h0 is the
+// depth-1 node's size, and cell (h0, h1) the size of its child h1 if the
+// node is internal.  The tree gets the index when some depth-2 cell under an
+// internal depth-1 node holds more than MaxLeaf (it is saturated; such a
+// cell's row is internal too) and pairIndex verifies whole ascending rows.
+// Its nodes then come from the histogram's prefix sums, in split's order and
+// with split's ranges, and it stores nothing per candidate but the count:
+// every arrival is answered through the index (walk), so no slot is read.
+func (t *Tree) pairTree(items []itemset.Item, numItems int) bool {
+	f := t.cfg.Fanout
+	hist := make([]int32, f*f)
+	for i := 0; i < len(items); i += 2 {
+		hist[int(t.hash(items[i]))*f+int(t.hash(items[i+1]))]++
+	}
+	if slices.Max(hist) <= int32(t.cfg.MaxLeaf) || !t.pairIndex(items, numItems) {
+		return false
+	}
+	rows := make([]int32, f)
+	internal := 0
+	for h0 := range rows {
+		for _, n := range hist[h0*f : (h0+1)*f] {
+			rows[h0] += n
+		}
+		if int(rows[h0]) > t.cfg.MaxLeaf {
+			internal++
+		}
+	}
+	t.nodes = make([]node, 1+f*(1+internal))
+	t.nodes[0] = node{child: 1, end: int32(len(t.counts))}
+	t.leaves = 1 + (f-1)*(1+internal)
+	next, pos := int32(1+f), int32(0)
+	for h0, size := range rows {
+		n := &t.nodes[1+h0]
+		n.start, n.end = pos, pos+size
+		pos += size
+		if int(size) <= t.cfg.MaxLeaf {
+			continue
+		}
+		n.child = next
+		at := n.start
+		for _, cell := range hist[h0*f : (h0+1)*f] {
+			t.nodes[next].start, t.nodes[next].end = at, at+cell
+			at += cell
+			next++
+		}
+	}
+	return true
+}
+
+// pairIndex builds the direct index of a k = 2 tree and reports whether it
+// did.  It verifies rather than assumes what pass 2 produces (C2 = all pairs
+// of F1, bin-packed by whole first-item rows): with U the items that appear
+// in any candidate, the candidates of each first item a are contiguous in
+// cands and are exactly {a, u} for every u in U above a, in ascending order.
+// Then {a, b} sits pairCol[b]-pairCol[a]-1 places into a's row, pairCol being
+// the rank in U.  Rows with holes (DD's round-robin share, a DHP-filtered C2,
+// a row split across parts), duplicates and unordered rows all fail the
+// check, and the tree is built by split and scans its leaves like any other.
+// items is the candidates' flat item array, stride 2: candidate i is
+// {items[2i], items[2i+1]}.
 //
 //checkinv:hotpath
-func (t *Tree) pairIndex(items []itemset.Item, numItems int) {
-	marks := t.marks
-	for _, it := range items {
-		marks[it>>6] |= 1 << (it & 63)
-	}
+func (t *Tree) pairIndex(items []itemset.Item, numItems int) bool {
 	tables := make([]int32, 2*numItems)
+	for i := range tables {
+		tables[i] = noPair
+	}
 	base, col := tables[:numItems], tables[numItems:]
+	for _, it := range items {
+		col[it] = 0
+	}
 	size := int32(0) // |U| once the loop ends
-	for it := range col {
-		base[it], col[it] = noPair, noPair
-		if marks[it>>6]&(1<<(it&63)) != 0 {
+	for it, c := range col {
+		if c == 0 {
 			col[it] = size
 			size++
 		}
 	}
-	clear(marks)
 	m := len(items) / 2
 	for i := 0; i < m; {
 		a := items[2*i]
 		n := int(size - col[a] - 1) // items of U above a; items[2i+1] is one
 		if base[a] != noPair || i+n > m {
-			return
+			return false
 		}
 		for j := 0; j < n; j++ {
 			if items[2*(i+j)] != a || col[items[2*(i+j)+1]] != col[a]+1+int32(j) {
-				return
+				return false
 			}
 		}
 		base[a] = int32(i) - col[a] - 1
 		i += n
 	}
 	t.pairBase, t.pairCol = base, col
+	return true
 }
 
 // MustNew is New for statically correct inputs (tests, examples).
@@ -330,7 +398,7 @@ func MustNew(k int, cands []itemset.Itemset, cfg Config) *Tree {
 }
 
 // Len returns the number of candidates in the tree (M in the analysis).
-func (t *Tree) Len() int { return len(t.perm) }
+func (t *Tree) Len() int { return len(t.counts) }
 
 // Leaves returns the number of leaf nodes (L in the analysis).
 func (t *Tree) Leaves() int { return t.leaves }
@@ -371,15 +439,15 @@ func (t *Tree) mark() {
 // tree is built.
 //
 // rootFilter, if non-nil, is consulted only for the *starting* item of a
-// candidate (the loop at the root): items for which it reports false are
-// skipped.  This is IDD's bitmap pruning, built from the first items of the
-// tree's own candidates.  A candidate whose first item the filter rejects is
-// outside that contract: it is counted only if an admitted path happens to
-// reach its leaf and the leaf is scanned, never through the pair index.  Pass
-// nil for the serial algorithm, CD and DD.
+// candidate (the loop at the root): items whose bit is clear are skipped.
+// This is IDD's bitmap pruning, built from the first items of the tree's own
+// candidates.  A candidate whose first item the filter rejects is outside
+// that contract: it is counted only if an admitted path happens to reach its
+// leaf and the leaf is scanned, never on a pair-indexed tree.  Pass nil for
+// the serial algorithm, CD and DD.
 //
 //checkinv:hotpath
-func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) int {
+func (t *Tree) Subset(txn itemset.Itemset, rootFilter *bitmap.Bitmap) int {
 	t.stamp++
 	t.stats.Transactions++
 	if len(txn) < t.k {
@@ -404,7 +472,7 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) i
 		// a possible first item of a candidate.
 		last := len(txn) - t.k
 		for i := 0; i <= last; i++ {
-			if rootFilter != nil && !rootFilter(txn[i]) {
+			if rootFilter != nil && !rootFilter.Test(int(txn[i])) {
 				continue
 			}
 			t.stats.Traversals++
@@ -433,22 +501,28 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) i
 func (t *Tree) walk(ni int32, pos, depth int) int {
 	n := &t.nodes[ni]
 	if n.child == 0 {
-		// A depth-2 leaf of a pair-indexed tree (so k == 2), of any size.
-		indexed := t.pairCol != nil && depth == 2
 		visited := 0
 		if n.stamp != t.stamp {
 			n.stamp = t.stamp
 			t.stats.LeafVisits++
 			t.stats.LeafChecks += int64(n.end - n.start)
 			visited = 1
-			if !indexed {
+			if t.pairCol == nil {
 				t.scanLeaf(n)
 			}
 		}
-		if indexed {
-			// Every arrival, charged or not: this one can match the pair it
-			// consumed and nothing else, and a later one matches another.
-			t.lookup(t.first, t.txn[pos-1])
+		// Every arrival at a leaf of a pair-indexed tree, charged or not, is
+		// answered through the index.  At depth 2 it can match the pair it
+		// consumed and nothing else; at depth 1 it consumed only the first
+		// item, and each later one completes a pair.
+		if t.pairCol != nil {
+			if depth == 2 {
+				t.lookup(t.first, t.txn[pos-1])
+			} else {
+				for _, b := range t.txn[pos:] {
+					t.lookup(t.first, b)
+				}
+			}
 		}
 		return visited
 	}
@@ -495,10 +569,9 @@ candidates:
 }
 
 // lookup counts candidate {a, b} of a pair-indexed tree, if it has one: a < b
-// are the items the walk consumed on its way to a depth-2 leaf.  That pair
-// is the only candidate the arrival can match, because a candidate the
-// transaction contains is reached by the positions of its own items and by
-// no others.
+// are transaction items, a the one the root loop is walking from.  A
+// candidate the transaction contains is reached by the positions of its own
+// items and by no others, so each is looked up once.
 //
 //checkinv:hotpath
 func (t *Tree) lookup(a, b itemset.Item) {
@@ -525,7 +598,7 @@ func (t *Tree) Counts() []int64 {
 // estimate.
 func (t *Tree) MemoryBytes() int {
 	// Per candidate: header (itemset slice header + count) and k items.
-	candBytes := len(t.perm) * (32 + 4*t.k)
+	candBytes := len(t.counts) * (32 + 4*t.k)
 	// Per internal node: fanout child pointers; per leaf: slice header.
 	internal := (t.leaves - 1) / (t.cfg.Fanout - 1) // full fanout assumption
 	if internal < 0 {

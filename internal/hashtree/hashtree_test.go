@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parapriori/internal/bitmap"
 	"parapriori/internal/datagen"
 	"parapriori/internal/itemset"
 	"parapriori/internal/partition"
@@ -123,7 +124,8 @@ func TestRootFilterRestrictsStartingItems(t *testing.T) {
 	// setup: the tree contains only candidates starting with 2.
 	cs = cands([]itemset.Item{2, 3}, []itemset.Item{2, 5})
 	tree = MustNew(2, cs, Config{Fanout: 4, MaxLeaf: 1})
-	filter := func(it itemset.Item) bool { return it == 2 }
+	filter := bitmap.New(6)
+	filter.Set(2)
 	tree.Subset(itemset.New(1, 2, 3, 5), filter)
 	if got := tree.Counts(); got[0] != 1 || got[1] != 1 {
 		t.Errorf("counts = %v; want 1, 1", got)
@@ -150,11 +152,7 @@ func TestFilterPreservesCounts(t *testing.T) {
 			seen[s.Key()] = true
 			cs = append(cs, s)
 		}
-		firsts := map[itemset.Item]bool{}
-		for _, c := range cs {
-			firsts[c[0]] = true
-		}
-		filter := func(it itemset.Item) bool { return firsts[it] }
+		filter := firstItemFilter(cs)
 
 		a := MustNew(3, cs, Config{Fanout: 4, MaxLeaf: 2})
 		b := MustNew(3, cs, Config{Fanout: 4, MaxLeaf: 2})
@@ -410,9 +408,57 @@ func TestSubsetAllocFree(t *testing.T) {
 // eight ways by first item (whole rows per part, as HD's 8×1 grid places
 // them), one tree per part with its first-item filter, T15.I6 transactions.
 // Each part's tree has about 1 000 depth-2 leaves of ~30 candidates
-// (MaxLeaf 16), and 143–248 of them hold 16 or fewer; the pair index
-// answers every depth-2 arrival, whatever its leaf's size.
+// (MaxLeaf 16), and 143–248 of them hold 16 or fewer; every tree is
+// pair-indexed, so every arrival, at a leaf of either depth and any size, is
+// answered through the index.
 func BenchmarkSubsetPass2(b *testing.B) {
+	txns, parts, filters := pass2Shape()
+	var trees []*Tree
+	for _, part := range parts {
+		tree, err := NewFlat(part, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tree.pairCol == nil {
+			b.Fatal("a part's tree is not pair-indexed")
+		}
+		trees = append(trees, tree)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r, tree := range trees {
+			for _, t := range txns {
+				tree.Subset(t.Items, filters[r])
+			}
+		}
+	}
+	b.StopTimer()
+	var s Stats
+	for _, tree := range trees {
+		s.Add(tree.Stats())
+	}
+	b.ReportMetric(float64(s.LeafChecks)/float64(s.Transactions), "checks/txn")
+}
+
+// BenchmarkNewFlatPass2 builds the eight trees of BenchmarkSubsetPass2, one
+// per bin-packed part of the same C2.
+func BenchmarkNewFlatPass2(b *testing.B) {
+	_, parts, _ := pass2Shape()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, part := range parts {
+			if _, err := NewFlat(part, Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// pass2Shape returns the transactions and the eight bin-packed parts of C2,
+// each with its first-item filter, that the Pass2 benchmarks run on.
+func pass2Shape() ([]itemset.Transaction, []itemset.Flat, []*bitmap.Bitmap) {
 	p := datagen.Defaults()
 	p.NumTransactions = 2000
 	data := datagen.MustGenerate(p)
@@ -429,35 +475,15 @@ func BenchmarkSubsetPass2(b *testing.B) {
 	sort.SliceStable(byFreq, func(i, j int) bool { return freq[byFreq[i]] > freq[byFreq[j]] })
 	c2 := subsets(itemset.New(byFreq[:713]...), 2)
 
-	var trees []*Tree
-	var filters []func(itemset.Item) bool
 	asg := partition.BinPack(c2, 8, 0)
-	for i := range asg.Counts {
-		part := asg.Share(i)
-		firsts := make([]bool, p.NumItems)
-		for j := 0; j < part.Len(); j++ {
-			firsts[part.At(j)[0]] = true
-		}
-		tree, err := NewFlat(part, Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		trees = append(trees, tree)
-		filters = append(filters, func(it itemset.Item) bool { return firsts[it] })
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r, tree := range trees {
-			for _, t := range data.Transactions {
-				tree.Subset(t.Items, filters[r])
-			}
+	parts := make([]itemset.Flat, len(asg.Counts))
+	filters := make([]*bitmap.Bitmap, len(asg.Counts))
+	for i := range parts {
+		parts[i] = asg.Share(i)
+		filters[i] = bitmap.New(p.NumItems)
+		for j := 0; j < parts[i].Len(); j++ {
+			filters[i].Set(int(parts[i].At(j)[0]))
 		}
 	}
-	b.StopTimer()
-	var s Stats
-	for _, tree := range trees {
-		s.Add(tree.Stats())
-	}
-	b.ReportMetric(float64(s.LeafChecks)/float64(s.Transactions), "checks/txn")
+	return data.Transactions, parts, filters
 }

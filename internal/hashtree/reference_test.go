@@ -3,10 +3,12 @@ package hashtree
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
 
+	"parapriori/internal/bitmap"
 	"parapriori/internal/itemset"
 	"parapriori/internal/partition"
 )
@@ -68,7 +70,7 @@ func (t *refTree) insert(ci int32) {
 	}
 }
 
-func (t *refTree) subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool) int {
+func (t *refTree) subset(txn itemset.Itemset, rootFilter *bitmap.Bitmap) int {
 	t.stamp++
 	t.stats.Transactions++
 	t.matches = t.matches[:0]
@@ -82,7 +84,7 @@ func (t *refTree) subset(txn itemset.Itemset, rootFilter func(itemset.Item) bool
 	}
 	visited := 0
 	for i := 0; i <= len(txn)-t.k; i++ {
-		if rootFilter != nil && !rootFilter(txn[i]) {
+		if rootFilter != nil && !rootFilter.Test(int(txn[i])) {
 			continue
 		}
 		t.stats.Traversals++
@@ -170,7 +172,7 @@ func randomSets(rng *rand.Rand, n, k, nItems int) []itemset.Itemset {
 // The tree under test is built from the flat candidates; a second one, built
 // by New from the same candidates held as headers, is driven alongside and
 // must end with the same visits, counts, Stats and MemoryBytes.
-func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []itemset.Itemset, cfg Config, filter func(itemset.Item) bool) *Tree {
+func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []itemset.Itemset, cfg Config, filter *bitmap.Bitmap) *Tree {
 	t.Helper()
 	tree, err := NewFlat(mustFlat(k, cs), cfg)
 	if err != nil {
@@ -181,7 +183,7 @@ func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []items
 		t.Fatalf("%s: %d leaves, reference %d", name, tree.Leaves(), ref.leaves())
 	}
 	inContract := func(ci int32) bool {
-		return tree.pairCol == nil || filter == nil || filter(cs[ci][0])
+		return tree.pairCol == nil || filter == nil || filter.Test(int(cs[ci][0]))
 	}
 	var matches []int32
 	// Counts hands over the tree's own vector, so the previous transaction's
@@ -248,23 +250,35 @@ func mustFlat(k int, cs []itemset.Itemset) itemset.Flat {
 
 // firstItemFilter is IDD's root filter: it admits the first item of every
 // candidate and nothing else.
-func firstItemFilter(cs []itemset.Itemset) func(itemset.Item) bool {
-	firsts := map[itemset.Item]bool{}
-	for _, c := range cs {
-		firsts[c[0]] = true
-	}
-	return func(it itemset.Item) bool { return firsts[it] }
+func firstItemFilter(cs []itemset.Itemset) *bitmap.Bitmap {
+	return firstsWhere(cs, func(itemset.Item) bool { return true })
 }
 
 // rejectingFilter admits about three quarters of the candidates' first items
 // and nothing else, so some candidates in the tree can only be found through
 // another candidate's path.
-func rejectingFilter(rng *rand.Rand, cs []itemset.Itemset) func(itemset.Item) bool {
-	firsts := map[itemset.Item]bool{}
+func rejectingFilter(rng *rand.Rand, cs []itemset.Itemset) *bitmap.Bitmap {
+	admit := map[itemset.Item]bool{}
 	for _, c := range cs {
-		firsts[c[0]] = rng.Intn(4) > 0
+		admit[c[0]] = rng.Intn(4) > 0
 	}
-	return func(it itemset.Item) bool { return firsts[it] }
+	return firstsWhere(cs, func(it itemset.Item) bool { return admit[it] })
+}
+
+// firstsWhere returns the bitmap of the candidates' first items that keep
+// admits, sized to the largest of them.
+func firstsWhere(cs []itemset.Itemset, keep func(itemset.Item) bool) *bitmap.Bitmap {
+	n := 0
+	for _, c := range cs {
+		n = max(n, int(c[0])+1)
+	}
+	bm := bitmap.New(n)
+	for _, c := range cs {
+		if keep(c[0]) {
+			bm.Set(int(c[0]))
+		}
+	}
+	return bm
 }
 
 // TestDifferentialAgainstReference compares the flat tree with the textbook
@@ -284,7 +298,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			nCands = limit
 		}
 		cs := randomSets(rng, nCands, k, nItems)
-		var filter func(itemset.Item) bool
+		var filter *bitmap.Bitmap
 		if trial%3 == 0 {
 			filter = rejectingFilter(rng, cs)
 		}
@@ -358,7 +372,8 @@ func TestDifferentialSaturated(t *testing.T) {
 // {0, f, 2f, 3f} and y = f+1, alone in class 1, with MaxLeaf 2.  The six
 // class-0 pairs fill a saturated depth-2 leaf; {0, y} and {f, y} a depth-2
 // leaf of two, which the pair index answers like the saturated one; and y's
-// row {y, 2f}, {y, 3f} a depth-1 leaf of two, which is scanned.
+// row {y, 2f}, {y, 3f} a depth-1 leaf of two, which is looked up too (y with
+// each later transaction item), not scanned.
 func TestDifferentialPairIndexedSmallLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, fanout := range []int{2, 3, 4, 8} {
@@ -379,9 +394,67 @@ func TestDifferentialPairIndexedSmallLeaves(t *testing.T) {
 	}
 }
 
+// TestPairTreeMatchesSplit builds pair-indexed trees from the histogram and
+// the same candidates through split, at power-of-two fanouts (hashed by
+// mask), at fanout 3 (by modulo) and at the default 32.  The indexed tree
+// must keep no slot arrays (perm, items, marks), have the split-built tree's
+// nodes — so its Leaves, MemoryBytes and per-depth leaf sizes — and count
+// random transactions to the same counts and Stats.
+func TestPairTreeMatchesSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, fanout := range []int{2, 3, 4, 8, 32} {
+		nItems := max(24, 5*fanout)
+		universe := itemset.New(randomSets(rng, 1, max(16, 3*fanout), nItems)[0]...)
+		all := subsets(universe, 2)
+		shapes := map[string][]itemset.Itemset{
+			"complete":         all,
+			"bin-packed share": partition.BinPack(all, 3, 0).Share(2).Itemsets(),
+		}
+		for _, shape := range []string{"complete", "bin-packed share"} {
+			for _, maxLeaf := range []int{1, 2} {
+				cfg := Config{Fanout: fanout, MaxLeaf: maxLeaf}
+				name := fmt.Sprintf("%s cfg=%+v", shape, cfg)
+				flat := mustFlat(2, shapes[shape])
+				tree, err := NewFlat(flat, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				split, numItems, err := newRoot(flat, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				split.build(flat.Items, numItems)
+				if tree.pairCol == nil || split.pairCol != nil {
+					t.Fatalf("%s: direct pair index %v, split-built %v; want only the first", name, tree.pairCol != nil, split.pairCol != nil)
+				}
+				if tree.perm != nil || tree.items != nil || tree.marks != nil {
+					t.Errorf("%s: the indexed tree keeps %d slots, %d items and %d mark words", name, len(tree.perm), len(tree.items), len(tree.marks))
+				}
+				if !slices.Equal(tree.nodes, split.nodes) {
+					t.Errorf("%s: nodes %v, split-built %v", name, tree.nodes, split.nodes)
+				}
+				if tree.Leaves() != split.Leaves() || tree.MemoryBytes() != split.MemoryBytes() || tree.Len() != split.Len() {
+					t.Errorf("%s: %d leaves, %d bytes, %d candidates; split-built %d, %d, %d", name,
+						tree.Leaves(), tree.MemoryBytes(), tree.Len(), split.Leaves(), split.MemoryBytes(), split.Len())
+				}
+				if got, want := leafSizes(tree), leafSizes(split); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: leaf sizes by depth %v, split-built %v", name, got, want)
+				}
+				for _, txn := range randomSets(rng, 40, 2+rng.Intn(11), nItems+3) {
+					tree.Subset(txn, nil)
+					split.Subset(txn, nil)
+				}
+				if !slices.Equal(tree.Counts(), split.Counts()) || tree.Stats() != split.Stats() {
+					t.Errorf("%s: counts %v, %+v; split-built %v, %+v", name, tree.Counts(), tree.Stats(), split.Counts(), split.Stats())
+				}
+			}
+		}
+	}
+}
+
 type namedFilter struct {
 	name string
-	fn   func(itemset.Item) bool
+	fn   *bitmap.Bitmap
 }
 
 // filtersFor returns the root filters the differential tests run on cs:
