@@ -1,10 +1,12 @@
-// Command apriori mines frequent itemsets and association rules from a
-// basket-format transaction file with the serial Apriori algorithm.
+// Command apriori mines frequent itemsets from a basket-format transaction
+// file with the serial Apriori algorithm, and saves them for the rules
+// command.
 //
 // Usage:
 //
-//	apriori -minsup 0.01 -minconf 0.8 -rules t15i6.dat
 //	apriori -minsup 0.001 -summary t15i6.dat
+//	apriori -minsup 0.01 -save freq.txt t15i6.dat
+//	rules -load freq.txt -minconf 0.8 -top 20
 package main
 
 import (
@@ -19,68 +21,42 @@ import (
 func main() {
 	var (
 		minsup  = flag.Float64("minsup", 0.01, "minimum support (fraction of transactions)")
-		minconf = flag.Float64("minconf", 0.8, "minimum confidence for rules")
-		emit    = flag.Bool("rules", false, "generate and print association rules")
 		summary = flag.Bool("summary", false, "print only per-pass statistics")
-		topk    = flag.Int("top", 0, "print only the strongest K rules (0 = all)")
 		dhp     = flag.Int("dhp", 0, "DHP pair-hash buckets (0 = disabled)")
 		engine  = flag.String("engine", "", "counting engine: "+strings.Join(parapriori.CountEngines(), ", ")+" (default hashtree)")
-		save    = flag.String("save", "", "save the frequent itemsets to this file (reloadable with -load)")
-		load    = flag.String("load", "", "skip mining; load frequent itemsets saved with -save")
+		save    = flag.String("save", "", "save the frequent itemsets to this file (rules -load reads it)")
 	)
 	flag.Parse()
 
-	var res *parapriori.Result
-	if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
-			os.Exit(1)
-		}
-		res, err = parapriori.ReadResult(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("loaded %d frequent itemsets (N=%d, minsup count %d)\n", res.NumFrequent(), res.N, res.MinCount)
-	} else {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: apriori [flags] <transactions.dat>")
-			flag.PrintDefaults()
-			os.Exit(2)
-		}
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-
-		data, err := parapriori.ReadDataset(f)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
-			os.Exit(1)
-		}
-
-		res, err = parapriori.Mine(data, parapriori.MineOptions{MinSupport: *minsup, DHPBuckets: *dhp, Engine: *engine})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("transactions: %d, items: %d, minsup count: %d\n", data.Len(), data.NumItems, res.MinCount)
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: apriori [flags] <transactions.dat>")
+		flag.PrintDefaults()
+		os.Exit(2)
 	}
+	f, err := os.Open(flag.Arg(0))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
+		os.Exit(1)
+	}
+	defer f.Close()
+
+	data, err := parapriori.ReadDataset(f)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
+		os.Exit(1)
+	}
+
+	res, err := parapriori.Mine(data, parapriori.MineOptions{MinSupport: *minsup, DHPBuckets: *dhp, Engine: *engine})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("transactions: %d, items: %d, minsup count: %d\n", data.Len(), data.NumItems, res.MinCount)
 	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
+		if err := writeResult(*save, res); err != nil {
 			fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
 			os.Exit(1)
 		}
-		if err := parapriori.WriteResult(f, res); err != nil {
-			fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
 	}
 	fmt.Printf("%-5s %-12s %-10s\n", "pass", "candidates", "frequent")
 	for _, p := range res.Passes {
@@ -91,25 +67,23 @@ func main() {
 		return
 	}
 
-	if *emit {
-		rules, err := parapriori.GenerateRules(res, *minconf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "apriori: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("rules (minconf %.2f): %d\n", *minconf, len(rules))
-		for i, r := range rules {
-			if *topk > 0 && i >= *topk {
-				break
-			}
-			fmt.Println(" ", r)
-		}
-		return
-	}
-
 	for _, level := range res.Levels {
 		for _, fs := range level {
 			fmt.Printf("%v %d\n", fs.Items, fs.Count)
 		}
 	}
+}
+
+// writeResult saves the frequent itemsets to path.  A failed Close is a
+// failed save: the file is the only hand-off to the rules command.
+func writeResult(path string, res *parapriori.Result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := parapriori.WriteResult(f, res); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"parapriori"
@@ -71,30 +72,36 @@ func main() {
 		os.Exit(1)
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	var werr error
+	write := parapriori.WriteDataset
 	switch *format {
 	case "text":
-		werr = parapriori.WriteDataset(w, data)
 	case "binary":
-		werr = parapriori.WriteDatasetBinary(w, data)
+		write = parapriori.WriteDatasetBinary
 	default:
 		fmt.Fprintf(os.Stderr, "datagen: unknown format %q (want text or binary)\n", *format)
 		os.Exit(2)
 	}
-	if werr != nil {
-		fmt.Fprintf(os.Stderr, "datagen: %v\n", werr)
+	if err := writeData(*out, data, write); err != nil {
+		fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "datagen: wrote %d transactions, %d items, avg length %.2f\n",
 		data.Len(), data.NumItems, data.AvgLen())
+}
+
+// writeData writes data to path, or to stdout when path is empty.  A failed
+// Close is a failed write.
+func writeData(path string, data *parapriori.Dataset, write func(io.Writer, *parapriori.Dataset) error) error {
+	if path == "" {
+		return write(os.Stdout, data)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f, data); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

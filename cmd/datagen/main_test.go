@@ -102,12 +102,18 @@ func TestGoldenCLI(t *testing.T) {
 }
 
 // TestUsageErrors pins the misuse paths: an unknown format is exit 2, a
-// generator setting that cannot be honoured is exit 1.
+// generator setting that cannot be honoured or an -o that cannot be written
+// is exit 1.
 func TestUsageErrors(t *testing.T) {
 	if code, _, stderr := datagen(t, "-n", "10", "-format", "xml"); code != 2 || !strings.Contains(stderr, `unknown format "xml"`) {
 		t.Errorf("-format xml: exit %d, stderr %q", code, stderr)
 	}
 	if code, _, stderr := datagen(t, "-n", "-1"); code != 1 || !strings.HasPrefix(stderr, "datagen: ") {
 		t.Errorf("-n -1: exit %d, stderr %q", code, stderr)
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if code, _, stderr := datagen(t, "-n", "10", "-o", "/dev/full"); code != 1 || !strings.HasPrefix(stderr, "datagen: ") {
+			t.Errorf("-o /dev/full: exit %d, stderr %q", code, stderr)
+		}
 	}
 }

@@ -1,6 +1,5 @@
 // Command rules generates association rules from frequent itemsets saved by
-// `apriori -save` (or mines them on the fly from a transaction file), with
-// filtering and optional item names.
+// `apriori -save`, with filtering and optional item names.
 //
 // Usage:
 //
@@ -32,8 +31,6 @@ func machineNames() string {
 func main() {
 	var (
 		load    = flag.String("load", "", "frequent itemsets saved by apriori -save")
-		mine    = flag.String("mine", "", "transaction file to mine instead of -load")
-		minsup  = flag.Float64("minsup", 0.01, "minimum support when mining with -mine")
 		minconf = flag.Float64("minconf", 0.8, "minimum confidence")
 		topk    = flag.Int("top", 0, "print only the strongest K rules (0 = all)")
 		item    = flag.Int("item", -1, "only rules whose antecedent or consequent contains this item")
@@ -43,7 +40,15 @@ func main() {
 	)
 	flag.Parse()
 
-	res, err := loadResult(*load, *mine, *minsup)
+	if *procs < 0 {
+		fmt.Fprintf(os.Stderr, "rules: -p %d: want 0 (serial) or a processor count\n", *procs)
+		os.Exit(2)
+	}
+	if *load == "" {
+		fmt.Fprintln(os.Stderr, "rules: need -load <frequent itemsets saved by apriori -save>")
+		os.Exit(1)
+	}
+	res, err := loadResult(*load)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rules: %v\n", err)
 		os.Exit(1)
@@ -113,28 +118,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "rules: %d printed of %d total\n", printed, len(out))
 }
 
-func loadResult(load, mine string, minsup float64) (*parapriori.Result, error) {
-	switch {
-	case load != "" && mine != "":
-		return nil, fmt.Errorf("use either -load or -mine, not both")
-	case load != "":
-		f, err := os.Open(load)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return parapriori.ReadResult(f)
-	case mine != "":
-		f, err := os.Open(mine)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		data, err := parapriori.ReadDataset(f)
-		if err != nil {
-			return nil, err
-		}
-		return parapriori.Mine(data, parapriori.MineOptions{MinSupport: minsup})
+// loadResult reads the frequent itemsets apriori -save wrote to path.
+func loadResult(path string) (*parapriori.Result, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("need -load <saved result> or -mine <transactions>")
+	defer f.Close()
+	return parapriori.ReadResult(f)
 }

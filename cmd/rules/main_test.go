@@ -44,10 +44,10 @@ func rules(t *testing.T, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
-// seededFiles writes cmd/apriori's test dataset to dat and, to freq, what
-// `apriori -minsup 0.08 -save` writes of it: the digest pinned here is the
-// one in that command's golden.
-func seededFiles(t *testing.T, dat, freq string) {
+// seededResult writes to freq what `apriori -minsup 0.08 -save` writes of
+// cmd/apriori's test dataset: the digest pinned here is the one in that
+// command's golden.
+func seededResult(t *testing.T, freq string) {
 	t.Helper()
 	gen := parapriori.DefaultGen()
 	gen.NumTransactions = 300
@@ -64,34 +64,25 @@ func seededFiles(t *testing.T, dat, freq string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	create := func(path string, write func(*os.File) error) {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := write(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+	f, err := os.Create(freq)
+	if err != nil {
+		t.Fatal(err)
 	}
-	create(dat, func(f *os.File) error { return parapriori.WriteDataset(f, data) })
-	create(freq, func(f *os.File) error { return parapriori.WriteResult(f, res) })
+	if err := parapriori.WriteResult(f, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// overclaim is a malformed binary dataset: 15 bytes whose header claims 2^33
-// transactions over 10 items and which then hold one.
-const overclaim = "PAPD\x01\x0a\x80\x80\x80\x80\x20\x00\x02\x01\x02"
-
 // TestGoldenCLI pins the rule generator's flags and output: saved itemsets
-// with -top, the -item filter, mining on the fly, the emulated-cluster
-// generation with its virtual time, vocabulary labels, and a malformed
-// -mine input refused in one line.
+// with -top, the -item filter, the emulated-cluster generation with its
+// virtual time, and vocabulary labels.
 func TestGoldenCLI(t *testing.T) {
 	dir := t.TempDir()
-	dat, freq, vocab := filepath.Join(dir, "seeded.dat"), filepath.Join(dir, "freq.txt"), filepath.Join(dir, "names.txt")
-	seededFiles(t, dat, freq)
+	freq, vocab := filepath.Join(dir, "freq.txt"), filepath.Join(dir, "names.txt")
+	seededResult(t, freq)
 	var names strings.Builder
 	for i := 0; i < 40; i++ {
 		fmt.Fprintf(&names, "sku-%02d\n", i)
@@ -109,7 +100,6 @@ func TestGoldenCLI(t *testing.T) {
 	for _, args := range [][]string{
 		{"-load", freq, "-top", "5"},
 		{"-load", freq, "-minconf", "0.95", "-item", "13"},
-		{"-mine", dat, "-minsup", "0.12", "-minconf", "0.9", "-top", "3"},
 		{"-load", freq, "-p", "4", "-machine", "sp2", "-top", "2"},
 		{"-load", freq, "-vocab", vocab, "-top", "2"},
 	} {
@@ -120,12 +110,6 @@ func TestGoldenCLI(t *testing.T) {
 		shown := strings.ReplaceAll(strings.Join(args, " "), dir, "$TMP")
 		fmt.Fprintf(&got, "$ rules %s\n%s%s\n", shown, stdout, stderr)
 	}
-	bad := filepath.Join(dir, "overclaim.bin")
-	if err := os.WriteFile(bad, []byte(overclaim), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := rules(t, "-mine", bad)
-	fmt.Fprintf(&got, "$ rules -mine $TMP/overclaim.bin\nexit %d\n%s%s\n", code, stdout, stderr)
 
 	const golden = "testdata/cli.golden"
 	if *update {
@@ -146,19 +130,18 @@ func TestGoldenCLI(t *testing.T) {
 	}
 }
 
-// TestUsageErrors pins the misuse paths: no input or both inputs is exit 1,
-// an unknown machine exit 2.
+// TestUsageErrors pins the misuse paths: no input is exit 1, a negative
+// -p or an unknown machine exit 2.
 func TestUsageErrors(t *testing.T) {
-	dir := t.TempDir()
-	dat, freq := filepath.Join(dir, "seeded.dat"), filepath.Join(dir, "freq.txt")
-	seededFiles(t, dat, freq)
+	freq := filepath.Join(t.TempDir(), "freq.txt")
+	seededResult(t, freq)
 	for _, tc := range []struct {
 		args []string
 		code int
 		want string
 	}{
 		{nil, 1, "need -load"},
-		{[]string{"-load", freq, "-mine", dat}, 1, "not both"},
+		{[]string{"-load", freq, "-p", "-1"}, 2, "-p -1"},
 		{[]string{"-load", freq, "-p", "2", "-machine", "cm5"}, 2, `unknown machine "cm5"`},
 	} {
 		if code, _, stderr := rules(t, tc.args...); code != tc.code || !strings.Contains(stderr, tc.want) {

@@ -187,7 +187,7 @@ func TestTraceFingerprints(t *testing.T) {
 		t.Fatalf("write store: %v", err)
 	}
 	ooc := determinismOptions(CD, "")
-	ooc.Source, ooc.Backend, ooc.Machine = store, "ooc", MachineSP2()
+	ooc.Source, ooc.Backend, ooc.Machine = store, "ooc", presetMachine(t, "sp2")
 	cells = append(cells, cell{"cd/ooc/sp2", nil, ooc})
 
 	for _, c := range cells {

@@ -23,18 +23,10 @@ func New(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Cap returns the capacity n given to New.
-func (b *Bitmap) Cap() int { return b.n }
-
-// Set sets bit i.  Setting a bit outside [0, Cap()) panics, as it would in
-// an array: the caller sized the bitmap to the item vocabulary.
+// Set sets bit i.  Setting a bit outside [0, n) of New(n) panics, as it
+// would in an array: the caller sized the bitmap to the item vocabulary.
 func (b *Bitmap) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
-}
-
-// Clear clears bit i.
-func (b *Bitmap) Clear(i int) {
-	b.words[i>>6] &^= 1 << (uint(i) & 63)
 }
 
 // Test reports whether bit i is set.  Out-of-range values report false so
@@ -59,13 +51,6 @@ func (b *Bitmap) Count() int {
 func (b *Bitmap) Reset() {
 	for i := range b.words {
 		b.words[i] = 0
-	}
-}
-
-// Or merges other into b.  The two bitmaps must have the same capacity.
-func (b *Bitmap) Or(other *Bitmap) {
-	for i, w := range other.words {
-		b.words[i] |= w
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-func TestSetTestClear(t *testing.T) {
+func TestSetTest(t *testing.T) {
 	b := New(130)
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 129} {
 		if b.Test(i) {
@@ -18,13 +18,6 @@ func TestSetTestClear(t *testing.T) {
 	}
 	if got := b.Count(); got != 7 {
 		t.Errorf("Count = %d, want 7", got)
-	}
-	b.Clear(64)
-	if b.Test(64) {
-		t.Error("bit 64 still set after Clear")
-	}
-	if got := b.Count(); got != 6 {
-		t.Errorf("Count = %d, want 6", got)
 	}
 }
 
@@ -43,8 +36,8 @@ func TestZeroCapacity(t *testing.T) {
 		t.Error("zero-capacity bitmap misbehaves")
 	}
 	neg := New(-5)
-	if neg.Cap() != 0 {
-		t.Errorf("New(-5).Cap() = %d", neg.Cap())
+	if neg.Bytes() != 0 || neg.Test(0) {
+		t.Errorf("New(-5) holds %d bytes", neg.Bytes())
 	}
 }
 
@@ -57,28 +50,26 @@ func TestReset(t *testing.T) {
 	if b.Count() != 0 {
 		t.Errorf("Count after Reset = %d", b.Count())
 	}
-	if b.Cap() != 100 {
-		t.Errorf("Cap after Reset = %d", b.Cap())
+	if b.Bytes() != 16 || b.Test(100) {
+		t.Errorf("Reset changed the capacity: %d bytes", b.Bytes())
 	}
 }
 
-func TestOrAndClone(t *testing.T) {
-	a, b := New(70), New(70)
+func TestClone(t *testing.T) {
+	a := New(70)
 	a.Set(1)
 	a.Set(65)
-	b.Set(2)
-	b.Set(65)
 	c := a.Clone()
-	c.Or(b)
+	c.Set(2)
 	for _, i := range []int{1, 2, 65} {
 		if !c.Test(i) {
-			t.Errorf("bit %d missing after Or", i)
+			t.Errorf("bit %d missing from the clone", i)
 		}
 	}
 	if c.Count() != 3 {
 		t.Errorf("Count = %d, want 3", c.Count())
 	}
-	// a unchanged by Or on its clone.
+	// a unchanged by a Set on its clone.
 	if a.Count() != 2 {
 		t.Errorf("original mutated: Count = %d", a.Count())
 	}

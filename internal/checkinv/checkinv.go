@@ -149,20 +149,6 @@ type PkgResult struct {
 	Allows   []AllowSite
 }
 
-// Run applies the analyzers to the packages, honoring each analyzer's path
-// scope unless allPaths is set, filters findings through the
-// //checkinv:allow annotations, and returns the survivors sorted by file,
-// line and rule.  Packages are analyzed concurrently — every analyzer only
-// reads the package's AST and type info.
-func Run(pkgs []*Package, analyzers []*Analyzer, allPaths bool) []Finding {
-	var out []Finding
-	for _, res := range RunPackages(pkgs, analyzers, allPaths) {
-		out = append(out, res.Findings...)
-	}
-	SortFindings(out)
-	return out
-}
-
 // RunPackages analyzes every package concurrently and returns one result
 // per package, in input order.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer, allPaths bool) []PkgResult {

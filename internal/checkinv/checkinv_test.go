@@ -11,6 +11,18 @@ import (
 	"testing"
 )
 
+// run applies the analyzers to the packages, honoring each analyzer's path
+// scope unless allPaths is set, and returns the findings that survive the
+// //checkinv:allow annotations, sorted by file, line and rule.
+func run(pkgs []*Package, analyzers []*Analyzer, allPaths bool) []Finding {
+	var out []Finding
+	for _, res := range RunPackages(pkgs, analyzers, allPaths) {
+		out = append(out, res.Findings...)
+	}
+	SortFindings(out)
+	return out
+}
+
 func parseSrc(t *testing.T, fset *token.FileSet, name, src string) []*ast.File {
 	t.Helper()
 	f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
@@ -100,7 +112,7 @@ func checkFixture(t *testing.T, analyzer string) {
 		t.Fatalf("no analyzer %q", analyzer)
 	}
 	pkg := loadFixture(t, analyzer)
-	findings := Run([]*Package{pkg}, []*Analyzer{az}, true)
+	findings := run([]*Package{pkg}, []*Analyzer{az}, true)
 	if len(findings) == 0 {
 		t.Fatalf("%s: analyzer found nothing; fixtures must contain deliberate violations", analyzer)
 	}
@@ -145,7 +157,7 @@ func TestHotallocFixture(t *testing.T)    { checkFixture(t, "hotalloc") }
 func TestFixturesFailClosed(t *testing.T) {
 	for _, az := range Analyzers() {
 		pkg := loadFixture(t, az.Name)
-		if got := Run([]*Package{pkg}, Analyzers(), true); len(got) == 0 {
+		if got := run([]*Package{pkg}, Analyzers(), true); len(got) == 0 {
 			t.Errorf("fixture %s: expected findings, got none", az.Name)
 		}
 	}
@@ -157,7 +169,7 @@ func TestFixturesFailClosed(t *testing.T) {
 // silent.
 func TestScoping(t *testing.T) {
 	pkg := loadFixture(t, "walltime")
-	if got := Run([]*Package{pkg}, Analyzers(), false); len(got) != 0 {
+	if got := run([]*Package{pkg}, Analyzers(), false); len(got) != 0 {
 		t.Errorf("scoped run over out-of-scope package produced findings: %v", got)
 	}
 }
@@ -338,7 +350,7 @@ func TestLoaderIncludesTestFiles(t *testing.T) {
 		}
 	}
 
-	findings := Run(pkgs, []*Analyzer{WalltimeAnalyzer}, true)
+	findings := run(pkgs, []*Analyzer{WalltimeAnalyzer}, true)
 	byFile := map[string]int{}
 	for _, f := range findings {
 		byFile[filepath.Base(f.Pos.Filename)]++
@@ -384,7 +396,7 @@ func TestCleanTree(t *testing.T) {
 	if pkg.Rel != "internal/analysis" {
 		t.Fatalf("Rel = %q, want internal/analysis", pkg.Rel)
 	}
-	if got := Run([]*Package{pkg}, Analyzers(), false); len(got) != 0 {
+	if got := run([]*Package{pkg}, Analyzers(), false); len(got) != 0 {
 		var b strings.Builder
 		for _, f := range got {
 			fmt.Fprintf(&b, "\n  %s", f)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"parapriori/internal/obsv"
@@ -28,9 +27,8 @@ type Cluster struct {
 
 // termInfo records one processor's termination within the current Run.
 type termInfo struct {
-	done    bool
-	clock   float64
-	crashed bool
+	done  bool
+	clock float64
 }
 
 // New builds a cluster of p processors with the given cost model.
@@ -50,15 +48,6 @@ func New(p int, m Machine) (*Cluster, error) {
 		}
 	}
 	return c, nil
-}
-
-// MustNew is New for statically valid arguments.
-func MustNew(p int, m Machine) *Cluster {
-	c, err := New(p, m)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // P returns the number of processors.
@@ -143,7 +132,7 @@ func (c *Cluster) Run(fn func(p *Proc) error) error {
 // on one of its mailboxes.
 func (c *Cluster) markDone(p *Proc) {
 	c.termMu.Lock()
-	c.term[p.id] = termInfo{done: true, clock: p.clock, crashed: p.crashPending != nil}
+	c.term[p.id] = termInfo{done: true, clock: p.clock}
 	c.termMu.Unlock()
 	for to := range c.boxes {
 		if to == p.id {
@@ -159,21 +148,6 @@ func (c *Cluster) termClockOf(rank int) float64 {
 	c.termMu.Lock()
 	defer c.termMu.Unlock()
 	return c.term[rank].clock
-}
-
-// CrashedRanks returns the ranks whose last Run ended in a *CrashError, in
-// ascending order.
-func (c *Cluster) CrashedRanks() []int {
-	c.termMu.Lock()
-	defer c.termMu.Unlock()
-	var out []int
-	for i, t := range c.term {
-		if t.crashed {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // ResetComm clears all in-flight communication state between Runs of one

@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// mustNew is New for statically valid arguments.
+func mustNew(p int, m Machine) *Cluster {
+	c, err := New(p, m)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // fastMachine is a cost model with easy numbers for hand-checking.
 func fastMachine() Machine {
 	return Machine{
@@ -31,7 +40,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestPointToPoint(t *testing.T) {
-	c := MustNew(2, fastMachine())
+	c := mustNew(2, fastMachine())
 	err := c.Run(func(p *Proc) error {
 		if p.ID() == 0 {
 			p.Send(1, "x", 42, 1000)
@@ -58,7 +67,7 @@ func TestPointToPoint(t *testing.T) {
 }
 
 func TestComputeAndPhases(t *testing.T) {
-	c := MustNew(1, fastMachine())
+	c := mustNew(1, fastMachine())
 	_ = c.Run(func(p *Proc) error {
 		p.Compute(0.5, "subset")
 		p.Compute(0.25, "subset")
@@ -85,7 +94,7 @@ func TestComputeAndPhases(t *testing.T) {
 func TestReadIO(t *testing.T) {
 	m := fastMachine()
 	m.IOBandwidth = 1e6
-	c := MustNew(1, m)
+	c := mustNew(1, m)
 	_ = c.Run(func(p *Proc) error {
 		p.ReadIO(2e6, "io")
 		return nil
@@ -94,7 +103,7 @@ func TestReadIO(t *testing.T) {
 		t.Errorf("clock = %v, want 2", got)
 	}
 	// Free I/O when IOBandwidth is zero.
-	c2 := MustNew(1, fastMachine())
+	c2 := mustNew(1, fastMachine())
 	_ = c2.Run(func(p *Proc) error {
 		p.ReadIO(1e9, "io")
 		return nil
@@ -107,7 +116,7 @@ func TestReadIO(t *testing.T) {
 func TestReceivePortSerialization(t *testing.T) {
 	// Two senders deliver 1000-byte messages "simultaneously"; the
 	// receiver's port must serialize them: completion ~ 2 transfer times.
-	c := MustNew(3, fastMachine())
+	c := mustNew(3, fastMachine())
 	err := c.Run(func(p *Proc) error {
 		switch p.ID() {
 		case 0, 1:
@@ -129,7 +138,7 @@ func TestReceivePortSerialization(t *testing.T) {
 }
 
 func TestCongestionMultipliesOccupancy(t *testing.T) {
-	c := MustNew(2, fastMachine())
+	c := mustNew(2, fastMachine())
 	_ = c.Run(func(p *Proc) error {
 		if p.ID() == 0 {
 			p.SendContended(1, "x", nil, 1000, 4)
@@ -151,7 +160,7 @@ func TestOverlapHidesTransferUnderCompute(t *testing.T) {
 	run := func(overlap bool) float64 {
 		m := fastMachine()
 		m.Overlap = overlap
-		c := MustNew(2, m)
+		c := mustNew(2, m)
 		_ = c.Run(func(p *Proc) error {
 			if p.ID() == 0 {
 				p.Send(1, "x", nil, 1000) // 1ms transfer
@@ -174,7 +183,7 @@ func TestOverlapHidesTransferUnderCompute(t *testing.T) {
 }
 
 func TestBlockingSendChargesSender(t *testing.T) {
-	c := MustNew(2, fastMachine())
+	c := mustNew(2, fastMachine())
 	_ = c.Run(func(p *Proc) error {
 		if p.ID() == 0 {
 			p.SendBlocking(1, "x", nil, 1000, 2)
@@ -192,7 +201,7 @@ func TestBlockingSendChargesSender(t *testing.T) {
 }
 
 func TestSendValidation(t *testing.T) {
-	c := MustNew(2, fastMachine())
+	c := mustNew(2, fastMachine())
 	err := c.Run(func(p *Proc) error {
 		if p.ID() == 0 {
 			p.Send(0, "self", nil, 1) // must panic, recovered by Run
@@ -214,7 +223,7 @@ func TestSendValidation(t *testing.T) {
 }
 
 func TestTagMismatchPanics(t *testing.T) {
-	c := MustNew(2, fastMachine())
+	c := mustNew(2, fastMachine())
 	err := c.Run(func(p *Proc) error {
 		if p.ID() == 0 {
 			p.Send(1, "a", nil, 1)
@@ -229,7 +238,7 @@ func TestTagMismatchPanics(t *testing.T) {
 }
 
 func TestRunCollectsErrors(t *testing.T) {
-	c := MustNew(3, fastMachine())
+	c := mustNew(3, fastMachine())
 	err := c.Run(func(p *Proc) error {
 		if p.ID() == 1 {
 			return fmt.Errorf("boom")
@@ -255,7 +264,7 @@ func searchStr(s, sub string) bool {
 }
 
 func TestReset(t *testing.T) {
-	c := MustNew(2, fastMachine())
+	c := mustNew(2, fastMachine())
 	_ = c.Run(func(p *Proc) error {
 		p.Compute(1, "x")
 		if p.ID() == 0 {
@@ -278,7 +287,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestMaxClockAndStats(t *testing.T) {
-	c := MustNew(3, fastMachine())
+	c := mustNew(3, fastMachine())
 	_ = c.Run(func(p *Proc) error {
 		p.Compute(float64(p.ID()), "w")
 		return nil
@@ -310,7 +319,7 @@ func TestRingDistance(t *testing.T) {
 func TestRunParallelism(t *testing.T) {
 	// All P bodies must actually run (and concurrently reachable): count
 	// them with an atomic.
-	c := MustNew(16, fastMachine())
+	c := mustNew(16, fastMachine())
 	var n atomic.Int32
 	_ = c.Run(func(p *Proc) error {
 		n.Add(1)
@@ -322,7 +331,7 @@ func TestRunParallelism(t *testing.T) {
 }
 
 func TestSyncClock(t *testing.T) {
-	c := MustNew(1, fastMachine())
+	c := mustNew(1, fastMachine())
 	_ = c.Run(func(p *Proc) error {
 		p.Compute(1, "w")
 		p.SyncClock(3)

@@ -148,13 +148,6 @@ func (cm *Comm) bcastChildren(rank, size int) []int {
 	return children
 }
 
-// Barrier synchronizes the communicator: on return every member's clock is
-// at least the maximum clock any member entered with (plus the collective's
-// message costs).
-func (cm *Comm) Barrier(p *Proc, tag string) {
-	cm.AllReduceInt64(p, tag, []int64{0})
-}
-
 // Gathered is one element of an AllGather result.
 type Gathered struct {
 	Rank    int // communicator rank of the contributor
@@ -189,37 +182,4 @@ func (cm *Comm) AllGather(p *Proc, tag string, payload any, bytes int) []Gathere
 		out[got.Rank] = got
 	}
 	return out
-}
-
-// MaxFloat64 all-reduces a single float64 with max, used to synchronize and
-// report per-group response times.  Encoded through the int64 reduction to
-// keep one tree implementation.
-func (cm *Comm) MaxFloat64(p *Proc, tag string, v float64) float64 {
-	rank, size := cm.Rank(p), cm.Size()
-	if rank < 0 {
-		panic(fmt.Sprintf("cluster: proc %d not in communicator for MaxFloat64 %q", p.ID(), tag))
-	}
-	best := v
-	for mask := 1; mask < size; mask <<= 1 {
-		if rank&mask != 0 {
-			cm.sendRank(p, rank-mask, tag+"/max", best, 8)
-			break
-		}
-		partner := rank + mask
-		if partner < size {
-			msg := cm.recvRank(p, partner, tag+"/max")
-			if o := msg.Payload.(float64); o > best {
-				best = o
-			}
-		}
-	}
-	// Broadcast the max back down.
-	if rank != 0 {
-		lsb := rank & -rank
-		best = cm.recvRank(p, rank-lsb, tag+"/maxbc").Payload.(float64)
-	}
-	for _, child := range cm.bcastChildren(rank, size) {
-		cm.sendRank(p, child, tag+"/maxbc", best, 8)
-	}
-	return best
 }

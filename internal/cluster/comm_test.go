@@ -7,7 +7,7 @@ import (
 
 func TestAllReduceSums(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5, 7, 8, 16} {
-		c := MustNew(p, fastMachine())
+		c := mustNew(p, fastMachine())
 		world := c.World()
 		results := make([][]int64, p)
 		err := c.Run(func(pr *Proc) error {
@@ -31,7 +31,7 @@ func TestAllReduceSums(t *testing.T) {
 // communicator.  The singleton hands the input back as the sum, uncopied.
 func TestAllReduceDoesNotMutateInput(t *testing.T) {
 	for _, p := range []int{1, 2} {
-		c := MustNew(p, fastMachine())
+		c := mustNew(p, fastMachine())
 		world := c.World()
 		err := c.Run(func(pr *Proc) error {
 			vec := []int64{5}
@@ -55,7 +55,7 @@ func TestAllReduceDoesNotMutateInput(t *testing.T) {
 
 func TestAllGatherDeliversAll(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
-		c := MustNew(p, fastMachine())
+		c := mustNew(p, fastMachine())
 		world := c.World()
 		results := make([][]Gathered, p)
 		err := c.Run(func(pr *Proc) error {
@@ -83,12 +83,14 @@ func TestAllGatherDeliversAll(t *testing.T) {
 	}
 }
 
+// TestBarrierSynchronizesClocks: a one-word AllReduceInt64 is the barrier —
+// every member leaves at least at the latest member's entry clock.
 func TestBarrierSynchronizesClocks(t *testing.T) {
-	c := MustNew(4, fastMachine())
+	c := mustNew(4, fastMachine())
 	world := c.World()
 	err := c.Run(func(pr *Proc) error {
 		pr.Compute(float64(pr.ID()), "skew") // clocks 0..3
-		world.Barrier(pr, "b")
+		world.AllReduceInt64(pr, "b", []int64{0})
 		if pr.Clock() < 3 {
 			return fmt.Errorf("proc %d clock %v below barrier max", pr.ID(), pr.Clock())
 		}
@@ -99,30 +101,9 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
-func TestMaxFloat64(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 6} {
-		c := MustNew(p, fastMachine())
-		world := c.World()
-		results := make([]float64, p)
-		err := c.Run(func(pr *Proc) error {
-			results[pr.ID()] = world.MaxFloat64(pr, "m", float64(pr.ID()*pr.ID()))
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		want := float64((p - 1) * (p - 1))
-		for i, got := range results {
-			if got != want {
-				t.Errorf("P=%d proc %d: max = %v, want %v", p, i, got, want)
-			}
-		}
-	}
-}
-
 func TestSubCommunicators(t *testing.T) {
 	// A 2x2 grid: row comms {0,1} and {2,3}, column comms {0,2} and {1,3}.
-	c := MustNew(4, fastMachine())
+	c := mustNew(4, fastMachine())
 	results := make([][]int64, 4)
 	err := c.Run(func(pr *Proc) error {
 		row := pr.ID() / 2
@@ -146,7 +127,7 @@ func TestSubCommunicators(t *testing.T) {
 }
 
 func TestNewCommValidation(t *testing.T) {
-	c := MustNew(4, fastMachine())
+	c := mustNew(4, fastMachine())
 	if _, err := NewComm(c, nil); err == nil {
 		t.Error("empty communicator accepted")
 	}
@@ -159,7 +140,7 @@ func TestNewCommValidation(t *testing.T) {
 }
 
 func TestRankLookup(t *testing.T) {
-	c := MustNew(4, fastMachine())
+	c := mustNew(4, fastMachine())
 	comm, err := NewComm(c, []int{3, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +166,7 @@ func TestRankLookup(t *testing.T) {
 // The panic message is the debugging aid; a test would just hang.
 
 func TestNonMemberCollectivePanics(t *testing.T) {
-	c := MustNew(3, fastMachine())
+	c := mustNew(3, fastMachine())
 	err := c.Run(func(pr *Proc) error {
 		comm, err := NewComm(c, []int{0, 1})
 		if err != nil {
@@ -205,7 +186,7 @@ func TestNonMemberCollectivePanics(t *testing.T) {
 
 func TestCollectiveDeterminism(t *testing.T) {
 	run := func() []float64 {
-		c := MustNew(8, fastMachine())
+		c := mustNew(8, fastMachine())
 		world := c.World()
 		_ = c.Run(func(pr *Proc) error {
 			vec := make([]int64, 100)
@@ -214,7 +195,7 @@ func TestCollectiveDeterminism(t *testing.T) {
 			}
 			world.AllReduceInt64(pr, "a", vec)
 			world.AllGather(pr, "g", pr.ID(), 64)
-			world.Barrier(pr, "b")
+			world.AllReduceInt64(pr, "b", []int64{0})
 			return nil
 		})
 		return c.Clocks()

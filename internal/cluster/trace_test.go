@@ -8,7 +8,7 @@ import (
 
 // traced returns a cluster recording into a fresh virtual-clock collector.
 func traced(p int, m Machine) (*Cluster, *obsv.Collector) {
-	c := MustNew(p, m)
+	c := mustNew(p, m)
 	rec := obsv.NewCollector(obsv.ClockVirtual)
 	c.SetRecorder(rec)
 	return c, rec
@@ -121,7 +121,7 @@ func TestFaultSlices(t *testing.T) {
 }
 
 func TestTraceDisabledByDefault(t *testing.T) {
-	c := MustNew(1, fastMachine())
+	c := mustNew(1, fastMachine())
 	if c.Proc(0).rec != nil {
 		t.Fatal("new cluster has a recorder installed")
 	}

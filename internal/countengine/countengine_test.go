@@ -218,9 +218,13 @@ func TestHashtreeAdapterStatsRoundTrip(t *testing.T) {
 	data := testData(t)
 	levels := candLevels(t, data)
 	for k, cands := range levels {
-		tree, err := hashtree.New(k, cands, hashtree.Config{})
+		flat, err := itemset.FlatOf(k, cands)
 		if err != nil {
-			t.Fatalf("hashtree.New: %v", err)
+			t.Fatal(err)
+		}
+		tree, err := hashtree.NewFlat(flat, hashtree.Config{})
+		if err != nil {
+			t.Fatalf("hashtree.NewFlat: %v", err)
 		}
 		for _, txn := range data.Transactions {
 			tree.Subset(txn.Items, nil)

@@ -241,15 +241,6 @@ func Generate(p Params) (*itemset.Dataset, error) {
 	return d, nil
 }
 
-// MustGenerate is Generate for statically valid parameters.
-func MustGenerate(p Params) *itemset.Dataset {
-	d, err := Generate(p)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // poisson samples a Poisson variate with the given mean using Knuth's
 // product-of-uniforms method, which is exact and fast for the small means
 // the generator uses (|T| = 15, |I| = 6).

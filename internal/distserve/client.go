@@ -76,9 +76,6 @@ type LocalClient struct {
 	delay atomic.Int64 // nanoseconds added before every call
 }
 
-// NewLocalClient wraps a node in the Client interface.
-func NewLocalClient(n *Node) *LocalClient { return &LocalClient{node: n} }
-
 // SetDown makes every subsequent call fail with ErrNodeDown (true) or
 // restores the node (false).  The node's state is untouched — a revived
 // node still serves its last committed generation, exactly like a process
@@ -181,7 +178,7 @@ func NewCluster(n int, opt Options) (*Cluster, error) {
 	clients := make([]Client, n)
 	for i := 0; i < n; i++ {
 		node := NewNode(fmt.Sprintf("node%02d", i), opt.Node)
-		lc := NewLocalClient(node)
+		lc := &LocalClient{node: node}
 		c.Nodes = append(c.Nodes, node)
 		c.Clients = append(c.Clients, lc)
 		clients[i] = lc

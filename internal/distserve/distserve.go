@@ -13,10 +13,11 @@
 //
 // The moving parts:
 //
-//   - Placement: shard → node by rendezvous hashing.  Node join/leave moves
-//     only the shards whose argmax changed (≈ S/N per node change), and the
-//     assignment is a pure function of (seed, shard, node IDs) — two runs
-//     with the same membership place identically.
+//   - Placement: shard → node by rendezvous hashing, fixed for a router's
+//     lifetime.  The assignment is a pure function of (seed, shard, node
+//     IDs) — two routers with the same membership place identically, and a
+//     router built over one node more or fewer moves only the shards whose
+//     argmax changed (≈ S/N per node).
 //
 //   - Node: one serving process (or goroutine).  It keeps its owned shards'
 //     antecedent groups, serves basket queries from a serve.Server over
@@ -143,29 +144,15 @@ func (o Options) shardOfKey(key string) int {
 	return o.shardOf(ant[0])
 }
 
-// Place assigns every shard an owner from nodeIDs by rendezvous hashing:
-// shard s goes to the node with the highest weight(seed, s, id).  The
-// assignment is a pure deterministic function of its inputs — node order
-// does not matter, and adding or removing a node moves only the shards
-// whose winner changed.  Ties (astronomically unlikely with 64-bit
-// weights) break toward the lexicographically smallest ID.  Panics if
-// nodeIDs is empty; returns one owner per shard.
-func Place(seed uint64, shards int, nodeIDs []string) []string {
-	reps := PlaceReplicas(seed, shards, 1, nodeIDs)
-	owners := make([]string, shards)
-	for s := range owners {
-		owners[s] = reps[s][0]
-	}
-	return owners
-}
-
-// PlaceReplicas assigns every shard its top-R owners: the r nodes with the
-// highest rendezvous weights for that shard, in descending weight order
-// (element 0 is the primary — the node Place would return).  Like Place it
-// is a pure deterministic function of (seed, shards, r, node IDs), so every
-// router computes the same replica sets without coordination, and a
-// membership change moves only the shards whose top-R prefix changed.  r is
-// clamped to the node count; panics if nodeIDs is empty.
+// PlaceReplicas assigns every shard its top-R owners by rendezvous hashing:
+// the r nodes with the highest weight(seed, s, id) for shard s, in
+// descending weight order (element 0 is the primary).  It is a pure
+// deterministic function of (seed, shards, r, node IDs) — node order does
+// not matter — so every router computes the same replica sets without
+// coordination, and one node more or fewer moves only the shards whose
+// top-R prefix changed.  Ties (astronomically unlikely with 64-bit
+// weights) break toward the lexicographically smallest ID.  r is clamped
+// to the node count; panics if nodeIDs is empty.
 func PlaceReplicas(seed uint64, shards, r int, nodeIDs []string) [][]string {
 	if len(nodeIDs) == 0 {
 		panic("distserve: PlaceReplicas with no nodes")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"parapriori/internal/itemset"
@@ -333,52 +334,42 @@ func TestPublishAbortsOnPrepareFailure(t *testing.T) {
 	}
 }
 
-// TestMembershipChange adds then removes a node mid-flight and checks
-// placement moves minimally and answers stay bit-identical throughout.
-func TestMembershipChange(t *testing.T) {
-	rs := synthRules(300, 50, 5)
-	opt := Options{Shards: 32}
-	c := mustCluster(t, 2, opt)
-	if _, err := c.Router.Publish(rs, true); err != nil {
-		t.Fatalf("publish: %v", err)
-	}
-	srv := singleNode(t, rs, opt)
-	before := c.Router.Placement()
-
-	extra := NewNode("node99", opt.WithDefaults().Node)
-	t.Cleanup(extra.Close)
-	if err := c.Router.AddNode(NewLocalClient(extra)); err != nil {
-		t.Fatalf("AddNode: %v", err)
-	}
-	after := c.Router.Placement()
-	moved := 0
-	for s := range after {
-		if after[s] != before[s] {
-			if after[s] != "node99" {
-				t.Fatalf("shard %d moved between surviving nodes (%s → %s)", s, before[s], after[s])
+// TestPlaceMinimalMovement checks the rendezvous property a router built
+// over a changed membership inherits: one more node changes only the
+// replica sets the newcomer enters (the survivors keep their order), and
+// dropping it again restores the original placement exactly.
+func TestPlaceMinimalMovement(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			ids := []string{"node00", "node01", "node02", "node03"}[:2+int(seed)%3]
+			before := PlaceReplicas(seed, 64, r, ids)
+			after := PlaceReplicas(seed, 64, r, append(ids[:len(ids):len(ids)], "node99"))
+			entered := 0
+			for s := range after {
+				var rest []string
+				for _, id := range after[s] {
+					if id != "node99" {
+						rest = append(rest, id)
+					}
+				}
+				if len(rest) == len(after[s]) {
+					if !reflect.DeepEqual(after[s], before[s]) {
+						t.Fatalf("R=%d seed %d: shard %d changed without the newcomer: %v → %v", r, seed, s, before[s], after[s])
+					}
+					continue
+				}
+				entered++
+				if !slices.Equal(rest, before[s][:len(rest)]) {
+					t.Fatalf("R=%d seed %d: shard %d reordered its survivors: %v → %v", r, seed, s, before[s], after[s])
+				}
 			}
-			moved++
+			if entered == 0 {
+				t.Fatalf("R=%d seed %d: the newcomer entered no replica set of 64", r, seed)
+			}
+			if again := PlaceReplicas(seed, 64, r, ids); !reflect.DeepEqual(again, before) {
+				t.Fatalf("R=%d seed %d: placement without the newcomer differs from the original", r, seed)
+			}
 		}
-	}
-	if moved == 0 {
-		t.Fatal("new node won no shards")
-	}
-	if extra.NumRules() == 0 {
-		t.Fatal("new node received no rules from the rebalancing delta")
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 30; i++ {
-		assertMatch(t, c, srv, randBasket(rng, 50), 10, "after join")
-	}
-
-	if err := c.Router.RemoveNode("node99"); err != nil {
-		t.Fatalf("RemoveNode: %v", err)
-	}
-	if !reflect.DeepEqual(c.Router.Placement(), before) {
-		t.Fatal("placement after leave differs from placement before join")
-	}
-	for i := 0; i < 30; i++ {
-		assertMatch(t, c, srv, randBasket(rng, 50), 10, "after leave")
 	}
 }
 
@@ -387,18 +378,18 @@ func TestMembershipChange(t *testing.T) {
 // different seeds give different assignments.
 func TestPlaceDeterministic(t *testing.T) {
 	ids := []string{"c", "a", "b"}
-	p1 := Place(42, 64, ids)
-	p2 := Place(42, 64, []string{"b", "c", "a"})
+	p1 := PlaceReplicas(42, 64, 1, ids)
+	p2 := PlaceReplicas(42, 64, 1, []string{"b", "c", "a"})
 	if !reflect.DeepEqual(p1, p2) {
 		t.Fatal("placement depends on node-ID order")
 	}
-	p3 := Place(43, 64, ids)
+	p3 := PlaceReplicas(43, 64, 1, ids)
 	if reflect.DeepEqual(p1, p3) {
 		t.Fatal("different seeds gave identical 64-shard placement")
 	}
 	counts := map[string]int{}
-	for _, id := range p1 {
-		counts[id]++
+	for _, reps := range p1 {
+		counts[reps[0]]++
 	}
 	for _, id := range ids {
 		if counts[id] == 0 {

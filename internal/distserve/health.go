@@ -2,7 +2,6 @@ package distserve
 
 import (
 	"context"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -74,8 +73,6 @@ func (h *nodeHealth) State() HealthState { return HealthState(h.state.Load()) }
 
 // Health reports the failure detector's state for every member node.
 func (r *Router) Health() map[string]HealthState {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make(map[string]HealthState, len(r.health))
 	for id, h := range r.health {
 		out[id] = h.State()
@@ -87,7 +84,7 @@ func (r *Router) Health() map[string]HealthState {
 // HRW order, sample two candidates with the router's seeded sequence and
 // take the one with fewer outstanding calls (ties break toward the earlier
 // HRW rank, keeping the choice deterministic when the fleet is idle).
-func (r *Router) pick2(cands []string, health map[string]*nodeHealth) string {
+func (r *Router) pick2(cands []string) string {
 	if len(cands) == 1 {
 		return cands[0]
 	}
@@ -101,10 +98,7 @@ func (r *Router) pick2(cands []string, health map[string]*nodeHealth) string {
 	if i > j {
 		i, j = j, i
 	}
-	a, b := health[cands[i]], health[cands[j]]
-	if a == nil || b == nil { // node not in the health map: shouldn't happen, fall back to HRW order
-		return cands[i]
-	}
+	a, b := r.health[cands[i]], r.health[cands[j]]
 	if b.outstanding.Load() < a.outstanding.Load() {
 		return cands[j]
 	}
@@ -135,10 +129,9 @@ type probeTarget struct {
 // honours each node's backoff schedule: a node still waiting out its gap has
 // one tick taken off the wait and sits this round out.
 func (r *Router) probeTargets(backoff bool) []probeTarget {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := make([]string, 0, len(r.health))
-	for id, h := range r.health {
+	var targets []probeTarget
+	for _, id := range r.ids { // node-ID order, independent of map layout
+		h := r.health[id]
 		if h.State() == HealthUp {
 			continue
 		}
@@ -146,12 +139,7 @@ func (r *Router) probeTargets(backoff bool) []probeTarget {
 			h.probeWait.Add(-1)
 			continue
 		}
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // probe in node-ID order, independent of map layout
-	targets := make([]probeTarget, len(ids))
-	for i, id := range ids {
-		targets[i] = probeTarget{r.clients[id], r.health[id]}
+		targets = append(targets, probeTarget{r.clients[id], h})
 	}
 	return targets
 }
@@ -177,8 +165,8 @@ func (r *Router) probe(c Client, h *nodeHealth) bool {
 // a stream — the exponential backoff lives here on the probe path, never on
 // the query path.  Idempotent; StopProber (or Cluster.Close) stops it.
 func (r *Router) StartProber() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.probeMu.Lock()
+	defer r.probeMu.Unlock()
 	if r.probeStop != nil {
 		return
 	}
@@ -219,10 +207,10 @@ func (r *Router) probeTick() {
 // StopProber stops the background probe loop and waits for it to exit.
 // Safe to call when the prober was never started.
 func (r *Router) StopProber() {
-	r.mu.Lock()
+	r.probeMu.Lock()
 	stop, done := r.probeStop, r.probeDone
 	r.probeStop, r.probeDone = nil, nil
-	r.mu.Unlock()
+	r.probeMu.Unlock()
 	if stop == nil {
 		return
 	}

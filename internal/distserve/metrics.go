@@ -65,19 +65,11 @@ type FleetMetrics struct {
 // report.
 func (r *Router) Metrics() FleetMetrics {
 	r.mu.RLock()
-	ids := append([]string(nil), r.ids...)
-	clients := make(map[string]Client, len(r.clients))
-	health := make(map[string]*nodeHealth, len(r.health))
-	for id, c := range r.clients {
-		clients[id] = c
-		health[id] = r.health[id]
-	}
-	replicas := r.replicas
 	gen := r.gen
 	r.mu.RUnlock()
 
-	shardsByNode := make(map[string][]int, len(ids))
-	for s, reps := range replicas {
+	shardsByNode := make(map[string][]int, len(r.ids))
+	for s, reps := range r.replicas {
 		for _, id := range reps {
 			shardsByNode[id] = append(shardsByNode[id], s)
 		}
@@ -85,9 +77,9 @@ func (r *Router) Metrics() FleetMetrics {
 
 	fm := FleetMetrics{
 		Generation: gen,
-		NumNodes:   len(ids),
+		NumNodes:   len(r.ids),
 		Replicas:   r.opt.Replicas,
-		Shards:     len(replicas),
+		Shards:     len(r.replicas),
 	}
 	fm.UptimeSeconds = time.Since(r.met.start).Seconds()
 	fm.Queries = r.met.queries.Load()
@@ -109,11 +101,11 @@ func (r *Router) Metrics() FleetMetrics {
 
 	ctx, cancel := context.WithTimeout(context.Background(), r.opt.RequestTimeout)
 	defer cancel()
-	for _, id := range ids {
+	for _, id := range r.ids {
 		shards := shardsByNode[id]
 		sort.Ints(shards)
-		nm := NodeMetrics{ID: id, Shards: shards, Health: health[id].State().String()}
-		if m, err := clients[id].Metrics(ctx); err == nil {
+		nm := NodeMetrics{ID: id, Shards: shards, Health: r.health[id].State().String()}
+		if m, err := r.clients[id].Metrics(ctx); err == nil {
 			nm.Up = true
 			nm.Serve = m
 			fm.NodesUp++

@@ -27,24 +27,26 @@ import (
 type Router struct {
 	opt Options
 
-	// pubMu serializes publishes and membership changes — the control
-	// plane.  The query path never takes it.
-	pubMu sync.Mutex
-
-	// mu guards the routing state: membership, placement, the published
-	// group set and per-node bookkeeping.  Queries hold it only for the
-	// short read of placement + clients + health.
-	mu        sync.RWMutex
+	// Membership and placement are fixed by NewRouter and never written
+	// after it returns, so every path reads them without a lock.
 	clients   map[string]Client
 	ids       []string               // sorted node IDs
 	placement []string               // shard → primary node ID (replicas[s][0])
 	replicas  [][]string             // shard → top-R node IDs in HRW order
 	health    map[string]*nodeHealth // failure-detector state per member
-	groups    []serve.RuleGroup
-	canon     map[string][]byte
-	held      map[string]map[int]bool // nil entry: node state untrusted, resend fully
-	gen       uint64
 
+	// pubMu serializes publishes — the control plane.  The query path
+	// never takes it.
+	pubMu sync.Mutex
+
+	// mu guards the publish state: the published groups' canonical bytes
+	// and per-node bookkeeping.  Queries hold it only to read gen.
+	mu    sync.RWMutex
+	canon map[string][]byte
+	held  map[string]map[int]bool // nil entry: node state untrusted, resend fully
+	gen   uint64
+
+	probeMu   sync.Mutex    // guards probeStop and probeDone
 	probeStop chan struct{} // non-nil while the background prober runs
 	probeDone chan struct{}
 
@@ -70,10 +72,11 @@ type routerMetrics struct {
 	latency   serve.Hist
 }
 
-// NewRouter builds a router over the given node clients.  Placement is
-// computed immediately; queries fail with serve.ErrNoSnapshot until the
-// first Publish.  With Options.Replicas > 1 call StartProber to run the
-// background failure detector (tests drive ProbeOnce instead).
+// NewRouter builds a router over the given node clients.  The membership
+// and its placement are fixed here for the router's lifetime; queries fail
+// with serve.ErrNoSnapshot until the first Publish.  With Options.Replicas
+// > 1 call StartProber to run the background failure detector (tests drive
+// ProbeOnce instead).
 func NewRouter(clients []Client, opt Options) (*Router, error) {
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("distserve: router needs at least one node")
@@ -99,18 +102,12 @@ func NewRouter(clients []Client, opt Options) (*Router, error) {
 		r.ids = append(r.ids, id)
 	}
 	sort.Strings(r.ids)
-	r.place()
-	return r, nil
-}
-
-// place recomputes the replica sets and the primary view from the current
-// membership.  Caller holds mu (or is the constructor).
-func (r *Router) place() {
 	r.replicas = PlaceReplicas(r.opt.Seed, r.opt.Shards, r.opt.Replicas, r.ids)
 	r.placement = make([]string, len(r.replicas))
 	for s, reps := range r.replicas {
 		r.placement[s] = reps[0]
 	}
+	return r, nil
 }
 
 // Options returns the router's defaulted options.
@@ -131,16 +128,12 @@ func (r *Router) Generation() uint64 {
 // Placement returns a copy of the shard → primary-node assignment (each
 // shard's top rendezvous candidate; the full replica sets are Replicas).
 func (r *Router) Placement() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return append([]string(nil), r.placement...)
 }
 
 // Replicas returns a copy of the shard → replica-set assignment, each
 // shard's top-R nodes in descending rendezvous-weight order.
 func (r *Router) Replicas() [][]string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([][]string, len(r.replicas))
 	for s, reps := range r.replicas {
 		out[s] = append([]string(nil), reps...)
@@ -150,8 +143,6 @@ func (r *Router) Replicas() [][]string {
 
 // NodeIDs returns the member node IDs, sorted.
 func (r *Router) NodeIDs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return append([]string(nil), r.ids...)
 }
 
@@ -192,13 +183,8 @@ func (r *Router) Publish(rs []rules.Rule, full bool) (PublishStats, error) {
 // publish runs the two-phase protocol for a prepared group list.  The
 // caller holds pubMu.
 func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error) {
+	ids := r.ids
 	r.mu.RLock()
-	ids := append([]string(nil), r.ids...)
-	clients := make(map[string]Client, len(r.clients))
-	for id, c := range r.clients {
-		clients[id] = c
-	}
-	replicas := r.replicas
 	prevCanon := r.canon
 	prevKeys := make([]string, 0, len(prevCanon))
 	for k := range prevCanon {
@@ -228,7 +214,7 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 	// a shard's replica set owns it, so publishes fan the shard's groups to
 	// all R owners.
 	owned := make(map[string][]int, len(ids))
-	for s, reps := range replicas {
+	for s, reps := range r.replicas {
 		for _, id := range reps {
 			owned[id] = append(owned[id], s)
 		}
@@ -290,7 +276,7 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 	prepErrs := make([]error, len(ids))
 	var wg sync.WaitGroup
 	for i, id := range ids {
-		i, c := i, clients[id]
+		i, c := i, r.clients[id]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -316,7 +302,7 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 	commitStart := r.rc.Now()
 	commitErrs := make([]error, len(ids))
 	for i, id := range ids {
-		i, c := i, clients[id]
+		i, c := i, r.clients[id]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -330,7 +316,6 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 
 	r.mu.Lock()
 	r.gen = newGen
-	r.groups = next
 	r.canon = canonOf
 	var failed []string
 	for i, id := range ids {
@@ -351,73 +336,6 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 		return stats, fmt.Errorf("distserve: publish gen %d committed partially: commit failed on %v", newGen, failed)
 	}
 	return stats, nil
-}
-
-// AddNode brings a new node into the fleet: placement is recomputed
-// (rendezvous hashing moves only the shards the newcomer wins) and, if a
-// rule set is live, the current generation is republished as a delta — the
-// newcomer receives its shards in full, survivors receive nothing but a
-// shrunken owned list.
-func (r *Router) AddNode(c Client) error {
-	r.pubMu.Lock()
-	defer r.pubMu.Unlock()
-	id := c.ID()
-	r.mu.Lock()
-	if _, dup := r.clients[id]; dup {
-		r.mu.Unlock()
-		return fmt.Errorf("distserve: node %q already a member", id)
-	}
-	r.clients[id] = c
-	r.health[id] = &nodeHealth{}
-	r.ids = append(r.ids, id)
-	sort.Strings(r.ids)
-	r.held[id] = nil
-	r.place()
-	live := r.gen > 0
-	groups := r.groups
-	r.mu.Unlock()
-	if !live {
-		return nil
-	}
-	_, err := r.publish(groups, false)
-	return err
-}
-
-// RemoveNode drops a member (typically one that died): placement is
-// recomputed and, if a rule set is live, the orphaned shards' groups are
-// republished to their new owners as a delta.  The last node cannot be
-// removed.
-func (r *Router) RemoveNode(id string) error {
-	r.pubMu.Lock()
-	defer r.pubMu.Unlock()
-	r.mu.Lock()
-	if _, ok := r.clients[id]; !ok {
-		r.mu.Unlock()
-		return fmt.Errorf("distserve: node %q is not a member", id)
-	}
-	if len(r.ids) == 1 {
-		r.mu.Unlock()
-		return fmt.Errorf("distserve: cannot remove the last node %q", id)
-	}
-	delete(r.clients, id)
-	delete(r.health, id)
-	delete(r.held, id)
-	ids := r.ids[:0]
-	for _, v := range r.ids {
-		if v != id {
-			ids = append(ids, v)
-		}
-	}
-	r.ids = ids
-	r.place()
-	live := r.gen > 0
-	groups := r.groups
-	r.mu.Unlock()
-	if !live {
-		return nil
-	}
-	_, err := r.publish(groups, false)
-	return err
 }
 
 // Result is one distributed basket query's answer.
@@ -507,18 +425,12 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	k = min(k, serve.MaxK)
 
 	r.mu.RLock()
-	if r.gen == 0 {
-		r.mu.RUnlock()
+	gen := r.gen
+	r.mu.RUnlock()
+	if gen == 0 {
 		return nil, serve.ErrNoSnapshot
 	}
-	replicas := r.replicas
-	clients := make(map[string]Client, len(r.clients))
-	health := make(map[string]*nodeHealth, len(r.health))
-	for id, c := range r.clients {
-		clients[id] = c
-		health[id] = r.health[id]
-	}
-	r.mu.RUnlock()
+	replicas, clients, health := r.replicas, r.clients, r.health
 
 	// The shards this basket can touch: one per distinct item.  Every
 	// antecedent ⊆ basket has its first item in the basket, and a group's
@@ -532,9 +444,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	shards = dedupInts(shards)
 
 	if len(shards) == 0 { // empty basket: nothing can match
-		r.mu.RLock()
-		res.Generation = r.gen
-		r.mu.RUnlock()
+		res.Generation = gen
 		return res, nil
 	}
 
@@ -568,7 +478,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 		}
 		id, ok := pickByGroup[key]
 		if !ok {
-			id = r.pick2(live, health)
+			id = r.pick2(live)
 			pickByGroup[key] = id
 		}
 		pickByShard[s] = id

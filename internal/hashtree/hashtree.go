@@ -173,16 +173,6 @@ type Tree struct {
 // sum with any present entry (each below 2^30 in magnitude) stays negative.
 const noPair = math.MinInt32 / 2
 
-// New is NewFlat over candidate itemsets held as headers, all of which must
-// have exactly k items.
-func New(k int, cands []itemset.Itemset, cfg Config) (*Tree, error) {
-	flat, err := itemset.FlatOf(k, cands)
-	if err != nil {
-		return nil, fmt.Errorf("hashtree: %w", err)
-	}
-	return NewFlat(flat, cfg)
-}
-
 // NewFlat builds a hash tree over the candidates of cands, each a sorted set
 // of cands.K non-negative items.  The tree copies what it needs of the items;
 // cands is only read.
@@ -388,15 +378,6 @@ func (t *Tree) pairIndex(items []itemset.Item, numItems int) bool {
 	return true
 }
 
-// MustNew is New for statically correct inputs (tests, examples).
-func MustNew(k int, cands []itemset.Itemset, cfg Config) *Tree {
-	t, err := New(k, cands, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Len returns the number of candidates in the tree (M in the analysis).
 func (t *Tree) Len() int { return len(t.counts) }
 
@@ -405,9 +386,6 @@ func (t *Tree) Leaves() int { return t.leaves }
 
 // Stats returns the accumulated operation counters.
 func (t *Tree) Stats() Stats { return t.stats }
-
-// ResetStats zeroes the operation counters.
-func (t *Tree) ResetStats() { t.stats = Stats{} }
 
 // hash is the child offset of a non-negative item.
 func (t *Tree) hash(it itemset.Item) int32 {

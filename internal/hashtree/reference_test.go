@@ -178,7 +178,7 @@ func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []items
 	if err != nil {
 		t.Fatalf("%s: NewFlat: %v", name, err)
 	}
-	headers, ref := MustNew(k, cs, cfg), newRefTree(k, cs, cfg)
+	headers, ref := mustNew(k, cs, cfg), newRefTree(k, cs, cfg)
 	if tree.Leaves() != ref.leaves() {
 		t.Fatalf("%s: %d leaves, reference %d", name, tree.Leaves(), ref.leaves())
 	}

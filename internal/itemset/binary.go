@@ -216,11 +216,6 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 	return nil
 }
 
-// ReadBinary decodes a dataset written by WriteBinary.
-func ReadBinary(r io.Reader) (*Dataset, error) {
-	return collect(bufio.NewReader(r), streamBinary)
-}
-
 // ReadAuto detects the dataset format (binary vs basket text) from the
 // first bytes and decodes accordingly.
 func ReadAuto(r io.Reader) (*Dataset, error) {

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"math/rand"
@@ -12,13 +13,19 @@ import (
 	"testing/quick"
 )
 
+// readBinary and readText are the resident decoders without ReadAuto's
+// sniff, so a test can hand either one any bytes.
+func readBinary(r io.Reader) (*Dataset, error) { return collect(bufio.NewReader(r), streamBinary) }
+
+func readText(r io.Reader) (*Dataset, error) { return collect(bufio.NewReader(r), streamText) }
+
 func TestBinaryRoundTrip(t *testing.T) {
 	d := sample()
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +60,7 @@ func TestBinaryRoundTripRandom(t *testing.T) {
 		if err := WriteBinary(&buf, d); err != nil {
 			return false
 		}
-		got, err := ReadBinary(&buf)
+		got, err := readBinary(&buf)
 		if err != nil {
 			return false
 		}
@@ -106,7 +113,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		[]byte("PAPD\x01\xff"), // truncated varint
 	}
 	for i, in := range cases {
-		if _, err := ReadBinary(bytes.NewReader(in)); err == nil {
+		if _, err := readBinary(bytes.NewReader(in)); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 	}
@@ -120,7 +127,7 @@ func TestBinaryRejectsTruncatedBody(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{len(full) - 1, len(full) / 2, 6} {
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := readBinary(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -135,7 +142,7 @@ func TestBinaryRejectsOutOfVocabulary(t *testing.T) {
 	buf.WriteByte(0) // id delta
 	buf.WriteByte(1) // item count
 	buf.WriteByte(5) // item 5 >= 2
-	if _, err := ReadBinary(&buf); err == nil {
+	if _, err := readBinary(&buf); err == nil {
 		t.Error("out-of-vocabulary item accepted")
 	}
 }
@@ -231,8 +238,8 @@ func TestCraftedItemsRejectedByEveryDoor(t *testing.T) {
 	for _, c := range craftedTxns() {
 		name, txn := c.name, c.txn
 		file := binaryFile(10, 1, txn)
-		if d, err := ReadBinary(bytes.NewReader(file)); err == nil {
-			t.Errorf("%s: ReadBinary accepted %v", name, d.Transactions)
+		if d, err := readBinary(bytes.NewReader(file)); err == nil {
+			t.Errorf("%s: readBinary accepted %v", name, d.Transactions)
 		}
 		if d, err := ReadAuto(bytes.NewReader(file)); err == nil {
 			t.Errorf("%s: ReadAuto accepted %v", name, d.Transactions)
@@ -246,8 +253,8 @@ func TestCraftedItemsRejectedByEveryDoor(t *testing.T) {
 	}
 	// A vocabulary an Item cannot index is refused at the header.
 	wide := binaryFile(1<<31, 0)
-	if _, err := ReadBinary(bytes.NewReader(wide)); err == nil {
-		t.Error("ReadBinary accepted numItems 2^31")
+	if _, err := readBinary(bytes.NewReader(wide)); err == nil {
+		t.Error("readBinary accepted numItems 2^31")
 	}
 	if _, err := OpenFile(writeTemp(t, wide)); err == nil {
 		t.Error("OpenFile accepted numItems 2^31")
@@ -263,7 +270,7 @@ func TestHeaderCannotSizeAllocation(t *testing.T) {
 	if len(file) != 15 {
 		t.Fatalf("fixture is %d bytes, want 15", len(file))
 	}
-	for name, read := range map[string]func(io.Reader) (*Dataset, error){"ReadBinary": ReadBinary, "ReadAuto": ReadAuto} {
+	for name, read := range map[string]func(io.Reader) (*Dataset, error){"readBinary": readBinary, "ReadAuto": ReadAuto} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := read(bytes.NewReader(file))

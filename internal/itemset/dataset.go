@@ -98,14 +98,6 @@ func (d *Dataset) Pages(pageBytes int) [][]Transaction {
 	return pages
 }
 
-// Read parses a transaction database in the conventional "basket file"
-// format: one transaction per line, items as whitespace-separated
-// non-negative integers.  Lines beginning with '#' and blank lines are
-// skipped.  Transaction IDs are assigned sequentially from 0.
-func Read(r io.Reader) (*Dataset, error) {
-	return collect(bufio.NewReader(r), streamText)
-}
-
 func parseItems(text string) ([]Item, error) {
 	var items []Item
 	i := 0

@@ -109,7 +109,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	if err := Write(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readText(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 
 func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# header\n1 2 3\n\n4 5\n# trailing\n"
-	d, err := Read(strings.NewReader(in))
+	d, err := readText(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestReadSortsAndAssignsIDs(t *testing.T) {
-	d, err := Read(strings.NewReader("3 1 2\n9 8\n"))
+	d, err := readText(strings.NewReader("3 1 2\n9 8\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +152,8 @@ func TestReadSortsAndAssignsIDs(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	for _, in := range []string{"1 x 3\n", "-4\n", "1 2 3.5\n"} {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("Read(%q) succeeded, want error", in)
+		if _, err := readText(strings.NewReader(in)); err == nil {
+			t.Errorf("readText(%q) succeeded, want error", in)
 		}
 	}
 }

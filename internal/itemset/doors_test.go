@@ -74,11 +74,11 @@ func checkAccepted(t *testing.T, d *itemset.Dataset) {
 	if err := itemset.WriteBinary(&buf, d); err != nil {
 		t.Fatalf("WriteBinary refused an accepted dataset: %v", err)
 	}
-	back, err := itemset.ReadBinary(&buf)
+	back, err := itemset.ReadAuto(&buf)
 	if err != nil {
-		t.Fatalf("ReadBinary refused what WriteBinary wrote: %v", err)
+		t.Fatalf("ReadAuto refused what WriteBinary wrote: %v", err)
 	}
-	sameDataset(t, "WriteBinary → ReadBinary", d, back)
+	sameDataset(t, "WriteBinary → ReadAuto", d, back)
 	if d.NumItems == 0 {
 		return // only empty transactions: a store needs a vocabulary
 	}
@@ -154,35 +154,37 @@ func binaryDoorSeeds() [][]byte {
 	}
 }
 
-// FuzzBinaryDoorsAgree: the same bytes through ReadBinary, through OpenFile +
-// Blocks, and — the header read by hand — through the store's
-// DecodeTransaction are accepted or rejected together and yield equal
-// transactions; whatever is accepted passes checkAccepted.
+// FuzzBinaryDoorsAgree: the same binary-tagged bytes through ReadAuto,
+// through OpenFile + Blocks, and — the header read by hand — through the
+// store's DecodeTransaction are accepted or rejected together and yield
+// equal transactions; whatever is accepted passes checkAccepted.  Bytes
+// without the tag are FuzzTextDoorsAgree's: every door reads them as text.
 func FuzzBinaryDoorsAgree(f *testing.F) {
 	for _, seed := range binaryDoorSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		resident, rerr := itemset.ReadBinary(bytes.NewReader(raw))
-		if bytes.HasPrefix(raw, []byte("PAPD")) { // anything else OpenFile reads as text
-			streamed, serr := throughFile(t, raw)
-			if (rerr == nil) != (serr == nil) {
-				t.Fatalf("ReadBinary: %v, OpenFile: %v", rerr, serr)
-			}
-			if rerr == nil {
-				sameDataset(t, "OpenFile + Blocks", resident, streamed)
-			}
+		if !bytes.HasPrefix(raw, []byte("PAPD")) {
+			return
+		}
+		resident, rerr := itemset.ReadAuto(bytes.NewReader(raw))
+		streamed, serr := throughFile(t, raw)
+		if (rerr == nil) != (serr == nil) {
+			t.Fatalf("ReadAuto: %v, OpenFile: %v", rerr, serr)
+		}
+		if rerr == nil {
+			sameDataset(t, "OpenFile + Blocks", resident, streamed)
 		}
 		numItems, numTxns, body, ok := binaryHeader(raw)
 		if !ok {
 			if rerr == nil {
-				t.Fatal("ReadBinary accepted a header it should refuse")
+				t.Fatal("ReadAuto accepted a header it should refuse")
 			}
 			return
 		}
 		decoded, derr := blockDecode(numItems, numTxns, body)
 		if (rerr == nil) != (derr == nil) {
-			t.Fatalf("ReadBinary: %v, DecodeTransaction: %v", rerr, derr)
+			t.Fatalf("ReadAuto: %v, DecodeTransaction: %v", rerr, derr)
 		}
 		if rerr != nil {
 			return
@@ -192,7 +194,7 @@ func FuzzBinaryDoorsAgree(f *testing.F) {
 	})
 }
 
-// FuzzTextDoorsAgree is the same target for basket text: Read and OpenFile +
+// FuzzTextDoorsAgree is the same target for basket text: ReadAuto and OpenFile +
 // Blocks agree on the bytes, and what they accept passes checkAccepted.
 func FuzzTextDoorsAgree(f *testing.F) {
 	for _, seed := range []string{"1 2 3\n4 5\n", "# comment\n\n7\n", "3 1 2 1\n \n9\r\n", "2147483647\n", "4294967296 1\n", "-1\n", "x y z\n", ""} {
@@ -202,10 +204,10 @@ func FuzzTextDoorsAgree(f *testing.F) {
 		if bytes.HasPrefix(raw, []byte("PAPD")) {
 			return // OpenFile reads this as binary
 		}
-		resident, rerr := itemset.Read(bytes.NewReader(raw))
+		resident, rerr := itemset.ReadAuto(bytes.NewReader(raw))
 		streamed, serr := throughFile(t, raw)
 		if (rerr == nil) != (serr == nil) {
-			t.Fatalf("Read: %v, OpenFile: %v", rerr, serr)
+			t.Fatalf("ReadAuto: %v, OpenFile: %v", rerr, serr)
 		}
 		if rerr != nil {
 			return

@@ -16,7 +16,7 @@ func FuzzReadDataset(f *testing.F) {
 	f.Add([]byte("x y z\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		d, err := Read(bytes.NewReader(in))
+		d, err := readText(bytes.NewReader(in))
 		if err != nil {
 			return
 		}
@@ -30,7 +30,7 @@ func FuzzReadDataset(f *testing.F) {
 		if err := Write(&buf, d); err != nil {
 			t.Fatalf("rewriting accepted dataset: %v", err)
 		}
-		back, err := Read(&buf)
+		back, err := readText(&buf)
 		if err != nil {
 			t.Fatalf("re-reading rewritten dataset: %v", err)
 		}
@@ -54,7 +54,7 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Add(hugeCountFile())
 	f.Fuzz(func(t *testing.T, in []byte) {
-		d, err := ReadBinary(bytes.NewReader(in))
+		d, err := readBinary(bytes.NewReader(in))
 		if err != nil {
 			return
 		}

@@ -118,29 +118,6 @@ func (s Itemset) Compare(t Itemset) int {
 	return 0
 }
 
-// Union returns the sorted union of s and t.
-func (s Itemset) Union(t Itemset) Itemset {
-	out := make(Itemset, 0, len(s)+len(t))
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] > t[j]:
-			out = append(out, t[j])
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, s[i:]...)
-	out = append(out, t[j:]...)
-	return out
-}
-
 // Minus returns s \ t (items of s not in t).
 func (s Itemset) Minus(t Itemset) Itemset {
 	out := make(Itemset, 0, len(s))
@@ -154,15 +131,6 @@ func (s Itemset) Minus(t Itemset) Itemset {
 		}
 		out = append(out, it)
 	}
-	return out
-}
-
-// Without returns a copy of s with the item at index i removed.  It is the
-// building block of the Apriori subset-prune step.
-func (s Itemset) Without(i int) Itemset {
-	out := make(Itemset, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	out = append(out, s[i+1:]...)
 	return out
 }
 

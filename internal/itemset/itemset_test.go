@@ -117,25 +117,13 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestUnionMinusWithout(t *testing.T) {
+func TestMinus(t *testing.T) {
 	a, b := New(1, 3, 5), New(2, 3, 6)
-	if got := a.Union(b); !got.Equal(New(1, 2, 3, 5, 6)) {
-		t.Errorf("union = %v", got)
-	}
 	if got := a.Minus(b); !got.Equal(New(1, 5)) {
 		t.Errorf("minus = %v", got)
 	}
 	if got := b.Minus(a); !got.Equal(New(2, 6)) {
 		t.Errorf("minus = %v", got)
-	}
-	if got := a.Without(1); !got.Equal(New(1, 5)) {
-		t.Errorf("without = %v", got)
-	}
-	if got := a.Without(0); !got.Equal(New(3, 5)) {
-		t.Errorf("without = %v", got)
-	}
-	if got := a.Without(2); !got.Equal(New(1, 3)) {
-		t.Errorf("without = %v", got)
 	}
 }
 
@@ -168,21 +156,6 @@ func TestKeyUnique(t *testing.T) {
 			t.Fatalf("key collision: %v and %v share %q", prev, s, k)
 		}
 		seen[k] = s
-	}
-}
-
-// Property: Union is commutative, contains both operands, and is valid.
-func TestUnionProperties(t *testing.T) {
-	f := func(ra, rb []uint8) bool {
-		a := fromBytes(ra)
-		b := fromBytes(rb)
-		u := a.Union(b)
-		u2 := b.Union(a)
-		return u.Equal(u2) && u.Valid() && u.ContainsAll(a) && u.ContainsAll(b) &&
-			len(u) <= len(a)+len(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

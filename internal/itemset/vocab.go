@@ -51,9 +51,9 @@ func (v *Vocabulary) ID(name string) (Item, bool) {
 	return it, ok
 }
 
-// Intern returns the item for name, assigning the next free ID if the name
+// intern returns the item for name, assigning the next free ID if the name
 // is new — the building block for loading named transaction files.
-func (v *Vocabulary) Intern(name string) Item {
+func (v *Vocabulary) intern(name string) Item {
 	if it, ok := v.ids[name]; ok {
 		return it
 	}
@@ -130,7 +130,7 @@ func ReadNamed(r io.Reader, delim string) (*Dataset, *Vocabulary, error) {
 			if name == "" {
 				continue
 			}
-			items = append(items, v.Intern(name))
+			items = append(items, v.intern(name))
 		}
 		if len(items) == 0 {
 			continue

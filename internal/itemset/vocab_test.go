@@ -45,12 +45,12 @@ func TestIntern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := v.Intern("apple")
-	b := v.Intern("banana")
+	a := v.intern("apple")
+	b := v.intern("banana")
 	if a == b {
 		t.Error("distinct names share an ID")
 	}
-	if again := v.Intern("apple"); again != a {
+	if again := v.intern("apple"); again != a {
 		t.Errorf("re-interning changed ID: %d vs %d", again, a)
 	}
 	if v.Len() != 2 {

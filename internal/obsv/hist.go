@@ -38,18 +38,10 @@ type Histogram struct {
 	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
-// Mean returns the average observation, or 0 for an empty histogram.
-func (h Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-// NewHistogram buckets the values.  base <= 0 selects HistBase.  The result
+// newHistogram buckets the values.  base <= 0 selects HistBase.  The result
 // is a pure function of the multiset of values, so byte-deterministic
 // producers get byte-deterministic histograms.
-func NewHistogram(values []float64, base float64) Histogram {
+func newHistogram(values []float64, base float64) Histogram {
 	if base <= 0 {
 		base = HistBase
 	}
@@ -145,14 +137,18 @@ func Quantile(sorted []float64, q float64) float64 {
 
 // PassHistogram buckets PassDurations(t, -1) with the default base.
 func PassHistogram(t *Trace) Histogram {
-	return NewHistogram(PassDurations(t, -1), 0)
+	return newHistogram(PassDurations(t, -1), 0)
 }
 
 // WriteHistogram renders the histogram as an aligned text table with
 // fixed-precision numbers, deterministic for a deterministic histogram.
 func WriteHistogram(w io.Writer, h Histogram) error {
+	mean := 0.0
+	if h.Count > 0 {
+		mean = h.Sum / float64(h.Count)
+	}
 	if _, err := fmt.Fprintf(w, "n=%d min=%.6f max=%.6f mean=%.6f (seconds)\n",
-		h.Count, h.Min, h.Max, h.Mean()); err != nil {
+		h.Count, h.Min, h.Max, mean); err != nil {
 		return err
 	}
 	for _, b := range h.Buckets {

@@ -30,11 +30,12 @@ type Group struct {
 // Size returns the number of candidates in the group.
 func (g Group) Size() int { return g.End - g.Start }
 
-// Groups partitions the sorted candidates into first-item groups, splitting
-// any group larger than splitThreshold by second item.  A splitThreshold <=
-// 0 disables splitting, and so do candidates of one item.  Candidates must
-// be sorted lexicographically (apriori.GenFlat output order).
-func Groups(cands itemset.Flat, splitThreshold int) []Group {
+// firstItemGroups partitions the sorted candidates into first-item groups,
+// splitting any group larger than splitThreshold by second item.  A
+// splitThreshold <= 0 disables splitting, and so do candidates of one item.
+// Candidates must be sorted lexicographically (apriori.GenFlat output
+// order).
+func firstItemGroups(cands itemset.Flat, splitThreshold int) []Group {
 	var out []Group
 	k, items, m := cands.K, cands.Items, cands.Len()
 	for start := 0; start < m; {
@@ -149,7 +150,7 @@ func BinPackFlat(cands itemset.Flat, p, splitThreshold int) *Assignment {
 	if splitThreshold <= 0 && p > 0 {
 		splitThreshold = (cands.Len() + p - 1) / p
 	}
-	groups := Groups(cands, splitThreshold)
+	groups := firstItemGroups(cands, splitThreshold)
 	order := make([]int, len(groups))
 	for i := range order {
 		order[i] = i

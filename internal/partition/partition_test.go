@@ -39,7 +39,7 @@ func flat(cands []itemset.Itemset) itemset.Flat {
 
 func TestGroupsBasic(t *testing.T) {
 	cands := sortedCands([]int{3, 0, 2, 5})
-	groups := Groups(flat(cands), 0)
+	groups := firstItemGroups(flat(cands), 0)
 	if len(groups) != 3 {
 		t.Fatalf("got %d groups, want 3", len(groups))
 	}
@@ -60,7 +60,7 @@ func TestGroupsSplitBySecondItem(t *testing.T) {
 		itemset.New(0, 2, 10), itemset.New(0, 2, 11),
 		itemset.New(0, 3, 10), itemset.New(0, 3, 11),
 	}
-	groups := Groups(flat(cands), 2)
+	groups := firstItemGroups(flat(cands), 2)
 	if len(groups) != 3 {
 		t.Fatalf("got %d groups, want 3: %+v", len(groups), groups)
 	}
@@ -80,7 +80,7 @@ func TestGroupsCoverAllCandidates(t *testing.T) {
 			total += sizes[i]
 		}
 		cands := sortedCands(sizes)
-		groups := Groups(flat(cands), int(threshold%20))
+		groups := firstItemGroups(flat(cands), int(threshold%20))
 		covered := 0
 		prevEnd := 0
 		for _, g := range groups {
@@ -253,7 +253,7 @@ func TestShareIsThePacking(t *testing.T) {
 		if split == 0 {
 			split = (len(cands) + p - 1) / p
 		}
-		ref := refPerProc(cands, Groups(c, split), p)
+		ref := refPerProc(cands, firstItemGroups(c, split), p)
 		var all []itemset.Itemset
 		for i := range asg.Counts {
 			share := asg.Share(i)

@@ -136,7 +136,7 @@ func TestRuleMeasuresConsistent(t *testing.T) {
 				t.Fatalf("rule %v has overlapping sides", r)
 			}
 		}
-		union := r.Antecedent.Union(r.Consequent)
+		union := itemset.New(append(r.Antecedent.Clone(), r.Consequent...)...)
 		cu, ok := idx[union.Key()]
 		if !ok {
 			t.Fatalf("rule %v union not frequent", r)

@@ -91,8 +91,8 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// ParseItems parses a comma-separated non-negative item list ("1,2,3").
-func ParseItems(raw string) ([]itemset.Item, error) {
+// parseItems parses a comma-separated non-negative item list ("1,2,3").
+func parseItems(raw string) ([]itemset.Item, error) {
 	if strings.TrimSpace(raw) == "" {
 		return nil, fmt.Errorf("empty items")
 	}
@@ -119,10 +119,10 @@ func parseItem(raw string) (itemset.Item, error) {
 }
 
 // ParseRecommendQuery decodes a /recommend query: the basket from items
-// (ParseItems) and K from k, zero — the server's default — when absent.
+// (parseItems) and K from k, zero — the server's default — when absent.
 // The error's text is the 400 body every serving tier answers with.
 func ParseRecommendQuery(q url.Values) ([]itemset.Item, int, error) {
-	basket, err := ParseItems(q.Get("items"))
+	basket, err := parseItems(q.Get("items"))
 	if err != nil {
 		return nil, 0, fmt.Errorf("items: %v", err)
 	}

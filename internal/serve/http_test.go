@@ -408,17 +408,17 @@ func TestHandlerMethodDiscipline(t *testing.T) {
 
 // TestParseItems covers the query-string item parser directly.
 func TestParseItems(t *testing.T) {
-	got, err := ParseItems(" 3 , 1,2 ")
+	got, err := parseItems(" 3 , 1,2 ")
 	if err != nil || !reflect.DeepEqual(got, []itemset.Item{3, 1, 2}) {
-		t.Fatalf("ParseItems = %v, %v", got, err)
+		t.Fatalf("parseItems = %v, %v", got, err)
 	}
-	if got, err := ParseItems("2147483647"); err != nil || got[0] != math.MaxInt32 {
-		t.Fatalf("ParseItems(MaxInt32) = %v, %v", got, err)
+	if got, err := parseItems("2147483647"); err != nil || got[0] != math.MaxInt32 {
+		t.Fatalf("parseItems(MaxInt32) = %v, %v", got, err)
 	}
 	// 4294967297 is 1<<32 + 1: narrowed unchecked it would be served as item 1.
 	for _, bad := range []string{"", "  ", "1,,2", "a", "1,-2", "2147483648", "4294967297", "1,4294967297"} {
-		if _, err := ParseItems(bad); err == nil {
-			t.Fatalf("ParseItems(%q) accepted", bad)
+		if _, err := parseItems(bad); err == nil {
+			t.Fatalf("parseItems(%q) accepted", bad)
 		}
 	}
 }

@@ -40,9 +40,9 @@ type Manifest struct {
 	Partitions   []PartitionInfo `json:"partitions"`
 }
 
-// ParseManifest decodes and validates a manifest.  Every error is a
+// parseManifest decodes and validates a manifest.  Every error is a
 // *ManifestError; validation failures name the offending field.
-func ParseManifest(data []byte) (*Manifest, error) {
+func parseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -183,7 +183,7 @@ func readManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, &ManifestError{Path: path, Reason: err.Error()}
 	}
-	m, err := ParseManifest(data)
+	m, err := parseManifest(data)
 	if err != nil {
 		if me, ok := err.(*ManifestError); ok {
 			me.Path = path

@@ -157,20 +157,20 @@ func TestEmptyPartitions(t *testing.T) {
 
 func TestAppendOrderEnforced(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(dir, 10, Options{Partitions: 1})
+	w, err := newWriter(dir, 10, Options{Partitions: 1})
 	if err != nil {
 		t.Fatalf("new writer: %v", err)
 	}
-	if err := w.Append(itemset.Transaction{ID: 5, Items: itemset.New(1, 2)}); err != nil {
+	if err := w.add(itemset.Transaction{ID: 5, Items: itemset.New(1, 2)}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := w.Append(itemset.Transaction{ID: 4, Items: itemset.New(1)}); err == nil {
+	if err := w.add(itemset.Transaction{ID: 4, Items: itemset.New(1)}); err == nil {
 		t.Fatal("expected decreasing-ID append to fail")
 	}
-	if err := w.Append(itemset.Transaction{ID: 6, Items: itemset.Itemset{2, 1}}); err == nil {
+	if err := w.add(itemset.Transaction{ID: 6, Items: itemset.Itemset{2, 1}}); err == nil {
 		t.Fatal("expected unsorted-items append to fail")
 	}
-	if err := w.Append(itemset.Transaction{ID: 6, Items: itemset.New(2, 15)}); err == nil {
+	if err := w.add(itemset.Transaction{ID: 6, Items: itemset.New(2, 15)}); err == nil {
 		t.Fatal("expected out-of-vocabulary append to fail")
 	}
 }
@@ -181,7 +181,7 @@ func TestAppendOrderEnforced(t *testing.T) {
 // closes into a store whose scan is exactly the accepted transactions.
 func TestRefusedAppendLeavesNoBytes(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewWriter(dir, 10, Options{Partitions: 2, BlockBytes: 16})
+	w, err := newWriter(dir, 10, Options{Partitions: 2, BlockBytes: 16})
 	if err != nil {
 		t.Fatalf("new writer: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestRefusedAppendLeavesNoBytes(t *testing.T) {
 		{txn: itemset.Transaction{ID: 3}},
 		{txn: itemset.Transaction{ID: 4, Items: itemset.New(3, 4, 5)}},
 	} {
-		err := w.Append(step.txn)
+		err := w.add(step.txn)
 		if step.refuse == 0 {
 			if err != nil {
 				t.Fatalf("append %d %v: %v", step.txn.ID, step.txn.Items, err)
@@ -655,7 +655,7 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1,"num_items":3,"transactions":0,"block_bytes":1,"modeled_bytes":0,"partitions":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ParseManifest(data)
+		m, err := parseManifest(data)
 		if err != nil {
 			var me *ManifestError
 			if !errors.As(err, &me) {
@@ -668,7 +668,7 @@ func FuzzManifest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("remarshal: %v", err)
 		}
-		if _, err := ParseManifest(out); err != nil {
+		if _, err := parseManifest(out); err != nil {
 			t.Fatalf("reparse of accepted manifest failed: %v", err)
 		}
 	})

@@ -13,7 +13,7 @@ import (
 	"parapriori/internal/itemset"
 )
 
-// Options configures a Writer.
+// Options configures a spill into a store.
 type Options struct {
 	// Partitions fixes the partition count: transactions are dealt
 	// round-robin across exactly this many files, which balances them
@@ -51,10 +51,10 @@ type partWriter struct {
 	info      PartitionInfo
 }
 
-// Writer spills a stream of transactions into a partitioned store
-// directory.  Append transactions in non-decreasing ID order, then Close to
+// writer spills a stream of transactions into a partitioned store
+// directory.  Add transactions in non-decreasing ID order, then Close to
 // flush the partition files and write the manifest.
-type Writer struct {
+type writer struct {
 	dir    string
 	opt    Options
 	num    int // numItems
@@ -64,9 +64,9 @@ type Writer struct {
 	closed bool
 }
 
-// NewWriter creates (or truncates into) a store under dir.  numItems is the
+// newWriter creates (or truncates into) a store under dir.  numItems is the
 // item vocabulary size; every appended item must lie in [0, numItems).
-func NewWriter(dir string, numItems int, o Options) (*Writer, error) {
+func newWriter(dir string, numItems int, o Options) (*writer, error) {
 	if numItems <= 0 || numItems > math.MaxInt32 {
 		return nil, fmt.Errorf("txstore: numItems %d outside [1, 2^31-1]", numItems)
 	}
@@ -74,7 +74,7 @@ func NewWriter(dir string, numItems int, o Options) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("txstore: creating store dir: %w", err)
 	}
-	w := &Writer{dir: dir, opt: o, num: numItems, lastID: -1}
+	w := &writer{dir: dir, opt: o, num: numItems, lastID: -1}
 	if o.Partitions > 0 {
 		for i := 0; i < o.Partitions; i++ {
 			if _, err := w.newPart(); err != nil {
@@ -86,7 +86,7 @@ func NewWriter(dir string, numItems int, o Options) (*Writer, error) {
 }
 
 // newPart opens the next partition file and writes its header.
-func (w *Writer) newPart() (*partWriter, error) {
+func (w *writer) newPart() (*partWriter, error) {
 	idx := len(w.parts)
 	name := partFileName(idx)
 	f, err := os.Create(filepath.Join(w.dir, name))
@@ -147,14 +147,14 @@ func (p *partWriter) flushBlock() error {
 	return nil
 }
 
-// Append spills one transaction.  IDs must be non-decreasing across the
+// add spills one transaction.  IDs must be non-decreasing across the
 // stream and items strictly increasing within the transaction, exactly as
 // itemset.WriteBinary requires; an item outside the writer's vocabulary is
 // an *itemset.ItemRangeError.  A refused transaction is not in the store,
 // in whole or in part: the caller may carry on with the next one.
-func (w *Writer) Append(t itemset.Transaction) error {
+func (w *writer) add(t itemset.Transaction) error {
 	if w.closed {
-		return fmt.Errorf("txstore: Append after Close")
+		return fmt.Errorf("txstore: add after Close")
 	}
 	if t.ID < 0 || (w.n > 0 && t.ID < w.lastID) {
 		return fmt.Errorf("txstore: transaction IDs must be non-decreasing (%d after %d)", t.ID, w.lastID)
@@ -219,7 +219,7 @@ func (w *Writer) Append(t itemset.Transaction) error {
 
 // finishPart flushes a partition's pending block, syncs its file to disk
 // (the manifest written after it vouches for these bytes) and closes it.
-func (w *Writer) finishPart(p *partWriter) error {
+func (w *writer) finishPart(p *partWriter) error {
 	if p.file == nil {
 		return nil
 	}
@@ -242,7 +242,7 @@ func (w *Writer) finishPart(p *partWriter) error {
 }
 
 // Close flushes every partition, writes the manifest, and returns it.
-func (w *Writer) Close() (*Manifest, error) {
+func (w *writer) Close() (*Manifest, error) {
 	if w.closed {
 		return nil, fmt.Errorf("txstore: double Close")
 	}
@@ -270,13 +270,13 @@ func (w *Writer) Close() (*Manifest, error) {
 // Spill streams an entire Source into a new store under dir and returns the
 // manifest.
 func Spill(dir string, src itemset.Source, o Options) (*Manifest, error) {
-	w, err := NewWriter(dir, src.Info().NumItems, o)
+	w, err := newWriter(dir, src.Info().NumItems, o)
 	if err != nil {
 		return nil, err
 	}
 	err = src.Blocks(func(block []itemset.Transaction) error {
 		for _, t := range block {
-			if err := w.Append(t); err != nil {
+			if err := w.add(t); err != nil {
 				return err
 			}
 		}

@@ -196,7 +196,7 @@ type ParallelOptions struct {
 	Algorithm Algorithm
 	// Procs is the number of emulated processors.
 	Procs int
-	// Machine is the cost model; the zero value selects MachineT3E().
+	// Machine is the cost model; the zero value selects the "t3e" preset.
 	Machine Machine
 	// HDThreshold is HD's minimum candidates per grid row (the paper's m;
 	// default 5000).
@@ -304,7 +304,7 @@ type RulesReport = core.RulesReport
 type RuleGenOptions struct {
 	// Procs is the number of emulated processors.
 	Procs int
-	// Machine is the cost model; the zero value selects MachineT3E().
+	// Machine is the cost model; the zero value selects the "t3e" preset.
 	Machine Machine
 	// MinConfidence is the minimum confidence threshold in [0, 1].
 	MinConfidence float64
@@ -471,21 +471,6 @@ func TraceAttribution(t *SpanTrace) []PassCost { return obsv.Attribution(t) }
 func WriteAttributionTable(w io.Writer, costs []PassCost) error {
 	return obsv.WriteAttribution(w, costs)
 }
-
-// MachineT3E returns the cost model of the paper's 128-processor Cray T3E.
-func MachineT3E() Machine { return cluster.T3E() }
-
-// MachineSP2 returns the cost model of the paper's 16-node IBM SP2,
-// including disk I/O costs (the Figure 12 platform).
-func MachineSP2() Machine { return cluster.SP2() }
-
-// MachineCOW returns a cluster-of-workstations model: high-latency switched
-// Ethernet with no compute/communication overlap.
-func MachineCOW() Machine { return cluster.COW() }
-
-// MachineIdeal returns a machine with free communication and T3E compute —
-// the ablation baseline that isolates communication effects.
-func MachineIdeal() Machine { return cluster.Ideal() }
 
 // MachinePreset pairs a machine model with the short name commands accept
 // on their -machine flags ("t3e", "sp2", "cow", "ideal").

@@ -83,9 +83,20 @@ func TestMineParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// presetMachine returns the cost model of the named -machine preset.
+func presetMachine(t testing.TB, name string) Machine {
+	t.Helper()
+	p, ok := MachineByName(name)
+	if !ok {
+		t.Fatalf("no machine preset %q", name)
+	}
+	return p.Machine()
+}
+
 func TestMineParallelMachines(t *testing.T) {
 	data := tableI()
-	for _, m := range []Machine{MachineT3E(), MachineSP2(), MachineCOW(), MachineIdeal()} {
+	for _, preset := range Machines() {
+		m := preset.Machine()
 		rep, err := MineParallel(data, ParallelOptions{
 			MineOptions: MineOptions{MinSupport: 0.4},
 			Algorithm:   HD,

@@ -47,7 +47,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Parallel mining on both machine models must reproduce the serial
 	// answer exactly.
-	for _, machine := range []Machine{MachineT3E(), MachineSP2()} {
+	for _, machine := range []Machine{presetMachine(t, "t3e"), presetMachine(t, "sp2")} {
 		rep, err := MineParallel(reloaded, ParallelOptions{
 			MineOptions: MineOptions{MinSupport: minsup},
 			Algorithm:   HD,
@@ -86,7 +86,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := GenerateRulesOn(restored, RuleGenOptions{Procs: 6, Machine: MachineT3E(), MinConfidence: 0.7})
+	par, err := GenerateRulesOn(restored, RuleGenOptions{Procs: 6, Machine: presetMachine(t, "t3e"), MinConfidence: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}

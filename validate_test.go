@@ -83,7 +83,7 @@ func TestParallelOptionsValidate(t *testing.T) {
 	wantOptionError(t, bad.Validate(), "ParallelOptions", "Engine")
 
 	// Under a memory cap CD sizes its tree partitions from the fanout.
-	capped := MachineT3E()
+	capped := presetMachine(t, "t3e")
 	capped.MemoryBytes = 2048
 	_, err := MineParallel(FromItems([][]Item{{1, 2}, {1, 2}, {1, 2, 3}}), ParallelOptions{
 		MineOptions: MineOptions{MinSupport: 0.2, HashTreeFanout: 1},
@@ -117,7 +117,7 @@ func TestGenerateRulesOnMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := GenerateRulesOn(res, RuleGenOptions{Procs: 4, Machine: MachineT3E(), MinConfidence: 0.6})
+	a, err := GenerateRulesOn(res, RuleGenOptions{Procs: 4, Machine: presetMachine(t, "t3e"), MinConfidence: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
