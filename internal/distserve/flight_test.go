@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -344,4 +345,90 @@ func TestPromConformance(t *testing.T) {
 			t.Errorf("%s: %s", tc.name, finding)
 		}
 	}
+}
+
+// TestRequestSpanMatchesHistogram is the router half of the serving tier's
+// test of the same name: a router request's span carries exactly its link,
+// raw basket length, clamped K, fan-out, retries, hedges and partial flag —
+// the values its Result reports — and its duration is its exemplar's latency
+// to the microsecond, both timed from one clock read at entry and one at
+// exit.  Each case runs on a fresh fleet, so its request owns the one
+// exemplar: before the first publish, a whole answer, and a partial one.
+func TestRequestSpanMatchesHistogram(t *testing.T) {
+	basket := []itemset.Item{9, 3, 3, 7}
+	check := func(t *testing.T, c *Cluster, res *Result) {
+		t.Helper()
+		exs := c.Router.met.latency.Exemplars()
+		if len(exs) != 1 {
+			t.Fatalf("%d exemplars after one request, want 1", len(exs))
+		}
+		ex := exs[0]
+		if ex.SpanID != "q1" || ex.Generation != res.Generation || len(ex.Nodes) != res.NodesQueried ||
+			!sort.StringsAreSorted(ex.Nodes) || ex.BasketHash != serve.BasketHash(itemset.New(basket...)) {
+			t.Errorf("exemplar %+v, want span q1, generation %d, %d sorted nodes, hash of %v",
+				ex, res.Generation, res.NodesQueried, basket)
+		}
+		var span *obsv.Span
+		tr := c.Router.Flight().Trace()
+		for i := range tr.Spans {
+			if tr.Spans[i].Name == "recommend" {
+				span = &tr.Spans[i]
+			}
+		}
+		if span == nil {
+			t.Fatal("no recommend span in the router's flight ring")
+		}
+		partial := int64(0)
+		if res.Partial {
+			partial = 1
+		}
+		want := []obsv.Attr{
+			obsv.String("link", "q1"),
+			obsv.Int("basket", int64(len(basket))),
+			obsv.Int("k", serve.DefaultK),
+			obsv.Int("fanout", int64(res.NodesQueried)),
+			obsv.Int("retries", int64(res.Retries)),
+			obsv.Int("hedges", int64(res.Hedges)),
+			obsv.Int("partial", partial),
+		}
+		if span.Cat != obsv.CatRequest || span.Rank != 0 || !reflect.DeepEqual(span.Args, want) {
+			t.Errorf("span %s rank %d args %v, want request rank 0 %v", span.Cat, span.Rank, span.Args, want)
+		}
+		if us := span.Dur() * 1e6; us < float64(ex.LatencyUs)-1e-3 || us >= float64(ex.LatencyUs+1)+1e-3 {
+			t.Errorf("span lasts %.3fµs, exemplar says %dµs", us, ex.LatencyUs)
+		}
+	}
+	rs := synthRules(200, 40, 7)
+
+	t.Run("no-snapshot", func(t *testing.T) {
+		c := mustCluster(t, 2, haOptions(8))
+		if _, err := c.Router.Recommend(basket, 0); err != serve.ErrNoSnapshot {
+			t.Fatalf("before publish: %v, want ErrNoSnapshot", err)
+		}
+		check(t, c, &Result{})
+	})
+	t.Run("answered", func(t *testing.T) {
+		c := mustCluster(t, 3, haOptions(8))
+		if _, err := c.Router.Publish(rs, true); err != nil {
+			t.Fatalf("publish: %v", err)
+		}
+		res, err := c.Router.Recommend(basket, 0)
+		if err != nil || res.Partial || res.NodesQueried == 0 {
+			t.Fatalf("recommend: %+v %v, want a whole answer", res, err)
+		}
+		check(t, c, res)
+	})
+	t.Run("partial", func(t *testing.T) {
+		c := mustCluster(t, 3, Options{Shards: 8}) // one replica: a down owner loses its shard
+		if _, err := c.Router.Publish(rs, true); err != nil {
+			t.Fatalf("publish: %v", err)
+		}
+		lost := c.Router.Replicas()[c.Router.Options().shardOf(3)][0]
+		clientOf(t, c, lost).SetDown(true)
+		res, err := c.Router.Recommend(basket, 0)
+		if err != nil || !res.Partial {
+			t.Fatalf("recommend with %s down: %+v %v, want a partial answer", lost, res, err)
+		}
+		check(t, c, res)
+	})
 }

@@ -102,6 +102,36 @@ func TestFailureDetectorTransitions(t *testing.T) {
 	basket := []itemset.Item{0}
 	shard := c.Router.opt.shardOf(0)
 	victim := c.Router.Replicas()[shard][0]
+
+	// Warm the latency histogram with slowed queries first.  The hedge
+	// delay is the router's observed p99, floored at 500µs; on an idle
+	// histogram a busy host can take longer than that to bring a failed
+	// leg back, and a hedge then answers before the retry (Hedges=1,
+	// Retries=0).  After this the hedge waits out a p99 of tens of
+	// milliseconds, far beyond a failed leg's scheduling latency.
+	const warmDelay = 20 * time.Millisecond
+	for _, lc := range c.Clients {
+		lc.SetDelay(warmDelay)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := c.Router.Recommend(basket, 5); err != nil {
+			t.Fatalf("warm-up query %d: %v", i, err)
+		}
+	}
+	for _, lc := range c.Clients {
+		lc.SetDelay(0)
+	}
+	if d := c.Router.hedgeDelay(); d < warmDelay {
+		t.Fatalf("hedge delay after warm-up = %v, want at least %v", d, warmDelay)
+	}
+	// A warm-up query returns with its first answer; a hedged leg still in
+	// flight counts as load on its node.  Wait those out, so the choice of
+	// two sees an idle fleet and picks the victim again.
+	for _, h := range c.Router.health {
+		for h.outstanding.Load() != 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	clientOf(t, c, victim).SetDown(true)
 
 	// Each query picks the victim first (it is the preferred replica and

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -284,7 +285,7 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 		}()
 	}
 	wg.Wait()
-	r.rc.Record("prepare", obsv.CatPublish, 0, prepStart,
+	r.rc.Record("prepare", obsv.CatPublish, 0, prepStart, r.rc.Now(),
 		obsv.Int("generation", int64(newGen)),
 		obsv.Int("nodes", int64(len(ids))),
 		obsv.Int("upserts", int64(stats.Upserts)),
@@ -310,7 +311,7 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 		}()
 	}
 	wg.Wait()
-	r.rc.Record("commit", obsv.CatPublish, 0, commitStart,
+	r.rc.Record("commit", obsv.CatPublish, 0, commitStart, r.rc.Now(),
 		obsv.Int("generation", int64(newGen)),
 		obsv.Int("nodes", int64(len(ids))))
 
@@ -386,30 +387,33 @@ func (r *Router) hedgeDelay() time.Duration {
 // Publish it returns serve.ErrNoSnapshot.
 func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	start := time.Now()
-	spanStart := r.rc.Now()
-	link := fmt.Sprintf("q%d", r.reqID.Add(1))
+	var lb [24]byte
+	link := string(strconv.AppendUint(append(lb[:0], 'q'), r.reqID.Add(1), 10))
 	legs, retries, hedges, partial := 0, 0, 0, false
 	b := itemset.New(basket...)
 	res := &Result{}
 	asked := make(map[string]bool)
 	defer func() {
+		end := time.Now()
 		r.met.queries.Add(1)
-		nodes := make([]string, 0, len(asked))
-		for id := range asked {
-			nodes = append(nodes, id)
-		}
-		sort.Strings(nodes)
-		r.met.latency.ObserveEx(time.Since(start), &serve.Exemplar{
-			SpanID:     link,
-			BasketHash: serve.BasketHash(b),
-			Generation: res.Generation,
-			Nodes:      nodes,
+		r.met.latency.ObserveAt(end.Sub(start), end, func() serve.Exemplar {
+			nodes := make([]string, 0, len(asked))
+			for id := range asked {
+				nodes = append(nodes, id)
+			}
+			sort.Strings(nodes)
+			return serve.Exemplar{
+				SpanID:     link,
+				BasketHash: serve.BasketHash(b),
+				Generation: res.Generation,
+				Nodes:      nodes,
+			}
 		})
 		p := int64(0)
 		if partial {
 			p = 1
 		}
-		r.rc.Record("recommend", obsv.CatRequest, 0, spanStart,
+		r.rc.Record("recommend", obsv.CatRequest, 0, r.rc.At(start), r.rc.At(end),
 			obsv.String("link", link),
 			obsv.Int("basket", int64(len(basket))),
 			obsv.Int("k", int64(k)),
@@ -531,7 +535,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 			// One span per leg, on its own rank track (the router's own
 			// spans live on rank 0); the shared link attribute ties every
 			// leg — primary, retry or hedge — back to its request span.
-			r.rc.Record("fanout", obsv.CatRequest, rank, legStart,
+			r.rc.Record("fanout", obsv.CatRequest, rank, legStart, r.rc.Now(),
 				obsv.String("link", link),
 				obsv.String("node", id),
 				obsv.String("attempt", attempt),
@@ -684,7 +688,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 				} else {
 					health[id].observeSuccess()
 				}
-				r.rc.Record("fanout", obsv.CatRequest, legs, legStart,
+				r.rc.Record("fanout", obsv.CatRequest, legs, legStart, r.rc.Now(),
 					obsv.String("link", link),
 					obsv.String("node", id),
 					obsv.String("attempt", "refresh"),

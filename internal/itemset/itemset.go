@@ -10,6 +10,7 @@ package itemset
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -22,18 +23,17 @@ type Item int32
 type Itemset []Item
 
 // New builds an Itemset from arbitrary items: it sorts them and removes
-// duplicates.  The input slice is not modified.
+// duplicates.  The input slice is not modified and the result never shares
+// its memory.  Input already in strictly increasing order (a transaction's
+// items always are) is only copied.
 func New(items ...Item) Itemset {
 	s := make(Itemset, len(items))
 	copy(s, items)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:0]
-	for i, it := range s {
-		if i == 0 || it != s[i-1] {
-			out = append(out, it)
-		}
+	if s.Valid() {
+		return s
 	}
-	return out
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // Valid reports whether s is in strictly increasing order (the Itemset

@@ -3,6 +3,8 @@ package itemset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +36,71 @@ func TestNewDoesNotModifyInput(t *testing.T) {
 	New(in...)
 	if !reflect.DeepEqual(in, []Item{3, 1, 2}) {
 		t.Errorf("New modified its input: %v", in)
+	}
+}
+
+// TestNewMatchesReference: New against a set-based sort-and-dedupe over
+// random inputs — with duplicates, already strictly increasing, increasing
+// with repeats, and sorted runs spliced together — and the result never
+// shares memory with its argument, including when New has nothing to sort.
+func TestNewMatchesReference(t *testing.T) {
+	reference := func(in []Item) Itemset {
+		seen := make(map[Item]bool)
+		out := Itemset{}
+		for _, it := range in {
+			if !seen[it] {
+				seen[it] = true
+				out = append(out, it)
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(24)
+		in := make([]Item, n)
+		switch trial % 4 {
+		case 0: // arbitrary, duplicates likely
+			for i := range in {
+				in[i] = Item(rng.Intn(12))
+			}
+		case 1: // already canonical
+			next := Item(rng.Intn(3))
+			for i := range in {
+				in[i] = next
+				next += Item(1 + rng.Intn(4))
+			}
+		case 2: // sorted, with repeats
+			next := Item(0)
+			for i := range in {
+				in[i] = next
+				next += Item(rng.Intn(2))
+			}
+		case 3: // increasing runs spliced together
+			next := Item(rng.Intn(8))
+			for i := range in {
+				if rng.Intn(5) == 0 {
+					next = Item(rng.Intn(8))
+				}
+				in[i] = next
+				next++
+			}
+		}
+		orig := slices.Clone(in)
+		got := New(in...)
+		if want := reference(in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("New(%v) = %v, want %v", in, got, want)
+		}
+		if !slices.Equal(in, orig) {
+			t.Fatalf("New modified its input: %v, was %v", in, orig)
+		}
+		for i := range got {
+			got[i] = -1
+		}
+		if !slices.Equal(in, orig) {
+			t.Fatalf("New's result shares memory with its input %v", orig)
+		}
 	}
 }
 

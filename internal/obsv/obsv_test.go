@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleCollector() *Collector {
@@ -312,22 +313,28 @@ func TestRealClockNil(t *testing.T) {
 		t.Fatal("NewRealClock(nil) should be nil")
 	}
 	// Every method must be a safe no-op on nil.
-	rc.Record("x", CatRequest, 0, rc.Now())
+	rc.Record("x", CatRequest, 0, rc.Now(), rc.At(time.Time{}))
 	rc.SetMeta("k", "v")
 }
 
 func TestRealClockRecords(t *testing.T) {
 	c := NewCollector(ClockReal)
 	rc := NewRealClock(c)
-	start := rc.Now()
-	rc.Record("recommend", CatRequest, 0, start, Int("k", 10))
+	start := rc.At(rc.epoch.Add(2 * time.Millisecond))
+	if math.Abs(start-2e-3) > 1e-12 {
+		t.Fatalf("At(epoch + 2ms) = %vs", start)
+	}
+	end := rc.At(rc.epoch.Add(3500 * time.Microsecond))
+	if math.Abs(end-start-1.5e-3) > 1e-12 {
+		t.Fatalf("At spaces readings 1.5ms apart by %vs", end-start)
+	}
+	rc.Record("recommend", CatRequest, 0, start, end, Int("k", 10))
 	tr := c.Trace()
 	if len(tr.Spans) != 1 {
 		t.Fatalf("got %d spans", len(tr.Spans))
 	}
-	s := tr.Spans[0]
-	if s.End < s.Start {
-		t.Fatalf("span ends before it starts: %+v", s)
+	if s := tr.Spans[0]; s.Start != start || s.End != end {
+		t.Fatalf("span %+v, want it to run from %v to %v", s, start, end)
 	}
 	if v, _ := tr.MetaValue("clock"); v != string(ClockReal) {
 		t.Fatalf("clock meta = %q", v)

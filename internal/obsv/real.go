@@ -33,13 +33,22 @@ func (c *RealClock) Now() float64 {
 	return time.Since(c.epoch).Seconds() //checkinv:allow walltime — real-clock read for the serving tier
 }
 
-// Record emits a span that started at start (a prior Now() value) and ends
-// now.
-func (c *RealClock) Record(name, cat string, rank int, start float64, args ...Attr) {
+// At converts a clock reading the caller already took to seconds since the
+// epoch, so a request that reads the clock once at entry and once at exit
+// times its span, its latency sample and its exemplar from those two reads.
+func (c *RealClock) At(t time.Time) float64 {
+	if c == nil {
+		return 0
+	}
+	return t.Sub(c.epoch).Seconds()
+}
+
+// Record emits a span from start to end, both Now() or At() values.
+func (c *RealClock) Record(name, cat string, rank int, start, end float64, args ...Attr) {
 	if c == nil {
 		return
 	}
-	c.rec.Record(Span{Name: name, Cat: cat, Rank: rank, Start: start, End: c.Now(), Args: args})
+	c.rec.Record(Span{Name: name, Cat: cat, Rank: rank, Start: start, End: end, Args: args})
 }
 
 // SetMeta forwards a trace-level attribute to the recorder.

@@ -8,7 +8,7 @@ import (
 )
 
 // lruCache is a size-bounded LRU over query results, keyed by canonical
-// basket bytes plus K (see Server.cacheKey).  One cache belongs to exactly
+// basket bytes plus K (see appendCacheKey).  One cache belongs to exactly
 // one snapshot: Publish installs a fresh cache with the new index, so a
 // snapshot swap invalidates every cached result by construction — there is
 // no cross-generation staleness to reason about and no flush path to get
@@ -40,11 +40,12 @@ func newLRU(capacity int) *lruCache {
 }
 
 // get returns the cached result for key, marking it most recently used.
-// The returned slice is shared: callers must treat it as read-only.
-func (c *lruCache) get(key string) ([]rules.Rule, bool) {
+// The returned slice is shared: callers must treat it as read-only.  The
+// key is looked up as bytes, so a hit never allocates its string.
+func (c *lruCache) get(key []byte) ([]rules.Rule, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[string(key)]
 	if !ok {
 		return nil, false
 	}

@@ -44,13 +44,21 @@ func BasketHash(basket itemset.Itemset) string {
 // exemplars is the per-bucket slot array riding beside Hist's counters.
 type exemplars [latencyBuckets]atomic.Pointer[Exemplar]
 
-// offer installs ex in its bucket's slot if it beats the incumbent: empty
-// slot, higher latency, or an incumbent older than exemplarTTL.
+// beats reports whether a request of us microseconds ending at end takes a
+// slot from its incumbent cur: empty slot, higher latency, or an incumbent
+// older than exemplarTTL.
+func beats(cur *Exemplar, us int64, end time.Time) bool {
+	return cur == nil || us > cur.LatencyUs || end.Sub(cur.at) >= exemplarTTL
+}
+
+// offer installs ex in its bucket's slot if it beats the incumbent.  The
+// CAS loop is the arbiter: a slot that changed since the caller's own check
+// is judged again.
 func (xs *exemplars) offer(ex *Exemplar) {
 	slot := &xs[ex.Bucket]
 	for {
 		cur := slot.Load()
-		if cur != nil && cur.LatencyUs >= ex.LatencyUs && ex.at.Sub(cur.at) < exemplarTTL {
+		if !beats(cur, ex.LatencyUs, ex.at) {
 			return
 		}
 		if slot.CompareAndSwap(cur, ex) {

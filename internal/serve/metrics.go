@@ -26,15 +26,17 @@ type Hist struct {
 
 // Observe records one latency sample.
 func (h *Hist) Observe(d time.Duration) {
-	h.ObserveEx(d, nil)
+	h.ObserveAt(d, time.Time{}, nil)
 }
 
-// ObserveEx is Observe plus an exemplar offer: ex (when non-nil) has its
-// Bucket, LatencyUs and capture time filled in and is installed as the
-// bucket's exemplar if it is slower than — or meaningfully fresher than —
-// the incumbent.  The slow tail self-selects: most requests lose the
-// comparison and the pointer is garbage immediately.
-func (h *Hist) ObserveEx(d time.Duration, ex *Exemplar) {
+// ObserveAt records one latency sample of a request that ended at end and
+// offers the request its bucket's exemplar slot.  build is called — and the
+// Exemplar allocated — only when the request would beat the incumbent
+// (empty slot, higher latency, or an incumbent older than exemplarTTL at
+// end); ObserveAt then fills in Bucket, LatencyUs and the capture time.  The
+// slow tail self-selects: most requests lose the comparison and build
+// nothing.  A nil build records the sample alone.
+func (h *Hist) ObserveAt(d time.Duration, end time.Time, build func() Exemplar) {
 	us := d.Microseconds()
 	b := bits.Len64(uint64(us)) // 0µs → bucket 0, [2^(i-1), 2^i) µs → bucket i
 	if b >= latencyBuckets {
@@ -42,9 +44,10 @@ func (h *Hist) ObserveEx(d time.Duration, ex *Exemplar) {
 	}
 	h.buckets[b].Add(1)
 	h.sumUs.Add(us)
-	if ex != nil {
-		ex.Bucket, ex.LatencyUs, ex.at = b, us, time.Now() //checkinv:allow snapshotmut — ex is still caller-owned here; it is published only by offer's CAS below
-		h.ex.offer(ex)
+	if build != nil && beats(h.ex[b].Load(), us, end) {
+		ex := build()
+		ex.Bucket, ex.LatencyUs, ex.at = b, us, end //checkinv:allow snapshotmut — ex is this call's own copy of build's value; it is published only by offer's CAS below
+		h.ex.offer(&ex)
 	}
 }
 

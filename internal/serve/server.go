@@ -128,7 +128,7 @@ func (s *Server) publishAt(old *snapshot, idx *Index, gen uint64) bool {
 	next := &snapshot{idx: idx, gen: gen, cache: newLRU(s.opt.CacheSize)}
 	if s.snap.CompareAndSwap(old, next) {
 		s.met.reloads.Add(1)
-		s.rc.Record("publish", obsv.CatPublish, 0, spanStart,
+		s.rc.Record("publish", obsv.CatPublish, 0, spanStart, s.rc.Now(),
 			obsv.Int("generation", int64(gen)),
 			obsv.Int("rules", int64(idx.NumRules())))
 		return true
@@ -185,24 +185,31 @@ func (s *Server) RecommendGen(basket []itemset.Item, k int) ([]rules.Rule, uint6
 // request surfaced in /metrics resolves to its causal spans in the flight
 // ring.  The distributed router passes its fan-out link through here; with
 // an empty link the server assigns its own "r<n>" ID.
+//
+// A request reads the clock twice, at entry and at exit; its latency
+// sample, its exemplar and its span are all timed from those two reads.
 func (s *Server) RecommendTraced(basket []itemset.Item, k int, link string) ([]rules.Rule, uint64, error) {
 	if link == "" {
-		link = "r" + strconv.FormatUint(s.reqID.Add(1), 10)
+		var lb [24]byte
+		link = string(strconv.AppendUint(append(lb[:0], 'r'), s.reqID.Add(1), 10))
 	}
 	start := time.Now()
-	spanStart := s.rc.Now()
-	b := itemset.New(basket...)
+	// A basket already in canonical order (a transaction always is) is used
+	// as it is: nothing below keeps b past the return, so only a basket
+	// that needs sorting is copied.
+	b := itemset.Itemset(basket)
+	if !b.Valid() {
+		b = itemset.New(basket...)
+	}
 	cache, results := "off", 0
 	var gen uint64
 	defer func() {
+		end := time.Now()
 		s.met.queries.Add(1)
-		s.met.latency.ObserveEx(time.Since(start), &Exemplar{
-			SpanID:     link,
-			BasketHash: BasketHash(b),
-			Cache:      cache,
-			Generation: gen,
+		s.met.latency.ObserveAt(end.Sub(start), end, func() Exemplar {
+			return Exemplar{SpanID: link, BasketHash: BasketHash(b), Cache: cache, Generation: gen}
 		})
-		s.rc.Record("recommend", obsv.CatRequest, 0, spanStart,
+		s.rc.Record("recommend", obsv.CatRequest, 0, s.rc.At(start), s.rc.At(end),
 			obsv.String("link", link),
 			obsv.Int("basket", int64(len(basket))),
 			obsv.Int("k", int64(k)),
@@ -224,9 +231,10 @@ func (s *Server) RecommendTraced(basket []itemset.Item, k int, link string) ([]r
 	}
 	k = min(k, MaxK)
 
-	var key string
+	var kb [4*64 + 4]byte // the key of a basket of up to 64 items, on the stack
+	var key []byte
 	if snap.cache != nil {
-		key = cacheKey(b, k)
+		key = appendCacheKey(kb[:0], b, k)
 		if v, ok := snap.cache.get(key); ok {
 			s.met.hits.Add(1)
 			cache, results = "hit", len(v)
@@ -238,7 +246,7 @@ func (s *Server) RecommendTraced(basket []itemset.Item, k int, link string) ([]r
 
 	out := s.query(snap.idx, b, k)
 	if snap.cache != nil {
-		snap.cache.put(key, out)
+		snap.cache.put(string(key), out)
 	}
 	results = len(out)
 	return append([]rules.Rule(nil), out...), snap.gen, nil
@@ -284,12 +292,10 @@ func (s *Server) query(ix *Index, basket itemset.Itemset, k int) []rules.Rule {
 	return ix.rank(merged, k)
 }
 
-// cacheKey builds the canonical cache key: the basket's canonical itemset
-// bytes (sorted, deduplicated — so {3,1,1} and {1,3} share an entry)
-// followed by K.  Keys are unambiguous because the basket encoding has
-// fixed width per item.
-func cacheKey(basket itemset.Itemset, k int) string {
-	kb := basket.AppendKey(make([]byte, 0, 4*len(basket)+4))
-	kb = binary.BigEndian.AppendUint32(kb, uint32(k))
-	return string(kb)
+// appendCacheKey appends the canonical cache key to dst: the basket's
+// canonical itemset bytes (sorted, deduplicated — so {3,1,1} and {1,3}
+// share an entry) followed by K.  Keys are unambiguous because the basket
+// encoding has fixed width per item.
+func appendCacheKey(dst []byte, basket itemset.Itemset, k int) []byte {
+	return binary.BigEndian.AppendUint32(basket.AppendKey(dst), uint32(k))
 }
