@@ -74,17 +74,18 @@ func (h *nodeHealth) State() HealthState { return HealthState(h.state.Load()) }
 // Health reports the failure detector's state for every member node.
 func (r *Router) Health() map[string]HealthState {
 	out := make(map[string]HealthState, len(r.health))
-	for id, h := range r.health {
-		out[id] = h.State()
+	for o, h := range r.health {
+		out[r.ids[o]] = h.State()
 	}
 	return out
 }
 
 // pick2 is the load-aware choice-of-two: given a shard's live replicas in
-// HRW order, sample two candidates with the router's seeded sequence and
-// take the one with fewer outstanding calls (ties break toward the earlier
-// HRW rank, keeping the choice deterministic when the fleet is idle).
-func (r *Router) pick2(cands []string) string {
+// HRW order, as node ordinals, sample two candidates with the router's
+// seeded sequence and take the one with fewer outstanding calls (ties break
+// toward the earlier HRW rank, keeping the choice deterministic when the
+// fleet is idle).
+func (r *Router) pick2(cands []int) int {
 	if len(cands) == 1 {
 		return cands[0]
 	}
@@ -130,8 +131,7 @@ type probeTarget struct {
 // one tick taken off the wait and sits this round out.
 func (r *Router) probeTargets(backoff bool) []probeTarget {
 	var targets []probeTarget
-	for _, id := range r.ids { // node-ID order, independent of map layout
-		h := r.health[id]
+	for o, h := range r.health { // node-ID order
 		if h.State() == HealthUp {
 			continue
 		}
@@ -139,7 +139,7 @@ func (r *Router) probeTargets(backoff bool) []probeTarget {
 			h.probeWait.Add(-1)
 			continue
 		}
-		targets = append(targets, probeTarget{r.clients[id], h})
+		targets = append(targets, probeTarget{r.clients[o], h})
 	}
 	return targets
 }

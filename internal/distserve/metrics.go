@@ -2,7 +2,6 @@ package distserve
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"parapriori/internal/obsv"
@@ -68,10 +67,10 @@ func (r *Router) Metrics() FleetMetrics {
 	gen := r.gen
 	r.mu.RUnlock()
 
-	shardsByNode := make(map[string][]int, len(r.ids))
+	shardsByNode := make([][]int, len(r.ids)) // ascending: shards are visited in order
 	for s, reps := range r.replicas {
-		for _, id := range reps {
-			shardsByNode[id] = append(shardsByNode[id], s)
+		for _, o := range reps {
+			shardsByNode[o] = append(shardsByNode[o], s)
 		}
 	}
 
@@ -101,11 +100,9 @@ func (r *Router) Metrics() FleetMetrics {
 
 	ctx, cancel := context.WithTimeout(context.Background(), r.opt.RequestTimeout)
 	defer cancel()
-	for _, id := range r.ids {
-		shards := shardsByNode[id]
-		sort.Ints(shards)
-		nm := NodeMetrics{ID: id, Shards: shards, Health: r.health[id].State().String()}
-		if m, err := r.clients[id].Metrics(ctx); err == nil {
+	for o, id := range r.ids {
+		nm := NodeMetrics{ID: id, Shards: shardsByNode[o], Health: r.health[o].State().String()}
+		if m, err := r.clients[o].Metrics(ctx); err == nil {
 			nm.Up = true
 			nm.Serve = m
 			fm.NodesUp++

@@ -2,9 +2,11 @@ package distserve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -29,23 +31,28 @@ type Router struct {
 	opt Options
 
 	// Membership and placement are fixed by NewRouter and never written
-	// after it returns, so every path reads them without a lock.
-	clients   map[string]Client
-	ids       []string               // sorted node IDs
-	placement []string               // shard → primary node ID (replicas[s][0])
-	replicas  [][]string             // shard → top-R node IDs in HRW order
-	health    map[string]*nodeHealth // failure-detector state per member
+	// after it returns, so every path reads them without a lock.  A node's
+	// ordinal is its index in ids; the per-node slices are indexed by it.
+	ids      []string      // sorted node IDs
+	clients  []Client      // by ordinal
+	health   []*nodeHealth // failure-detector state, by ordinal
+	replicas [][]int       // shard → top-R node ordinals in HRW order (element 0 is the primary)
 
 	// pubMu serializes publishes — the control plane.  The query path
 	// never takes it.
 	pubMu sync.Mutex
 
 	// mu guards the publish state: the published groups' canonical bytes
-	// and per-node bookkeeping.  Queries hold it only to read gen.
+	// and per-node bookkeeping.  Queries hold it only to read gen and held.
 	mu    sync.RWMutex
 	canon map[string][]byte
-	held  map[string]map[int]bool // nil entry: node state untrusted, resend fully
-	gen   uint64
+	// held is, by ordinal, the shards each node holds at gen; a nil entry
+	// means the node's last commit failed, so its state is untrusted (its
+	// next publish resends fully) and it lags gen.  Each publish installs a
+	// new slice and never writes an installed one, so a query reads the
+	// slice it took under mu without the lock.
+	held []map[int]bool
+	gen  uint64
 
 	probeMu   sync.Mutex    // guards probeStop and probeDone
 	probeStop chan struct{} // non-nil while the background prober runs
@@ -84,29 +91,35 @@ func NewRouter(clients []Client, opt Options) (*Router, error) {
 	}
 	opt = opt.WithDefaults()
 	r := &Router{
-		opt:     opt,
-		clients: make(map[string]Client, len(clients)),
-		health:  make(map[string]*nodeHealth, len(clients)),
-		held:    make(map[string]map[int]bool, len(clients)),
-		flight:  obsv.NewFlight(obsv.ClockReal, 0),
+		opt:    opt,
+		flight: obsv.NewFlight(obsv.ClockReal, 0),
 	}
 	r.rc = obsv.NewRealClock(r.flight)
 	r.rc.SetMeta("tier", "router")
 	r.met.start = time.Now()
+	byID := make(map[string]Client, len(clients))
 	for _, c := range clients {
 		id := c.ID()
-		if _, dup := r.clients[id]; dup {
+		if _, dup := byID[id]; dup {
 			return nil, fmt.Errorf("distserve: duplicate node ID %q", id)
 		}
-		r.clients[id] = c
-		r.health[id] = &nodeHealth{}
+		byID[id] = c
 		r.ids = append(r.ids, id)
 	}
 	sort.Strings(r.ids)
-	r.replicas = PlaceReplicas(r.opt.Seed, r.opt.Shards, r.opt.Replicas, r.ids)
-	r.placement = make([]string, len(r.replicas))
-	for s, reps := range r.replicas {
-		r.placement[s] = reps[0]
+	ord := make(map[string]int, len(r.ids))
+	for i, id := range r.ids {
+		ord[id] = i
+		r.clients = append(r.clients, byID[id])
+		r.health = append(r.health, &nodeHealth{})
+	}
+	r.held = make([]map[int]bool, len(r.ids))
+	for _, reps := range PlaceReplicas(r.opt.Seed, r.opt.Shards, r.opt.Replicas, r.ids) {
+		ords := make([]int, len(reps))
+		for i, id := range reps {
+			ords[i] = ord[id]
+		}
+		r.replicas = append(r.replicas, ords)
 	}
 	return r, nil
 }
@@ -129,7 +142,11 @@ func (r *Router) Generation() uint64 {
 // Placement returns a copy of the shard → primary-node assignment (each
 // shard's top rendezvous candidate; the full replica sets are Replicas).
 func (r *Router) Placement() []string {
-	return append([]string(nil), r.placement...)
+	out := make([]string, len(r.replicas))
+	for s, reps := range r.replicas {
+		out[s] = r.ids[reps[0]]
+	}
+	return out
 }
 
 // Replicas returns a copy of the shard → replica-set assignment, each
@@ -137,7 +154,10 @@ func (r *Router) Placement() []string {
 func (r *Router) Replicas() [][]string {
 	out := make([][]string, len(r.replicas))
 	for s, reps := range r.replicas {
-		out[s] = append([]string(nil), reps...)
+		out[s] = make([]string, len(reps))
+		for i, o := range reps {
+			out[s][i] = r.ids[o]
+		}
 	}
 	return out
 }
@@ -214,22 +234,22 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 	// Shards owned by each node under the current placement: every node in
 	// a shard's replica set owns it, so publishes fan the shard's groups to
 	// all R owners.
-	owned := make(map[string][]int, len(ids))
+	owned := make([][]int, len(ids))
 	for s, reps := range r.replicas {
-		for _, id := range reps {
-			owned[id] = append(owned[id], s)
+		for _, o := range reps {
+			owned[o] = append(owned[o], s)
 		}
 	}
 
 	// Assemble one PrepareRequest per node.
 	stats := PublishStats{Gen: newGen, Full: full, Groups: len(next), Nodes: len(ids)}
 	reqs := make([]PrepareRequest, len(ids))
-	for i, id := range ids {
-		heldShards := held[id]
+	for i := range ids {
+		heldShards := held[i]
 		fullNode := full || heldShards == nil
-		req := PrepareRequest{Gen: newGen, Full: fullNode, Owned: owned[id]}
-		ownedSet := make(map[int]bool, len(owned[id]))
-		for _, s := range owned[id] {
+		req := PrepareRequest{Gen: newGen, Full: fullNode, Owned: owned[i]}
+		ownedSet := make(map[int]bool, len(owned[i]))
+		for _, s := range owned[i] {
 			ownedSet[s] = true
 		}
 		for _, g := range next {
@@ -276,8 +296,7 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 	prepStart := r.rc.Now()
 	prepErrs := make([]error, len(ids))
 	var wg sync.WaitGroup
-	for i, id := range ids {
-		i, c := i, r.clients[id]
+	for i, c := range r.clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -302,8 +321,7 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 	// failed node's state (its next publish is a full resend).
 	commitStart := r.rc.Now()
 	commitErrs := make([]error, len(ids))
-	for i, id := range ids {
-		i, c := i, r.clients[id]
+	for i, c := range r.clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -315,22 +333,23 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 		obsv.Int("generation", int64(newGen)),
 		obsv.Int("nodes", int64(len(ids))))
 
-	r.mu.Lock()
-	r.gen = newGen
-	r.canon = canonOf
 	var failed []string
+	nextHeld := make([]map[int]bool, len(ids))
 	for i, id := range ids {
 		if commitErrs[i] != nil {
-			r.held[id] = nil
 			failed = append(failed, id)
 			continue
 		}
-		set := make(map[int]bool, len(owned[id]))
-		for _, s := range owned[id] {
+		set := make(map[int]bool, len(owned[i]))
+		for _, s := range owned[i] {
 			set[s] = true
 		}
-		r.held[id] = set
+		nextHeld[i] = set
 	}
+	r.mu.Lock()
+	r.gen = newGen
+	r.canon = canonOf
+	r.held = nextHeld
 	r.mu.Unlock()
 
 	if len(failed) > 0 {
@@ -392,16 +411,18 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	legs, retries, hedges, partial := 0, 0, 0, false
 	b := itemset.New(basket...)
 	res := &Result{}
-	asked := make(map[string]bool)
+	n := len(r.ids)
+	var asked []bool // by ordinal: the node was sent a leg
 	defer func() {
 		end := time.Now()
 		r.met.queries.Add(1)
 		r.met.latency.ObserveAt(end.Sub(start), end, func() serve.Exemplar {
-			nodes := make([]string, 0, len(asked))
-			for id := range asked {
-				nodes = append(nodes, id)
+			nodes := make([]string, 0, n)
+			for o, ok := range asked {
+				if ok {
+					nodes = append(nodes, r.ids[o])
+				}
 			}
-			sort.Strings(nodes)
 			return serve.Exemplar{
 				SpanID:     link,
 				BasketHash: serve.BasketHash(b),
@@ -429,7 +450,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	k = min(k, serve.MaxK)
 
 	r.mu.RLock()
-	gen := r.gen
+	gen, held := r.gen, r.held
 	r.mu.RUnlock()
 	if gen == 0 {
 		return nil, serve.ErrNoSnapshot
@@ -440,186 +461,141 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	// antecedent ⊆ basket has its first item in the basket, and a group's
 	// shard is a function of its first item, so no other shard can hold a
 	// matching group.
-	shards := make([]int, 0, len(b))
+	//
+	// The query's bookkeeping is carved from one allocation per element
+	// type, sized by the basket, the member count n and the m touched
+	// shards: per-node slices are indexed by ordinal, per-shard ones by
+	// the shard's position in shards.  Every shard has the same replica
+	// count, so m of them have at most m·R live candidates.
+	ints := make([]int, len(b)*(4+len(replicas[0]))+1)
+	shards := carve(&ints, len(b))[:0]
 	for _, it := range b {
 		shards = append(shards, r.opt.shardOf(it))
 	}
-	sort.Ints(shards)
-	shards = dedupInts(shards)
+	slices.Sort(shards)
+	shards = slices.Compact(shards)
+	m := len(shards)
 
-	if len(shards) == 0 { // empty basket: nothing can match
+	if m == 0 { // empty basket: nothing can match
 		res.Generation = gen
 		return res, nil
 	}
-
-	// Per touched shard: the replica candidates still standing.  A shard
-	// whose replicas are all Down keeps its full list — the desperation
-	// floor is trying a Down node, not answering Partial untried.
-	liveOf := func(s int) []string {
-		var live []string
-		for _, id := range replicas[s] {
-			if health[id].State() != HealthDown {
-				live = append(live, id)
-			}
-		}
-		if len(live) == 0 {
-			return replicas[s]
-		}
-		return live
-	}
+	at := carve(&ints, m+1)   // shard i's live candidates are live[at[i]:at[i+1]]
+	pick := carve(&ints, m)   // shard i's initial leg
+	target := carve(&ints, m) // shard i's reissue target, or -1
+	live := carve(&ints, m*len(replicas[0]))[:0]
+	flags := make([]bool, 2*n+m+n*m)
+	asked = carve(&flags, n)
+	bound := carve(&flags, n) // by ordinal: a reissue leg goes to the node
+	covered := carve(&flags, m)
+	assigned := carve(&flags, n*m) // assigned[o*m+i]: node o's leg answers for shards[i]
+	answers := make([]answer, 0, n)
 
 	// Initial leg per shard group: shards with the same live candidate
 	// list form one group, and each group gets one choice-of-two pick —
 	// shards choosing the same node then share one leg (a node answers
-	// over all its owned shards at once).
-	pickByShard := make(map[int]string, len(shards))
-	pickByGroup := make(map[string]string)
-	for _, s := range shards {
-		live := liveOf(s)
-		key := ""
-		for _, id := range live {
-			key += id + ","
+	// over all its owned shards at once).  A shard's live candidates are
+	// its replicas still standing; one whose replicas are all Down keeps
+	// its full list — the desperation floor is trying a Down node, not
+	// answering Partial untried.
+	for i, s := range shards {
+		for _, o := range replicas[s] {
+			if health[o].State() != HealthDown {
+				live = append(live, o)
+			}
 		}
-		id, ok := pickByGroup[key]
-		if !ok {
-			id = r.pick2(live)
-			pickByGroup[key] = id
+		if len(live) == at[i] {
+			live = append(live, replicas[s]...)
 		}
-		pickByShard[s] = id
+		at[i+1] = len(live)
+		cands := live[at[i]:]
+		pick[i] = -1
+		for j := range i {
+			if slices.Equal(live[at[j]:at[j+1]], cands) {
+				pick[i] = pick[j]
+				break
+			}
+		}
+		if pick[i] < 0 {
+			pick[i] = r.pick2(cands)
+		}
 	}
 
-	// ownsTouched[id] = the touched shards node id holds a replica of —
-	// the coverage a successful answer from id provides.
-	ownsTouched := make(map[string][]int)
-	for _, s := range shards {
-		for _, id := range replicas[s] {
-			ownsTouched[id] = append(ownsTouched[id], s)
-		}
-	}
-
-	type legResult struct {
-		node  string
-		rules []rules.Rule
-		gen   uint64
-		err   error
-	}
 	// Buffered to the member count: every node receives at most one leg
 	// per query, so abandoned stragglers can always deposit their answer
 	// and exit without a receiver.
-	resCh := make(chan legResult, len(clients))
+	resCh := make(chan legResult, n)
 
-	assigned := make(map[string][]int) // node → shards its leg is responsible for
-	launch := func(id, attempt string) {
-		asked[id] = true
+	launch := func(o int, attempt string) {
+		asked[o] = true
 		legs++
 		r.met.fanout.Add(1)
-		c, h, rank := clients[id], health[id], legs
-		h.outstanding.Add(1)
-		go func() { //checkinv:allow goroleak — fan-out leg; result lands in the buffered channel above, which outlives abandoned legs
-			legStart := r.rc.Now()
-			ctx, cancel := context.WithTimeout(context.Background(), r.opt.RequestTimeout)
-			rs, gen, err := c.Recommend(ctx, b, k, link)
-			cancel()
-			h.outstanding.Add(-1)
-			ok := int64(1)
-			if err != nil {
-				ok = 0
-				h.observeFailure()
-				var te *TimeoutError
-				if errors.As(err, &te) {
-					r.met.timeouts.Add(1)
-				}
-			} else {
-				h.observeSuccess()
-			}
-			// One span per leg, on its own rank track (the router's own
-			// spans live on rank 0); the shared link attribute ties every
-			// leg — primary, retry or hedge — back to its request span.
-			r.rc.Record("fanout", obsv.CatRequest, rank, legStart, r.rc.Now(),
-				obsv.String("link", link),
-				obsv.String("node", id),
-				obsv.String("attempt", attempt),
-				obsv.Int("ok", ok))
-			resCh <- legResult{node: id, rules: rs, gen: gen, err: err}
-		}()
+		health[o].outstanding.Add(1)
+		go r.leg(o, legs, attempt, b, k, link, resCh) //checkinv:allow goroleak — fan-out leg; result lands in the buffered channel above, which outlives abandoned legs
 	}
-	for _, s := range shards { // deterministic launch order: sorted shards
-		id := pickByShard[s]
-		fresh := !asked[id]
-		assigned[id] = append(assigned[id], s)
-		if fresh {
-			launch(id, "primary")
+	for i, o := range pick { // deterministic launch order: sorted shards
+		assigned[o*m+i] = true
+		if !asked[o] {
+			launch(o, "primary")
 		}
 	}
 
-	covered := make(map[int]bool, len(shards))
-	allCovered := func() bool {
-		for _, s := range shards {
-			if !covered[s] {
-				return false
-			}
-		}
-		return true
-	}
-	// reissue sends the still-uncovered shards of shardList to untried
-	// replicas (live ones first, Down ones as a last resort only when
-	// lastResort is set) and returns how many new legs it launched.
-	reissue := func(shardList []int, attempt string, lastResort bool) int {
-		targets := make(map[string][]int)
-		for _, s := range shardList {
-			if covered[s] {
+	// reissue sends the still-uncovered shards among only (every shard when
+	// only is nil) to untried replicas — live ones first, Down ones as a
+	// last resort only when lastResort is set — and returns how many new
+	// legs it launched, in node order.
+	reissue := func(only []bool, attempt string, lastResort bool) int {
+		clear(bound)
+		for i, s := range shards {
+			target[i] = -1
+			if covered[i] || (only != nil && !only[i]) {
 				continue
 			}
-			var fallback string
-			picked := false
-			for _, id := range replicas[s] {
-				if _, already := targets[id]; already {
+			fallback := -1
+			for _, o := range replicas[s] {
+				if bound[o] {
 					// Another uncovered shard is already bound for this
 					// replica; its answer will cover this shard too.
-					targets[id] = append(targets[id], s)
-					picked = true
+					target[i] = o
 					break
 				}
-				if asked[id] {
+				if asked[o] {
 					continue
 				}
-				if health[id].State() == HealthDown {
-					if fallback == "" {
-						fallback = id
+				if health[o].State() == HealthDown {
+					if fallback < 0 {
+						fallback = o
 					}
 					continue
 				}
-				targets[id] = append(targets[id], s)
-				picked = true
+				target[i], bound[o] = o, true
 				break
 			}
-			if !picked && lastResort && fallback != "" {
-				targets[fallback] = append(targets[fallback], s)
+			if target[i] < 0 && lastResort && fallback >= 0 {
+				target[i], bound[fallback] = fallback, true
 			}
 		}
-		ids := make([]string, 0, len(targets))
-		for id := range targets {
-			ids = append(ids, id)
+		launched := 0
+		for o, ok := range bound {
+			if !ok {
+				continue
+			}
+			for i, t := range target {
+				if t == o {
+					assigned[o*m+i] = true
+				}
+			}
+			launch(o, attempt)
+			launched++
 		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			assigned[id] = append(assigned[id], targets[id]...)
-			launch(id, attempt)
-		}
-		return len(ids)
+		return launched
 	}
 
-	type answer struct {
-		node  string
-		rules []rules.Rule
-		gen   uint64
-	}
-	var answers []answer
 	pending := legs
 	hedge := time.NewTimer(r.hedgeDelay())
 	defer hedge.Stop()
 	hedgeCh := hedge.C
-	for pending > 0 && !allCovered() {
+	for pending > 0 && slices.Contains(covered, false) {
 		select {
 		case lr := <-resCh:
 			pending--
@@ -628,19 +604,23 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 				// untried replica — Down nodes included once nothing
 				// else is left, so Partial is only ever declared after
 				// every replica was actually tried.
-				n := reissue(assigned[lr.node], "retry", true)
+				n := reissue(assigned[lr.node*m:(lr.node+1)*m], "retry", true)
 				retries += n
 				r.met.retries.Add(int64(n))
 				pending += n
 				continue
 			}
-			answers = append(answers, answer{lr.node, lr.rules, lr.gen})
-			for _, s := range ownsTouched[lr.node] {
-				covered[s] = true
+			answers = append(answers, answer{node: lr.node, rules: lr.rules, gen: lr.gen})
+			// A node's answer covers every touched shard it holds a
+			// replica of.
+			for i, s := range shards {
+				if slices.Contains(replicas[s], lr.node) {
+					covered[i] = true
+				}
 			}
 		case <-hedgeCh:
 			hedgeCh = nil // one-shot
-			n := reissue(shards, "hedge", false)
+			n := reissue(nil, "hedge", false)
 			hedges += n
 			r.met.hedges.Add(int64(n))
 			pending += n
@@ -651,50 +631,47 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	// (some nodes already at generation g+1, some still at g), re-query
 	// the stale nodes — the cut-over is a pointer swap, so by the time the
 	// skew is visible the laggard has almost always committed.  Bounded to
-	// a small window; a node that stays stale (a partially failed publish)
-	// leaves the answer Mixed exactly as before.
+	// a small window.  A node whose last commit failed stays stale until
+	// the next publish, so it is never re-queried: its answer leaves the
+	// result Mixed at once.
 	if len(answers) > 1 {
-		coherenceBy := time.Now().Add(minDur(20*time.Millisecond, r.opt.RequestTimeout/4))
+		coherenceBy := time.Now().Add(min(20*time.Millisecond, r.opt.RequestTimeout/4))
 		for {
 			maxGen := uint64(0)
 			for _, a := range answers {
-				if a.gen > maxGen {
-					maxGen = a.gen
-				}
+				maxGen = max(maxGen, a.gen)
 			}
-			var stale []int
-			for i, a := range answers {
-				if a.gen < maxGen {
-					stale = append(stale, i)
-				}
-			}
-			if len(stale) == 0 || !time.Now().Before(coherenceBy) {
+			refreshable := func(a answer) bool { return a.gen < maxGen && held[a.node] != nil }
+			if !slices.ContainsFunc(answers, refreshable) || !time.Now().Before(coherenceBy) {
 				break
 			}
 			improved := false
-			for _, i := range stale {
-				id := answers[i].node
+			for i, a := range answers {
+				if !refreshable(a) {
+					continue
+				}
+				o := a.node
 				legs++
 				r.met.fanout.Add(1)
 				r.met.refreshes.Add(1)
 				legStart := r.rc.Now()
 				ctx, cancel := context.WithDeadline(context.Background(), coherenceBy)
-				rs, gen, err := clients[id].Recommend(ctx, b, k, link)
+				rs, gen, err := clients[o].Recommend(ctx, b, k, link)
 				cancel()
 				ok := int64(1)
 				if err != nil {
 					ok = 0
-					health[id].observeFailure()
+					health[o].observeFailure()
 				} else {
-					health[id].observeSuccess()
+					health[o].observeSuccess()
 				}
 				r.rc.Record("fanout", obsv.CatRequest, legs, legStart, r.rc.Now(),
 					obsv.String("link", link),
-					obsv.String("node", id),
+					obsv.String("node", r.ids[o]),
 					obsv.String("attempt", "refresh"),
 					obsv.Int("ok", ok))
-				if err == nil && gen > answers[i].gen {
-					answers[i] = answer{id, rs, gen}
+				if err == nil && gen > a.gen {
+					answers[i] = answer{node: o, rules: rs, gen: gen}
 					improved = true
 				}
 			}
@@ -706,41 +683,19 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 		}
 	}
 
-	// Merge: answers in sorted node order (determinism), deduplicating
-	// rules that arrived from two replicas of the same shard.  On a
-	// mixed-generation race the newer generation's copy wins; RankTruncate
-	// then ranks under the RankLess total order, so the result is
-	// independent of which replicas happened to answer.
-	sort.Slice(answers, func(i, j int) bool { return answers[i].node < answers[j].node })
-	var matches []rules.Rule
-	var genOf []uint64
-	seen := make(map[string]int)
-	for _, a := range answers {
-		for _, rule := range a.rules {
-			key := rule.Antecedent.Key() + "|" + rule.Consequent.Key()
-			if j, ok := seen[key]; ok {
-				if a.gen > genOf[j] {
-					matches[j], genOf[j] = rule, a.gen
-				}
-				continue
-			}
-			seen[key] = len(matches)
-			matches = append(matches, rule)
-			genOf = append(genOf, a.gen)
-		}
-	}
-	first := true
-	for _, a := range answers {
-		if first || a.gen < res.Generation {
+	// Merge the answers in node order (determinism).  Generation is the
+	// lowest among them (0 when none arrived); Mixed reports that they
+	// disagreed.
+	slices.SortFunc(answers, func(a, b answer) int { return cmp.Compare(a.node, b.node) })
+	for i, a := range answers {
+		if i == 0 || a.gen < res.Generation {
 			res.Generation = a.gen
 		}
-		if !first && a.gen != answers[0].gen {
-			res.Mixed = true
-		}
-		first = false
+		res.Mixed = res.Mixed || a.gen != answers[0].gen
 	}
-	for _, s := range shards {
-		if !covered[s] {
+	res.Rules = mergeAnswers(answers, k)
+	for i, s := range shards {
+		if !covered[i] {
 			res.MissedShards = append(res.MissedShards, s)
 		}
 	}
@@ -749,28 +704,140 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 		partial = true
 		r.met.partials.Add(1)
 	}
-	res.NodesQueried = len(asked)
+	for _, ok := range asked {
+		if ok {
+			res.NodesQueried++
+		}
+	}
 	res.Retries = retries
 	res.Hedges = hedges
-	res.Rules = serve.RankTruncate(matches, k)
 	return res, nil
 }
 
-// minDur returns the smaller of two durations.
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
+// legResult is what one fan-out leg reports back to its query.
+type legResult struct {
+	node  int // ordinal
+	rules []rules.Rule
+	gen   uint64
+	err   error
 }
 
-// dedupInts removes adjacent duplicates from a sorted slice.
-func dedupInts(s []int) []int {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
+// leg runs one fan-out leg against node o under Options.RequestTimeout,
+// feeds the outcome to the node's failure detector and records the leg's
+// span: one per leg, on its own rank track (the router's own spans live on
+// rank 0), whose link attribute ties every leg — primary, retry or hedge —
+// back to its request span.  The caller counted the leg as outstanding.
+func (r *Router) leg(o, rank int, attempt string, b itemset.Itemset, k int, link string, out chan<- legResult) {
+	h := r.health[o]
+	legStart := r.rc.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), r.opt.RequestTimeout)
+	rs, gen, err := r.clients[o].Recommend(ctx, b, k, link)
+	cancel()
+	h.outstanding.Add(-1)
+	ok := int64(1)
+	if err != nil {
+		ok = 0
+		h.observeFailure()
+		var te *TimeoutError
+		if errors.As(err, &te) {
+			r.met.timeouts.Add(1)
 		}
+	} else {
+		h.observeSuccess()
+	}
+	r.rc.Record("fanout", obsv.CatRequest, rank, legStart, r.rc.Now(),
+		obsv.String("link", link),
+		obsv.String("node", r.ids[o]),
+		obsv.String("attempt", attempt),
+		obsv.Int("ok", ok))
+	out <- legResult{node: o, rules: rs, gen: gen, err: err}
+}
+
+// answer is one node's reply: its local top-K in RankLess order and the
+// generation it served from.  next is mergeAnswers' cursor into rules.
+type answer struct {
+	node  int // ordinal
+	rules []rules.Rule
+	gen   uint64
+	next  int
+}
+
+// mergeAnswers merges the answers, in node order, into the global top k.
+// Each answer is already in RankLess order, so a k-way merge takes the
+// lowest head each step (the lowest node's on a tie) and stops at k rules.
+// A rule that several answers hold is kept once: the copy from the newest
+// generation, and among copies of one generation the lowest node's.  Every
+// owner holds a generation's groups as the same bytes, so one generation's
+// copies of a rule are equal and come off the heads back to back, and a
+// copy is dropped when an answer from a newer generation holds the rule
+// (newerCopy looks no further than a generation comparison per answer
+// when all answers share one generation).  The result is the deduplicated
+// union ranked under the RankLess total order and cut to k, independent of
+// which replicas answered.
+//
+//checkinv:hotpath
+func mergeAnswers(answers []answer, k int) []rules.Rule {
+	total := 0
+	for _, a := range answers {
+		total += len(a.rules)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]rules.Rule, 0, min(k, total))
+	for len(out) < k {
+		best := -1
+		for i := range answers {
+			a := &answers[i]
+			if a.next == len(a.rules) {
+				continue
+			}
+			if best < 0 || rules.RankLess(a.rules[a.next], answers[best].rules[answers[best].next]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		a := &answers[best]
+		rule := a.rules[a.next]
+		a.next++
+		if len(out) > 0 && sameRule(out[len(out)-1], rule) {
+			continue
+		}
+		if newerCopy(answers, a.gen, rule) {
+			continue
+		}
+		out = append(out, rule)
 	}
 	return out
+}
+
+// newerCopy reports whether an answer from a generation newer than gen
+// holds a rule with rule's antecedent and consequent.
+func newerCopy(answers []answer, gen uint64, rule rules.Rule) bool {
+	for _, a := range answers {
+		if a.gen <= gen {
+			continue
+		}
+		for _, x := range a.rules {
+			if sameRule(x, rule) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sameRule reports whether two rules have the same antecedent and
+// consequent.
+func sameRule(a, b rules.Rule) bool {
+	return a.Antecedent.Equal(b.Antecedent) && a.Consequent.Equal(b.Consequent)
+}
+
+// carve cuts the next n elements off the front of *buf.
+func carve[T any](buf *[]T, n int) []T {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
 }

@@ -41,7 +41,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"parapriori/internal/itemset"
 	"parapriori/internal/rules"
@@ -442,16 +441,27 @@ func (ix *Index) Recommend(basket itemset.Itemset, k int) []rules.Rule {
 // result is deterministic whatever order the matches arrive in — the
 // property that lets the distributed router merge per-node top-K lists into
 // a global top-K bit-identical to a single-node scan.  The index itself
-// ranks by comparing rule ids (see Index); this is the merge for callers
-// holding rules from more than one index.
+// ranks by comparing rule ids (see Index), and the router merges lists
+// that arrive ranked; this is the ranking of a rule list in any order.
 //
 //checkinv:hotpath
 func RankTruncate(matches []rules.Rule, k int) []rules.Rule {
-	sort.Slice(matches, func(i, j int) bool { return rules.RankLess(matches[i], matches[j]) })
+	slices.SortFunc(matches, rankCompare)
 	if k >= 0 && len(matches) > k {
 		matches = matches[:k]
 	}
 	return matches
+}
+
+// rankCompare is rules.RankLess as a three-way comparison.
+func rankCompare(a, b rules.Rule) int {
+	switch {
+	case rules.RankLess(a, b):
+		return -1
+	case rules.RankLess(b, a):
+		return 1
+	}
+	return 0
 }
 
 // hashItems hashes an antecedent for the build's chaining table with a
