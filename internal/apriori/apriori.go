@@ -102,18 +102,6 @@ func (r *Result) NumFrequent() int {
 	return n
 }
 
-// SupportIndex returns a map from Itemset.Key() to support count, the lookup
-// structure rule generation needs.
-func (r *Result) SupportIndex() map[string]int64 {
-	idx := make(map[string]int64, r.NumFrequent())
-	for _, level := range r.Levels {
-		for _, f := range level {
-			idx[f.Items.Key()] = f.Count
-		}
-	}
-	return idx
-}
-
 // Mine runs the serial Apriori algorithm over the dataset: MineSource over
 // the resident source a *Dataset is.
 func Mine(data *itemset.Dataset, p Params) (*Result, error) {

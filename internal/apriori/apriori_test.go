@@ -34,11 +34,11 @@ func TestPaperSupportCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := res.SupportIndex()
-	if got := idx[itemset.New(4, 5).Key()]; got != 3 {
+	supports := res.SupportTable()
+	if got, _ := supports.Lookup(itemset.New(4, 5)); got != 3 {
 		t.Errorf("σ(Diaper,Milk) = %d, want 3", got)
 	}
-	if got := idx[itemset.New(2, 4, 5).Key()]; got != 2 {
+	if got, _ := supports.Lookup(itemset.New(2, 4, 5)); got != 2 {
 		t.Errorf("σ(Diaper,Milk,Beer) = %d, want 2", got)
 	}
 }
@@ -49,17 +49,17 @@ func TestMineMinSupportFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := res.SupportIndex()
-	for key, c := range idx {
-		if c < 3 {
-			t.Errorf("itemset %v with count %d survived 60%% support", itemset.KeyToItemset(key), c)
+	for _, f := range res.All() {
+		if f.Count < 3 {
+			t.Errorf("itemset %v with count %d survived 60%% support", f.Items, f.Count)
 		}
 	}
 	// {Milk} appears 4 times, {Diaper, Milk} 3 times.
-	if _, ok := idx[itemset.New(5).Key()]; !ok {
+	supports := res.SupportTable()
+	if _, ok := supports.Lookup(itemset.New(5)); !ok {
 		t.Error("missing {Milk}")
 	}
-	if _, ok := idx[itemset.New(4, 5).Key()]; !ok {
+	if _, ok := supports.Lookup(itemset.New(4, 5)); !ok {
 		t.Error("missing {Diaper, Milk}")
 	}
 }
@@ -113,13 +113,13 @@ func TestMineMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := bruteFrequent(d, res.MinCount)
-		got := res.SupportIndex()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d frequent itemsets, brute force found %d", trial, len(got), len(want))
+		if got := res.NumFrequent(); got != len(want) {
+			t.Fatalf("trial %d: %d frequent itemsets, brute force found %d", trial, got, len(want))
 		}
+		supports := res.SupportTable()
 		for k, c := range want {
-			if got[k] != c {
-				t.Errorf("trial %d: %v count %d, want %d", trial, itemset.KeyToItemset(k), got[k], c)
+			if got, _ := supports.Lookup(itemset.KeyToItemset(k)); got != c {
+				t.Errorf("trial %d: %v count %d, want %d", trial, itemset.KeyToItemset(k), got, c)
 			}
 		}
 	}
@@ -438,9 +438,17 @@ func TestResultHelpers(t *testing.T) {
 	if res.NumFrequent() != len(res.All()) {
 		t.Errorf("NumFrequent %d != len(All) %d", res.NumFrequent(), len(res.All()))
 	}
-	idx := res.SupportIndex()
-	if len(idx) != res.NumFrequent() {
-		t.Errorf("SupportIndex size %d != %d", len(idx), res.NumFrequent())
+	// The support table finds every frequent itemset, and nothing else.
+	supports := res.SupportTable()
+	for _, f := range res.All() {
+		if got, ok := supports.Lookup(f.Items); !ok || got != f.Count {
+			t.Errorf("SupportTable.Lookup(%v) = %d, %v; want %d", f.Items, got, ok, f.Count)
+		}
+	}
+	for _, miss := range []itemset.Itemset{nil, itemset.New(6), itemset.New(1, 4), itemset.New(1, 2, 3, 4, 5)} {
+		if got, ok := supports.Lookup(miss); ok {
+			t.Errorf("SupportTable.Lookup(%v) = %d, found", miss, got)
+		}
 	}
 	// Levels are sorted lexicographically.
 	for _, level := range res.Levels {
@@ -469,14 +477,14 @@ func TestDownwardClosure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := res.SupportIndex()
+	supports := res.SupportTable()
 	for _, f := range res.All() {
 		for i := range f.Items {
 			sub := append(f.Items[:i:i], f.Items[i+1:]...)
 			if len(sub) == 0 {
 				continue
 			}
-			c, ok := idx[sub.Key()]
+			c, ok := supports.Lookup(sub)
 			if !ok {
 				t.Fatalf("subset %v of frequent %v is not frequent", sub, f.Items)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"parapriori/internal/apriori"
 	"parapriori/internal/cluster"
@@ -53,40 +54,42 @@ func GenerateRules(res *apriori.Result, p int, machine cluster.Machine, minConfi
 		}
 		sources = append(sources, level...)
 	}
-	support := res.SupportIndex()
+	support := res.SupportTable()
 	n := float64(res.N)
 
-	perProc := make([][]rules.Rule, p)
+	var all []rules.Rule
 	evaluated := make([]int64, p)
 	genTime := make([]float64, p)
 	runErr := cl.Run(func(pr *cluster.Proc) error {
 		start := pr.Clock()
-		var local []rules.Rule
-		var ops int64
+		g := rules.NewGenerator(support, n, minConfidence)
 		// Round-robin deal, the same balance-by-count strategy DD uses for
 		// candidates; rule work per itemset varies, which the report's
 		// imbalance measure exposes.
 		for i := pr.ID(); i < len(sources); i += p {
-			rs, ev := rules.FromItemset(sources[i], support, n, minConfidence)
-			local = append(local, rs...)
-			ops += int64(ev)
+			g.FromItemset(sources[i])
 		}
 		m := pr.Machine()
-		pr.Compute(float64(ops)*(m.TGen+m.TCheck), "rulegen")
+		pr.Compute(float64(g.Evaluated)*(m.TGen+m.TCheck), "rulegen")
 		genTime[pr.ID()] = pr.Clock() - start
-		evaluated[pr.ID()] = ops
+		evaluated[pr.ID()] = g.Evaluated
 
+		local := g.Rules()
 		bytes := 0
 		for _, r := range local {
 			bytes += 4*(len(r.Antecedent)+len(r.Consequent)) + 24
 		}
 		gathered := world.AllGather(pr, "rules", local, bytes)
-		var all []rules.Rule
-		for _, g := range gathered {
-			all = append(all, g.Payload.([]rules.Rule)...)
+		// Every processor now holds every rule; the host assembles and
+		// sorts one copy, rank 0's.
+		if pr.ID() == 0 {
+			parts := make([][]rules.Rule, len(gathered))
+			for i, gp := range gathered {
+				parts[i] = gp.Payload.([]rules.Rule)
+			}
+			all = slices.Concat(parts...)
+			rules.Sort(all)
 		}
-		rules.Sort(all)
-		perProc[pr.ID()] = all
 		return nil
 	})
 	if runErr != nil {
@@ -94,7 +97,7 @@ func GenerateRules(res *apriori.Result, p int, machine cluster.Machine, minConfi
 	}
 
 	rep := &RulesReport{
-		Rules:         perProc[0],
+		Rules:         all,
 		ResponseTime:  cl.MaxClock(),
 		TimeImbalance: imbalanceFloat(genTime),
 	}

@@ -170,7 +170,7 @@ func (s *blockStream) next(p *cluster.Proc) ([]itemset.Transaction, error) {
 			s.cur = br
 			s.idx++
 		}
-		blk, db, err := s.cur.Next()
+		blk, items, db, err := s.cur.Next()
 		if err == io.EOF {
 			if cerr := s.finishReader(); cerr != nil {
 				return nil, cerr
@@ -188,14 +188,10 @@ func (s *blockStream) next(p *cluster.Proc) ([]itemset.Transaction, error) {
 		s.stats.Blocks++
 		s.stats.Bytes += int64(db)
 		s.r.sec(p, "read", start, obsv.Int("bytes", int64(db)))
-		var items int64
-		for _, t := range blk {
-			items += int64(len(t.Items))
-		}
 		decStart := p.Clock()
-		chargeScan(p, items, "decode")
+		chargeScan(p, int64(items), "decode")
 		s.stats.DecodeSeconds += p.Clock() - decStart
-		s.r.sec(p, "decode", decStart, obsv.Int("items", items))
+		s.r.sec(p, "decode", decStart, obsv.Int("items", int64(items)))
 		return blk, nil
 	}
 }

@@ -31,6 +31,12 @@ import (
 // candidate, k words per step.  What runs is one paged layout (vertical)
 // whose host work is smaller; every counter and MemoryBytes are the column
 // model's, computed from the logical column lengths.
+//
+// A streaming engine over a dense C₂ — every pair of its own items that
+// starts with a first item it counts, as CD's whole C₂ and HD's and IDD's
+// whole-row shares are — runs no intersections at all: it counts each
+// transaction's pairs straight into a pair matrix (pairMatrix) and keeps only
+// each column's last TID, which fixes the same logical lengths.
 
 func init() {
 	Register("bitset", func(cfg Config) Builder { return &bitsetBuilder{cfg: cfg} })
@@ -83,6 +89,9 @@ type vertical struct {
 	sink  int32   // the sink's column index: the number of real columns
 	rows  []*row  // a row is allocated when a transaction first reaches it
 	n     int     // transactions added
+	// last, on a pair-matrix engine, is each column's last TID (-1 for
+	// none), which it keeps instead of rows.
+	last []int
 	// words, once set, is each column's logical length (see columnWords);
 	// it outlives the rows, which a streaming engine releases in Counts.
 	words []int
@@ -126,12 +135,19 @@ func (v *vertical) add(txns []itemset.Transaction) (touched int64) {
 
 // columnWords returns each column's logical length in words: one past its
 // last non-zero word, exactly the length a column grown one word at a time
-// to hold its last set bit reaches.
+// to hold its last set bit reaches.  Without rows that is the word of the
+// column's last TID.
 func (v *vertical) columnWords() []int {
 	if v.words != nil {
 		return v.words
 	}
 	words := make([]int, int(v.sink)+1)
+	if v.last != nil {
+		for c, tid := range v.last {
+			words[c] = tid>>6 + 1
+		}
+		return words
+	}
 	for c := range words {
 	rows:
 		for r := len(v.rows) - 1; r >= 0; r-- {
@@ -192,16 +208,16 @@ func (b *bitsetBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
 	e := &bitsetEngine{k: k, counts: make([]int64, m), ix: b.prepared}
 	if e.ix == nil {
 		// Streaming mode: columns only for the items the candidates
-		// actually contain, numbered in order of first appearance.
+		// actually contain, numbered in item order.
 		v := &vertical{remap: make([]int32, span)}
-		for i := range v.remap {
-			v.remap[i] = -1
-		}
 		for _, it := range cands.Items {
-			if v.remap[it] < 0 {
-				v.remap[it] = v.sink
+			v.remap[it] = 1
+		}
+		for i, used := range v.remap {
+			v.remap[i] = -1
+			if used != 0 {
+				v.remap[i] = v.sink
 				v.sink++
-				e.stats.BuildOps++
 			}
 		}
 		for i, c := range v.remap {
@@ -209,13 +225,130 @@ func (b *bitsetBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
 				v.remap[i] = v.sink
 			}
 		}
+		e.stats.BuildOps = int64(v.sink)
 		e.ix, e.streaming = v, true
 	}
 	e.cols = make([]int32, len(cands.Items))
 	for i, it := range cands.Items {
 		e.cols[i] = e.ix.column(it)
 	}
+	if e.streaming && k == 2 {
+		e.pairs = newPairMatrix(e.ix, e.cols)
+	}
 	return e, nil
+}
+
+// pairMatrix counts a dense C₂ by pairs.  Columns are numbered in item
+// order, so a transaction's candidate items, mapped to columns, stay
+// ascending, and every pair of them that starts with a first item is a
+// candidate: one cell each, in rows by first column.  Row a holds a cell for
+// every column after a, cell (a, b) at start[a]+b-a-1, so the cells are
+// exactly the candidates, and a transaction of m candidate items costs at
+// most m(m-1)/2 increments where the column kernel ANDs every candidate's
+// pages.
+type pairMatrix struct {
+	start []int   // column → its row's first cell, or -1 when no candidate starts with it
+	cells []int64 // one count per distinct candidate
+	buf   []int32 // one transaction's candidate columns
+}
+
+// newPairMatrix returns the matrix for candidate pairs cols (cols[2i],
+// cols[2i+1] candidate i's columns, in item order), or nil when they are not
+// dense over their own columns: when some column after a first column is
+// missing from its row, as in a round-robin share or a hash-filtered C₂,
+// which keep the column kernel.  It also fixes v's lengths to come from
+// last TIDs.
+func newPairMatrix(v *vertical, cols []int32) *pairMatrix {
+	n := int(v.sink)
+	start := make([]int, n)
+	for i := range start {
+		start[i] = -1
+	}
+	for i := 0; i < len(cols); i += 2 {
+		start[cols[i]] = 0
+	}
+	cells := 0
+	for a := range start {
+		if start[a] == 0 {
+			start[a] = cells
+			cells += n - a - 1
+		}
+	}
+	// Every candidate has a cell, so fewer candidates than cells leave a
+	// hole; as many or more may still repeat one.
+	if len(cols)/2 < cells || cells == 0 {
+		return nil
+	}
+	p := &pairMatrix{start: start, cells: make([]int64, cells)}
+	distinct := 0
+	for i := 0; i < len(cols); i += 2 {
+		c := &p.cells[p.cell(cols[i], cols[i+1])]
+		if *c == 0 {
+			*c = 1
+			distinct++
+		}
+	}
+	if distinct < cells {
+		return nil
+	}
+	clear(p.cells)
+	v.last = make([]int, n+1)
+	for c := range v.last {
+		v.last[c] = -1
+	}
+	return p
+}
+
+// cell returns the cell of candidate (a, b), a < b.
+func (p *pairMatrix) cell(a, b int32) int {
+	return p.start[a] + int(b) - int(a) - 1
+}
+
+// add counts the transactions' candidate pairs, one TID each, and returns
+// the items it touched.  Like vertical.add, every item maps through the
+// remap (the sink included) and records its column's last TID without a
+// branch on the sink.
+//
+//checkinv:hotpath
+func (p *pairMatrix) add(v *vertical, txns []itemset.Transaction) (touched int64) {
+	longest := 0
+	for i := range txns {
+		longest = max(longest, len(txns[i].Items))
+	}
+	if len(p.buf) < longest {
+		p.buf = make([]int32, longest)
+	}
+	remap, sink, last, start, cells, buf := v.remap, v.sink, v.last, p.start, p.cells, p.buf
+	for i := range txns {
+		tid := v.n
+		v.n++
+		items := txns[i].Items
+		touched += int64(len(items))
+		m := 0
+		for _, it := range items {
+			c := sink
+			if uint(it) < uint(len(remap)) {
+				c = remap[it]
+			}
+			last[c] = tid
+			buf[m] = c
+			if c != sink {
+				m++
+			}
+		}
+		row := buf[:m]
+		for j, a := range row {
+			s := start[a]
+			if s < 0 {
+				continue
+			}
+			s -= int(a) + 1
+			for _, b := range row[j+1:] {
+				cells[s+int(b)]++
+			}
+		}
+	}
+	return touched
 }
 
 type bitsetEngine struct {
@@ -225,22 +358,29 @@ type bitsetEngine struct {
 	ix        *vertical
 	streaming bool
 	cols      []int32 // candidate i's columns are cols[i*k : i*k+k]
-	counts    []int64
-	counted   bool
-	stats     Stats
+	// pairs, when set, counts instead of the rows (a streaming k = 2 engine
+	// over a dense C₂).
+	pairs   *pairMatrix
+	counts  []int64
+	counted bool
+	stats   Stats
 }
 
 func (e *bitsetEngine) Len() int { return len(e.counts) }
 
 // CountBlock appends the block to the vertical index (a no-op beyond
 // bookkeeping in prepared mode); the actual counting is deferred to Counts,
-// one intersection per candidate.
+// one intersection per candidate.  A pair-matrix engine counts the block's
+// pairs here instead, but its WordOps are charged in Counts all the same.
 func (e *bitsetEngine) CountBlock(txns []itemset.Transaction, rootFilter *bitmap.Bitmap) {
 	// rootFilter is ignored: it only ever excludes candidates outside this
 	// engine's own candidate set (the grid builds per-row engines over the
 	// filtered share), so intersection counts are unaffected.
 	e.stats.Transactions += int64(len(txns))
-	if e.streaming {
+	switch {
+	case e.pairs != nil:
+		e.stats.ItemTouches += e.pairs.add(e.ix, txns)
+	case e.streaming:
 		e.stats.ItemTouches += e.ix.add(txns)
 	}
 }
@@ -248,7 +388,8 @@ func (e *bitsetEngine) CountBlock(txns []itemset.Transaction, rootFilter *bitmap
 // Counts intersects each candidate's item bitmaps.  The work happens here,
 // not in CountBlock; callers snapshot Stats around the call to charge it.
 // The charge is k words per step up to the candidate's shortest column; the
-// host walks the rows once, every candidate's pages per row.
+// host walks the rows once, every candidate's pages per row, or reads each
+// candidate's cell of the pair matrix.
 //
 //checkinv:hotpath
 func (e *bitsetEngine) Counts() []int64 {
@@ -262,6 +403,11 @@ func (e *bitsetEngine) Counts() []int64 {
 				nw = min(nw, words[c])
 			}
 			e.stats.WordOps += int64(nw * k)
+		}
+		if p := e.pairs; p != nil {
+			for i := range e.counts {
+				e.counts[i] = p.cells[p.cell(e.cols[2*i], e.cols[2*i+1])]
+			}
 		}
 		for _, r := range e.ix.rows {
 			intersect(e.counts, *r, e.cols, k)

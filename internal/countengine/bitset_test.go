@@ -12,6 +12,7 @@ import (
 	"parapriori/internal/countengine"
 	"parapriori/internal/datagen"
 	"parapriori/internal/itemset"
+	"parapriori/internal/partition"
 )
 
 // columnModel is the bitset engine as the cost model prices it, written the
@@ -280,6 +281,128 @@ func TestBitsetMatchesColumnModel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pairShapes are the k = 2 candidate sets of the workload's F₁ that decide
+// between the pair matrix and the column kernel: whether each is dense over
+// its own items (pairs) or has a hole (kernel).
+func pairShapes(t testing.TB, data *itemset.Dataset) []struct {
+	name  string
+	cands []itemset.Itemset
+	pairs bool
+} {
+	res, err := apriori.Mine(data, apriori.Params{MinSupport: 0.03, MaxPasses: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1 := make([]itemset.Itemset, len(res.Levels[0]))
+	for i, f := range res.Levels[0] {
+		f1[i] = f.Items
+	}
+	c2 := apriori.GenFlat(f1)
+	packed := partition.BinPackFlat(c2, 3, 0)
+	if len(packed.GroupsOf[1]) < 2 {
+		t.Fatal("bin-packed share 1 holds fewer than two rows")
+	}
+	var dhp []itemset.Itemset
+	for i := 0; i < c2.Len(); i++ {
+		if c := c2.At(i); (c[0]*7+c[1])%5 != 0 {
+			dhp = append(dhp, c)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	return []struct {
+		name  string
+		cands []itemset.Itemset
+		pairs bool
+	}{
+		{"complete", c2.Itemsets(), true},
+		{"complete-shuffled-repeated", withGhosts(rng, 2, c2.Itemsets(), false), true},
+		{"binpacked-rows", packed.Share(1).Itemsets(), true},
+		{"complete-ghosts", withGhosts(rng, 2, c2.Itemsets(), true), false},
+		{"roundrobin", partition.RoundRobin(c2, 3)[1].Itemsets(), false},
+		{"dhp-filtered", dhp, false},
+	}
+}
+
+// pairMatrix reports whether a bitset engine counts in the pair matrix.  The
+// method lives in export_test.go; checkinv type-checks this package against
+// countengine's non-test sources, where it does not exist, so it is reached
+// through an assertion instead of named statically.
+func pairMatrix(e countengine.Engine) bool {
+	pm, ok := e.(interface{ PairMatrix() bool })
+	return ok && pm.PairMatrix()
+}
+
+// TestBitsetPairMatrixMatchesColumnModel holds a streaming engine over each
+// pass-2 shape to the column model — counts, every Stats field and
+// MemoryBytes before and after Counts — at the stream lengths, block sizes
+// and remap widths of TestBitsetMatchesColumnModel, and pins which shapes
+// count in the pair matrix: a complete C₂ and whole first-item rows do, a
+// set with a hole keeps the column kernel.
+func TestBitsetPairMatrixMatchesColumnModel(t *testing.T) {
+	data, _ := bitsetWorkload(t)
+	for _, shape := range pairShapes(t, data) {
+		for _, n := range []int{0, 1, 63, 64, 65, 4095, 4096, 4097, 8193} {
+			txns := data.Transactions[:n]
+			for _, numItems := range []int{0, data.NumItems} {
+				for _, block := range []int{1, 7, 1000, max(n, 1)} {
+					name := fmt.Sprintf("%s/n=%d/items=%d/block=%d", shape.name, n, numItems, block)
+					t.Run(name, func(t *testing.T) {
+						viaFlat, viaHeaders := buildBoth(t, newBuilder(t, "bitset", numItems), 2, shape.cands)
+						for _, eng := range []countengine.Engine{viaFlat, viaHeaders} {
+							if got := pairMatrix(eng); got != shape.pairs {
+								t.Fatalf("pair matrix = %v, want %v", got, shape.pairs)
+							}
+							runAgainstModel(t, eng, newStreamingModel(2, numItems, shape.cands), txns, block, true)
+						}
+						sameEngine(t, name, viaFlat, viaHeaders)
+					})
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBitsetPass2 is one rank's second pass of the mine-ooc workload:
+// CD's complete C₂ over the items frequent at 2 % in 50 000 T12.I4
+// transactions of 300 items (200 patterns), streamed through a bitset
+// engine in blocks of 4 096 and counted.
+func BenchmarkBitsetPass2(b *testing.B) {
+	p := datagen.Defaults()
+	p.NumTransactions = 50000
+	p.NumItems = 300
+	p.NumPatterns = 200
+	p.AvgTxnLen = 12
+	p.AvgPatternLen = 4
+	p.Seed = 7
+	data, err := datagen.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := apriori.Mine(data, apriori.Params{MinSupport: 0.02, MaxPasses: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f1 := make([]itemset.Itemset, len(res.Levels[0]))
+	for i, f := range res.Levels[0] {
+		f1[i] = f.Items
+	}
+	c2 := apriori.GenFlat(f1)
+	builder := newBuilder(b, "bitset", data.NumItems)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := builder.NewPassFlat(c2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < len(data.Transactions); lo += 4096 {
+			eng.CountBlock(data.Transactions[lo:min(lo+4096, len(data.Transactions))], nil)
+		}
+		eng.Counts()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data.Transactions)), "ns/txn")
 }
 
 // TestBitsetConcurrentEngines counts with streaming engines of one builder

@@ -55,7 +55,7 @@ func candLevels(t *testing.T, data *itemset.Dataset) map[int][]itemset.Itemset {
 	return out
 }
 
-func newBuilder(t *testing.T, name string, numItems int) countengine.Builder {
+func newBuilder(t testing.TB, name string, numItems int) countengine.Builder {
 	t.Helper()
 	b, err := countengine.New(name, countengine.Config{NumItems: numItems})
 	if err != nil {

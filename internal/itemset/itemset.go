@@ -118,9 +118,11 @@ func (s Itemset) Compare(t Itemset) int {
 	return 0
 }
 
-// Minus returns s \ t (items of s not in t).
-func (s Itemset) Minus(t Itemset) Itemset {
-	out := make(Itemset, 0, len(s))
+// AppendMinus appends s \ t (items of s not in t) to dst and returns the
+// extended slice, so a caller can build the difference in a buffer of its
+// own.
+func (s Itemset) AppendMinus(dst, t Itemset) Itemset {
+	out := dst
 	j := 0
 	for _, it := range s {
 		for j < len(t) && t[j] < it {

@@ -186,11 +186,17 @@ func TestCompare(t *testing.T) {
 
 func TestMinus(t *testing.T) {
 	a, b := New(1, 3, 5), New(2, 3, 6)
-	if got := a.Minus(b); !got.Equal(New(1, 5)) {
+	if got := a.AppendMinus(nil, b); !got.Equal(New(1, 5)) {
 		t.Errorf("minus = %v", got)
 	}
-	if got := b.Minus(a); !got.Equal(New(2, 6)) {
+	if got := b.AppendMinus(nil, a); !got.Equal(New(2, 6)) {
 		t.Errorf("minus = %v", got)
+	}
+	// The difference lands after what dst already holds, in dst's array.
+	var buf [8]Item
+	dst := append(buf[:0], 0)
+	if got := a.AppendMinus(dst, b); !got.Equal(Itemset{0, 1, 5}) || &got[0] != &buf[0] {
+		t.Errorf("append minus = %v", got)
 	}
 }
 
@@ -226,12 +232,12 @@ func TestKeyUnique(t *testing.T) {
 	}
 }
 
-// Property: Minus removes exactly the common elements.
+// Property: AppendMinus removes exactly the common elements.
 func TestMinusProperties(t *testing.T) {
 	f := func(ra, rb []uint8) bool {
 		a := fromBytes(ra)
 		b := fromBytes(rb)
-		m := a.Minus(b)
+		m := a.AppendMinus(nil, b)
 		if !m.Valid() || !a.ContainsAll(m) {
 			return false
 		}

@@ -7,8 +7,10 @@
 package rules
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"parapriori/internal/apriori"
 	"parapriori/internal/itemset"
@@ -58,38 +60,73 @@ func Generate(res *apriori.Result, p Params) ([]Rule, error) {
 	if p.MinConfidence < 0 || p.MinConfidence > 1 {
 		return nil, fmt.Errorf("rules: MinConfidence %v outside [0, 1]", p.MinConfidence)
 	}
-	support := res.SupportIndex()
-	n := float64(res.N)
-
-	var out []Rule
+	g := NewGenerator(res.SupportTable(), float64(res.N), p.MinConfidence)
 	for size, level := range res.Levels {
 		if size+1 < 2 {
 			continue // no rules from single items
 		}
 		for _, f := range level {
-			rs, _ := FromItemset(f, support, n, p.MinConfidence)
-			out = append(out, rs...)
+			g.FromItemset(f)
 		}
 	}
-	Sort(out)
-	return out, nil
+	return g.sorted(), nil
+}
+
+// sortKey is a rule's place in the Sort order: its two measures, and its
+// index for the item tie-breaks and the permutation.  A measure is held as
+// its bits complemented: measures are never negative or NaN, so their bits
+// order as they do, and complemented bits order descending.
+type sortKey struct {
+	conf, sup uint64
+	at        int32
+}
+
+// order returns the keys of the n rules rule(0) … rule(n-1) in Sort order.
+func order(n int, rule func(int32) *Rule) []sortKey {
+	keys := make([]sortKey, n)
+	for i := range keys {
+		r := rule(int32(i))
+		keys[i] = sortKey{^math.Float64bits(r.Confidence), ^math.Float64bits(r.Support), int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.conf != b.conf {
+			return cmp.Compare(a.conf, b.conf)
+		}
+		if a.sup != b.sup {
+			return cmp.Compare(a.sup, b.sup)
+		}
+		ra, rb := rule(a.at), rule(b.at)
+		if c := ra.Antecedent.Compare(rb.Antecedent); c != 0 {
+			return c
+		}
+		return ra.Consequent.Compare(rb.Consequent)
+	})
+	return keys
 }
 
 // Sort orders rules by descending confidence, then descending support, then
-// antecedent/consequent order — the order Generate returns.
-func Sort(out []Rule) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Confidence != out[j].Confidence {
-			return out[i].Confidence > out[j].Confidence
+// antecedent/consequent order — the order Generate returns.  It sorts small
+// keys, not the rules, then moves each rule once into its place.
+func Sort(rs []Rule) {
+	keys := order(len(rs), func(i int32) *Rule { return &rs[i] })
+	// Rule keys[i].at belongs at i: follow each cycle of the permutation
+	// once, marking a placed slot by pointing its key at itself.
+	for i := range keys {
+		if int(keys[i].at) == i {
+			continue
 		}
-		if out[i].Support != out[j].Support {
-			return out[i].Support > out[j].Support
+		held, j := rs[i], i
+		for {
+			from := int(keys[j].at)
+			keys[j].at = int32(j)
+			if from == i {
+				rs[j] = held
+				break
+			}
+			rs[j] = rs[from]
+			j = from
 		}
-		if c := out[i].Antecedent.Compare(out[j].Antecedent); c != 0 {
-			return c < 0
-		}
-		return out[i].Consequent.Compare(out[j].Consequent) < 0
-	})
+	}
 }
 
 // RankLess is the serving order: descending confidence, then descending
@@ -114,67 +151,150 @@ func RankLess(a, b Rule) bool {
 	return a.Consequent.Compare(b.Consequent) < 0
 }
 
-// FromItemset emits the rules derivable from one frequent itemset f
-// (ap-genrules over growing consequents) and the number of candidate rules
-// evaluated — the work measure the parallel formulation charges for.  The
-// support index must cover every subset of f.Items.
-func FromItemset(f apriori.Frequent, support map[string]int64, n float64, minConf float64) ([]Rule, int) {
-	var out []Rule
-	evaluated := 0
-	// Level 1: single-item consequents.
-	var consequents []itemset.Itemset
+// Generator runs ap-genrules itemset by itemset over one result's supports,
+// collecting the rules it keeps and counting the candidate rules it tests in
+// Evaluated — the work measure the parallel formulation charges for.
+type Generator struct {
+	Evaluated int64
+
+	// kept holds the kept rules in blocks of chunkRules, so the list grows
+	// without copying what it holds.
+	kept  [][]Rule
+	nKept int
+
+	support *apriori.SupportTable
+	n       float64
+	minConf float64
+	arena   []itemset.Item    // kept rules' items are carved from it
+	cons    []itemset.Itemset // the consequents kept at the current size
+}
+
+// NewGenerator readies rule generation over the supports of a result of n
+// transactions at the confidence threshold minConf.  Generators may share
+// one table: they only read it.
+func NewGenerator(support *apriori.SupportTable, n float64, minConf float64) *Generator {
+	return &Generator{support: support, n: n, minConf: minConf}
+}
+
+// FromItemset appends the rules derivable from one frequent itemset f of
+// the generator's result: ap-genrules over growing consequents.
+//
+//checkinv:hotpath
+func (g *Generator) FromItemset(f apriori.Frequent) {
+	// Level 1: single-item consequents, each a view of f's items.
+	g.cons = g.cons[:0]
 	for i := range f.Items {
-		y := itemset.Itemset{f.Items[i]}
-		evaluated++
-		if r, ok := makeRule(f, y, support, n, minConf); ok {
-			out = append(out, r)
-			consequents = append(consequents, y)
+		y := f.Items[i : i+1 : i+1]
+		if g.test(f, y) {
+			g.cons = append(g.cons, y)
 		}
 	}
 	// Grow consequents while they leave a non-empty antecedent.
-	for m := 2; m < len(f.Items) && len(consequents) > 1; m++ {
-		next := apriori.Gen(consequents)
-		consequents = consequents[:0]
-		for _, y := range next {
-			evaluated++
-			if r, ok := makeRule(f, y, support, n, minConf); ok {
-				out = append(out, r)
-				consequents = append(consequents, y)
+	for m := 2; m < len(f.Items) && len(g.cons) > 1; m++ {
+		next := apriori.GenFlat(g.cons)
+		g.cons = g.cons[:0]
+		for i := 0; i < next.Len(); i++ {
+			if y := next.At(i); g.test(f, y) {
+				g.cons = append(g.cons, y)
 			}
 		}
 	}
-	return out, evaluated
 }
 
-func makeRule(f apriori.Frequent, y itemset.Itemset, support map[string]int64, n float64, minConf float64) (Rule, bool) {
-	x := f.Items.Minus(y)
+// antecedentBuf is the stack buffer a candidate rule's antecedent is built
+// in; a longer itemset builds it on the heap.
+const antecedentBuf = 32
+
+// test evaluates the candidate rule f \ y => y and keeps it when it meets
+// the threshold, reporting whether it did.  The antecedent is built in a
+// stack buffer and copied out only for a kept rule.
+//
+//checkinv:hotpath
+func (g *Generator) test(f apriori.Frequent, y itemset.Itemset) bool {
+	g.Evaluated++
+	var buf [antecedentBuf]itemset.Item
+	x := f.Items.AppendMinus(buf[:0], y)
 	if len(x) == 0 {
-		return Rule{}, false
+		return false
 	}
-	sx, ok := support[x.Key()]
+	sx, ok := g.support.Lookup(x)
 	if !ok || sx == 0 {
 		// Every subset of a frequent itemset is frequent, so a missing
 		// antecedent means the caller passed an inconsistent result; treat
 		// the rule as failing rather than panicking.
-		return Rule{}, false
+		return false
 	}
 	conf := float64(f.Count) / float64(sx)
-	if conf < minConf {
-		return Rule{}, false
+	if conf < g.minConf {
+		return false
 	}
 	r := Rule{
-		Antecedent: x,
-		Consequent: y,
 		Count:      f.Count,
-		Support:    float64(f.Count) / n,
+		Support:    float64(f.Count) / g.n,
 		Confidence: conf,
 	}
-	// Y is a subset of a frequent itemset, so its support is in the index
+	// Y is a subset of a frequent itemset, so its support is in the table
 	// whenever the caller passed a consistent result.
-	if sy, ok := support[y.Key()]; ok && sy > 0 {
-		py := float64(sy) / n
+	if sy, ok := g.support.Lookup(y); ok && sy > 0 {
+		py := float64(sy) / g.n
 		r.Lift = conf / py
-		r.Leverage = r.Support - (float64(sx)/n)*py
+		r.Leverage = r.Support - (float64(sx)/g.n)*py
 	}
-	return r, true
+	r.Antecedent, r.Consequent = g.carve(x, y)
+	if g.nKept%chunkRules == 0 {
+		g.kept = append(g.kept, make([]Rule, 0, chunkRules))
+	}
+	last := &g.kept[len(g.kept)-1]
+	*last = append(*last, r)
+	g.nKept++
+	return true
+}
+
+// chunkRules is the size of one block of kept rules.
+const chunkRules = 256
+
+// rule returns kept rule i.
+func (g *Generator) rule(i int32) *Rule { return &g.kept[i/chunkRules][i%chunkRules] }
+
+// Rules returns the kept rules in the order they were kept, nil for none.
+func (g *Generator) Rules() []Rule {
+	if g.nKept == 0 {
+		return nil
+	}
+	out := make([]Rule, 0, g.nKept)
+	for _, c := range g.kept {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// sorted returns the kept rules in Sort order, nil for none.
+//
+//checkinv:hotpath
+func (g *Generator) sorted() []Rule {
+	if g.nKept == 0 {
+		return nil
+	}
+	keys := order(g.nKept, g.rule)
+	out := make([]Rule, g.nKept)
+	for i, k := range keys {
+		out[i] = *g.rule(k.at)
+	}
+	return out
+}
+
+// arenaItems is the size of one block of the arena kept rules' items live
+// in.
+const arenaItems = 4096
+
+// carve copies x and y into the arena and returns the copies, each
+// capacity-clipped so an append to one never reaches the other.
+func (g *Generator) carve(x, y itemset.Itemset) (itemset.Itemset, itemset.Itemset) {
+	n := len(x) + len(y)
+	if cap(g.arena)-len(g.arena) < n {
+		g.arena = make([]itemset.Item, 0, max(arenaItems, n))
+	}
+	at := len(g.arena)
+	g.arena = append(append(g.arena, x...), y...)
+	return g.arena[at : at+len(x) : at+len(x)], g.arena[at+len(x) : at+n : at+n]
 }

@@ -128,7 +128,7 @@ func TestRuleMeasuresConsistent(t *testing.T) {
 	if len(rules) == 0 {
 		t.Fatal("no rules generated; workload too sparse for the test")
 	}
-	idx := res.SupportIndex()
+	supports := res.SupportTable()
 	n := float64(d.Len())
 	for _, r := range rules {
 		for _, it := range r.Consequent {
@@ -137,21 +137,21 @@ func TestRuleMeasuresConsistent(t *testing.T) {
 			}
 		}
 		union := itemset.New(append(r.Antecedent.Clone(), r.Consequent...)...)
-		cu, ok := idx[union.Key()]
+		cu, ok := supports.Lookup(union)
 		if !ok {
 			t.Fatalf("rule %v union not frequent", r)
 		}
 		if cu != r.Count {
 			t.Errorf("rule %v count %d, index says %d", r, r.Count, cu)
 		}
-		cx := idx[r.Antecedent.Key()]
+		cx, _ := supports.Lookup(r.Antecedent)
 		if math.Abs(r.Confidence-float64(cu)/float64(cx)) > 1e-12 {
 			t.Errorf("rule %v confidence mismatch", r)
 		}
 		if math.Abs(r.Support-float64(cu)/n) > 1e-12 {
 			t.Errorf("rule %v support mismatch", r)
 		}
-		cy := idx[r.Consequent.Key()]
+		cy, _ := supports.Lookup(r.Consequent)
 		if math.Abs(r.Lift-r.Confidence/(float64(cy)/n)) > 1e-12 {
 			t.Errorf("rule %v lift mismatch", r)
 		}
@@ -187,7 +187,7 @@ func TestRankLessTotalOrder(t *testing.T) {
 
 // bruteRules enumerates all rules by splitting every frequent itemset.
 func bruteRules(res *apriori.Result, minConf float64) int {
-	idx := res.SupportIndex()
+	supports := res.SupportTable()
 	count := 0
 	for _, f := range res.All() {
 		if len(f.Items) < 2 {
@@ -203,7 +203,7 @@ func bruteRules(res *apriori.Result, minConf float64) int {
 					y = append(y, f.Items[b])
 				}
 			}
-			cx := idx[x.Key()]
+			cx, _ := supports.Lookup(x)
 			if cx == 0 {
 				continue
 			}

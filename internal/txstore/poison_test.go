@@ -57,11 +57,11 @@ func TestPoisonedBuffersStayExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open partition: %v", err)
 	}
-	kept, _, err := r.Next()
+	kept, _, _, err := r.Next()
 	if err != nil {
 		t.Fatalf("first block: %v", err)
 	}
-	if _, _, err := r.Next(); err != nil {
+	if _, _, _, err := r.Next(); err != nil {
 		t.Fatalf("second block: %v", err)
 	}
 	r.Close()

@@ -130,13 +130,13 @@ func (r *BlockReader) readHeader(numItems int) error {
 }
 
 // Next reads, verifies and decodes the next block.  It returns the block's
-// transactions and its on-disk size in bytes (framing included), or io.EOF
-// after the last block.  Framing that outruns the file yields a
+// transactions, the items they hold, and its on-disk size in bytes (framing
+// included), or io.EOF after the last block.  Framing that outruns the file yields a
 // *TruncatedError; a malformed payload yields a *CorruptError.  A failed
 // checksum is re-read from disk up to maxCRCRetries times first — transient
 // corruption between the disk and us heals on re-read and is counted in
 // Stats().CRCRetries; persistent damage yields the *CorruptError.
-func (r *BlockReader) Next() ([]itemset.Transaction, int, error) {
+func (r *BlockReader) Next() (txns []itemset.Transaction, items, diskBytes int, err error) {
 	if r.store.poison != nil {
 		r.store.poison(r.bufs)
 	}
@@ -145,34 +145,34 @@ func (r *BlockReader) Next() ([]itemset.Transaction, int, error) {
 	for attempt := 1; err != nil; attempt++ {
 		ce, crc := err.(*crcError)
 		if !crc {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		if attempt > maxCRCRetries {
-			return nil, 0, &CorruptError{File: r.path, Block: r.block, Reason: ce.reason}
+			return nil, 0, 0, &CorruptError{File: r.path, Block: r.block, Reason: ce.reason}
 		}
 		if r.onCRCRetry != nil {
 			r.onCRCRetry(r.block, attempt)
 		}
 		if _, serr := r.file.Seek(r.off, io.SeekStart); serr != nil {
-			return nil, 0, &CorruptError{File: r.path, Block: r.block, Reason: ce.reason + "; reseek failed: " + serr.Error()}
+			return nil, 0, 0, &CorruptError{File: r.path, Block: r.block, Reason: ce.reason + "; reseek failed: " + serr.Error()}
 		}
 		r.bufs.br.Reset(r.file)
 		survived++
 		payload, ntxns, diskBytes, err = r.readFrame()
 	}
 	if diskBytes == 0 { // clean end of file
-		return nil, 0, io.EOF
+		return nil, 0, 0, io.EOF
 	}
-	txns, err := r.decodeBlock(payload, ntxns)
+	txns, items, err = r.decodeBlock(payload, ntxns)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	r.block++
 	r.off += int64(diskBytes)
 	r.stats.Blocks++
 	r.stats.Bytes += int64(diskBytes)
 	r.stats.CRCRetries += survived
-	return txns, diskBytes, nil
+	return txns, items, diskBytes, nil
 }
 
 // crcError marks a failed block checksum inside readFrame — the one failure
@@ -226,8 +226,9 @@ func (r *BlockReader) readFrame() ([]byte, int, int, error) {
 	return payload, int(ntxns), frame + int(payloadLen), nil
 }
 
-// decodeBlock decodes a verified payload into transactions.  This is the
-// out-of-core read path's inner loop.  A payload that decodes holds one
+// decodeBlock decodes a verified payload into transactions and returns them
+// with the number of items they hold, the length of the item arena they were
+// decoded into.  This is the out-of-core read path's inner loop.  A payload that decodes holds one
 // varint per item plus two per transaction (ID delta, item count), each at
 // least a byte, so it has at most len(payload)-2*ntxns items: with reuse
 // enabled the recycled arena is grown to that bound before the loop — once,
@@ -237,7 +238,7 @@ func (r *BlockReader) readFrame() ([]byte, int, int, error) {
 // payload that decodes.
 //
 //checkinv:hotpath
-func (r *BlockReader) decodeBlock(payload []byte, ntxns int) ([]itemset.Transaction, error) {
+func (r *BlockReader) decodeBlock(payload []byte, ntxns int) ([]itemset.Transaction, int, error) {
 	b := r.bufs
 	if r.reuse {
 		if cap(b.txns) < ntxns {
@@ -257,7 +258,7 @@ func (r *BlockReader) decodeBlock(payload []byte, ntxns int) ([]itemset.Transact
 	for i := 0; i < ntxns; i++ {
 		id, out, n, err := itemset.DecodeTransaction(payload[off:], prev, r.num, items)
 		if err != nil {
-			return nil, r.corrupt(err)
+			return nil, 0, r.corrupt(err)
 		}
 		txns = append(txns, itemset.Transaction{ID: id, Items: itemset.Itemset(out[len(items):len(out):len(out)])})
 		items = out
@@ -265,10 +266,10 @@ func (r *BlockReader) decodeBlock(payload []byte, ntxns int) ([]itemset.Transact
 		prev = id
 	}
 	if off != len(payload) {
-		return nil, r.trailing(len(payload) - off)
+		return nil, 0, r.trailing(len(payload) - off)
 	}
 	r.prev = prev
-	return txns, nil
+	return txns, len(items), nil
 }
 
 // varintCount counts the varints a well-formed payload holds: its bytes with

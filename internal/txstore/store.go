@@ -140,7 +140,7 @@ func (s *Store) Blocks(fn func(block []itemset.Transaction) error) error {
 			return err
 		}
 		for {
-			blk, _, err := r.Next()
+			blk, _, _, err := r.Next()
 			if err == io.EOF {
 				break
 			}

@@ -237,7 +237,7 @@ func drain(s *Store, i int) error {
 	}
 	defer r.Close()
 	for {
-		_, _, err := r.Next()
+		_, _, _, err := r.Next()
 		if err == io.EOF {
 			return nil
 		}
@@ -389,7 +389,7 @@ func TestCraftedBlockRejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: open: %v", name, err)
 		}
-		txns, _, err := r.Next()
+		txns, _, _, err := r.Next()
 		r.Close()
 		var ce *CorruptError
 		if !errors.As(err, &ce) {
@@ -408,7 +408,7 @@ func TestReaderStats(t *testing.T) {
 	}
 	defer r.Close()
 	for {
-		if _, _, err := r.Next(); err == io.EOF {
+		if _, _, _, err := r.Next(); err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatalf("next: %v", err)
@@ -472,7 +472,7 @@ func TestCRCRetrySurvives(t *testing.T) {
 	}
 	var got []itemset.Transaction
 	for {
-		blk, _, err := r.Next()
+		blk, items, _, err := r.Next()
 		if err == io.EOF {
 			break
 		}
@@ -481,6 +481,10 @@ func TestCRCRetrySurvives(t *testing.T) {
 		}
 		for _, tx := range blk {
 			got = append(got, itemset.Transaction{ID: tx.ID, Items: tx.Items.Clone()})
+			items -= len(tx.Items)
+		}
+		if items != 0 {
+			t.Fatalf("Next's item count is off by %d from its block's", items)
 		}
 	}
 	if retried != 1 {
@@ -554,7 +558,7 @@ func TestReaderSteadyStateAllocs(t *testing.T) {
 		}
 		runtime.ReadMemStats(&before)
 		for {
-			_, _, err := r.Next()
+			_, _, _, err := r.Next()
 			if err == io.EOF {
 				break
 			}
@@ -622,7 +626,7 @@ func TestRingArenaSizedExactly(t *testing.T) {
 			}
 			return
 		}
-		txns, err := r.decodeBlock(payload, ntxns)
+		txns, decoded, err := r.decodeBlock(payload, ntxns)
 		if err != nil {
 			t.Fatalf("block %d: %v", block, err)
 		}
@@ -632,6 +636,9 @@ func TestRingArenaSizedExactly(t *testing.T) {
 		}
 		if got := varintCount(payload) - 2*ntxns; got != items {
 			t.Fatalf("block %d: arena sized for %d items, block holds %d", block, got, items)
+		}
+		if decoded != items {
+			t.Fatalf("block %d: decoder reports %d items, block holds %d", block, decoded, items)
 		}
 		r.off += int64(diskBytes)
 	}

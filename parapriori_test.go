@@ -22,7 +22,7 @@ func TestMineQuickstart(t *testing.T) {
 	if len(res.Levels[0]) != 5 {
 		t.Errorf("F1 = %d itemsets", len(res.Levels[0]))
 	}
-	if got := res.SupportIndex()[NewItemset(4, 5).Key()]; got != 3 {
+	if got, _ := res.SupportTable().Lookup(NewItemset(4, 5)); got != 3 {
 		t.Errorf("σ(Diaper, Milk) = %d, want 3", got)
 	}
 }
