@@ -12,13 +12,12 @@ import (
 // pass, so for a streaming source (a partitioned store, a file) the resident
 // set is the counting structure plus one block, never the database.  Counts
 // are accumulated in candidate order whatever the block boundaries, so the
-// results are identical for identical transaction multisets.
+// results are identical for identical transaction multisets.  Every
+// source streams through the same engines the grid uses.
 //
-// Only the vertical engines' whole-dataset index is keyed on the source
-// being a *Dataset: they build it once up front instead of re-scanning the
-// dataset every pass.  DHPBuckets works over every source and engine: the
-// pair buckets ride the first pass and only remove candidates before a
-// counting structure is built.
+// DHPBuckets works over every source and engine: the pair buckets ride the
+// first pass and only remove candidates before a counting structure is
+// built.
 func MineSource(src itemset.Source, p Params) (*Result, error) {
 	if err := p.Tree.Validate(); err != nil {
 		return nil, fmt.Errorf("apriori: %w", err)
@@ -39,13 +38,6 @@ func MineSource(src itemset.Source, p Params) (*Result, error) {
 	f1, stats1, err := FirstPassSource(src, minCount, also...)
 	if err != nil {
 		return nil, fmt.Errorf("apriori: pass 1: %w", err)
-	}
-	// Only now is every item known to lie inside the vocabulary the
-	// prepared index is sized by.
-	if data, resident := src.(*itemset.Dataset); resident {
-		if prep, ok := engB.(countengine.DatasetPreparer); ok {
-			prep.Prepare(data)
-		}
 	}
 	res.Levels = append(res.Levels, f1)
 	res.Passes = append(res.Passes, stats1)

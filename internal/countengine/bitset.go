@@ -16,15 +16,10 @@ import (
 // subset enumeration, which is why vertical counting wins at low support,
 // where candidate sets are large and deep (arXiv:1903.03008).
 //
-// Two modes share the arithmetic:
-//
-//   - Streaming (the parallel grid): each per-pass engine builds bitmaps
-//     over the transactions CountBlock streams through it — ring-shifted
-//     pages arrive in deterministic order, so bit positions are consistent
-//     across the pass — and intersects them when Counts is called.
-//   - Prepared (the serial miner): the builder indexes the whole dataset
-//     once up front (DatasetPreparer), and every pass reuses the index,
-//     skipping the per-pass re-scan entirely.
+// Each per-pass engine builds bitmaps over the transactions CountBlock
+// streams through it — the serial miner's scan, or the grid's ring-shifted
+// pages, which arrive in deterministic order, so bit positions are
+// consistent across the pass — and intersects them when Counts is called.
 //
 // What is charged is the column-per-item algorithm: a column is as long as
 // its last set bit needs, an intersection runs to the shortest column of the
@@ -32,23 +27,15 @@ import (
 // whose host work is smaller; every counter and MemoryBytes are the column
 // model's, computed from the logical column lengths.
 //
-// A streaming engine over a dense C₂ — every pair of its own items that
-// starts with a first item it counts, as CD's whole C₂ and HD's and IDD's
-// whole-row shares are — runs no intersections at all: it counts each
-// transaction's pairs straight into a pair matrix (pairMatrix) and keeps only
-// each column's last TID, which fixes the same logical lengths.
-
-func init() {
-	Register("bitset", func(cfg Config) Builder { return &bitsetBuilder{cfg: cfg} })
-}
+// An engine over a dense C₂ — whole ascending first-item rows, as CD's whole
+// C₂ and HD's and IDD's whole-row shares are, recognised by
+// itemset.Flat.PairIndex, the check the hash tree's pair index makes too —
+// runs no intersections at all: it counts each transaction's pairs straight
+// into the count vector (pairMatrix) and keeps only each column's last TID,
+// which fixes the same logical lengths.
 
 type bitsetBuilder struct {
 	cfg Config
-	// prepared, when non-nil, is the whole-dataset vertical index built by
-	// Prepare.  Written once before mining starts (the serial miner's
-	// single goroutine); the parallel grid never calls Prepare and its
-	// SPMD goroutines only read the nil.
-	prepared *vertical
 }
 
 func (b *bitsetBuilder) Name() string { return "bitset" }
@@ -65,7 +52,7 @@ type page [pageWords]uint64
 // row is page r of every column side by side: column c's page is row[c].
 type row []page
 
-// rowPool recycles streaming engines' rows across passes and ranks.  A row
+// rowPool recycles engines' rows across passes and ranks.  A row
 // is cleared when taken, never when returned.
 var rowPool sync.Pool // of *row
 
@@ -79,11 +66,9 @@ func takeRow(width int) *row {
 	return &r
 }
 
-// vertical is the TID-bitmap index of both modes.  Every item maps to a
-// column; an item in no candidate (streaming), or at or beyond the span,
-// maps to the extra sink column, so setting a bit never branches on the
-// item.  In prepared mode the span covers every item the dataset holds, so
-// the sink stays empty and doubles as the all-zero column.
+// vertical is an engine's TID-bitmap index.  Every item maps to a column;
+// an item in no candidate, or at or beyond the span, maps to the extra sink
+// column, so setting a bit never branches on the item.
 type vertical struct {
 	remap []int32 // item → column
 	sink  int32   // the sink's column index: the number of real columns
@@ -93,7 +78,7 @@ type vertical struct {
 	// none), which it keeps instead of rows.
 	last []int
 	// words, once set, is each column's logical length (see columnWords);
-	// it outlives the rows, which a streaming engine releases in Counts.
+	// it outlives the rows, which the engine releases in Counts.
 	words []int
 }
 
@@ -106,7 +91,7 @@ func (v *vertical) column(it itemset.Item) int32 {
 }
 
 // add appends the transactions, one TID each, and returns the items it
-// touched.  This is the one bit-setting loop of both modes.
+// touched.  This is the one bit-setting loop.
 //
 //checkinv:hotpath
 func (v *vertical) add(txns []itemset.Transaction) (touched int64) {
@@ -173,24 +158,6 @@ func (v *vertical) release(words []int) {
 	v.rows = nil
 }
 
-// Prepare indexes the dataset once; subsequent NewPass engines count
-// against it.  See DatasetPreparer for the streaming contract.
-func (b *bitsetBuilder) Prepare(data *itemset.Dataset) {
-	span := data.NumItems
-	for i := range data.Transactions {
-		for _, it := range data.Transactions[i].Items {
-			span = max(span, int(it)+1)
-		}
-	}
-	v := &vertical{remap: make([]int32, span), sink: int32(span)}
-	for i := range v.remap {
-		v.remap[i] = int32(i)
-	}
-	v.add(data.Transactions)
-	v.words = v.columnWords()
-	b.prepared = v
-}
-
 func (b *bitsetBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) {
 	return newPass(b, k, cands)
 }
@@ -205,112 +172,76 @@ func (b *bitsetBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
 		}
 		span = max(span, int(c[k-1])+1)
 	}
-	e := &bitsetEngine{k: k, counts: make([]int64, m), ix: b.prepared}
-	if e.ix == nil {
-		// Streaming mode: columns only for the items the candidates
-		// actually contain, numbered in item order.
-		v := &vertical{remap: make([]int32, span)}
-		for _, it := range cands.Items {
-			v.remap[it] = 1
-		}
-		for i, used := range v.remap {
-			v.remap[i] = -1
-			if used != 0 {
-				v.remap[i] = v.sink
-				v.sink++
-			}
-		}
-		for i, c := range v.remap {
-			if c < 0 {
-				v.remap[i] = v.sink
-			}
-		}
-		e.stats.BuildOps = int64(v.sink)
-		e.ix, e.streaming = v, true
+	// Columns only for the items the candidates actually contain, numbered
+	// in item order.
+	v := &vertical{remap: make([]int32, span)}
+	for _, it := range cands.Items {
+		v.remap[it] = 1
 	}
+	for i, used := range v.remap {
+		v.remap[i] = -1
+		if used != 0 {
+			v.remap[i] = v.sink
+			v.sink++
+		}
+	}
+	for i, c := range v.remap {
+		if c < 0 {
+			v.remap[i] = v.sink
+		}
+	}
+	e := &bitsetEngine{k: k, ix: v, counts: make([]int64, m), stats: Stats{BuildOps: int64(v.sink)}}
 	e.cols = make([]int32, len(cands.Items))
 	for i, it := range cands.Items {
-		e.cols[i] = e.ix.column(it)
+		e.cols[i] = v.column(it)
 	}
-	if e.streaming && k == 2 {
-		e.pairs = newPairMatrix(e.ix, e.cols)
+	if k == 2 {
+		e.pairs = newPairMatrix(v, cands, span)
 	}
 	return e, nil
 }
 
 // pairMatrix counts a dense C₂ by pairs.  Columns are numbered in item
-// order, so a transaction's candidate items, mapped to columns, stay
-// ascending, and every pair of them that starts with a first item is a
-// candidate: one cell each, in rows by first column.  Row a holds a cell for
-// every column after a, cell (a, b) at start[a]+b-a-1, so the cells are
-// exactly the candidates, and a transaction of m candidate items costs at
-// most m(m-1)/2 increments where the column kernel ANDs every candidate's
-// pages.
+// order, so column c is rank c of itemset.Flat.PairIndex, and a
+// transaction's candidate items, mapped to columns, stay ascending: every
+// pair of them that starts with a row's first item a is a candidate, the
+// one at base[a]+b of the count vector.  A transaction of m candidate items
+// costs at most m(m-1)/2 increments where the column kernel ANDs every
+// candidate's pages.
 type pairMatrix struct {
-	start []int   // column → its row's first cell, or -1 when no candidate starts with it
-	cells []int64 // one count per distinct candidate
-	buf   []int32 // one transaction's candidate columns
+	base []int32 // column → its row's base, or itemset.NoPair when no candidate starts with it
+	buf  []int32 // one transaction's candidate columns
 }
 
-// newPairMatrix returns the matrix for candidate pairs cols (cols[2i],
-// cols[2i+1] candidate i's columns, in item order), or nil when they are not
-// dense over their own columns: when some column after a first column is
-// missing from its row, as in a round-robin share or a hash-filtered C₂,
-// which keep the column kernel.  It also fixes v's lengths to come from
-// last TIDs.
-func newPairMatrix(v *vertical, cols []int32) *pairMatrix {
-	n := int(v.sink)
-	start := make([]int, n)
-	for i := range start {
-		start[i] = -1
-	}
-	for i := 0; i < len(cols); i += 2 {
-		start[cols[i]] = 0
-	}
-	cells := 0
-	for a := range start {
-		if start[a] == 0 {
-			start[a] = cells
-			cells += n - a - 1
-		}
-	}
-	// Every candidate has a cell, so fewer candidates than cells leave a
-	// hole; as many or more may still repeat one.
-	if len(cols)/2 < cells || cells == 0 {
+// newPairMatrix returns the matrix for the candidates, or nil when
+// PairIndex does not recognise them: a set with a hole, as a round-robin
+// share or a hash-filtered C₂, or with repeated or unordered pairs keeps the
+// column kernel.  It also fixes v's lengths to come from last TIDs.
+func newPairMatrix(v *vertical, cands itemset.Flat, span int) *pairMatrix {
+	rank, base, ok := cands.PairIndex(span)
+	if !ok {
 		return nil
 	}
-	p := &pairMatrix{start: start, cells: make([]int64, cells)}
-	distinct := 0
-	for i := 0; i < len(cols); i += 2 {
-		c := &p.cells[p.cell(cols[i], cols[i+1])]
-		if *c == 0 {
-			*c = 1
-			distinct++
+	p := &pairMatrix{base: make([]int32, v.sink)}
+	for it, r := range rank {
+		if r != itemset.NoPair {
+			p.base[r] = base[it]
 		}
 	}
-	if distinct < cells {
-		return nil
-	}
-	clear(p.cells)
-	v.last = make([]int, n+1)
+	v.last = make([]int, v.sink+1)
 	for c := range v.last {
 		v.last[c] = -1
 	}
 	return p
 }
 
-// cell returns the cell of candidate (a, b), a < b.
-func (p *pairMatrix) cell(a, b int32) int {
-	return p.start[a] + int(b) - int(a) - 1
-}
-
-// add counts the transactions' candidate pairs, one TID each, and returns
-// the items it touched.  Like vertical.add, every item maps through the
-// remap (the sink included) and records its column's last TID without a
-// branch on the sink.
+// add counts the transactions' candidate pairs into counts, one TID each,
+// and returns the items it touched.  Like vertical.add, every item maps
+// through the remap (the sink included) and records its column's last TID
+// without a branch on the sink.
 //
 //checkinv:hotpath
-func (p *pairMatrix) add(v *vertical, txns []itemset.Transaction) (touched int64) {
+func (p *pairMatrix) add(v *vertical, counts []int64, txns []itemset.Transaction) (touched int64) {
 	longest := 0
 	for i := range txns {
 		longest = max(longest, len(txns[i].Items))
@@ -318,7 +249,7 @@ func (p *pairMatrix) add(v *vertical, txns []itemset.Transaction) (touched int64
 	if len(p.buf) < longest {
 		p.buf = make([]int32, longest)
 	}
-	remap, sink, last, start, cells, buf := v.remap, v.sink, v.last, p.start, p.cells, p.buf
+	remap, sink, last, base, buf := v.remap, v.sink, v.last, p.base, p.buf
 	for i := range txns {
 		tid := v.n
 		v.n++
@@ -338,13 +269,12 @@ func (p *pairMatrix) add(v *vertical, txns []itemset.Transaction) (touched int64
 		}
 		row := buf[:m]
 		for j, a := range row {
-			s := start[a]
-			if s < 0 {
+			s := base[a]
+			if s == itemset.NoPair {
 				continue
 			}
-			s -= int(a) + 1
 			for _, b := range row[j+1:] {
-				cells[s+int(b)]++
+				counts[s+b]++
 			}
 		}
 	}
@@ -352,14 +282,11 @@ func (p *pairMatrix) add(v *vertical, txns []itemset.Transaction) (touched int64
 }
 
 type bitsetEngine struct {
-	k int
-	// ix is the engine's own index (streaming) or the builder's shared,
-	// read-only one (prepared).
-	ix        *vertical
-	streaming bool
-	cols      []int32 // candidate i's columns are cols[i*k : i*k+k]
-	// pairs, when set, counts instead of the rows (a streaming k = 2 engine
-	// over a dense C₂).
+	k    int
+	ix   *vertical
+	cols []int32 // candidate i's columns are cols[i*k : i*k+k]
+	// pairs, when set, counts instead of the rows (a k = 2 engine over a
+	// dense C₂).
 	pairs   *pairMatrix
 	counts  []int64
 	counted bool
@@ -368,19 +295,18 @@ type bitsetEngine struct {
 
 func (e *bitsetEngine) Len() int { return len(e.counts) }
 
-// CountBlock appends the block to the vertical index (a no-op beyond
-// bookkeeping in prepared mode); the actual counting is deferred to Counts,
-// one intersection per candidate.  A pair-matrix engine counts the block's
-// pairs here instead, but its WordOps are charged in Counts all the same.
+// CountBlock appends the block to the vertical index; the actual counting
+// is deferred to Counts, one intersection per candidate.  A pair-matrix
+// engine counts the block's pairs here instead, but its WordOps are charged
+// in Counts all the same.
 func (e *bitsetEngine) CountBlock(txns []itemset.Transaction, rootFilter *bitmap.Bitmap) {
 	// rootFilter is ignored: it only ever excludes candidates outside this
 	// engine's own candidate set (the grid builds per-row engines over the
 	// filtered share), so intersection counts are unaffected.
 	e.stats.Transactions += int64(len(txns))
-	switch {
-	case e.pairs != nil:
-		e.stats.ItemTouches += e.pairs.add(e.ix, txns)
-	case e.streaming:
+	if e.pairs != nil {
+		e.stats.ItemTouches += e.pairs.add(e.ix, e.counts, txns)
+	} else {
 		e.stats.ItemTouches += e.ix.add(txns)
 	}
 }
@@ -388,8 +314,8 @@ func (e *bitsetEngine) CountBlock(txns []itemset.Transaction, rootFilter *bitmap
 // Counts intersects each candidate's item bitmaps.  The work happens here,
 // not in CountBlock; callers snapshot Stats around the call to charge it.
 // The charge is k words per step up to the candidate's shortest column; the
-// host walks the rows once, every candidate's pages per row, or reads each
-// candidate's cell of the pair matrix.
+// host walks the rows once, every candidate's pages per row; a pair-matrix
+// engine has no rows, and its counts are already in place.
 //
 //checkinv:hotpath
 func (e *bitsetEngine) Counts() []int64 {
@@ -404,17 +330,10 @@ func (e *bitsetEngine) Counts() []int64 {
 			}
 			e.stats.WordOps += int64(nw * k)
 		}
-		if p := e.pairs; p != nil {
-			for i := range e.counts {
-				e.counts[i] = p.cells[p.cell(e.cols[2*i], e.cols[2*i+1])]
-			}
-		}
 		for _, r := range e.ix.rows {
 			intersect(e.counts, *r, e.cols, k)
 		}
-		if e.streaming {
-			e.ix.release(words)
-		}
+		e.ix.release(words)
 	}
 	return e.counts
 }
@@ -487,14 +406,11 @@ func popcountK(pages row, cols []int32) int64 {
 
 func (e *bitsetEngine) Stats() Stats { return e.stats }
 
-// MemoryBytes is the column model's size: the count vector, the streaming
-// remap and every real column at its logical length (the sink and the
-// pages' unused tails are host detail).
+// MemoryBytes is the column model's size: the count vector, the remap and
+// every real column at its logical length (the sink and the pages' unused
+// tails are host detail).
 func (e *bitsetEngine) MemoryBytes() int {
-	bytes := len(e.counts) * 8
-	if e.streaming {
-		bytes += len(e.ix.remap) * 4
-	}
+	bytes := len(e.counts)*8 + len(e.ix.remap)*4
 	for _, w := range e.ix.columnWords()[:e.ix.sink] {
 		bytes += w * 8
 	}

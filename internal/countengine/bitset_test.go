@@ -25,7 +25,7 @@ type columnModel struct {
 	cands   []itemset.Itemset
 	indexed []bool // which items own a column, by item
 	cols    [][]uint64
-	remap   int // streaming remap entries; 0 in prepared mode
+	remap   int // remap entries
 	n       int
 	stats   countengine.Stats
 }
@@ -33,10 +33,9 @@ type columnModel struct {
 // maxModelItem bounds every item the model's tests use.
 const maxModelItem = 128
 
-// newStreamingModel mirrors NewPass without Prepare: columns for the
-// candidates' items, a remap table as wide as the vocabulary or the largest
-// candidate item.
-func newStreamingModel(k, numItems int, cands []itemset.Itemset) *columnModel {
+// newModel mirrors NewPass: columns for the candidates' items, a remap table
+// as wide as the vocabulary or the largest candidate item.
+func newModel(k, numItems int, cands []itemset.Itemset) *columnModel {
 	m := &columnModel{k: k, cands: cands, indexed: make([]bool, maxModelItem), cols: make([][]uint64, maxModelItem)}
 	m.remap = numItems
 	for _, c := range cands {
@@ -48,17 +47,6 @@ func newStreamingModel(k, numItems int, cands []itemset.Itemset) *columnModel {
 			}
 		}
 	}
-	return m
-}
-
-// newPreparedModel mirrors Prepare then NewPass: every item of the dataset
-// owns a column, built once.
-func newPreparedModel(k int, data *itemset.Dataset, cands []itemset.Itemset) *columnModel {
-	m := &columnModel{k: k, cands: cands, indexed: make([]bool, maxModelItem), cols: make([][]uint64, maxModelItem)}
-	for i := range m.indexed {
-		m.indexed[i] = true
-	}
-	m.add(data.Transactions)
 	return m
 }
 
@@ -78,15 +66,13 @@ func (m *columnModel) add(txns []itemset.Transaction) {
 	}
 }
 
-// stream is CountBlock's bookkeeping: the streaming model also indexes.
-func (m *columnModel) stream(txns []itemset.Transaction, streaming bool) {
+// stream is CountBlock's bookkeeping: the model indexes as it streams.
+func (m *columnModel) stream(txns []itemset.Transaction) {
 	m.stats.Transactions += int64(len(txns))
-	if streaming {
-		for _, t := range txns {
-			m.stats.ItemTouches += int64(len(t.Items))
-		}
-		m.add(txns)
+	for _, t := range txns {
+		m.stats.ItemTouches += int64(len(t.Items))
 	}
+	m.add(txns)
 }
 
 func (m *columnModel) counts() []int64 {
@@ -206,7 +192,7 @@ func withGhosts(rng *rand.Rand, k int, cands []itemset.Itemset, ghosts bool) []i
 // runAgainstModel counts txns through eng in blocks of the given size and
 // requires the model's MemoryBytes after NewPass, after the last block and
 // after Counts, and its Stats and counts.
-func runAgainstModel(t *testing.T, eng countengine.Engine, m *columnModel, txns []itemset.Transaction, block int, streaming bool) {
+func runAgainstModel(t *testing.T, eng countengine.Engine, m *columnModel, txns []itemset.Transaction, block int) {
 	t.Helper()
 	if got, want := eng.MemoryBytes(), m.memoryBytes(); got != want {
 		t.Fatalf("MemoryBytes after NewPass = %d, model %d", got, want)
@@ -214,7 +200,7 @@ func runAgainstModel(t *testing.T, eng countengine.Engine, m *columnModel, txns 
 	for lo := 0; lo < len(txns); lo += block {
 		blk := txns[lo:min(lo+block, len(txns))]
 		eng.CountBlock(blk, nil)
-		m.stream(blk, streaming)
+		m.stream(blk)
 	}
 	if got, want := eng.Stats(), m.stats; got != want {
 		t.Fatalf("Stats before Counts = %+v, model %+v", got, want)
@@ -240,23 +226,16 @@ func runAgainstModel(t *testing.T, eng countengine.Engine, m *columnModel, txns 
 // TestBitsetMatchesColumnModel holds the paged engine to the column model it
 // is charged as — counts, every Stats field and MemoryBytes — over stream
 // lengths around the word and page boundaries, several block sizes, k = 1…5,
-// both modes, and transaction items past the streaming remap.  Each engine
-// is built twice, from flat candidates and from headers.
+// and transaction items past the remap.  Each engine is built twice, from
+// flat candidates and from headers.
 func TestBitsetMatchesColumnModel(t *testing.T) {
 	data, levels := bitsetWorkload(t)
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 63, 64, 65, 4095, 4096, 4097, 8193} {
 		txns := data.Transactions[:n]
 		for _, numItems := range []int{0, data.NumItems} {
-			// numItems 0 sizes the streaming remap by the candidates alone,
-			// so transaction items above their largest fall past it; the
-			// prepared index then takes its span from the stream itself.
-			prepared := &itemset.Dataset{Transactions: txns, NumItems: numItems}
-			pb, err := countengine.New("bitset", countengine.Config{NumItems: numItems})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pb.(countengine.DatasetPreparer).Prepare(prepared)
+			// numItems 0 sizes the remap by the candidates alone, so
+			// transaction items above their largest fall past it.
 			for k := 1; k <= 5; k++ {
 				for _, ghosts := range []bool{false, true} {
 					cands := withGhosts(rng, k, levels[k], ghosts)
@@ -265,14 +244,7 @@ func TestBitsetMatchesColumnModel(t *testing.T) {
 						t.Run(name+"/streaming", func(t *testing.T) {
 							viaFlat, viaHeaders := buildBoth(t, newBuilder(t, "bitset", numItems), k, cands)
 							for _, eng := range []countengine.Engine{viaFlat, viaHeaders} {
-								runAgainstModel(t, eng, newStreamingModel(k, numItems, cands), txns, block, true)
-							}
-							sameEngine(t, name, viaFlat, viaHeaders)
-						})
-						t.Run(name+"/prepared", func(t *testing.T) {
-							viaFlat, viaHeaders := buildBoth(t, pb, k, cands)
-							for _, eng := range []countengine.Engine{viaFlat, viaHeaders} {
-								runAgainstModel(t, eng, newPreparedModel(k, prepared, cands), txns, block, false)
+								runAgainstModel(t, eng, newModel(k, numItems, cands), txns, block)
 							}
 							sameEngine(t, name, viaFlat, viaHeaders)
 						})
@@ -284,8 +256,9 @@ func TestBitsetMatchesColumnModel(t *testing.T) {
 }
 
 // pairShapes are the k = 2 candidate sets of the workload's F₁ that decide
-// between the pair matrix and the column kernel: whether each is dense over
-// its own items (pairs) or has a hole (kernel).
+// between the pair matrix and the column kernel: whether each is whole
+// ascending first-item rows (pairs) or has a hole, a repeat or an unordered
+// row (kernel).
 func pairShapes(t testing.TB, data *itemset.Dataset) []struct {
 	name  string
 	cands []itemset.Itemset
@@ -317,7 +290,7 @@ func pairShapes(t testing.TB, data *itemset.Dataset) []struct {
 		pairs bool
 	}{
 		{"complete", c2.Itemsets(), true},
-		{"complete-shuffled-repeated", withGhosts(rng, 2, c2.Itemsets(), false), true},
+		{"complete-shuffled-repeated", withGhosts(rng, 2, c2.Itemsets(), false), false},
 		{"binpacked-rows", packed.Share(1).Itemsets(), true},
 		{"complete-ghosts", withGhosts(rng, 2, c2.Itemsets(), true), false},
 		{"roundrobin", partition.RoundRobin(c2, 3)[1].Itemsets(), false},
@@ -334,12 +307,12 @@ func pairMatrix(e countengine.Engine) bool {
 	return ok && pm.PairMatrix()
 }
 
-// TestBitsetPairMatrixMatchesColumnModel holds a streaming engine over each
+// TestBitsetPairMatrixMatchesColumnModel holds an engine over each
 // pass-2 shape to the column model — counts, every Stats field and
 // MemoryBytes before and after Counts — at the stream lengths, block sizes
 // and remap widths of TestBitsetMatchesColumnModel, and pins which shapes
 // count in the pair matrix: a complete C₂ and whole first-item rows do, a
-// set with a hole keeps the column kernel.
+// set with a hole, repeats or shuffled rows keeps the column kernel.
 func TestBitsetPairMatrixMatchesColumnModel(t *testing.T) {
 	data, _ := bitsetWorkload(t)
 	for _, shape := range pairShapes(t, data) {
@@ -354,7 +327,7 @@ func TestBitsetPairMatrixMatchesColumnModel(t *testing.T) {
 							if got := pairMatrix(eng); got != shape.pairs {
 								t.Fatalf("pair matrix = %v, want %v", got, shape.pairs)
 							}
-							runAgainstModel(t, eng, newStreamingModel(2, numItems, shape.cands), txns, block, true)
+							runAgainstModel(t, eng, newModel(2, numItems, shape.cands), txns, block)
 						}
 						sameEngine(t, name, viaFlat, viaHeaders)
 					})
@@ -405,7 +378,7 @@ func BenchmarkBitsetPass2(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data.Transactions)), "ns/txn")
 }
 
-// TestBitsetConcurrentEngines counts with streaming engines of one builder
+// TestBitsetConcurrentEngines counts with engines of one builder
 // on concurrent goroutines, pass after pass, so rows go back to the shared
 // pool and come out of it dirty on another engine; under -race this is the
 // pool's gate.
@@ -429,9 +402,9 @@ func TestBitsetConcurrentEngines(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					m := newStreamingModel(k, data.NumItems, cands)
+					m := newModel(k, data.NumItems, cands)
 					eng.CountBlock(txns, nil)
-					m.stream(txns, true)
+					m.stream(txns)
 					if got, want := eng.Counts(), m.counts(); !reflect.DeepEqual(got, want) {
 						t.Errorf("goroutine %d k=%d: counts differ from the column model", g, k)
 					}

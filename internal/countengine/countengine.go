@@ -1,7 +1,7 @@
 // Package countengine defines the pluggable support-counting seam of the
 // miner: build a structure over the size-k candidates, stream transaction
-// blocks through it, emit the support counts.  Three backends register
-// themselves here:
+// blocks through it, emit the support counts.  There are three backends, a
+// fixed table (backends):
 //
 //   - "hashtree": an adapter over the paper's candidate hash tree
 //     (internal/hashtree), the compatibility baseline.  Bit-identical
@@ -16,14 +16,12 @@
 //
 // All backends produce identical counts; they differ only in which abstract
 // operations (Stats) they spend, which is what the virtual-time cost model
-// charges.  The seam is deliberately narrow so the out-of-core backend can
-// later implement it over partition files.
+// charges.
 package countengine
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"parapriori/internal/bitmap"
 	"parapriori/internal/hashtree"
@@ -129,7 +127,7 @@ type Engine interface {
 // hold a []itemset.Itemset: each backend's NewPass is newPass, one copy into
 // a Flat and then NewPassFlat, so there is one build per backend.
 type Builder interface {
-	// Name returns the registered backend name.
+	// Name returns the backend's name in the table.
 	Name() string
 	// NewPassFlat builds an engine over the candidates of cands, each
 	// cands.K items.  The candidates are only read, and the engine keeps no
@@ -149,17 +147,6 @@ func newPass(b Builder, k int, cands []itemset.Itemset) (Engine, error) {
 		return nil, fmt.Errorf("countengine: %s: %w", b.Name(), err)
 	}
 	return b.NewPassFlat(flat)
-}
-
-// DatasetPreparer is implemented by builders that can index the whole
-// dataset once up front (the bitset backend's vertical TID bitmaps).  After
-// Prepare, every NewPass engine counts against the prepared index and
-// CountBlock calls must stream exactly the prepared transactions, in order —
-// the contract of the serial miner, which scans the full dataset every
-// pass.  The parallel grid never calls Prepare: its blocks arrive via ring
-// shifts, so engines index on the fly.
-type DatasetPreparer interface {
-	Prepare(data *itemset.Dataset)
 }
 
 // Config carries the knobs a backend may need.
@@ -186,57 +173,38 @@ func (s Stats) TreeStats() hashtree.Stats {
 	}
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]func(Config) Builder{}
-)
-
-// Register installs a backend factory under a name; called from backend
-// init functions.  Re-registering a name panics.
-func Register(name string, factory func(Config) Builder) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("countengine: duplicate backend %q", name))
-	}
-	registry[name] = factory
+// backends is every counting backend, by name.
+var backends = map[string]func(Config) Builder{
+	"bitset":   func(cfg Config) Builder { return &bitsetBuilder{cfg: cfg} },
+	"hashtree": func(cfg Config) Builder { return &hashtreeBuilder{cfg: cfg} },
+	"trie":     func(cfg Config) Builder { return &trieBuilder{cfg: cfg} },
 }
 
 // New builds the named backend ("" selects Default).  Unknown names return
-// an error listing the registered backends.
+// an error listing the backends.
 func New(name string, cfg Config) (Builder, error) {
 	if name == "" {
 		name = Default
 	}
-	registryMu.RLock()
-	factory, ok := registry[name]
-	registryMu.RUnlock()
+	factory, ok := backends[name]
 	if !ok {
 		return nil, fmt.Errorf("countengine: unknown engine %q (want one of %v)", name, Names())
 	}
 	return factory(cfg), nil
 }
 
-// Known reports whether name is a registered backend ("" counts: it means
-// the default).
+// Known reports whether name is a backend ("" counts: it means the default).
 func Known(name string) bool {
-	if name == "" {
-		return true
-	}
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := registry[name]
-	return ok
+	_, ok := backends[name]
+	return ok || name == ""
 }
 
-// Names returns the registered backend names, sorted.
+// Names returns the backend names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
+	names := make([]string, 0, len(backends))
+	for name := range backends {
 		names = append(names, name)
 	}
-	registryMu.RUnlock()
 	sort.Strings(names)
 	return names
 }

@@ -197,19 +197,6 @@ func TestRootFilter(t *testing.T) {
 	}
 }
 
-func TestPreparedBitsetMatchesStreaming(t *testing.T) {
-	data := testData(t)
-	levels := candLevels(t, data)
-	prepared := newBuilder(t, "bitset", data.NumItems)
-	prepared.(countengine.DatasetPreparer).Prepare(data)
-	for k, cands := range levels {
-		streaming := countAll(t, newBuilder(t, "bitset", data.NumItems), k, cands, data, nil)
-		if got := countAll(t, prepared, k, cands, data, nil); !reflect.DeepEqual(got, streaming) {
-			t.Errorf("k=%d: prepared bitset counts differ from streaming", k)
-		}
-	}
-}
-
 // TestHashtreeAdapterStatsRoundTrip pins the compatibility contract: the
 // adapter's abstract counters map exactly onto the tree's own, so the
 // virtual time charged through the seam is bit-identical to charging the

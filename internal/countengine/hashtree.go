@@ -13,10 +13,6 @@ import (
 // exactly the virtual time a direct tree run charged and stays
 // bit-identical to the pre-seam miner.
 
-func init() {
-	Register("hashtree", func(cfg Config) Builder { return &hashtreeBuilder{cfg: cfg} })
-}
-
 type hashtreeBuilder struct {
 	cfg Config
 }

@@ -20,10 +20,6 @@ import (
 // (arXiv:1511.07017's central observation).  The root level is
 // direct-indexed by dense item, mirroring the tree's O(1) root hash.
 
-func init() {
-	Register("trie", func(cfg Config) Builder { return &trieBuilder{cfg: cfg} })
-}
-
 type trieBuilder struct {
 	cfg Config
 }

@@ -193,8 +193,21 @@ func checkMixed(t *testing.T, got *Result, want []rules.Rule) {
 // basket's two legs answer from generations 1 and 2.  For every
 // (antecedent, consequent) the newer copy wins — on s3 against node00, the
 // lower node ID — the answer reports the lower generation and is Mixed.
+// Before the move the same two legs answer from generation 1 alone, and
+// that answer is not Mixed.
 func TestMergeMixedGenerations(t *testing.T) {
 	f := newOverlapFleet(t)
+	got, err := f.router.Recommend(f.basket, serve.MaxK)
+	if err != nil {
+		t.Fatalf("Recommend at one generation: %v", err)
+	}
+	if got.NodesQueried != 2 || got.Generation != 1 || got.Mixed {
+		t.Fatalf("at one generation: nodes %d generation %d mixed %v, want 2 legs at generation 1, not mixed", got.NodesQueried, got.Generation, got.Mixed)
+	}
+	if want := f.expect(t, nil); !reflect.DeepEqual(got.Rules, want) {
+		t.Fatalf("merged rules at one generation:\n got  %v\n want %v", got.Rules, want)
+	}
+
 	owned := f.ownedBy("node02")
 	var owns []int
 	for s := range f.router.Options().Shards {
@@ -216,7 +229,7 @@ func TestMergeMixedGenerations(t *testing.T) {
 		t.Fatalf("commit node02: %v", err)
 	}
 
-	got, err := f.router.Recommend(f.basket, serve.MaxK)
+	got, err = f.router.Recommend(f.basket, serve.MaxK)
 	if err != nil {
 		t.Fatalf("Recommend: %v", err)
 	}

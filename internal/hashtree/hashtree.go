@@ -27,7 +27,6 @@ package hashtree
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"parapriori/internal/bitmap"
@@ -153,9 +152,9 @@ type Tree struct {
 	mask int32
 	// pairBase and pairCol are the direct index of a complete C2, both
 	// indexed by item and nil unless NewFlat verified its conditions (see
-	// pairIndex): candidate {a, b} is cands[pairBase[a]+pairCol[b]], and
-	// either entry is noPair for an item that heads no row, or appears in
-	// no candidate.
+	// itemset.Flat.PairIndex): candidate {a, b} is
+	// cands[pairBase[a]+pairCol[b]], and either entry is itemset.NoPair for
+	// an item that heads no row, or appears in no candidate.
 	pairBase, pairCol []int32
 	// txn, offs and first are the state of one Subset call: the
 	// transaction, the child offset (hash) of each of its items, and the item
@@ -168,10 +167,6 @@ type Tree struct {
 	stats  Stats
 	stamp  uint64
 }
-
-// noPair marks an absent entry of the pair index.  It is so negative that a
-// sum with any present entry (each below 2^30 in magnitude) stays negative.
-const noPair = math.MinInt32 / 2
 
 // NewFlat builds a hash tree over the candidates of cands, each a sorted set
 // of cands.K non-negative items.  The tree copies what it needs of the items;
@@ -187,7 +182,7 @@ func NewFlat(cands itemset.Flat, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.k == 2 && t.pairTree(cands.Items, numItems) {
+	if t.k == 2 && t.pairTree(cands, numItems) {
 		return t, nil
 	}
 	t.build(cands.Items, numItems)
@@ -285,19 +280,25 @@ func (t *Tree) split(ni int32, depth int, items []itemset.Item, tmp, cursor []in
 // depth-1 node's size, and cell (h0, h1) the size of its child h1 if the
 // node is internal.  The tree gets the index when some depth-2 cell under an
 // internal depth-1 node holds more than MaxLeaf (it is saturated; such a
-// cell's row is internal too) and pairIndex verifies whole ascending rows.
+// cell's row is internal too) and cands.PairIndex verifies whole ascending
+// rows.
 // Its nodes then come from the histogram's prefix sums, in split's order and
 // with split's ranges, and it stores nothing per candidate but the count:
 // every arrival is answered through the index (walk), so no slot is read.
-func (t *Tree) pairTree(items []itemset.Item, numItems int) bool {
-	f := t.cfg.Fanout
+func (t *Tree) pairTree(cands itemset.Flat, numItems int) bool {
+	f, items := t.cfg.Fanout, cands.Items
 	hist := make([]int32, f*f)
 	for i := 0; i < len(items); i += 2 {
 		hist[int(t.hash(items[i]))*f+int(t.hash(items[i+1]))]++
 	}
-	if slices.Max(hist) <= int32(t.cfg.MaxLeaf) || !t.pairIndex(items, numItems) {
+	if slices.Max(hist) <= int32(t.cfg.MaxLeaf) {
 		return false
 	}
+	rank, base, ok := cands.PairIndex(numItems)
+	if !ok {
+		return false
+	}
+	t.pairBase, t.pairCol = base, rank
 	rows := make([]int32, f)
 	internal := 0
 	for h0 := range rows {
@@ -327,54 +328,6 @@ func (t *Tree) pairTree(items []itemset.Item, numItems int) bool {
 			next++
 		}
 	}
-	return true
-}
-
-// pairIndex builds the direct index of a k = 2 tree and reports whether it
-// did.  It verifies rather than assumes what pass 2 produces (C2 = all pairs
-// of F1, bin-packed by whole first-item rows): with U the items that appear
-// in any candidate, the candidates of each first item a are contiguous in
-// cands and are exactly {a, u} for every u in U above a, in ascending order.
-// Then {a, b} sits pairCol[b]-pairCol[a]-1 places into a's row, pairCol being
-// the rank in U.  Rows with holes (DD's round-robin share, a DHP-filtered C2,
-// a row split across parts), duplicates and unordered rows all fail the
-// check, and the tree is built by split and scans its leaves like any other.
-// items is the candidates' flat item array, stride 2: candidate i is
-// {items[2i], items[2i+1]}.
-//
-//checkinv:hotpath
-func (t *Tree) pairIndex(items []itemset.Item, numItems int) bool {
-	tables := make([]int32, 2*numItems)
-	for i := range tables {
-		tables[i] = noPair
-	}
-	base, col := tables[:numItems], tables[numItems:]
-	for _, it := range items {
-		col[it] = 0
-	}
-	size := int32(0) // |U| once the loop ends
-	for it, c := range col {
-		if c == 0 {
-			col[it] = size
-			size++
-		}
-	}
-	m := len(items) / 2
-	for i := 0; i < m; {
-		a := items[2*i]
-		n := int(size - col[a] - 1) // items of U above a; items[2i+1] is one
-		if base[a] != noPair || i+n > m {
-			return false
-		}
-		for j := 0; j < n; j++ {
-			if items[2*(i+j)] != a || col[items[2*(i+j)+1]] != col[a]+1+int32(j) {
-				return false
-			}
-		}
-		base[a] = int32(i) - col[a] - 1
-		i += n
-	}
-	t.pairBase, t.pairCol = base, col
 	return true
 }
 

@@ -341,6 +341,34 @@ func TestMemoryEstimates(t *testing.T) {
 	}
 }
 
+// TestMemoryBytesPinned pins MemoryBytes — 32+4k bytes a candidate, 8·Fanout
+// an internal node, 48 a leaf, with (Leaves-1)/(Fanout-1) internal nodes —
+// on two small trees worked by hand.  The fanouts are 3 and 2, where an
+// internal-node count off by two leaves shows.
+func TestMemoryBytesPinned(t *testing.T) {
+	// Fanout 3, MaxLeaf 2: the root splits its three candidates by first
+	// item mod 3 into {01, 02}, {12} and an empty leaf: 1 internal node,
+	// 3 leaves, scanned (no pair index).  3·40 + 1·24 + 3·48 = 288.
+	split := mustNew(2, []itemset.Itemset{itemset.New(0, 1), itemset.New(0, 2), itemset.New(1, 2)}, Config{Fanout: 3, MaxLeaf: 2})
+	if split.pairCol != nil || split.Leaves() != 3 {
+		t.Fatalf("split tree: pair-indexed %v, %d leaves; want scanned, 3 leaves", split.pairCol != nil, split.Leaves())
+	}
+	if got := split.MemoryBytes(); got != 288 {
+		t.Errorf("split tree: MemoryBytes = %d, want 288", got)
+	}
+	// Fanout 2, MaxLeaf 1: the complete C2 of {0, 1, 2, 3}; both first-item
+	// classes overflow, and the even one's cell of odd second items holds
+	// {01, 03, 23}: pair-indexed, 3 internal nodes, 4 leaves.
+	// 6·40 + 3·16 + 4·48 = 480.
+	pairs := mustNew(2, subsets(itemset.New(0, 1, 2, 3), 2), Config{Fanout: 2, MaxLeaf: 1})
+	if pairs.pairCol == nil || pairs.Leaves() != 4 {
+		t.Fatalf("complete C2: pair-indexed %v, %d leaves; want indexed, 4 leaves", pairs.pairCol != nil, pairs.Leaves())
+	}
+	if got := pairs.MemoryBytes(); got != 480 {
+		t.Errorf("complete C2: MemoryBytes = %d, want 480", got)
+	}
+}
+
 // Property: for random candidate sets and transactions, hash-tree counting
 // agrees with brute force regardless of tree shape.
 func TestQuickCountEquivalence(t *testing.T) {

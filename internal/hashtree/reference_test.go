@@ -399,7 +399,10 @@ func TestDifferentialPairIndexedSmallLeaves(t *testing.T) {
 // mask), at fanout 3 (by modulo) and at the default 32.  The indexed tree
 // must keep no slot arrays (perm, items, marks), have the split-built tree's
 // nodes — so its Leaves, MemoryBytes and per-depth leaf sizes — and count
-// random transactions to the same counts and Stats.
+// random transactions to the same counts and Stats.  At the boundary, where
+// MaxLeaf is the largest histogram cell, so the fullest depth-2 leaf holds
+// exactly MaxLeaf, nothing overflows: NewFlat must not index the tree, and
+// its shape is split's all the same.
 func TestPairTreeMatchesSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for _, fanout := range []int{2, 3, 4, 8, 32} {
@@ -411,10 +414,15 @@ func TestPairTreeMatchesSplit(t *testing.T) {
 			"bin-packed share": partition.BinPack(all, 3, 0).Share(2).Itemsets(),
 		}
 		for _, shape := range []string{"complete", "bin-packed share"} {
-			for _, maxLeaf := range []int{1, 2} {
+			flat := mustFlat(2, shapes[shape])
+			boundary := leafSizes(mustNew(2, shapes[shape], Config{Fanout: fanout, MaxLeaf: 1}))[2].max
+			if boundary <= 2 {
+				t.Fatalf("%s fanout %d: the largest depth-2 cell holds %d, want more than 2", shape, fanout, boundary)
+			}
+			for _, maxLeaf := range []int{1, 2, boundary} {
 				cfg := Config{Fanout: fanout, MaxLeaf: maxLeaf}
 				name := fmt.Sprintf("%s cfg=%+v", shape, cfg)
-				flat := mustFlat(2, shapes[shape])
+				indexed := maxLeaf < boundary
 				tree, err := NewFlat(flat, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -424,11 +432,14 @@ func TestPairTreeMatchesSplit(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				split.build(flat.Items, numItems)
-				if tree.pairCol == nil || split.pairCol != nil {
-					t.Fatalf("%s: direct pair index %v, split-built %v; want only the first", name, tree.pairCol != nil, split.pairCol != nil)
+				if (tree.pairCol != nil) != indexed || split.pairCol != nil {
+					t.Fatalf("%s: direct pair index %v, split-built %v; want %v and false", name, tree.pairCol != nil, split.pairCol != nil, indexed)
 				}
-				if tree.perm != nil || tree.items != nil || tree.marks != nil {
+				if indexed && (tree.perm != nil || tree.items != nil || tree.marks != nil) {
 					t.Errorf("%s: the indexed tree keeps %d slots, %d items and %d mark words", name, len(tree.perm), len(tree.items), len(tree.marks))
+				}
+				if fullest := leafSizes(tree)[2].max; !indexed && fullest != maxLeaf {
+					t.Errorf("%s: the fullest depth-2 leaf holds %d, want exactly MaxLeaf", name, fullest)
 				}
 				if !slices.Equal(tree.nodes, split.nodes) {
 					t.Errorf("%s: nodes %v, split-built %v", name, tree.nodes, split.nodes)

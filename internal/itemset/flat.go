@@ -1,6 +1,9 @@
 package itemset
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Flat is a list of itemsets of one size K stored back to back in a single
 // item array: itemset i is Items[i*K : (i+1)*K].  It is the form a pass's
@@ -56,4 +59,60 @@ func (f Flat) Itemsets() []Itemset {
 		out[i] = f.At(i)
 	}
 	return out
+}
+
+// NoPair marks an absent entry of the tables PairIndex returns.  It is so
+// negative that its sum with any present entry (each below 2^30 in
+// magnitude) stays negative.
+const NoPair = math.MinInt32 / 2
+
+// PairIndex recognises a dense C₂ and returns its direct index, or reports
+// false.  f holds pairs (K = 2) of items in [0, numItems).  It verifies
+// rather than assumes what pass 2 produces (C₂ = all pairs of F₁, shared out
+// by whole first-item rows): with U the items of f, the pairs of each first
+// item a are contiguous in f and are exactly {a, u} for every u in U above a,
+// in ascending order.  Rows may come in any order.  Then rank[it] is item
+// it's rank in U, and pair {a, b} is pair base[a]+rank[b] of f.  Both tables
+// are indexed by item; an entry is NoPair for an item that heads no row
+// (base) or is not in U (rank).  Rows with holes (a round-robin share, a
+// DHP-filtered C₂, a row cut across shares), repeated or unordered pairs, an
+// empty f and any K but 2 all fail.
+//
+//checkinv:hotpath
+func (f Flat) PairIndex(numItems int) (rank, base []int32, ok bool) {
+	m := f.Len()
+	if f.K != 2 || m == 0 {
+		return nil, nil, false
+	}
+	items := f.Items
+	tables := make([]int32, 2*numItems)
+	for i := range tables {
+		tables[i] = NoPair
+	}
+	base, rank = tables[:numItems], tables[numItems:]
+	for _, it := range items {
+		rank[it] = 0
+	}
+	size := int32(0) // |U| once the loop ends
+	for it, r := range rank {
+		if r == 0 {
+			rank[it] = size
+			size++
+		}
+	}
+	for i := 0; i < m; {
+		a := items[2*i]
+		n := int(size - rank[a] - 1) // items of U above a; items[2i+1] is one
+		if base[a] != NoPair || i+n > m {
+			return nil, nil, false
+		}
+		for j := 0; j < n; j++ {
+			if items[2*(i+j)] != a || rank[items[2*(i+j)+1]] != rank[a]+1+int32(j) {
+				return nil, nil, false
+			}
+		}
+		base[a] = int32(i) - rank[a] - 1
+		i += n
+	}
+	return rank, base, true
 }

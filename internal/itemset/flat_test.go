@@ -1,7 +1,10 @@
 package itemset
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -69,5 +72,160 @@ func TestFlatRoundTrip(t *testing.T) {
 	}
 	if _, err := FlatOf(0, []Itemset{{}}); err == nil {
 		t.Fatal("FlatOf accepted empty itemsets, which a Flat cannot count")
+	}
+}
+
+// refPairIndex is PairIndex by definition: f's pairs, cut into runs of one
+// first item, must be whole first-item rows over U (the sorted items of f),
+// one run per first item; pair i of run a is then at base[a]+rank[b].
+func refPairIndex(f Flat, numItems int) (rank, base []int32, ok bool) {
+	if f.K != 2 || f.Len() == 0 {
+		return nil, nil, false
+	}
+	var u []Item
+	seen := map[Item]bool{}
+	for _, it := range f.Items {
+		if !seen[it] {
+			seen[it] = true
+			u = append(u, it)
+		}
+	}
+	slices.Sort(u)
+	rank, base = make([]int32, numItems), make([]int32, numItems)
+	for it := range rank {
+		rank[it], base[it] = NoPair, NoPair
+	}
+	for r, it := range u {
+		rank[it] = int32(r)
+	}
+	for i := 0; i < f.Len(); {
+		a := f.At(i)[0]
+		if base[a] != NoPair {
+			return nil, nil, false // a second run of a
+		}
+		var run []Itemset
+		for j := i; j < f.Len() && f.At(j)[0] == a; j++ {
+			run = append(run, f.At(j))
+		}
+		var row []Itemset
+		for _, b := range u {
+			if b > a {
+				row = append(row, Itemset{a, b})
+			}
+		}
+		if !reflect.DeepEqual(run, row) {
+			return nil, nil, false
+		}
+		base[a] = int32(i) - rank[a] - 1
+		i += len(run)
+	}
+	return rank, base, true
+}
+
+// pairShape builds one k = 2 candidate list over a random set F of items
+// below n, C₂(F) reshaped as a miner or a malformed input would hand it
+// over.  The vocabulary is n+1 items, so item n occurs in no row of C₂(F).
+func pairShape(rng *rand.Rand, shape string, n int) Flat {
+	var f1 []Item
+	for it := 0; it < n; it++ {
+		if rng.Intn(3) > 0 {
+			f1 = append(f1, Item(it))
+		}
+	}
+	var rows [][]Item // rows[r]: row r's pairs, flat
+	for i, a := range f1 {
+		var row []Item
+		for _, b := range f1[i+1:] {
+			row = append(row, a, b)
+		}
+		if row != nil {
+			rows = append(rows, row)
+		}
+	}
+	flat := func(rows [][]Item) Flat { return Flat{K: 2, Items: slices.Concat(rows...)} }
+	complete := flat(rows)
+	m := complete.Len()
+	switch shape {
+	case "complete":
+		return complete
+	case "binpacked":
+		var share [][]Item
+		for _, r := range rng.Perm(len(rows)) {
+			if rng.Intn(2) == 0 {
+				share = append(share, rows[r])
+			}
+		}
+		return flat(share)
+	case "row-permuted":
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		return flat(rows)
+	case "cut-mid-row":
+		if m == 0 {
+			return complete
+		}
+		lo := rng.Intn(m)
+		return complete.Slice(lo, lo+1+rng.Intn(m-lo))
+	case "holed":
+		if m == 0 {
+			return complete
+		}
+		hole := rng.Intn(m)
+		return Flat{K: 2, Items: slices.Concat(complete.Items[:2*hole], complete.Items[2*hole+2:])}
+	case "repeated":
+		if m == 0 {
+			return complete
+		}
+		i, at := rng.Intn(m), rng.Intn(m+1)
+		return Flat{K: 2, Items: slices.Concat(complete.Items[:2*at], complete.At(i), complete.Items[2*at:])}
+	case "ghost":
+		if len(f1) == 0 {
+			return complete
+		}
+		at := rng.Intn(m + 1)
+		ghost := []Item{f1[rng.Intn(len(f1))], Item(n)}
+		return Flat{K: 2, Items: slices.Concat(complete.Items[:2*at], ghost, complete.Items[2*at:])}
+	case "empty":
+		return Flat{K: 2}
+	}
+	panic("unknown shape " + shape)
+}
+
+// TestPairIndexMatchesBruteForce diffs PairIndex against refPairIndex over
+// complete C₂s, whole-row shares, permuted rows, runs cut mid-row, holed,
+// repeated and ghost-item sets and the empty set, at several item counts:
+// the same verdict, the same tables, and every pair found where the index
+// says it is.
+func TestPairIndexMatchesBruteForce(t *testing.T) {
+	shapes := []string{"complete", "binpacked", "row-permuted", "cut-mid-row", "holed", "repeated", "ghost", "empty"}
+	for _, shape := range shapes {
+		for _, n := range []int{2, 3, 4, 7, 16, 33, 64, 100, 257} {
+			for seed := int64(1); seed <= 8; seed++ {
+				t.Run(fmt.Sprintf("%s/items=%d/seed=%d", shape, n, seed), func(t *testing.T) {
+					f := pairShape(rand.New(rand.NewSource(seed*1000+int64(n))), shape, n)
+					rank, base, ok := f.PairIndex(n + 1)
+					wantRank, wantBase, wantOK := refPairIndex(f, n+1)
+					if ok != wantOK || !slices.Equal(rank, wantRank) || !slices.Equal(base, wantBase) {
+						t.Fatalf("PairIndex(%v) = %v, rank %v, base %v; want %v, %v, %v", f.Items, ok, rank, base, wantOK, wantRank, wantBase)
+					}
+					if (shape == "complete" || shape == "row-permuted") && f.Len() > 0 && !ok {
+						t.Fatalf("whole rows %v not recognised", f.Items)
+					}
+					for i := 0; ok && i < f.Len(); i++ {
+						if c := f.At(i); base[c[0]]+rank[c[1]] != int32(i) {
+							t.Fatalf("pair %v is pair %d, the index says %d", c, i, base[c[0]]+rank[c[1]])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPairIndexRefusesOtherSizes checks that only pairs are indexed.
+func TestPairIndexRefusesOtherSizes(t *testing.T) {
+	for _, f := range []Flat{{K: 1, Items: []Item{0, 1, 2}}, {K: 3, Items: []Item{0, 1, 2}}, {}} {
+		if _, _, ok := f.PairIndex(3); ok {
+			t.Errorf("PairIndex of %+v succeeded", f)
+		}
 	}
 }

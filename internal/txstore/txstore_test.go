@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"parapriori/internal/datagen"
@@ -394,6 +395,46 @@ func TestCraftedBlockRejected(t *testing.T) {
 		var ce *CorruptError
 		if !errors.As(err, &ce) {
 			t.Errorf("%s: got transactions %v, error %v; want *CorruptError", name, txns, err)
+		}
+	}
+}
+
+// TestImplausibleFrameTyped gives a block frame one implausible header field
+// at a time — no transactions, more than 2^31 of them, a payload longer than
+// 2^31 bytes, a payload shorter than one byte a transaction — behind a
+// checksum that vouches for the one-transaction payload.  Each must be
+// refused by the frame's plausibility guard itself, as a *CorruptError that
+// says so, before any later check sees the frame.
+func TestImplausibleFrameTyped(t *testing.T) {
+	dir, s := spillOne(t)
+	path := filepath.Join(dir, s.Manifest().Partitions[0].File)
+	header := append([]byte(partMagic), partVersion)
+	header = binary.AppendUvarint(header, 0)
+	header = binary.AppendUvarint(header, uint64(s.Manifest().NumItems))
+	payload := binary.AppendUvarint(nil, 0) // ID delta, 2 items: {3 4}
+	for _, v := range []uint64{2, 3, 1} {
+		payload = binary.AppendUvarint(payload, v)
+	}
+	for _, c := range []struct {
+		name              string
+		ntxns, payloadLen uint64
+	}{
+		{"no transactions", 0, uint64(len(payload))},
+		{"transactions past 2^31", 1<<31 + 1, uint64(len(payload))},
+		{"payload past 2^31", 1, 1<<31 + 1},
+		{"payload shorter than its transactions", 1, 0},
+	} {
+		file := binary.AppendUvarint(append([]byte(nil), header...), c.ntxns)
+		file = binary.AppendUvarint(file, c.payloadLen)
+		file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload))
+		file = append(file, payload...)
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatalf("%s: rewrite: %v", c.name, err)
+		}
+		err := drain(s, 0)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || !strings.HasPrefix(ce.Reason, "implausible frame") {
+			t.Errorf("%s: got %v, want the *CorruptError of an implausible frame", c.name, err)
 		}
 	}
 }
