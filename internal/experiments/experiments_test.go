@@ -1,10 +1,15 @@
 package experiments
 
 import (
-	"reflect"
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/<id>.json from the current code")
 
 // quickCfg keeps experiment smoke tests small: endpoint-only sweeps at a
 // tenth of the default workload.  Under `go test -short` (the -race CI
@@ -33,14 +38,6 @@ func runNamed(t *testing.T, name string) *Result {
 	if res, ok := memo[name]; ok {
 		return res
 	}
-	memo[name] = runFresh(t, name)
-	return memo[name]
-}
-
-// runFresh always runs the experiment: the second run of a reproducibility
-// test.
-func runFresh(t *testing.T, name string) *Result {
-	t.Helper()
 	n, ok := Lookup(name)
 	if !ok {
 		t.Fatalf("experiment %q not registered", name)
@@ -52,7 +49,50 @@ func runFresh(t *testing.T, name string) *Result {
 	if res.ID != name {
 		t.Errorf("%s: result ID = %q", name, res.ID)
 	}
+	memo[name] = res
 	return res
+}
+
+func goldenPath(name string) string { return filepath.Join("testdata", name+".json") }
+
+// TestGoldens pins each experiment's quickCfg output — notes, full-precision
+// series and table — as the JSON in testdata/<id>.json.  An experiment is a
+// pure function of the code on the virtual clock, so any byte that moves is
+// a changed definition or a moved cost model; -update rewrites the files.
+// Under -short the processor sweeps are capped (MaxP), so every golden but
+// faults, which reads neither sweep nor procs, is skipped there.
+func TestGoldens(t *testing.T) {
+	for _, n := range All() {
+		t.Run(n.Name, func(t *testing.T) {
+			if testing.Short() && n.Name != "faults" {
+				t.Skip("-short caps the processor sweeps; the goldens pin the uncapped quick config")
+			}
+			var got bytes.Buffer
+			if err := runNamed(t, n.Name).WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			path := goldenPath(n.Name)
+			if *update {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+				for i := 0; i < len(g) && i < len(w); i++ {
+					if g[i] != w[i] {
+						t.Fatalf("%s: line %d differs:\n got %s\nwant %s", path, i+1, g[i], w[i])
+					}
+				}
+				t.Fatalf("%s: %d lines, want %d", path, len(g), len(w))
+			}
+		})
+	}
 }
 
 func TestAllRegistered(t *testing.T) {
@@ -71,6 +111,21 @@ func TestAllRegistered(t *testing.T) {
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("Lookup(nope) succeeded")
+	}
+	// Every experiment is pinned, and every golden pins an experiment.
+	for _, n := range all {
+		if _, err := os.Stat(goldenPath(n.Name)); err != nil {
+			t.Errorf("experiment %q has no golden: %v", n.Name, err)
+		}
+	}
+	files, err := filepath.Glob(goldenPath("*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, ok := Lookup(strings.TrimSuffix(filepath.Base(f), ".json")); !ok {
+			t.Errorf("golden %s names no experiment", f)
+		}
 	}
 }
 
@@ -318,16 +373,6 @@ func TestAttribDecomposition(t *testing.T) {
 		if names[want] == 0 {
 			t.Errorf("series %q missing or empty (have %v)", want, names)
 		}
-	}
-}
-
-// TestFaultsDeterministic is the acceptance criterion for the sweep: two
-// runs with the same Config must be bit-identical.
-func TestFaultsDeterministic(t *testing.T) {
-	a := runNamed(t, "faults")
-	b := runFresh(t, "faults")
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("fault sweep not reproducible:\n%+v\n%+v", a, b)
 	}
 }
 
