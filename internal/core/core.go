@@ -32,6 +32,7 @@ import (
 	"parapriori/internal/hashtree"
 	"parapriori/internal/itemset"
 	"parapriori/internal/obsv"
+	"parapriori/internal/partition"
 	"parapriori/internal/txstore"
 )
 
@@ -586,28 +587,10 @@ func (r *run) assemblePasses() []PassReport {
 			}
 		}
 		pr.ResponseTime = maxEnd - maxStart
-		pr.TimeImbalance = imbalanceFloat(times)
+		pr.TimeImbalance = partition.Imbalance(times)
 		out[k] = pr
 	}
 	return out
-}
-
-func imbalanceFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var total, max float64
-	for _, x := range xs {
-		total += x
-		if x > max {
-			max = x
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := total / float64(len(xs))
-	return (max - mean) / mean
 }
 
 // sortFrequent orders a frequent level lexicographically, the canonical

@@ -86,28 +86,6 @@ func (r *run) runSpan(resumed int) {
 	})
 }
 
-// WriteProm renders the run's outcome as Prometheus text exposition — one
-// scrape-shaped snapshot of a finished mine, so mining results use the same
-// exposition writer and naming scheme as the serving tiers.  The values are
-// virtual-clock quantities: on a seeded run the exposition is bit-identical
-// between runs.
-func (r *Report) WriteProm(w *obsv.PromWriter) {
-	var moved int64
-	for _, pass := range r.Passes {
-		moved += pass.BytesMoved
-	}
-	w.Gauge("parapriori_mine_response_seconds", "Total virtual response time of the mining run.", r.ResponseTime)
-	w.Gauge("parapriori_mine_passes", "Level-wise passes the run performed.", float64(len(r.Passes)))
-	w.Gauge("parapriori_mine_processors", "Emulated processors the run used.", float64(r.P))
-	w.Counter("parapriori_mine_bytes_moved_total", "Transaction bytes communicated between processors.", float64(moved))
-	w.Counter("parapriori_mine_read_partitions_total", "Partition files the out-of-core read path opened.", float64(r.Read.Partitions))
-	w.Counter("parapriori_mine_read_blocks_total", "Blocks the out-of-core read path verified.", float64(r.Read.Blocks))
-	w.Counter("parapriori_mine_read_bytes_total", "On-disk bytes the out-of-core read path consumed.", float64(r.Read.Bytes))
-	w.Counter("parapriori_mine_read_stalls_total", "Synchronous block reads the ranks' clocks waited on.", float64(r.Read.Stalls))
-	w.Counter("parapriori_mine_crc_retries_total", "Block checksum failures survived by re-reading.", float64(r.Read.CRCRetries))
-	w.Counter("parapriori_mine_decode_seconds_total", "Virtual compute seconds spent decoding blocks.", r.Read.DecodeSeconds)
-}
-
 // setRunMeta stamps the trace-level attributes of a mining run.
 func (r *run) setRunMeta() {
 	if r.rec == nil {

@@ -6,6 +6,7 @@ import (
 
 	"parapriori/internal/apriori"
 	"parapriori/internal/cluster"
+	"parapriori/internal/partition"
 	"parapriori/internal/rules"
 )
 
@@ -99,7 +100,7 @@ func GenerateRules(res *apriori.Result, p int, machine cluster.Machine, minConfi
 	rep := &RulesReport{
 		Rules:         all,
 		ResponseTime:  cl.MaxClock(),
-		TimeImbalance: imbalanceFloat(genTime),
+		TimeImbalance: partition.Imbalance(genTime),
 	}
 	for _, ev := range evaluated {
 		rep.Evaluated += ev

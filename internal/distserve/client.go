@@ -88,9 +88,6 @@ func (c *LocalClient) SetDown(down bool) { c.down.Store(down) }
 // like a slow HTTP node would.  Zero restores normal speed.
 func (c *LocalClient) SetDelay(d time.Duration) { c.delay.Store(int64(d)) }
 
-// Node returns the wrapped node.
-func (c *LocalClient) Node() *Node { return c.node }
-
 // ID implements Client.
 func (c *LocalClient) ID() string { return c.node.ID() }
 

@@ -309,7 +309,7 @@ func TestPublishAbortsOnPrepareFailure(t *testing.T) {
 	if _, err := c.Router.Publish(v2, false); err == nil {
 		t.Fatal("publish with a down node should abort")
 	}
-	if g := c.Router.Generation(); g != 1 {
+	if g := c.Router.gen; g != 1 {
 		t.Fatalf("aborted publish advanced the generation to %d", g)
 	}
 	for _, n := range c.Nodes {

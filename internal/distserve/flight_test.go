@@ -47,7 +47,7 @@ func TestStragglerExemplarResolvesAcrossTiers(t *testing.T) {
 	slowBasket := []itemset.Item{3, 7, 9}
 	owners := make(map[string]bool)
 	for _, it := range itemset.New(slowBasket...) {
-		s := c.Router.Options().shardOf(it)
+		s := c.Router.opt.shardOf(it)
 		for _, id := range c.Router.Replicas()[s] {
 			owners[id] = true
 		}
@@ -96,7 +96,7 @@ func TestStragglerExemplarResolvesAcrossTiers(t *testing.T) {
 
 	// Tier one: the span ID resolves in the router's own flight ring to the
 	// request span and at least one fan-out leg addressed to the straggler.
-	rt := c.Router.Flight().Trace()
+	rt := c.Router.flight.Trace()
 	var reqSpan *obsv.Span
 	fanoutToStraggler := false
 	for i := range rt.Spans {
@@ -369,7 +369,7 @@ func TestRequestSpanMatchesHistogram(t *testing.T) {
 				ex, res.Generation, res.NodesQueried, basket)
 		}
 		var span *obsv.Span
-		tr := c.Router.Flight().Trace()
+		tr := c.Router.flight.Trace()
 		for i := range tr.Spans {
 			if tr.Spans[i].Name == "recommend" {
 				span = &tr.Spans[i]
@@ -423,7 +423,7 @@ func TestRequestSpanMatchesHistogram(t *testing.T) {
 		if _, err := c.Router.Publish(rs, true); err != nil {
 			t.Fatalf("publish: %v", err)
 		}
-		lost := c.Router.Replicas()[c.Router.Options().shardOf(3)][0]
+		lost := c.Router.Replicas()[c.Router.opt.shardOf(3)][0]
 		clientOf(t, c, lost).SetDown(true)
 		res, err := c.Router.Recommend(basket, 0)
 		if err != nil || !res.Partial {

@@ -79,7 +79,7 @@ func TestReplicaFailoverExact(t *testing.T) {
 func clientOf(t *testing.T, c *Cluster, id string) *LocalClient {
 	t.Helper()
 	for _, lc := range c.Clients {
-		if lc.Node().ID() == id {
+		if lc.node.ID() == id {
 			return lc
 		}
 	}

@@ -81,7 +81,7 @@ func TestRouterMetricsPromNegotiation(t *testing.T) {
 	}
 
 	// Span census: one request span, ≥1 fan-out span, prepare + commit.
-	tr := router.Flight().Trace()
+	tr := router.flight.Trace()
 	var reqs, fans, preps, commits int
 	for _, sp := range tr.Spans {
 		switch {

@@ -124,21 +124,6 @@ func NewRouter(clients []Client, opt Options) (*Router, error) {
 	return r, nil
 }
 
-// Options returns the router's defaulted options.
-func (r *Router) Options() Options { return r.opt }
-
-// Flight returns the router's always-on flight recorder — the bounded ring
-// of recent request, fan-out and publish spans behind /debug/flight.
-func (r *Router) Flight() *obsv.Flight { return r.flight }
-
-// Generation returns the current cluster generation, 0 before the first
-// successful Publish.
-func (r *Router) Generation() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gen
-}
-
 // Placement returns a copy of the shard → primary-node assignment (each
 // shard's top rendezvous candidate; the full replica sets are Replicas).
 func (r *Router) Placement() []string {

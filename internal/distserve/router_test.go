@@ -156,7 +156,7 @@ func (f *overlapFleet) ownedBy(id string) map[int]bool {
 // k is MaxK and the rule set is small, so no node truncates its answer.
 func (f *overlapFleet) expect(t *testing.T, newer map[int]bool) []rules.Rule {
 	t.Helper()
-	opt := f.router.Options()
+	opt := f.router.opt
 	var union []rules.Rule
 	for i := range f.v1 {
 		if newer[opt.shardOf(f.v1[i].Antecedent[0])] {
@@ -210,13 +210,13 @@ func TestMergeMixedGenerations(t *testing.T) {
 
 	owned := f.ownedBy("node02")
 	var owns []int
-	for s := range f.router.Options().Shards {
+	for s := range f.router.opt.Shards {
 		if owned[s] {
 			owns = append(owns, s)
 		}
 	}
 	req := PrepareRequest{Gen: 2, Full: true, Owned: owns}
-	opt := f.router.Options()
+	opt := f.router.opt
 	for _, g := range serve.Groups(f.v2) {
 		if s := opt.shardOf(g.Ant[0]); owned[s] {
 			req.Upserts = append(req.Upserts, GroupUpdate{Shard: s, Rules: g.Rules})

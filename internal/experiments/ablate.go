@@ -27,7 +27,7 @@ func Ablate(c Config) (*Result, error) {
 	p := c.procs(16)
 	minsup := 24.0 / float64(n)
 
-	data, err := mustGen(baseGen(c, n))
+	data, err := workload(c, n)
 	if err != nil {
 		return nil, err
 	}
@@ -42,81 +42,64 @@ func Ablate(c Config) (*Result, error) {
 		},
 	}
 
+	tmpl := core.Params{P: p, Apriori: mineParams(minsup, 3)}
+
 	// 1. G sweep for HD.
 	gSweep := Series{Name: "HD(G)"}
-	var gRows [][]string
 	for g := 1; g <= p; g++ {
 		if p%g != 0 {
 			continue
 		}
-		rep, err := core.Mine(data, core.Params{
-			Algo:    core.HD,
-			P:       p,
-			FixedG:  g,
-			Apriori: mineParams(minsup, 3),
-		})
+		hd := tmpl
+		hd.Algo, hd.FixedG = core.HD, g
+		reps, err := mineAt("ablate", fmt.Sprintf("G=%d", g), data, hd)
 		if err != nil {
-			return nil, fmt.Errorf("ablate HD G=%d: %w", g, err)
+			return nil, err
 		}
-		t := pass3Time(rep)
+		t := passOf(reps[0], 3).ResponseTime
 		gSweep.Points = append(gSweep.Points, Point{X: float64(g), Y: t})
-		gRows = append(gRows, []string{fmt.Sprintf("HD G=%d", g), fmt.Sprintf("%.4f", t)})
+		res.TableRows = append(res.TableRows, []string{fmt.Sprintf("HD G=%d", g), fmt.Sprintf("%.4f", t)})
 	}
 	res.Series = append(res.Series, gSweep)
 
 	// Equation 8's window for this workload.
-	var m3 int
-	{
-		rep, err := core.Mine(data, core.Params{Algo: core.CD, P: p, Apriori: mineParams(minsup, 3)})
-		if err != nil {
-			return nil, fmt.Errorf("ablate CD: %w", err)
-		}
-		for _, pass := range rep.Passes {
-			if pass.K == 3 {
-				m3 = pass.Candidates
-			}
-		}
+	reps, err := mineAt("ablate", "for Equation 8", data, each(tmpl, core.CD)...)
+	if err != nil {
+		return nil, err
 	}
+	m3 := passOf(reps[0], 3).Candidates
 	_, hi := analysis.GWindow(analysis.Workload{N: float64(n), M: float64(m3)}, float64(p))
 	res.Notes = append(res.Notes, fmt.Sprintf("Equation 8 window for pass 3 (M=%d): G in (1, %.3g)", m3, hi))
 
 	// 2. Communication ablation: T3E vs Ideal for each algorithm.
 	res.TableHeader = []string{"configuration", "response (s)"}
-	res.TableRows = gRows
 	for _, algo := range []core.Algorithm{core.CD, core.DD, core.DDComm, core.IDD, core.HD, core.HPA} {
 		for _, machine := range []cluster.Machine{cluster.T3E(), cluster.Ideal()} {
-			rep, err := core.Mine(data, core.Params{
-				Algo:    algo,
-				P:       p,
-				Machine: machine,
-				Apriori: mineParams(minsup, 3),
-			})
+			on := tmpl
+			on.Machine = machine
+			reps, err := mineAt("ablate", "on "+machine.Name, data, each(on, algo)...)
 			if err != nil {
-				return nil, fmt.Errorf("ablate %s on %s: %w", algo, machine.Name, err)
+				return nil, err
 			}
 			res.TableRows = append(res.TableRows, []string{
 				fmt.Sprintf("%s on %s", algo, machine.Name),
-				fmt.Sprintf("%.4f", rep.ResponseTime),
+				fmt.Sprintf("%.4f", reps[0].ResponseTime),
 			})
 		}
 	}
 
 	// 3. Overlap ablation for IDD.
 	for _, overlap := range []bool{true, false} {
-		machine := cluster.T3E()
-		machine.Overlap = overlap
-		rep, err := core.Mine(data, core.Params{
-			Algo:    core.IDD,
-			P:       p,
-			Machine: machine,
-			Apriori: mineParams(minsup, 3),
-		})
+		on := tmpl
+		on.Machine = cluster.T3E()
+		on.Machine.Overlap = overlap
+		reps, err := mineAt("ablate", fmt.Sprintf("overlap=%v", overlap), data, each(on, core.IDD)...)
 		if err != nil {
-			return nil, fmt.Errorf("ablate IDD overlap=%v: %w", overlap, err)
+			return nil, err
 		}
 		res.TableRows = append(res.TableRows, []string{
 			fmt.Sprintf("IDD overlap=%v", overlap),
-			fmt.Sprintf("%.4f", rep.ResponseTime),
+			fmt.Sprintf("%.4f", reps[0].ResponseTime),
 		})
 	}
 	return res, nil

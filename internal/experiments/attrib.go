@@ -22,7 +22,7 @@ func Attrib(c Config) (*Result, error) {
 	minsup := 24.0 / float64(n)
 	p := c.procs(16)
 
-	data, err := mustGen(baseGen(c, n))
+	data, err := workload(c, n)
 	if err != nil {
 		return nil, err
 	}
@@ -37,37 +37,33 @@ func Attrib(c Config) (*Result, error) {
 		},
 	}
 
-	type algoCase struct {
-		algo core.Algorithm
-		name string
-	}
-	algos := []algoCase{{core.CD, "CD"}, {core.DD, "DD"}, {core.IDD, "IDD"}, {core.HD, "HD"}}
+	algos := []core.Algorithm{core.CD, core.DD, core.IDD, core.HD}
 	if c.Quick {
-		algos = []algoCase{{core.CD, "CD"}, {core.IDD, "IDD"}}
+		algos = []core.Algorithm{core.CD, core.IDD}
 	}
 
 	for _, a := range algos {
 		rec := obsv.NewCollector(obsv.ClockVirtual)
-		prm := core.Params{
-			Algo:     a.algo,
+		reps, err := mineAt("attrib", fmt.Sprintf("P=%d", p), data, core.Params{
+			Algo:     a,
 			P:        p,
 			Apriori:  mineParams(minsup, 4),
 			Recorder: rec,
-		}
-		rep, err := core.Mine(data, prm)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("attrib %s: %w", a.name, err)
+			return nil, err
 		}
+		rep := reps[0]
 
 		costs := obsv.Attribution(rec.Trace())
-		series := Series{Name: a.name}
+		series := Series{Name: label(a)}
 		for _, pc := range costs {
-			label := "other"
+			pass := "other"
 			if pc.Pass >= 0 {
-				label = fmt.Sprintf("k=%d", pc.Pass)
+				pass = fmt.Sprintf("k=%d", pc.Pass)
 			}
 			res.TableRows = append(res.TableRows, []string{
-				a.name, label,
+				series.Name, pass,
 				fmt.Sprintf("%.4f", pc.Compute),
 				fmt.Sprintf("%.4f", pc.IO),
 				fmt.Sprintf("%.4f", pc.Send),
@@ -88,15 +84,15 @@ func Attrib(c Config) (*Result, error) {
 		const tol = 1e-6
 		if d := tot.Compute - rep.Total.ComputeTime; d > tol || d < -tol {
 			return nil, fmt.Errorf("attrib %s: compute mismatch: trace %.9f vs stats %.9f",
-				a.name, tot.Compute, rep.Total.ComputeTime)
+				series.Name, tot.Compute, rep.Total.ComputeTime)
 		}
 		if d := tot.Send - rep.Total.SendTime; d > tol || d < -tol {
 			return nil, fmt.Errorf("attrib %s: send mismatch: trace %.9f vs stats %.9f",
-				a.name, tot.Send, rep.Total.SendTime)
+				series.Name, tot.Send, rep.Total.SendTime)
 		}
 		if d := tot.Idle - rep.Total.IdleTime; d > tol || d < -tol {
 			return nil, fmt.Errorf("attrib %s: idle mismatch: trace %.9f vs stats %.9f",
-				a.name, tot.Idle, rep.Total.IdleTime)
+				series.Name, tot.Idle, rep.Total.IdleTime)
 		}
 	}
 

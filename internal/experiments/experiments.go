@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"parapriori/internal/apriori"
+	"parapriori/internal/cluster"
 	"parapriori/internal/core"
 	"parapriori/internal/datagen"
 	"parapriori/internal/hashtree"
@@ -196,10 +197,10 @@ func Lookup(name string) (Named, bool) {
 	return Named{}, false
 }
 
-// baseGen returns the generator parameters shared by the T3E experiments:
-// a scaled-down T15.I6-style workload that keeps candidate sets rich
-// without making the emulation run for hours.
-func baseGen(c Config, n int) datagen.Params {
+// workload generates the n-transaction dataset every experiment mines: a
+// scaled-down T15.I6-style workload that keeps candidate sets rich without
+// making the emulation run for hours.
+func workload(c Config, n int) (*itemset.Dataset, error) {
 	p := datagen.Defaults()
 	p.NumTransactions = n
 	p.NumItems = 400
@@ -207,10 +208,6 @@ func baseGen(c Config, n int) datagen.Params {
 	p.AvgTxnLen = 12
 	p.AvgPatternLen = 4
 	p.Seed = c.Seed
-	return p
-}
-
-func mustGen(p datagen.Params) (*itemset.Dataset, error) {
 	d, err := datagen.Generate(p)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating workload: %w", err)
@@ -229,6 +226,16 @@ func totalCandidates(rep *core.Report) int {
 	return total
 }
 
+// scans counts the database scans a run made: more than one per pass once
+// a capped memory forces it to count its candidates in parts.
+func scans(rep *core.Report) int {
+	n := 0
+	for _, pass := range rep.Passes {
+		n += pass.TreeParts
+	}
+	return n
+}
+
 func mineParams(minsup float64, maxPasses int) apriori.Params {
 	// Fanout 64 keeps the hash trees in the L >> C regime the paper's
 	// machines ran in (see hashtree.Config.Fanout).
@@ -237,4 +244,97 @@ func mineParams(minsup float64, maxPasses int) apriori.Params {
 		MaxPasses:  maxPasses,
 		Tree:       hashtree.Config{Fanout: 64, MaxLeaf: 16},
 	}
+}
+
+// trio is the three grid formulations Figures 12–15 and the fault sweep
+// compare.
+var trio = []core.Algorithm{core.CD, core.IDD, core.HD}
+
+// label is a formulation's name as the paper's figures print it.
+func label(a core.Algorithm) string {
+	if a == core.DDComm {
+		return "DD+comm"
+	}
+	return strings.ToUpper(string(a))
+}
+
+// seriesOf returns one empty series per formulation, named as the figures
+// print it.
+func seriesOf(algos []core.Algorithm) []Series {
+	series := make([]Series, len(algos))
+	for i, a := range algos {
+		series[i].Name = label(a)
+	}
+	return series
+}
+
+// hdRows is the grid height Figures 13 and 14 pin HD to: the Figure 13
+// caption's 8×2 at 16, 8×4 at 32 and 8×8 at 64.
+const hdRows = 8
+
+// fixedGFor is HD's pinned grid height on p processors.
+func fixedGFor(p int) int { return min(p, hdRows) }
+
+// each returns tmpl once per algorithm, in order.  Only HD keeps tmpl's
+// FixedG: pinning the grid is an HD setting.
+func each(tmpl core.Params, algos ...core.Algorithm) []core.Params {
+	prms := make([]core.Params, len(algos))
+	for i, a := range algos {
+		prms[i] = tmpl
+		prms[i].Algo = a
+		if a != core.HD {
+			prms[i].FixedG = 0
+		}
+	}
+	return prms
+}
+
+// mineAt mines data once per params at one sweep point of experiment exp
+// and returns the reports in order.  An error names the experiment, the
+// formulation and the point.
+func mineAt(exp, point string, data *itemset.Dataset, prms ...core.Params) ([]*core.Report, error) {
+	reps := make([]*core.Report, len(prms))
+	for i, prm := range prms {
+		rep, err := core.Mine(data, prm)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s %s: %w", exp, label(prm.Algo), point, err)
+		}
+		reps[i] = rep
+	}
+	return reps, nil
+}
+
+// passOf returns rep's pass k, or the zero PassReport (K == 0) when the run
+// ended before it.  Figures 13–15 measure pass 3 alone, as the paper did
+// ("the computation for size 3 item sets took more than 55% of the total
+// run time").
+func passOf(rep *core.Report, k int) core.PassReport {
+	for _, pass := range rep.Passes {
+		if pass.K == k {
+			return pass
+		}
+	}
+	return core.PassReport{}
+}
+
+// capped returns m with its per-node memory capped at the largest candidate
+// hash tree the serial miner builds on data at minsup (passes up to
+// maxPasses, 0 for all), as the paper capped its nodes' memory: at lower
+// supports CD must then partition its tree and rescan the database.  It
+// also returns that run's candidate total over passes 2 and up.
+func capped(m cluster.Machine, exp string, data *itemset.Dataset, minsup float64, maxPasses int) (cluster.Machine, int, error) {
+	pre, err := apriori.Mine(data, apriori.Params{MinSupport: minsup, MaxPasses: maxPasses})
+	if err != nil {
+		return m, 0, fmt.Errorf("%s pre-pass: %w", exp, err)
+	}
+	m.MemoryBytes = 0
+	cands := 0
+	for _, pass := range pre.Passes {
+		if pass.K < 2 {
+			continue
+		}
+		m.MemoryBytes = max(m.MemoryBytes, hashtree.EstimateMemoryBytes(pass.Candidates, pass.K, hashtree.Config{}))
+		cands += pass.Candidates
+	}
+	return m, cands, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"parapriori/internal/cluster"
 	"parapriori/internal/core"
@@ -25,29 +24,16 @@ func Faults(c Config) (*Result, error) {
 	const minsup = 0.01
 	const p = 8
 
-	data, err := mustGen(baseGen(c, n))
+	data, err := workload(c, n)
 	if err != nil {
 		return nil, err
 	}
 
-	algos := []core.Algorithm{core.CD, core.IDD, core.HD}
-	params := func(a core.Algorithm) core.Params {
-		return core.Params{
-			Algo:        a,
-			P:           p,
-			Apriori:     mineParams(minsup, 0),
-			HDThreshold: 2000,
-		}
-	}
-
 	// Fault-free baselines, one per formulation.
-	base := map[core.Algorithm]float64{}
-	for _, a := range algos {
-		rep, err := core.Mine(data, params(a))
-		if err != nil {
-			return nil, fmt.Errorf("faults baseline %s: %w", a, err)
-		}
-		base[a] = rep.ResponseTime
+	tmpl := core.Params{P: p, Apriori: mineParams(minsup, 0), HDThreshold: 2000}
+	base, err := mineAt("faults", "fault-free", data, each(tmpl, trio...)...)
+	if err != nil {
+		return nil, err
 	}
 
 	// The three fault axes.  A crash fraction of 0 means no crash; a
@@ -71,17 +57,15 @@ func Faults(c Config) (*Result, error) {
 		},
 		TableHeader: []string{"#", "loss", "slow", "crash@", "algo", "resp(s)", "overhead", "restarts", "retried", "dropped", "retry(s)", "lost"},
 	}
-	series := make([]Series, len(algos))
-	for i, a := range algos {
-		series[i].Name = strings.ToUpper(string(a))
-	}
+	series := seriesOf(trio)
 
 	cfg := 0
 	for _, loss := range losses {
 		for _, slow := range slows {
 			for _, crashFrac := range crashes {
 				cfg++
-				for i, a := range algos {
+				prms := each(tmpl, trio...)
+				for i := range prms {
 					plan := &cluster.FaultPlan{
 						Seed:    uint64(c.Seed)*1009 + uint64(cfg),
 						Drop:    loss,
@@ -92,15 +76,16 @@ func Faults(c Config) (*Result, error) {
 						plan.Stragglers = []cluster.Straggler{{Rank: 1, At: 0, Factor: slow}}
 					}
 					if crashFrac > 0 {
-						plan.Crashes = []cluster.Crash{{Rank: 2, At: crashFrac * base[a]}}
+						plan.Crashes = []cluster.Crash{{Rank: 2, At: crashFrac * base[i].ResponseTime}}
 					}
-					prm := params(a)
-					prm.Faults = plan
-					rep, err := core.Mine(data, prm)
-					if err != nil {
-						return nil, fmt.Errorf("faults cfg %d %s: %w", cfg, a, err)
-					}
-					over := rep.ResponseTime / base[a]
+					prms[i].Faults = plan
+				}
+				reps, err := mineAt("faults", fmt.Sprintf("cfg %d", cfg), data, prms...)
+				if err != nil {
+					return nil, err
+				}
+				for i, rep := range reps {
+					over := rep.ResponseTime / base[i].ResponseTime
 					series[i].Points = append(series[i].Points, Point{X: float64(cfg), Y: over})
 					res.TableRows = append(res.TableRows, []string{
 						fmt.Sprintf("%d", cfg),

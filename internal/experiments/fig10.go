@@ -25,18 +25,7 @@ func Fig10(c Config) (*Result, error) {
 	// transaction and every page crosses half the ring); the paper's own
 	// DD curve is already off the chart well before 64.
 	const ddMaxP = 16
-
-	algos := []struct {
-		name string
-		algo core.Algorithm
-		maxP int
-	}{
-		{"CD", core.CD, 1 << 30},
-		{"DD", core.DD, ddMaxP},
-		{"DD+comm", core.DDComm, ddMaxP},
-		{"IDD", core.IDD, 1 << 30},
-		{"HD", core.HD, 1 << 30},
-	}
+	algos := []core.Algorithm{core.CD, core.DD, core.DDComm, core.IDD, core.HD}
 
 	res := &Result{
 		ID:     "fig10",
@@ -49,31 +38,31 @@ func Fig10(c Config) (*Result, error) {
 		},
 		TableHeader: []string{"P", "CD", "DD", "DD+comm", "IDD", "HD"},
 	}
-	series := make([]Series, len(algos))
-	for i, a := range algos {
-		series[i].Name = a.name
-	}
+	series := seriesOf(algos)
 
 	for _, p := range ps {
-		data, err := mustGen(baseGen(c, perProc*p))
+		data, err := workload(c, perProc*p)
 		if err != nil {
 			return nil, err
 		}
+		run := algos
+		if p > ddMaxP {
+			run = trio
+		}
+		tmpl := core.Params{P: p, Apriori: mineParams(minsup, 0), HDThreshold: 2000}
+		reps, err := mineAt("fig10", fmt.Sprintf("P=%d", p), data, each(tmpl, run...)...)
+		if err != nil {
+			return nil, err
+		}
+		// reps follows algos with DD's columns skipped past ddMaxP.
 		row := []string{fmt.Sprintf("%d", p)}
 		for i, a := range algos {
-			if p > a.maxP {
+			if len(reps) == 0 || reps[0].Params.Algo != a {
 				row = append(row, "-")
 				continue
 			}
-			rep, err := core.Mine(data, core.Params{
-				Algo:        a.algo,
-				P:           p,
-				Apriori:     mineParams(minsup, 0),
-				HDThreshold: 2000,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig10 %s P=%d: %w", a.name, p, err)
-			}
+			rep := reps[0]
+			reps = reps[1:]
 			series[i].Points = append(series[i].Points, Point{X: float64(p), Y: rep.ResponseTime})
 			row = append(row, fmt.Sprintf("%.4f", rep.ResponseTime))
 		}
@@ -108,29 +97,16 @@ func Fig11(c Config) (*Result, error) {
 	dd := Series{Name: "DD"}
 	idd := Series{Name: "IDD"}
 	for _, p := range ps {
-		data, err := mustGen(baseGen(c, perProc*p))
+		data, err := workload(c, perProc*p)
 		if err != nil {
 			return nil, err
 		}
-		run := func(algo core.Algorithm) (float64, error) {
-			rep, err := core.Mine(data, core.Params{
-				Algo:    algo,
-				P:       p,
-				Apriori: mineParams(minsup, 0),
-			})
-			if err != nil {
-				return 0, fmt.Errorf("fig11 %s P=%d: %w", algo, p, err)
-			}
-			return rep.AvgLeafVisitsPerTxn(), nil
-		}
-		dv, err := run(core.DD)
+		tmpl := core.Params{P: p, Apriori: mineParams(minsup, 0)}
+		reps, err := mineAt("fig11", fmt.Sprintf("P=%d", p), data, each(tmpl, core.DD, core.IDD)...)
 		if err != nil {
 			return nil, err
 		}
-		iv, err := run(core.IDD)
-		if err != nil {
-			return nil, err
-		}
+		dv, iv := reps[0].AvgLeafVisitsPerTxn(), reps[1].AvgLeafVisitsPerTxn()
 		dd.Points = append(dd.Points, Point{X: float64(p), Y: dv})
 		idd.Points = append(idd.Points, Point{X: float64(p), Y: iv})
 		res.TableRows = append(res.TableRows, []string{

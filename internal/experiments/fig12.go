@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"parapriori/internal/apriori"
 	"parapriori/internal/cluster"
 	"parapriori/internal/core"
-	"parapriori/internal/hashtree"
 )
 
 // Fig12 reproduces Figure 12: response time on the 16-node IBM SP2 (disk-
@@ -26,30 +24,14 @@ func Fig12(c Config) (*Result, error) {
 		minsups = []float64{0.006, 0.002}
 	}
 
-	data, err := mustGen(baseGen(c, n))
+	data, err := workload(c, n)
 	if err != nil {
 		return nil, err
 	}
-
-	// Cap CD's per-node memory at what the largest-support run needs, as
-	// the paper capped the T3E/SP2 node memory: higher candidate volumes
-	// then force partitioned counting.
-	pre, err := apriori.Mine(data, apriori.Params{MinSupport: minsups[0]})
+	machine, _, err := capped(cluster.SP2(), "fig12", data, minsups[0], 0)
 	if err != nil {
-		return nil, fmt.Errorf("fig12 pre-pass: %w", err)
+		return nil, err
 	}
-	capBytes := 0
-	for _, pass := range pre.Passes {
-		if pass.K < 2 {
-			continue
-		}
-		if b := hashtree.EstimateMemoryBytes(pass.Candidates, pass.K, hashtree.Config{}); b > capBytes {
-			capBytes = b
-		}
-	}
-
-	machine := cluster.SP2()
-	machine.MemoryBytes = capBytes
 
 	res := &Result{
 		ID:     "fig12",
@@ -57,59 +39,33 @@ func Fig12(c Config) (*Result, error) {
 		XLabel: "total candidates",
 		YLabel: "response time (virtual s)",
 		Notes: []string{
-			fmt.Sprintf("workload: %d transactions, P=%d, SP2 model, CD tree capped at %d bytes/node", n, p, capBytes),
+			fmt.Sprintf("workload: %d transactions, P=%d, SP2 model, CD tree capped at %d bytes/node", n, p, machine.MemoryBytes),
 			"paper: 100K transactions, 16-node SP2, minsup 0.1%..0.025% (Fig. 12)",
 		},
 		TableHeader: []string{"minsup", "candidates", "CD", "CD scans", "IDD", "HD"},
 	}
-	cd := Series{Name: "CD"}
-	idd := Series{Name: "IDD"}
-	hd := Series{Name: "HD"}
+	series := seriesOf(trio)
 
 	for _, ms := range minsups {
-		run := func(algo core.Algorithm) (*core.Report, error) {
-			rep, err := core.Mine(data, core.Params{
-				Algo:        algo,
-				P:           p,
-				Machine:     machine,
-				Apriori:     mineParams(ms, 0),
-				HDThreshold: 2000,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig12 %s minsup=%g: %w", algo, ms, err)
-			}
-			return rep, nil
-		}
-		cdRep, err := run(core.CD)
+		tmpl := core.Params{P: p, Machine: machine, Apriori: mineParams(ms, 0), HDThreshold: 2000}
+		reps, err := mineAt("fig12", fmt.Sprintf("minsup=%g", ms), data, each(tmpl, trio...)...)
 		if err != nil {
 			return nil, err
 		}
-		iddRep, err := run(core.IDD)
-		if err != nil {
-			return nil, err
+		m := float64(totalCandidates(reps[0]))
+		for i, rep := range reps {
+			series[i].Points = append(series[i].Points, Point{X: m, Y: rep.ResponseTime})
 		}
-		hdRep, err := run(core.HD)
-		if err != nil {
-			return nil, err
-		}
-		m := float64(totalCandidates(cdRep))
-		cd.Points = append(cd.Points, Point{X: m, Y: cdRep.ResponseTime})
-		idd.Points = append(idd.Points, Point{X: m, Y: iddRep.ResponseTime})
-		hd.Points = append(hd.Points, Point{X: m, Y: hdRep.ResponseTime})
-
-		scans := 0
-		for _, pass := range cdRep.Passes {
-			scans += pass.TreeParts
-		}
+		cd, idd, hd := reps[0], reps[1], reps[2]
 		res.TableRows = append(res.TableRows, []string{
 			fmt.Sprintf("%.4g", ms),
 			fmt.Sprintf("%.0f", m),
-			fmt.Sprintf("%.4f", cdRep.ResponseTime),
-			fmt.Sprintf("%d", scans),
-			fmt.Sprintf("%.4f", iddRep.ResponseTime),
-			fmt.Sprintf("%.4f", hdRep.ResponseTime),
+			fmt.Sprintf("%.4f", cd.ResponseTime),
+			fmt.Sprintf("%d", scans(cd)),
+			fmt.Sprintf("%.4f", idd.ResponseTime),
+			fmt.Sprintf("%.4f", hd.ResponseTime),
 		})
 	}
-	res.Series = []Series{cd, idd, hd}
+	res.Series = series
 	return res, nil
 }

@@ -6,28 +6,6 @@ import (
 	"parapriori/internal/core"
 )
 
-// pass3Time returns the virtual response time of the k=3 pass, the
-// quantity the paper's Figures 13–15 measure ("we measured performance for
-// computing size 3 frequent item sets only, as the computation for size 3
-// item sets took more than 55% of the total run time").
-func pass3Time(rep *core.Report) float64 {
-	for _, pass := range rep.Passes {
-		if pass.K == 3 {
-			return pass.ResponseTime
-		}
-	}
-	return 0
-}
-
-// fixedGFor mirrors the grids of the Figure 13 caption (8×2 at 16, 8×4 at
-// 32, 8×8 at 64): G pinned to 8 once the machine is big enough.
-func fixedGFor(p int) int {
-	if p < 8 {
-		return p
-	}
-	return 8
-}
-
 // Fig13 reproduces the speedup study of Figure 13: N and M fixed, P swept,
 // measuring pass 3 only.  CD's speedup flattens because hash-tree
 // construction and the global reduction stay O(M) no matter how many
@@ -39,7 +17,7 @@ func Fig13(c Config) (*Result, error) {
 	const minsup = 0.0025
 	ps := c.sweep([]int{1, 2, 4, 8, 16, 32, 64})
 
-	data, err := mustGen(baseGen(c, n))
+	data, err := workload(c, n)
 	if err != nil {
 		return nil, err
 	}
@@ -50,36 +28,24 @@ func Fig13(c Config) (*Result, error) {
 		XLabel: "processors",
 		YLabel: "speedup",
 		Notes: []string{
-			fmt.Sprintf("workload: %d transactions, minsup %.3g, HD grid pinned to %d rows", n, minsup, 8),
+			fmt.Sprintf("workload: %d transactions, minsup %.3g, HD grid pinned to %d rows", n, minsup, hdRows),
 			"paper: N=1.3M, M=0.7M, Cray T3E; HD grids 8x2, 8x4, 8x8 (Fig. 13)",
 		},
 		TableHeader: []string{"P", "CD", "IDD", "HD"},
 	}
-	algos := []struct {
-		name string
-		algo core.Algorithm
-	}{{"CD", core.CD}, {"IDD", core.IDD}, {"HD", core.HD}}
-	series := make([]Series, len(algos))
+	series := seriesOf(trio)
 	var baseline float64
 
 	for _, p := range ps {
+		tmpl := core.Params{P: p, Apriori: mineParams(minsup, 3), FixedG: fixedGFor(p)}
+		reps, err := mineAt("fig13", fmt.Sprintf("P=%d", p), data, each(tmpl, trio...)...)
+		if err != nil {
+			return nil, err
+		}
 		row := []string{fmt.Sprintf("%d", p)}
-		for i, a := range algos {
-			series[i].Name = a.name
-			prm := core.Params{
-				Algo:    a.algo,
-				P:       p,
-				Apriori: mineParams(minsup, 3),
-			}
-			if a.algo == core.HD {
-				prm.FixedG = fixedGFor(p)
-			}
-			rep, err := core.Mine(data, prm)
-			if err != nil {
-				return nil, fmt.Errorf("fig13 %s P=%d: %w", a.name, p, err)
-			}
-			t := pass3Time(rep)
-			if p == ps[0] && a.algo == core.CD {
+		for i, rep := range reps {
+			t := passOf(rep, 3).ResponseTime
+			if p == ps[0] && i == 0 {
 				// The P=1 CD run is the serial algorithm (plus a trivial
 				// self-reduction): the speedup baseline.
 				baseline = t * float64(ps[0])

@@ -34,34 +34,22 @@ func Fig14(c Config) (*Result, error) {
 		},
 		TableHeader: []string{"N", "CD", "IDD", "HD"},
 	}
-	algos := []struct {
-		name string
-		algo core.Algorithm
-	}{{"CD", core.CD}, {"IDD", core.IDD}, {"HD", core.HD}}
-	series := make([]Series, len(algos))
+	series := seriesOf(trio)
 
 	for _, mult := range mults {
 		n := base * mult
-		data, err := mustGen(baseGen(c, n))
+		data, err := workload(c, n)
+		if err != nil {
+			return nil, err
+		}
+		tmpl := core.Params{P: p, Apriori: mineParams(minsup, 3), FixedG: fixedGFor(p)}
+		reps, err := mineAt("fig14", fmt.Sprintf("N=%d", n), data, each(tmpl, trio...)...)
 		if err != nil {
 			return nil, err
 		}
 		row := []string{fmt.Sprintf("%d", n)}
-		for i, a := range algos {
-			series[i].Name = a.name
-			prm := core.Params{
-				Algo:    a.algo,
-				P:       p,
-				Apriori: mineParams(minsup, 3),
-			}
-			if a.algo == core.HD {
-				prm.FixedG = 8
-			}
-			rep, err := core.Mine(data, prm)
-			if err != nil {
-				return nil, fmt.Errorf("fig14 %s N=%d: %w", a.name, n, err)
-			}
-			t := pass3Time(rep)
+		for i, rep := range reps {
+			t := passOf(rep, 3).ResponseTime
 			series[i].Points = append(series[i].Points, Point{X: float64(n), Y: t})
 			row = append(row, fmt.Sprintf("%.4f", t))
 		}

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"parapriori/internal/apriori"
 	"parapriori/internal/cluster"
 	"parapriori/internal/core"
-	"parapriori/internal/hashtree"
 )
 
 // Fig15 reproduces Figure 15: runtime as the candidate count grows (by
@@ -25,36 +23,18 @@ func Fig15(c Config) (*Result, error) {
 		minsups = []float64{0.006, 0.002}
 	}
 
-	data, err := mustGen(baseGen(c, n))
+	data, err := workload(c, n)
 	if err != nil {
 		return nil, err
 	}
-
-	// Per-node memory sized to the base point's largest tree, as in Fig12.
-	pre, err := apriori.Mine(data, apriori.Params{MinSupport: minsups[0], MaxPasses: 3})
+	machine, baseM, err := capped(cluster.T3E(), "fig15", data, minsups[0], 3)
 	if err != nil {
-		return nil, fmt.Errorf("fig15 pre-pass: %w", err)
+		return nil, err
 	}
-	capBytes := 0
-	baseM := 0
-	for _, pass := range pre.Passes {
-		if pass.K < 2 {
-			continue
-		}
-		if b := hashtree.EstimateMemoryBytes(pass.Candidates, pass.K, hashtree.Config{}); b > capBytes {
-			capBytes = b
-		}
-		baseM += pass.Candidates
-	}
-	machine := cluster.T3E()
-	machine.MemoryBytes = capBytes
 	// HD threshold sized so the base point runs an 8-row grid and larger
 	// candidate volumes widen it toward pure IDD, like the caption's
 	// progression.
-	threshold := baseM / 8
-	if threshold < 1 {
-		threshold = 1
-	}
+	threshold := max(baseM/8, 1)
 
 	res := &Result{
 		ID:     "fig15",
@@ -62,65 +42,38 @@ func Fig15(c Config) (*Result, error) {
 		XLabel: "total candidates",
 		YLabel: "response time (virtual s)",
 		Notes: []string{
-			fmt.Sprintf("workload: %d transactions, P=%d, CD tree capped at %d bytes/node, HD m=%d", n, p, capBytes, threshold),
+			fmt.Sprintf("workload: %d transactions, P=%d, CD tree capped at %d bytes/node, HD m=%d", n, p, machine.MemoryBytes, threshold),
 			"paper: M=0.7M..8M, N=1.3M, P=64; HD grids 8x8..64x1 (Fig. 15)",
 		},
 		TableHeader: []string{"minsup", "candidates", "CD", "CD scans", "IDD", "HD", "HD grid"},
 	}
-	cd := Series{Name: "CD"}
-	idd := Series{Name: "IDD"}
-	hd := Series{Name: "HD"}
+	series := seriesOf(trio)
 
 	for _, ms := range minsups {
-		run := func(algo core.Algorithm) (*core.Report, error) {
-			rep, err := core.Mine(data, core.Params{
-				Algo:        algo,
-				P:           p,
-				Machine:     machine,
-				Apriori:     mineParams(ms, 3),
-				HDThreshold: threshold,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig15 %s minsup=%g: %w", algo, ms, err)
-			}
-			return rep, nil
-		}
-		cdRep, err := run(core.CD)
+		tmpl := core.Params{P: p, Machine: machine, Apriori: mineParams(ms, 3), HDThreshold: threshold}
+		reps, err := mineAt("fig15", fmt.Sprintf("minsup=%g", ms), data, each(tmpl, trio...)...)
 		if err != nil {
 			return nil, err
 		}
-		iddRep, err := run(core.IDD)
-		if err != nil {
-			return nil, err
+		m := float64(totalCandidates(reps[0]))
+		for i, rep := range reps {
+			series[i].Points = append(series[i].Points, Point{X: m, Y: passOf(rep, 3).ResponseTime})
 		}
-		hdRep, err := run(core.HD)
-		if err != nil {
-			return nil, err
-		}
-		m := float64(totalCandidates(cdRep))
-		cd.Points = append(cd.Points, Point{X: m, Y: pass3Time(cdRep)})
-		idd.Points = append(idd.Points, Point{X: m, Y: pass3Time(iddRep)})
-		hd.Points = append(hd.Points, Point{X: m, Y: pass3Time(hdRep)})
-
-		scans, grid := 0, ""
-		for _, pass := range cdRep.Passes {
-			scans += pass.TreeParts
-		}
-		for _, pass := range hdRep.Passes {
-			if pass.K == 3 {
-				grid = fmt.Sprintf("%dx%d", pass.GridRows, pass.GridCols)
-			}
+		cd, idd, hd := passOf(reps[0], 3), passOf(reps[1], 3), passOf(reps[2], 3)
+		grid := ""
+		if hd.K == 3 {
+			grid = fmt.Sprintf("%dx%d", hd.GridRows, hd.GridCols)
 		}
 		res.TableRows = append(res.TableRows, []string{
 			fmt.Sprintf("%.4g", ms),
 			fmt.Sprintf("%.0f", m),
-			fmt.Sprintf("%.4f", pass3Time(cdRep)),
-			fmt.Sprintf("%d", scans),
-			fmt.Sprintf("%.4f", pass3Time(iddRep)),
-			fmt.Sprintf("%.4f", pass3Time(hdRep)),
+			fmt.Sprintf("%.4f", cd.ResponseTime),
+			fmt.Sprintf("%d", scans(reps[0])),
+			fmt.Sprintf("%.4f", idd.ResponseTime),
+			fmt.Sprintf("%.4f", hd.ResponseTime),
 			grid,
 		})
 	}
-	res.Series = []Series{cd, idd, hd}
+	res.Series = series
 	return res, nil
 }

@@ -18,23 +18,16 @@ func HPAStudy(c Config) (*Result, error) {
 	p := c.procs(16)
 	minsup := 24.0 / float64(n)
 
-	data, err := mustGen(baseGen(c, n))
+	data, err := workload(c, n)
 	if err != nil {
 		return nil, err
 	}
 
 	algos := []core.Algorithm{core.HPA, core.IDD, core.DD}
-	reports := map[core.Algorithm]*core.Report{}
-	for _, algo := range algos {
-		rep, err := core.Mine(data, core.Params{
-			Algo:    algo,
-			P:       p,
-			Apriori: mineParams(minsup, 4),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("hpa study %s: %w", algo, err)
-		}
-		reports[algo] = rep
+	tmpl := core.Params{P: p, Apriori: mineParams(minsup, 4)}
+	reps, err := mineAt("hpa", fmt.Sprintf("P=%d", p), data, each(tmpl, algos...)...)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
@@ -46,36 +39,24 @@ func HPAStudy(c Config) (*Result, error) {
 			fmt.Sprintf("workload: %d transactions, minsup %.3g, P=%d, passes 2-4", n, minsup, p),
 			"paper: HPA ships O(N*C(I,k)) potential candidates; IDD ships O(N) transactions",
 			fmt.Sprintf("response: HPA %.4fs, IDD %.4fs, DD %.4fs",
-				reports[core.HPA].ResponseTime, reports[core.IDD].ResponseTime, reports[core.DD].ResponseTime),
+				reps[0].ResponseTime, reps[1].ResponseTime, reps[2].ResponseTime),
 		},
 		TableHeader: []string{"pass", "HPA bytes", "IDD bytes", "DD bytes", "HPA/IDD"},
 	}
 
 	series := make([]Series, len(algos))
-	for i, algo := range algos {
-		series[i].Name = string(algo)
-	}
 	maxPass := 0
-	for _, rep := range reports {
-		if n := len(rep.Passes); n > maxPass {
-			maxPass = n
-		}
+	for i, rep := range reps {
+		series[i].Name = string(algos[i])
+		maxPass = max(maxPass, len(rep.Passes))
 	}
 	for k := 2; k <= maxPass; k++ {
-		bytesOf := func(algo core.Algorithm) int64 {
-			for _, pass := range reports[algo].Passes {
-				if pass.K == k {
-					return pass.BytesMoved
-				}
-			}
-			return 0
-		}
-		hb, ib, db := bytesOf(core.HPA), bytesOf(core.IDD), bytesOf(core.DD)
+		hb, ib, db := passOf(reps[0], k).BytesMoved, passOf(reps[1], k).BytesMoved, passOf(reps[2], k).BytesMoved
 		if hb == 0 && ib == 0 && db == 0 {
 			continue
 		}
-		for i, algo := range algos {
-			series[i].Points = append(series[i].Points, Point{X: float64(k), Y: float64(bytesOf(algo))})
+		for i, b := range []int64{hb, ib, db} {
+			series[i].Points = append(series[i].Points, Point{X: float64(k), Y: float64(b)})
 		}
 		ratio := "-"
 		if ib > 0 {

@@ -27,7 +27,7 @@ func Model(c Config) (*Result, error) {
 		ps = []int{4, 16}
 	}
 
-	data, err := mustGen(baseGen(c, n))
+	data, err := workload(c, n)
 	if err != nil {
 		return nil, err
 	}
@@ -43,44 +43,28 @@ func Model(c Config) (*Result, error) {
 		},
 	}
 
-	type measured struct {
-		algo core.Algorithm
-		name string
-	}
-	algos := []measured{{core.CD, "CD"}, {core.DD, "DD"}, {core.IDD, "IDD"}, {core.HD, "HD"}}
+	algos := []core.Algorithm{core.CD, core.DD, core.IDD, core.HD}
 	predSeries := make([]Series, len(algos))
 	measSeries := make([]Series, len(algos))
+	for i, a := range algos {
+		predSeries[i].Name = label(a) + " pred"
+		measSeries[i].Name = label(a) + " meas"
+	}
 	var wl analysis.Workload
-	var costs analysis.Costs
 
 	for _, p := range ps {
+		point := fmt.Sprintf("P=%d", p)
+		tmpl := core.Params{P: p, Apriori: mineParams(minsup, 3), FixedG: fixedGFor(p)}
+		reps, err := mineAt("model", point, data, each(tmpl, algos...)...)
+		if err != nil {
+			return nil, err
+		}
 		row := []string{fmt.Sprintf("%d", p)}
-		for i, a := range algos {
-			predSeries[i].Name = a.name + " pred"
-			measSeries[i].Name = a.name + " meas"
-			prm := core.Params{
-				Algo:    a.algo,
-				P:       p,
-				Apriori: mineParams(minsup, 3),
-			}
-			if a.algo == core.HD {
-				prm.FixedG = fixedGFor(p)
-			}
-			rep, err := core.Mine(data, prm)
-			if err != nil {
-				return nil, fmt.Errorf("model %s P=%d: %w", a.name, p, err)
-			}
-			t := pass3Time(rep)
-
+		for i, rep := range reps {
 			// Derive the model workload symbols from the measured pass.
-			var pass *core.PassReport
-			for j := range rep.Passes {
-				if rep.Passes[j].K == 3 {
-					pass = &rep.Passes[j]
-				}
-			}
-			if pass == nil {
-				return nil, fmt.Errorf("model %s P=%d: no pass 3", a.name, p)
+			pass := passOf(rep, 3)
+			if pass.K != 3 {
+				return nil, fmt.Errorf("model %s %s: no pass 3", label(algos[i]), point)
 			}
 			m := rep.Params.Machine
 			wl = analysis.Workload{
@@ -90,7 +74,7 @@ func Model(c Config) (*Result, error) {
 				K: 3,
 				S: 16,
 			}
-			costs = analysis.Costs{
+			costs := analysis.Costs{
 				TTravers: m.TTravers,
 				TCheck:   m.TCheck,
 				TInsert:  m.TInsert,
@@ -98,7 +82,7 @@ func Model(c Config) (*Result, error) {
 				TReduce:  m.TReduce,
 			}
 			var pred float64
-			switch a.algo {
+			switch algos[i] {
 			case core.CD:
 				pred = analysis.CD(wl, costs, float64(p))
 			case core.DD:
@@ -109,8 +93,8 @@ func Model(c Config) (*Result, error) {
 				pred = analysis.HD(wl, costs, float64(p), float64(fixedGFor(p)))
 			}
 			predSeries[i].Points = append(predSeries[i].Points, Point{X: float64(p), Y: pred})
-			measSeries[i].Points = append(measSeries[i].Points, Point{X: float64(p), Y: t})
-			row = append(row, fmt.Sprintf("%.4f", pred), fmt.Sprintf("%.4f", t))
+			measSeries[i].Points = append(measSeries[i].Points, Point{X: float64(p), Y: pass.ResponseTime})
+			row = append(row, fmt.Sprintf("%.4f", pred), fmt.Sprintf("%.4f", pass.ResponseTime))
 		}
 		res.TableRows = append(res.TableRows, row)
 	}

@@ -19,7 +19,7 @@ func Table2(c Config) (*Result, error) {
 	p := c.procs(64)
 	const minsup = 0.003
 
-	data, err := mustGen(baseGen(c, n))
+	data, err := workload(c, n)
 	if err != nil {
 		return nil, err
 	}

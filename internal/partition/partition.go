@@ -103,22 +103,24 @@ func (a *Assignment) Imbalance() float64 {
 	return Imbalance(a.Counts)
 }
 
-// Imbalance returns (max - mean) / mean for a slice of non-negative loads.
-func Imbalance(counts []int) float64 {
-	if len(counts) == 0 {
+// Imbalance returns (max - mean) / mean for a slice of non-negative loads:
+// per-processor candidate counts, or per-processor times.  It sums in T and
+// converts once, and returns 0 for no loads or a zero total.
+func Imbalance[T int | float64](loads []T) float64 {
+	if len(loads) == 0 {
 		return 0
 	}
-	total, max := 0, 0
-	for _, c := range counts {
-		total += c
-		if c > max {
-			max = c
+	var total, max T
+	for _, l := range loads {
+		total += l
+		if l > max {
+			max = l
 		}
 	}
 	if total == 0 {
 		return 0
 	}
-	mean := float64(total) / float64(len(counts))
+	mean := float64(total) / float64(len(loads))
 	return (float64(max) - mean) / mean
 }
 

@@ -346,6 +346,10 @@ func TestImbalance(t *testing.T) {
 			t.Errorf("Imbalance(%v) = %v, want %v", c.counts, got, c.want)
 		}
 	}
+	// Times take the same definition, summed in float64.
+	if got := Imbalance([]float64{0.75, 0.25, 0.5}); got != 0.5 {
+		t.Errorf("Imbalance(times) = %v, want 0.5", got)
+	}
 }
 
 func TestBinPackEdgeCases(t *testing.T) {

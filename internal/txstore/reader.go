@@ -63,9 +63,8 @@ func headroom(n int) int { return n + n/8 }
 // re-read; real on-disk damage fails identically every time.
 const maxCRCRetries = 2
 
-// ReaderStats counts the work one (or, after Add, several) partition
-// reader(s) did: the read-path telemetry the mining Report surfaces per
-// pass.
+// ReaderStats counts the work one partition reader did: the read-path
+// telemetry the mining Report surfaces per pass.
 type ReaderStats struct {
 	// Partitions is the number of partition files opened.
 	Partitions int `json:"partitions"`
@@ -76,15 +75,6 @@ type ReaderStats struct {
 	// CRCRetries counts checksum failures survived by re-reading: each one
 	// is a verification that failed and then succeeded on a later attempt.
 	CRCRetries int64 `json:"crc_retries"`
-}
-
-// Add accumulates o into s — the aggregation the mining side uses to fold
-// per-partition reader stats into one per-pass total.
-func (s *ReaderStats) Add(o ReaderStats) {
-	s.Partitions += o.Partitions
-	s.Blocks += o.Blocks
-	s.Bytes += o.Bytes
-	s.CRCRetries += o.CRCRetries
 }
 
 // Stats returns what the reader has done so far: this partition (counted as

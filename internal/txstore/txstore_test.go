@@ -469,14 +469,6 @@ func TestReaderStats(t *testing.T) {
 	if st.CRCRetries != 0 {
 		t.Fatalf("crc retries on a clean file: got %d, want 0", st.CRCRetries)
 	}
-
-	// Aggregation folds per-reader stats into a total.
-	var sum ReaderStats
-	sum.Add(st)
-	sum.Add(st)
-	if sum.Partitions != 2 || sum.Blocks != 2*st.Blocks || sum.Bytes != 2*st.Bytes {
-		t.Fatalf("aggregate: %+v from %+v", sum, st)
-	}
 }
 
 // TestCRCRetrySurvives pins the transient-corruption path: a checksum
