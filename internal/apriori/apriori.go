@@ -11,9 +11,11 @@
 package apriori
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
+	"parapriori/internal/countengine"
 	"parapriori/internal/hashtree"
 	"parapriori/internal/itemset"
 )
@@ -49,6 +51,45 @@ type Params struct {
 	// Every backend produces identical frequent itemsets; they differ in
 	// which operations counting spends.
 	Engine string
+}
+
+// FieldError is a refused mining parameter.  Field names the public option
+// that carries it (MineOptions.MaxLeafSize for Tree.MaxLeaf, ParallelOptions
+// .Procs for core's P), so a caller can name the field back to its user.
+type FieldError struct {
+	Field  string
+	Reason string
+}
+
+// Error implements the error interface.
+func (e *FieldError) Error() string { return e.Field + ": " + e.Reason }
+
+// Refuse builds the *FieldError naming field.
+func Refuse(field, format string, args ...any) *FieldError {
+	return &FieldError{Field: field, Reason: fmt.Sprintf(format, args...)}
+}
+
+// Validate checks the parameters MineSource honours and returns nil or a
+// *FieldError naming the first refused one.
+func (p Params) Validate() error {
+	switch {
+	case p.MinSupport <= 0 || p.MinSupport > 1:
+		return Refuse("MinSupport", "%v outside (0, 1]", p.MinSupport)
+	case p.Tree.Fanout < 0:
+		return Refuse("HashTreeFanout", "negative (%d)", p.Tree.Fanout)
+	case p.Tree.MaxLeaf < 0:
+		return Refuse("MaxLeafSize", "negative (%d)", p.Tree.MaxLeaf)
+	case p.MaxPasses < 0:
+		return Refuse("MaxPasses", "negative (%d)", p.MaxPasses)
+	case p.DHPBuckets < 0:
+		return Refuse("DHPBuckets", "negative (%d)", p.DHPBuckets)
+	case !countengine.Known(p.Engine):
+		return Refuse("Engine", "unknown engine %q (want one of %v)", p.Engine, countengine.Names())
+	}
+	if err := p.Tree.Validate(); err != nil {
+		return Refuse("HashTreeFanout", "%v", err)
+	}
+	return nil
 }
 
 // MinCount converts the fractional threshold into the absolute count used

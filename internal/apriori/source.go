@@ -19,8 +19,8 @@ import (
 // first pass and only remove candidates before a counting structure is
 // built.
 func MineSource(src itemset.Source, p Params) (*Result, error) {
-	if err := p.Tree.Validate(); err != nil {
-		return nil, fmt.Errorf("apriori: %w", err)
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	info := src.Info()
 	engB, err := countengine.New(p.Engine, countengine.Config{Tree: p.Tree, NumItems: info.NumItems})

@@ -12,8 +12,11 @@
 // tests assert.  A formulation is the three decisions that body leaves open
 // — the grid's shape, where candidates are placed, and how a column moves
 // its transactions past them — and the body reads its transactions through
-// one stream (stream.go) that is either the resident shards or the partition
-// files of an out-of-core store.
+// one stream (stream.go).  Where they live is the type of the source Mine is
+// handed: a resident *itemset.Dataset, split into per-rank shards, or a
+// *txstore.Store, whose partition files each rank streams out of core.
+// Params.Validate checks every option once, the serial miner's through
+// apriori.Params.Validate.
 //
 // Every formulation produces exactly the frequent itemsets of the serial
 // algorithm (package apriori); the integration tests check bit-for-bit
@@ -49,14 +52,6 @@ const (
 	HD     Algorithm = "hd"     // Hybrid Distribution (this paper)
 	HPA    Algorithm = "hpa"    // Hash Partitioned Apriori [11]
 )
-
-// ParseAlgorithm converts a user-facing name into an Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	if _, ok := formulations[Algorithm(s)]; ok {
-		return Algorithm(s), nil
-	}
-	return "", fmt.Errorf("core: unknown algorithm %q (want cd, dd, ddcomm, idd, hd or hpa)", s)
-}
 
 // Params configures a parallel mining run.
 type Params struct {
@@ -101,14 +96,6 @@ type Params struct {
 	// Restored in the report.  A checkpoint mined from a different workload
 	// (transaction or minimum count mismatch) is an error.
 	CheckpointDir string
-	// Backend selects the execution backend: BackendInMem (the default)
-	// mines a resident *Dataset; BackendOOC streams Store's partition
-	// files.  See the ExecBackend constants.
-	Backend ExecBackend
-	// Store is the opened partitioned transaction store the ooc backend
-	// mines.  Required (and only meaningful) with Backend == BackendOOC,
-	// in which case Mine's data argument must be nil.
-	Store *txstore.Store
 }
 
 const (
@@ -124,66 +111,55 @@ func (p Params) withDefaults() Params {
 	if p.Machine.Name == "" {
 		p.Machine = cluster.T3E()
 	}
-	if p.HDThreshold <= 0 {
+	if p.HDThreshold == 0 {
 		p.HDThreshold = 5000
-	}
-	if p.P <= 0 {
-		p.P = 1
-	}
-	if p.Backend == "" {
-		p.Backend = BackendInMem
 	}
 	return p
 }
 
-func (p Params) validate() error {
-	if _, ok := formulations[p.Algo]; !ok {
-		return fmt.Errorf("core: unknown algorithm %q", p.Algo)
+// Validate checks p for a run over a resident dataset or, when streamed, a
+// partitioned store: the serial miner's parameters (apriori.Params.Validate),
+// then the parallel ones.  It returns nil or an *apriori.FieldError naming
+// the first refused option.
+func (p Params) Validate(streamed bool) error {
+	if err := p.Apriori.Validate(); err != nil {
+		return err
 	}
-	if p.Apriori.MinSupport <= 0 || p.Apriori.MinSupport > 1 {
-		return fmt.Errorf("core: MinSupport %v outside (0, 1]", p.Apriori.MinSupport)
+	switch _, known := formulations[p.Algo]; {
+	case !known:
+		return apriori.Refuse("Algorithm", "unknown algorithm %q (want cd, dd, ddcomm, idd, hd or hpa)", p.Algo)
+	case p.P < 1:
+		return apriori.Refuse("Procs", "must be at least 1 (got %d)", p.P)
+	case p.HDThreshold < 0:
+		return apriori.Refuse("HDThreshold", "negative (%d)", p.HDThreshold)
+	case p.FixedG < 0:
+		return apriori.Refuse("FixedG", "negative (%d)", p.FixedG)
+	case p.FixedG > 0 && p.P%p.FixedG != 0:
+		return apriori.Refuse("FixedG", "%d does not divide Procs %d", p.FixedG, p.P)
 	}
-	if err := p.Apriori.Tree.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if p.FixedG > 0 && p.P%p.FixedG != 0 {
-		return fmt.Errorf("core: FixedG %d does not divide P %d", p.FixedG, p.P)
-	}
-	if !countengine.Known(p.Apriori.Engine) {
-		return fmt.Errorf("core: unknown counting engine %q (want one of %v)", p.Apriori.Engine, countengine.Names())
-	}
-	switch p.Backend {
-	case "", BackendInMem:
-		if p.Store != nil {
-			return fmt.Errorf("core: Params.Store requires Backend %q", BackendOOC)
-		}
-	case BackendOOC:
-		if p.Store == nil {
-			return fmt.Errorf("core: backend %q requires Params.Store", BackendOOC)
-		}
-	default:
-		return fmt.Errorf("core: unknown backend %q (want %q or %q)", p.Backend, BackendInMem, BackendOOC)
-	}
-	if field, reason := p.Hole(); field != "" {
-		return fmt.Errorf("core: %s: %s", field, reason)
+	if field, reason := p.hole(streamed); field != "" {
+		return apriori.Refuse(field, "%s", reason)
 	}
 	return nil
 }
 
-// Hole reports the first algorithm × feature combination in p that no code
+// hole reports the first algorithm × feature combination in p that no code
 // path honours, as the offending field and the reason, or "", "" when the
-// combination is legal.  These three are all the holes in the option matrix
-// — a misuse guard and HPA's two — and this is the one place they are
-// written; every other combination of formulation, counting engine, backend,
-// checkpointing and fault plan runs.
-func (p Params) Hole() (field, reason string) {
+// combination is legal.  These four are all the holes in the option matrix
+// — a misuse guard, the serial-only pair filter and HPA's two — and this is
+// the one place they are written; every other combination of formulation,
+// counting engine, source, checkpointing and fault plan runs.
+func (p Params) hole(streamed bool) (field, reason string) {
 	nonDefaultEngine := p.Apriori.Engine != "" && p.Apriori.Engine != countengine.Default
 	switch {
 	case p.FixedG > 0 && p.Algo != HD:
 		return "FixedG", fmt.Sprintf("only HD chooses its grid shape; %q's is fixed", p.Algo)
+	case p.Apriori.DHPBuckets > 0:
+		// The pair filter has no parallel form yet (PDM).
+		return "DHPBuckets", "DHP filtering is serial mining only"
 	case p.Algo == HPA && nonDefaultEngine:
 		return "Engine", fmt.Sprintf("hpa has no counting structure for engine %q to replace: owners probe a table of whole itemsets", p.Apriori.Engine)
-	case p.Algo == HPA && p.Backend == BackendOOC:
+	case p.Algo == HPA && streamed:
 		return "Backend", "hpa's exchange kernel enumerates the rank's resident shards (it is kept as the Section III-E baseline), so it cannot stream a store"
 	}
 	return "", ""
@@ -323,29 +299,27 @@ func (r *Report) PhaseBreakdown() map[string]float64 {
 	return out
 }
 
-// Mine runs the selected parallel formulation over the dataset on an
-// emulated cluster of prm.P processors and returns the report.  The dataset
-// is split evenly among the processors, the paper's standing assumption.
-func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
-	prm = prm.withDefaults()
-	if err := prm.validate(); err != nil {
+// Mine runs the selected parallel formulation over src on an emulated
+// cluster of prm.P processors and returns the report.  Where the
+// transactions live is the source's type: a *txstore.Store is streamed out
+// of core, each rank reading its own partition files block by block; a
+// *itemset.Dataset stays resident, split evenly among the processors (the
+// paper's standing assumption).  Any other source is an error.
+func Mine(src itemset.Source, prm Params) (*Report, error) {
+	store, _ := src.(*txstore.Store)
+	data, _ := src.(*itemset.Dataset)
+	if store == nil && data == nil {
+		return nil, fmt.Errorf("core: cannot mine a %T source (want a non-nil *itemset.Dataset or *txstore.Store)", src)
+	}
+	if err := prm.Validate(store != nil); err != nil {
 		return nil, err
 	}
+	prm = prm.withDefaults()
 	start := time.Now() //checkinv:allow walltime — the Wall stat reports real elapsed time and never enters the virtual clock
 
-	var numItems, nTxns int
+	info := src.Info()
 	var shards []*itemset.Dataset
-	if prm.Backend == BackendOOC {
-		if data != nil {
-			return nil, fmt.Errorf("core: backend %q mines from Params.Store; the dataset argument must be nil", BackendOOC)
-		}
-		info := prm.Store.Info()
-		numItems, nTxns = info.NumItems, info.NumTxns
-	} else {
-		if data == nil {
-			return nil, fmt.Errorf("core: nil dataset")
-		}
-		numItems, nTxns = data.NumItems, data.Len()
+	if data != nil {
 		shards = data.Split(prm.P)
 	}
 
@@ -366,7 +340,7 @@ func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
 	}
 	engB, err := countengine.New(prm.Apriori.Engine, countengine.Config{
 		Tree:     prm.Apriori.Tree,
-		NumItems: numItems,
+		NumItems: info.NumItems,
 	})
 	if err != nil {
 		return nil, err
@@ -375,11 +349,11 @@ func Mine(data *itemset.Dataset, prm Params) (*Report, error) {
 		prm:         prm,
 		cl:          cl,
 		world:       cl.World(),
-		store:       prm.Store,
-		numItems:    numItems,
-		nTxns:       nTxns,
+		store:       store,
+		numItems:    info.NumItems,
+		nTxns:       info.NumTxns,
 		shards:      shards,
-		minCount:    prm.Apriori.MinCount(nTxns),
+		minCount:    prm.Apriori.MinCount(info.NumTxns),
 		perProc:     make([]procTrace, prm.P),
 		active:      active,
 		ownedShards: owned,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"parapriori/internal/apriori"
@@ -178,17 +179,30 @@ func TestLeafVisitsIDDBelowDD(t *testing.T) {
 
 func TestParamsValidation(t *testing.T) {
 	d := testData(t)
-	cases := []Params{
-		{Algo: "nope", P: 2, Apriori: apriori.Params{MinSupport: 0.1}},
-		{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 0}},
-		{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 1.5}},
-		{Algo: HD, P: 4, FixedG: 3, Apriori: apriori.Params{MinSupport: 0.1}},
-		{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 0.1, Tree: hashtree.Config{Fanout: 1}}},
+	ap := apriori.Params{MinSupport: 0.1}
+	cases := []struct {
+		field string
+		prm   Params
+	}{
+		{"Algorithm", Params{Algo: "nope", P: 2, Apriori: ap}},
+		{"MinSupport", Params{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 0}}},
+		{"MinSupport", Params{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 1.5}}},
+		{"FixedG", Params{Algo: HD, P: 4, FixedG: 3, Apriori: ap}},
+		{"HashTreeFanout", Params{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 0.1, Tree: hashtree.Config{Fanout: 1}}}},
+		{"DHPBuckets", Params{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 0.1, DHPBuckets: 512}}},
+		{"MaxPasses", Params{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 0.1, MaxPasses: -1}}},
+		{"MaxLeafSize", Params{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 0.1, Tree: hashtree.Config{MaxLeaf: -1}}}},
+		{"HDThreshold", Params{Algo: HD, P: 2, HDThreshold: -1, Apriori: ap}},
+		{"FixedG", Params{Algo: HD, P: 2, FixedG: -2, Apriori: ap}},
+		{"Procs", Params{Algo: CD, P: 0, Apriori: ap}},
 	}
-	for i, prm := range cases {
-		if _, err := Mine(d, prm); err == nil {
-			t.Errorf("case %d: expected error for %+v", i, prm)
-		}
+	for _, c := range cases {
+		t.Run(c.field, func(t *testing.T) {
+			var fe *apriori.FieldError
+			if _, err := Mine(d, c.prm); !errors.As(err, &fe) || fe.Field != c.field {
+				t.Errorf("got %v, want a %s field error for %+v", err, c.field, c.prm)
+			}
+		})
 	}
 }
 

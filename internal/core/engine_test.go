@@ -175,17 +175,6 @@ func TestHDThresholdDrivesGrid(t *testing.T) {
 	}
 }
 
-func TestParseAlgorithm(t *testing.T) {
-	for _, name := range []string{"cd", "dd", "ddcomm", "idd", "hd", "hpa"} {
-		if _, err := ParseAlgorithm(name); err != nil {
-			t.Errorf("ParseAlgorithm(%q): %v", name, err)
-		}
-	}
-	if _, err := ParseAlgorithm("apriori"); err == nil {
-		t.Error("bogus name accepted")
-	}
-}
-
 func TestReportLeafVisits(t *testing.T) {
 	d := testData(t)
 	rep, err := Mine(d, Params{Algo: CD, P: 2, Apriori: apriori.Params{MinSupport: 0.02}})

@@ -19,11 +19,11 @@ import (
 )
 
 // fingerprintCell is one configuration whose whole Report is pinned: the
-// parameters and the resident dataset they mine (nil when prm.Store does).
+// parameters and the source they mine (a resident dataset or a store).
 type fingerprintCell struct {
 	name string
 	prm  Params
-	data *itemset.Dataset
+	src  itemset.Source
 }
 
 // fingerprintCells enumerates the pinned configurations.  Over one fixed-seed
@@ -41,16 +41,15 @@ func fingerprintCells(tb testing.TB, data *itemset.Dataset, store *txstore.Store
 	capped := cluster.SP2()
 	capped.MemoryBytes = 2048
 	ap := apriori.Params{MinSupport: 0.02}
-	backends := []ExecBackend{BackendInMem, BackendOOC}
+	backends := []struct {
+		name string
+		src  itemset.Source
+	}{{"inmem", data}, {"ooc", store}}
 
 	var cells []fingerprintCell
 	add := func(name string, prm Params) {
 		for _, be := range backends {
-			c := fingerprintCell{name: name + "/" + string(be), prm: prm, data: data}
-			if c.prm.Backend = be; be == BackendOOC {
-				c.prm.Store, c.data = store, nil
-			}
-			cells = append(cells, c)
+			cells = append(cells, fingerprintCell{name: name + "/" + be.name, prm: prm, src: be.src})
 		}
 	}
 	for _, algo := range []Algorithm{CD, DD, DDComm, IDD, HD, HPA} {
@@ -99,7 +98,7 @@ func fingerprintCells(tb testing.TB, data *itemset.Dataset, store *txstore.Store
 				name: "cd/" + eng + "/" + w.name,
 				prm: Params{Algo: CD, P: 4, Machine: cluster.T3E(), Apriori: apriori.Params{
 					MinSupport: w.minsup, Engine: eng, Tree: hashtree.Config{Fanout: 64, MaxLeaf: 16}}},
-				data: d,
+				src: d,
 			})
 		}
 	}
@@ -173,7 +172,7 @@ func TestReportFingerprints(t *testing.T) {
 	data, store := oocFixture(t)
 	for _, cell := range fingerprintCells(t, data, store) {
 		want, pinned := golden[cell.name]
-		rep, err := Mine(cell.data, cell.prm)
+		rep, err := Mine(cell.src, cell.prm)
 		if err != nil {
 			if pinned {
 				t.Errorf("%s: %v", cell.name, err)

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"testing"
 
 	"parapriori/internal/apriori"
@@ -80,10 +83,9 @@ func TestOOCBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("inmem mine: %v", err)
 				}
-				ooc, err := Mine(nil, Params{
+				ooc, err := Mine(store, Params{
 					Algo: algo, P: 6,
 					Apriori: apriori.Params{MinSupport: minsup, Engine: eng},
-					Backend: BackendOOC, Store: store,
 				})
 				if err != nil {
 					t.Fatalf("ooc mine: %v", err)
@@ -135,10 +137,9 @@ func TestOOCMorePartitionsThanRanks(t *testing.T) {
 			t.Fatalf("open: %v", err)
 		}
 		for _, procs := range []int{1, 4, 8} {
-			rep, err := Mine(nil, Params{
+			rep, err := Mine(store, Params{
 				Algo: CD, P: procs,
 				Apriori: apriori.Params{MinSupport: minsup},
-				Backend: BackendOOC, Store: store,
 			})
 			if err != nil {
 				t.Fatalf("parts=%d p=%d: %v", parts, procs, err)
@@ -164,7 +165,7 @@ func TestOOCReadStats(t *testing.T) {
 
 	mine := func() *Report {
 		t.Helper()
-		rep, err := Mine(nil, Params{Algo: CD, P: 4, Apriori: ap, Backend: BackendOOC, Store: store})
+		rep, err := Mine(store, Params{Algo: CD, P: 4, Apriori: ap})
 		if err != nil {
 			t.Fatalf("ooc mine: %v", err)
 		}
@@ -232,7 +233,7 @@ func TestOOCReadStats(t *testing.T) {
 	capped := cluster.T3E()
 	capped.MemoryBytes = 2048
 	rec := obsv.NewCollector(obsv.ClockVirtual)
-	multi, err := Mine(nil, Params{Algo: CD, P: 4, Machine: capped, Apriori: ap, Backend: BackendOOC, Store: store, Recorder: rec})
+	multi, err := Mine(store, Params{Algo: CD, P: 4, Machine: capped, Apriori: ap, Recorder: rec})
 	if err != nil {
 		t.Fatalf("capped ooc mine: %v", err)
 	}
@@ -272,41 +273,43 @@ func TestOOCReadStats(t *testing.T) {
 	}
 }
 
-// TestOOCValidation pins the backend seam's error surface.
+// TestOOCValidation pins the source seam's error surface: the source's type
+// is the backend, so only a *Dataset or a non-nil *txstore.Store is mined,
+// and HPA — resident-only — refuses a store.
 func TestOOCValidation(t *testing.T) {
 	data, store := oocFixture(t)
 	ap := apriori.Params{MinSupport: 0.02}
 
-	if _, err := Mine(nil, Params{Algo: CD, P: 2, Apriori: ap, Backend: BackendOOC}); err == nil {
-		t.Error("ooc without a store accepted")
+	if _, err := Mine(nil, Params{Algo: CD, P: 2, Apriori: ap}); err == nil {
+		t.Error("nil source accepted")
 	}
-	if _, err := Mine(data, Params{Algo: CD, P: 2, Apriori: ap, Backend: BackendOOC, Store: store}); err == nil {
-		t.Error("ooc with a resident dataset accepted")
+	if _, err := Mine((*txstore.Store)(nil), Params{Algo: CD, P: 2, Apriori: ap}); err == nil {
+		t.Error("typed-nil store accepted")
 	}
-	if _, err := Mine(data, Params{Algo: CD, P: 2, Apriori: ap, Store: store}); err == nil {
-		t.Error("inmem with a store accepted")
+	path := filepath.Join(t.TempDir(), "data.bin")
+	var buf bytes.Buffer
+	if err := itemset.WriteBinary(&buf, data); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Mine(nil, Params{Algo: DD, P: 2, Apriori: ap, Backend: BackendOOC, Store: store}); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file, err := itemset.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Mine(file, Params{Algo: CD, P: 2, Apriori: ap}); err == nil || !strings.Contains(err.Error(), "*itemset.FileSource") {
+		t.Errorf("a file source: got %v, want an error naming its type", err)
+	}
+	if _, err := Mine(store, Params{Algo: DD, P: 2, Apriori: ap}); err != nil {
 		t.Errorf("ooc DD rejected: %v", err)
 	}
-	if _, err := Mine(nil, Params{Algo: HPA, P: 2, Apriori: ap, Backend: BackendOOC, Store: store}); err == nil {
-		t.Error("ooc HPA accepted")
+	var fe *apriori.FieldError
+	if _, err := Mine(store, Params{Algo: HPA, P: 2, Apriori: ap}); !errors.As(err, &fe) || fe.Field != "Backend" {
+		t.Errorf("ooc HPA: got %v, want a Backend field error", err)
 	}
-	if _, err := Mine(nil, Params{Algo: CD, P: 2, Apriori: ap, Backend: "mmap", Store: store}); err == nil {
-		t.Error("unknown backend accepted")
-	}
-	if _, err := Mine(nil, Params{Algo: CD, P: 2, Apriori: ap, Backend: BackendOOC, Store: store,
-		Faults: &cluster.FaultPlan{}}); err != nil {
+	if _, err := Mine(store, Params{Algo: CD, P: 2, Apriori: ap, Faults: &cluster.FaultPlan{}}); err != nil {
 		t.Errorf("ooc with fault injection rejected: %v", err)
-	}
-	if b, err := ParseBackend("ooc"); err != nil || b != BackendOOC {
-		t.Errorf("ParseBackend(ooc) = %v, %v", b, err)
-	}
-	if b, err := ParseBackend(""); err != nil || b != BackendInMem {
-		t.Errorf("ParseBackend(\"\") = %v, %v", b, err)
-	}
-	if _, err := ParseBackend("mmap"); err == nil {
-		t.Error("ParseBackend accepted an unknown backend")
 	}
 }
 
@@ -333,9 +336,9 @@ func TestCrashMidScanClosesPartitionReader(t *testing.T) {
 	}}
 	before := openFDs()
 	for i := 0; i < 20; i++ {
-		rep, err := Mine(nil, Params{
+		rep, err := Mine(store, Params{
 			Algo: IDD, P: 4, Machine: cluster.SP2(), Apriori: apriori.Params{MinSupport: 0.02},
-			Backend: BackendOOC, Store: store, Faults: plan,
+			Faults: plan,
 		})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
@@ -377,10 +380,9 @@ func TestOOCPassAllocBudget(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		rep, err := Mine(nil, Params{
+		rep, err := Mine(store, Params{
 			Algo: CD, P: 4,
 			Apriori: apriori.Params{MinSupport: 0.02, Engine: "bitset", MaxPasses: maxPasses},
-			Backend: BackendOOC, Store: store,
 		})
 		runtime.ReadMemStats(&after)
 		if err != nil {

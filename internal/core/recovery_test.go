@@ -154,16 +154,16 @@ func TestStragglerAddsOverhead(t *testing.T) {
 }
 
 // TestFaultsLegalEverywhere: a fault plan is not a hole for any formulation
-// on either backend; what Hole still lists has nothing to do with faults.
+// over either source; what hole still lists has nothing to do with faults.
 func TestFaultsLegalEverywhere(t *testing.T) {
 	for algo := range formulations {
-		for _, be := range []ExecBackend{BackendInMem, BackendOOC} {
-			prm := Params{Algo: algo, P: 4, Backend: be, Faults: &cluster.FaultPlan{Drop: 0.1}}
+		for _, streamed := range []bool{false, true} {
+			prm := Params{Algo: algo, P: 4, Faults: &cluster.FaultPlan{Drop: 0.1}}
 			plain := prm
 			plain.Faults = nil
-			field, _ := prm.Hole()
-			if plainField, _ := plain.Hole(); field != plainField {
-				t.Errorf("%s/%s: Hole reports %q under a fault plan, %q without", algo, be, field, plainField)
+			field, _ := prm.hole(streamed)
+			if plainField, _ := plain.hole(streamed); field != plainField {
+				t.Errorf("%s/streamed=%v: hole reports %q under a fault plan, %q without", algo, streamed, field, plainField)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"parapriori/internal/cluster"
@@ -10,36 +9,10 @@ import (
 	"parapriori/internal/txstore"
 )
 
-// ExecBackend selects how the SPMD body gets at the transactions.
-type ExecBackend string
-
-const (
-	// BackendInMem is the classic emulation: the whole dataset is resident,
-	// split into per-rank shards, and I/O is charged through the cost model
-	// from the shards' modeled byte sizes.
-	BackendInMem ExecBackend = "inmem"
-	// BackendOOC is the out-of-core backend: each rank streams its own
-	// partition files of a spill-to-disk store (Params.Store) one block at
-	// a time, charging real on-disk bytes per block — the paper's
-	// disk-resident CD as a map/reduce over partition files, and the same
-	// for every formulation that counts through the transaction stream.
-	BackendOOC ExecBackend = "ooc"
-)
-
-// ParseBackend converts a user-facing name into an ExecBackend.
-func ParseBackend(s string) (ExecBackend, error) {
-	switch ExecBackend(s) {
-	case "":
-		return BackendInMem, nil
-	case BackendInMem, BackendOOC:
-		return ExecBackend(s), nil
-	}
-	return "", fmt.Errorf("core: unknown backend %q (want inmem or ooc)", s)
-}
-
 // txStream is one scan of the transactions a rank owns.  It is the only
-// place the body meets the backend: the resident stream serves pages of the
-// rank's shards, the store stream blocks of its partition files, and each
+// place the body meets the source Mine was given, whose type is the backend:
+// the resident stream serves pages of the rank's shards of a *Dataset, the
+// store stream blocks of its partition files of a *txstore.Store, and each
 // charges its own I/O.
 type txStream interface {
 	// blocks is how many blocks the scan yields in total, known before the

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // SourceInfo summarizes a transaction source.  Bytes is the modeled database
@@ -260,51 +261,40 @@ func streamBinary(br *bufio.Reader, fn func(block []Transaction) error) (SourceI
 		offs = offs[:0]
 		return nil
 	}
+	// buf[off:] is the window: bytes read but not yet decoded.  A window of
+	// maxTxn bytes holds any transaction, so a decode that fails on a
+	// shorter one may only be cut short: the window is refilled (grown when
+	// full) and the decode retried.  At end of stream, or on a full-size
+	// window, the error stands.
+	maxTxn := 2*binary.MaxVarintLen64 + binary.MaxVarintLen32*int(numItems)
+	var buf []byte
+	off, eof := 0, false
 	prevID := int64(0)
 	for i := uint64(0); i < numTxns; i++ {
-		idDelta, err := binary.ReadUvarint(br)
-		if err != nil {
-			return SourceInfo{}, fmt.Errorf("itemset: transaction %d: reading ID: %w", i, err)
-		}
-		id := prevID + int64(idDelta)
-		if id < prevID {
-			return SourceInfo{}, fmt.Errorf("itemset: transaction %d: ID delta %d overflows after ID %d", i, idDelta, prevID)
-		}
-		prevID = id
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return SourceInfo{}, fmt.Errorf("itemset: transaction %d: reading length: %w", i, err)
-		}
-		if count > numItems {
-			return SourceInfo{}, fmt.Errorf("itemset: transaction %d: %d items exceeds vocabulary %d", i, count, numItems)
-		}
 		offs = append(offs, int32(len(items)))
-		prev := Item(0)
-		for j := uint64(0); j < count; j++ {
-			delta, err := binary.ReadUvarint(br)
-			if err != nil {
-				return SourceInfo{}, fmt.Errorf("itemset: transaction %d item %d: %w", i, j, err)
-			}
-			if delta >= numItems {
-				return SourceInfo{}, fmt.Errorf("itemset: transaction %d item %d: delta %d outside vocabulary %d", i, j, delta, numItems)
-			}
-			if j == 0 {
-				prev = Item(delta)
-			} else {
-				if delta == 0 {
-					return SourceInfo{}, fmt.Errorf("itemset: transaction %d item %d: zero gap (duplicate item)", i, j)
+		id, out, n, err := DecodeTransaction(buf[off:], prevID, int(numItems), items)
+		for err != nil {
+			if eof || len(buf)-off >= maxTxn {
+				if off == len(buf) {
+					err = fmt.Errorf("reading ID: %w", io.EOF)
 				}
-				prev += Item(delta)
+				return SourceInfo{}, fmt.Errorf("itemset: transaction %d: %w", i, err)
 			}
-			if uint64(prev) >= numItems {
-				return SourceInfo{}, fmt.Errorf("itemset: transaction %d item %d: item %d outside vocabulary %d", i, j, prev, numItems)
+			buf, off = append(buf[:0], buf[off:]...), 0
+			if len(buf) == cap(buf) {
+				buf = slices.Grow(buf, max(len(buf), 64<<10))
 			}
-			items = append(items, prev)
+			m, rerr := br.Read(buf[len(buf):cap(buf)])
+			buf = buf[:len(buf)+m]
+			if eof = rerr == io.EOF; rerr != nil && !eof {
+				return SourceInfo{}, fmt.Errorf("itemset: transaction %d: %w", i, rerr)
+			}
+			id, out, n, err = DecodeTransaction(buf, prevID, int(numItems), items)
 		}
-		t := Transaction{ID: id}
+		prevID, items, off = id, out, off+n
 		info.NumTxns++
-		info.Bytes += int64(8 + 4*count)
-		block = append(block, t)
+		info.Bytes += int64(8 + 4*(len(items)-int(offs[len(offs)-1])))
+		block = append(block, Transaction{ID: prevID})
 		if len(block) == sourceBlockTxns {
 			offs = append(offs, int32(len(items)))
 			if err := flush(); err != nil {

@@ -88,7 +88,7 @@ func TestPoisonedBuffersStayExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s inmem: %v", algo, eng, err)
 			}
-			ooc, err := core.Mine(nil, core.Params{Algo: algo, P: 6, Apriori: ap, Backend: core.BackendOOC, Store: store})
+			ooc, err := core.Mine(store, core.Params{Algo: algo, P: 6, Apriori: ap})
 			if err != nil {
 				t.Fatalf("%s/%s ooc: %v", algo, eng, err)
 			}

@@ -252,30 +252,23 @@ func MineParallel(data *Dataset, o ParallelOptions) (*Report, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	backend, err := core.ParseBackend(o.Backend)
-	if err != nil {
-		return nil, err
-	}
-	prm := o.coreParams(backend)
 	src, err := resolveSource("ParallelOptions", data, o.Source)
 	if err != nil {
 		return nil, err
 	}
-	if backend == core.BackendOOC {
-		// Validate() has already pinned Source to a partitioned store.
-		prm.Store = src.(*PartitionedDataset)
-		return core.Mine(nil, prm)
+	if o.Backend != "ooc" {
+		// Validate() has pinned an ooc Source to a partitioned store, which
+		// core streams; every other source is mined resident.
+		if src, err = MaterializeSource(src); err != nil {
+			return nil, err
+		}
 	}
-	resident, err := MaterializeSource(src)
-	if err != nil {
-		return nil, err
-	}
-	return core.Mine(resident, prm)
+	return core.Mine(src, o.coreParams())
 }
 
 // coreParams maps the options onto the mining core's parameters (all but
 // the transactions, which MineParallel resolves from Source).
-func (o ParallelOptions) coreParams(backend core.ExecBackend) core.Params {
+func (o ParallelOptions) coreParams() core.Params {
 	return core.Params{
 		Algo:          o.Algorithm,
 		P:             o.Procs,
@@ -286,7 +279,6 @@ func (o ParallelOptions) coreParams(backend core.ExecBackend) core.Params {
 		Faults:        o.Faults,
 		CheckpointDir: o.CheckpointDir,
 		Recorder:      o.Recorder,
-		Backend:       backend,
 	}
 }
 
