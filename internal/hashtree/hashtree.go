@@ -10,23 +10,24 @@
 // Section IV analysis — and Figure 11 — are stated in exactly those units.
 //
 // The counters are the cost model and are charged exactly as the textbook
-// tree would earn them; what the host executes at a leaf is a separate
-// matter.  A leaf is scanned the first time a transaction reaches it, one
-// bitmap test per item of each candidate.  The exception is pass 2's dense
-// tree.  When k = 2, some leaf overflows MaxLeaf and the candidates are whole
+// tree would earn them; what the host executes is a separate matter.  A leaf
+// is scanned the first time a transaction reaches it, one bitmap test per
+// item of each candidate.  The exception is pass 2's dense tree.  When k = 2,
+// Fanout <= 64, some leaf overflows MaxLeaf and the candidates are whole
 // first-item rows of a complete C2 (NewFlat verifies it), the tree is
 // pair-indexed: it is shaped from a histogram of the candidates' hashes and
-// holds the direct pair index and the counts, no candidate slots.  It never
-// scans.  A depth-2 arrival looks up the pair it consumed, the only candidate
-// it can match; a depth-1 arrival looks up its first item with each later
-// transaction item.  The leaf's size is charged to LeafChecks on its first
-// visit all the same.  DESIGN.md, "Host work vs charged work", has the
-// exactness argument.
+// holds the direct pair index and the counts, no candidate slots.  It is
+// neither walked nor scanned.  Subset runs one flat loop over the
+// transaction's root items (subsetPairs): each looks itself up with every
+// later item, and the charges walk would earn come in closed form, the leaves
+// below a depth-1 node as a Fanout-bit mask of the cells not yet charged.
+// DESIGN.md, "Host work vs charged work", has the exactness argument.
 package hashtree
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"parapriori/internal/bitmap"
@@ -120,7 +121,8 @@ type node struct {
 	// stamp is the ID of the last Subset call that was charged for this leaf; it
 	// implements the paper's "if this node is revisited due to a different
 	// candidate from the same transaction, no checking needs to be
-	// performed" memoization.
+	// performed" memoization.  On an internal depth-1 node of a pair-indexed
+	// tree it is the last call that reset the node's seen mask.
 	stamp uint64
 }
 
@@ -156,12 +158,14 @@ type Tree struct {
 	// cands[pairBase[a]+pairCol[b]], and either entry is itemset.NoPair for
 	// an item that heads no row, or appears in no candidate.
 	pairBase, pairCol []int32
-	// txn, offs and first are the state of one Subset call: the
-	// transaction, the child offset (hash) of each of its items, and the item
-	// the root loop is walking from.
-	txn   itemset.Itemset
-	offs  []int32
-	first itemset.Item
+	// seen holds, per depth-1 node of a pair-indexed tree, the bit of each
+	// child cell the current Subset call has charged; it is stale unless the
+	// node's stamp is the call's.
+	seen []uint64
+	// txn and offs are the state of one walk: the transaction and the child
+	// offset (hash) of each of its items.
+	txn  itemset.Itemset
+	offs []int32
 
 	leaves int
 	stats  Stats
@@ -275,18 +279,22 @@ func (t *Tree) split(ni int32, depth int, items []itemset.Item, tmp, cursor []in
 }
 
 // pairTree makes a k = 2 tree pair-indexed, or leaves it untouched and
-// reports false.  One Fanout × Fanout histogram of (hash(c0), hash(c1)) over
-// the candidates is the whole shape split would produce: row h0 is the
-// depth-1 node's size, and cell (h0, h1) the size of its child h1 if the
-// node is internal.  The tree gets the index when some depth-2 cell under an
-// internal depth-1 node holds more than MaxLeaf (it is saturated; such a
-// cell's row is internal too) and cands.PairIndex verifies whole ascending
-// rows.
+// reports false.  A Fanout above 64 declines, since subsetPairs holds a
+// node's cells in one word.  One Fanout × Fanout histogram of (hash(c0),
+// hash(c1)) over the candidates is the whole shape split would produce: row
+// h0 is the depth-1 node's size, and cell (h0, h1) the size of its child h1
+// if the node is internal.  The tree gets the index when some depth-2 cell
+// under an internal depth-1 node holds more than MaxLeaf (it is saturated;
+// such a cell's row is internal too) and cands.PairIndex verifies whole
+// ascending rows.
 // Its nodes then come from the histogram's prefix sums, in split's order and
 // with split's ranges, and it stores nothing per candidate but the count:
-// every arrival is answered through the index (walk), so no slot is read.
+// subsetPairs answers every arrival through the index, so no slot is read.
 func (t *Tree) pairTree(cands itemset.Flat, numItems int) bool {
 	f, items := t.cfg.Fanout, cands.Items
+	if f > 64 {
+		return false
+	}
 	hist := make([]int32, f*f)
 	for i := 0; i < len(items); i += 2 {
 		hist[int(t.hash(items[i]))*f+int(t.hash(items[i+1]))]++
@@ -299,6 +307,7 @@ func (t *Tree) pairTree(cands itemset.Flat, numItems int) bool {
 		return false
 	}
 	t.pairBase, t.pairCol = base, rank
+	t.seen = make([]uint64, f)
 	rows := make([]int32, f)
 	internal := 0
 	for h0 := range rows {
@@ -360,10 +369,12 @@ func (t *Tree) mark() {
 
 // Subset counts the candidates contained in txn and returns the number of
 // distinct leaf nodes visited for this transaction (the per-transaction
-// quantity averaged in Figure 11).
+// quantity averaged in Figure 11).  A pair-indexed tree runs subsetPairs,
+// every other tree walks from the root and scans each leaf it reaches; both
+// charge what the textbook tree's walk earns.
 //
 // txn must hold the Itemset invariant (strictly increasing: a repeated item
-// would reach a pair-indexed leaf once per copy) and no negative item (its
+// would count a pair of a pair-indexed tree twice) and no negative item (its
 // hash would index nodes below the child block).  The miners' first pass
 // turns an item outside the source's vocabulary, or out of order, into a
 // typed error (*itemset.ItemRangeError, *itemset.ItemOrderError) before any
@@ -383,6 +394,9 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter *bitmap.Bitmap) int {
 	t.stats.Transactions++
 	if len(txn) < t.k {
 		return 0 // too short to contain any candidate
+	}
+	if t.pairCol != nil {
+		return t.subsetPairs(txn, rootFilter)
 	}
 	t.txn = txn
 	visited := 0
@@ -407,7 +421,6 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter *bitmap.Bitmap) int {
 				continue
 			}
 			t.stats.Traversals++
-			t.first = txn[i]
 			visited += t.walk(root.child+offs[i], i+1, 1)
 		}
 	}
@@ -423,39 +436,23 @@ func (t *Tree) Subset(txn itemset.Itemset, rootFilter *bitmap.Bitmap) int {
 	return visited
 }
 
-// walk recurses below an internal-node hash step: node ni was reached having
-// consumed depth items, the last of them txn[pos-1], with txn[pos:]
-// remaining.  It is the cost model: every hash step and every distinct leaf
-// is charged here, whatever the host then does at the leaf.
+// walk recurses below an internal-node hash step of a scanning tree: node ni
+// was reached having consumed depth items, the last of them txn[pos-1], with
+// txn[pos:] remaining.  It is the cost model: every hash step and every
+// distinct leaf is charged here, and a leaf is scanned on its first visit.
 //
 //checkinv:hotpath
 func (t *Tree) walk(ni int32, pos, depth int) int {
 	n := &t.nodes[ni]
 	if n.child == 0 {
-		visited := 0
-		if n.stamp != t.stamp {
-			n.stamp = t.stamp
-			t.stats.LeafVisits++
-			t.stats.LeafChecks += int64(n.end - n.start)
-			visited = 1
-			if t.pairCol == nil {
-				t.scanLeaf(n)
-			}
+		if n.stamp == t.stamp {
+			return 0
 		}
-		// Every arrival at a leaf of a pair-indexed tree, charged or not, is
-		// answered through the index.  At depth 2 it can match the pair it
-		// consumed and nothing else; at depth 1 it consumed only the first
-		// item, and each later one completes a pair.
-		if t.pairCol != nil {
-			if depth == 2 {
-				t.lookup(t.first, t.txn[pos-1])
-			} else {
-				for _, b := range t.txn[pos:] {
-					t.lookup(t.first, b)
-				}
-			}
-		}
-		return visited
+		n.stamp = t.stamp
+		t.stats.LeafVisits++
+		t.stats.LeafChecks += int64(n.end - n.start)
+		t.scanLeaf(n)
+		return 1
 	}
 	// Need k-depth more items; the next one can start no later than
 	// len(txn)-(k-depth).
@@ -470,6 +467,74 @@ func (t *Tree) walk(ni int32, pos, depth int) int {
 		visited += t.walk(n.child+offs[i], i+1, depth+1)
 	}
 	return visited
+}
+
+// subsetPairs is Subset on a pair-indexed tree, whose root is internal and
+// whose depth-1 nodes are root children 1..Fanout.  It counts and charges
+// what walk would, in one loop over the root items, back to front:
+//
+//   - Root item i that passes the filter takes one hash step to its depth-1
+//     node x, and, when x is internal, one more for each of txn[i+1:] (walk's
+//     last-pos+1).  A depth-1 leaf is charged on its first arrival.
+//   - Below an internal x, root item i reaches the cells that txn[i+1:]
+//     hashes to, held as a mask.  Charging x's cells not charged yet this
+//     call (seen, reset through x's stamp) charges each distinct leaf once,
+//     in any order; since a later root item's suffix is part of an earlier
+//     one's, the union is the earliest admitted one's cells.
+//   - A transaction is strictly increasing, so each candidate it contains is
+//     reached by its own first item and looked up as pair (txn[i], txn[j]),
+//     j > i, exactly once; nothing is scanned.
+//
+//checkinv:hotpath
+func (t *Tree) subsetPairs(txn itemset.Itemset, rootFilter *bitmap.Bitmap) int {
+	nodes, seen, counts := t.nodes, t.seen, t.counts
+	pairBase, pairCol := t.pairBase, t.pairCol
+	var traversals, visits, checks int64
+	last := len(txn) - 1
+	cells := uint64(1) << t.hash(txn[last]) // the cells of txn[i+1:]
+	for i := last - 1; i >= 0; i-- {
+		a, h := txn[i], t.hash(txn[i])
+		if rootFilter == nil || rootFilter.Test(int(a)) {
+			traversals++
+			x := &nodes[1+h]
+			if x.child == 0 {
+				if x.stamp != t.stamp {
+					x.stamp = t.stamp
+					visits++
+					checks += int64(x.end - x.start)
+				}
+			} else {
+				traversals += int64(last - i)
+				if x.stamp != t.stamp {
+					x.stamp = t.stamp
+					seen[h] = 0
+				}
+				fresh := cells &^ seen[h]
+				seen[h] |= fresh
+				for ; fresh != 0; fresh &= fresh - 1 {
+					leaf := &nodes[x.child+int32(bits.TrailingZeros64(fresh))]
+					visits++
+					checks += int64(leaf.end - leaf.start)
+				}
+			}
+			if int(a) < len(pairBase) {
+				row := pairBase[a]
+				for _, b := range txn[i+1:] {
+					if int(b) >= len(pairCol) {
+						break
+					}
+					if ci := row + pairCol[b]; ci >= 0 {
+						counts[ci]++
+					}
+				}
+			}
+		}
+		cells |= 1 << h
+	}
+	t.stats.Traversals += traversals
+	t.stats.LeafVisits += visits
+	t.stats.LeafChecks += checks
+	return int(visits)
 }
 
 // scanLeaf bumps the count of every candidate in the leaf whose items are
@@ -496,20 +561,6 @@ candidates:
 			}
 		}
 		t.counts[t.perm[s]]++
-	}
-}
-
-// lookup counts candidate {a, b} of a pair-indexed tree, if it has one: a < b
-// are transaction items, a the one the root loop is walking from.  A
-// candidate the transaction contains is reached by the positions of its own
-// items and by no others, so each is looked up once.
-//
-//checkinv:hotpath
-func (t *Tree) lookup(a, b itemset.Item) {
-	if int(b) < len(t.pairCol) {
-		if ci := t.pairBase[a] + t.pairCol[b]; ci >= 0 {
-			t.counts[ci]++
-		}
 	}
 }
 

@@ -452,8 +452,10 @@ func TestSubsetAllocFree(t *testing.T) {
 // them), one tree per part with its first-item filter, T15.I6 transactions.
 // Each part's tree has about 1 000 depth-2 leaves of ~30 candidates
 // (MaxLeaf 16), and 143–248 of them hold 16 or fewer; every tree is
-// pair-indexed, so every arrival, at a leaf of either depth and any size, is
-// answered through the index.
+// pair-indexed, so each call is subsetPairs' one loop: a transaction of ~15
+// items has ~1.5 root items that pass the filter, and each looks itself up
+// with every later item, with no walk and no leaf read but the charged
+// leaves' sizes.
 func BenchmarkSubsetPass2(b *testing.B) {
 	txns, parts, filters := pass2Shape()
 	var trees []*Tree

@@ -1,6 +1,7 @@
 package hashtree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -155,13 +156,30 @@ func randomSets(rng *rand.Rand, n, k, nItems int) []itemset.Itemset {
 }
 
 // differ drives the flat tree and the reference tree with the same candidates
-// and 80 random transactions and demands the same visits, the same matches,
+// and 80 random transactions (differTxns).  Transaction items reach past the
+// candidates' range and past the last word of the mark bitmap.
+func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []itemset.Itemset, cfg Config, filter *bitmap.Bitmap) *Tree {
+	t.Helper()
+	txns := make([]itemset.Itemset, 80)
+	for i := range txns {
+		txn := make([]itemset.Item, rng.Intn(14))
+		for j := range txn {
+			txn[j] = itemset.Item(rng.Intn(2*nItems + 200))
+			if rng.Intn(3) > 0 {
+				txn[j] %= itemset.Item(nItems)
+			}
+		}
+		txns[i] = itemset.New(txn...)
+	}
+	return differTxns(t, name, txns, k, cs, cfg, filter)
+}
+
+// differTxns drives the flat tree and the reference tree with the same
+// candidates and transactions and demands the same visits, the same matches,
 // the same counts, the same number of leaves and the same operation counters.
 // A transaction's matches are the candidates whose count its Subset call
 // moved, and every move must be by exactly one, so a candidate counted twice
 // for one transaction fails.  Every call must leave the mark bitmap clear.
-// Transaction items reach past the candidates' range and past the last word
-// of the mark bitmap.
 //
 // One comparison is narrowed: on a pair-indexed tree, a candidate whose first
 // item the filter rejects is left out of the matches and the counts (the
@@ -172,7 +190,7 @@ func randomSets(rng *rand.Rand, n, k, nItems int) []itemset.Itemset {
 // The tree under test is built from the flat candidates; a second one, built
 // by New from the same candidates held as headers, is driven alongside and
 // must end with the same visits, counts, Stats and MemoryBytes.
-func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []itemset.Itemset, cfg Config, filter *bitmap.Bitmap) *Tree {
+func differTxns(t *testing.T, name string, txns []itemset.Itemset, k int, cs []itemset.Itemset, cfg Config, filter *bitmap.Bitmap) *Tree {
 	t.Helper()
 	tree, err := NewFlat(mustFlat(k, cs), cfg)
 	if err != nil {
@@ -189,15 +207,7 @@ func differ(t *testing.T, name string, rng *rand.Rand, k, nItems int, cs []items
 	// Counts hands over the tree's own vector, so the previous transaction's
 	// counts are a copy.
 	before := slices.Clone(tree.Counts())
-	for i := 0; i < 80; i++ {
-		txn := make([]itemset.Item, rng.Intn(14))
-		for j := range txn {
-			txn[j] = itemset.Item(rng.Intn(2*nItems + 200))
-			if rng.Intn(3) > 0 {
-				txn[j] %= itemset.Item(nItems)
-			}
-		}
-		set := itemset.New(txn...)
+	for _, set := range txns {
 		got := tree.Subset(set, filter)
 		if want := ref.subset(set, filter); got != want {
 			t.Fatalf("%s: txn %v visited %d leaves, reference %d", name, set, got, want)
@@ -309,18 +319,24 @@ func TestDifferentialAgainstReference(t *testing.T) {
 
 // TestDifferentialSaturated forces what the random trials meet only by
 // chance: leaves at depth k that hold more than MaxLeaf candidates.  Every
-// k-subset of max(10, 3·Fanout) scattered items is far more than
-// Fanout^k·MaxLeaf.  Whole first-item rows at k = 2, in lexicographic order
-// or in bin-packing's, must get the direct pair index; rows with holes or back
-// to front, DD's round-robin share, a shuffled list, duplicates, a repeated
-// row and every k > 2 must not, and are scanned.  Each runs without a filter,
-// with IDD's and with a rejecting one, at power-of-two fanouts (hashed by
-// mask) and at fanout 3 (by modulo).
+// k-subset of max(10, 3·Fanout) items scattered over max(24, 4·Fanout) is far
+// more than Fanout^k·MaxLeaf.  Whole first-item rows at k = 2, in
+// lexicographic order or in bin-packing's, must get the direct pair index;
+// rows with holes or back to front, DD's round-robin share, a shuffled list,
+// duplicates, a repeated row and every k > 2 must not, and are scanned.  Each
+// runs without a filter, with IDD's and with a rejecting one, at power-of-two
+// fanouts (hashed by mask) and at fanout 3 (by modulo).  At k = 2 the fanouts
+// also reach 32 and 64, the widest a depth-1 node's cell mask holds; at
+// k >= 3, 3·Fanout items would make too many subsets.
 func TestDifferentialSaturated(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	const nItems = 24
 	for _, k := range []int{2, 3, 4} {
-		for _, fanout := range []int{2, 3, 4, 8} {
+		fanouts := []int{2, 3, 4, 8}
+		if k == 2 {
+			fanouts = append(fanouts, 32, 64)
+		}
+		for _, fanout := range fanouts {
+			nItems := max(24, 4*fanout)
 			universe := itemset.New(randomSets(rng, 1, max(10, 3*fanout), nItems)[0]...)
 			all := subsets(universe, k)
 			packed := partition.BinPack(all, 3, 0).Share(1).Itemsets()
@@ -396,16 +412,20 @@ func TestDifferentialPairIndexedSmallLeaves(t *testing.T) {
 
 // TestPairTreeMatchesSplit builds pair-indexed trees from the histogram and
 // the same candidates through split, at power-of-two fanouts (hashed by
-// mask), at fanout 3 (by modulo) and at the default 32.  The indexed tree
-// must keep no slot arrays (perm, items, marks), have the split-built tree's
-// nodes — so its Leaves, MemoryBytes and per-depth leaf sizes — and count
-// random transactions to the same counts and Stats.  At the boundary, where
-// MaxLeaf is the largest histogram cell, so the fullest depth-2 leaf holds
-// exactly MaxLeaf, nothing overflows: NewFlat must not index the tree, and
-// its shape is split's all the same.
+// mask) up to 64, the widest a cell mask holds, at fanout 3 (by modulo) and
+// at the default 32.  The indexed tree must keep no slot arrays (perm, items,
+// marks) and have the split-built tree's nodes — so its Leaves, MemoryBytes
+// and per-depth leaf sizes.  Under each of filtersFor's filters, a fresh pair
+// of trees counts random transactions: every Subset call must visit as many
+// leaves on both, and at the end their Stats must be equal, and their counts
+// too, but for the candidates a rejecting filter puts outside an indexed
+// tree's contract.  At the boundary, where MaxLeaf is the largest histogram
+// cell, so the fullest depth-2 leaf holds exactly MaxLeaf, nothing
+// overflows: NewFlat must not index the tree, and its shape is split's all
+// the same.
 func TestPairTreeMatchesSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	for _, fanout := range []int{2, 3, 4, 8, 32} {
+	for _, fanout := range []int{2, 3, 4, 8, 32, 64} {
 		nItems := max(24, 5*fanout)
 		universe := itemset.New(randomSets(rng, 1, max(16, 3*fanout), nItems)[0]...)
 		all := subsets(universe, 2)
@@ -414,8 +434,9 @@ func TestPairTreeMatchesSplit(t *testing.T) {
 			"bin-packed share": partition.BinPack(all, 3, 0).Share(2).Itemsets(),
 		}
 		for _, shape := range []string{"complete", "bin-packed share"} {
-			flat := mustFlat(2, shapes[shape])
-			boundary := leafSizes(mustNew(2, shapes[shape], Config{Fanout: fanout, MaxLeaf: 1}))[2].max
+			cs := shapes[shape]
+			flat := mustFlat(2, cs)
+			boundary := leafSizes(mustNew(2, cs, Config{Fanout: fanout, MaxLeaf: 1}))[2].max
 			if boundary <= 2 {
 				t.Fatalf("%s fanout %d: the largest depth-2 cell holds %d, want more than 2", shape, fanout, boundary)
 			}
@@ -423,15 +444,7 @@ func TestPairTreeMatchesSplit(t *testing.T) {
 				cfg := Config{Fanout: fanout, MaxLeaf: maxLeaf}
 				name := fmt.Sprintf("%s cfg=%+v", shape, cfg)
 				indexed := maxLeaf < boundary
-				tree, err := NewFlat(flat, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				split, numItems, err := newRoot(flat, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				split.build(flat.Items, numItems)
+				tree, split := mustNewFlat(t, flat, cfg), splitBuilt(t, flat, cfg)
 				if (tree.pairCol != nil) != indexed || split.pairCol != nil {
 					t.Fatalf("%s: direct pair index %v, split-built %v; want %v and false", name, tree.pairCol != nil, split.pairCol != nil, indexed)
 				}
@@ -451,16 +464,109 @@ func TestPairTreeMatchesSplit(t *testing.T) {
 				if got, want := leafSizes(tree), leafSizes(split); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: leaf sizes by depth %v, split-built %v", name, got, want)
 				}
-				for _, txn := range randomSets(rng, 40, 2+rng.Intn(11), nItems+3) {
-					tree.Subset(txn, nil)
-					split.Subset(txn, nil)
-				}
-				if !slices.Equal(tree.Counts(), split.Counts()) || tree.Stats() != split.Stats() {
-					t.Errorf("%s: counts %v, %+v; split-built %v, %+v", name, tree.Counts(), tree.Stats(), split.Counts(), split.Stats())
+				for _, f := range filtersFor(rng, cs) {
+					name := name + " filter=" + f.name
+					tree, split := mustNewFlat(t, flat, cfg), splitBuilt(t, flat, cfg)
+					for _, txn := range randomSets(rng, 40, 2+rng.Intn(11), nItems+3) {
+						if got, want := tree.Subset(txn, f.fn), split.Subset(txn, f.fn); got != want {
+							t.Fatalf("%s: txn %v visited %d leaves, split-built %d", name, txn, got, want)
+						}
+					}
+					if tree.Stats() != split.Stats() {
+						t.Errorf("%s: stats %+v, split-built %+v", name, tree.Stats(), split.Stats())
+					}
+					for ci, got := range tree.Counts() {
+						inContract := !indexed || f.fn == nil || f.fn.Test(int(cs[ci][0]))
+						if want := split.Counts()[ci]; inContract && got != want {
+							t.Errorf("%s: candidate %v counted %d, split-built %d", name, cs[ci], got, want)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestPairTreeDeclinesWideFanout: a depth-1 node's cells are one word, so a
+// saturated complete C2 is pair-indexed at Fanout 64 and built by split, and
+// scanned, at 65 and 100 (hashed by modulo).  Either way its nodes are
+// split's and it matches the textbook tree under every filter.
+func TestPairTreeDeclinesWideFanout(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, fanout := range []int{64, 65, 100} {
+		nItems := 4 * fanout
+		cs := subsets(itemset.New(randomSets(rng, 1, 3*fanout, nItems)[0]...), 2)
+		cfg := Config{Fanout: fanout, MaxLeaf: 2}
+		if flat := mustFlat(2, cs); !slices.Equal(mustNewFlat(t, flat, cfg).nodes, splitBuilt(t, flat, cfg).nodes) {
+			t.Errorf("cfg=%+v: nodes differ from the split-built tree's", cfg)
+		}
+		for _, f := range filtersFor(rng, cs) {
+			name := fmt.Sprintf("cfg=%+v filter=%s", cfg, f.name)
+			tree := differ(t, name, rng, 2, nItems, cs, cfg, f.fn)
+			if got, want := tree.pairCol != nil, fanout <= 64; got != want {
+				t.Errorf("%s: direct pair index = %v, want %v", name, got, want)
+			}
+			if leafSizes(tree)[2].max <= cfg.MaxLeaf {
+				t.Errorf("%s: no saturated leaf", name)
+			}
+		}
+	}
+}
+
+// FuzzPairTreeMatchesReference drives differTxns on a scattered universe's
+// complete C2 or one bin-packed share of it, at Fanout 2..64 and MaxLeaf
+// 1..4, under no filter, IDD's or a rejecting one.  The seed picks the
+// universe, the share and the rejecting filter; data holds the transactions,
+// each a length byte (mod 15) and that many little-endian uint16 items, which
+// reach past the candidates' range.
+func FuzzPairTreeMatchesReference(f *testing.F) {
+	f.Add(int64(1), false, uint8(30), uint8(0), uint8(0), []byte{5, 1, 0, 2, 0, 3, 0, 40, 0, 90, 0, 3, 7, 0, 8, 0, 200, 1})
+	f.Add(int64(2), true, uint8(62), uint8(1), uint8(1), []byte{9, 0, 0, 64, 0, 65, 0, 128, 0, 129, 0, 130, 0, 192, 0, 255, 0, 44, 1})
+	f.Add(int64(3), false, uint8(1), uint8(3), uint8(2), []byte{6, 1, 0, 4, 0, 7, 0, 10, 0, 13, 0, 16, 0})
+	f.Fuzz(func(t *testing.T, seed int64, packed bool, fanout, maxLeaf, filter uint8, data []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{Fanout: 2 + int(fanout)%63, MaxLeaf: 1 + int(maxLeaf)%4}
+		nItems := 4 * cfg.Fanout
+		cs := subsets(itemset.New(randomSets(rng, 1, 2+rng.Intn(3*cfg.Fanout-1), nItems)[0]...), 2)
+		if packed {
+			cs = partition.BinPack(cs, 3, 0).Share(rng.Intn(3)).Itemsets()
+		}
+		f := filtersFor(rng, cs)[filter%3]
+		var txns []itemset.Itemset
+		for len(data) > 0 && len(txns) < 80 {
+			n := int(data[0]) % 15
+			data = data[1:]
+			var txn []itemset.Item
+			for ; n > 0 && len(data) >= 2; n-- {
+				txn = append(txn, itemset.Item(int(binary.LittleEndian.Uint16(data))%(nItems+64)))
+				data = data[2:]
+			}
+			txns = append(txns, itemset.New(txn...))
+		}
+		name := fmt.Sprintf("seed=%d packed=%v cfg=%+v filter=%s", seed, packed, cfg, f.name)
+		differTxns(t, name, txns, 2, cs, cfg, f.fn)
+	})
+}
+
+// mustNewFlat is NewFlat for candidates known to be valid.
+func mustNewFlat(t *testing.T, flat itemset.Flat, cfg Config) *Tree {
+	t.Helper()
+	tree, err := NewFlat(flat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// splitBuilt is the tree split builds over flat, pair-indexable or not.
+func splitBuilt(t *testing.T, flat itemset.Flat, cfg Config) *Tree {
+	t.Helper()
+	tree, numItems, err := newRoot(flat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.build(flat.Items, numItems)
+	return tree
 }
 
 type namedFilter struct {
