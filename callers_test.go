@@ -39,13 +39,13 @@ var testHooks = map[string]string{
 }
 
 // stdMethods are method names a standard-library interface calls; a type
-// implements them for fmt, errors, net/http, sort, io or encoding/json, so
-// no selector in this module need name them.
+// implements them for fmt, errors, net/http, sort, io, encoding/json or
+// go/types' Importer, so no selector in this module need name them.
 var stdMethods = map[string]bool{
 	"Error": true, "String": true, "Unwrap": true, "Is": true, "As": true,
 	"ServeHTTP": true, "Len": true, "Less": true, "Swap": true,
 	"Read": true, "Write": true, "Close": true,
-	"MarshalJSON": true, "UnmarshalJSON": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "Import": true,
 }
 
 // goFile is one parsed non-test source file.

@@ -23,11 +23,10 @@
 // tree with its rules, age and reason, flagging each rule that suppressed
 // nothing as stale.
 //
-// Packages whose content (including every module-internal dependency) is
-// unchanged since the last run are served from a findings cache under
-// -cache (default: a parapriori-checkinv directory in the user cache dir;
-// "off" disables it) without being re-parsed or re-type-checked; -timings
-// prints the hit/miss split and where the time went.
+// Module packages are type-checked from source and the standard library is
+// read from the export data go list reports; a go.mod go cannot parse is a
+// loading error.  -timings prints how many directories and packages were
+// matched and where the time went.
 package main
 
 import (
@@ -52,12 +51,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("checkinv", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut  = fs.Bool("json", false, "emit findings (or -debt entries) as a JSON array")
-		allPkgs  = fs.Bool("allpkgs", false, "apply rules to every package, ignoring path scopes")
-		list     = fs.Bool("list", false, "list the available rules with their scopes and exit")
-		cacheDir = fs.String("cache", "auto", `findings cache directory; "auto" picks the user cache dir, "off" disables caching`)
-		debt     = fs.Bool("debt", false, "report every allow annotation (rules, used/stale, age, reason) instead of findings")
-		timings  = fs.Bool("timings", false, "print cache and phase timings to stderr")
+		jsonOut = fs.Bool("json", false, "emit findings (or -debt entries) as a JSON array")
+		allPkgs = fs.Bool("allpkgs", false, "apply rules to every package, ignoring path scopes")
+		list    = fs.Bool("list", false, "list the available rules with their scopes and exit")
+		debt    = fs.Bool("debt", false, "report every allow annotation (rules, used/stale, age, reason) instead of findings")
+		timings = fs.Bool("timings", false, "print phase timings to stderr")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -83,23 +81,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatal(stderr, err)
 	}
 
-	dir := *cacheDir
-	switch dir {
-	case "off":
-		dir = ""
-	case "auto":
-		if base, err := os.UserCacheDir(); err == nil {
-			dir = filepath.Join(base, "parapriori-checkinv")
-		} else {
-			dir = "" // no writable cache home: run uncached
-		}
-	}
-
 	res, err := checkinv.RunTree(checkinv.RunOptions{
 		Dir:      cwd,
 		Patterns: patterns,
 		AllPkgs:  *allPkgs,
-		CacheDir: dir,
 	})
 	if err != nil {
 		return fatal(stderr, err)
@@ -116,9 +101,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *timings {
 		s := res.Stats
-		fmt.Fprintf(stderr, "checkinv: %d dir(s), %d package(s); cache %d hit / %d miss; load %v, analyze %v\n",
-			s.Dirs, s.Packages, s.CacheHits, s.CacheMisses,
-			s.LoadDuration.Round(1e6), s.AnalyzeDuration.Round(1e6))
+		fmt.Fprintf(stderr, "checkinv: %d dir(s), %d package(s); load %v, analyze %v\n",
+			s.Dirs, s.Packages, s.LoadDuration.Round(1e6), s.AnalyzeDuration.Round(1e6))
 	}
 
 	if *debt {

@@ -12,9 +12,7 @@ import (
 )
 
 // writeModule lays out a throwaway module with one in-scope walltime
-// violation and one clean package, and returns its root.  Imports are
-// stdlib-only so the source importer resolves them from any working
-// directory.
+// violation and one clean package, and returns its root.
 func writeModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -56,8 +54,7 @@ func runIn(t *testing.T, dir string, args ...string) (int, string, string) {
 
 func TestEndToEndJSON(t *testing.T) {
 	root := writeModule(t)
-	cache := filepath.Join(root, ".cache")
-	code, stdout, stderr := runIn(t, root, "-json", "-cache", cache, "./...")
+	code, stdout, stderr := runIn(t, root, "-json", "./...")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (findings); stderr: %s", code, stderr)
 	}
@@ -78,25 +75,32 @@ func TestEndToEndJSON(t *testing.T) {
 	}
 }
 
-// TestEndToEndCacheWarm asserts the cold and warm runs print identical
-// findings and that the warm run is served entirely from the cache.
-func TestEndToEndCacheWarm(t *testing.T) {
+// TestEndToEndRepeatable asserts two runs over the same tree print the
+// same bytes.
+func TestEndToEndRepeatable(t *testing.T) {
 	root := writeModule(t)
-	cache := filepath.Join(root, ".cache")
+	code1, out1, _ := runIn(t, root, "./...")
+	code2, out2, _ := runIn(t, root, "./...")
+	if code1 != 1 || code2 != 1 {
+		t.Fatalf("exits = %d, %d, want 1, 1", code1, code2)
+	}
+	if out1 != out2 {
+		t.Errorf("the two runs' findings differ:\nfirst: %s\nsecond: %s", out1, out2)
+	}
+}
 
-	codeCold, outCold, errCold := runIn(t, root, "-timings", "-cache", cache, "./...")
-	codeWarm, outWarm, errWarm := runIn(t, root, "-timings", "-cache", cache, "./...")
-	if codeCold != 1 || codeWarm != 1 {
-		t.Fatalf("exits = %d, %d, want 1, 1", codeCold, codeWarm)
+// TestGoListFailureIsLoadError asserts a module go list cannot load (its
+// go.mod does not parse) fails the run: RunTree returns an error naming go
+// list, and the command exits 2.
+func TestGoListFailureIsLoadError(t *testing.T) {
+	root := writeModule(t)
+	writeFile(t, root, "go.mod", "module tmpmod\n\ngo 1.22\nbogus directive\n")
+	_, err := checkinv.RunTree(checkinv.RunOptions{Dir: root})
+	if err == nil || !strings.Contains(err.Error(), "go list") {
+		t.Errorf("RunTree error = %v, want one naming go list", err)
 	}
-	if outCold != outWarm {
-		t.Errorf("cold and warm findings differ:\ncold: %s\nwarm: %s", outCold, outWarm)
-	}
-	if !strings.Contains(errCold, "cache 0 hit") {
-		t.Errorf("cold -timings = %q, want zero hits reported", errCold)
-	}
-	if !strings.Contains(errWarm, "0 miss") {
-		t.Errorf("warm -timings = %q, want zero misses reported", errWarm)
+	if code, stdout, stderr := runIn(t, root, "./..."); code != 2 || !strings.Contains(stderr, "go list") {
+		t.Errorf("exit = %d, want 2 with go list's message\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 }
 
@@ -130,7 +134,6 @@ func debtEntries(t *testing.T, root string, args ...string) []checkinv.DebtEntry
 // usage state, in both text and JSON forms.
 func TestEndToEndDebt(t *testing.T) {
 	root := writeModule(t)
-	cache := filepath.Join(root, ".cache")
 	writeFile(t, root, "internal/core/core.go", `package core
 
 import "time"
@@ -141,7 +144,7 @@ import "time"
 func Tick() time.Time { return time.Now() }
 `)
 
-	code, stdout, stderr := runIn(t, root, "-debt", "-cache", cache, "./...")
+	code, stdout, stderr := runIn(t, root, "-debt", "./...")
 	if code != 0 {
 		t.Fatalf("-debt exit = %d, want 0; stderr: %s", code, stderr)
 	}
@@ -152,14 +155,13 @@ func Tick() time.Time { return time.Now() }
 		t.Errorf("-debt output = %q, want the summary line", stdout)
 	}
 
-	entries := debtEntries(t, root, "-cache", cache, "./...")
+	entries := debtEntries(t, root, "./...")
 	if len(entries) != 1 || !entries[0].Used || entries[0].Rules[0] != "walltime" {
 		t.Errorf("-debt -json entries = %+v, want one used walltime site", entries)
 	}
 
-	// The annotated tree is clean, and the annotation edit invalidated the
-	// cached entry rather than replaying the stale finding.
-	if code, stdout, stderr := runIn(t, root, "-cache", cache, "./..."); code != 0 {
+	// The annotated tree is clean.
+	if code, stdout, stderr := runIn(t, root, "./..."); code != 0 {
 		t.Errorf("annotated run exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
 }
@@ -182,9 +184,8 @@ func Spawn() {
 `
 	}
 	root := writeModule(t)
-	cache := filepath.Join(root, ".cache")
 	writeFile(t, root, "internal/core/core.go", spawn("core", ""))
-	code, stdout, stderr := runIn(t, root, "-cache", cache, "./...")
+	code, stdout, stderr := runIn(t, root, "./...")
 	if code != 1 || !strings.Contains(stdout, "internal/core/core.go:8: [rawchan]") {
 		t.Fatalf("goroutine in internal/core: exit = %d, want 1 with a rawchan finding\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
@@ -193,10 +194,10 @@ func Spawn() {
 		t.Fatal(err)
 	}
 	writeFile(t, root, "internal/distserve/spawn.go", spawn("distserve", " //checkinv:allow rawchan not needed"))
-	if code, stdout, stderr := runIn(t, root, "-cache", cache, "./..."); code != 0 {
+	if code, stdout, stderr := runIn(t, root, "./..."); code != 0 {
 		t.Fatalf("goroutine in internal/distserve: exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
-	entries := debtEntries(t, root, "-cache", cache, "./...")
+	entries := debtEntries(t, root, "./...")
 	if len(entries) != 1 || entries[0].Used || entries[0].File != "internal/distserve/spawn.go" {
 		t.Errorf("-debt -json entries = %+v, want the distserve site reported unused", entries)
 	}
@@ -211,7 +212,7 @@ func TestEndToEndFixturesStayRed(t *testing.T) {
 	}
 	for _, rule := range []string{"walltime", "mapiter", "rawchan", "floatcmp", "snapshotmut", "goroleak", "hotalloc"} {
 		fixture := filepath.Join("internal", "checkinv", "testdata", "src", rule)
-		code, stdout, stderr := runIn(t, repoRoot, "-allpkgs", "-cache", "off", fixture)
+		code, stdout, stderr := runIn(t, repoRoot, "-allpkgs", fixture)
 		if code != 1 {
 			t.Errorf("%s fixture: exit = %d, want 1\nstdout: %s\nstderr: %s", rule, code, stdout, stderr)
 		}

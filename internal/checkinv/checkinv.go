@@ -18,9 +18,8 @@
 //     experiments packages, where model/measured comparisons must tolerate
 //     rounding.
 //
-// Each rule's path scope is data (Analyzer.Scope), so a scope change
-// reaches the findings cache key.  Findings at intentional sites are
-// suppressed with an annotation:
+// Each rule's path scope is data (Analyzer.Scope).  Findings at
+// intentional sites are suppressed with an annotation:
 //
 //	//checkinv:allow <rule>[,<rule>...] [reason]
 //
@@ -62,8 +61,8 @@ type Analyzer struct {
 	Doc string
 	// Scope lists the module-relative directories ("internal/core", "cmd")
 	// the rule applies to, each with everything beneath it; nil means every
-	// package.  The runner consults it and the cache key records it; Check
-	// itself is scope-free so tests can point it at fixtures.
+	// package.  The runner consults it; Check itself is scope-free so tests
+	// can point it at fixtures.
 	Scope []string
 	// Check inspects one package and reports findings through the pass.
 	Check func(p *Pass)
@@ -143,7 +142,7 @@ func underAny(rel string, roots ...string) bool {
 
 // PkgResult is the analysis outcome for one package: the surviving
 // findings plus every //checkinv:allow site seen, with usage marked — the
-// unit the driver caches and the debt report aggregates.
+// unit the driver merges and the debt report aggregates.
 type PkgResult struct {
 	Findings []Finding
 	Allows   []AllowSite

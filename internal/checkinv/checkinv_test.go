@@ -1,7 +1,6 @@
 package checkinv
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -50,7 +49,7 @@ func loadFixture(t *testing.T, name string) *Package {
 	if err != nil {
 		t.Fatalf("ModuleRoot: %v", err)
 	}
-	pkgs, err := NewLoader().LoadDir(filepath.Join("testdata", "src", name), root, modPath)
+	pkgs, err := NewLoader(root, modPath).LoadDir(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", name, err)
 	}
@@ -327,7 +326,7 @@ func TestLoaderIncludesTestFiles(t *testing.T) {
 	}
 	dir := filepath.Join("testdata", "src", "testload")
 
-	pkgs, err := NewLoader().LoadDir(dir, root, modPath)
+	pkgs, err := NewLoader(root, modPath).LoadDir(dir)
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
@@ -373,34 +372,46 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
-// TestCleanTree type-checks a real simulation package from the live tree
-// and asserts the scoped suite is quiet on it — the merge invariant, on the
-// package (analysis) whose dependency closure is stdlib-only and therefore
-// cheap to check from source in a unit test.
+// TestCleanTree runs the driver over the whole module and asserts the
+// merge invariant: under the scoped suite no package has a finding, and
+// none has a type error, so no finding can be hiding behind one.
 func TestCleanTree(t *testing.T) {
 	root, modPath, err := ModuleRoot(".")
 	if err != nil {
 		t.Fatalf("ModuleRoot: %v", err)
 	}
-	pkgs, err := NewLoader().LoadDir(filepath.Join(root, "internal", "analysis"), root, modPath)
+	res, err := RunTree(RunOptions{Dir: root})
 	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
+		t.Fatalf("RunTree: %v", err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("LoadDir returned %d packages, want 1", len(pkgs))
+	dirs, err := patternDirs(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
 	}
-	pkg := pkgs[0]
-	if len(pkg.TypeErrors) > 0 {
-		t.Fatalf("type errors: %v", pkg.TypeErrors)
-	}
-	if pkg.Rel != "internal/analysis" {
-		t.Fatalf("Rel = %q, want internal/analysis", pkg.Rel)
-	}
-	if got := run([]*Package{pkg}, Analyzers(), false); len(got) != 0 {
-		var b strings.Builder
-		for _, f := range got {
-			fmt.Fprintf(&b, "\n  %s", f)
+	for _, dir := range dirs {
+		srcNames, testNames, err := goFileNames(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Errorf("internal/analysis is not clean under the scoped suite:%s", b.String())
+		if len(srcNames)+len(testNames) == 0 {
+			continue
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.ToSlash(filepath.Join(modPath, rel))
+		t.Run(path, func(t *testing.T) {
+			for _, p := range res.Stats.TypeErrorPkgs {
+				if name, _, _ := strings.Cut(p, " "); name == path || name == path+"_test" {
+					t.Errorf("type errors: %s", p)
+				}
+			}
+			for _, f := range res.Findings {
+				if filepath.Dir(f.Pos.Filename) == dir {
+					t.Errorf("finding under the scoped suite: %s", f)
+				}
+			}
+		})
 	}
 }

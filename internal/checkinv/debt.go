@@ -45,6 +45,14 @@ func DebtEntries(allows []AllowSite, modRoot string) []DebtEntry {
 	return out
 }
 
+// relTo makes path module-relative (slash form) when possible.
+func relTo(root, path string) string {
+	if rel, err := filepath.Rel(root, path); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
+	}
+	return filepath.ToSlash(path)
+}
+
 // blameDate returns the commit date (YYYY-MM-DD) of one line, or "".
 func blameDate(modRoot, file string, line int) string {
 	rel, err := filepath.Rel(modRoot, file)
