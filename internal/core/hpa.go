@@ -30,7 +30,8 @@ import (
 // like every other kernel, so a degraded run is a smaller hash ring.
 
 // placeHashed keeps the candidates hashing to this row.
-func placeHashed(_ *run, _ *cluster.Proc, _, g, row int, cands itemset.Flat) share {
+func placeHashed(r *run, _ *cluster.Proc, c candSet, g, row int) share {
+	cands := r.candidates(c.k, c.prev)
 	mine := itemset.Flat{K: cands.K}
 	owners := make([]int, g)
 	for i := 0; i < cands.Len(); i++ {

@@ -20,8 +20,8 @@ type formulation struct {
 	// rows shapes the pass's G × np/G processor grid: the G rows partition
 	// the m candidates, the columns partition the transactions.
 	rows func(r *run, m int) int
-	// place selects the candidates grid row `row` of g counts.
-	place func(r *run, p *cluster.Proc, k, g, row int, cands itemset.Flat) share
+	// place selects the candidates of c that grid row `row` of g counts.
+	place func(r *run, p *cluster.Proc, c candSet, g, row int) share
 	// build makes the structure that counts one part of a rank's share,
 	// charging its construction.
 	build func(r *run, p *cluster.Proc, cands itemset.Flat) (counter, error)
@@ -104,8 +104,8 @@ func (r *run) body(p *cluster.Proc) error {
 		kArg := obsv.Int("k", int64(k))
 		pl := passLocal{k: k, clockStart: p.Clock()}
 
-		cands := r.candidates(k, prev)
-		m := cands.Len()
+		cands := r.candSet(k, prev)
+		m := cands.m
 		chargeGen(p, m)
 		r.sec(p, "candidate gen", pl.clockStart, kArg)
 		if m == 0 {
@@ -116,7 +116,7 @@ func (r *run) body(p *cluster.Proc) error {
 		cols := np / g
 		row, col := vr/cols, vr%cols
 		rowComm, colComm := r.gridComms(row, col, g, cols)
-		mine := f.place(r, p, k, g, row, cands)
+		mine := f.place(r, p, cands, g, row)
 
 		// Only a replicated C_k (a column of one) may need the multi-scan
 		// partitioned tree: with g > 1 the whole point of the candidate
@@ -244,16 +244,16 @@ func rowsHD(r *run, m int) int {
 // same deterministic bin-packing, so no communication is needed to agree on
 // the assignment (each processor "locally regenerates and stores" its
 // share, as Section III-C describes): all are charged for it, the host
-// packs once and copies each row's share and sets its first items in a
+// packs once and writes each row's share and sets its first items in a
 // bitmap once (passcache.go).
-func placeBinPacked(r *run, p *cluster.Proc, k, g, row int, cands itemset.Flat) share {
+func placeBinPacked(r *run, p *cluster.Proc, c candSet, g, row int) share {
 	if g == 1 {
-		return share{cands: cands}
+		return share{cands: r.candidates(c.k, c.prev)}
 	}
 	partStart := p.Clock()
-	_, mine := r.binPack(k, g, row, cands)
-	chargeScan(p, int64(cands.Len()), "partition")
-	r.sec(p, "partition", partStart, obsv.Int("k", int64(k)))
+	mine := r.binPack(c, g, row)
+	chargeScan(p, int64(c.m), "partition")
+	r.sec(p, "partition", partStart, obsv.Int("k", int64(c.k)))
 	return mine
 }
 
@@ -261,8 +261,8 @@ func placeBinPacked(r *run, p *cluster.Proc, k, g, row int, cands itemset.Flat) 
 // first items, so no root filtering is possible and every processor
 // processes *all* N transactions against its M/P candidates — the redundant
 // work Section III-B analyzes.
-func placeRoundRobin(_ *run, _ *cluster.Proc, _, g, row int, cands itemset.Flat) share {
-	parts := partition.RoundRobin(cands, g)
+func placeRoundRobin(r *run, _ *cluster.Proc, c candSet, g, row int) share {
+	parts := partition.RoundRobin(r.candidates(c.k, c.prev), g)
 	counts := make([]int, g)
 	for i, part := range parts {
 		counts[i] = part.Len()

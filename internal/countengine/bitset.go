@@ -164,14 +164,11 @@ func (b *bitsetBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) 
 
 func (b *bitsetBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
 	k, m := cands.K, cands.Len()
-	span := b.cfg.NumItems
-	for i := 0; i < m; i++ {
-		c := cands.At(i)
-		if !c.Valid() {
-			return nil, fmt.Errorf("countengine: bitset candidate %v is not sorted", c)
-		}
-		span = max(span, int(c[k-1])+1)
+	span, err := cands.Check()
+	if err != nil {
+		return nil, fmt.Errorf("countengine: bitset: %w", err)
 	}
+	span = max(span, b.cfg.NumItems)
 	// Columns only for the items the candidates actually contain, numbered
 	// in item order.
 	v := &vertical{remap: make([]int32, span)}

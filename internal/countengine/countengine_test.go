@@ -3,6 +3,7 @@ package countengine_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"parapriori/internal/apriori"
@@ -300,6 +301,39 @@ func TestCheaperCountingOps(t *testing.T) {
 		}
 		if bs.WordOps == 0 {
 			t.Errorf("k=%d: bitset spent no word ops", k)
+		}
+	}
+}
+
+// TestMalformedCandidatesRefused builds every backend over candidate sets
+// that are not sorted sets of non-negative items.  Each must return the
+// shared check's error, never panic on the item it cannot index; a
+// well-formed set of the same size must build.
+func TestMalformedCandidatesRefused(t *testing.T) {
+	cases := []struct {
+		name  string
+		cands itemset.Flat
+		ok    bool
+	}{
+		{"negative pair", itemset.Flat{K: 2, Items: []itemset.Item{-3, 4}}, false},
+		{"negative second of three", itemset.Flat{K: 3, Items: []itemset.Item{1, 2, 5, -1, 2, 3}}, false},
+		{"descending pair", itemset.Flat{K: 2, Items: []itemset.Item{1, 2, 5, 4}}, false},
+		{"repeated item", itemset.Flat{K: 3, Items: []itemset.Item{1, 1, 2}}, false},
+		{"negative single", itemset.Flat{K: 1, Items: []itemset.Item{0, -2}}, false},
+		{"sorted pairs", itemset.Flat{K: 2, Items: []itemset.Item{0, 4, 1, 2}}, true},
+		{"sorted triple", itemset.Flat{K: 3, Items: []itemset.Item{0, 4, 9}}, true},
+	}
+	for _, name := range countengine.Names() {
+		for _, c := range cases {
+			t.Run(name+"/"+c.name, func(t *testing.T) {
+				_, err := newBuilder(t, name, 0).NewPassFlat(c.cands)
+				switch {
+				case c.ok && err != nil:
+					t.Fatalf("refused a sorted set: %v", err)
+				case !c.ok && (err == nil || !strings.Contains(err.Error(), "is not a sorted set of non-negative items")):
+					t.Fatalf("err = %v, want the shared check's", err)
+				}
+			})
 		}
 	}
 }

@@ -60,15 +60,11 @@ func (b *trieBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) {
 
 func (b *trieBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
 	k, m := cands.K, cands.Len()
-	maxItem := itemset.Item(-1)
-	for i := 0; i < m; i++ {
-		c := cands.At(i)
-		if !c.Valid() {
-			return nil, fmt.Errorf("countengine: trie candidate %v is not sorted", c)
-		}
-		maxItem = max(maxItem, c[k-1])
+	span, err := cands.Check()
+	if err != nil {
+		return nil, fmt.Errorf("countengine: trie: %w", err)
 	}
-	span := max(b.cfg.NumItems, int(maxItem)+1)
+	span = max(span, b.cfg.NumItems)
 	e := &trieEngine{
 		k:      k,
 		levels: make([]trieLevel, k),

@@ -198,13 +198,9 @@ func NewFlat(cands itemset.Flat, cfg Config) (*Tree, error) {
 func newRoot(cands itemset.Flat, cfg Config) (*Tree, int, error) {
 	cfg = cfg.withDefaults()
 	k, m := cands.K, cands.Len()
-	maxItem := itemset.Item(-1)
-	for i := 0; i < m; i++ {
-		c := cands.At(i)
-		if !c.Valid() || c[0] < 0 {
-			return nil, 0, fmt.Errorf("hashtree: candidate %v is not a sorted set of non-negative items", c)
-		}
-		maxItem = max(maxItem, c[k-1])
+	span, err := cands.Check()
+	if err != nil {
+		return nil, 0, fmt.Errorf("hashtree: %w", err)
 	}
 	t := &Tree{
 		k:      k,
@@ -217,7 +213,7 @@ func newRoot(cands itemset.Flat, cfg Config) (*Tree, int, error) {
 	if cfg.Fanout&(cfg.Fanout-1) == 0 {
 		t.mask = int32(cfg.Fanout - 1)
 	}
-	return t, int(maxItem) + 1, nil
+	return t, span, nil
 }
 
 // build shapes the tree by split and stores the candidates slot by slot, with
