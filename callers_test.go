@@ -26,6 +26,7 @@ var testHooks = map[string]string{
 	"checkinv.Loader.LoadDir":        "loads each rule's testdata package for the analyzer tests",
 	"hashtree.Tree.Leaves":           "the shape reference for the pair-indexed tree's differential tests",
 	"obsv.Flight.Dropped":            "the flight ring's drop counter, read by its tests",
+	"core.OnCarry":                   "tells the carry tests which passes count from the carried bitset index",
 
 	// Section IV's model, checked by its tests against brute-force
 	// expectation and the hash tree's measured counters.

@@ -75,9 +75,10 @@ func (cm *Comm) recvRank(p *Proc, rank int, tag string) Message {
 // steps, each carrying the whole vector.
 //
 // Every member must call it with a vector of the same length; the input is
-// never written.  On a one-member communicator the sum is the input, and
-// the input itself is returned, uncopied; a caller that writes the result
-// must own vec.
+// never written.  The result is read-only: the members share one copy of
+// the sum.  Only the members that add a partner's vector copy their own;
+// a member whose first step is a send passes its input on as it is.  On a
+// one-member communicator the sum is the input itself.
 func (cm *Comm) AllReduceInt64(p *Proc, tag string, vec []int64) []int64 {
 	rank, size := cm.Rank(p), cm.Size()
 	if rank < 0 {
@@ -86,7 +87,7 @@ func (cm *Comm) AllReduceInt64(p *Proc, tag string, vec []int64) []int64 {
 	if size == 1 {
 		return vec
 	}
-	acc := append([]int64(nil), vec...)
+	acc, owned := vec, false
 	bytes := 8 * len(acc)
 
 	// Reduce to rank 0.
@@ -102,6 +103,9 @@ func (cm *Comm) AllReduceInt64(p *Proc, tag string, vec []int64) []int64 {
 			if len(other) != len(acc) {
 				panic(fmt.Sprintf("cluster: AllReduce %q length mismatch: %d vs %d", tag, len(other), len(acc)))
 			}
+			if !owned {
+				acc, owned = append([]int64(nil), vec...), true // the sum this member adds into
+			}
 			for i, v := range other {
 				acc[i] += v
 			}
@@ -116,9 +120,7 @@ func (cm *Comm) bcastInt64(p *Proc, tag string, acc []int64) []int64 {
 	rank, size := cm.Rank(p), cm.Size()
 	if rank != 0 {
 		lsb := rank & -rank
-		msg := cm.recvRank(p, rank-lsb, tag)
-		// Copy: the payload slice is shared with the sender.
-		acc = append([]int64(nil), msg.Payload.([]int64)...)
+		acc = cm.recvRank(p, rank-lsb, tag).Payload.([]int64) // the root's sum, shared
 	}
 	bytes := 8 * len(acc)
 	for _, child := range cm.bcastChildren(rank, size) {

@@ -47,7 +47,7 @@ func placeHashed(r *run, _ *cluster.Proc, c candSet, g, row int) share {
 
 // hpaTable is HPA's build step: a lookup table over the owned candidates,
 // whose construction stands in for tree construction.
-func hpaTable(_ *run, p *cluster.Proc, cands itemset.Flat) (counter, error) {
+func hpaTable(_ *run, p *cluster.Proc, cands itemset.Flat, _ *indexCarry) (counter, error) {
 	chargeBuild(p, int64(cands.Len()))
 	return hpaCount{cands: cands}, nil
 }

@@ -23,8 +23,9 @@ type formulation struct {
 	// place selects the candidates of c that grid row `row` of g counts.
 	place func(r *run, p *cluster.Proc, c candSet, g, row int) share
 	// build makes the structure that counts one part of a rank's share,
-	// charging its construction.
-	build func(r *run, p *cluster.Proc, cands itemset.Flat) (counter, error)
+	// charging its construction; where carry is on, from the index the pass
+	// before kept.
+	build func(r *run, p *cluster.Proc, cands itemset.Flat, carry *indexCarry) (counter, error)
 	// grid marks the points of HD's grid (CD is 1 × P, IDD is P × 1).  Only
 	// they replicate C_k, so only they can need the memory-capped multi-scan;
 	// and their count time spans build, count and reduce where DD, DD+comm
@@ -96,6 +97,11 @@ func (r *run) body(p *cluster.Proc) error {
 		}
 	}
 
+	// The rank's bitset index, carried from pass to pass; a body re-entered
+	// after a rollback, or resumed, scans afresh.
+	var carry indexCarry
+	defer carry.drop() // a crash or a dead peer panics out mid-pass
+
 	prev := tr.levels[len(tr.levels)-1]
 	for k := len(tr.levels) + 1; len(prev) > 0; k++ {
 		if r.prm.Apriori.MaxPasses > 0 && k > r.prm.Apriori.MaxPasses {
@@ -125,6 +131,13 @@ func (r *run) body(p *cluster.Proc) error {
 		if g == 1 && f.grid {
 			parts = apriori.TreeParts(m, k, r.prm.Apriori.Tree, p.Machine().MemoryBytes)
 		}
+		// With one row and one part the rank counts its whole C_k against
+		// all its own blocks, as the pass before did if it had one row and
+		// one part too: then the index that pass kept holds this one's.
+		carry.on = g == 1 && parts == 1
+		if !carry.on {
+			carry.drop()
+		}
 		local := mine.cands.Len()
 		pl.candidates, pl.localCands, pl.candImbalance = m, local, mine.imbalance
 		pl.gridRows, pl.gridCols, pl.treeParts = g, cols, parts
@@ -141,7 +154,7 @@ func (r *run) body(p *cluster.Proc) error {
 			tag := fmt.Sprintf("k%d.p%d", k, part)
 
 			buildStart := p.Clock()
-			ctr, err := f.build(r, p, partCands)
+			ctr, err := f.build(r, p, partCands, &carry)
 			if err != nil {
 				return fmt.Errorf("pass %d: %w", k, err)
 			}
@@ -162,7 +175,11 @@ func (r *run) body(p *cluster.Proc) error {
 			redStart := p.Clock()
 			global := rowComm.AllReduceInt64(p, tag+"/red", counts)
 			r.sec(p, "reduce", redStart, kArg, partArg)
-			frequentLocal = append(frequentLocal, pruneLocal(partCands, global, r.minCount)...)
+			if pruned := pruneLocal(partCands, global, r.minCount); frequentLocal == nil {
+				frequentLocal = pruned
+			} else {
+				frequentLocal = append(frequentLocal, pruned...)
+			}
 		}
 		pl.countTime = p.Stats().ComputeTime - computeBefore
 
@@ -273,21 +290,85 @@ func placeRoundRobin(r *run, _ *cluster.Proc, c candSet, g, row int) share {
 // engineCounter returns the build step of the formulations that count
 // through the engine seam: a countengine.Engine over the part, fed by move —
 // the column's data movement — under the given tag suffix.
-func engineCounter(move mover, name string) func(*run, *cluster.Proc, itemset.Flat) (counter, error) {
-	return func(r *run, p *cluster.Proc, cands itemset.Flat) (counter, error) {
-		eng, err := r.engB.NewPassFlat(cands)
+func engineCounter(move mover, name string) func(*run, *cluster.Proc, itemset.Flat, *indexCarry) (counter, error) {
+	return func(r *run, p *cluster.Proc, cands itemset.Flat, carry *indexCarry) (counter, error) {
+		eng, carried, err := carry.engine(r, cands)
 		if err != nil {
 			return nil, err
 		}
+		if carryHook != nil && carry.on {
+			carryHook(p.ID(), cands.K, carried)
+		}
 		chargeEngineBuild(p, eng.Stats())
-		return &engineCount{eng: eng, move: move, name: name}, nil
+		return &engineCount{eng: eng, carried: carried, move: move, name: name}, nil
 	}
 }
 
+// indexCarry is a rank's bitset TID index, carried from one pass to the
+// next within one body invocation.  It is on in a pass with one grid row and
+// one part — CD's passes and HD's one-row ones — where the rank counts its
+// whole C_k against its own blocks, all of them, in the order of the pass
+// before.  A carried pass is charged as the scan it stands for: its blocks
+// are read and verified, not decoded, and every charge is a fresh engine's.
+type indexCarry struct {
+	on  bool
+	eng countengine.Carrier // the last engine built while on; its index is kept
+}
+
+// engine builds the pass's engine: over the carried index when there is one
+// that holds every item of cands, afresh otherwise.  While the carry is on,
+// the engine keeps its own index for the next pass.
+func (c *indexCarry) engine(r *run, cands itemset.Flat) (eng countengine.Engine, carried bool, err error) {
+	if prev := c.eng; prev != nil {
+		c.eng = nil
+		next, err := prev.Carry(cands)
+		if err != nil {
+			return nil, false, err
+		}
+		if next != nil {
+			eng, carried = next, true
+		}
+	}
+	if eng == nil {
+		if eng, err = r.engB.NewPassFlat(cands); err != nil {
+			return nil, false, err
+		}
+	}
+	if ce, ok := eng.(countengine.Carrier); ok && c.on {
+		ce.Keep()
+		c.eng = ce
+	}
+	return eng, carried, nil
+}
+
+// drop releases the kept index.
+func (c *indexCarry) drop() {
+	if c.eng != nil {
+		c.eng.Release()
+		c.eng = nil
+	}
+}
+
+// carryHook, when set, is told of every engine a rank builds while the
+// carry is on, and whether it counts from the carried index (OnCarry).
+var carryHook func(rank, k int, carried bool)
+
+// OnCarry sets fn to be told of every engine a rank builds on a pass where
+// the index carry is on — its global rank, the pass and whether the engine
+// counts from the index the pass before kept — and returns a func that
+// clears it.  It is a test hook: a carried pass is charged, reported and
+// traced exactly as a fresh one, so nothing else tells them apart.  fn runs
+// on the ranks' goroutines.
+func OnCarry(fn func(rank, k int, carried bool)) (restore func()) {
+	carryHook = fn
+	return func() { carryHook = nil }
+}
+
 type engineCount struct {
-	eng  countengine.Engine
-	move mover
-	name string
+	eng     countengine.Engine
+	carried bool // eng counts from the carried index: the scan is skimmed
+	move    mover
+	name    string
 }
 
 func (c *engineCount) count(r *run, p *cluster.Proc, col *cluster.Comm, tag string, filter *bitmap.Bitmap, pl *passLocal) ([]int64, error) {
@@ -315,7 +396,30 @@ func (c *engineCount) count(r *run, p *cluster.Proc, col *cluster.Comm, tag stri
 	// member, so the stream may recycle buffers only on a singleton.
 	st := r.openStream(p, col.Size() > 1)
 	defer st.close() // a crash or a dead peer panics out of the movement mid-scan
-	sent, err := c.move(p, col, tag+"/"+c.name, st, process)
+	var sent int64
+	var err error
+	if c.carried {
+		// The carry is on only on one row, a column of one, where every mover
+		// scans the rank's own blocks in place and no share has a root
+		// filter: skim them, charging what counting them would.
+		ce := eng.(countengine.Carrier)
+		for err == nil {
+			var txns, items int
+			if txns, items, err = st.skim(p); txns == 0 {
+				break
+			}
+			if eng.Len() > 0 {
+				before := eng.Stats()
+				ce.Skim(txns, items)
+				chargeEngineCount(p, countengine.Delta(before, eng.Stats()))
+			}
+		}
+		if err == nil {
+			err = ce.Skimmed()
+		}
+	} else {
+		sent, err = c.move(p, col, tag+"/"+c.name, st, process)
+	}
 	pl.read.Add(st.close())
 	if err != nil {
 		return nil, err

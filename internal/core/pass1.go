@@ -89,9 +89,18 @@ func exchangeFrequent(p *cluster.Proc, cm *cluster.Comm, tag string, local []apr
 }
 
 // pruneLocal keeps the candidates whose global counts meet the threshold.
-// The frequent sets are views into cands.
+// The frequent sets are views into cands, in a slice of their exact size.
 func pruneLocal(cands itemset.Flat, counts []int64, minCount int64) []apriori.Frequent {
-	var out []apriori.Frequent
+	n := 0
+	for _, c := range counts {
+		if c >= minCount {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]apriori.Frequent, 0, n)
 	for i, c := range counts {
 		if c >= minCount {
 			out = append(out, apriori.Frequent{Items: cands.At(i), Count: c})

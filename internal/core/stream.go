@@ -22,6 +22,12 @@ type txStream interface {
 	// on every call after that).  A block is valid until the following next
 	// or close unless the stream was opened shared.
 	next(p *cluster.Proc) ([]itemset.Transaction, error)
+	// skim is next without the block, for a scan whose transactions a
+	// carried index already holds: it charges and records what next would,
+	// and returns the block's transaction and item counts, or 0, 0 once the
+	// scan is exhausted.  Empty blocks, which next's callers pass over, are
+	// passed over here.
+	skim(p *cluster.Proc) (txns, items int, err error)
 	// close ends the scan, releasing any open partition file, and returns
 	// what it read from disk.  Closing again is harmless and returns the
 	// same stats, so a scan is closed both deferred — a scheduled crash
@@ -63,6 +69,19 @@ func (s *residentStream) next(*cluster.Proc) ([]itemset.Transaction, error) {
 	}
 	s.at++
 	return s.pages[s.at-1], nil
+}
+
+func (s *residentStream) skim(*cluster.Proc) (txns, items int, err error) {
+	for ; s.at < len(s.pages); s.at++ {
+		if page := s.pages[s.at]; len(page) > 0 {
+			for _, t := range page {
+				items += len(t.Items)
+			}
+			s.at++
+			return len(page), items, nil
+		}
+	}
+	return 0, 0, nil
 }
 
 func (s *residentStream) close() ReadStats { return ReadStats{} }
@@ -131,27 +150,47 @@ func (s *blockStream) blocks() int { return s.total }
 // next implements txStream.  The block's read and decode costs land on p's
 // clock before the block is returned.
 func (s *blockStream) next(p *cluster.Proc) ([]itemset.Transaction, error) {
+	blk, _, _, err := s.read(p, false)
+	return blk, err
+}
+
+// skim implements txStream: the block is read and verified, not decoded, and
+// charged as next charges it.
+func (s *blockStream) skim(p *cluster.Proc) (txns, items int, err error) {
+	_, txns, items, err = s.read(p, true)
+	return txns, items, err
+}
+
+// read moves to the next block — decoding it, or only verifying it to skim
+// — and charges its read and decode on p's clock.
+func (s *blockStream) read(p *cluster.Proc, skim bool) (blk []itemset.Transaction, txns, items int, err error) {
 	for {
 		if s.cur == nil {
 			if s.idx >= len(s.parts) {
-				return nil, nil
+				return nil, 0, 0, nil
 			}
 			br, err := s.r.store.OpenPartition(s.parts[s.idx], s.reuse)
 			if err != nil {
-				return nil, err
+				return nil, 0, 0, err
 			}
 			s.cur = br
 			s.idx++
 		}
-		blk, items, db, err := s.cur.Next()
+		var db int
+		if skim {
+			txns, items, db, err = s.cur.Skim()
+		} else {
+			blk, items, db, err = s.cur.Next()
+			txns = len(blk)
+		}
 		if err == io.EOF {
 			if cerr := s.finishReader(); cerr != nil {
-				return nil, cerr
+				return nil, 0, 0, cerr
 			}
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		start := p.Clock()
 		p.ReadIO(int64(db), "io")
@@ -165,7 +204,7 @@ func (s *blockStream) next(p *cluster.Proc) ([]itemset.Transaction, error) {
 		chargeScan(p, int64(items), "decode")
 		s.stats.DecodeSeconds += p.Clock() - decStart
 		s.r.sec(p, "decode", decStart, obsv.Int("items", int64(items)))
-		return blk, nil
+		return blk, txns, items, nil
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // subset enumeration, which is why vertical counting wins at low support,
 // where candidate sets are large and deep (arXiv:1903.03008).
 //
-// Each per-pass engine builds bitmaps over the transactions CountBlock
+// A fresh engine builds bitmaps over the transactions CountBlock
 // streams through it — the serial miner's scan, or the grid's ring-shifted
 // pages, which arrive in deterministic order, so bit positions are
 // consistent across the pass — and intersects them when Counts is called.
@@ -33,6 +33,17 @@ import (
 // runs no intersections at all: it counts each transaction's pairs straight
 // into the count vector (pairMatrix) and keeps only each column's last TID,
 // which fixes the same logical lengths.
+//
+// An engine's TID index can outlive its pass.  Where the next pass scans the
+// same transactions in the same order (core's one-row, one-part passes),
+// Keep leaves the rows in place past Counts and Carry builds the next pass's
+// engine over them: items(C_{k+1}) ⊆ items(F_k) ⊆ items(C_k), so the kept
+// columns hold every column the new candidates need, at the TIDs a fresh
+// scan would give them.  A carried engine sets no bits; it is told each
+// block's size (Skim) so that its Stats, and with them every charge, are a
+// fresh engine's, and it checks that the scan it skimmed is the one it
+// carries (Skimmed).  The rows go back to the pool once, from the last
+// engine built over them.
 
 type bitsetBuilder struct {
 	cfg Config
@@ -56,6 +67,11 @@ type row []page
 // is cleared when taken, never when returned.
 var rowPool sync.Pool // of *row
 
+// rowPoison is a test seam, called on every row handed back to rowPool: the
+// row-ownership test scribbles over it there, so an engine still reading a
+// row it gave back counts garbage instead of stale-but-plausible bits.
+var rowPoison func(*row)
+
 func takeRow(width int) *row {
 	if r, ok := rowPool.Get().(*row); ok && cap(*r) >= width {
 		*r = (*r)[:width]
@@ -74,12 +90,17 @@ type vertical struct {
 	sink  int32   // the sink's column index: the number of real columns
 	rows  []*row  // a row is allocated when a transaction first reaches it
 	n     int     // transactions added
+	items int64   // items those transactions hold: with n, what a carried scan must add up to
 	// last, on a pair-matrix engine, is each column's last TID (-1 for
 	// none), which it keeps instead of rows.
 	last []int
 	// words, once set, is each column's logical length (see columnWords);
-	// it outlives the rows, which the engine releases in Counts.
+	// it outlives the rows, which Counts releases unless they are kept.
 	words []int
+	// holder is the engine that releases the rows: the one built over them
+	// last.  kept says its Counts left them in place for Carry.
+	holder *bitsetEngine
+	kept   bool
 }
 
 // column returns the column an item's bits live in.
@@ -148,27 +169,37 @@ func (v *vertical) columnWords() []int {
 	return words
 }
 
-// release fixes the column lengths at words and hands the rows back to the
-// pool.
-func (v *vertical) release(words []int) {
-	v.words = words
+// release hands the rows back to the pool.
+func (v *vertical) release() {
 	for _, r := range v.rows {
+		if rowPoison != nil {
+			rowPoison(r)
+		}
 		rowPool.Put(r)
 	}
-	v.rows = nil
+	v.rows, v.kept, v.holder = nil, false, nil
 }
 
 func (b *bitsetBuilder) NewPass(k int, cands []itemset.Itemset) (Engine, error) {
 	return newPass(b, k, cands)
 }
 
-func (b *bitsetBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
-	k, m := cands.K, cands.Len()
+// remapSpan is the width of an engine's remap over cands: the vocabulary or
+// the largest candidate item, whichever is wider.
+func remapSpan(cands itemset.Flat, numItems int) (int, error) {
 	span, err := cands.Check()
 	if err != nil {
-		return nil, fmt.Errorf("countengine: bitset: %w", err)
+		return 0, fmt.Errorf("countengine: bitset: %w", err)
 	}
-	span = max(span, b.cfg.NumItems)
+	return max(span, numItems), nil
+}
+
+func (b *bitsetBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
+	k, m := cands.K, cands.Len()
+	span, err := remapSpan(cands, b.cfg.NumItems)
+	if err != nil {
+		return nil, err
+	}
 	// Columns only for the items the candidates actually contain, numbered
 	// in item order.
 	v := &vertical{remap: make([]int32, span)}
@@ -187,13 +218,16 @@ func (b *bitsetBuilder) NewPassFlat(cands itemset.Flat) (Engine, error) {
 			v.remap[i] = v.sink
 		}
 	}
-	e := &bitsetEngine{k: k, ix: v, counts: make([]int64, m), stats: Stats{BuildOps: int64(v.sink)}}
+	e := &bitsetEngine{k: k, ix: v, counts: make([]int64, m), span: span, numItems: b.cfg.NumItems, stats: Stats{BuildOps: int64(v.sink)}}
+	v.holder = e
+	if k == 2 {
+		if e.pairs = newPairMatrix(v, cands, span); e.pairs != nil {
+			return e, nil
+		}
+	}
 	e.cols = make([]int32, len(cands.Items))
 	for i, it := range cands.Items {
 		e.cols[i] = v.column(it)
-	}
-	if k == 2 {
-		e.pairs = newPairMatrix(v, cands, span)
 	}
 	return e, nil
 }
@@ -230,6 +264,22 @@ func newPairMatrix(v *vertical, cands itemset.Flat, span int) *pairMatrix {
 		v.last[c] = -1
 	}
 	return p
+}
+
+// wordOps is the column model's charge for intersecting every candidate
+// pair: two words a step up to the shorter column.  The candidates are
+// whole rows, so row a holds the pair of column a with every column above
+// it.
+func (p *pairMatrix) wordOps(words []int) (ops int64) {
+	for a, s := range p.base {
+		if s == itemset.NoPair {
+			continue
+		}
+		for _, w := range words[a+1 : len(p.base)] {
+			ops += int64(2 * min(words[a], w))
+		}
+	}
+	return ops
 }
 
 // add counts the transactions' candidate pairs into counts, one TID each,
@@ -281,12 +331,22 @@ func (p *pairMatrix) add(v *vertical, counts []int64, txns []itemset.Transaction
 type bitsetEngine struct {
 	k    int
 	ix   *vertical
-	cols []int32 // candidate i's columns are cols[i*k : i*k+k]
+	cols []int32 // candidate i's columns are cols[i*k : i*k+k]; none on a pair-matrix engine
+	// own, on a carried engine, lists its items' columns in the index it
+	// shares, which also holds columns of the passes before; a fresh
+	// engine's own columns are every real column.  span is the width of the
+	// remap a fresh engine would build.  Both are only for MemoryBytes.
+	own  []int32
+	span int
+	// numItems is the builder's Config.NumItems, for Carry's span.
+	numItems int
 	// pairs, when set, counts instead of the rows (a k = 2 engine over a
 	// dense C₂).
 	pairs   *pairMatrix
 	counts  []int64
 	counted bool
+	keep    bool // Counts keeps the rows for Carry
+	carried bool // built by Carry: the rows are the index's, not set here
 	stats   Stats
 }
 
@@ -296,15 +356,105 @@ func (e *bitsetEngine) Len() int { return len(e.counts) }
 // is deferred to Counts, one intersection per candidate.  A pair-matrix
 // engine counts the block's pairs here instead, but its WordOps are charged
 // in Counts all the same.
+//
+// A carried engine's index already holds the block, so it only counts it, as
+// Skim does.
 func (e *bitsetEngine) CountBlock(txns []itemset.Transaction, rootFilter *bitmap.Bitmap) {
 	// rootFilter is ignored: it only ever excludes candidates outside this
 	// engine's own candidate set (the grid builds per-row engines over the
 	// filtered share), so intersection counts are unaffected.
+	var touched int64
+	switch {
+	case e.carried:
+		for i := range txns {
+			touched += int64(len(txns[i].Items))
+		}
+	case e.pairs != nil:
+		touched = e.pairs.add(e.ix, e.counts, txns)
+	default:
+		touched = e.ix.add(txns)
+		e.ix.items += touched
+	}
 	e.stats.Transactions += int64(len(txns))
-	if e.pairs != nil {
-		e.stats.ItemTouches += e.pairs.add(e.ix, e.counts, txns)
-	} else {
-		e.stats.ItemTouches += e.ix.add(txns)
+	e.stats.ItemTouches += touched
+}
+
+// Skim stands in for CountBlock on a carried engine, for a block of txns
+// transactions holding items items that its index already holds: the
+// engine reads nothing and counts what CountBlock would have.
+func (e *bitsetEngine) Skim(txns, items int) {
+	e.stats.Transactions += int64(txns)
+	e.stats.ItemTouches += int64(items)
+}
+
+// Skimmed reports an error unless the blocks a carried engine was told of
+// add up to the transactions and items of the index it carries: a scan that
+// differs from the one the index was built from has no counts here.
+func (e *bitsetEngine) Skimmed() error {
+	if !e.carried {
+		return nil
+	}
+	if e.stats.Transactions != int64(e.ix.n) || e.stats.ItemTouches != e.ix.items {
+		return fmt.Errorf("countengine: bitset: the scan holds %d transactions of %d items, the carried index %d of %d",
+			e.stats.Transactions, e.stats.ItemTouches, e.ix.n, e.ix.items)
+	}
+	return nil
+}
+
+// Keep makes Counts leave the engine's rows in place for Carry instead of
+// releasing them.  A pair-matrix engine keeps no rows, so it has nothing to
+// keep.
+func (e *bitsetEngine) Keep() { e.keep = e.pairs == nil }
+
+// Carry returns an engine over cands that counts from e's kept rows, and
+// hands the rows to it: the next pass's engine, over the same transactions
+// in the same order.  Its counts, Stats and MemoryBytes (once the scan is
+// skimmed) are a fresh engine's, and the columns it reads are its items'
+// columns in e's index, whose logical lengths they keep.  It returns nil,
+// and releases e's rows, when there are none to count from — e kept none,
+// or an item of cands has no column in them — or no candidates to count.
+func (e *bitsetEngine) Carry(cands itemset.Flat) (Carrier, error) {
+	v := e.ix
+	if !v.kept || v.holder != e || cands.Len() == 0 {
+		e.Release()
+		return nil, nil
+	}
+	span, err := remapSpan(cands, e.numItems)
+	if err != nil {
+		e.Release()
+		return nil, err
+	}
+	used := make([]bool, span)
+	for _, it := range cands.Items {
+		used[it] = true
+	}
+	var own []int32
+	for it, u := range used {
+		if !u {
+			continue
+		}
+		c := v.column(itemset.Item(it))
+		if c == v.sink {
+			e.Release()
+			return nil, nil
+		}
+		own = append(own, c)
+	}
+	n := &bitsetEngine{k: cands.K, ix: v, own: own, span: span, numItems: e.numItems, carried: true,
+		counts: make([]int64, cands.Len()), stats: Stats{BuildOps: int64(len(own))}}
+	n.cols = make([]int32, len(cands.Items))
+	for i, it := range cands.Items {
+		n.cols[i] = v.column(it)
+	}
+	v.holder, v.kept = n, false
+	return n, nil
+}
+
+// Release hands the engine's rows back to the pool.  It does nothing once
+// they have been carried on to a later engine, or released.
+func (e *bitsetEngine) Release() {
+	if e.ix.holder == e {
+		e.ix.release()
 	}
 }
 
@@ -319,7 +469,10 @@ func (e *bitsetEngine) Counts() []int64 {
 	if !e.counted {
 		e.counted = true
 		k, words := e.k, e.ix.columnWords()
-		for i := 0; k > 0 && i < len(e.counts); i++ {
+		if e.pairs != nil {
+			e.stats.WordOps += e.pairs.wordOps(words)
+		}
+		for i := 0; k > 0 && i < len(e.cols)/k; i++ {
 			cols := e.cols[i*k : i*k+k]
 			nw := words[cols[0]]
 			for _, c := range cols[1:] {
@@ -330,7 +483,12 @@ func (e *bitsetEngine) Counts() []int64 {
 		for _, r := range e.ix.rows {
 			intersect(e.counts, *r, e.cols, k)
 		}
-		e.ix.release(words)
+		e.ix.words = words
+		if e.keep {
+			e.ix.kept = true
+		} else {
+			e.Release()
+		}
 	}
 	return e.counts
 }
@@ -407,9 +565,15 @@ func (e *bitsetEngine) Stats() Stats { return e.stats }
 // every real column at its logical length (the sink and the pages' unused
 // tails are host detail).
 func (e *bitsetEngine) MemoryBytes() int {
-	bytes := len(e.counts)*8 + len(e.ix.remap)*4
-	for _, w := range e.ix.columnWords()[:e.ix.sink] {
-		bytes += w * 8
+	bytes := len(e.counts)*8 + e.span*4
+	words := e.ix.columnWords()
+	if !e.carried {
+		for _, w := range words[:e.ix.sink] {
+			bytes += w * 8
+		}
+	}
+	for _, c := range e.own {
+		bytes += words[c] * 8
 	}
 	return bytes
 }

@@ -11,8 +11,9 @@
 //     allocation, no pointer chasing, and no failed leaf checks (a matched
 //     leaf *is* a contained candidate).
 //   - "bitset": the vertical representation — per-item transaction-ID
-//     bitmaps built while streaming, support computed by bitmap
-//     intersection and popcount instead of subset enumeration.
+//     bitmaps built while streaming, or carried from the previous pass's
+//     engine over the same transactions (Carrier), support computed by
+//     bitmap intersection and popcount instead of subset enumeration.
 //
 // All backends produce identical counts; they differ only in which abstract
 // operations (Stats) they spend, which is what the virtual-time cost model
@@ -117,6 +118,33 @@ type Engine interface {
 	Stats() Stats
 	// MemoryBytes estimates the resident size of the structure.
 	MemoryBytes() int
+}
+
+// Carrier is an engine whose pass's transactions live in an index it can
+// hand to the next pass's engine over the same transactions in the same
+// order: the bitset engines, whose TID bitmaps hold a column for every item
+// the next pass's candidates can contain (see bitset.go).  The miner carries
+// it from pass to pass where every pass scans the same blocks; the serial
+// miner does not.
+type Carrier interface {
+	Engine
+	// Keep makes Counts leave the index in place for Carry instead of
+	// releasing it.
+	Keep()
+	// Carry returns an engine over cands that counts from the kept index,
+	// and hands the index to it; or nil, having released the index, when
+	// there is none that holds every item of cands.
+	Carry(cands itemset.Flat) (Carrier, error)
+	// Release hands the index back.  It does nothing once the index has
+	// been carried on, or released.
+	Release()
+	// Skim stands in for CountBlock on a carried engine, for a block of txns
+	// transactions holding items items: it reads nothing, and its Stats
+	// count what CountBlock's would.
+	Skim(txns, items int)
+	// Skimmed reports an error unless the blocks of a carried engine's scan
+	// add up to the transactions and items of the index it carries.
+	Skimmed() error
 }
 
 // Builder creates per-pass engines.  Both constructors must be safe to call
