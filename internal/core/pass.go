@@ -100,7 +100,6 @@ func (r *run) body(p *cluster.Proc) error {
 	// The rank's bitset index, carried from pass to pass; a body re-entered
 	// after a rollback, or resumed, scans afresh.
 	var carry indexCarry
-	defer carry.drop() // a crash or a dead peer panics out mid-pass
 
 	prev := tr.levels[len(tr.levels)-1]
 	for k := len(tr.levels) + 1; len(prev) > 0; k++ {
@@ -136,7 +135,7 @@ func (r *run) body(p *cluster.Proc) error {
 		// one part too: then the index that pass kept holds this one's.
 		carry.on = g == 1 && parts == 1
 		if !carry.on {
-			carry.drop()
+			carry.eng = nil
 		}
 		local := mine.cands.Len()
 		pl.candidates, pl.localCands, pl.candImbalance = m, local, mine.imbalance
@@ -312,12 +311,12 @@ func engineCounter(move mover, name string) func(*run, *cluster.Proc, itemset.Fl
 // are read and verified, not decoded, and every charge is a fresh engine's.
 type indexCarry struct {
 	on  bool
-	eng countengine.Carrier // the last engine built while on; its index is kept
+	eng countengine.Carrier // the last engine built while on
 }
 
 // engine builds the pass's engine: over the carried index when there is one
 // that holds every item of cands, afresh otherwise.  While the carry is on,
-// the engine keeps its own index for the next pass.
+// the engine is the one the next pass carries from.
 func (c *indexCarry) engine(r *run, cands itemset.Flat) (eng countengine.Engine, carried bool, err error) {
 	if prev := c.eng; prev != nil {
 		c.eng = nil
@@ -335,18 +334,9 @@ func (c *indexCarry) engine(r *run, cands itemset.Flat) (eng countengine.Engine,
 		}
 	}
 	if ce, ok := eng.(countengine.Carrier); ok && c.on {
-		ce.Keep()
 		c.eng = ce
 	}
 	return eng, carried, nil
-}
-
-// drop releases the kept index.
-func (c *indexCarry) drop() {
-	if c.eng != nil {
-		c.eng.Release()
-		c.eng = nil
-	}
 }
 
 // carryHook, when set, is told of every engine a rank builds while the

@@ -178,20 +178,20 @@ func TestRootFilter(t *testing.T) {
 	levels := candLevels(t, data)
 	reject := func(it itemset.Item) bool { return it%3 != 0 }
 	for k, cands := range levels {
-		var kept []itemset.Itemset
+		var passing []itemset.Itemset
 		filter := bitmap.New(data.NumItems)
 		for _, c := range cands {
 			if reject(c[0]) {
-				kept = append(kept, c)
+				passing = append(passing, c)
 				filter.Set(int(c[0]))
 			}
 		}
-		if len(kept) == 0 {
+		if len(passing) == 0 {
 			continue
 		}
-		want := countAll(t, newBuilder(t, "hashtree", data.NumItems), k, kept, data, nil)
+		want := countAll(t, newBuilder(t, "hashtree", data.NumItems), k, passing, data, nil)
 		for _, name := range countengine.Names() {
-			if got := countAll(t, newBuilder(t, name, data.NumItems), k, kept, data, filter); !reflect.DeepEqual(got, want) {
+			if got := countAll(t, newBuilder(t, name, data.NumItems), k, passing, data, filter); !reflect.DeepEqual(got, want) {
 				t.Errorf("k=%d: %s counts under rootFilter differ from unfiltered", k, name)
 			}
 		}
