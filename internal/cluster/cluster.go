@@ -53,9 +53,6 @@ func New(p int, m Machine) (*Cluster, error) {
 // P returns the number of processors.
 func (c *Cluster) P() int { return len(c.procs) }
 
-// Machine returns the cost model.
-func (c *Cluster) Machine() Machine { return c.machine }
-
 // Proc returns processor i.
 func (c *Cluster) Proc(i int) *Proc { return c.procs[i] }
 

@@ -197,8 +197,6 @@ func (s *blockStream) read(p *cluster.Proc, skim bool) (blk []itemset.Transactio
 		// Every read is synchronous — the rank's clock waits on the block
 		// (no read-ahead; the ROADMAP double-buffering item would hide it).
 		s.stats.Stalls++
-		s.stats.Blocks++
-		s.stats.Bytes += int64(db)
 		s.r.sec(p, "read", start, obsv.Int("bytes", int64(db)))
 		decStart := p.Clock()
 		chargeScan(p, int64(items), "decode")
@@ -209,13 +207,17 @@ func (s *blockStream) read(p *cluster.Proc, skim bool) (blk []itemset.Transactio
 }
 
 // finishReader folds the current partition reader's stats (the partition
-// open and any survived checksum retries) into the stream's and closes it.
+// open, its blocks and bytes, and any survived checksum retries) into the
+// stream's and closes it.  The stream itself counts only what the reader
+// cannot see: stalls and decode time.
 func (s *blockStream) finishReader() error {
 	if s.cur == nil {
 		return nil
 	}
 	st := s.cur.Stats()
 	s.stats.Partitions += st.Partitions
+	s.stats.Blocks += st.Blocks
+	s.stats.Bytes += st.Bytes
 	s.stats.CRCRetries += st.CRCRetries
 	err := s.cur.Close()
 	s.cur = nil

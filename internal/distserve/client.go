@@ -122,12 +122,17 @@ func (c *LocalClient) gate(ctx context.Context) error {
 	return nil
 }
 
-// Recommend implements Client.
+// Recommend implements Client: the node's serve.Server answers, cache,
+// worker pool, metrics and all, with the router's span link on its request
+// span and latency exemplar.  The generation comes from the served snapshot
+// itself, not the node's committed one: a commit racing this query must
+// never relabel old content with the new generation (the router's
+// coherence refresh trusts this label).
 func (c *LocalClient) Recommend(ctx context.Context, basket itemset.Itemset, k int, link string) ([]rules.Rule, uint64, error) {
 	if err := c.gate(ctx); err != nil {
 		return nil, 0, err
 	}
-	return c.node.RecommendLink(basket, k, link)
+	return c.node.srv.RecommendTraced(basket, k, link)
 }
 
 // Prepare implements Client.

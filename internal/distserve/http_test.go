@@ -420,7 +420,7 @@ func FuzzControlPlaneBodies(f *testing.F) {
 			var sb strings.Builder
 			fmt.Fprintf(&sb, "gen %d shards %v rules %d\n", node.Gen(), node.Shards(), node.NumRules())
 			for _, b := range baskets {
-				rs, gen, err := node.Recommend(b, 5)
+				rs, gen, err := node.Server().RecommendTraced(b, 5, "")
 				fmt.Fprintf(&sb, "%v: %d %v %v\n", b, gen, rs, err)
 			}
 			return sb.String()

@@ -110,23 +110,6 @@ func (n *Node) NumRules() int {
 // Close stops the node's serving worker pool.
 func (n *Node) Close() { n.srv.Close() }
 
-// Recommend answers a basket query against the committed snapshot and
-// reports the cluster generation it served from.  It is exactly the node's
-// serve.Server.Recommend — cache, worker pool, metrics and all.
-func (n *Node) Recommend(basket []itemset.Item, k int) ([]rules.Rule, uint64, error) {
-	// The generation comes from the served snapshot itself, not n.gen: a
-	// commit racing this query must never relabel old content with the new
-	// generation (the router's coherence refresh trusts this label).
-	return n.srv.RecommendGen(basket, k)
-}
-
-// RecommendLink is Recommend carrying the router's span link through to the
-// node's request span and latency exemplar, so a slow fan-out leg resolves
-// in the node's flight ring under the same ID the router recorded.
-func (n *Node) RecommendLink(basket []itemset.Item, k int, link string) ([]rules.Rule, uint64, error) {
-	return n.srv.RecommendTraced(basket, k, link)
-}
-
 // Prepare stages the next generation: it applies the delta to a copy of the
 // committed group store (restricted to the shards the node owns after the
 // cut-over), builds the new index off the query path, and holds both until

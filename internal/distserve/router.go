@@ -440,7 +440,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	if gen == 0 {
 		return nil, serve.ErrNoSnapshot
 	}
-	replicas, clients, health := r.replicas, r.clients, r.health
+	replicas, health := r.replicas, r.health
 
 	// The shards this basket can touch: one per distinct item.  Every
 	// antecedent ⊆ basket has its first item in the basket, and a group's
@@ -635,28 +635,13 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 				if !refreshable(a) {
 					continue
 				}
-				o := a.node
 				legs++
 				r.met.fanout.Add(1)
 				r.met.refreshes.Add(1)
-				legStart := r.rc.Now()
-				ctx, cancel := context.WithDeadline(context.Background(), coherenceBy)
-				rs, gen, err := clients[o].Recommend(ctx, b, k, link)
-				cancel()
-				ok := int64(1)
-				if err != nil {
-					ok = 0
-					health[o].observeFailure()
-				} else {
-					health[o].observeSuccess()
-				}
-				r.rc.Record("fanout", obsv.CatRequest, legs, legStart, r.rc.Now(),
-					obsv.String("link", link),
-					obsv.String("node", r.ids[o]),
-					obsv.String("attempt", "refresh"),
-					obsv.Int("ok", ok))
-				if err == nil && gen > a.gen {
-					answers[i] = answer{node: o, rules: rs, gen: gen}
+				health[a.node].outstanding.Add(1)
+				lr := r.call(a.node, legs, "refresh", b, k, link, coherenceBy)
+				if lr.err == nil && lr.gen > a.gen {
+					answers[i] = answer{node: a.node, rules: lr.rules, gen: lr.gen}
 					improved = true
 				}
 			}
@@ -707,15 +692,22 @@ type legResult struct {
 	err   error
 }
 
-// leg runs one fan-out leg against node o under Options.RequestTimeout,
-// feeds the outcome to the node's failure detector and records the leg's
-// span: one per leg, on its own rank track (the router's own spans live on
-// rank 0), whose link attribute ties every leg — primary, retry or hedge —
-// back to its request span.  The caller counted the leg as outstanding.
+// leg runs one fan-out leg against node o under Options.RequestTimeout on
+// its own goroutine and deposits the result in out.
 func (r *Router) leg(o, rank int, attempt string, b itemset.Itemset, k int, link string, out chan<- legResult) {
+	out <- r.call(o, rank, attempt, b, k, link, time.Now().Add(r.opt.RequestTimeout))
+}
+
+// call queries node o until deadline, feeds the outcome to the node's
+// failure detector, counts a timeout and records the leg's span: one per
+// leg, on its own rank track (the router's own spans live on rank 0),
+// whose link attribute ties every leg — primary, retry, hedge or refresh —
+// back to its request span.  The caller counted the leg as outstanding;
+// call ends that count.
+func (r *Router) call(o, rank int, attempt string, b itemset.Itemset, k int, link string, deadline time.Time) legResult {
 	h := r.health[o]
 	legStart := r.rc.Now()
-	ctx, cancel := context.WithTimeout(context.Background(), r.opt.RequestTimeout)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	rs, gen, err := r.clients[o].Recommend(ctx, b, k, link)
 	cancel()
 	h.outstanding.Add(-1)
@@ -735,7 +727,7 @@ func (r *Router) leg(o, rank int, attempt string, b itemset.Itemset, k int, link
 		obsv.String("node", r.ids[o]),
 		obsv.String("attempt", attempt),
 		obsv.Int("ok", ok))
-	out <- legResult{node: o, rules: rs, gen: gen, err: err}
+	return legResult{node: o, rules: rs, gen: gen, err: err}
 }
 
 // answer is one node's reply: its local top-K in RankLess order and the

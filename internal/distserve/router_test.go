@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -194,7 +195,10 @@ func checkMixed(t *testing.T, got *Result, want []rules.Rule) {
 // (antecedent, consequent) the newer copy wins — on s3 against node00, the
 // lower node ID — the answer reports the lower generation and is Mixed.
 // Before the move the same two legs answer from generation 1 alone, and
-// that answer is not Mixed.
+// that answer is not Mixed.  The mixed answer re-asks node00 through
+// refresh legs, each recorded as a fanout span carrying attempt=refresh and
+// the request's link, and no leg is left outstanding once Recommend
+// returns.
 func TestMergeMixedGenerations(t *testing.T) {
 	f := newOverlapFleet(t)
 	got, err := f.router.Recommend(f.basket, serve.MaxK)
@@ -234,6 +238,29 @@ func TestMergeMixedGenerations(t *testing.T) {
 		t.Fatalf("Recommend: %v", err)
 	}
 	checkMixed(t, got, f.expect(t, owned))
+
+	for o, h := range f.router.health {
+		if n := h.outstanding.Load(); n != 0 {
+			t.Errorf("%s has %d legs outstanding after Recommend returned", f.router.ids[o], n)
+		}
+	}
+	link := "q" + strconv.FormatUint(f.router.reqID.Load(), 10)
+	refreshes := 0
+	for _, sp := range f.router.flight.Trace().Spans {
+		if attempt, _ := sp.Arg("attempt"); sp.Name != "fanout" || attempt != "refresh" {
+			continue
+		}
+		refreshes++
+		if l, _ := sp.Arg("link"); l != link {
+			t.Errorf("refresh leg carries link %q, want the request's %q", l, link)
+		}
+		if node, _ := sp.Arg("node"); node != "node00" {
+			t.Errorf("refresh leg asked %s, want the stale node00", node)
+		}
+	}
+	if refreshes == 0 {
+		t.Errorf("no refresh leg recorded for the mixed answer")
+	}
 }
 
 // TestRefreshSkipsFailedCommit checks the coherence refresh leaves alone a

@@ -1,6 +1,7 @@
 package obsv
 
 import (
+	"math"
 	"sort"
 	"sync"
 )
@@ -9,16 +10,17 @@ import (
 // caller passes a non-positive size.
 const DefaultFlightSpans = 256
 
-// Flight is the always-on flight recorder: a bounded ring of the most
-// recently completed spans, per rank, on either clock.  Unlike Collector it
-// never grows — each rank keeps its last N spans and older ones fall off —
-// so a server or miner can record every span unconditionally and dump the
-// recent window on demand (/debug/flight, parminer -flight).
+// Flight is the package's one span store.  It keeps, per rank, the most recently completed spans on either clock, up to
+// a per-rank bound.  A flight ring (NewFlight) never grows past its bound —
+// each rank keeps its last N spans and older ones fall off — so a server or
+// miner can record every span unconditionally and dump the recent window
+// on demand (/debug/flight, parminer -flight).  A Collector (NewCollector)
+// is a Flight whose bound is unlimited, so it keeps every span.
 //
-// Trace() assembles the retained spans exactly the way Collector.Trace does
-// (sorted meta, ranks ascending, each rank's spans in arrival order, then
-// the canonical span sort), so for a deterministic producer the ring dump is
-// byte-stable run to run just like a full trace.
+// Trace() assembles the retained spans in canonical order (sorted meta,
+// ranks ascending, each rank's spans in arrival order, then the canonical
+// span sort), so for a deterministic producer the ring dump is byte-stable
+// run to run just like a full trace.
 type Flight struct {
 	clock Clock
 	cap   int
@@ -28,11 +30,15 @@ type Flight struct {
 	rings map[int]*spanRing
 }
 
-// spanRing is one rank's bounded span buffer: a fixed slice written
-// round-robin, with total the number of spans ever recorded.
+// Collector is the standard in-memory Recorder: a Flight that never evicts.
+type Collector = Flight
+
+// spanRing is one rank's bounded span buffer: appended to until it holds
+// the bound, then written round-robin, with total the number of spans ever
+// recorded.
 type spanRing struct {
 	buf   []Span
-	total int64
+	total int
 }
 
 // NewFlight builds a flight recorder on the given clock retaining up to
@@ -49,18 +55,23 @@ func NewFlight(clock Clock, spansPerRank int) *Flight {
 	}
 }
 
-// Record implements Recorder: an O(1) overwrite of the rank's oldest slot.
+// NewCollector builds a collector for spans on the given clock: a Flight
+// that keeps every span it is given.
+func NewCollector(clock Clock) *Collector { return NewFlight(clock, math.MaxInt) }
+
+// Record implements Recorder: an append until the rank holds its bound,
+// then an O(1) overwrite of the rank's oldest slot.
 func (f *Flight) Record(s Span) {
 	f.mu.Lock()
 	r := f.rings[s.Rank]
 	if r == nil {
-		r = &spanRing{buf: make([]Span, 0, f.cap)}
+		r = &spanRing{}
 		f.rings[s.Rank] = r
 	}
 	if len(r.buf) < f.cap {
 		r.buf = append(r.buf, s)
 	} else {
-		r.buf[r.total%int64(f.cap)] = s
+		r.buf[r.total%f.cap] = s
 	}
 	r.total++
 	f.mu.Unlock()
@@ -90,14 +101,17 @@ func (f *Flight) Dropped() int64 {
 	defer f.mu.Unlock()
 	var d int64
 	for _, r := range f.rings {
-		d += r.total - int64(len(r.buf))
+		d += int64(r.total - len(r.buf))
 	}
 	return d
 }
 
-// Trace assembles the retained window in the same canonical order as
-// Collector.Trace: sorted meta keys, ranks ascending, each rank's spans
-// oldest to newest, then the canonical span sort.
+// Trace assembles the retained spans into canonical order: sorted meta
+// keys, ranks ascending, each rank's spans oldest to newest, then the
+// canonical span sort.  For a deterministic producer (a seeded virtual-time
+// run) the result is byte-stable run to run: each rank's goroutine records
+// its own spans in program order, and the assembly discards the arbitrary
+// interleaving by sorting on span fields alone.
 func (f *Flight) Trace() *Trace {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -117,11 +131,11 @@ func (f *Flight) Trace() *Trace {
 	sort.Ints(ranks)
 	for _, rank := range ranks {
 		r := f.rings[rank]
-		if r.total <= int64(f.cap) {
+		if r.total <= len(r.buf) {
 			t.Spans = append(t.Spans, r.buf...)
 			continue
 		}
-		head := int(r.total % int64(f.cap)) // oldest retained slot
+		head := r.total % f.cap // oldest retained slot
 		t.Spans = append(t.Spans, r.buf[head:]...)
 		t.Spans = append(t.Spans, r.buf[:head]...)
 	}

@@ -16,6 +16,7 @@ func span(rank int, start float64, name string) Span {
 // TestFlightMirrorsCollector: below capacity, a Flight's trace is
 // byte-identical to a Collector's over the same recording sequence — the
 // ring dump is the same format as a full trace, not an approximation of it.
+// Past a default ring's capacity the collector still keeps every span.
 func TestFlightMirrorsCollector(t *testing.T) {
 	fl := NewFlight(ClockVirtual, 64)
 	co := NewCollector(ClockVirtual)
@@ -41,6 +42,25 @@ func TestFlightMirrorsCollector(t *testing.T) {
 	}
 	if !bytes.Equal(fb.Bytes(), cb.Bytes()) {
 		t.Fatalf("flight Perfetto bytes differ from collector's")
+	}
+
+	ring, all := NewFlight(ClockVirtual, 0), NewCollector(ClockVirtual)
+	const perRank = DefaultFlightSpans + 10
+	for _, rec := range []Recorder{ring, all} {
+		for rank := 0; rank < 2; rank++ {
+			for i := 0; i < perRank; i++ {
+				rec.Record(span(rank, float64(i), fmt.Sprintf("s%d", i)))
+			}
+		}
+	}
+	if got, d := all.Len(), all.Dropped(); got != 2*perRank || d != 0 {
+		t.Fatalf("collector kept %d spans, dropped %d; want %d, 0", got, d, 2*perRank)
+	}
+	if got := len(all.Trace().Spans); got != 2*perRank {
+		t.Fatalf("collector trace has %d spans, want %d", got, 2*perRank)
+	}
+	if got, d := ring.Len(), ring.Dropped(); got != 2*DefaultFlightSpans || d != 20 {
+		t.Fatalf("default ring kept %d spans, dropped %d; want %d, 20", got, d, 2*DefaultFlightSpans)
 	}
 }
 

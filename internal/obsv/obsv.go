@@ -15,9 +15,11 @@
 //   - Recorder: the pluggable sink.  The engine phases of internal/core and
 //     the request paths of serve/distserve emit spans into whatever Recorder
 //     the caller installs; a nil recorder costs one branch.
-//   - Collector: the standard Recorder — an in-memory, concurrency-safe
+//   - Flight: the one span store — an in-memory, concurrency-safe per-rank
 //     buffer whose Trace() output is deterministically ordered, so traces of
-//     seeded virtual-time runs are byte-stable run to run.
+//     seeded virtual-time runs are byte-stable run to run.  A flight ring
+//     keeps each rank's newest N spans; a Collector is a Flight that never
+//     evicts.
 //
 // Exporters:
 //
@@ -42,7 +44,6 @@ package obsv
 import (
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Clock identifies which timebase a trace's span times live on.
@@ -174,68 +175,6 @@ func (t *Trace) Ranks() int {
 		}
 	}
 	return max + 1
-}
-
-// Collector is the standard in-memory Recorder.  The zero value is not
-// ready; use NewCollector.
-type Collector struct {
-	clock Clock
-
-	mu     sync.Mutex
-	meta   map[string]string
-	byRank map[int][]Span
-}
-
-// NewCollector builds a collector for spans on the given clock.
-func NewCollector(clock Clock) *Collector {
-	return &Collector{
-		clock:  clock,
-		meta:   make(map[string]string),
-		byRank: make(map[int][]Span),
-	}
-}
-
-// Record implements Recorder.
-func (c *Collector) Record(s Span) {
-	c.mu.Lock()
-	c.byRank[s.Rank] = append(c.byRank[s.Rank], s)
-	c.mu.Unlock()
-}
-
-// SetMeta implements Recorder.
-func (c *Collector) SetMeta(key, value string) {
-	c.mu.Lock()
-	c.meta[key] = value
-	c.mu.Unlock()
-}
-
-// Trace assembles the collected spans into canonical order.  For a
-// deterministic producer (a seeded virtual-time run) the result is
-// byte-stable run to run: each rank's goroutine records its own spans in
-// program order, and the assembly discards the arbitrary interleaving by
-// sorting on span fields alone.
-func (c *Collector) Trace() *Trace {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &Trace{Clock: c.clock}
-	keys := make([]string, 0, len(c.meta))
-	for k := range c.meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		t.Meta = append(t.Meta, Attr{Key: k, Val: c.meta[k]})
-	}
-	ranks := make([]int, 0, len(c.byRank))
-	for r := range c.byRank {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	for _, r := range ranks {
-		t.Spans = append(t.Spans, c.byRank[r]...)
-	}
-	sortSpans(t.Spans)
-	return t
 }
 
 // sortSpans orders spans canonically: rank ascending, then start time, with

@@ -168,23 +168,19 @@ func (s *Server) Index() *Index {
 // ranking is byte-identical across calls, cache hits or misses, pooled or
 // inline execution.
 func (s *Server) Recommend(basket []itemset.Item, k int) ([]rules.Rule, error) {
-	out, _, err := s.RecommendGen(basket, k)
+	out, _, err := s.RecommendTraced(basket, k, "")
 	return out, err
 }
 
-// RecommendGen is Recommend plus the generation of the snapshot the answer
-// was computed from — read atomically with the snapshot, so an answer can
-// never carry a newer generation than its content (the guarantee the
-// distributed router's publish-coherence logic depends on).
-func (s *Server) RecommendGen(basket []itemset.Item, k int) ([]rules.Rule, uint64, error) {
-	return s.RecommendTraced(basket, k, "")
-}
-
-// RecommendTraced is RecommendGen with a caller-propagated span link: the
-// request span and the latency-histogram exemplar both carry it, so a slow
-// request surfaced in /metrics resolves to its causal spans in the flight
-// ring.  The distributed router passes its fan-out link through here; with
-// an empty link the server assigns its own "r<n>" ID.
+// RecommendTraced is Recommend plus two things.  It returns the generation
+// of the snapshot the answer was computed from — read atomically with the
+// snapshot, so an answer can never carry a newer generation than its
+// content (the guarantee the distributed router's publish-coherence logic
+// depends on).  And it takes a caller-propagated span link: the request
+// span and the latency-histogram exemplar both carry it, so a slow request
+// surfaced in /metrics resolves to its causal spans in the flight ring.
+// The distributed router passes its fan-out link through here; with an
+// empty link the server assigns its own "r<n>" ID.
 //
 // A request reads the clock twice, at entry and at exit; its latency
 // sample, its exemplar and its span are all timed from those two reads.

@@ -37,11 +37,12 @@ const (
 
 	// DefaultBlockBytes is the target encoded payload size per block.
 	DefaultBlockBytes = 256 << 10
-
-	// DefaultMaxPartBytes bounds a partition file's size when the writer
-	// rolls partitions by size (Options.Partitions == 0).
-	DefaultMaxPartBytes = 64 << 20
 )
+
+// maxPartBytes bounds a partition file's size when the writer rolls
+// partitions by size (Options.Partitions == 0).  A variable only so tests
+// can lower it.
+var maxPartBytes int64 = 64 << 20
 
 // partFileName returns the canonical partition file name for index i.
 func partFileName(i int) string {

@@ -85,9 +85,11 @@ func TestRoundTripRoundRobin(t *testing.T) {
 }
 
 func TestRoundTripSizeRolled(t *testing.T) {
+	defer func(b int64) { maxPartBytes = b }(maxPartBytes)
+	maxPartBytes = 2048
 	d := testDataset(t, 300)
 	dir := t.TempDir()
-	man, err := Spill(dir, d, Options{BlockBytes: 512, MaxPartBytes: 2048})
+	man, err := Spill(dir, d, Options{BlockBytes: 512})
 	if err != nil {
 		t.Fatalf("spill: %v", err)
 	}

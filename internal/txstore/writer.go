@@ -18,22 +18,16 @@ type Options struct {
 	// Partitions fixes the partition count: transactions are dealt
 	// round-robin across exactly this many files, which balances them
 	// without knowing N up front.  When zero, the writer instead rolls to a
-	// new partition whenever the current file reaches MaxPartBytes.
+	// new partition whenever the current file reaches 64 MiB.
 	Partitions int
 	// BlockBytes is the target encoded payload size per block (default
 	// DefaultBlockBytes).  It bounds a reader's resident set.
 	BlockBytes int
-	// MaxPartBytes bounds partition file size in the size-rolled mode
-	// (default DefaultMaxPartBytes).  Ignored when Partitions > 0.
-	MaxPartBytes int64
 }
 
 func (o Options) withDefaults() Options {
 	if o.BlockBytes <= 0 {
 		o.BlockBytes = DefaultBlockBytes
-	}
-	if o.MaxPartBytes <= 0 {
-		o.MaxPartBytes = DefaultMaxPartBytes
 	}
 	return o
 }
@@ -172,7 +166,7 @@ func (w *writer) add(t itemset.Transaction) error {
 	if w.opt.Partitions > 0 {
 		p = w.parts[w.n%w.opt.Partitions]
 	} else {
-		if len(w.parts) == 0 || w.parts[len(w.parts)-1].bytes >= w.opt.MaxPartBytes {
+		if len(w.parts) == 0 || w.parts[len(w.parts)-1].bytes >= maxPartBytes {
 			// Roll: finish the current partition and start the next.
 			if len(w.parts) > 0 {
 				if err := w.finishPart(w.parts[len(w.parts)-1]); err != nil {

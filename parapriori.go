@@ -415,8 +415,9 @@ type (
 	SpanAttr = obsv.Attr
 	// Recorder is the pluggable span sink a mining run emits into.
 	Recorder = obsv.Recorder
-	// SpanCollector is the standard in-memory Recorder; its Trace() output
-	// is deterministically ordered.
+	// SpanCollector is the standard in-memory Recorder: a FlightRecorder
+	// whose per-rank bound is unlimited, so it keeps every span.  Its
+	// Trace() output is deterministically ordered.
 	SpanCollector = obsv.Collector
 	// SpanTrace is an assembled span log: metadata plus canonically ordered
 	// spans.
@@ -426,8 +427,9 @@ type (
 	PassCost = obsv.PassCost
 	// FlightRecorder is an always-on bounded Recorder: a per-rank ring of
 	// the most recently completed spans, dumpable at any time as the same
-	// byte-deterministic trace a SpanCollector assembles.  Unlike the
-	// collector it never grows, so it can stay installed on every run.
+	// byte-deterministic trace a SpanCollector assembles.  It is the type a
+	// SpanCollector is, with a bound: it never grows past its ring, so it
+	// can stay installed on every run.
 	FlightRecorder = obsv.Flight
 )
 
