@@ -26,6 +26,7 @@ var testHooks = map[string]string{
 	"checkinv.Loader.LoadDir":        "loads each rule's testdata package for the analyzer tests",
 	"hashtree.Tree.Leaves":           "the shape reference for the pair-indexed tree's differential tests",
 	"obsv.Flight.Dropped":            "the flight ring's drop counter, read by its tests",
+	"serve.Server.Flight":            "a server's flight ring, which the request-span tests of serve and distserve dump",
 	"core.OnCarry":                   "tells the carry tests which passes count from the carried bitset index",
 
 	// Section IV's model, checked by its tests against brute-force
@@ -60,13 +61,14 @@ type goFile struct {
 // TestExportedNamesHaveCallers holds every exported function and method of
 // internal/ to having a caller outside its own file in non-test code
 // (DESIGN.md "Knobs"): a package-level F of package p needs a p.F selector
-// in another package or an F in another file of p; a method M needs a .M
-// selector in another file.  A name its own file alone calls should be
-// unexported; one only tests call should go, unless it is a listed test
-// hook, which fails once another file calls .M().  Methods are matched by
-// selector name alone, so one that shares its name with a neighbour's
-// method or field is never flagged.  The root package is out of scope:
-// testdata/api.golden governs it.
+// in another package or an F in another file of p; a method M needs a
+// call .M() in another file, so a field or type of the same name is not
+// one.  A name its own file alone calls should be unexported; one only
+// tests call should go, unless it is a listed test hook, which fails once
+// another file has a caller for it.  Methods are matched by name alone, so
+// one that shares its name with a neighbour's called method is never
+// flagged, and a method used only as a value (f(x.M)) counts as uncalled.
+// The root package is out of scope: testdata/api.golden governs it.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	var files []goFile
@@ -186,13 +188,14 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 				}
 				name, ref = rel+"."+receiverTypeName(fd.Recv)+"."+fd.Name.Name, "."+fd.Name.Name
 			}
+			if fd.Recv != nil {
+				// A method has a caller only through a call: a field or a
+				// type of the same name (a timer's C, a rule's Count) is
+				// not one.
+				ref += "()"
+			}
 			_, hook := testHooks[name]
 			called := calledElsewhere(ref, f.path)
-			if hook && fd.Recv != nil {
-				// A hook gains a caller only through a call: a field of
-				// the same name (a timer's C) is not one.
-				called = calledElsewhere(ref+"()", f.path)
-			}
 			switch {
 			case hook:
 				seen[name] = true

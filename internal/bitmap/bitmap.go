@@ -6,8 +6,6 @@
 // candidate (Section III-C of the paper).
 package bitmap
 
-import "math/bits"
-
 // Bitmap is a fixed-capacity bitset.  The zero value is an empty bitmap of
 // capacity 0; use New to allocate capacity.
 type Bitmap struct {
@@ -36,15 +34,6 @@ func (b *Bitmap) Test(i int) bool {
 		return false
 	}
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// Count returns the number of set bits.
-func (b *Bitmap) Count() int {
-	total := 0
-	for _, w := range b.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
 }
 
 // Reset clears every bit, keeping capacity.

@@ -53,9 +53,6 @@ func New(p int, m Machine) (*Cluster, error) {
 // P returns the number of processors.
 func (c *Cluster) P() int { return len(c.procs) }
 
-// Proc returns processor i.
-func (c *Cluster) Proc(i int) *Proc { return c.procs[i] }
-
 // SetRecorder installs the span sink for subsequent Runs: every processor
 // records each compute, I/O, send, idle, retry and drop slice of its virtual
 // timeline into rec as the slice completes, from its own goroutine.  Nil —

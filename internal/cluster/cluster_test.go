@@ -59,7 +59,7 @@ func TestPointToPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Receiver clock: sender startup (1µs) + transfer (1000 bytes = 1000µs).
-	got := c.Proc(1).Clock()
+	got := c.procs[1].Clock()
 	want := 1e-6 + 1000e-6
 	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("receiver clock = %v, want %v", got, want)
@@ -75,7 +75,7 @@ func TestComputeAndPhases(t *testing.T) {
 		p.Compute(-1, "ignored") // non-positive: no-op
 		return nil
 	})
-	p := c.Proc(0)
+	p := c.procs[0]
 	if p.Clock() != 0.85 {
 		t.Errorf("clock = %v", p.Clock())
 	}
@@ -99,7 +99,7 @@ func TestReadIO(t *testing.T) {
 		p.ReadIO(2e6, "io")
 		return nil
 	})
-	if got := c.Proc(0).Clock(); got != 2.0 {
+	if got := c.procs[0].Clock(); got != 2.0 {
 		t.Errorf("clock = %v, want 2", got)
 	}
 	// Free I/O when IOBandwidth is zero.
@@ -108,7 +108,7 @@ func TestReadIO(t *testing.T) {
 		p.ReadIO(1e9, "io")
 		return nil
 	})
-	if got := c2.Proc(0).Clock(); got != 0 {
+	if got := c2.procs[0].Clock(); got != 0 {
 		t.Errorf("free-I/O clock = %v", got)
 	}
 }
@@ -130,7 +130,7 @@ func TestReceivePortSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.Proc(2).Clock()
+	got := c.procs[2].Clock()
 	want := 1e-6 + 2*1000e-6 // startup + two serialized transfers
 	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("receiver clock = %v, want %v", got, want)
@@ -147,7 +147,7 @@ func TestCongestionMultipliesOccupancy(t *testing.T) {
 		}
 		return nil
 	})
-	got := c.Proc(1).Clock()
+	got := c.procs[1].Clock()
 	want := 1e-6 + 4*1000e-6
 	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("clock = %v, want %v", got, want)
@@ -170,7 +170,7 @@ func TestOverlapHidesTransferUnderCompute(t *testing.T) {
 			}
 			return nil
 		})
-		return c.Proc(1).Clock()
+		return c.procs[1].Clock()
 	}
 	withOverlap := run(true)
 	without := run(false)
@@ -193,7 +193,7 @@ func TestBlockingSendChargesSender(t *testing.T) {
 		return nil
 	})
 	// Sender: blocking transfer (2×1ms) + startup (1µs).
-	got := c.Proc(0).Clock()
+	got := c.procs[0].Clock()
 	want := 2*1000e-6 + 1e-6
 	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("sender clock = %v, want %v", got, want)
@@ -338,7 +338,7 @@ func TestSyncClock(t *testing.T) {
 		p.SyncClock(2) // no-op backwards
 		return nil
 	})
-	p := c.Proc(0)
+	p := c.procs[0]
 	if p.Clock() != 3 {
 		t.Errorf("clock = %v", p.Clock())
 	}

@@ -148,10 +148,10 @@ func TestRankLookup(t *testing.T) {
 	if comm.Size() != 2 {
 		t.Errorf("Size = %d", comm.Size())
 	}
-	if comm.Rank(c.Proc(3)) != 0 || comm.Rank(c.Proc(1)) != 1 {
+	if comm.Rank(c.procs[3]) != 0 || comm.Rank(c.procs[1]) != 1 {
 		t.Error("rank mapping wrong")
 	}
-	if comm.Rank(c.Proc(0)) != -1 {
+	if comm.Rank(c.procs[0]) != -1 {
 		t.Error("non-member should rank -1")
 	}
 	if comm.Member(0) != 3 || comm.Member(1) != 1 {

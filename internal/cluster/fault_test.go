@@ -33,7 +33,7 @@ func reliablePair(t *testing.T, plan *FaultPlan, n int) ([]Message, Stats, []flo
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return got, c.Proc(1).Stats(), c.Clocks()
+	return got, c.procs[1].Stats(), c.Clocks()
 }
 
 func TestReliableDeliversInOrder(t *testing.T) {
@@ -116,7 +116,7 @@ func TestReliableNoPlanIsPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Proc(1).Stats(), c.MaxClock(), c.Proc(0).sendSeq != nil
+		return c.procs[1].Stats(), c.MaxClock(), c.procs[0].sendSeq != nil
 	}
 	m := fastMachine()
 	sp, cp, seqp := run(nil)
@@ -280,7 +280,7 @@ func TestResetAfterFaultedRun(t *testing.T) {
 	if c.MaxClock() != 0 {
 		t.Fatalf("clock after Reset = %v", c.MaxClock())
 	}
-	if c.Proc(0).rec != nil || c.Proc(1).rec != nil {
+	if c.procs[0].rec != nil || c.procs[1].rec != nil {
 		t.Fatal("recorder survived Reset")
 	}
 	// The crash entry must not re-fire (the plan was uninstalled) and the
@@ -315,10 +315,10 @@ func TestResetCommPreservesClocksAndCrashSchedule(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("want CrashError, got %v", err)
 	}
-	clock1 := c.Proc(1).Clock()
+	clock1 := c.procs[1].Clock()
 	c.ResetComm()
 	// Clocks survive; the fired crash entry does not re-fire.
-	if c.Proc(1).Clock() != clock1 {
+	if c.procs[1].Clock() != clock1 {
 		t.Fatalf("ResetComm changed clocks")
 	}
 	if err := c.Run(func(p *Proc) error {

@@ -122,7 +122,7 @@ func TestFaultSlices(t *testing.T) {
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	c := mustNew(1, fastMachine())
-	if c.Proc(0).rec != nil {
+	if c.procs[0].rec != nil {
 		t.Fatal("new cluster has a recorder installed")
 	}
 	// With none installed, recording a slice is a no-op, not a nil call.
@@ -166,7 +166,7 @@ func TestTraceAccountsWholeClock(t *testing.T) {
 				covered += s.Dur()
 			}
 		}
-		clock := c.Proc(pid).Clock()
+		clock := c.procs[pid].Clock()
 		if diff := clock - covered; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("proc %d: clock %v, trace covers %v", pid, clock, covered)
 		}

@@ -33,9 +33,6 @@ type PassCost struct {
 	CriticalPath float64
 }
 
-// Total returns the per-category sum of a PassCost.
-func (c PassCost) Total() float64 { return c.Compute + c.IO + c.Send + c.Idle + c.Retry }
-
 // passInterval is one rank's span of one pass.
 type passInterval struct {
 	k          int

@@ -302,7 +302,7 @@ func TestReloadRoundTrip(t *testing.T) {
 	if code := postJSON(t, ts, "/reload", &e); code != http.StatusInternalServerError {
 		t.Fatalf("failing reload: code %d, want 500", code)
 	}
-	if got := s.Generation(); got != 3 {
+	if got := s.Metrics().SnapshotGeneration; got != 3 {
 		t.Fatalf("failed reload changed the snapshot: generation %d", got)
 	}
 

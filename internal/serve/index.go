@@ -16,11 +16,14 @@
 //     basket query scans one run per distinct basket item the index knows —
 //     every antecedent ⊆ basket has its minimum item in the basket, so no
 //     basket-subset enumeration (2^|basket| work) is ever needed, and each
-//     matching group is visited exactly once.  It marks the basket in a
-//     bitmap over the index's item dictionary, keeps the k smallest firing
-//     ids in a bounded heap, stops scanning wherever every remaining id is
-//     worse than the heap's worst, and builds Rule values for the k
-//     survivors only.
+//     matching group is visited exactly once.  Each group also stores its
+//     reach, the union of its rules' consequents, and a matching group
+//     whose reach the basket holds whole is passed over without walking
+//     its rules: none of them could recommend anything.  A query marks
+//     the basket in a bitmap over the index's item dictionary, keeps the k
+//     smallest firing ids in a bounded heap, stops scanning wherever every
+//     remaining id is worse than the heap's worst, and builds Rule values
+//     for the k survivors only.
 //   - Server: holds the current snapshot (index + generation + query
 //     cache) behind an atomic.Pointer.  Readers never lock; Publish swaps
 //     the whole snapshot, so queries in flight keep the index they started
@@ -76,13 +79,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// group is one distinct antecedent.  Both per-group arrays are laid out in
-// group order, so group g owns Index.ids[groups[g].lo:groups[g+1].lo] and
-// Index.ants[groups[g].ant:groups[g+1].ant]; a sentinel entry closes the
-// last group.
+// group is one distinct antecedent.  The per-group arrays are laid out in
+// group order, so group g owns Index.ids[groups[g].lo:groups[g+1].lo],
+// Index.ants[groups[g].ant:groups[g+1].ant] and
+// Index.reach[groups[g].reach:groups[g+1].reach]; a sentinel entry closes
+// the last group.
 type group struct {
-	lo  int32 // first position of the group's rules in Index.ids/consOff
-	ant int32 // first position of the group's antecedent in Index.ants
+	lo    int32 // first position of the group's rules in Index.ids/consOff
+	ant   int32 // first position of the group's antecedent in Index.ants
+	reach int32 // first position of the group's reach in Index.reach
 }
 
 // Index is an immutable rule index, ready for concurrent basket queries.
@@ -101,6 +106,10 @@ type Index struct {
 	consOff []int32
 	cons    []int32
 	ants    []int32 // every group's antecedent in dictionary ids
+	// reach holds each group's reach: the union of its rules' consequents
+	// in dictionary ids, each item once.  A basket holding all of it can
+	// be recommended nothing by the group.
+	reach []int32
 	// dict numbers the items the rules mention 0..len(dict)-1, so a basket
 	// becomes a bitmap however sparse, large or negative the item ids are.
 	dict map[itemset.Item]int32
@@ -251,7 +260,40 @@ func NewIndex(rs []rules.Rule, _ Options) *Index {
 	}
 	ix.groups = append(ix.groups, group{lo: int32(len(ix.ids)), ant: int32(len(ix.ants))})
 	ix.consOff = append(ix.consOff, int32(len(ix.cons)))
+	ix.layReach()
 	return ix
+}
+
+// layReach fills in every group's reach from the laid-out consequents: one
+// pass counts each group's distinct items, so reach is allocated exactly
+// once, and a second fills it.  A stamp per dictionary item — the last
+// group that took it, plus one — stands in for a per-group set.
+func (ix *Index) layReach() {
+	stamp := make([]int32, len(ix.dict))
+	groupCons := func(g int) []int32 {
+		return ix.cons[ix.consOff[ix.groups[g].lo]:ix.consOff[ix.groups[g+1].lo]]
+	}
+	n := 0
+	for g := range len(ix.groups) - 1 {
+		for _, c := range groupCons(g) {
+			if stamp[c] != int32(g+1) {
+				stamp[c] = int32(g + 1)
+				n++
+			}
+		}
+	}
+	clear(stamp)
+	ix.reach = make([]int32, 0, n)
+	for g := range len(ix.groups) - 1 {
+		ix.groups[g].reach = int32(len(ix.reach))
+		for _, c := range groupCons(g) {
+			if stamp[c] != int32(g+1) {
+				stamp[c] = int32(g + 1)
+				ix.reach = append(ix.reach, c)
+			}
+		}
+	}
+	ix.groups[len(ix.groups)-1].reach = int32(len(ix.reach))
 }
 
 // NumRules returns the number of rules in the index.
@@ -271,6 +313,16 @@ type basketBits struct {
 }
 
 func (b *basketBits) has(d int32) bool { return b.bits[d>>6]&(1<<(d&63)) != 0 }
+
+// hasAll reports whether the basket holds every item of ds.
+func (b *basketBits) hasAll(ds []int32) bool {
+	for _, d := range ds {
+		if !b.has(d) {
+			return false
+		}
+	}
+	return true
+}
 
 // mark translates a basket into buffers the caller provides; items may be
 // unsorted or repeated.  bits must be zero; it is replaced when the
@@ -365,9 +417,12 @@ func siftDown(h []int32, i int) {
 // the basket and the consequent recommends at least one item the basket
 // does not already hold.  The run holds the groups whose antecedent
 // *starts* at d, so over the basket's items a group is tested once and
-// only when its cheapest necessary condition holds.  Both loops stop early,
-// exactly: a run ascends by best id and a group's ids ascend, so past the
-// first id above t.limit — which only falls — nothing can enter.
+// only when its cheapest necessary condition holds.  A group whose
+// antecedent holds is passed over whole when the basket also holds its
+// reach: every consequent is then inside the basket, so none of its rules
+// could be offered.  Both loops stop early, exactly: a run ascends by best
+// id and a group's ids ascend, so past the first id above t.limit — which
+// only falls — nothing can enter.
 //
 //checkinv:hotpath
 func (ix *Index) scan(d int32, b basketBits, t *topK) {
@@ -381,6 +436,9 @@ nextGroup:
 			if !b.has(a) {
 				continue nextGroup
 			}
+		}
+		if b.hasAll(ix.reach[from.reach:to.reach]) {
+			continue
 		}
 	nextRule:
 		for p := from.lo; p < to.lo; p++ {

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"parapriori/internal/apriori"
+	"parapriori/internal/datagen"
 	"parapriori/internal/itemset"
 	"parapriori/internal/rules"
 )
@@ -142,6 +143,63 @@ func heavyRules() (rs []rules.Rule, heavyBasket itemset.Itemset) {
 	return rs, heavyBasket
 }
 
+// minedRules mines a datagen set (apriori.Mine, then rules.Generate) and
+// returns its rules and the set itself, whose transactions are the baskets
+// that exercise a mined rule set best: most groups that fire for one
+// recommend nothing, because the transaction holds every item their
+// consequents name.
+func minedRules(p datagen.Params, minSupport, minConfidence float64) ([]rules.Rule, *itemset.Dataset) {
+	data, err := datagen.Generate(p)
+	if err != nil {
+		panic(err)
+	}
+	res, err := apriori.Mine(data, apriori.Params{MinSupport: minSupport})
+	if err != nil {
+		panic(err)
+	}
+	rs, err := rules.Generate(res, rules.Params{MinConfidence: minConfidence})
+	if err != nil {
+		panic(err)
+	}
+	return rs, data
+}
+
+// minedItem moves a small mined item id clear of the other families' ids.
+func minedItem(it itemset.Item) itemset.Item { return 2000 + it }
+
+// smallMined is a mined rule set small enough for the oracle — a few
+// hundred rules, many with multi-item consequents — and the set's first n
+// transactions as baskets, both moved by minedItem.
+func smallMined(n int) (rs []rules.Rule, baskets []itemset.Itemset) {
+	p := datagen.Defaults()
+	p.NumTransactions, p.NumItems, p.NumPatterns, p.AvgTxnLen, p.AvgPatternLen, p.Seed = 300, 50, 20, 5, 3, 3
+	rs, data := minedRules(p, 0.06, 0.5) // 341 rules, 144 of them with multi-item consequents
+	for _, tx := range data.Transactions[:n] {
+		basket := make(itemset.Itemset, len(tx.Items))
+		for i, it := range tx.Items {
+			basket[i] = minedItem(it)
+		}
+		baskets = append(baskets, basket)
+	}
+	return remapItems(rs, minedItem), baskets
+}
+
+// reachRules is one antecedent, {3000}, whose reach is {3001, 3002, 3003}
+// and whose item 3002 only a two-item consequent names, behind a better
+// rule that recommends 3001 alone.  Rule generation never builds such a
+// group — X ⇒ {x} is at least as confident as X ⇒ Y ∪ {x}, so each item of
+// a mined multi-item consequent is a one-item consequent too — but a
+// covered-group test that reads one reach item, or one rule's consequent,
+// answers it wrongly.  reachCovered holds the whole reach; reachMissOne
+// lacks 3002 alone, so the two-item rule fires and nothing else does.
+func reachRules() (rs []rules.Rule, reachCovered, reachMissOne itemset.Itemset) {
+	rule := func(conf float64, cons ...itemset.Item) rules.Rule {
+		return rules.Rule{Antecedent: itemset.New(3000), Consequent: itemset.New(cons...), Count: 10, Support: 0.1, Confidence: conf, Lift: 1.5}
+	}
+	rs = []rules.Rule{rule(0.9, 3001), rule(0.8, 3001, 3002), rule(0.7, 3003)}
+	return rs, itemset.New(3000, 3001, 3002, 3003), itemset.New(3000, 3001, 3003)
+}
+
 // oracleCase is one rule set and the baskets to ask it.
 type oracleCase struct {
 	name    string
@@ -198,6 +256,14 @@ func oracleCases() []oracleCase {
 		itemset.New(4, -5, 9999),
 		{},
 	}})
+
+	// Mined rules, asked their own transactions and random baskets.
+	mined, own := smallMined(25)
+	cases = append(cases, oracleCase{"mined", mined, append(own, baskets(700, 25, minedItem)...)})
+
+	// A group passed over only when the basket holds all of its reach.
+	reach, covered, missOne := reachRules()
+	cases = append(cases, oracleCase{"reach", reach, []itemset.Itemset{covered, missOne, itemset.New(3000), itemset.New(3000, 3002)}})
 	return cases
 }
 
@@ -245,13 +311,18 @@ func TestRecommendMatchesOracle(t *testing.T) {
 
 // FuzzRecommendMatchesOracle holds the index to the oracle on fuzzed
 // baskets and K over a fixed rule set that combines the awkward shapes:
-// sparse ids, duplicates, and a family of rules one basket fires a
-// thousand of.  Basket bytes pick items two at a time from the rules' own
-// universe plus a few strangers, so most inputs fire something.
+// sparse ids, duplicates, a family of rules one basket fires a thousand
+// of, mined rules with multi-item consequents, and a group one of whose
+// reach items only a two-item consequent names.  Basket bytes pick items
+// two at a time from the rules' own universe plus a few strangers, so most
+// inputs fire something.
 func FuzzRecommendMatchesOracle(f *testing.F) {
 	heavy, heavyBasket := heavyRules()
+	mined, own := smallMined(2)
+	reach, covered, missOne := reachRules()
 	rs := append(remapItems(synthRules(300, 25, 4), sparseItem), heavy...)
 	rs = append(rs, rs[:50]...)
+	rs = append(append(rs, mined...), reach...)
 	universe := []itemset.Item{-5, 50, 9999, math.MaxInt32, math.MinInt32}
 	seen := map[itemset.Item]bool{}
 	for _, r := range rs {
@@ -279,6 +350,10 @@ func FuzzRecommendMatchesOracle(f *testing.F) {
 	f.Add(pick(heavyBasket), -1)
 	f.Add(pick(heavyBasket[:3]), 0)
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 1}, 1)
+	f.Add(pick(own[0]), 10)
+	f.Add(pick(own[1]), -1)
+	f.Add(pick(covered), 10)
+	f.Add(pick(missOne), 10)
 	f.Add([]byte{}, 5)
 	f.Fuzz(func(t *testing.T, raw []byte, k int) {
 		var items []itemset.Item
@@ -403,7 +478,7 @@ func TestIndexBuildDeterministic(t *testing.T) {
 	a := NewIndex(rs, Options{})
 	b := NewIndex(shuffled, Options{})
 	layout := func(ix *Index) []any {
-		return []any{ix.dict, ix.off, ix.groups, ix.ants, ix.ids, ix.consOff, ix.cons}
+		return []any{ix.dict, ix.off, ix.groups, ix.ants, ix.ids, ix.consOff, ix.cons, ix.reach}
 	}
 	if !reflect.DeepEqual(layout(a), layout(b)) {
 		t.Fatal("posting layout depends on input order")
@@ -422,8 +497,10 @@ func TestIndexBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestIndexAccounting checks NumRules and All agree and that every rule is
-// laid out exactly once, in a group some posting run reaches.
+// TestIndexAccounting checks NumRules and All agree, that every rule is
+// laid out exactly once, in a group some posting run reaches, and that each
+// group's reach — on synthetic and on mined rules — is the set of its
+// rules' consequent items, each stored once.
 func TestIndexAccounting(t *testing.T) {
 	rs := synthRules(250, 40, 9)
 	ix := NewIndex(rs, Options{})
@@ -442,6 +519,26 @@ func TestIndexAccounting(t *testing.T) {
 	}
 	if len(ix.ids) != len(rs) {
 		t.Fatalf("%d rules laid out, want %d", len(ix.ids), len(rs))
+	}
+	mined, _ := smallMined(0)
+	for _, ix := range []*Index{ix, NewIndex(mined, Options{})} {
+		for g := range len(ix.groups) - 1 {
+			want := map[int32]bool{}
+			for _, c := range ix.cons[ix.consOff[ix.groups[g].lo]:ix.consOff[ix.groups[g+1].lo]] {
+				want[c] = true
+			}
+			got := ix.reach[ix.groups[g].reach:ix.groups[g+1].reach]
+			held := map[int32]bool{}
+			for _, c := range got {
+				held[c] = true
+			}
+			if len(got) != len(want) || !reflect.DeepEqual(held, want) {
+				t.Fatalf("group %d: reach %v, want each of %v once", g, got, want)
+			}
+		}
+		if n := ix.groups[len(ix.groups)-1].reach; int(n) != len(ix.reach) {
+			t.Fatalf("the sentinel closes reach at %d, want %d", n, len(ix.reach))
+		}
 	}
 	if got := len(ix.All()); got != len(rs) {
 		t.Fatalf("All() has %d rules, want %d", got, len(rs))

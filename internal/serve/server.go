@@ -140,15 +140,6 @@ func (s *Server) publishAt(old *snapshot, idx *Index, gen uint64) bool {
 // of recently completed request/publish spans behind /debug/flight.
 func (s *Server) Flight() *obsv.Flight { return s.flight }
 
-// Generation returns the current snapshot generation, 0 before the first
-// Publish.
-func (s *Server) Generation() uint64 {
-	if snap := s.snap.Load(); snap != nil {
-		return snap.gen
-	}
-	return 0
-}
-
 // Index returns the currently served index, or nil before the first
 // Publish.
 func (s *Server) Index() *Index {

@@ -17,7 +17,7 @@ func TestRecommendBeforePublish(t *testing.T) {
 	if _, err := s.Recommend([]itemset.Item{1}, 5); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("err = %v, want ErrNoSnapshot", err)
 	}
-	if g := s.Generation(); g != 0 {
+	if g := s.Metrics().SnapshotGeneration; g != 0 {
 		t.Fatalf("generation before publish = %d", g)
 	}
 }
