@@ -201,7 +201,7 @@ func TestGenMatchesMapReference(t *testing.T) {
 		var want []itemset.Itemset
 		for i := range prev {
 			for j := i + 1; j < len(prev) && samePrefix(prev[i], prev[j], k1-1); j++ {
-				cand := append(prev[i].Clone(), prev[j][k1-1])
+				cand := append(slices.Clone(prev[i]), prev[j][k1-1])
 				ok := true
 				for drop := range cand {
 					ok = ok && seen[append(cand[:drop:drop], cand[drop+1:]...).Key()]

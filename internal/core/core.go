@@ -25,7 +25,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -568,9 +568,10 @@ func (r *run) assemblePasses() []PassReport {
 }
 
 // sortFrequent orders a frequent level lexicographically, the canonical
-// order apriori.GenFlat requires.
+// order apriori.GenFlat requires.  A level's itemsets are distinct, so the
+// order is total and an unstable sort is deterministic.
 func sortFrequent(level []apriori.Frequent) {
-	sort.Slice(level, func(i, j int) bool { return level[i].Items.Compare(level[j].Items) < 0 })
+	slices.SortFunc(level, func(a, b apriori.Frequent) int { return a.Items.Compare(b.Items) })
 }
 
 // frequentBytes is the modeled wire size of a frequent-itemset list: 4

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"parapriori/internal/bitmap"
 	"parapriori/internal/cluster"
@@ -22,12 +21,15 @@ import (
 // "others" experiment).
 //
 // On the pass skeleton HPA is a placement (placeHashed) and a count step
-// (hpaTable) whose kernel, hpaExchange, is kept as first written: it is the
-// baseline, it has no counting structure for an engine to replace, and it
-// reads the rank's resident shards itself — charging the read after the
-// enumeration, so refitting it to the transaction stream would move every
-// send's timestamp.  It addresses its peers through the column communicator
-// like every other kernel, so a degraded run is a smaller hash ring.
+// (hpaTable) whose kernel, hpaExchange, has no counting structure for an
+// engine to replace: an owner counts each arrival at its position in the
+// owned candidates' Flat (an itemset.FlatIndex finds it), and subsets travel
+// in pages that are Flats of stride k.  Every charge comes from counts, so
+// the host's layout moves none.  The kernel reads the rank's resident shards
+// itself, charging the read after the enumeration: refitting it to the
+// transaction stream would move every send's timestamp.  It addresses its
+// peers through the column communicator like every other kernel, so a
+// degraded run is a smaller hash ring.
 
 // placeHashed keeps the candidates hashing to this row.
 func placeHashed(r *run, _ *cluster.Proc, c candSet, g, row int) share {
@@ -49,53 +51,46 @@ func placeHashed(r *run, _ *cluster.Proc, c candSet, g, row int) share {
 // whose construction stands in for tree construction.
 func hpaTable(_ *run, p *cluster.Proc, cands itemset.Flat, _ *indexCarry) (counter, error) {
 	chargeBuild(p, int64(cands.Len()))
-	return hpaCount{cands: cands}, nil
+	return hpaCount(cands), nil
 }
 
-type hpaCount struct {
-	cands itemset.Flat
-}
+// hpaCount is the owned candidates, counted by hpaExchange.
+type hpaCount itemset.Flat
 
 func (c hpaCount) count(r *run, p *cluster.Proc, col *cluster.Comm, _ string, _ *bitmap.Bitmap, pl *passLocal) ([]int64, error) {
-	counts := make([]int64, c.cands.Len())
-	table := make(map[string]*int64, len(counts))
-	for i := range counts {
-		table[c.cands.At(i).Key()] = &counts[i]
-	}
-	pl.bytesMoved += r.hpaExchange(p, col, c.cands.K, table)
+	counts, sent := r.hpaExchange(p, col, itemset.Flat(c))
+	pl.bytesMoved += sent
 	return counts, nil
 }
 
 // hpaExchange enumerates the potential size-k candidates of each transaction
 // in the shards the rank owns, routes them to their owners on cm in pages,
-// and counts the ones that arrive here.  Returns the bytes this processor
-// sent.
-func (r *run) hpaExchange(p *cluster.Proc, cm *cluster.Comm, k int, counts map[string]*int64) int64 {
-	procs, me := cm.Size(), cm.Rank(p)
+// and counts the ones that arrive here, at their position in owned.  Returns
+// the counts and the bytes this processor sent.
+func (r *run) hpaExchange(p *cluster.Proc, cm *cluster.Comm, owned itemset.Flat) ([]int64, int64) {
+	procs, me, k := cm.Size(), cm.Rank(p), owned.K
 	tag := fmt.Sprintf("k%d/hpa", k)
-
-	// Outgoing buffers, one page per destination.
-	outbuf := make([][]itemset.Itemset, procs)
-	var sent int64
-	subsetBytes := 4 * k
-	pageCap := PageBytes / subsetBytes
-	if pageCap < 1 {
-		pageCap = 1
+	index, counts := owned.Index(), make([]int64, owned.Len())
+	count := func(s itemset.Itemset) {
+		if at := index.Find(s); at >= 0 {
+			counts[at]++
+		}
 	}
+
+	// Outgoing buffers, one page per destination, sent as a Flat of stride
+	// k.  A sent page belongs to its receiver, so the next one starts afresh.
+	outbuf := make([][]itemset.Item, procs)
+	var sent int64
+	pageCap := max(PageBytes/(4*k), 1) // subsets a page
 	flush := func(dst int) {
 		if len(outbuf[dst]) == 0 {
 			return
 		}
-		b := 16 + subsetBytes*len(outbuf[dst])
+		b := 16 + 4*len(outbuf[dst]) // 4 bytes an item
 		dist := cluster.RingDistance(me, dst, procs)
-		p.SendContended(cm.Member(dst), tag, outbuf[dst], b, float64(dist))
+		p.SendContended(cm.Member(dst), tag, itemset.Flat{K: k, Items: outbuf[dst]}, b, float64(dist))
 		sent += int64(b)
 		outbuf[dst] = nil
-	}
-	count := func(s itemset.Itemset) {
-		if c, ok := counts[s.Key()]; ok {
-			*c++
-		}
 	}
 
 	var enumerated, read int64
@@ -109,8 +104,11 @@ func (r *run) hpaExchange(p *cluster.Proc, cm *cluster.Comm, k int, counts map[s
 					count(s)
 					return
 				}
-				outbuf[owner] = append(outbuf[owner], s.Clone())
-				if len(outbuf[owner]) >= pageCap {
+				if outbuf[owner] == nil {
+					outbuf[owner] = make([]itemset.Item, 0, pageCap*k)
+				}
+				outbuf[owner] = append(outbuf[owner], s...)
+				if len(outbuf[owner]) == pageCap*k {
 					flush(owner)
 				}
 			})
@@ -144,32 +142,30 @@ func (r *run) hpaExchange(p *cluster.Proc, cm *cluster.Comm, k int, counts map[s
 			if msg.Tag != tag {
 				panic(fmt.Sprintf("core: hpa proc %d: unexpected tag %q from %d", me, msg.Tag, src))
 			}
-			page := msg.Payload.([]itemset.Itemset)
-			for _, s := range page {
-				count(s)
+			page := msg.Payload.(itemset.Flat)
+			for i := 0; i < page.Len(); i++ {
+				count(page.At(i))
 			}
-			p.Compute(float64(len(page))*m.TCheck, "subset")
+			p.Compute(float64(page.Len())*m.TCheck, "subset")
 		}
 	}
-	return sent
+	return counts, sent
 }
 
-// hpaOwner hashes a candidate itemset to its owning processor.
+// hpaOwner hashes a candidate itemset to its owning processor: 32-bit
+// FNV-1a over each item's four little-endian bytes, modulo procs.
 func hpaOwner(s itemset.Itemset, procs int) int {
-	h := fnv.New32a()
-	var buf [4]byte
+	h := uint32(2166136261)
 	for _, it := range s {
-		buf[0] = byte(it)
-		buf[1] = byte(it >> 8)
-		buf[2] = byte(it >> 16)
-		buf[3] = byte(it >> 24)
-		h.Write(buf[:])
+		for shift := 0; shift < 32; shift += 8 {
+			h = (h ^ uint32(byte(uint32(it)>>shift))) * 16777619
+		}
 	}
-	return int(h.Sum32() % uint32(procs))
+	return int(h % uint32(procs))
 }
 
 // forEachSubset calls fn with every size-k subset of the sorted itemset s.
-// The yielded slice is reused between calls; clone to retain.
+// The yielded slice is reused between calls; copy it to retain it.
 func forEachSubset(s itemset.Itemset, k int, fn func(itemset.Itemset)) {
 	if k <= 0 || k > len(s) {
 		return

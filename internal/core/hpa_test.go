@@ -1,6 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"parapriori/internal/apriori"
@@ -71,7 +75,7 @@ func TestForEachSubset(t *testing.T) {
 	s := itemset.New(1, 2, 3, 4)
 	var got []itemset.Itemset
 	forEachSubset(s, 2, func(sub itemset.Itemset) {
-		got = append(got, sub.Clone())
+		got = append(got, slices.Clone(sub))
 	})
 	want := []itemset.Itemset{
 		{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4},
@@ -131,6 +135,35 @@ func TestHPAOwnerInRangeAndSpread(t *testing.T) {
 	for i, c := range counts {
 		if c < 40 {
 			t.Errorf("processor %d owns only %d of 780 pairs", i, c)
+		}
+	}
+}
+
+// TestHPAOwnerMatchesFNV diffs the inline owner against the standard
+// library's FNV-1a over the same four little-endian bytes per item, so that
+// every itemset keeps the owner it had.
+func TestHPAOwnerMatchesFNV(t *testing.T) {
+	reference := func(s itemset.Itemset, procs int) int {
+		h := fnv.New32a()
+		for _, it := range s {
+			h.Write(binary.LittleEndian.AppendUint32(nil, uint32(it)))
+		}
+		return int(h.Sum32() % uint32(procs))
+	}
+	rng := rand.New(rand.NewSource(51))
+	for k := 1; k <= 6; k++ {
+		for trial := 0; trial < 200; trial++ {
+			items := make([]itemset.Item, k)
+			for i := range items {
+				// Some items above 2^24, so that every byte of an item is mixed.
+				items[i] = itemset.Item(rng.Int31n(1 << 26))
+			}
+			s := itemset.New(items...)
+			for procs := 1; procs <= 64; procs++ {
+				if got, want := hpaOwner(s, procs), reference(s, procs); got != want {
+					t.Fatalf("hpaOwner(%v, %d) = %d, FNV-1a reference %d", s, procs, got, want)
+				}
+			}
 		}
 	}
 }

@@ -90,6 +90,51 @@ func (f Flat) Itemsets() []Itemset {
 	return out
 }
 
+// FlatIndex finds an itemset of a Flat by its items, with no string key: an
+// open-addressed table of positions, at most half full so that a miss ends
+// at an empty slot soon, probed linearly from the itemset's Hash.
+type FlatIndex struct {
+	set   Flat
+	slots []int32 // 1 + the position of the itemset hashed there, 0 when empty
+}
+
+// Index builds the lookup over the itemsets of f, which it shares.
+func (f Flat) Index() FlatIndex {
+	size := 2
+	for size < 2*f.Len() {
+		size *= 2
+	}
+	x := FlatIndex{set: f, slots: make([]int32, size)}
+	for i := 0; i < f.Len(); i++ {
+		if h := x.slot(f.At(i)); x.slots[h] == 0 { // a repeat keeps the first
+			x.slots[h] = int32(i + 1)
+		}
+	}
+	return x
+}
+
+// Find returns the position in the indexed Flat of the first itemset equal
+// to s, or -1 when there is none.  s is only read.
+func (x *FlatIndex) Find(s Itemset) int {
+	if len(s) != x.set.K {
+		return -1
+	}
+	return int(x.slots[x.slot(s)]) - 1
+}
+
+// slot returns the slot of the itemset equal to s, or the empty slot where
+// s would go.
+//
+//checkinv:hotpath
+func (x *FlatIndex) slot(s Itemset) uint64 {
+	mask := uint64(len(x.slots) - 1)
+	h := s.Hash() & mask
+	for x.slots[h] != 0 && !x.set.At(int(x.slots[h]-1)).Equal(s) {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
 // NoPair marks an absent entry of the tables PairIndex returns.  It is so
 // negative that its sum with any present entry (each below 2^30 in
 // magnitude) stays negative.

@@ -256,3 +256,68 @@ func TestFlatCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestFlatIndexMatchesKeyMap diffs Find against a map keyed by Key, the
+// string-keyed table it replaces: the first position of every itemset
+// present, -1 for itemsets absent or of another size, over flats with
+// repeats, sparse and dense item ranges, and none at all.
+func TestFlatIndexMatchesKeyMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	randomSet := func(k int, universe int32) Itemset {
+		for {
+			s := make([]Item, k)
+			for i := range s {
+				s[i] = Item(rng.Int31n(universe))
+			}
+			if s := New(s...); len(s) == k {
+				return s
+			}
+		}
+	}
+	for k := 1; k <= 5; k++ {
+		for _, n := range []int{0, 1, 2, 7, 100, 1500} {
+			for _, universe := range []int32{int32(k) + 6, 1 << 20} {
+				f := Flat{K: k}
+				want := map[string]int{}
+				for i := 0; i < n; i++ {
+					s := randomSet(k, universe)
+					if i > 0 && rng.Intn(8) == 0 {
+						s = f.At(rng.Intn(i)) // a repeat keeps its first position
+					}
+					if _, ok := want[s.Key()]; !ok {
+						want[s.Key()] = i
+					}
+					f.Items = append(f.Items, s...)
+				}
+				x := f.Index()
+				for key, at := range want {
+					if got := x.Find(KeyToItemset(key)); got != at {
+						t.Fatalf("k=%d n=%d: Find(%v) = %d, want %d", k, n, KeyToItemset(key), got, at)
+					}
+				}
+				for trial := 0; trial < 300; trial++ {
+					s := randomSet(k, universe)
+					at, ok := want[s.Key()]
+					if !ok {
+						at = -1
+					}
+					if got := x.Find(s); got != at {
+						t.Fatalf("k=%d n=%d: Find(%v) = %d, want %d", k, n, s, got, at)
+					}
+				}
+				if k > 1 {
+					if got := x.Find(randomSet(k-1, universe)); got != -1 {
+						t.Fatalf("k=%d n=%d: Find of a (k-1)-itemset = %d, want -1", k, n, got)
+					}
+				}
+			}
+		}
+	}
+	empty := Flat{}.Index()
+	if got := empty.Find(New(1)); got != -1 {
+		t.Fatalf("empty Flat: Find = %d, want -1", got)
+	}
+	if got := empty.Find(nil); got != -1 {
+		t.Fatalf("empty Flat: Find(nil) = %d, want -1", got)
+	}
+}

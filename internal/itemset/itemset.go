@@ -47,11 +47,15 @@ func (s Itemset) Valid() bool {
 	return true
 }
 
-// Clone returns an independent copy of s.
-func (s Itemset) Clone() Itemset {
-	c := make(Itemset, len(s))
-	copy(c, s)
-	return c
+// Hash mixes the items of s, multiply-xorshift per item.  It is the one
+// hash an itemset is looked up by.
+func (s Itemset) Hash() uint64 {
+	h := uint64(len(s))
+	for _, it := range s {
+		h = (h ^ uint64(uint32(it))) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h ^ h>>32
 }
 
 // Contains reports whether s contains item it.

@@ -266,15 +266,6 @@ func fromBytes(raw []uint8) Itemset {
 	return New(items...)
 }
 
-func TestCloneIndependent(t *testing.T) {
-	a := New(1, 2, 3)
-	c := a.Clone()
-	c[0] = 99
-	if a[0] != 1 {
-		t.Error("Clone shares backing array")
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := New(3, 1, 5).String(); got != "{1 3 5}" {
 		t.Errorf("String() = %q", got)

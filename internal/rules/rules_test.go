@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"parapriori/internal/apriori"
@@ -136,7 +137,7 @@ func TestRuleMeasuresConsistent(t *testing.T) {
 				t.Fatalf("rule %v has overlapping sides", r)
 			}
 		}
-		union := itemset.New(append(r.Antecedent.Clone(), r.Consequent...)...)
+		union := itemset.New(append(slices.Clone(r.Antecedent), r.Consequent...)...)
 		cu, ok := supports.Lookup(union)
 		if !ok {
 			t.Fatalf("rule %v union not frequent", r)

@@ -190,7 +190,7 @@ func NewIndex(rs []rules.Rule, _ Options) *Index {
 		next[id] = none
 		nCons += len(all[id].Consequent)
 		number(all[id].Consequent)
-		s := int((hashItems(ant) >> 32) * uint64(len(slots)) >> 32)
+		s := int((ant.Hash() >> 32) * uint64(len(slots)) >> 32)
 		for ; ; s++ {
 			if s == len(slots) {
 				s = 0
@@ -216,7 +216,8 @@ func NewIndex(rs []rules.Rule, _ Options) *Index {
 	// empty antecedent: it fires for no basket (rule generation never emits
 	// one), but its rules are still laid out.
 	off := make([]int32, len(ix.dict)+2)
-	bucketOf := slots[:len(heads)] // the table is dead; its memory is not
+	// The table is dead; its memory is not, and holds both of these.
+	bucketOf, order := slots[:len(heads)], slots[len(heads):2*len(heads)]
 	for g, head := range heads {
 		ant := all[head].Antecedent
 		b := int32(len(ix.dict))
@@ -229,7 +230,6 @@ func NewIndex(rs []rules.Rule, _ Options) *Index {
 	for b := 1; b < len(off); b++ {
 		off[b] += off[b-1]
 	}
-	order := make([]int32, len(heads))
 	for g, head := range heads {
 		order[off[bucketOf[g]]] = head
 		off[bucketOf[g]]++
@@ -260,16 +260,18 @@ func NewIndex(rs []rules.Rule, _ Options) *Index {
 	}
 	ix.groups = append(ix.groups, group{lo: int32(len(ix.ids)), ant: int32(len(ix.ants))})
 	ix.consOff = append(ix.consOff, int32(len(ix.cons)))
-	ix.layReach()
+	ix.layReach(slots) // order and bucketOf are dead too
 	return ix
 }
 
 // layReach fills in every group's reach from the laid-out consequents: one
 // pass counts each group's distinct items, so reach is allocated exactly
 // once, and a second fills it.  A stamp per dictionary item — the last
-// group that took it, plus one — stands in for a per-group set.
-func (ix *Index) layReach() {
-	stamp := make([]int32, len(ix.dict))
+// group that took it, plus one — stands in for a per-group set.  The stamps
+// live in spare, memory the caller is done with, when it is large enough.
+func (ix *Index) layReach(spare []int32) {
+	stamp := slices.Grow(spare[:0], len(ix.dict))[:len(ix.dict)]
+	clear(stamp)
 	groupCons := func(g int) []int32 {
 		return ix.cons[ix.consOff[ix.groups[g].lo]:ix.consOff[ix.groups[g+1].lo]]
 	}
@@ -520,28 +522,4 @@ func rankCompare(a, b rules.Rule) int {
 		return 1
 	}
 	return 0
-}
-
-// hashItems hashes an antecedent for the build's chaining table with a
-// splitmix64 absorb-per-byte construction over its canonical key
-// (itemset.Key: four big-endian bytes an item).  The seed is the one the
-// index's retired shard placement defaulted to, so the table probes as it
-// did then.
-func hashItems(s itemset.Itemset) uint64 {
-	h := uint64(0x5ca1ab1e0ddba11)
-	for _, it := range s {
-		for shift := 24; shift >= 0; shift -= 8 {
-			h = splitmix64(h ^ uint64(byte(uint32(it)>>shift)))
-		}
-	}
-	return splitmix64(h)
-}
-
-// splitmix64 is the finalizer of Steele et al.'s SplitMix64 generator, the
-// same mixer the fault-injection layer uses for its per-message decisions.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

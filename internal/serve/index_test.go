@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -248,9 +249,9 @@ func oracleCases() []oracleCase {
 	cases = append(cases, oracleCase{"heavy", heavy, []itemset.Itemset{
 		heavyBasket,
 		heavyBasket[:7],
-		itemset.New(append(heavyBasket.Clone(), -5, 50, 9999, math.MaxInt32)...),
-		itemset.New(append(heavyBasket.Clone(), 100, 101, 102)...), // one consequent left to recommend
-		itemset.New(append(heavyBasket.Clone(), 100, 101, 102, 103)...),
+		itemset.New(append(slices.Clone(heavyBasket), -5, 50, 9999, math.MaxInt32)...),
+		itemset.New(append(slices.Clone(heavyBasket), 100, 101, 102)...), // one consequent left to recommend
+		itemset.New(append(slices.Clone(heavyBasket), 100, 101, 102, 103)...),
 		itemset.New(-5, 50, 9999),
 		itemset.New(4),
 		itemset.New(4, -5, 9999),
@@ -326,7 +327,7 @@ func FuzzRecommendMatchesOracle(f *testing.F) {
 	universe := []itemset.Item{-5, 50, 9999, math.MaxInt32, math.MinInt32}
 	seen := map[itemset.Item]bool{}
 	for _, r := range rs {
-		for _, it := range append(r.Antecedent.Clone(), r.Consequent...) {
+		for _, it := range append(slices.Clone(r.Antecedent), r.Consequent...) {
 			if !seen[it] {
 				seen[it] = true
 				universe = append(universe, it)

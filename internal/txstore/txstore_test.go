@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -105,7 +106,7 @@ func TestRoundTripSizeRolled(t *testing.T) {
 	var got []itemset.Transaction
 	err = s.Blocks(func(blk []itemset.Transaction) error {
 		for _, tx := range blk {
-			got = append(got, itemset.Transaction{ID: tx.ID, Items: tx.Items.Clone()})
+			got = append(got, itemset.Transaction{ID: tx.ID, Items: slices.Clone(tx.Items)})
 		}
 		return nil
 	})
@@ -515,7 +516,7 @@ func TestCRCRetrySurvives(t *testing.T) {
 			t.Fatalf("next after heal: %v", err)
 		}
 		for _, tx := range blk {
-			got = append(got, itemset.Transaction{ID: tx.ID, Items: tx.Items.Clone()})
+			got = append(got, itemset.Transaction{ID: tx.ID, Items: slices.Clone(tx.Items)})
 			items -= len(tx.Items)
 		}
 		if items != 0 {
