@@ -51,7 +51,11 @@
 // The in-process Cluster wiring (goroutine nodes, direct calls) keeps the
 // whole tier testable under -race in the emulated-cluster spirit of the
 // repo; the HTTP transport in http.go runs the same protocol between real
-// processes (cmd/ruleserver -node / -router).
+// processes (cmd/ruleserver -node / -router).  Its bodies are the
+// protocol's own types under their JSON names — a prepare is a
+// PrepareRequest, a node's answer a serve.Answer, the router's a Result —
+// and Node.Prepare is the one check of a prepare, whichever transport
+// carried it: a group the router could never send is refused there.
 package distserve
 
 import (

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"parapriori/internal/itemset"
-	"parapriori/internal/obsv"
 	"parapriori/internal/rules"
 	"parapriori/internal/serve"
 )
@@ -26,63 +25,6 @@ import (
 // representation that round-trips exactly, so quality measures survive the
 // wire bit-for-bit and the distributed ranking stays identical to the
 // in-process one.
-
-// fromWireRules decodes a wire rule list (serve.RuleJSON, the one rules
-// codec of the serving tiers).
-func fromWireRules(ws []serve.RuleJSON) []rules.Rule {
-	if len(ws) == 0 {
-		// nil, not an empty slice: decoded answers must be bit-identical
-		// to the in-process ones, which return nil for "no matches".
-		return nil
-	}
-	out := make([]rules.Rule, len(ws))
-	for i, w := range ws {
-		out[i] = rules.Rule(w)
-	}
-	return out
-}
-
-// groupUpdateWire / groupRefWire / prepareWire are the JSON forms of the
-// publish protocol messages.
-type groupUpdateWire struct {
-	Shard int              `json:"shard"`
-	Rules []serve.RuleJSON `json:"rules"`
-}
-
-type groupRefWire struct {
-	Shard int            `json:"shard"`
-	Ant   []itemset.Item `json:"antecedent"`
-}
-
-type prepareWire struct {
-	Gen     uint64            `json:"generation"`
-	Full    bool              `json:"full"`
-	Owned   []int             `json:"owned"`
-	Upserts []groupUpdateWire `json:"upserts,omitempty"`
-	Removes []groupRefWire    `json:"removes,omitempty"`
-}
-
-func toPrepareWire(req PrepareRequest) prepareWire {
-	w := prepareWire{Gen: req.Gen, Full: req.Full, Owned: req.Owned}
-	for _, up := range req.Upserts {
-		w.Upserts = append(w.Upserts, groupUpdateWire{Shard: up.Shard, Rules: serve.RulesJSON(up.Rules)})
-	}
-	for _, rm := range req.Removes {
-		w.Removes = append(w.Removes, groupRefWire{Shard: rm.Shard, Ant: rm.Ant})
-	}
-	return w
-}
-
-func fromPrepareWire(w prepareWire) PrepareRequest {
-	req := PrepareRequest{Gen: w.Gen, Full: w.Full, Owned: w.Owned}
-	for _, up := range w.Upserts {
-		req.Upserts = append(req.Upserts, GroupUpdate{Shard: up.Shard, Rules: fromWireRules(up.Rules)})
-	}
-	for _, rm := range w.Removes {
-		req.Removes = append(req.Removes, GroupRef{Shard: rm.Shard, Ant: itemset.New(rm.Ant...)})
-	}
-	return req
-}
 
 // Request-body caps of the two control-plane decoders: a prepare carries a
 // node's whole share of a full publish, a commit one generation number.
@@ -111,7 +53,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string
 
 // NodeHandler is a node process's HTTP surface: the control-plane endpoints
 //
-//	POST /shard/prepare   stage a publish generation (prepareWire)
+//	POST /shard/prepare   stage a publish generation (a PrepareRequest)
 //	POST /shard/commit    cut over to a staged generation ({"generation": n})
 //	GET  /shard/state     node identity, generation, owned shards
 //
@@ -123,15 +65,15 @@ func NodeHandler(n *Node) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", n.Server().Handler(nil))
 	mux.HandleFunc("/shard/prepare", serve.Only(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
-		var pw prepareWire
-		if !decodeBody(w, r, maxPrepareBody, "prepare", &pw) {
+		var req PrepareRequest
+		if !decodeBody(w, r, maxPrepareBody, "prepare", &req) {
 			return
 		}
-		if err := n.Prepare(fromPrepareWire(pw)); err != nil {
+		if err := n.Prepare(req); err != nil {
 			serve.WriteError(w, http.StatusConflict, "%v", err)
 			return
 		}
-		serve.WriteJSON(w, http.StatusOK, map[string]any{"staged": pw.Gen})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"staged": req.Gen})
 	}))
 	mux.HandleFunc("/shard/commit", serve.Only(http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
@@ -249,23 +191,23 @@ func (c *HTTPClient) Recommend(ctx context.Context, basket itemset.Itemset, k in
 	for i, it := range basket {
 		items[i] = strconv.Itoa(int(it))
 	}
-	var resp struct {
-		Generation uint64           `json:"generation"`
-		Rules      []serve.RuleJSON `json:"rules"`
-	}
 	path := "/recommend?items=" + url.QueryEscape(strings.Join(items, ",")) + "&k=" + strconv.Itoa(k)
 	if link != "" {
 		path += "&link=" + url.QueryEscape(link)
 	}
-	if err := c.do(ctx, http.MethodGet, path, nil, &resp); err != nil {
+	var a serve.Answer
+	if err := c.do(ctx, http.MethodGet, path, nil, &a); err != nil {
 		return nil, 0, err
 	}
-	return fromWireRules(resp.Rules), resp.Generation, nil
+	if len(a.Rules) == 0 {
+		a.Rules = nil // the in-process "no matches", so both transports answer alike
+	}
+	return a.Rules, a.Generation, nil
 }
 
 // Prepare implements Client via POST /shard/prepare.
 func (c *HTTPClient) Prepare(ctx context.Context, req PrepareRequest) error {
-	return c.do(ctx, http.MethodPost, "/shard/prepare", toPrepareWire(req), nil)
+	return c.do(ctx, http.MethodPost, "/shard/prepare", req, nil)
 }
 
 // Commit implements Client via POST /shard/commit.
@@ -308,27 +250,10 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 			serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
-		serve.WriteJSON(w, http.StatusOK, struct {
-			Generation   uint64           `json:"generation"`
-			Basket       []itemset.Item   `json:"basket"`
-			Rules        []serve.RuleJSON `json:"rules"`
-			Mixed        bool             `json:"mixed,omitempty"`
-			Partial      bool             `json:"partial,omitempty"`
-			MissedShards []int            `json:"missed_shards,omitempty"`
-			NodesQueried int              `json:"nodes_queried"`
-			Retries      int              `json:"retries,omitempty"`
-			Hedges       int              `json:"hedges,omitempty"`
-		}{
-			Generation:   res.Generation,
-			Basket:       itemset.New(basket...),
-			Rules:        serve.RulesJSON(res.Rules),
-			Mixed:        res.Mixed,
-			Partial:      res.Partial,
-			MissedShards: res.MissedShards,
-			NodesQueried: res.NodesQueried,
-			Retries:      res.Retries,
-			Hedges:       res.Hedges,
-		})
+		if res.Rules == nil {
+			res.Rules = []rules.Rule{}
+		}
+		serve.WriteJSON(w, http.StatusOK, res)
 	}))
 	mux.HandleFunc("/healthz", serve.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
 		m := r.Metrics()
@@ -353,14 +278,7 @@ func (r *Router) Handler(reload func() ([]rules.Rule, error)) http.Handler {
 		})
 	}))
 	mux.HandleFunc("/metrics", serve.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
-		if serve.WantsProm(req) {
-			w.Header().Set("Content-Type", obsv.ContentType)
-			pw := obsv.NewPromWriter()
-			r.WriteProm(pw)
-			_, _ = w.Write(pw.Bytes())
-			return
-		}
-		serve.WriteJSON(w, http.StatusOK, r.Metrics())
+		serve.WriteMetrics(w, req, r.Metrics, r.writeProm)
 	}))
 	mux.HandleFunc("/debug/flight", serve.Only(http.MethodGet, func(w http.ResponseWriter, req *http.Request) {
 		serve.WriteFlight(w, r.flight, req.URL.Query().Get("format"))

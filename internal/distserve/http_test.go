@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -156,19 +157,17 @@ func TestHTTPEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET /recommend: HTTP %d", resp.StatusCode)
 		}
-		var body struct {
-			Generation uint64           `json:"generation"`
-			Rules      []serve.RuleJSON `json:"rules"`
-			Partial    bool             `json:"partial"`
-			Extra      map[string]any   `json:"-"`
-		}
+		var body Result
 		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 			t.Fatalf("decode /recommend: %v", err)
 		}
 		if body.Partial {
 			t.Fatalf("unexpected partial over HTTP")
 		}
-		return fromWireRules(body.Rules), map[string]any{"generation": body.Generation}
+		if len(body.Rules) == 0 {
+			body.Rules = nil // [] on the wire is the in-process nil
+		}
+		return body.Rules, map[string]any{"generation": body.Generation}
 	}
 
 	srv1 := singleNode(t, v1, opt)
@@ -357,16 +356,17 @@ func FuzzRecommendQuery(f *testing.F) {
 			case rec.Code != http.StatusOK || parseErr != nil:
 				t.Fatalf("%s %v: HTTP %d %s (decoder error %v)", tier.name, q, rec.Code, body, parseErr)
 			}
-			var resp struct {
-				Rules []serve.RuleJSON `json:"rules"`
-			}
+			var resp serve.Answer
 			if err := json.Unmarshal(body, &resp); err != nil {
 				t.Fatalf("%s %v: %v", tier.name, q, err)
 			}
 			if kk <= 0 {
 				kk = serve.DefaultK
 			}
-			want := serve.RulesJSON(ix.Recommend(itemset.New(basket...), min(kk, serve.MaxK)))
+			want := ix.Recommend(itemset.New(basket...), min(kk, serve.MaxK))
+			if want == nil {
+				want = []rules.Rule{} // "no matches" is [] on the wire
+			}
 			if !reflect.DeepEqual(resp.Rules, want) {
 				t.Fatalf("%s %v:\n got %v\nwant %v", tier.name, q, resp.Rules, want)
 			}
@@ -374,24 +374,129 @@ func FuzzRecommendQuery(f *testing.F) {
 	})
 }
 
+// Prepare bodies naming groups the router could never send.  A node once
+// staged and committed each of them, storing a group under its first rule's
+// antecedent whatever the other rules held.
+var malformedPrepares = []struct{ name, body string }{
+	{"unsorted antecedent", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[5,3],"consequent":[7],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0}]}]}`},
+	{"repeated item", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[3,3],"consequent":[7],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0}]}]}`},
+	{"foreign rule in a group", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[3],"consequent":[7],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0},{"antecedent":[4],"consequent":[8],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0}]}],"removes":[{"shard":0,"antecedent":[4]}]}`},
+	{"empty antecedent", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[],"consequent":[7]}]}]}`},
+	{"empty consequent", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[3],"consequent":[]}]}]}`},
+	{"unsorted consequent", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[3],"consequent":[8,7]}]}]}`},
+	{"consequent overlaps antecedent", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[3,5],"consequent":[5]}]}]}`},
+	{"unsorted removal", `{"generation":2,"owned":[0,1],"removes":[{"shard":0,"antecedent":[4,2]}]}`},
+	{"full publish of an unsorted antecedent", `{"generation":2,"full":true,"owned":[0],"upserts":[{"shard":0,"rules":[{"antecedent":[5,3],"consequent":[]}]}]}`},
+}
+
+// TestPrepareRefusesMalformedGroups: Node.Prepare is the one check of a
+// prepare, so each malformed body is a 409 over HTTP and an error in
+// process, and the node goes on serving its committed generation.
+func TestPrepareRefusesMalformedGroups(t *testing.T) {
+	for _, tc := range malformedPrepares {
+		t.Run(tc.name, func(t *testing.T) {
+			node := controlPlaneNode(t)
+			before := servedState(node)
+			h := NodeHandler(node)
+			for _, step := range []struct{ path, body string }{{"/shard/prepare", tc.body}, {"/shard/commit", `{"generation":2}`}} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, step.path, strings.NewReader(step.body)))
+				if rec.Code != http.StatusConflict {
+					t.Errorf("%s: HTTP %d %s, want 409", step.path, rec.Code, rec.Body)
+				}
+			}
+			var req PrepareRequest
+			if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+				t.Fatal(err)
+			}
+			if err := node.Prepare(req); err == nil {
+				t.Error("Node.Prepare accepted the request")
+			}
+			if after := servedState(node); after != before {
+				t.Errorf("serving changed:\nbefore %s\nafter  %s", before, after)
+			}
+		})
+	}
+}
+
+// controlPlaneNode is a node serving generation 1 of a small rule set over
+// shards 0 and 1.
+func controlPlaneNode(tb testing.TB) *Node {
+	node := NewNode("n0", serve.Options{})
+	tb.Cleanup(node.Close)
+	if err := node.Prepare(controlPlaneGen1()); err != nil {
+		tb.Fatal(err)
+	}
+	if err := node.Commit(1); err != nil {
+		tb.Fatal(err)
+	}
+	return node
+}
+
+func controlPlaneGen1() PrepareRequest {
+	gen1 := PrepareRequest{Gen: 1, Full: true, Owned: []int{0, 1}}
+	for i, g := range serve.Groups(synthRules(60, 12, 7)) {
+		gen1.Upserts = append(gen1.Upserts, GroupUpdate{Shard: i % 2, Rules: g.Rules})
+	}
+	return gen1
+}
+
+// servedState renders what a node serves: its generation, shards and rule
+// count, and its answers to a few baskets, among them those the malformed
+// prepares once reached.
+func servedState(node *Node) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "gen %d shards %v rules %d\n", node.Gen(), node.Shards(), node.NumRules())
+	for _, b := range [][]itemset.Item{{1, 2, 3}, {0, 4, 5, 6, 7}, {8, 9, 10, 11}, {2}, {3, 5}, {3}, {4}} {
+		rs, gen, err := node.Server().RecommendTraced(b, 5, "")
+		fmt.Fprintf(&sb, "%v: %d %v %v\n", b, gen, rs, err)
+	}
+	return sb.String()
+}
+
+// checkGroupStore fails unless every rule the node serves has set-valued
+// itemsets and sits in the stored group of its own antecedent.
+func checkGroupStore(t *testing.T, node *Node) {
+	t.Helper()
+	node.mu.Lock()
+	defer node.mu.Unlock()
+	for s, byKey := range node.groups {
+		for key, rs := range byKey {
+			if err := checkGroup(rs); err != nil {
+				t.Fatalf("shard %d group %v: %v", s, itemset.KeyToItemset(key), err)
+			}
+			if k := rs[0].Antecedent.Key(); k != key {
+				t.Fatalf("shard %d: group of %v stored under %v", s, rs[0].Antecedent, itemset.KeyToItemset(key))
+			}
+		}
+	}
+	for _, r := range node.srv.Index().All() {
+		found := false
+		for _, byKey := range node.groups {
+			found = found || slices.ContainsFunc(byKey[r.Antecedent.Key()], func(g rules.Rule) bool {
+				return g.Consequent.Equal(r.Consequent)
+			})
+		}
+		if !found {
+			t.Fatalf("served rule %v is in no group of its antecedent", r)
+		}
+	}
+}
+
 // FuzzControlPlaneBodies posts arbitrary bytes to a serving node's
 // /shard/prepare and then /shard/commit.  Every answer is 200, 400, 409 or
 // 413 and nothing panics; a prepare never changes what the node serves, and
-// neither does a commit that is refused.
+// neither does a commit that is refused.  Once both are accepted, every
+// served rule's itemsets are sets and the rule sits in the group of its own
+// antecedent.
 func FuzzControlPlaneBodies(f *testing.F) {
 	prepareCap, commitCap := maxPrepareBody, maxCommitBody
 	f.Cleanup(func() { maxPrepareBody, maxCommitBody = prepareCap, commitCap })
 	maxPrepareBody, maxCommitBody = 4<<10, 64 // a 413 within the fuzzer's reach
 
-	rs := synthRules(60, 12, 7)
-	gen1 := PrepareRequest{Gen: 1, Full: true, Owned: []int{0, 1}}
-	for i, g := range serve.Groups(rs) {
-		gen1.Upserts = append(gen1.Upserts, GroupUpdate{Shard: i % 2, Rules: g.Rules})
-	}
-	baskets := [][]itemset.Item{{1, 2, 3}, {0, 4, 5, 6, 7}, {8, 9, 10, 11}, {2}}
-
+	gen1 := controlPlaneGen1()
 	wire := func(req PrepareRequest) []byte {
-		raw, err := json.Marshal(toPrepareWire(req))
+		raw, err := json.Marshal(req)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -407,26 +512,14 @@ func FuzzControlPlaneBodies(f *testing.F) {
 	f.Add([]byte(`not json`), []byte(`{"generation":"2"}`))
 	f.Add([]byte(`{"generation":2,"full":true,"owned":[0],"upserts":[{"shard":0,"rules":[{"antecedent":[5,3],"consequent":[]}]}]}`), []byte(`{"generation":2} trailing`))
 	f.Add([]byte(`{"generation":2,"owned":[0,1`+strings.Repeat(",1", 2100)+`]}`), []byte(`{"generation":2`+strings.Repeat(" ", 60)+`}`))
+	for _, m := range malformedPrepares {
+		f.Add([]byte(m.body), []byte(`{"generation":2}`))
+	}
 	f.Fuzz(func(t *testing.T, prepare, commit []byte) {
-		node := NewNode("n0", serve.Options{})
-		defer node.Close()
-		if err := node.Prepare(gen1); err != nil {
-			t.Fatal(err)
-		}
-		if err := node.Commit(1); err != nil {
-			t.Fatal(err)
-		}
-		served := func() string {
-			var sb strings.Builder
-			fmt.Fprintf(&sb, "gen %d shards %v rules %d\n", node.Gen(), node.Shards(), node.NumRules())
-			for _, b := range baskets {
-				rs, gen, err := node.Server().RecommendTraced(b, 5, "")
-				fmt.Fprintf(&sb, "%v: %d %v %v\n", b, gen, rs, err)
-			}
-			return sb.String()
-		}
+		node := controlPlaneNode(t)
 		h := NodeHandler(node)
-		before := served()
+		before := servedState(node)
+		accepted := 0
 		for _, step := range []struct {
 			path string
 			body []byte
@@ -441,11 +534,17 @@ func FuzzControlPlaneBodies(f *testing.F) {
 			if !json.Valid(rec.Body.Bytes()) {
 				t.Fatalf("%s %q: HTTP %d with a non-JSON body %q", step.path, step.body, rec.Code, rec.Body)
 			}
-			after := served()
+			after := servedState(node)
 			if (rec.Code != http.StatusOK || step.path == "/shard/prepare") && after != before {
 				t.Fatalf("%s %q: HTTP %d changed what the node serves:\nbefore %s\nafter  %s", step.path, step.body, rec.Code, before, after)
 			}
 			before = after
+			if rec.Code == http.StatusOK {
+				accepted++
+			}
+		}
+		if accepted == 2 {
+			checkGroupStore(t, node)
 		}
 	})
 }

@@ -123,12 +123,12 @@ func (r *Router) Metrics() FleetMetrics {
 	return fm
 }
 
-// WriteProm renders the fleet metrics as Prometheus text exposition — the
+// writeProm renders the fleet metrics as Prometheus text exposition — the
 // content-negotiated alternative to the JSON view on the router's /metrics.
 // Router-level counters come out as native families (including the real
 // latency histogram); per-node serving metrics, which arrive pre-aggregated
 // over the node protocol, are labeled gauges/counters keyed by node ID.
-func (r *Router) WriteProm(w *obsv.PromWriter) {
+func (r *Router) writeProm(w *obsv.PromWriter) {
 	m := r.Metrics()
 	w.Gauge("parapriori_router_uptime_seconds", "Seconds since the router started.", m.UptimeSeconds)
 	w.Counter("parapriori_router_queries_total", "Distributed basket queries routed.", float64(m.Queries))

@@ -14,27 +14,27 @@ import (
 // GroupUpdate ships one antecedent group to a node: the shard it lives on
 // and its rules in rank order (the antecedent is Rules[0].Antecedent).
 type GroupUpdate struct {
-	Shard int
-	Rules []rules.Rule
+	Shard int          `json:"shard"`
+	Rules []rules.Rule `json:"rules"`
 }
 
 // GroupRef names a group for removal: its shard and antecedent.
 type GroupRef struct {
-	Shard int
-	Ant   itemset.Itemset
+	Shard int             `json:"shard"`
+	Ant   itemset.Itemset `json:"antecedent"`
 }
 
 // PrepareRequest is phase one of a publish, addressed to one node: the new
 // generation, the shards the node owns after the cut-over, and the delta to
 // apply to its group store.  Full requests drop all prior state first (the
 // full-rebuild path, and the recovery path for a node whose state the
-// router no longer trusts).
+// router no longer trusts).  The JSON names are the /shard/prepare body's.
 type PrepareRequest struct {
-	Gen     uint64
-	Full    bool
-	Owned   []int
-	Upserts []GroupUpdate
-	Removes []GroupRef
+	Gen     uint64        `json:"generation"`
+	Full    bool          `json:"full"`
+	Owned   []int         `json:"owned"`
+	Upserts []GroupUpdate `json:"upserts,omitempty"`
+	Removes []GroupRef    `json:"removes,omitempty"`
 }
 
 // Node is one member of the serving fleet.  It owns a subset of the shards,
@@ -117,7 +117,10 @@ func (n *Node) Close() { n.srv.Close() }
 // newer Prepare replaces any staged one (the abort path: an aborted
 // publish's staged state is simply superseded).  When nothing changed for
 // this node, the committed index is reused instead of rebuilt, so a
-// no-op-for-this-node delta publish costs one map copy.
+// no-op-for-this-node delta publish costs one map copy.  It is the one
+// check of a prepare, whichever transport carried it: an upsert for an
+// unowned shard, a malformed group (checkGroup) or a removal whose
+// antecedent is not a set refuses the whole request and stages nothing.
 func (n *Node) Prepare(req PrepareRequest) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -163,18 +166,49 @@ func (n *Node) Prepare(req PrepareRequest) error {
 		if !ownedSet[up.Shard] {
 			return fmt.Errorf("distserve: node %s: upsert for unowned shard %d", n.id, up.Shard)
 		}
-		if len(up.Rules) == 0 {
-			return fmt.Errorf("distserve: node %s: empty group upsert on shard %d", n.id, up.Shard)
+		if err := checkGroup(up.Rules); err != nil {
+			return fmt.Errorf("distserve: node %s: upsert on shard %d: %w", n.id, up.Shard, err)
 		}
 		next[up.Shard][up.Rules[0].Antecedent.Key()] = up.Rules
 	}
 	for _, rm := range req.Removes {
+		if !rm.Ant.Valid() {
+			return fmt.Errorf("distserve: node %s: removal of %v on shard %d: not a set", n.id, rm.Ant, rm.Shard)
+		}
 		if byKey, ok := next[rm.Shard]; ok {
 			delete(byKey, rm.Ant.Key())
 		}
 	}
 
 	n.stage = &stagedState{gen: req.Gen, groups: next, owned: ownedNew, idx: serve.NewIndex(flatten(next), n.opt)}
+	return nil
+}
+
+// checkGroup refuses a group the router could never send, which the node
+// would store under one key and serve for another basket: the rules must
+// share one non-empty antecedent in strictly increasing order, and each
+// consequent must be non-empty, strictly increasing and disjoint from it.
+func checkGroup(rs []rules.Rule) error {
+	if len(rs) == 0 {
+		return fmt.Errorf("empty group")
+	}
+	ant := rs[0].Antecedent
+	if len(ant) == 0 || !ant.Valid() {
+		return fmt.Errorf("antecedent %v is not a non-empty set", ant)
+	}
+	for _, r := range rs {
+		if !r.Antecedent.Equal(ant) {
+			return fmt.Errorf("rule with antecedent %v in the group of %v", r.Antecedent, ant)
+		}
+		if len(r.Consequent) == 0 || !r.Consequent.Valid() {
+			return fmt.Errorf("consequent %v of %v is not a non-empty set", r.Consequent, ant)
+		}
+		for _, it := range r.Consequent {
+			if ant.Contains(it) {
+				return fmt.Errorf("consequent %v overlaps its antecedent %v", r.Consequent, ant)
+			}
+		}
+	}
 	return nil
 }
 

@@ -343,16 +343,16 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 	return stats, nil
 }
 
-// Result is one distributed basket query's answer.
+// Result is one distributed basket query's answer, and the body of the
+// router's /recommend: a node's serve.Answer, then the routing facts.
 type Result struct {
-	// Rules is the global top-K under rules.RankLess — bit-identical to a
-	// single-node Recommend over the union of the shards that answered.
-	Rules []rules.Rule `json:"rules"`
-	// Generation is the lowest cluster generation among the nodes that
-	// answered; Mixed reports whether they disagreed (a publish was
-	// cutting over mid-query).
-	Generation uint64 `json:"generation"`
-	Mixed      bool   `json:"mixed,omitempty"`
+	// Answer's Rules is the global top-K under rules.RankLess —
+	// bit-identical to a single-node Recommend over the union of the
+	// shards that answered.  Its Generation is the lowest cluster
+	// generation among the nodes that answered; Mixed reports whether
+	// they disagreed (a publish was cutting over mid-query).
+	serve.Answer
+	Mixed bool `json:"mixed,omitempty"`
 	// Partial flags a degraded answer: one or more touched shards had no
 	// reachable replica and MissedShards lists them.  With R replicas this
 	// is the all-replicas-down floor.  The rules that did arrive are
@@ -395,7 +395,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	link := string(strconv.AppendUint(append(lb[:0], 'q'), r.reqID.Add(1), 10))
 	legs, retries, hedges, partial := 0, 0, 0, false
 	b := itemset.New(basket...)
-	res := &Result{}
+	res := &Result{Answer: serve.Answer{Basket: b}}
 	n := len(r.ids)
 	var asked []bool // by ordinal: the node was sent a leg
 	defer func() {

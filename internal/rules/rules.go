@@ -23,15 +23,18 @@ import (
 // likely Y becomes given X than at its base rate (1 means independence) —
 // and Leverage is P(X ∪ Y) − P(X)·P(Y), the absolute co-occurrence excess.
 // Both are derivable from the support index, so persisted results
-// (apriori.WriteResult) carry everything needed to recompute them.
+// (apriori.WriteResult) carry everything needed to recompute them.  The
+// JSON names are the serving tiers' wire form of a rule: Go's encoder
+// writes the shortest float64 text that parses back to the same bits, so a
+// rule survives the wire exactly.
 type Rule struct {
-	Antecedent itemset.Itemset // X
-	Consequent itemset.Itemset // Y
-	Count      int64           // σ(X ∪ Y)
-	Support    float64
-	Confidence float64
-	Lift       float64
-	Leverage   float64
+	Antecedent itemset.Itemset `json:"antecedent"` // X
+	Consequent itemset.Itemset `json:"consequent"` // Y
+	Count      int64           `json:"count"`      // σ(X ∪ Y)
+	Support    float64         `json:"support"`
+	Confidence float64         `json:"confidence"`
+	Lift       float64         `json:"lift"`
+	Leverage   float64         `json:"leverage"`
 }
 
 // String renders the rule as "{1 2} => {3} (sup 0.40, conf 0.66, lift 1.11)".

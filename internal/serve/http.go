@@ -13,30 +13,15 @@ import (
 	"parapriori/internal/rules"
 )
 
-// RuleJSON is the wire form of a rule — the one rules codec of the serving
-// tiers: the single-node API, the node protocol and the router API all
-// carry it.  Quality measures ride along in full (support, confidence, and
-// the newer lift and leverage), so clients rank or filter without
-// re-deriving anything.  The fields are rules.Rule's under their JSON
-// names, so the two types convert directly.
-type RuleJSON struct {
-	Antecedent itemset.Itemset `json:"antecedent"`
-	Consequent itemset.Itemset `json:"consequent"`
-	Count      int64           `json:"count"`
-	Support    float64         `json:"support"`
-	Confidence float64         `json:"confidence"`
-	Lift       float64         `json:"lift"`
-	Leverage   float64         `json:"leverage"`
-}
-
-// RulesJSON encodes a rule list for the wire.  The result is never nil, so
-// "no matches" travels as [] rather than null.
-func RulesJSON(rs []rules.Rule) []RuleJSON {
-	out := make([]RuleJSON, len(rs))
-	for i, r := range rs {
-		out[i] = RuleJSON(r)
-	}
-	return out
+// Answer is the body of a /recommend reply, at every serving tier: the
+// generation that answered, the basket as the server canonicalised it, and
+// the top-K rules.  "No matches" goes out as [] (never null), and a reader
+// turns it back into the nil an in-process query returns.  The router's
+// distserve.Result embeds it first, so its own fields follow these.
+type Answer struct {
+	Generation uint64          `json:"generation"`
+	Basket     itemset.Itemset `json:"basket"`
+	Rules      []rules.Rule    `json:"rules"`
 }
 
 // Handler returns the server's HTTP surface:
@@ -58,7 +43,9 @@ func (s *Server) Handler(reload func() (*Index, error)) http.Handler {
 	mux.HandleFunc("/recommend", Only(http.MethodGet, s.handleRecommend))
 	mux.HandleFunc("/rules", Only(http.MethodGet, s.handleRules))
 	mux.HandleFunc("/healthz", Only(http.MethodGet, s.handleHealthz))
-	mux.HandleFunc("/metrics", Only(http.MethodGet, s.handleMetrics))
+	mux.HandleFunc("/metrics", Only(http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+		WriteMetrics(w, r, s.Metrics, s.writeProm)
+	}))
 	mux.HandleFunc("/debug/flight", Only(http.MethodGet, s.handleFlight))
 	mux.HandleFunc("/reload", Only(http.MethodPost, s.reloadHandler(reload)))
 	return mux
@@ -148,12 +135,10 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	resp := struct {
-		Generation uint64         `json:"generation"`
-		Basket     []itemset.Item `json:"basket"`
-		Rules      []RuleJSON     `json:"rules"`
-	}{Generation: gen, Basket: itemset.New(basket...), Rules: RulesJSON(out)}
-	WriteJSON(w, http.StatusOK, resp)
+	if out == nil {
+		out = []rules.Rule{}
+	}
+	WriteJSON(w, http.StatusOK, Answer{Generation: gen, Basket: itemset.New(basket...), Rules: out})
 }
 
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
@@ -181,7 +166,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		filterItem = it
 	}
 	all := snap.idx.All()
-	sel := make([]RuleJSON, 0, min(limit, len(all))) // limit is the client's: never size by it alone
+	sel := make([]rules.Rule, 0, min(limit, len(all))) // limit is the client's: never size by it alone
 	for _, rr := range all {
 		if filterItem >= 0 && !rr.Antecedent.Contains(filterItem) && !rr.Consequent.Contains(filterItem) {
 			continue
@@ -189,12 +174,12 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		if len(sel) >= limit {
 			break
 		}
-		sel = append(sel, RuleJSON(rr))
+		sel = append(sel, rr)
 	}
 	WriteJSON(w, http.StatusOK, struct {
-		Generation uint64     `json:"generation"`
-		Total      int        `json:"total"`
-		Rules      []RuleJSON `json:"rules"`
+		Generation uint64       `json:"generation"`
+		Total      int          `json:"total"`
+		Rules      []rules.Rule `json:"rules"`
 	}{Generation: snap.gen, Total: snap.idx.NumRules(), Rules: sel})
 }
 
@@ -207,24 +192,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "generation": snap.gen})
 }
 
-// WantsProm reports whether the request negotiates the Prometheus text
-// exposition instead of JSON: any Accept header mentioning a text/plain or
-// OpenMetrics media type (what Prometheus scrapers send) selects text; the
-// JSON view stays the default for bare GETs and API clients.
-func WantsProm(r *http.Request) bool {
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if WantsProm(r) {
+// WriteMetrics answers a /metrics request at any serving tier: the
+// Prometheus text exposition that prom writes when the Accept header names
+// a text/plain or OpenMetrics media type (what Prometheus scrapers send),
+// and metrics() as JSON otherwise — the default for bare GETs and API
+// clients.
+func WriteMetrics[M any](w http.ResponseWriter, r *http.Request, metrics func() M, prom func(*obsv.PromWriter)) {
+	if accept := r.Header.Get("Accept"); strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics") {
 		w.Header().Set("Content-Type", obsv.ContentType)
 		pw := obsv.NewPromWriter()
-		s.WriteProm(pw)
+		prom(pw)
 		_, _ = w.Write(pw.Bytes())
 		return
 	}
-	WriteJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, metrics())
 }
 
 // sanitizeLink accepts a caller-propagated span link only when it is short

@@ -32,7 +32,13 @@
 //     plus K.  The cache lives inside the snapshot, so a swap invalidates
 //     it wholesale by construction.
 //   - metrics: QPS, latency percentiles, hit rates and snapshot
-//     generation, exported as JSON on /metrics.
+//     generation, exported on /metrics as JSON or, when the Accept header
+//     asks for it, Prometheus text (WriteMetrics, the one negotiation of
+//     every serving tier).
+//   - Handler: the HTTP surface.  Each body is one Go type with its own
+//     JSON names: a rule is rules.Rule, a /recommend reply an Answer,
+//     which distserve's router answer embeds, so every tier writes and
+//     reads the same bytes.
 //
 // Unlike the simulation packages, serve runs on the real clock and real
 // goroutines: it is a production subsystem, not an emulation.  Its raw

@@ -195,9 +195,9 @@ func (s *Server) Metrics() Metrics {
 	return m
 }
 
-// WriteProm renders the server's metrics as Prometheus text exposition — the
+// writeProm renders the server's metrics as Prometheus text exposition — the
 // content-negotiated alternative to the JSON view on /metrics.
-func (s *Server) WriteProm(w *obsv.PromWriter) {
+func (s *Server) writeProm(w *obsv.PromWriter) {
 	m := s.Metrics()
 	w.Gauge("parapriori_uptime_seconds", "Seconds since the server started (or metrics were reset).", m.UptimeSeconds)
 	w.Counter("parapriori_queries_total", "Basket queries served.", float64(m.Queries))

@@ -107,50 +107,6 @@ func TestMineFromSources(t *testing.T) {
 	}
 }
 
-// TestOOCBackendBitIdentical is the acceptance property of the out-of-core
-// backend at the public API: for every counting engine and every supported
-// formulation, mining the partitioned store out of core produces the
-// byte-identical WriteResult output of in-memory mining.
-func TestOOCBackendBitIdentical(t *testing.T) {
-	data := sourceFixture(t)
-	store, err := WritePartitionedDataset(filepath.Join(t.TempDir(), "store"), data,
-		PartitionOptions{Partitions: 5, BlockBytes: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Mine(data, MineOptions{MinSupport: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := resultBytes(t, base)
-
-	for _, eng := range CountEngines() {
-		t.Run("serial/"+eng, func(t *testing.T) {
-			res, err := Mine(nil, MineOptions{MinSupport: 0.02, Engine: eng, Source: store})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(resultBytes(t, res), want) {
-				t.Error("serial streaming result differs")
-			}
-		})
-		for _, algo := range []Algorithm{CD, IDD, HD} {
-			t.Run(string(algo)+"/"+eng, func(t *testing.T) {
-				rep, err := MineParallel(nil, ParallelOptions{
-					Algorithm: algo, Procs: 6, Backend: "ooc",
-					MineOptions: MineOptions{MinSupport: 0.02, Engine: eng, Source: store},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(resultBytes(t, rep.Result), want) {
-					t.Error("ooc result differs from in-memory result")
-				}
-			})
-		}
-	}
-}
-
 // TestSourceOptionErrors pins the typed errors of the source/backend seam.
 func TestSourceOptionErrors(t *testing.T) {
 	data := sourceFixture(t)
