@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/cli.golden")
@@ -24,10 +26,13 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// datagen runs the command and returns (exit code, stdout, stderr).
+// datagen runs the command and returns (exit code, stdout, stderr).  A run
+// that outlives a minute is killed and fails the test.
 func datagen(t *testing.T, args ...string) (int, []byte, string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "DATAGEN_TEST_MAIN=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -38,6 +43,9 @@ func datagen(t *testing.T, args ...string) (int, []byte, string) {
 			t.Fatalf("datagen %v: %v", args, err)
 		}
 		code = ee.ExitCode()
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("datagen %v: killed after a minute", args)
 	}
 	return code, stdout.Bytes(), stderr.String()
 }
@@ -102,14 +110,18 @@ func TestGoldenCLI(t *testing.T) {
 }
 
 // TestUsageErrors pins the misuse paths: an unknown format is exit 2, a
-// generator setting that cannot be honoured or an -o that cannot be written
-// is exit 1.
+// generator setting that cannot be honoured — a NaN mean length among
+// them, which once never returned — or an -o that cannot be written is
+// exit 1.
 func TestUsageErrors(t *testing.T) {
 	if code, _, stderr := datagen(t, "-n", "10", "-format", "xml"); code != 2 || !strings.Contains(stderr, `unknown format "xml"`) {
 		t.Errorf("-format xml: exit %d, stderr %q", code, stderr)
 	}
 	if code, _, stderr := datagen(t, "-n", "-1"); code != 1 || !strings.HasPrefix(stderr, "datagen: ") {
 		t.Errorf("-n -1: exit %d, stderr %q", code, stderr)
+	}
+	if code, _, stderr := datagen(t, "-n", "50", "-tlen", "NaN"); code != 1 || !strings.Contains(stderr, "AvgTxnLen") {
+		t.Errorf("-tlen NaN: exit %d, stderr %q", code, stderr)
 	}
 	if _, err := os.Stat("/dev/full"); err == nil {
 		if code, _, stderr := datagen(t, "-n", "10", "-o", "/dev/full"); code != 1 || !strings.HasPrefix(stderr, "datagen: ") {

@@ -73,7 +73,7 @@ func Refuse(field, format string, args ...any) *FieldError {
 // *FieldError naming the first refused one.
 func (p Params) Validate() error {
 	switch {
-	case p.MinSupport <= 0 || p.MinSupport > 1:
+	case !(p.MinSupport > 0 && p.MinSupport <= 1): // a NaN fails it too
 		return Refuse("MinSupport", "%v outside (0, 1]", p.MinSupport)
 	case p.Tree.Fanout < 0:
 		return Refuse("HashTreeFanout", "negative (%d)", p.Tree.Fanout)

@@ -65,8 +65,8 @@ func TestMineMinSupportFilters(t *testing.T) {
 }
 
 // bruteFrequent enumerates frequent itemsets by exhaustive search.
-func bruteFrequent(d *itemset.Dataset, minCount int64) map[string]int64 {
-	out := map[string]int64{}
+func bruteFrequent(d *itemset.Dataset, minCount int64) []Frequent {
+	var out []Frequent
 	var items []itemset.Item
 	for i := 0; i < d.NumItems; i++ {
 		items = append(items, itemset.Item(i))
@@ -89,7 +89,7 @@ func bruteFrequent(d *itemset.Dataset, minCount int64) map[string]int64 {
 			}
 		}
 		if count >= minCount {
-			out[s.Key()] = count
+			out = append(out, Frequent{Items: s, Count: count})
 		}
 	}
 	return out
@@ -117,9 +117,9 @@ func TestMineMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: %d frequent itemsets, brute force found %d", trial, got, len(want))
 		}
 		supports := res.SupportTable()
-		for k, c := range want {
-			if got, _ := supports.Lookup(itemset.KeyToItemset(k)); got != c {
-				t.Errorf("trial %d: %v count %d, want %d", trial, itemset.KeyToItemset(k), got, c)
+		for _, f := range want {
+			if got, _ := supports.Lookup(f.Items); got != f.Count {
+				t.Errorf("trial %d: %v count %d, want %d", trial, f.Items, got, f.Count)
 			}
 		}
 	}

@@ -98,12 +98,12 @@ func TestPairBucketsSoundness(t *testing.T) {
 	if _, _, err := FirstPassSource(d, minCount, pb.addBlock); err != nil {
 		t.Fatal(err)
 	}
-	truth := map[string]int64{}
+	truth := map[[2]itemset.Item]int64{}
 	for _, txn := range d.Transactions {
 		items := txn.Items
 		for i := 0; i < len(items); i++ {
 			for j := i + 1; j < len(items); j++ {
-				truth[itemset.New(items[i], items[j]).Key()]++
+				truth[[2]itemset.Item{items[i], items[j]}]++
 			}
 		}
 	}
@@ -111,7 +111,7 @@ func TestPairBucketsSoundness(t *testing.T) {
 		if count < minCount {
 			continue
 		}
-		pair := itemset.KeyToItemset(key)
+		pair := itemset.New(key[0], key[1])
 		if !pb.admits(pair, minCount) {
 			t.Fatalf("frequent pair %v (count %d) rejected by DHP filter", pair, count)
 		}

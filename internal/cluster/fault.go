@@ -128,43 +128,34 @@ func (fp *FaultPlan) roll(kind faultKind, from, to int, seq int64, attempt int) 
 	return float64(h>>11) / (1 << 53)
 }
 
-// validate rejects plans whose parameters are out of range.
+// validate rejects plans whose parameters are out of range.  Each check is
+// written to fail on NaN, which every comparison is false for.
 func (fp *FaultPlan) validate(p int) error {
-	check := func(name string, v float64) error {
-		if v < 0 || v >= 1 {
-			return fmt.Errorf("cluster: fault plan %s rate %v outside [0, 1)", name, v)
+	for _, rate := range []struct {
+		name string
+		v    float64
+	}{{"Drop", fp.Drop}, {"Dup", fp.Dup}, {"Delay", fp.Delay}, {"Reorder", fp.Reorder}} {
+		if !(rate.v >= 0 && rate.v < 1) {
+			return fmt.Errorf("cluster: fault plan %s rate %v outside [0, 1)", rate.name, rate.v)
 		}
-		return nil
 	}
-	if err := check("Drop", fp.Drop); err != nil {
-		return err
-	}
-	if err := check("Dup", fp.Dup); err != nil {
-		return err
-	}
-	if err := check("Delay", fp.Delay); err != nil {
-		return err
-	}
-	if err := check("Reorder", fp.Reorder); err != nil {
-		return err
-	}
-	if fp.Delay > 0 && fp.DelaySeconds < 0 {
-		return fmt.Errorf("cluster: fault plan DelaySeconds %v negative", fp.DelaySeconds)
+	if fp.Delay > 0 && !(fp.DelaySeconds >= 0) {
+		return fmt.Errorf("cluster: fault plan DelaySeconds %v not a non-negative number", fp.DelaySeconds)
 	}
 	for _, cr := range fp.Crashes {
 		if cr.Rank < 0 || cr.Rank >= p {
 			return fmt.Errorf("cluster: crash rank %d outside [0, %d)", cr.Rank, p)
 		}
-		if cr.At < 0 {
-			return fmt.Errorf("cluster: crash time %v negative", cr.At)
+		if !(cr.At >= 0) {
+			return fmt.Errorf("cluster: crash time %v not a non-negative number", cr.At)
 		}
 	}
 	for _, st := range fp.Stragglers {
 		if st.Rank < 0 || st.Rank >= p {
 			return fmt.Errorf("cluster: straggler rank %d outside [0, %d)", st.Rank, p)
 		}
-		if st.Factor < 1 {
-			return fmt.Errorf("cluster: straggler factor %v below 1", st.Factor)
+		if !(st.Factor >= 1) {
+			return fmt.Errorf("cluster: straggler factor %v not a number of at least 1", st.Factor)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"parapriori/internal/obsv"
@@ -338,6 +339,14 @@ func TestInstallFaultsValidation(t *testing.T) {
 		{Crashes: []Crash{{Rank: 5, At: 1}}},
 		{Crashes: []Crash{{Rank: 0, At: -1}}},
 		{Stragglers: []Straggler{{Rank: 0, At: 0, Factor: 0.5}}},
+		{Drop: math.NaN()},
+		{Dup: math.NaN()},
+		{Delay: math.NaN()},
+		{Reorder: math.NaN()},
+		{Dup: math.Inf(1)},
+		{Delay: 0.5, DelaySeconds: math.NaN()},
+		{Crashes: []Crash{{Rank: 0, At: math.NaN()}}},
+		{Stragglers: []Straggler{{Rank: 0, At: 0, Factor: math.NaN()}}},
 	}
 	for i, plan := range bad {
 		if err := c.InstallFaults(&plan); err == nil {

@@ -38,8 +38,8 @@ func GenerateRules(res *apriori.Result, p int, machine cluster.Machine, minConfi
 	if machine.Name == "" {
 		machine = cluster.T3E()
 	}
-	if minConfidence < 0 || minConfidence > 1 {
-		return nil, fmt.Errorf("core: MinConfidence %v outside [0, 1]", minConfidence)
+	if err := (rules.Params{MinConfidence: minConfidence}).Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	cl, err := cluster.New(p, machine)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"parapriori/internal/apriori"
@@ -62,8 +63,10 @@ func TestParallelRulesSpeedup(t *testing.T) {
 
 func TestParallelRulesValidation(t *testing.T) {
 	res := &apriori.Result{N: 10}
-	if _, err := GenerateRules(res, 2, cluster.Machine{}, 1.5); err == nil {
-		t.Error("invalid confidence accepted")
+	for _, conf := range []float64{1.5, math.NaN()} {
+		if _, err := GenerateRules(res, 2, cluster.Machine{}, conf); err == nil {
+			t.Errorf("confidence %v accepted", conf)
+		}
 	}
 	rep, err := GenerateRules(res, 2, cluster.Machine{}, 0.5)
 	if err != nil {

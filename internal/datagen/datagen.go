@@ -60,19 +60,26 @@ func Defaults() Params {
 }
 
 func (p Params) validate() error {
+	// Each float check is written to fail on NaN, which every comparison
+	// is false for: a NaN mean length never ends poisson's loop.
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 	switch {
 	case p.NumTransactions < 0:
 		return fmt.Errorf("datagen: NumTransactions %d < 0", p.NumTransactions)
 	case p.NumItems <= 0:
 		return fmt.Errorf("datagen: NumItems %d <= 0", p.NumItems)
-	case p.AvgTxnLen <= 0:
-		return fmt.Errorf("datagen: AvgTxnLen %v <= 0", p.AvgTxnLen)
-	case p.AvgPatternLen <= 0:
-		return fmt.Errorf("datagen: AvgPatternLen %v <= 0", p.AvgPatternLen)
+	case !(p.AvgTxnLen > 0 && finite(p.AvgTxnLen)):
+		return fmt.Errorf("datagen: AvgTxnLen %v is not a positive finite number", p.AvgTxnLen)
+	case !(p.AvgPatternLen > 0 && finite(p.AvgPatternLen)):
+		return fmt.Errorf("datagen: AvgPatternLen %v is not a positive finite number", p.AvgPatternLen)
 	case p.NumPatterns <= 0:
 		return fmt.Errorf("datagen: NumPatterns %d <= 0", p.NumPatterns)
-	case p.Correlation < 0 || p.Correlation > 1:
+	case !(p.Correlation >= 0 && p.Correlation <= 1):
 		return fmt.Errorf("datagen: Correlation %v outside [0, 1]", p.Correlation)
+	case !finite(p.CorruptionMean):
+		return fmt.Errorf("datagen: CorruptionMean %v is not a finite number", p.CorruptionMean)
+	case !finite(p.CorruptionDev):
+		return fmt.Errorf("datagen: CorruptionDev %v is not a finite number", p.CorruptionDev)
 	}
 	return nil
 }

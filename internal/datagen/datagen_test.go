@@ -171,6 +171,15 @@ func TestValidation(t *testing.T) {
 		func(p *Params) { p.NumPatterns = 0 },
 		func(p *Params) { p.Correlation = 1.5 },
 		func(p *Params) { p.Correlation = -0.1 },
+		func(p *Params) { p.AvgTxnLen = math.NaN() },
+		func(p *Params) { p.AvgTxnLen = math.Inf(1) },
+		func(p *Params) { p.AvgPatternLen = math.NaN() },
+		func(p *Params) { p.AvgPatternLen = math.Inf(1) },
+		func(p *Params) { p.Correlation = math.NaN() },
+		func(p *Params) { p.CorruptionMean = math.NaN() },
+		func(p *Params) { p.CorruptionMean = math.Inf(-1) },
+		func(p *Params) { p.CorruptionDev = math.NaN() },
+		func(p *Params) { p.CorruptionDev = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		p := small()

@@ -37,11 +37,14 @@
 //     and the surviving shards' rules are ranked exactly as if the lost
 //     rules never existed.
 //
-//   - Delta publish: the router diffs the new rule set's antecedent groups
-//     (serve.Groups) against the previous generation's canonical bytes,
-//     per node, and ships each owner only the groups that changed on its
-//     shards, plus tombstones for vanished groups.  Generations advance cluster-wide;
-//     the cut-over happens only after every owner acknowledged its Prepare.
+//   - Delta publish: the router groups the new rule set by antecedent
+//     (groupRules: rank-sorted by rules.Rank, cut into runs in antecedent
+//     order), walks that list once against the previous generation's,
+//     marking each group changed or not by its canonical bytes and
+//     collecting the vanished ones, and ships each owner only the changed
+//     groups on its shards, plus tombstones for the vanished ones.
+//     Generations advance cluster-wide; the cut-over happens only after
+//     every owner acknowledged its Prepare.
 //
 // Like package serve, distserve runs on the real clock and real goroutines
 // — it is a production subsystem, not an emulation — so raw channels and
@@ -137,15 +140,6 @@ func (o Options) WithDefaults() Options {
 // basket items — the router's fan-out set.
 func (o Options) shardOf(first itemset.Item) int {
 	return int(splitmix64(o.Seed^uint64(uint32(first))) % uint64(o.Shards))
-}
-
-// shardOfKey maps a group key (itemset.Key encoding) to its shard.
-func (o Options) shardOfKey(key string) int {
-	ant := itemset.KeyToItemset(key)
-	if len(ant) == 0 {
-		return 0
-	}
-	return o.shardOf(ant[0])
 }
 
 // PlaceReplicas assigns every shard its top-R owners by rendezvous hashing:

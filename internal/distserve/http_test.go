@@ -435,8 +435,8 @@ func controlPlaneNode(tb testing.TB) *Node {
 
 func controlPlaneGen1() PrepareRequest {
 	gen1 := PrepareRequest{Gen: 1, Full: true, Owned: []int{0, 1}}
-	for i, g := range serve.Groups(synthRules(60, 12, 7)) {
-		gen1.Upserts = append(gen1.Upserts, GroupUpdate{Shard: i % 2, Rules: g.Rules})
+	for i, g := range groupRules(synthRules(60, 12, 7)) {
+		gen1.Upserts = append(gen1.Upserts, GroupUpdate{Shard: i % 2, Rules: g.rules})
 	}
 	return gen1
 }
@@ -463,10 +463,10 @@ func checkGroupStore(t *testing.T, node *Node) {
 	for s, byKey := range node.groups {
 		for key, rs := range byKey {
 			if err := checkGroup(rs); err != nil {
-				t.Fatalf("shard %d group %v: %v", s, itemset.KeyToItemset(key), err)
+				t.Fatalf("shard %d group of key %x: %v", s, key, err)
 			}
 			if k := rs[0].Antecedent.Key(); k != key {
-				t.Fatalf("shard %d: group of %v stored under %v", s, rs[0].Antecedent, itemset.KeyToItemset(key))
+				t.Fatalf("shard %d: group of %v stored under key %x", s, rs[0].Antecedent, key)
 			}
 		}
 	}

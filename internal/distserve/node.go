@@ -2,6 +2,7 @@ package distserve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -135,7 +136,7 @@ func (n *Node) Prepare(req PrepareRequest) error {
 	}
 
 	// Reuse path: same shard set, no content change — keep the live index.
-	if !req.Full && len(req.Upserts) == 0 && len(req.Removes) == 0 && equalInts(ownedNew, n.owned) {
+	if !req.Full && len(req.Upserts) == 0 && len(req.Removes) == 0 && slices.Equal(ownedNew, n.owned) {
 		if idx := n.srv.Index(); idx != nil {
 			n.stage = &stagedState{gen: req.Gen, groups: n.groups, owned: ownedNew, idx: idx}
 			return nil
@@ -254,16 +255,4 @@ func flatten(groups map[int]map[string][]rules.Rule) []rules.Rule {
 		}
 	}
 	return out
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,16 +44,19 @@ type Router struct {
 	// never takes it.
 	pubMu sync.Mutex
 
-	// mu guards the publish state: the published groups' canonical bytes
-	// and per-node bookkeeping.  Queries hold it only to read gen and held.
-	mu    sync.RWMutex
-	canon map[string][]byte
-	// held is, by ordinal, the shards each node holds at gen; a nil entry
-	// means the node's last commit failed, so its state is untrusted (its
-	// next publish resends fully) and it lags gen.  Each publish installs a
-	// new slice and never writes an installed one, so a query reads the
-	// slice it took under mu without the lock.
-	held []map[int]bool
+	// mu guards the publish state: the published groups and per-node
+	// bookkeeping.  Queries hold it only to read gen and held.
+	mu sync.RWMutex
+	// pub is the generation gen as published: its groups in antecedent
+	// order, the list the next publish is diffed against.
+	pub []ruleGroup
+	// held reports, by ordinal, whether the node holds its owned shards'
+	// groups at gen.  False means the node's last commit failed (or it has
+	// had none), so its state is untrusted — its next publish resends
+	// fully — and it lags gen.  Each publish installs a new slice and never
+	// writes an installed one, so a query reads the slice it took under mu
+	// without the lock.
+	held []bool
 	gen  uint64
 
 	probeMu   sync.Mutex    // guards probeStop and probeDone
@@ -97,27 +102,20 @@ func NewRouter(clients []Client, opt Options) (*Router, error) {
 	r.rc = obsv.NewRealClock(r.flight)
 	r.rc.SetMeta("tier", "router")
 	r.met.start = time.Now()
-	byID := make(map[string]Client, len(clients))
-	for _, c := range clients {
-		id := c.ID()
-		if _, dup := byID[id]; dup {
-			return nil, fmt.Errorf("distserve: duplicate node ID %q", id)
+	r.clients = slices.Clone(clients)
+	slices.SortFunc(r.clients, func(a, b Client) int { return strings.Compare(a.ID(), b.ID()) })
+	for i, c := range r.clients {
+		if i > 0 && c.ID() == r.ids[i-1] {
+			return nil, fmt.Errorf("distserve: duplicate node ID %q", c.ID())
 		}
-		byID[id] = c
-		r.ids = append(r.ids, id)
-	}
-	sort.Strings(r.ids)
-	ord := make(map[string]int, len(r.ids))
-	for i, id := range r.ids {
-		ord[id] = i
-		r.clients = append(r.clients, byID[id])
+		r.ids = append(r.ids, c.ID())
 		r.health = append(r.health, &nodeHealth{})
 	}
-	r.held = make([]map[int]bool, len(r.ids))
+	r.held = make([]bool, len(r.ids))
 	for _, reps := range PlaceReplicas(r.opt.Seed, r.opt.Shards, r.opt.Replicas, r.ids) {
 		ords := make([]int, len(reps))
 		for i, id := range reps {
-			ords[i] = ord[id]
+			ords[i], _ = slices.BinarySearch(r.ids, id)
 		}
 		r.replicas = append(r.replicas, ords)
 	}
@@ -180,41 +178,120 @@ type PublishStats struct {
 // failed node aborts the publish with the old generation still serving
 // everywhere.  Rules with empty antecedents are unroutable and unreachable
 // by basket queries (exactly as in the single-node index) and are dropped.
+// The router and in-process nodes keep the rules, so rs must not be
+// modified afterwards; Publish does not reorder it.
 func (r *Router) Publish(rs []rules.Rule, full bool) (PublishStats, error) {
 	r.pubMu.Lock()
 	defer r.pubMu.Unlock()
-	return r.publish(serve.Groups(rs), full)
+	return r.publish(groupRules(rs), full)
 }
 
-// publish runs the two-phase protocol for a prepared group list.  The
-// caller holds pubMu.
-func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error) {
+// ruleGroup is one distinct antecedent and its rules in serving-rank order —
+// the unit of shard placement and delta publishing — with, once a publish
+// has placed it, its shard and canonical bytes.
+type ruleGroup struct {
+	ant   itemset.Itemset
+	rules []rules.Rule
+	shard int
+	canon []byte
+}
+
+// groupRules decomposes a rule set into its antecedent groups in
+// Itemset.Compare order, each rank-sorted, dropping the rules with an empty
+// antecedent (see Publish).  The rules are ranked by rules.Rank, then
+// ordered by antecedent with the rank as the tie-break, so each group is a
+// run in rank order; the result is the same whatever the input order.
+func groupRules(rs []rules.Rule) []ruleGroup {
+	ranked := make([]rules.Rule, 0, len(rs))
+	for _, r := range rs {
+		if len(r.Antecedent) > 0 {
+			ranked = append(ranked, r)
+		}
+	}
+	rules.Rank(ranked)
+	at := make([]int32, len(ranked))
+	for i := range at {
+		at[i] = int32(i)
+	}
+	slices.SortFunc(at, func(a, b int32) int {
+		if c := ranked[a].Antecedent.Compare(ranked[b].Antecedent); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	grouped := make([]rules.Rule, len(ranked))
+	for i, a := range at {
+		grouped[i] = ranked[a]
+	}
+	var out []ruleGroup
+	for lo := 0; lo < len(grouped); {
+		ant, hi := grouped[lo].Antecedent, lo+1
+		for hi < len(grouped) && grouped[hi].Antecedent.Equal(ant) {
+			hi++
+		}
+		out = append(out, ruleGroup{ant: ant, rules: grouped[lo:hi:hi]})
+		lo = hi
+	}
+	return out
+}
+
+// canonical returns the group's canonical byte encoding: the antecedent's
+// key bytes (Itemset.AppendKey), then each rule's consequent key bytes,
+// count and quality measures (IEEE-754 bits), every variable-length field
+// length-prefixed.  Two groups encode to the same bytes iff they hold the
+// same antecedent and the same rules in the same rank order, so canonical
+// bytes are the change detector for delta publishing — and their length is
+// the wire-cost measure of shipping the group.
+func (g ruleGroup) canonical() []byte {
+	n := 8 + 4*len(g.ant)
+	for _, r := range g.rules {
+		n += 8 + 4*len(r.Consequent) + 8 + 4*8
+	}
+	dst := make([]byte, 0, n)
+	dst = binary.AppendUvarint(dst, uint64(4*len(g.ant)))
+	dst = g.ant.AppendKey(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(g.rules)))
+	for _, r := range g.rules {
+		dst = binary.AppendUvarint(dst, uint64(4*len(r.Consequent)))
+		dst = r.Consequent.AppendKey(dst)
+		dst = binary.AppendVarint(dst, r.Count)
+		for _, f := range [4]float64{r.Support, r.Confidence, r.Lift, r.Leverage} {
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
+		}
+	}
+	return dst
+}
+
+// publish runs the two-phase protocol for a group list in antecedent
+// order.  The caller holds pubMu.
+func (r *Router) publish(next []ruleGroup, full bool) (PublishStats, error) {
 	ids := r.ids
 	r.mu.RLock()
-	prevCanon := r.canon
-	prevKeys := make([]string, 0, len(prevCanon))
-	for k := range prevCanon {
-		prevKeys = append(prevKeys, k)
-	}
-	sort.Strings(prevKeys)
-	held := r.held
+	prev, held := r.pub, r.held
 	newGen := r.gen + 1
 	r.mu.RUnlock()
 
-	// Canonical bytes and shard of every new group; empty antecedents are
-	// dropped (see Publish).
-	kept := next[:0:0]
-	canonOf := make(map[string][]byte, len(next))
-	shardOf := make(map[string]int, len(next))
-	for _, g := range next {
-		if len(g.Ant) == 0 {
-			continue
+	// Place each group, and walk the two antecedent-ordered lists once:
+	// changed[i] reports whether group i differs from what the previous
+	// generation published under its antecedent, and gone lists the
+	// previous groups whose antecedent vanished, in antecedent order.
+	changed := make([]bool, len(next))
+	var gone []ruleGroup
+	j := 0
+	for i := range next {
+		g := &next[i]
+		g.shard, g.canon = r.opt.shardOf(g.ant[0]), g.canonical()
+		for j < len(prev) && prev[j].ant.Compare(g.ant) < 0 {
+			gone = append(gone, prev[j])
+			j++
 		}
-		kept = append(kept, g)
-		canonOf[g.Key] = g.Canonical()
-		shardOf[g.Key] = r.opt.shardOf(g.Ant[0])
+		changed[i] = true
+		if j < len(prev) && prev[j].ant.Equal(g.ant) {
+			changed[i] = !bytes.Equal(prev[j].canon, g.canon)
+			j++
+		}
 	}
-	next = kept
+	gone = append(gone, prev[j:]...)
 
 	// Shards owned by each node under the current placement: every node in
 	// a shard's replica set owns it, so publishes fan the shard's groups to
@@ -226,46 +303,33 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 		}
 	}
 
-	// Assemble one PrepareRequest per node.
+	// Assemble one PrepareRequest per node: a node that holds the previous
+	// generation gets its shards' changed groups and tombstones, any other
+	// all of its shards' groups.
 	stats := PublishStats{Gen: newGen, Full: full, Groups: len(next), Nodes: len(ids)}
 	reqs := make([]PrepareRequest, len(ids))
+	owns := make([]bool, r.opt.Shards)
 	for i := range ids {
-		heldShards := held[i]
-		fullNode := full || heldShards == nil
+		fullNode := full || !held[i]
 		req := PrepareRequest{Gen: newGen, Full: fullNode, Owned: owned[i]}
-		ownedSet := make(map[int]bool, len(owned[i]))
+		clear(owns)
 		for _, s := range owned[i] {
-			ownedSet[s] = true
+			owns[s] = true
 		}
-		for _, g := range next {
-			s := shardOf[g.Key]
-			if !ownedSet[s] {
-				continue
+		for gi, g := range next {
+			if owns[g.shard] && (fullNode || changed[gi]) {
+				req.Upserts = append(req.Upserts, GroupUpdate{Shard: g.shard, Rules: g.rules})
+				stats.Upserts++
+				stats.Bytes += int64(len(g.canon))
 			}
-			switch {
-			case fullNode, !heldShards[s]:
-				// Node has nothing for this shard: ship the group.
-			default:
-				if prev, ok := prevCanon[g.Key]; ok && bytes.Equal(prev, canonOf[g.Key]) {
-					continue
-				}
-			}
-			req.Upserts = append(req.Upserts, GroupUpdate{Shard: s, Rules: g.Rules})
-			stats.Upserts++
-			stats.Bytes += int64(len(canonOf[g.Key]))
 		}
 		if !fullNode {
-			for _, k := range prevKeys {
-				if _, still := canonOf[k]; still {
-					continue
+			for _, g := range gone {
+				if owns[g.shard] {
+					req.Removes = append(req.Removes, GroupRef{Shard: g.shard, Ant: g.ant})
+					stats.Removes++
+					stats.Bytes += int64(4*len(g.ant)) + 4
 				}
-				s := r.opt.shardOfKey(k)
-				if !ownedSet[s] || !heldShards[s] {
-					continue
-				}
-				req.Removes = append(req.Removes, GroupRef{Shard: s, Ant: itemset.KeyToItemset(k)})
-				stats.Removes++
-				stats.Bytes += int64(len(k)) + 4
 			}
 		}
 		reqs[i] = req
@@ -319,21 +383,17 @@ func (r *Router) publish(next []serve.RuleGroup, full bool) (PublishStats, error
 		obsv.Int("nodes", int64(len(ids))))
 
 	var failed []string
-	nextHeld := make([]map[int]bool, len(ids))
+	nextHeld := make([]bool, len(ids))
 	for i, id := range ids {
 		if commitErrs[i] != nil {
 			failed = append(failed, id)
 			continue
 		}
-		set := make(map[int]bool, len(owned[i]))
-		for _, s := range owned[i] {
-			set[s] = true
-		}
-		nextHeld[i] = set
+		nextHeld[i] = true
 	}
 	r.mu.Lock()
 	r.gen = newGen
-	r.canon = canonOf
+	r.pub = next
 	r.held = nextHeld
 	r.mu.Unlock()
 
@@ -626,7 +686,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 			for _, a := range answers {
 				maxGen = max(maxGen, a.gen)
 			}
-			refreshable := func(a answer) bool { return a.gen < maxGen && held[a.node] != nil }
+			refreshable := func(a answer) bool { return a.gen < maxGen && held[a.node] }
 			if !slices.ContainsFunc(answers, refreshable) || !time.Now().Before(coherenceBy) {
 				break
 			}

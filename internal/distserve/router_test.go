@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -221,9 +222,9 @@ func TestMergeMixedGenerations(t *testing.T) {
 	}
 	req := PrepareRequest{Gen: 2, Full: true, Owned: owns}
 	opt := f.router.opt
-	for _, g := range serve.Groups(f.v2) {
-		if s := opt.shardOf(g.Ant[0]); owned[s] {
-			req.Upserts = append(req.Upserts, GroupUpdate{Shard: s, Rules: g.Rules})
+	for _, g := range groupRules(f.v2) {
+		if s := opt.shardOf(g.ant[0]); owned[s] {
+			req.Upserts = append(req.Upserts, GroupUpdate{Shard: s, Rules: g.rules})
 		}
 	}
 	if err := f.nodes[2].Prepare(req); err != nil {
@@ -422,5 +423,40 @@ func BenchmarkRouterRecommend(b *testing.B) {
 				sinkResult, _ = c.Router.Recommend(basket, 10)
 			}
 		})
+	}
+}
+
+// TestNewRouterMembership: a router orders its members by ID whatever order
+// the clients come in, places replicas by ordinal into that order, and
+// refuses an empty membership and a repeated ID.
+func TestNewRouterMembership(t *testing.T) {
+	var clients []Client
+	for _, id := range []string{"node02", "node00", "node01"} {
+		n := NewNode(id, serve.Options{})
+		t.Cleanup(n.Close)
+		clients = append(clients, &LocalClient{node: n})
+	}
+	opt := Options{Shards: 6, Replicas: 2}
+	r, err := NewRouter(clients, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := r.NodeIDs(); !slices.Equal(ids, []string{"node00", "node01", "node02"}) {
+		t.Fatalf("members %v, want them sorted", ids)
+	}
+	for o, c := range r.clients {
+		if c.ID() != r.ids[o] {
+			t.Fatalf("client %s at ordinal %d of %s", c.ID(), o, r.ids[o])
+		}
+	}
+	opt = opt.WithDefaults()
+	if want := PlaceReplicas(opt.Seed, opt.Shards, opt.Replicas, r.ids); !reflect.DeepEqual(r.Replicas(), want) {
+		t.Fatalf("replicas %v, want %v", r.Replicas(), want)
+	}
+	if _, err := NewRouter(nil, opt); err == nil {
+		t.Error("router with no nodes accepted")
+	}
+	if _, err := NewRouter(append(clients, clients[1]), opt); err == nil || !strings.Contains(err.Error(), `duplicate node ID "node00"`) {
+		t.Errorf("repeated node00: %v", err)
 	}
 }

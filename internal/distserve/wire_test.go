@@ -120,8 +120,8 @@ func wireBodies(t *testing.T) []wireBody {
 	node := NewNode("wire", serve.Options{})
 	t.Cleanup(node.Close)
 	req := PrepareRequest{Gen: 1, Full: true, Owned: []int{0}}
-	for _, g := range serve.Groups(wireRules()) {
-		req.Upserts = append(req.Upserts, GroupUpdate{Shard: 0, Rules: g.Rules})
+	for _, g := range groupRules(wireRules()) {
+		req.Upserts = append(req.Upserts, GroupUpdate{Shard: 0, Rules: g.rules})
 	}
 	if err := node.Prepare(req); err != nil {
 		t.Fatal(err)

@@ -290,9 +290,10 @@ func TestFlatIndexMatchesKeyMap(t *testing.T) {
 					f.Items = append(f.Items, s...)
 				}
 				x := f.Index()
-				for key, at := range want {
-					if got := x.Find(KeyToItemset(key)); got != at {
-						t.Fatalf("k=%d n=%d: Find(%v) = %d, want %d", k, n, KeyToItemset(key), got, at)
+				for i := 0; i < f.Len(); i++ {
+					s := f.At(i)
+					if got, at := x.Find(s), want[s.Key()]; got != at {
+						t.Fatalf("k=%d n=%d: Find(%v) = %d, want %d", k, n, s, got, at)
 					}
 				}
 				for trial := 0; trial < 300; trial++ {

@@ -167,15 +167,6 @@ func (s Itemset) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// KeyToItemset decodes a key produced by Key.
-func KeyToItemset(key string) Itemset {
-	s := make(Itemset, 0, len(key)/4)
-	for i := 0; i+4 <= len(key); i += 4 {
-		s = append(s, Item(binary.BigEndian.Uint32([]byte(key[i:i+4]))))
-	}
-	return s
-}
-
 // String renders s as "{1 3 5}".
 func (s Itemset) String() string {
 	var b strings.Builder

@@ -200,14 +200,21 @@ func TestMinus(t *testing.T) {
 	}
 }
 
-func TestKeyRoundTrip(t *testing.T) {
-	f := func(raw []uint16) bool {
+// TestKeyIdentifiesItemset: two itemsets share a key exactly when they are
+// equal, and AppendKey writes the key's bytes.
+func TestKeyIdentifiesItemset(t *testing.T) {
+	set := func(raw []uint16) Itemset {
 		items := make([]Item, len(raw))
 		for i, r := range raw {
 			items[i] = Item(r)
 		}
-		s := New(items...)
-		return KeyToItemset(s.Key()).Equal(s)
+		return New(items...)
+	}
+	f := func(a, b []uint16) bool {
+		s, u := set(a), set(b)
+		same := set(append(append([]uint16(nil), a...), a...)) // s again, built anew
+		return (s.Key() == u.Key()) == s.Equal(u) && s.Key() == same.Key() &&
+			string(s.AppendKey([]byte("x"))) == "x"+s.Key()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

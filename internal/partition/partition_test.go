@@ -121,7 +121,7 @@ func TestBinPackBalances(t *testing.T) {
 	}
 	for k, n := range seen {
 		if n != 1 {
-			t.Errorf("candidate %v assigned %d times", itemset.KeyToItemset(k), n)
+			t.Errorf("candidate of key %x assigned %d times", k, n)
 		}
 	}
 }

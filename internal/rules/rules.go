@@ -48,6 +48,16 @@ type Params struct {
 	MinConfidence float64
 }
 
+// Validate returns nil or a *apriori.FieldError naming the refused field.
+// It is the one check of a confidence threshold: Generate, core's parallel
+// step and the root's RuleGenOptions all call it, and a NaN is refused.
+func (p Params) Validate() error {
+	if !(p.MinConfidence >= 0 && p.MinConfidence <= 1) {
+		return apriori.Refuse("MinConfidence", "%v outside [0, 1]", p.MinConfidence)
+	}
+	return nil
+}
+
 // Generate derives every association rule meeting the confidence threshold
 // from the frequent itemsets of a mining result.  For each frequent itemset
 // f it starts from 1-item consequents and grows consequents level-wise with
@@ -57,11 +67,11 @@ type Params struct {
 // Rules are returned sorted by descending confidence, then descending
 // support, then antecedent order, so the strongest rules come first.
 func Generate(res *apriori.Result, p Params) ([]Rule, error) {
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("rules: %w", err)
+	}
 	if res.N == 0 {
 		return nil, nil
-	}
-	if p.MinConfidence < 0 || p.MinConfidence > 1 {
-		return nil, fmt.Errorf("rules: MinConfidence %v outside [0, 1]", p.MinConfidence)
 	}
 	g := NewGenerator(res.SupportTable(), float64(res.N), p.MinConfidence)
 	for size, level := range res.Levels {
@@ -112,16 +122,21 @@ func order(n int, rule func(int32) *Rule) []sortKey {
 // keys, not the rules, then moves each rule once into its place.
 func Sort(rs []Rule) {
 	keys := order(len(rs), func(i int32) *Rule { return &rs[i] })
-	// Rule keys[i].at belongs at i: follow each cycle of the permutation
-	// once, marking a placed slot by pointing its key at itself.
-	for i := range keys {
-		if int(keys[i].at) == i {
+	permute(rs, func(i int) *int32 { return &keys[i].at })
+}
+
+// permute moves rule *at(i) to i for every i: it follows each cycle of the
+// permutation once, marking a placed slot by pointing its entry at itself.
+func permute(rs []Rule, at func(i int) *int32) {
+	for i := range rs {
+		if int(*at(i)) == i {
 			continue
 		}
 		held, j := rs[i], i
 		for {
-			from := int(keys[j].at)
-			keys[j].at = int32(j)
+			slot := at(j)
+			from := int(*slot)
+			*slot = int32(j)
 			if from == i {
 				rs[j] = held
 				break
@@ -132,26 +147,59 @@ func Sort(rs []Rule) {
 	}
 }
 
-// RankLess is the serving order: descending confidence, then descending
-// lift (a high-lift rule is genuinely informative where an equal-confidence
-// high-base-rate consequent is not), then descending support, then
-// antecedent/consequent order.  The comparator is total — no two distinct
-// rules compare equal — so any sort under it yields one deterministic
-// ranking, the property the serving layer's top-K results rely on.
+// servingKey is a rule's place in the serving order: the three measures the
+// order compares first, and the rule's index, to compare the itemsets on
+// the rare full tie and to find the rule once its rank is known.
+type servingKey struct {
+	conf, lift, sup float64
+	at              int32
+}
+
+func servingKeyOf(r *Rule, at int32) servingKey {
+	return servingKey{r.Confidence, r.Lift, r.Support, at}
+}
+
+// compareRank is the serving order, and its one definition: descending
+// confidence, then descending lift (a high-lift rule is genuinely
+// informative where an equal-confidence high-base-rate consequent is not),
+// then descending support, then antecedent/consequent order.  a and b are
+// the keys of the rules ra and rb.  The order is total — no two distinct
+// rules compare equal, and cmp.Compare places a NaN measure below every
+// number — so any sort under it yields one deterministic ranking, the
+// property the serving layer's top-K results rely on.
+func compareRank(a, b servingKey, ra, rb *Rule) int {
+	// The measures descend, hence b before a.
+	if c := cmp.Compare(b.conf, a.conf); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.lift, a.lift); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.sup, a.sup); c != 0 {
+		return c
+	}
+	if c := ra.Antecedent.Compare(rb.Antecedent); c != 0 {
+		return c
+	}
+	return ra.Consequent.Compare(rb.Consequent)
+}
+
+// RankLess reports whether a ranks before b in the serving order
+// (compareRank).
 func RankLess(a, b Rule) bool {
-	if a.Confidence != b.Confidence {
-		return a.Confidence > b.Confidence
+	return compareRank(servingKeyOf(&a, 0), servingKeyOf(&b, 0), &a, &b) < 0
+}
+
+// Rank sorts rules into the serving order (RankLess).  It sorts compact
+// keys — the three measures and an index; the itemsets are compared only
+// when all three tie — then moves each rule once into its place.
+func Rank(rs []Rule) {
+	keys := make([]servingKey, len(rs))
+	for i := range rs {
+		keys[i] = servingKeyOf(&rs[i], int32(i))
 	}
-	if a.Lift != b.Lift {
-		return a.Lift > b.Lift
-	}
-	if a.Support != b.Support {
-		return a.Support > b.Support
-	}
-	if c := a.Antecedent.Compare(b.Antecedent); c != 0 {
-		return c < 0
-	}
-	return a.Consequent.Compare(b.Consequent) < 0
+	slices.SortFunc(keys, func(a, b servingKey) int { return compareRank(a, b, &rs[a.at], &rs[b.at]) })
+	permute(rs, func(i int) *int32 { return &keys[i].at })
 }
 
 // Generator runs ap-genrules itemset by itemset over one result's supports,

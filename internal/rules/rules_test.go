@@ -232,7 +232,7 @@ func TestMatchesBruteForceEnumeration(t *testing.T) {
 
 func TestInvalidConfidence(t *testing.T) {
 	res := mine(t, 0.2)
-	for _, conf := range []float64{-0.1, 1.1} {
+	for _, conf := range []float64{-0.1, 1.1, math.NaN(), math.Inf(1)} {
 		if _, err := Generate(res, Params{MinConfidence: conf}); err == nil {
 			t.Errorf("MinConfidence %v accepted", conf)
 		}

@@ -47,7 +47,6 @@
 package serve
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -126,49 +125,19 @@ type Index struct {
 	off []int32
 }
 
-// rankKey is what the build sorts: the three measures RankLess compares
-// first, and where the rule is in the input — to compare itemsets on the
-// rare full tie, and to fetch the rule once its rank is known.
-type rankKey struct {
-	conf, lift, sup float64
-	at              int32
-}
-
-// NewIndex builds an index over the rule set.  The rules are rank-sorted
-// once (rules.RankLess) and stored in that order; one pass over them forms
-// the antecedent groups — so a group's ids ascend, and groups are found in
-// the order of their best id — and a counting sort files each group under
-// its antecedent's first item.  Construction is deterministic for a given
-// rule set whatever the input order, and allocates less than two copies of
-// the input.  No option shapes the index; callers pass the serving options
-// they hold.
+// NewIndex builds an index over the rule set.  The rules are copied once,
+// rank-sorted in place (rules.Rank) and stored in that order; one pass over
+// them forms the antecedent groups — so a group's ids ascend, and groups are
+// found in the order of their best id — and a counting sort files each
+// group under its antecedent's first item.  Construction is deterministic
+// for a given rule set whatever the input order, and allocates one rule and
+// a few int32s per rule plus a few int32s per group and item.  No option
+// shapes the index; callers pass the serving options they hold.
 func NewIndex(rs []rules.Rule, _ Options) *Index {
 	n := len(rs)
-	keys := make([]rankKey, n)
-	for i := range rs {
-		keys[i] = rankKey{rs[i].Confidence, rs[i].Lift, rs[i].Support, int32(i)}
-	}
-	slices.SortFunc(keys, func(a, b rankKey) int {
-		// The measures descend, hence b before a.
-		if c := cmp.Compare(b.conf, a.conf); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(b.lift, a.lift); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(b.sup, a.sup); c != 0 {
-			return c
-		}
-		ra, rb := &rs[a.at], &rs[b.at]
-		if c := ra.Antecedent.Compare(rb.Antecedent); c != 0 {
-			return c
-		}
-		return ra.Consequent.Compare(rb.Consequent)
-	})
 	all := make([]rules.Rule, n)
-	for id, k := range keys {
-		all[id] = rs[k.at]
-	}
+	copy(all, rs)
+	rules.Rank(all)
 
 	// Pass 1: chain the rules of each antecedent in id order, and number the
 	// items.  An open-addressed table over the antecedents holds the last
@@ -512,20 +481,9 @@ func (ix *Index) Recommend(basket itemset.Itemset, k int) []rules.Rule {
 //
 //checkinv:hotpath
 func RankTruncate(matches []rules.Rule, k int) []rules.Rule {
-	slices.SortFunc(matches, rankCompare)
+	rules.Rank(matches)
 	if k >= 0 && len(matches) > k {
 		matches = matches[:k]
 	}
 	return matches
-}
-
-// rankCompare is rules.RankLess as a three-way comparison.
-func rankCompare(a, b rules.Rule) int {
-	switch {
-	case rules.RankLess(a, b):
-		return -1
-	case rules.RankLess(b, a):
-		return 1
-	}
-	return 0
 }

@@ -410,7 +410,11 @@ func TestRecommendAllocBudget(t *testing.T) {
 
 // TestIndexStoresRulesOnce: All() is the index's one copy of the rules — the
 // input sorted by RankLess, the same backing array on every call — and a
-// build costs less than two copies of its input.
+// build allocates what its arrays account for and no more: per rule, the
+// stored copy, rules.Rank's key and six int32s (two chaining-table slots,
+// the chain link, the group head, the id and the consequent offset) plus
+// its consequent's items; per group, its record, antecedent and reach; per
+// dictionary item, its offset and an allowance for the map.
 func TestIndexStoresRulesOnce(t *testing.T) {
 	rs := synthRules(100_000, 2_000, 42) // BenchmarkRecommend's rule set
 	var before, after runtime.MemStats
@@ -418,8 +422,20 @@ func TestIndexStoresRulesOnce(t *testing.T) {
 	ix := NewIndex(rs, Options{})
 	runtime.ReadMemStats(&after)
 	built := after.TotalAlloc - before.TotalAlloc
-	if budget := 2 * uint64(len(rs)) * uint64(unsafe.Sizeof(rules.Rule{})); built >= budget {
-		t.Errorf("NewIndex allocated %d B over %d rules, budget < %d", built, len(rs), budget)
+	const (
+		key      = 32  // rules.Rank's key: three float64s and an int32, padded
+		dictItem = 128 // an offset, a map entry and the map's growth
+	)
+	perRule := unsafe.Sizeof(rules.Rule{}) + key + 6*4
+	perGroup := unsafe.Sizeof(group{})
+	budget := uint64(len(rs))*uint64(perRule) + 4*uint64(len(ix.cons)) +
+		uint64(len(ix.groups))*uint64(perGroup) + 4*uint64(len(ix.ants)+len(ix.reach)) +
+		uint64(len(ix.dict))*dictItem
+	if old := 2 * uint64(len(rs)) * uint64(unsafe.Sizeof(rules.Rule{})); budget >= old {
+		t.Fatalf("budget %d B is not below two copies of the input, %d B", budget, old)
+	}
+	if built > budget {
+		t.Errorf("NewIndex allocated %d B over %d rules and %d groups, budget %d", built, len(rs), len(ix.groups)-1, budget)
 	}
 
 	want := append([]rules.Rule(nil), rs...)

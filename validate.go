@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"parapriori/internal/apriori"
+	"parapriori/internal/rules"
 )
 
 // OptionError reports an invalid or contradictory field in an options
@@ -75,10 +76,7 @@ func (o RuleGenOptions) Validate() error {
 	if o.Procs < 1 {
 		return optErr(strct, "Procs", "must be at least 1 (got %d)", o.Procs)
 	}
-	if o.MinConfidence < 0 || o.MinConfidence > 1 {
-		return optErr(strct, "MinConfidence", "%v outside [0, 1]", o.MinConfidence)
-	}
-	return nil
+	return asOptionError(strct, rules.Params{MinConfidence: o.MinConfidence}.Validate())
 }
 
 // Validate checks the serving options.  Zero values mean "use the default"

@@ -2,7 +2,9 @@ package parapriori
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -22,6 +24,8 @@ func wantOptionError(t *testing.T, err error, strct, field string) {
 func TestMineOptionsValidate(t *testing.T) {
 	wantOptionError(t, MineOptions{}.Validate(), "MineOptions", "MinSupport")
 	wantOptionError(t, MineOptions{MinSupport: 1.5}.Validate(), "MineOptions", "MinSupport")
+	wantOptionError(t, MineOptions{MinSupport: math.NaN()}.Validate(), "MineOptions", "MinSupport")
+	wantOptionError(t, MineOptions{MinSupport: math.Inf(1)}.Validate(), "MineOptions", "MinSupport")
 	wantOptionError(t, MineOptions{MinSupport: 0.1, MaxPasses: -1}.Validate(), "MineOptions", "MaxPasses")
 	// A fanout-1 tree cannot split a leaf, and its memory estimate divides
 	// by Fanout-1: refused up front, not a divide-by-zero panic later.
@@ -45,6 +49,10 @@ func TestParallelOptionsValidate(t *testing.T) {
 	bad := ok
 	bad.Procs = 0
 	wantOptionError(t, bad.Validate(), "ParallelOptions", "Procs")
+
+	bad = ok
+	bad.MinSupport = math.NaN()
+	wantOptionError(t, bad.Validate(), "ParallelOptions", "MinSupport")
 
 	bad = ok
 	bad.Algorithm = "bogus"
@@ -95,6 +103,7 @@ func TestParallelOptionsValidate(t *testing.T) {
 func TestRuleGenOptionsValidate(t *testing.T) {
 	wantOptionError(t, RuleGenOptions{Procs: 0, MinConfidence: 0.5}.Validate(), "RuleGenOptions", "Procs")
 	wantOptionError(t, RuleGenOptions{Procs: 2, MinConfidence: 1.5}.Validate(), "RuleGenOptions", "MinConfidence")
+	wantOptionError(t, RuleGenOptions{Procs: 2, MinConfidence: math.NaN()}.Validate(), "RuleGenOptions", "MinConfidence")
 	if err := (RuleGenOptions{Procs: 2, MinConfidence: 0.5}).Validate(); err != nil {
 		t.Fatalf("valid rule-gen options rejected: %v", err)
 	}
@@ -127,5 +136,45 @@ func TestGenerateRulesOnMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Rules, serial) {
 		t.Fatal("parallel rules differ from serial rules")
+	}
+}
+
+// TestNaNOptionsRefused: a NaN threshold or rate, which every range
+// comparison is false for, is refused by each entry point with an error
+// naming its field — not mined at MinCount 1, not let through the
+// confidence test, not looped on by the generator, not ignored by the
+// fault plan.
+func TestNaNOptionsRefused(t *testing.T) {
+	data := FromItems([][]Item{{1, 2}, {1, 2, 3}, {2, 3}})
+	nan := math.NaN()
+	_, err := Mine(data, MineOptions{MinSupport: nan})
+	wantOptionError(t, err, "MineOptions", "MinSupport")
+	_, err = MineParallel(data, ParallelOptions{MineOptions: MineOptions{MinSupport: nan}, Algorithm: CD, Procs: 2})
+	wantOptionError(t, err, "ParallelOptions", "MinSupport")
+
+	res, err := Mine(data, MineOptions{MinSupport: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GenerateRules(res, nan); err == nil || !strings.Contains(err.Error(), "MinConfidence") {
+		t.Errorf("GenerateRules at NaN confidence: %v, want an error naming MinConfidence", err)
+	}
+	_, err = GenerateRulesOn(res, RuleGenOptions{Procs: 2, MinConfidence: nan})
+	wantOptionError(t, err, "RuleGenOptions", "MinConfidence")
+
+	for field, mutate := range map[string]func(*GenOptions){
+		"AvgTxnLen":   func(o *GenOptions) { o.AvgTxnLen = nan },
+		"Correlation": func(o *GenOptions) { o.Correlation = nan },
+	} {
+		o := GenOptions{NumTransactions: 50, NumItems: 20, AvgTxnLen: 4, AvgPatternLen: 2, NumPatterns: 5, Correlation: 0.5}
+		mutate(&o)
+		if _, err := Generate(o); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("Generate with %s NaN: %v, want an error naming it", field, err)
+		}
+	}
+
+	_, err = MineParallel(data, ParallelOptions{MineOptions: MineOptions{MinSupport: 0.3}, Algorithm: CD, Procs: 2, Faults: &FaultPlan{Drop: nan}})
+	if err == nil || !strings.Contains(err.Error(), "Drop") {
+		t.Errorf("MineParallel under FaultPlan{Drop: NaN}: %v, want an error naming Drop", err)
 	}
 }
