@@ -51,7 +51,7 @@ func main() {
 	if *store != "" {
 		src, err := parapriori.GenerateSource(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
+			fmt.Fprintln(os.Stderr, err) // the generator's errors carry the datagen: prefix
 			os.Exit(1)
 		}
 		ds, err := parapriori.WritePartitionedDataset(*store, src,
@@ -68,7 +68,7 @@ func main() {
 
 	data, err := parapriori.Generate(opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "datagen: %v\n", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 

@@ -112,16 +112,25 @@ func TestGoldenCLI(t *testing.T) {
 // TestUsageErrors pins the misuse paths: an unknown format is exit 2, a
 // generator setting that cannot be honoured — a NaN mean length among
 // them, which once never returned — or an -o that cannot be written is
-// exit 1.
+// exit 1.  A refused setting is named once under one "datagen: " prefix,
+// with or without -store.
 func TestUsageErrors(t *testing.T) {
 	if code, _, stderr := datagen(t, "-n", "10", "-format", "xml"); code != 2 || !strings.Contains(stderr, `unknown format "xml"`) {
 		t.Errorf("-format xml: exit %d, stderr %q", code, stderr)
 	}
-	if code, _, stderr := datagen(t, "-n", "-1"); code != 1 || !strings.HasPrefix(stderr, "datagen: ") {
-		t.Errorf("-n -1: exit %d, stderr %q", code, stderr)
-	}
-	if code, _, stderr := datagen(t, "-n", "50", "-tlen", "NaN"); code != 1 || !strings.Contains(stderr, "AvgTxnLen") {
-		t.Errorf("-tlen NaN: exit %d, stderr %q", code, stderr)
+	store := filepath.Join(t.TempDir(), "store")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "-1"}, "NumTransactions -1"},
+		{[]string{"-n", "50", "-tlen", "NaN"}, "AvgTxnLen NaN"},
+		{[]string{"-n", "-1", "-store", store}, "NumTransactions -1"},
+	} {
+		code, _, stderr := datagen(t, tc.args...)
+		if code != 1 || !strings.HasPrefix(stderr, "datagen: ") || strings.HasPrefix(stderr, "datagen: datagen: ") || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%v: exit %d, stderr %q", tc.args, code, stderr)
+		}
 	}
 	if _, err := os.Stat("/dev/full"); err == nil {
 		if code, _, stderr := datagen(t, "-n", "10", "-o", "/dev/full"); code != 1 || !strings.HasPrefix(stderr, "datagen: ") {

@@ -20,11 +20,12 @@
 //     argmax changed (≈ S/N per node).
 //
 //   - Node: one serving process (or goroutine).  It keeps its owned shards'
-//     antecedent groups, serves basket queries from a serve.Server over
-//     them (snapshot hot swap, query cache, metrics — the single-node
-//     machinery, reused per node), and participates in two-phase publishes:
-//     Prepare stages the next generation's groups and builds its index off
-//     the query path, Commit atomically cuts the traffic over.
+//     antecedent groups as one list in antecedent order, serves basket
+//     queries from a serve.Server over them (snapshot hot swap, query
+//     cache, metrics — the single-node machinery, reused per node), and
+//     participates in two-phase publishes: Prepare applies the delta to
+//     that list by one merge-walk and builds the next index off the query
+//     path, Commit atomically cuts the traffic over.
 //
 //   - Router: accepts basket queries, computes the shards the basket can
 //     touch (one per distinct basket item — exactly the posting lists the
@@ -41,8 +42,8 @@
 //     (groupRules: rank-sorted by rules.Rank, cut into runs in antecedent
 //     order), walks that list once against the previous generation's,
 //     marking each group changed or not by its canonical bytes and
-//     collecting the vanished ones, and ships each owner only the changed
-//     groups on its shards, plus tombstones for the vanished ones.
+//     collecting the vanished ones, and hands each changed group to the
+//     replicas of its shard, and each vanished one to them as a tombstone.
 //     Generations advance cluster-wide; the cut-over happens only after
 //     every owner acknowledged its Prepare.
 //

@@ -375,8 +375,9 @@ func FuzzRecommendQuery(f *testing.F) {
 }
 
 // Prepare bodies naming groups the router could never send.  A node once
-// staged and committed each of them, storing a group under its first rule's
-// antecedent whatever the other rules held.
+// staged and committed each of them: it stored a group under its first
+// rule's antecedent whatever the other rules held, stored one antecedent
+// twice, ignored a removal it did not own, or let a delta move its shards.
 var malformedPrepares = []struct{ name, body string }{
 	{"unsorted antecedent", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[5,3],"consequent":[7],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0}]}]}`},
 	{"repeated item", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[3,3],"consequent":[7],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0}]}]}`},
@@ -386,6 +387,11 @@ var malformedPrepares = []struct{ name, body string }{
 	{"unsorted consequent", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[3],"consequent":[8,7]}]}]}`},
 	{"consequent overlaps antecedent", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[3,5],"consequent":[5]}]}]}`},
 	{"unsorted removal", `{"generation":2,"owned":[0,1],"removes":[{"shard":0,"antecedent":[4,2]}]}`},
+	{"upserts out of antecedent order", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[5],"consequent":[7],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0}]},{"shard":1,"rules":[{"antecedent":[3],"consequent":[7],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0}]}]}`},
+	{"repeated antecedent", `{"generation":2,"owned":[0,1],"upserts":[{"shard":0,"rules":[{"antecedent":[3],"consequent":[7],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0}]},{"shard":1,"rules":[{"antecedent":[3],"consequent":[8],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0}]}]}`},
+	{"removes out of antecedent order", `{"generation":2,"owned":[0,1],"removes":[{"shard":0,"antecedent":[4]},{"shard":0,"antecedent":[2]}]}`},
+	{"removal on an unowned shard", `{"generation":2,"owned":[0,1],"removes":[{"shard":5,"antecedent":[3]}]}`},
+	{"delta that moves shards", `{"generation":2,"owned":[0,2],"upserts":[{"shard":2,"rules":[{"antecedent":[3],"consequent":[7],"count":1,"support":0.1,"confidence":0.5,"lift":1,"leverage":0}]}]}`},
 	{"full publish of an unsorted antecedent", `{"generation":2,"full":true,"owned":[0],"upserts":[{"shard":0,"rules":[{"antecedent":[5,3],"consequent":[]}]}]}`},
 }
 
@@ -436,7 +442,7 @@ func controlPlaneNode(tb testing.TB) *Node {
 func controlPlaneGen1() PrepareRequest {
 	gen1 := PrepareRequest{Gen: 1, Full: true, Owned: []int{0, 1}}
 	for i, g := range groupRules(synthRules(60, 12, 7)) {
-		gen1.Upserts = append(gen1.Upserts, GroupUpdate{Shard: i % 2, Rules: g.rules})
+		gen1.Upserts = append(gen1.Upserts, GroupUpdate{Shard: i % 2, Rules: g.Rules})
 	}
 	return gen1
 }
@@ -454,30 +460,26 @@ func servedState(node *Node) string {
 	return sb.String()
 }
 
-// checkGroupStore fails unless every rule the node serves has set-valued
-// itemsets and sits in the stored group of its own antecedent.
+// checkGroupStore fails unless the node's groups are well formed, in
+// strictly increasing antecedent order, and every rule the node serves
+// sits in the group of its own antecedent.
 func checkGroupStore(t *testing.T, node *Node) {
 	t.Helper()
 	node.mu.Lock()
 	defer node.mu.Unlock()
-	for s, byKey := range node.groups {
-		for key, rs := range byKey {
-			if err := checkGroup(rs); err != nil {
-				t.Fatalf("shard %d group of key %x: %v", s, key, err)
-			}
-			if k := rs[0].Antecedent.Key(); k != key {
-				t.Fatalf("shard %d: group of %v stored under key %x", s, rs[0].Antecedent, key)
-			}
+	for i, g := range node.groups {
+		if err := checkGroup(g.Rules); err != nil {
+			t.Fatalf("group %d on shard %d: %v", i, g.Shard, err)
+		}
+		if i > 0 && node.groups[i-1].ant().Compare(g.ant()) >= 0 {
+			t.Fatalf("group of %v stored after the group of %v", g.ant(), node.groups[i-1].ant())
 		}
 	}
 	for _, r := range node.srv.Index().All() {
-		found := false
-		for _, byKey := range node.groups {
-			found = found || slices.ContainsFunc(byKey[r.Antecedent.Key()], func(g rules.Rule) bool {
-				return g.Consequent.Equal(r.Consequent)
-			})
-		}
-		if !found {
+		i, found := slices.BinarySearchFunc(node.groups, r.Antecedent, func(g GroupUpdate, ant itemset.Itemset) int {
+			return g.ant().Compare(ant)
+		})
+		if !found || !slices.ContainsFunc(node.groups[i].Rules, func(g rules.Rule) bool { return g.Consequent.Equal(r.Consequent) }) {
 			t.Fatalf("served rule %v is in no group of its antecedent", r)
 		}
 	}

@@ -2,6 +2,7 @@ package distserve
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"parapriori/internal/obsv"
@@ -67,13 +68,6 @@ func (r *Router) Metrics() FleetMetrics {
 	gen := r.gen
 	r.mu.RUnlock()
 
-	shardsByNode := make([][]int, len(r.ids)) // ascending: shards are visited in order
-	for s, reps := range r.replicas {
-		for _, o := range reps {
-			shardsByNode[o] = append(shardsByNode[o], s)
-		}
-	}
-
 	fm := FleetMetrics{
 		Generation: gen,
 		NumNodes:   len(r.ids),
@@ -101,7 +95,7 @@ func (r *Router) Metrics() FleetMetrics {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opt.RequestTimeout)
 	defer cancel()
 	for o, id := range r.ids {
-		nm := NodeMetrics{ID: id, Shards: shardsByNode[o], Health: r.health[o].State().String()}
+		nm := NodeMetrics{ID: id, Shards: slices.Clone(r.owned[o]), Health: r.health[o].State().String()}
 		if m, err := r.clients[o].Metrics(ctx); err == nil {
 			nm.Up = true
 			nm.Serve = m

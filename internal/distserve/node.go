@@ -3,7 +3,6 @@ package distserve
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -12,12 +11,16 @@ import (
 	"parapriori/internal/serve"
 )
 
-// GroupUpdate ships one antecedent group to a node: the shard it lives on
-// and its rules in rank order (the antecedent is Rules[0].Antecedent).
+// GroupUpdate is one antecedent group, as the router holds it, ships it and
+// a node stores it: the shard it lives on and its rules in rank order (the
+// antecedent is Rules[0].Antecedent).
 type GroupUpdate struct {
 	Shard int          `json:"shard"`
 	Rules []rules.Rule `json:"rules"`
 }
+
+// ant returns the group's antecedent.
+func (g GroupUpdate) ant() itemset.Itemset { return g.Rules[0].Antecedent }
 
 // GroupRef names a group for removal: its shard and antecedent.
 type GroupRef struct {
@@ -50,16 +53,16 @@ type Node struct {
 	gen atomic.Uint64 // committed cluster generation
 
 	mu     sync.Mutex
-	groups map[int]map[string][]rules.Rule // shard → group key → rank-sorted rules
+	groups []GroupUpdate // in strictly increasing antecedent order
 	owned  []int
 	stage  *stagedState
 }
 
-// stagedState is a prepared-but-uncommitted generation: the group store and
-// the index already built from it, waiting for the router's Commit.
+// stagedState is a prepared-but-uncommitted generation: the groups and the
+// index already built from them, waiting for the router's Commit.
 type stagedState struct {
 	gen    uint64
-	groups map[int]map[string][]rules.Rule
+	groups []GroupUpdate
 	owned  []int
 	idx    *serve.Index
 }
@@ -67,12 +70,7 @@ type stagedState struct {
 // NewNode creates an empty node.  It answers ErrNoSnapshot until the first
 // Prepare/Commit lands.  Call Close to stop its serving worker pool.
 func NewNode(id string, opt serve.Options) *Node {
-	return &Node{
-		id:     id,
-		opt:    opt,
-		srv:    serve.NewServer(opt),
-		groups: map[int]map[string][]rules.Rule{},
-	}
+	return &Node{id: id, opt: opt, srv: serve.NewServer(opt)}
 }
 
 // ID returns the node's identity — the string placement hashes on.
@@ -100,10 +98,8 @@ func (n *Node) NumRules() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	total := 0
-	for _, byKey := range n.groups {
-		for _, rs := range byKey {
-			total += len(rs)
-		}
+	for _, g := range n.groups {
+		total += len(g.Rules)
 	}
 	return total
 }
@@ -111,78 +107,115 @@ func (n *Node) NumRules() int {
 // Close stops the node's serving worker pool.
 func (n *Node) Close() { n.srv.Close() }
 
-// Prepare stages the next generation: it applies the delta to a copy of the
-// committed group store (restricted to the shards the node owns after the
-// cut-over), builds the new index off the query path, and holds both until
+// Prepare stages the next generation: it applies the delta to the committed
+// groups, builds the new index off the query path, and holds both until
 // Commit.  A Prepare at or below the committed generation is rejected; a
 // newer Prepare replaces any staged one (the abort path: an aborted
 // publish's staged state is simply superseded).  When nothing changed for
 // this node, the committed index is reused instead of rebuilt, so a
-// no-op-for-this-node delta publish costs one map copy.  It is the one
-// check of a prepare, whichever transport carried it: an upsert for an
-// unowned shard, a malformed group (checkGroup) or a removal whose
-// antecedent is not a set refuses the whole request and stages nothing.
+// no-op-for-this-node delta publish costs nothing.  It is the one check of
+// a prepare, whichever transport carried it.  It refuses the whole request
+// and stages nothing for a body the router could never send: a delta that
+// moves the node's shards (placement is fixed, and a router's first prepare
+// to a node is full), an upsert or removal on an unowned shard, a malformed
+// group (checkGroup), a removal whose antecedent is not a set, or upserts
+// or removes out of strictly increasing antecedent order.
 func (n *Node) Prepare(req PrepareRequest) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if req.Gen <= n.gen.Load() {
 		return fmt.Errorf("distserve: node %s: stale prepare gen %d (committed %d)", n.id, req.Gen, n.gen.Load())
 	}
-	ownedNew := append([]int(nil), req.Owned...)
-	sort.Ints(ownedNew)
-	ownedSet := make(map[int]bool, len(ownedNew))
-	for _, s := range ownedNew {
-		ownedSet[s] = true
+	owned := slices.Clone(req.Owned)
+	slices.Sort(owned)
+	if !req.Full && !slices.Equal(owned, n.owned) {
+		return fmt.Errorf("distserve: node %s: delta prepare moves the owned shards %v to %v", n.id, n.owned, owned)
 	}
-
-	// Reuse path: same shard set, no content change — keep the live index.
-	if !req.Full && len(req.Upserts) == 0 && len(req.Removes) == 0 && slices.Equal(ownedNew, n.owned) {
-		if idx := n.srv.Index(); idx != nil {
-			n.stage = &stagedState{gen: req.Gen, groups: n.groups, owned: ownedNew, idx: idx}
-			return nil
-		}
+	owns := func(s int) bool {
+		_, ok := slices.BinarySearch(owned, s)
+		return ok
 	}
-
-	// Copy the committed store, dropping shards no longer owned.  Inner
-	// maps are copied shallowly; rule slices are immutable once shipped.
-	next := make(map[int]map[string][]rules.Rule, len(ownedNew))
-	if !req.Full {
-		for _, s := range ownedNew {
-			if byKey, ok := n.groups[s]; ok {
-				cp := make(map[string][]rules.Rule, len(byKey))
-				for k, v := range byKey {
-					cp[k] = v
-				}
-				next[s] = cp
-			}
-		}
-	}
-	for _, s := range ownedNew {
-		if next[s] == nil {
-			next[s] = map[string][]rules.Rule{}
-		}
-	}
-
-	for _, up := range req.Upserts {
-		if !ownedSet[up.Shard] {
+	for i, up := range req.Upserts {
+		if !owns(up.Shard) {
 			return fmt.Errorf("distserve: node %s: upsert for unowned shard %d", n.id, up.Shard)
 		}
 		if err := checkGroup(up.Rules); err != nil {
 			return fmt.Errorf("distserve: node %s: upsert on shard %d: %w", n.id, up.Shard, err)
 		}
-		next[up.Shard][up.Rules[0].Antecedent.Key()] = up.Rules
+		if i > 0 && req.Upserts[i-1].ant().Compare(up.ant()) >= 0 {
+			return fmt.Errorf("distserve: node %s: upsert of %v after %v", n.id, up.ant(), req.Upserts[i-1].ant())
+		}
 	}
-	for _, rm := range req.Removes {
+	for i, rm := range req.Removes {
 		if !rm.Ant.Valid() {
 			return fmt.Errorf("distserve: node %s: removal of %v on shard %d: not a set", n.id, rm.Ant, rm.Shard)
 		}
-		if byKey, ok := next[rm.Shard]; ok {
-			delete(byKey, rm.Ant.Key())
+		if !owns(rm.Shard) {
+			return fmt.Errorf("distserve: node %s: removal on unowned shard %d", n.id, rm.Shard)
+		}
+		if i > 0 && req.Removes[i-1].Ant.Compare(rm.Ant) >= 0 {
+			return fmt.Errorf("distserve: node %s: removal of %v after %v", n.id, rm.Ant, req.Removes[i-1].Ant)
 		}
 	}
 
-	n.stage = &stagedState{gen: req.Gen, groups: next, owned: ownedNew, idx: serve.NewIndex(flatten(next), n.opt)}
+	// Reuse path: same shard set, no content change — keep the live index.
+	if !req.Full && len(req.Upserts) == 0 && len(req.Removes) == 0 {
+		if idx := n.srv.Index(); idx != nil {
+			n.stage = &stagedState{gen: req.Gen, groups: n.groups, owned: owned, idx: idx}
+			return nil
+		}
+	}
+
+	var base []GroupUpdate
+	if !req.Full {
+		base = n.groups
+	}
+	groups, rs := applyDelta(base, req.Upserts, req.Removes)
+	n.stage = &stagedState{gen: req.Gen, groups: groups, owned: owned, idx: serve.NewIndex(rs, n.opt)}
 	return nil
+}
+
+// applyDelta walks groups, upserts and removes — each in strictly increasing
+// antecedent order — once, side by side: an upsert replaces the group of
+// its antecedent or joins the list, and a removal drops it.  It returns the
+// next group list, in the same order, and all its rules in one slice.
+// Groups and their rule slices are shared, never written: they are
+// immutable once shipped.
+func applyDelta(groups, upserts []GroupUpdate, removes []GroupRef) ([]GroupUpdate, []rules.Rule) {
+	next := make([]GroupUpdate, 0, len(groups)+len(upserts))
+	total, i, j, k := 0, 0, 0, 0
+	for i < len(groups) || j < len(upserts) {
+		c := -1 // < 0: the group comes next; 0: the upsert replaces it; > 0: the upsert comes next
+		switch {
+		case i == len(groups):
+			c = 1
+		case j < len(upserts):
+			c = groups[i].ant().Compare(upserts[j].ant())
+		}
+		var g GroupUpdate
+		if c < 0 {
+			g, i = groups[i], i+1
+		} else {
+			g, j = upserts[j], j+1
+			if c == 0 {
+				i++
+			}
+		}
+		for k < len(removes) && removes[k].Ant.Compare(g.ant()) < 0 {
+			k++
+		}
+		if k < len(removes) && removes[k].Ant.Equal(g.ant()) {
+			k++
+			continue
+		}
+		next = append(next, g)
+		total += len(g.Rules)
+	}
+	rs := make([]rules.Rule, 0, total)
+	for _, g := range next {
+		rs = append(rs, g.Rules...)
+	}
+	return next, rs
 }
 
 // checkGroup refuses a group the router could never send, which the node
@@ -215,8 +248,8 @@ func checkGroup(rs []rules.Rule) error {
 
 // Commit cuts the traffic over to the generation staged by Prepare: the
 // staged index becomes the serving snapshot (atomically, mid-flight queries
-// finish on the old one) and the staged group store becomes the committed
-// one.  Committing a generation that was never staged is an error.
+// finish on the old one) and the staged groups become the committed ones.
+// Committing a generation that was never staged is an error.
 func (n *Node) Commit(gen uint64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -231,28 +264,4 @@ func (n *Node) Commit(gen uint64) error {
 	n.gen.Store(gen)
 	n.stage = nil
 	return nil
-}
-
-// flatten lists every rule of a group store, iterating shards and keys in
-// sorted order so the result — and everything built from it — is
-// deterministic.
-func flatten(groups map[int]map[string][]rules.Rule) []rules.Rule {
-	shards := make([]int, 0, len(groups))
-	for s := range groups {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	var out []rules.Rule
-	for _, s := range shards {
-		byKey := groups[s]
-		keys := make([]string, 0, len(byKey))
-		for k := range byKey {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			out = append(out, byKey[k]...)
-		}
-	}
-	return out
 }

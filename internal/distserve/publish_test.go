@@ -174,24 +174,97 @@ func (p *refPublisher) commit(canon map[string][]byte, failed []bool, owned [][]
 	}
 }
 
+// refNode is a node's group store as it was when it was keyed by
+// Itemset.Key strings: shard → key → rank-sorted rules, copied and
+// restricted to the owned shards on every prepare, and flattened in shard,
+// then key order for the index.  TestPublishMatchesMapReference holds the
+// node's merge-walk to it.
+type refNode struct {
+	groups, staged map[int]map[string][]rules.Rule
+	idx, stagedIdx *serve.Index
+}
+
+func (n *refNode) prepare(req PrepareRequest) {
+	next := make(map[int]map[string][]rules.Rule, len(req.Owned))
+	for _, s := range req.Owned {
+		next[s] = map[string][]rules.Rule{}
+		if !req.Full {
+			for k, v := range n.groups[s] {
+				next[s][k] = v
+			}
+		}
+	}
+	for _, up := range req.Upserts {
+		next[up.Shard][up.Rules[0].Antecedent.Key()] = up.Rules
+	}
+	for _, rm := range req.Removes {
+		if byKey, ok := next[rm.Shard]; ok {
+			delete(byKey, rm.Ant.Key())
+		}
+	}
+	n.staged, n.stagedIdx = next, serve.NewIndex(refFlatten(next), serve.Options{})
+}
+
+func (n *refNode) commit() { n.groups, n.idx = n.staged, n.stagedIdx }
+
+// refFlatten lists every rule of a group store, shards and keys in sorted
+// order.
+func refFlatten(groups map[int]map[string][]rules.Rule) []rules.Rule {
+	shards := make([]int, 0, len(groups))
+	for s := range groups {
+		shards = append(shards, s)
+	}
+	sort.Ints(shards)
+	var out []rules.Rule
+	for _, s := range shards {
+		keys := make([]string, 0, len(groups[s]))
+		for k := range groups[s] {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			out = append(out, groups[s][k]...)
+		}
+	}
+	return out
+}
+
+// allRules is what an index serves, nothing before the first commit.
+func allRules(ix *serve.Index) []rules.Rule {
+	if ix == nil {
+		return nil
+	}
+	return ix.All()
+}
+
 // diffClient is a node's client that keeps the last PrepareRequest it
-// carried and can refuse a commit.
+// carried, applies every request it carries to a reference node too, and
+// can refuse a commit.
 type diffClient struct {
 	*LocalClient
 	last       PrepareRequest
+	ref        refNode
 	failCommit bool
 }
 
 func (c *diffClient) Prepare(ctx context.Context, req PrepareRequest) error {
 	c.last = req
-	return c.LocalClient.Prepare(ctx, req)
+	if err := c.LocalClient.Prepare(ctx, req); err != nil {
+		return err
+	}
+	c.ref.prepare(req)
+	return nil
 }
 
 func (c *diffClient) Commit(ctx context.Context, gen uint64) error {
 	if c.failCommit {
 		return fmt.Errorf("%w: %s refused the commit", ErrNodeDown, c.ID())
 	}
-	return c.LocalClient.Commit(ctx, gen)
+	if err := c.LocalClient.Commit(ctx, gen); err != nil {
+		return err
+	}
+	c.ref.commit()
+	return nil
 }
 
 // nextGeneration perturbs a rule set the ways a re-mine does: rules keep,
@@ -232,7 +305,9 @@ func nextGeneration(rng *rand.Rand, cur []rules.Rule, nItems int) []rules.Rule {
 // reference through seeded sequences of generations — changed, added and
 // removed groups, full publishes, and nodes whose commit failed and who are
 // resent in full — at R = 1 and R = 2: every node must be sent the same
-// PrepareRequest, and every publish must report the same PublishStats.
+// PrepareRequest, every publish must report the same PublishStats, and
+// after it every node must serve the same index as the map-keyed reference
+// node that was sent the same requests.
 func TestPublishMatchesMapReference(t *testing.T) {
 	const nodes, nItems = 4, 24
 	for _, replicas := range []int{1, 2} {
@@ -283,6 +358,10 @@ func TestPublishMatchesMapReference(t *testing.T) {
 						if !reflect.DeepEqual(c.last, want[i]) {
 							t.Fatalf("gen %d node %d: request\n%+v\nreference\n%+v", gen, i, c.last, want[i])
 						}
+						served, refServed := allRules(c.node.Server().Index()), allRules(c.ref.idx)
+						if !reflect.DeepEqual(served, refServed) || c.node.NumRules() != len(refServed) {
+							t.Fatalf("gen %d node %d: serves %d rules (%d stored)\n%v\nreference node %d\n%v", gen, i, len(served), c.node.NumRules(), served, len(refServed), refServed)
+						}
 					}
 					owned := make([][]int, nodes)
 					for i := range owned {
@@ -295,6 +374,38 @@ func TestPublishMatchesMapReference(t *testing.T) {
 					t.Fatalf("sequence had %d full publishes, %d resends to a failed node and %d removes; want each", fulls, resends, removes)
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkDeltaPublish prices one delta publish in serve-churn's shape: a
+// four-node, two-replica fleet over 64 shards, publishing in turn two
+// variants of 32 000 rules, each with its own twentieth of the rules'
+// confidence changed, so every publish ships the groups of a tenth of the
+// rules.
+func BenchmarkDeltaPublish(b *testing.B) {
+	c, err := NewCluster(4, Options{Shards: 64, Replicas: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Close)
+	base := synthRules(32000, 100, 1)
+	var variants [2][]rules.Rule
+	for v := range variants {
+		variants[v] = slices.Clone(base)
+		for i := v; i < len(base); i += 20 {
+			variants[v][i].Confidence *= 0.97
+		}
+	}
+	if _, err := c.Router.Publish(variants[0], true); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := c.Router.Publish(variants[(i+1)%2], false)
+		if err != nil || st.Upserts == 0 {
+			b.Fatalf("delta publish: %+v %v", st, err)
 		}
 	}
 }

@@ -39,6 +39,7 @@ type Router struct {
 	clients  []Client      // by ordinal
 	health   []*nodeHealth // failure-detector state, by ordinal
 	replicas [][]int       // shard → top-R node ordinals in HRW order (element 0 is the primary)
+	owned    [][]int       // by ordinal: the shards the node is a replica of, ascending
 
 	// pubMu serializes publishes — the control plane.  The query path
 	// never takes it.
@@ -112,10 +113,12 @@ func NewRouter(clients []Client, opt Options) (*Router, error) {
 		r.health = append(r.health, &nodeHealth{})
 	}
 	r.held = make([]bool, len(r.ids))
-	for _, reps := range PlaceReplicas(r.opt.Seed, r.opt.Shards, r.opt.Replicas, r.ids) {
+	r.owned = make([][]int, len(r.ids))
+	for s, reps := range PlaceReplicas(r.opt.Seed, r.opt.Shards, r.opt.Replicas, r.ids) {
 		ords := make([]int, len(reps))
 		for i, id := range reps {
 			ords[i], _ = slices.BinarySearch(r.ids, id)
+			r.owned[ords[i]] = append(r.owned[ords[i]], s)
 		}
 		r.replicas = append(r.replicas, ords)
 	}
@@ -186,13 +189,11 @@ func (r *Router) Publish(rs []rules.Rule, full bool) (PublishStats, error) {
 	return r.publish(groupRules(rs), full)
 }
 
-// ruleGroup is one distinct antecedent and its rules in serving-rank order —
-// the unit of shard placement and delta publishing — with, once a publish
-// has placed it, its shard and canonical bytes.
+// ruleGroup is one antecedent group — the unit of shard placement and delta
+// publishing — with, once a publish has placed it, its shard and canonical
+// bytes.
 type ruleGroup struct {
-	ant   itemset.Itemset
-	rules []rules.Rule
-	shard int
+	GroupUpdate
 	canon []byte
 }
 
@@ -229,7 +230,7 @@ func groupRules(rs []rules.Rule) []ruleGroup {
 		for hi < len(grouped) && grouped[hi].Antecedent.Equal(ant) {
 			hi++
 		}
-		out = append(out, ruleGroup{ant: ant, rules: grouped[lo:hi:hi]})
+		out = append(out, ruleGroup{GroupUpdate: GroupUpdate{Rules: grouped[lo:hi:hi]}})
 		lo = hi
 	}
 	return out
@@ -243,15 +244,16 @@ func groupRules(rs []rules.Rule) []ruleGroup {
 // bytes are the change detector for delta publishing — and their length is
 // the wire-cost measure of shipping the group.
 func (g ruleGroup) canonical() []byte {
-	n := 8 + 4*len(g.ant)
-	for _, r := range g.rules {
+	ant := g.ant()
+	n := 8 + 4*len(ant)
+	for _, r := range g.Rules {
 		n += 8 + 4*len(r.Consequent) + 8 + 4*8
 	}
 	dst := make([]byte, 0, n)
-	dst = binary.AppendUvarint(dst, uint64(4*len(g.ant)))
-	dst = g.ant.AppendKey(dst)
-	dst = binary.AppendUvarint(dst, uint64(len(g.rules)))
-	for _, r := range g.rules {
+	dst = binary.AppendUvarint(dst, uint64(4*len(ant)))
+	dst = ant.AppendKey(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(g.Rules)))
+	for _, r := range g.Rules {
 		dst = binary.AppendUvarint(dst, uint64(4*len(r.Consequent)))
 		dst = r.Consequent.AppendKey(dst)
 		dst = binary.AppendVarint(dst, r.Count)
@@ -280,59 +282,46 @@ func (r *Router) publish(next []ruleGroup, full bool) (PublishStats, error) {
 	j := 0
 	for i := range next {
 		g := &next[i]
-		g.shard, g.canon = r.opt.shardOf(g.ant[0]), g.canonical()
-		for j < len(prev) && prev[j].ant.Compare(g.ant) < 0 {
+		ant := g.ant()
+		g.Shard, g.canon = r.opt.shardOf(ant[0]), g.canonical()
+		for j < len(prev) && prev[j].ant().Compare(ant) < 0 {
 			gone = append(gone, prev[j])
 			j++
 		}
 		changed[i] = true
-		if j < len(prev) && prev[j].ant.Equal(g.ant) {
+		if j < len(prev) && prev[j].ant().Equal(ant) {
 			changed[i] = !bytes.Equal(prev[j].canon, g.canon)
 			j++
 		}
 	}
 	gone = append(gone, prev[j:]...)
 
-	// Shards owned by each node under the current placement: every node in
-	// a shard's replica set owns it, so publishes fan the shard's groups to
-	// all R owners.
-	owned := make([][]int, len(ids))
-	for s, reps := range r.replicas {
-		for _, o := range reps {
-			owned[o] = append(owned[o], s)
-		}
-	}
-
 	// Assemble one PrepareRequest per node: a node that holds the previous
 	// generation gets its shards' changed groups and tombstones, any other
-	// all of its shards' groups.
+	// all of its shards' groups.  Each group goes to the replicas of its
+	// shard, in antecedent order.
 	stats := PublishStats{Gen: newGen, Full: full, Groups: len(next), Nodes: len(ids)}
 	reqs := make([]PrepareRequest, len(ids))
-	owns := make([]bool, r.opt.Shards)
 	for i := range ids {
-		fullNode := full || !held[i]
-		req := PrepareRequest{Gen: newGen, Full: fullNode, Owned: owned[i]}
-		clear(owns)
-		for _, s := range owned[i] {
-			owns[s] = true
-		}
-		for gi, g := range next {
-			if owns[g.shard] && (fullNode || changed[gi]) {
-				req.Upserts = append(req.Upserts, GroupUpdate{Shard: g.shard, Rules: g.rules})
+		reqs[i] = PrepareRequest{Gen: newGen, Full: full || !held[i], Owned: r.owned[i]}
+	}
+	for gi, g := range next {
+		for _, o := range r.replicas[g.Shard] {
+			if reqs[o].Full || changed[gi] {
+				reqs[o].Upserts = append(reqs[o].Upserts, g.GroupUpdate)
 				stats.Upserts++
 				stats.Bytes += int64(len(g.canon))
 			}
 		}
-		if !fullNode {
-			for _, g := range gone {
-				if owns[g.shard] {
-					req.Removes = append(req.Removes, GroupRef{Shard: g.shard, Ant: g.ant})
-					stats.Removes++
-					stats.Bytes += int64(4*len(g.ant)) + 4
-				}
+	}
+	for _, g := range gone {
+		for _, o := range r.replicas[g.Shard] {
+			if !reqs[o].Full {
+				reqs[o].Removes = append(reqs[o].Removes, GroupRef{Shard: g.Shard, Ant: g.ant()})
+				stats.Removes++
+				stats.Bytes += int64(4*len(g.ant())) + 4
 			}
 		}
-		reqs[i] = req
 	}
 
 	// Phase 1: stage everywhere.  Any failure aborts with the previous

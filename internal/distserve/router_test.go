@@ -223,8 +223,8 @@ func TestMergeMixedGenerations(t *testing.T) {
 	req := PrepareRequest{Gen: 2, Full: true, Owned: owns}
 	opt := f.router.opt
 	for _, g := range groupRules(f.v2) {
-		if s := opt.shardOf(g.ant[0]); owned[s] {
-			req.Upserts = append(req.Upserts, GroupUpdate{Shard: s, Rules: g.rules})
+		if s := opt.shardOf(g.ant()[0]); owned[s] {
+			req.Upserts = append(req.Upserts, GroupUpdate{Shard: s, Rules: g.Rules})
 		}
 	}
 	if err := f.nodes[2].Prepare(req); err != nil {

@@ -121,7 +121,7 @@ func wireBodies(t *testing.T) []wireBody {
 	t.Cleanup(node.Close)
 	req := PrepareRequest{Gen: 1, Full: true, Owned: []int{0}}
 	for _, g := range groupRules(wireRules()) {
-		req.Upserts = append(req.Upserts, GroupUpdate{Shard: 0, Rules: g.rules})
+		req.Upserts = append(req.Upserts, GroupUpdate{Shard: 0, Rules: g.Rules})
 	}
 	if err := node.Prepare(req); err != nil {
 		t.Fatal(err)
