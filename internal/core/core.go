@@ -445,14 +445,8 @@ type run struct {
 }
 
 // np returns the number of participating processors — the "P" the grid is
-// shaped over.  Falls back to prm.P when the active list is not
-// initialized (unit tests construct run directly).
-func (r *run) np() int {
-	if len(r.active) > 0 {
-		return len(r.active)
-	}
-	return r.prm.P
-}
+// shaped over.
+func (r *run) np() int { return len(r.active) }
 
 // rebuildVRank recomputes the global-rank → virtual-rank map from active.
 func (r *run) rebuildVRank() {
@@ -494,12 +488,7 @@ type passLocal struct {
 
 // firstActive returns the lowest participating global rank, whose copy of
 // the (globally identical) frequent levels is authoritative.
-func (r *run) firstActive() int {
-	if len(r.active) > 0 {
-		return r.active[0]
-	}
-	return 0
-}
+func (r *run) firstActive() int { return r.active[0] }
 
 // assembleResult builds the apriori.Result from the first active
 // processor's levels.
@@ -521,13 +510,6 @@ func (r *run) assembleResult() *apriori.Result {
 // PassReports.  Ranks lost to permanent faults are excluded: their
 // truncated records describe work the recovered computation redid.
 func (r *run) assemblePasses() []PassReport {
-	members := r.active
-	if len(members) == 0 {
-		members = make([]int, r.prm.P)
-		for i := range members {
-			members[i] = i
-		}
-	}
 	nPasses := len(r.perProc[r.firstActive()].passes)
 	out := make([]PassReport, nPasses)
 	for k := 0; k < nPasses; k++ {
@@ -544,7 +526,7 @@ func (r *run) assemblePasses() []PassReport {
 		}
 		var times []float64
 		var maxEnd, maxStart float64
-		for _, pi := range members {
+		for _, pi := range r.active {
 			pl := r.perProc[pi].passes[k]
 			pr.Tree.Add(pl.tree)
 			pr.BytesMoved += pl.bytesMoved

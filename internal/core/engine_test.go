@@ -8,9 +8,19 @@ import (
 	"parapriori/internal/obsv"
 )
 
+// testRun is a run over prm.P ranks, all of them active, as Mine starts
+// one, for the tests that drive a run's methods without mining.
+func testRun(prm Params, numItems int) *run {
+	r := &run{prm: prm, numItems: numItems, active: make([]int, prm.P)}
+	for i := range r.active {
+		r.active[i] = i
+	}
+	return r
+}
+
 func TestChooseG(t *testing.T) {
 	chooseG := func(algo Algorithm, p, fixedG, threshold, m int) int {
-		r := &run{prm: Params{Algo: algo, P: p, FixedG: fixedG, HDThreshold: threshold}}
+		r := testRun(Params{Algo: algo, P: p, FixedG: fixedG, HDThreshold: threshold}, 0)
 		return formulations[algo].rows(r, m)
 	}
 	if got := chooseG(CD, 16, 0, 100, 1e6); got != 1 {

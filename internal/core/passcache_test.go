@@ -46,7 +46,7 @@ func TestPassCacheComputesOncePerKey(t *testing.T) {
 			t.Fatalf("k=%d: apriori.Gen differs from apriori.GenFlat", k)
 		}
 		for _, g := range []int{ranks, 2, 1} {
-			r := &run{prm: Params{P: ranks}.withDefaults(), numItems: len(f1)}
+			r := testRun(Params{P: ranks}.withDefaults(), len(f1))
 			cols := ranks / g
 			whole := k > 2 || g == 1 // some rank needs C_k whole
 			var cands [ranks]itemset.Flat
@@ -140,7 +140,7 @@ func TestPassCacheRowsMatchGeneratedC2(t *testing.T) {
 		numItems := 3*n + 2
 		c2 := apriori.GenFlat(itemsetsOf(f1))
 		for _, g := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, n + 2} {
-			r := &run{prm: Params{P: g}.withDefaults(), numItems: numItems}
+			r := testRun(Params{P: g}.withDefaults(), numItems)
 			want := partition.BinPackFlat(c2, g, 0)
 			shares := make([]share, g)
 			for row := range shares {

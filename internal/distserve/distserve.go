@@ -39,13 +39,15 @@
 //     rules never existed.
 //
 //   - Delta publish: the router groups the new rule set by antecedent
-//     (groupRules: rank-sorted by rules.Rank, cut into runs in antecedent
-//     order), walks that list once against the previous generation's,
+//     (groupRules: one rules.Group sort, by antecedent and then rank, cut
+//     into runs), walks that list once against the previous generation's,
 //     marking each group changed or not by its canonical bytes and
 //     collecting the vanished ones, and hands each changed group to the
 //     replicas of its shard, and each vanished one to them as a tombstone.
 //     Generations advance cluster-wide; the cut-over happens only after
-//     every owner acknowledged its Prepare.
+//     every owner acknowledged its Prepare.  A node restarted empty
+//     (ErrNeedFull) is resent in full, and a restarted router lifts its
+//     generation above the fleet's (StaleError), within the same publish.
 //
 // Like package serve, distserve runs on the real clock and real goroutines
 // — it is a production subsystem, not an emulation — so raw channels and

@@ -70,7 +70,7 @@ func NodeHandler(n *Node) http.Handler {
 			return
 		}
 		if err := n.Prepare(req); err != nil {
-			serve.WriteError(w, http.StatusConflict, "%v", err)
+			writeRefusal(w, err)
 			return
 		}
 		serve.WriteJSON(w, http.StatusOK, map[string]any{"staged": req.Gen})
@@ -97,6 +97,22 @@ func NodeHandler(n *Node) http.Handler {
 		})
 	}))
 	return mux
+}
+
+// writeRefusal answers a refused prepare: ErrNeedFull with 412, and any
+// other refusal with 409 — a *StaleError's with the error in its body's
+// "stale" member, so the router learns the committed generation.
+// HTTPClient.refusal maps both back.
+func writeRefusal(w http.ResponseWriter, err error) {
+	var stale *StaleError
+	switch {
+	case errors.Is(err, ErrNeedFull):
+		serve.WriteError(w, http.StatusPreconditionFailed, "%v", err)
+	case errors.As(err, &stale):
+		serve.WriteJSON(w, http.StatusConflict, map[string]any{"error": err.Error(), "stale": stale})
+	default:
+		serve.WriteError(w, http.StatusConflict, "%v", err)
+	}
 }
 
 // HTTPClient speaks the node protocol to a ruleserver -node process.  Its ID
@@ -174,7 +190,7 @@ func (c *HTTPClient) do(ctx context.Context, method, path string, in, out any) e
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("distserve: %s%s: HTTP %d: %s", c.base, path, resp.StatusCode, strings.TrimSpace(string(b)))
+		return c.refusal(path, resp.StatusCode, b)
 	}
 	if out == nil {
 		return nil
@@ -183,6 +199,22 @@ func (c *HTTPClient) do(ctx context.Context, method, path string, in, out any) e
 		return c.classify(err, budget) // a deadline can also fire mid-body
 	}
 	return nil
+}
+
+// refusal turns a node's non-200 answer into an error: ErrNeedFull for a
+// 412, the node's *StaleError for a 409 that carries one (writeRefusal),
+// and otherwise one that quotes the status and body.
+func (c *HTTPClient) refusal(path string, status int, body []byte) error {
+	var refused struct {
+		Stale *StaleError `json:"stale"`
+	}
+	switch {
+	case status == http.StatusPreconditionFailed:
+		return fmt.Errorf("distserve: %s%s: %w", c.base, path, ErrNeedFull)
+	case status == http.StatusConflict && json.Unmarshal(body, &refused) == nil && refused.Stale != nil:
+		return refused.Stale
+	}
+	return fmt.Errorf("distserve: %s%s: HTTP %d: %s", c.base, path, status, strings.TrimSpace(string(body)))
 }
 
 // Recommend implements Client via the node's GET /recommend.

@@ -1,6 +1,7 @@
 package distserve
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -39,6 +40,26 @@ type PrepareRequest struct {
 	Owned   []int         `json:"owned"`
 	Upserts []GroupUpdate `json:"upserts,omitempty"`
 	Removes []GroupRef    `json:"removes,omitempty"`
+}
+
+// ErrNeedFull is a node's refusal of a delta prepare when it has no
+// committed generation to apply the delta to: the node process restarted
+// empty.  The router answers it by sending the node all of its shards'
+// groups, as a full prepare, in the same publish.
+var ErrNeedFull = errors.New("distserve: delta prepare to a node with no committed generation")
+
+// StaleError is a node's refusal of a prepare at or below its committed
+// generation.  A router that restarted starts again from generation 1; it
+// learns the generation the fleet has committed from this refusal and lifts
+// its own above it.  The JSON names are the refusal body's over HTTP.
+type StaleError struct {
+	Node      string `json:"node"`
+	Gen       uint64 `json:"generation"`
+	Committed uint64 `json:"committed"`
+}
+
+func (e *StaleError) Error() string {
+	return fmt.Sprintf("distserve: node %s: stale prepare gen %d (committed %d)", e.Node, e.Gen, e.Committed)
 }
 
 // Node is one member of the serving fleet.  It owns a subset of the shards,
@@ -109,22 +130,28 @@ func (n *Node) Close() { n.srv.Close() }
 
 // Prepare stages the next generation: it applies the delta to the committed
 // groups, builds the new index off the query path, and holds both until
-// Commit.  A Prepare at or below the committed generation is rejected; a
-// newer Prepare replaces any staged one (the abort path: an aborted
-// publish's staged state is simply superseded).  When nothing changed for
-// this node, the committed index is reused instead of rebuilt, so a
-// no-op-for-this-node delta publish costs nothing.  It is the one check of
-// a prepare, whichever transport carried it.  It refuses the whole request
-// and stages nothing for a body the router could never send: a delta that
-// moves the node's shards (placement is fixed, and a router's first prepare
-// to a node is full), an upsert or removal on an unowned shard, a malformed
-// group (checkGroup), a removal whose antecedent is not a set, or upserts
-// or removes out of strictly increasing antecedent order.
+// Commit.  A Prepare at or below the committed generation is refused with a
+// *StaleError, and a delta to a node with no committed generation with
+// ErrNeedFull; a newer Prepare replaces any staged one (the abort path: an
+// aborted publish's staged state is simply superseded).  When nothing
+// changed for this node, the committed index is reused instead of rebuilt,
+// so a no-op-for-this-node delta publish costs nothing.  It is the one
+// check of a prepare, whichever transport carried it.  It refuses the whole
+// request and stages nothing for a body the router could never send: a
+// delta that moves the node's shards (placement is fixed, and a node that
+// has committed nothing takes only a full prepare), an upsert or removal on
+// an unowned shard, a malformed group (checkGroup), a removal whose
+// antecedent is not a set, or upserts or removes out of strictly increasing
+// antecedent order.
 func (n *Node) Prepare(req PrepareRequest) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if req.Gen <= n.gen.Load() {
-		return fmt.Errorf("distserve: node %s: stale prepare gen %d (committed %d)", n.id, req.Gen, n.gen.Load())
+	committed := n.gen.Load()
+	if req.Gen <= committed {
+		return &StaleError{Node: n.id, Gen: req.Gen, Committed: committed}
+	}
+	if !req.Full && committed == 0 {
+		return fmt.Errorf("distserve: node %s: %w", n.id, ErrNeedFull)
 	}
 	owned := slices.Clone(req.Owned)
 	slices.Sort(owned)

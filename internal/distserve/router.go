@@ -2,7 +2,6 @@ package distserve
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -163,7 +162,9 @@ type PublishStats struct {
 	Full bool `json:"full"`
 	// Groups is the number of antecedent groups in the new rule set.
 	Groups int `json:"groups"`
-	// Upserts and Removes count group updates shipped across all nodes.
+	// Upserts and Removes count group updates shipped across all nodes:
+	// a prepare round run again at a lifted generation, or a full resend
+	// to a node that refused its delta, counts what it ships too.
 	Upserts int `json:"upserts"`
 	Removes int `json:"removes"`
 	// Bytes is the canonical-byte volume shipped: the wire-cost measure
@@ -199,31 +200,17 @@ type ruleGroup struct {
 
 // groupRules decomposes a rule set into its antecedent groups in
 // Itemset.Compare order, each rank-sorted, dropping the rules with an empty
-// antecedent (see Publish).  The rules are ranked by rules.Rank, then
-// ordered by antecedent with the rank as the tie-break, so each group is a
-// run in rank order; the result is the same whatever the input order.
+// antecedent (see Publish).  One sort (rules.Group) orders the rules by
+// antecedent and then rank, so each group is a run; the result is the same
+// whatever the input order.
 func groupRules(rs []rules.Rule) []ruleGroup {
-	ranked := make([]rules.Rule, 0, len(rs))
+	grouped := make([]rules.Rule, 0, len(rs))
 	for _, r := range rs {
 		if len(r.Antecedent) > 0 {
-			ranked = append(ranked, r)
+			grouped = append(grouped, r)
 		}
 	}
-	rules.Rank(ranked)
-	at := make([]int32, len(ranked))
-	for i := range at {
-		at[i] = int32(i)
-	}
-	slices.SortFunc(at, func(a, b int32) int {
-		if c := ranked[a].Antecedent.Compare(ranked[b].Antecedent); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	grouped := make([]rules.Rule, len(ranked))
-	for i, a := range at {
-		grouped[i] = ranked[a]
-	}
+	rules.Group(grouped)
 	var out []ruleGroup
 	for lo := 0; lo < len(grouped); {
 		ant, hi := grouped[lo].Antecedent, lo+1
@@ -296,58 +283,50 @@ func (r *Router) publish(next []ruleGroup, full bool) (PublishStats, error) {
 	}
 	gone = append(gone, prev[j:]...)
 
-	// Assemble one PrepareRequest per node: a node that holds the previous
-	// generation gets its shards' changed groups and tombstones, any other
-	// all of its shards' groups.  Each group goes to the replicas of its
-	// shard, in antecedent order.
-	stats := PublishStats{Gen: newGen, Full: full, Groups: len(next), Nodes: len(ids)}
-	reqs := make([]PrepareRequest, len(ids))
-	for i := range ids {
-		reqs[i] = PrepareRequest{Gen: newGen, Full: full || !held[i], Owned: r.owned[i]}
-	}
-	for gi, g := range next {
-		for _, o := range r.replicas[g.Shard] {
-			if reqs[o].Full || changed[gi] {
-				reqs[o].Upserts = append(reqs[o].Upserts, g.GroupUpdate)
-				stats.Upserts++
-				stats.Bytes += int64(len(g.canon))
-			}
-		}
-	}
-	for _, g := range gone {
-		for _, o := range r.replicas[g.Shard] {
-			if !reqs[o].Full {
-				reqs[o].Removes = append(reqs[o].Removes, GroupRef{Shard: g.Shard, Ant: g.ant()})
-				stats.Removes++
-				stats.Bytes += int64(4*len(g.ant())) + 4
-			}
-		}
-	}
-
-	// Phase 1: stage everywhere.  Any failure aborts with the previous
-	// generation still serving on every node — staged state is simply
-	// superseded by the next publish's higher generation.  The control
-	// plane runs under a budget far above the query deadline: prepares
-	// ship real payloads and build indexes.
+	// Phase 1: stage everywhere.  A node that holds the previous generation
+	// gets a delta, any other a full request.  Any failure aborts with the
+	// previous generation still serving on every node — staged state is
+	// simply superseded by the next publish's higher generation.  The
+	// control plane runs under a budget far above the query deadline:
+	// prepares ship real payloads and build indexes.
 	pubCtx, pubCancel := context.WithTimeout(context.Background(), 15*r.opt.RequestTimeout)
 	defer pubCancel()
-	prepStart := r.rc.Now()
-	prepErrs := make([]error, len(ids))
-	var wg sync.WaitGroup
-	for i, c := range r.clients {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			prepErrs[i] = c.Prepare(pubCtx, reqs[i])
-		}()
+	stats := PublishStats{Gen: newGen, Full: full, Groups: len(next), Nodes: len(ids)}
+	sendFull := make([]bool, len(ids))
+	for i := range ids {
+		sendFull[i] = full || !held[i]
 	}
-	wg.Wait()
-	r.rc.Record("prepare", obsv.CatPublish, 0, prepStart, r.rc.Now(),
-		obsv.Int("generation", int64(newGen)),
-		obsv.Int("nodes", int64(len(ids))),
-		obsv.Int("upserts", int64(stats.Upserts)),
-		obsv.Int("removes", int64(stats.Removes)),
-		obsv.Int("bytes", stats.Bytes))
+	reqs := r.requests(newGen, sendFull, next, changed, gone, &stats)
+	prepErrs := r.prepare(pubCtx, reqs, nil, stats)
+	// A node that refuses the generation as stale has committed a later one
+	// than this router knows of: the router restarted.  Lift the generation
+	// above the highest one committed and run the round again, once.
+	var stale *StaleError
+	for _, err := range prepErrs {
+		if errors.As(err, &stale) {
+			newGen = max(newGen, stale.Committed+1)
+		}
+	}
+	if newGen != stats.Gen {
+		stats.Gen = newGen
+		reqs = r.requests(newGen, sendFull, next, changed, gone, &stats)
+		prepErrs = r.prepare(pubCtx, reqs, nil, stats)
+	}
+	// A node that refuses its delta for want of a committed generation
+	// restarted empty: send it all of its shards' groups, once, in this
+	// publish.
+	needFull := make([]bool, len(ids))
+	for i, err := range prepErrs {
+		needFull[i] = errors.Is(err, ErrNeedFull)
+	}
+	if slices.Contains(needFull, true) {
+		reqs = r.requests(newGen, needFull, next, nil, nil, &stats)
+		for i, err := range r.prepare(pubCtx, reqs, needFull, stats) {
+			if needFull[i] {
+				prepErrs[i] = err
+			}
+		}
+	}
 	for i, err := range prepErrs {
 		if err != nil {
 			return stats, fmt.Errorf("distserve: publish gen %d aborted: prepare on %s: %w", newGen, ids[i], err)
@@ -359,6 +338,7 @@ func (r *Router) publish(next []ruleGroup, full bool) (PublishStats, error) {
 	// failed node's state (its next publish is a full resend).
 	commitStart := r.rc.Now()
 	commitErrs := make([]error, len(ids))
+	var wg sync.WaitGroup
 	for i, c := range r.clients {
 		wg.Add(1)
 		go func() {
@@ -390,6 +370,66 @@ func (r *Router) publish(next []ruleGroup, full bool) (PublishStats, error) {
 		return stats, fmt.Errorf("distserve: publish gen %d committed partially: commit failed on %v", newGen, failed)
 	}
 	return stats, nil
+}
+
+// requests assembles one PrepareRequest per node at generation gen: a node
+// with full[i] gets all of its shards' groups, any other its shards'
+// changed groups and the tombstones of its shards' gone ones (a nil changed
+// marks no group changed).  Each group goes to the replicas of its shard,
+// in antecedent order.  It adds what it assembles to stats.
+func (r *Router) requests(gen uint64, full []bool, next []ruleGroup, changed []bool, gone []ruleGroup, stats *PublishStats) []PrepareRequest {
+	reqs := make([]PrepareRequest, len(r.ids))
+	for i := range reqs {
+		reqs[i] = PrepareRequest{Gen: gen, Full: full[i], Owned: r.owned[i]}
+	}
+	for gi, g := range next {
+		for _, o := range r.replicas[g.Shard] {
+			if full[o] || (changed != nil && changed[gi]) {
+				reqs[o].Upserts = append(reqs[o].Upserts, g.GroupUpdate)
+				stats.Upserts++
+				stats.Bytes += int64(len(g.canon))
+			}
+		}
+	}
+	for _, g := range gone {
+		for _, o := range r.replicas[g.Shard] {
+			if !full[o] {
+				reqs[o].Removes = append(reqs[o].Removes, GroupRef{Shard: g.Shard, Ant: g.ant()})
+				stats.Removes++
+				stats.Bytes += int64(4*len(g.ant())) + 4
+			}
+		}
+	}
+	return reqs
+}
+
+// prepare sends each node its request, in parallel — every node, or with
+// a non-nil only the nodes it marks — and returns each node's error.  It
+// records one prepare span, with the publish's totals so far.
+func (r *Router) prepare(ctx context.Context, reqs []PrepareRequest, only []bool, stats PublishStats) []error {
+	start := r.rc.Now()
+	errs := make([]error, len(reqs))
+	sent := 0
+	var wg sync.WaitGroup
+	for i, c := range r.clients {
+		if only != nil && !only[i] {
+			continue
+		}
+		sent++
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.Prepare(ctx, reqs[i])
+		}()
+	}
+	wg.Wait()
+	r.rc.Record("prepare", obsv.CatPublish, 0, start, r.rc.Now(),
+		obsv.Int("generation", int64(stats.Gen)),
+		obsv.Int("nodes", int64(sent)),
+		obsv.Int("upserts", int64(stats.Upserts)),
+		obsv.Int("removes", int64(stats.Removes)),
+		obsv.Int("bytes", stats.Bytes))
+	return errs
 }
 
 // Result is one distributed basket query's answer, and the body of the
@@ -705,7 +745,7 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	// Merge the answers in node order (determinism).  Generation is the
 	// lowest among them (0 when none arrived); Mixed reports that they
 	// disagreed.
-	slices.SortFunc(answers, func(a, b answer) int { return cmp.Compare(a.node, b.node) })
+	slices.SortFunc(answers, func(a, b answer) int { return a.node - b.node })
 	for i, a := range answers {
 		if i == 0 || a.gen < res.Generation {
 			res.Generation = a.gen

@@ -78,7 +78,7 @@ func wireRulesV2() []rules.Rule {
 
 // recordingClient remembers every prepare the router sends through it.
 type recordingClient struct {
-	*LocalClient
+	Client
 	mu       sync.Mutex
 	prepares []PrepareRequest
 }
@@ -87,7 +87,16 @@ func (c *recordingClient) Prepare(ctx context.Context, req PrepareRequest) error
 	c.mu.Lock()
 	c.prepares = append(c.prepares, req)
 	c.mu.Unlock()
-	return c.LocalClient.Prepare(ctx, req)
+	return c.Client.Prepare(ctx, req)
+}
+
+// take returns the prepares sent since the last take.
+func (c *recordingClient) take() []PrepareRequest {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sent := c.prepares
+	c.prepares = nil
+	return sent
 }
 
 // wireBody is one pinned body: its bytes, and the in-process value that
@@ -162,7 +171,7 @@ func wireBodies(t *testing.T) []wireBody {
 	for i := range recs {
 		n := NewNode(fmt.Sprintf("node%02d", i), opt.Node)
 		t.Cleanup(n.Close)
-		recs[i] = &recordingClient{LocalClient: &LocalClient{node: n}}
+		recs[i] = &recordingClient{Client: &LocalClient{node: n}}
 		clients[i] = recs[i]
 	}
 	router, err := NewRouter(clients, opt)
@@ -177,7 +186,7 @@ func wireBodies(t *testing.T) []wireBody {
 	}
 	rh := router.Handler(nil)
 	full := []itemset.Item{8, 6, 3, 2, 1, 4}
-	down := recs[router.replicas[opt.shardOf(1)][0]]
+	down := recs[router.replicas[opt.shardOf(1)][0]].Client.(*LocalClient)
 	for _, q := range []struct {
 		name   string
 		basket []itemset.Item

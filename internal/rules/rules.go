@@ -85,58 +85,106 @@ func Generate(res *apriori.Result, p Params) ([]Rule, error) {
 	return g.sorted(), nil
 }
 
-// sortKey is a rule's place in the Sort order: its two measures, and its
-// index for the item tie-breaks and the permutation.  A measure is held as
-// its bits complemented: measures are never negative or NaN, so their bits
-// order as they do, and complemented bits order descending.
-type sortKey struct {
-	conf, sup uint64
-	at        int32
+// An order is one of the package's three rule orders, each a key over this
+// one kernel.
+type order uint8
+
+const (
+	strength order = iota // Sort: confidence, then support
+	serving               // Rank: confidence, then lift, then support
+	grouping              // Group: antecedent, then serving
+)
+
+// key is a rule's place in an order: up to three measures, each mapped by
+// desc to a uint64 that ascends as the measure descends, and the rule's
+// index, to compare the itemsets on a tie and to move the rule once its
+// place is known.
+type key struct {
+	m  [3]uint64
+	at int32
 }
 
-// order returns the keys of the n rules rule(0) … rule(n-1) in Sort order.
-func order(n int, rule func(int32) *Rule) []sortKey {
-	keys := make([]sortKey, n)
-	for i := range keys {
-		r := rule(int32(i))
-		keys[i] = sortKey{^math.Float64bits(r.Confidence), ^math.Float64bits(r.Support), int32(i)}
+// desc maps a measure to a uint64 whose ascending order is the measure's
+// descending cmp.Compare order: a NaN of either sign after every number,
+// and −0 equal to +0.  A non-negative float's bits ascend with it, so they
+// are subtracted from MaxInt64, which reverses them into the lower half; a
+// negative float's bits ascend as it descends, so they stay, in the upper
+// half.
+func desc(f float64) uint64 {
+	switch b := math.Float64bits(f); {
+	case f != f:
+		return math.MaxUint64
+	case f == 0:
+		return math.MaxInt64
+	case b>>63 != 0:
+		return b
+	default:
+		return math.MaxInt64 - b
 	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		if a.conf != b.conf {
-			return cmp.Compare(a.conf, b.conf)
+}
+
+// keyOf returns rule r's key in order o, at index at.
+func keyOf(r *Rule, o order, at int32) key {
+	if o == strength {
+		return key{[3]uint64{desc(r.Confidence), desc(r.Support)}, at}
+	}
+	return key{[3]uint64{desc(r.Confidence), desc(r.Lift), desc(r.Support)}, at}
+}
+
+// comparison returns the one comparison of the orders, in order o: the
+// keys' measures, then the rules' antecedents, then their consequents —
+// and in the grouping order the antecedents before all.  rule returns the
+// rule of an index; it is called only when the measures tie, or to group.
+// Every order is total, so any sort under it is deterministic.
+func comparison(o order, rule func(int32) *Rule) func(a, b key) int {
+	return func(a, b key) int {
+		if o == grouping {
+			if c := rule(a.at).Antecedent.Compare(rule(b.at).Antecedent); c != 0 {
+				return c
+			}
 		}
-		if a.sup != b.sup {
-			return cmp.Compare(a.sup, b.sup)
+		for i := range a.m {
+			if a.m[i] != b.m[i] {
+				return cmp.Compare(a.m[i], b.m[i])
+			}
 		}
 		ra, rb := rule(a.at), rule(b.at)
 		if c := ra.Antecedent.Compare(rb.Antecedent); c != 0 {
 			return c
 		}
 		return ra.Consequent.Compare(rb.Consequent)
-	})
+	}
+}
+
+// sortedKeys returns the keys of the n rules rule(0) … rule(n-1), sorted in
+// order o.
+func sortedKeys(n int, o order, rule func(int32) *Rule) []key {
+	keys := make([]key, n)
+	for i := range keys {
+		keys[i] = keyOf(rule(int32(i)), o, int32(i))
+	}
+	slices.SortFunc(keys, comparison(o, rule))
 	return keys
 }
 
-// Sort orders rules by descending confidence, then descending support, then
-// antecedent/consequent order — the order Generate returns.  It sorts small
-// keys, not the rules, then moves each rule once into its place.
-func Sort(rs []Rule) {
-	keys := order(len(rs), func(i int32) *Rule { return &rs[i] })
-	permute(rs, func(i int) *int32 { return &keys[i].at })
+// sortRules sorts rs into order o: it sorts the keys, then moves each rule
+// once into its place.
+func sortRules(rs []Rule, o order) {
+	permute(rs, sortedKeys(len(rs), o, func(i int32) *Rule { return &rs[i] }))
 }
 
-// permute moves rule *at(i) to i for every i: it follows each cycle of the
-// permutation once, marking a placed slot by pointing its entry at itself.
-func permute(rs []Rule, at func(i int) *int32) {
+// permute moves rule keys[i].at to i for every i: it follows each cycle of
+// the permutation once, marking a placed slot by pointing its key at
+// itself.
+func permute(rs []Rule, keys []key) {
 	for i := range rs {
-		if int(*at(i)) == i {
+		if int(keys[i].at) == i {
 			continue
 		}
 		held, j := rs[i], i
 		for {
-			slot := at(j)
-			from := int(*slot)
-			*slot = int32(j)
+			from := int(keys[j].at)
+			keys[j].at = int32(j)
 			if from == i {
 				rs[j] = held
 				break
@@ -147,60 +195,27 @@ func permute(rs []Rule, at func(i int) *int32) {
 	}
 }
 
-// servingKey is a rule's place in the serving order: the three measures the
-// order compares first, and the rule's index, to compare the itemsets on
-// the rare full tie and to find the rule once its rank is known.
-type servingKey struct {
-	conf, lift, sup float64
-	at              int32
-}
+// Sort orders rules by descending confidence, then descending support, then
+// antecedent/consequent order — the order Generate returns.
+func Sort(rs []Rule) { sortRules(rs, strength) }
 
-func servingKeyOf(r *Rule, at int32) servingKey {
-	return servingKey{r.Confidence, r.Lift, r.Support, at}
-}
+// Rank sorts rules into the serving order: descending confidence, then
+// descending lift (a high-lift rule is genuinely informative where an
+// equal-confidence high-base-rate consequent is not), then descending
+// support, then antecedent/consequent order — one deterministic ranking,
+// the property the serving layer's top-K results rely on.
+func Rank(rs []Rule) { sortRules(rs, serving) }
 
-// compareRank is the serving order, and its one definition: descending
-// confidence, then descending lift (a high-lift rule is genuinely
-// informative where an equal-confidence high-base-rate consequent is not),
-// then descending support, then antecedent/consequent order.  a and b are
-// the keys of the rules ra and rb.  The order is total — no two distinct
-// rules compare equal, and cmp.Compare places a NaN measure below every
-// number — so any sort under it yields one deterministic ranking, the
-// property the serving layer's top-K results rely on.
-func compareRank(a, b servingKey, ra, rb *Rule) int {
-	// The measures descend, hence b before a.
-	if c := cmp.Compare(b.conf, a.conf); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(b.lift, a.lift); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(b.sup, a.sup); c != 0 {
-		return c
-	}
-	if c := ra.Antecedent.Compare(rb.Antecedent); c != 0 {
-		return c
-	}
-	return ra.Consequent.Compare(rb.Consequent)
-}
-
-// RankLess reports whether a ranks before b in the serving order
-// (compareRank).
+// RankLess reports whether a ranks before b in the serving order (Rank).
 func RankLess(a, b Rule) bool {
-	return compareRank(servingKeyOf(&a, 0), servingKeyOf(&b, 0), &a, &b) < 0
+	pair := [2]*Rule{&a, &b}
+	compare := comparison(serving, func(i int32) *Rule { return pair[i] })
+	return compare(keyOf(&a, serving, 0), keyOf(&b, serving, 1)) < 0
 }
 
-// Rank sorts rules into the serving order (RankLess).  It sorts compact
-// keys — the three measures and an index; the itemsets are compared only
-// when all three tie — then moves each rule once into its place.
-func Rank(rs []Rule) {
-	keys := make([]servingKey, len(rs))
-	for i := range rs {
-		keys[i] = servingKeyOf(&rs[i], int32(i))
-	}
-	slices.SortFunc(keys, func(a, b servingKey) int { return compareRank(a, b, &rs[a.at], &rs[b.at]) })
-	permute(rs, func(i int) *int32 { return &keys[i].at })
-}
+// Group sorts rules by antecedent, then into the serving order, so the
+// rules of each antecedent are one run in rank order.
+func Group(rs []Rule) { sortRules(rs, grouping) }
 
 // Generator runs ap-genrules itemset by itemset over one result's supports,
 // collecting the rules it keeps and counting the candidate rules it tests in
@@ -304,9 +319,6 @@ func (g *Generator) test(f apriori.Frequent, y itemset.Itemset) bool {
 // chunkRules is the size of one block of kept rules.
 const chunkRules = 256
 
-// rule returns kept rule i.
-func (g *Generator) rule(i int32) *Rule { return &g.kept[i/chunkRules][i%chunkRules] }
-
 // Rules returns the kept rules in the order they were kept, nil for none.
 func (g *Generator) Rules() []Rule {
 	if g.nKept == 0 {
@@ -326,10 +338,10 @@ func (g *Generator) sorted() []Rule {
 	if g.nKept == 0 {
 		return nil
 	}
-	keys := order(g.nKept, g.rule)
+	rule := func(i int32) *Rule { return &g.kept[i/chunkRules][i%chunkRules] }
 	out := make([]Rule, g.nKept)
-	for i, k := range keys {
-		out[i] = *g.rule(k.at)
+	for i, k := range sortedKeys(g.nKept, strength, rule) {
+		out[i] = *rule(k.at)
 	}
 	return out
 }
