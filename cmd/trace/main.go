@@ -25,11 +25,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
+	"strings"
+	"time"
 
 	"parapriori/internal/obsv"
+	"parapriori/internal/serve"
 )
 
 func main() {
@@ -38,7 +43,7 @@ func main() {
 		timeline = flag.Bool("timeline", false, "render the leaf slices as a text Gantt chart")
 		width    = flag.Int("width", 100, "timeline width in columns")
 		perfetto = flag.String("perfetto", "", "re-emit the trace as normalized Perfetto JSON to this file")
-		hist     = flag.Bool("hist", false, "print the virtual-time pass-duration histogram (log-2 buckets) with per-pass p50/p95/p99 lines")
+		hist     = flag.Bool("hist", false, "print the pass-duration histogram, in the serving latency histogram's power-of-two microsecond buckets, with per-pass p50/p95/p99 lines")
 		flight   = flag.Int("flight", 0, "print the n most recently completed spans (a flight-ring view of any trace)")
 	)
 	flag.Parse()
@@ -74,7 +79,7 @@ func main() {
 		did = true
 	}
 	if *hist {
-		if err := obsv.WriteHistogram(os.Stdout, obsv.PassHistogram(t)); err != nil {
+		if err := writeHist(os.Stdout, obsv.PassDurations(t, -1)); err != nil {
 			fatal(err)
 		}
 		// Per-pass percentile lines over the per-rank pass durations: the
@@ -135,6 +140,43 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// writeHist prints the histogram of an ascending sample of durations in
+// seconds: an n/min/max/mean header (summed in ascending order, so the
+// line is a function of the multiset), then one row per serve.Hist bucket
+// from the first through the last non-empty one — its bounds in seconds,
+// its count and a bar of up to 40 columns.  Bucket i ≥ 1 is [2^(i-1),
+// 2^i) µs, bucket 0 is below 1 µs, and the top bucket has no upper bound.
+func writeHist(w io.Writer, sorted []float64) error {
+	var h serve.Hist
+	var lo, hi, sum, mean float64
+	for _, v := range sorted {
+		h.Observe(time.Duration(math.Round(v * 1e9)))
+		sum += v
+	}
+	if n := len(sorted); n > 0 {
+		lo, hi, mean = sorted[0], sorted[n-1], sum/float64(n)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "n=%d min=%.6f max=%.6f mean=%.6f (seconds)\n", len(sorted), lo, hi, mean)
+	counts, uppers := h.Counts(), h.UppersSeconds()
+	uppers[len(uppers)-1] = math.Inf(1)
+	last := len(counts) - 1
+	for last >= 0 && counts[last] == 0 {
+		last--
+	}
+	edge := 0.0
+	for i, c := range counts[:last+1] {
+		bar := int(c * 40 / int64(len(sorted)))
+		if bar == 0 && c > 0 {
+			bar = 1
+		}
+		fmt.Fprintf(&b, "[%12.6f, %12.6f) %6d %s\n", edge, uppers[i], c, strings.Repeat("#", bar))
+		edge = uppers[i]
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 func fatal(err error) {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -133,7 +134,8 @@ func TestGoldenCLI(t *testing.T) {
 }
 
 // TestUsageErrors pins the misuse paths: no file is exit 2 with usage, a
-// file that is not a trace is exit 1.
+// file that is not a trace is exit 1, and so is a trace with a span that
+// ends before it starts.
 func TestUsageErrors(t *testing.T) {
 	if code, _, stderr := trace(t); code != 2 || !strings.Contains(stderr, "usage: trace") {
 		t.Errorf("no arguments: exit %d, stderr %q", code, stderr)
@@ -144,5 +146,68 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code, _, stderr := trace(t, bad); code != 1 || !strings.HasPrefix(stderr, "trace: ") {
 		t.Errorf("garbage input: exit %d, stderr %q", code, stderr)
+	}
+	if code, _, stderr := trace(t, "-hist", "testdata/negative-dur.json"); code != 1 || !strings.Contains(stderr, `"pass k=2"`) {
+		t.Errorf("negative dur: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestHistRows pins the -hist rows at every bucket edge against the rule
+// the rows state: row 0 is [0, 1 µs), row i ≥ 1 is [2^(i-1), 2^i) µs, and
+// the top row, 31, has no upper bound.  A value exactly at 2^i µs opens row
+// i+1; a nanosecond less stays in row i.  Values round to the nanosecond.
+func TestHistRows(t *testing.T) {
+	type tc struct {
+		name string
+		d    []float64 // seconds, ascending
+		row  int       // the one non-empty row; -1 for none
+	}
+	cases := []tc{
+		{"empty", nil, -1},
+		{"0 and 0.5us", []float64{0, 0.5e-6}, 0},
+		{"past 2^31us", []float64{math.Ldexp(1e-6, 31) * 1.5}, 31},
+		// A span's duration is a difference of float seconds; noise below
+		// a nanosecond rounds away and does not move a value off its edge.
+		{"2^10us less float noise", []float64{0.001024 - 1e-16}, 11},
+	}
+	for i := 0; i <= 30; i++ {
+		edge := math.Ldexp(1e-6, i)
+		cases = append(cases,
+			tc{fmt.Sprintf("2^%dus", i), []float64{edge}, i + 1},
+			tc{fmt.Sprintf("2^%dus-1ns", i), []float64{edge - 1e-9}, i})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var got strings.Builder
+			if err := writeHist(&got, c.d); err != nil {
+				t.Fatal(err)
+			}
+			var want strings.Builder
+			lo, hi, sum, mean := 0.0, 0.0, 0.0, 0.0
+			for _, v := range c.d {
+				sum += v
+			}
+			if n := len(c.d); n > 0 {
+				lo, hi, mean = c.d[0], c.d[n-1], sum/float64(n)
+			}
+			fmt.Fprintf(&want, "n=%d min=%.6f max=%.6f mean=%.6f (seconds)\n", len(c.d), lo, hi, mean)
+			for i := 0; i <= c.row; i++ {
+				from, to := 0.0, math.Ldexp(1e-6, i)
+				if i > 0 {
+					from = math.Ldexp(1e-6, i-1)
+				}
+				if i == 31 {
+					to = math.Inf(1)
+				}
+				n, bar := 0, ""
+				if i == c.row {
+					n, bar = len(c.d), strings.Repeat("#", 40)
+				}
+				fmt.Fprintf(&want, "[%12.6f, %12.6f) %6d %s\n", from, to, n, bar)
+			}
+			if got.String() != want.String() {
+				t.Errorf("rows of %v:\n got:\n%s\nwant:\n%s", c.d, got.String(), want.String())
+			}
+		})
 	}
 }

@@ -194,7 +194,7 @@ func TestChaosChurnZeroPartial(t *testing.T) {
 
 	const workers = 4
 	var stop atomic.Bool
-	var queries atomic.Int64
+	var served atomic.Int64
 	// epoch counts restores; seen[w] is the epoch at which worker w's last
 	// finished query started (MaxInt64 once the worker has exited).
 	var epoch atomic.Int64
@@ -218,7 +218,7 @@ func TestChaosChurnZeroPartial(t *testing.T) {
 
 	phase := func(gen uint64) {
 		stop.Store(false)
-		start := queries.Load()
+		start := served.Load()
 		for w := 0; w < workers; w++ {
 			w := w
 			seen[w].Store(epoch.Load())
@@ -235,7 +235,7 @@ func TestChaosChurnZeroPartial(t *testing.T) {
 						errs[w] = err
 						return
 					}
-					queries.Add(1)
+					served.Add(1)
 					if got.Partial {
 						errs[w] = fmt.Errorf("partial answer under churn (missed %v)", got.MissedShards)
 						return
@@ -271,7 +271,7 @@ func TestChaosChurnZeroPartial(t *testing.T) {
 				t.Fatalf("gen %d worker %d: %v", gen, w, err)
 			}
 		}
-		if queries.Load() == start {
+		if served.Load() == start {
 			t.Fatalf("gen %d phase ran no queries", gen)
 		}
 	}

@@ -75,7 +75,7 @@ func (r *Router) Metrics() FleetMetrics {
 		Shards:     len(r.replicas),
 	}
 	fm.UptimeSeconds = time.Since(r.met.start).Seconds()
-	fm.Queries = r.met.queries.Load()
+	fm.Queries = r.met.latency.Count()
 	if fm.UptimeSeconds > 0 {
 		fm.QPS = float64(fm.Queries) / fm.UptimeSeconds
 	}

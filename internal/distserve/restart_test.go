@@ -78,17 +78,21 @@ func newRestartFleet(t *testing.T, transport string) *restartFleet {
 	for _, c := range transports {
 		f.clients = append(f.clients, &recordingClient{Client: c})
 	}
-	f.newRouter(t)
+	f.newRouter(t, nil)
 	return f
 }
 
 // newRouter replaces the fleet's router by a new one over the same nodes,
-// as a restarted router process starts.
-func (f *restartFleet) newRouter(t *testing.T) {
+// as a restarted router process starts.  A non-nil wrap wraps node i's
+// client.
+func (f *restartFleet) newRouter(t *testing.T, wrap func(i int, c Client) Client) {
 	t.Helper()
 	clients := make([]Client, len(f.clients))
 	for i, c := range f.clients {
 		clients[i] = c
+		if wrap != nil {
+			clients[i] = wrap(i, c)
+		}
 	}
 	r, err := NewRouter(clients, f.opt)
 	if err != nil {
@@ -220,10 +224,10 @@ func TestRestartedNodeResyncedInSamePublish(t *testing.T) {
 }
 
 // TestRestartedRouterPublishes replaces the router of a fleet that has
-// committed generation 3.  The new router starts at generation 0, so every
-// node refuses its first prepare as stale; the publish lifts its
-// generation above the fleet's, prepares again and commits, and the
-// delta after it commits too.
+// committed generation 3.  The new router starts at generation 0, reads
+// the fleet's committed generation from the nodes' metrics, and sends each
+// node one full request at generation 4, which commits; the delta after it
+// commits too.
 func TestRestartedRouterPublishes(t *testing.T) {
 	for _, transport := range []string{"local", "http"} {
 		t.Run(transport, func(t *testing.T) {
@@ -234,15 +238,15 @@ func TestRestartedRouterPublishes(t *testing.T) {
 			}
 			f.check(t, gens[2], 3)
 
-			f.newRouter(t)
+			f.newRouter(t, nil)
 			st, sent := f.publish(t, gens[3], true)
 			f.check(t, gens[3], 4)
 			if st.Gen != 4 {
 				t.Fatalf("restarted router published generation %d, want 4", st.Gen)
 			}
 			for i, reqs := range sent {
-				if len(reqs) != 2 || reqs[0].Gen != 1 || reqs[1].Gen != 4 || !reqs[1].Full {
-					t.Fatalf("node %d was sent %d requests, want one at generation 1 and a full one at 4", i, len(reqs))
+				if len(reqs) != 1 || reqs[0].Gen != 4 || !reqs[0].Full || !reflect.DeepEqual(reqs[0].Upserts, f.owned(i, gens[3])) {
+					t.Fatalf("node %d was sent %d requests, want one full one at generation 4", i, len(reqs))
 				}
 			}
 			if up, rm, b := shipped(sent); st.Upserts != up || st.Removes != rm || st.Bytes != b {
@@ -256,6 +260,54 @@ func TestRestartedRouterPublishes(t *testing.T) {
 				t.Fatalf("delta after the restart published generation %d, want 5", st.Gen)
 			}
 			f.check(t, gens[4], 5)
+		})
+	}
+}
+
+// metricsDown is a Client whose Metrics always fails while its other calls
+// go through: a node the router cannot read but can publish to.
+type metricsDown struct{ Client }
+
+func (metricsDown) Metrics(context.Context) (serve.Metrics, error) {
+	return serve.Metrics{}, errors.New("metrics unavailable")
+}
+
+// TestRestartedRouterLiftsPastAnUnreadNode: only node 0 still holds the
+// fleet's generation 3 (the others restarted empty), and its metrics
+// cannot be read.  The restarted router reads generation 0 from the
+// others, so node 0 refuses the first round at generation 1 as stale; the
+// publish lifts to generation 4, sends every node its full request again
+// and commits.
+func TestRestartedRouterLiftsPastAnUnreadNode(t *testing.T) {
+	for _, transport := range []string{"local", "http"} {
+		t.Run(transport, func(t *testing.T) {
+			f := newRestartFleet(t, transport)
+			gens := generations(3, 4)
+			for gen, rs := range gens[:3] {
+				f.publish(t, rs, gen == 0)
+			}
+			for i := 1; i < len(f.nodes); i++ {
+				f.restart(i)
+			}
+			f.newRouter(t, func(i int, c Client) Client {
+				if i == 0 {
+					return metricsDown{c}
+				}
+				return c
+			})
+			st, sent := f.publish(t, gens[3], true)
+			f.check(t, gens[3], 4)
+			if st.Gen != 4 {
+				t.Fatalf("published generation %d, want 4", st.Gen)
+			}
+			for i, reqs := range sent {
+				if len(reqs) != 2 || reqs[0].Gen != 1 || reqs[1].Gen != 4 || !reqs[1].Full || !reflect.DeepEqual(reqs[1].Upserts, f.owned(i, gens[3])) {
+					t.Fatalf("node %d was sent %d requests, want one at generation 1 and a full one at 4", i, len(reqs))
+				}
+			}
+			if up, rm, b := shipped(sent); st.Upserts != up || st.Removes != rm || st.Bytes != b {
+				t.Fatalf("stats %+v; the requests carried %d upserts, %d removes, %d bytes", st, up, rm, b)
+			}
 		})
 	}
 }

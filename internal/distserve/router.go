@@ -74,7 +74,6 @@ type Router struct {
 // routerMetrics is the router's lock-free counter block.
 type routerMetrics struct {
 	start     time.Time
-	queries   atomic.Int64
 	partials  atomic.Int64
 	fanout    atomic.Int64
 	retries   atomic.Int64
@@ -256,9 +255,19 @@ func (g ruleGroup) canonical() []byte {
 func (r *Router) publish(next []ruleGroup, full bool) (PublishStats, error) {
 	ids := r.ids
 	r.mu.RLock()
-	prev, held := r.pub, r.held
-	newGen := r.gen + 1
+	prev, held, gen := r.pub, r.held, r.gen
 	r.mu.RUnlock()
+	// The control plane runs under a budget far above the query deadline:
+	// prepares ship real payloads and build indexes.
+	pubCtx, pubCancel := context.WithTimeout(context.Background(), 15*r.opt.RequestTimeout)
+	defer pubCancel()
+	// A router that has committed nothing may be a restarted one over a
+	// fleet that has: number the publish above the highest generation a
+	// node reports, so no node is sent a round it must refuse as stale.
+	if gen == 0 {
+		gen = r.committedGen(pubCtx)
+	}
+	newGen := gen + 1
 
 	// Place each group, and walk the two antecedent-ordered lists once:
 	// changed[i] reports whether group i differs from what the previous
@@ -286,11 +295,7 @@ func (r *Router) publish(next []ruleGroup, full bool) (PublishStats, error) {
 	// Phase 1: stage everywhere.  A node that holds the previous generation
 	// gets a delta, any other a full request.  Any failure aborts with the
 	// previous generation still serving on every node — staged state is
-	// simply superseded by the next publish's higher generation.  The
-	// control plane runs under a budget far above the query deadline:
-	// prepares ship real payloads and build indexes.
-	pubCtx, pubCancel := context.WithTimeout(context.Background(), 15*r.opt.RequestTimeout)
-	defer pubCancel()
+	// simply superseded by the next publish's higher generation.
 	stats := PublishStats{Gen: newGen, Full: full, Groups: len(next), Nodes: len(ids)}
 	sendFull := make([]bool, len(ids))
 	for i := range ids {
@@ -299,8 +304,9 @@ func (r *Router) publish(next []ruleGroup, full bool) (PublishStats, error) {
 	reqs := r.requests(newGen, sendFull, next, changed, gone, &stats)
 	prepErrs := r.prepare(pubCtx, reqs, nil, stats)
 	// A node that refuses the generation as stale has committed a later one
-	// than this router knows of: the router restarted.  Lift the generation
-	// above the highest one committed and run the round again, once.
+	// than this router knows of and could not report it above: the router
+	// restarted.  Lift the generation above the highest one committed and
+	// run the round again, once.
 	var stale *StaleError
 	for _, err := range prepErrs {
 		if errors.As(err, &stale) {
@@ -370,6 +376,27 @@ func (r *Router) publish(next []ruleGroup, full bool) (PublishStats, error) {
 		return stats, fmt.Errorf("distserve: publish gen %d committed partially: commit failed on %v", newGen, failed)
 	}
 	return stats, nil
+}
+
+// committedGen returns the highest snapshot generation the nodes report
+// through their metrics, read in parallel under the query deadline.  A node
+// that does not answer counts as 0: the stale lift in publish covers it.
+func (r *Router) committedGen(ctx context.Context) uint64 {
+	ctx, cancel := context.WithTimeout(ctx, r.opt.RequestTimeout)
+	defer cancel()
+	gens := make([]uint64, len(r.clients))
+	var wg sync.WaitGroup
+	for i, c := range r.clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if m, err := c.Metrics(ctx); err == nil {
+				gens[i] = m.SnapshotGeneration
+			}
+		}()
+	}
+	wg.Wait()
+	return slices.Max(gens)
 }
 
 // requests assembles one PrepareRequest per node at generation gen: a node
@@ -489,7 +516,6 @@ func (r *Router) Recommend(basket []itemset.Item, k int) (*Result, error) {
 	var asked []bool // by ordinal: the node was sent a leg
 	defer func() {
 		end := time.Now()
-		r.met.queries.Add(1)
 		r.met.latency.ObserveAt(end.Sub(start), end, func() serve.Exemplar {
 			nodes := make([]string, 0, n)
 			for o, ok := range asked {

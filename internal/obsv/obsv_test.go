@@ -170,6 +170,11 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader(`{"foo": 1}`)); err == nil {
 		t.Fatal("non-trace JSON accepted")
 	}
+	// A complete event that ends before it starts: the error names it.
+	const negative = `{"traceEvents": [{"name": "pass k=2", "cat": "pass", "ph": "X", "pid": 2, "tid": 1, "ts": 10, "dur": -3}]}`
+	if _, err := ReadTrace(strings.NewReader(negative)); err == nil || !strings.Contains(err.Error(), `"pass k=2"`) {
+		t.Fatalf("negative dur: err = %v, want a refusal naming the event", err)
+	}
 }
 
 func TestAttribution(t *testing.T) {

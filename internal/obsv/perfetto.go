@@ -230,6 +230,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if e.Ph != "X" {
 			continue
 		}
+		if e.Dur < 0 {
+			return nil, fmt.Errorf("obsv: event %q (pid %d, ts %v) has negative dur %v", e.Name, e.Pid, e.Ts, e.Dur)
+		}
 		s := Span{
 			Name:  e.Name,
 			Cat:   e.Cat,

@@ -83,10 +83,19 @@ func (h *Hist) UppersSeconds() []float64 {
 	return out
 }
 
+// Count returns the number of samples observed, the sum of the buckets.
+func (h *Hist) Count() int64 {
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
+
 // Percentile returns the p-th latency percentile in microseconds, as the
-// upper bound of the histogram bucket holding that rank — an overestimate
-// by at most 2×, the usual contract of log-bucketed histograms.  It returns
-// 0 before the first sample.
+// upper bound of the histogram bucket holding that sample's nearest rank
+// (obsv.NearestRank) — an overestimate by at most 2×, the usual contract of
+// log-bucketed histograms.  It returns 0 before the first sample.
 func (h *Hist) Percentile(p float64) float64 {
 	var counts [latencyBuckets]int64
 	var total int64
@@ -97,17 +106,11 @@ func (h *Hist) Percentile(p float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	rank := int64(p*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
+	rank := int64(obsv.NearestRank(p, int(total)))
 	var cum int64
 	for i, c := range counts {
 		cum += c
 		if cum >= rank {
-			if i == 0 {
-				return 1
-			}
 			return float64(int64(1) << uint(i))
 		}
 	}
@@ -129,7 +132,6 @@ func (h *Hist) reset() {
 // never pauses the writers.
 type metrics struct {
 	start   time.Time
-	queries atomic.Int64
 	hits    atomic.Int64
 	misses  atomic.Int64
 	reloads atomic.Int64
@@ -141,7 +143,6 @@ type metrics struct {
 // be called while no queries are in flight.
 func (m *metrics) reset() {
 	m.start = time.Now()
-	m.queries.Store(0)
 	m.hits.Store(0)
 	m.misses.Store(0)
 	m.latency.reset()
@@ -174,7 +175,7 @@ type Metrics struct {
 func (s *Server) Metrics() Metrics {
 	m := Metrics{
 		UptimeSeconds:    time.Since(s.met.start).Seconds(),
-		Queries:          s.met.queries.Load(),
+		Queries:          s.met.latency.Count(),
 		P50LatencyMicros: s.met.percentile(0.50),
 		P99LatencyMicros: s.met.percentile(0.99),
 		CacheHits:        s.met.hits.Load(),

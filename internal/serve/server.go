@@ -192,7 +192,6 @@ func (s *Server) RecommendTraced(basket []itemset.Item, k int, link string) ([]r
 	var gen uint64
 	defer func() {
 		end := time.Now()
-		s.met.queries.Add(1)
 		s.met.latency.ObserveAt(end.Sub(start), end, func() Exemplar {
 			return Exemplar{SpanID: link, BasketHash: BasketHash(b), Cache: cache, Generation: gen}
 		})
