@@ -146,8 +146,10 @@ func main() {
 // seconds: an n/min/max/mean header (summed in ascending order, so the
 // line is a function of the multiset), then one row per serve.Hist bucket
 // from the first through the last non-empty one — its bounds in seconds,
-// its count and a bar of up to 40 columns.  Bucket i ≥ 1 is [2^(i-1),
-// 2^i) µs, bucket 0 is below 1 µs, and the top bucket has no upper bound.
+// its count and a bar of up to 40 columns.  Bucket i ≥ 1 is (2^(i-1),
+// 2^i] µs, bucket 0 is at most 1 µs, and the top bucket has no upper
+// bound.  A row prints its bounds as "[lo, hi)", the layout cli.golden
+// pins, though a sample exactly at hi counts in it.
 func writeHist(w io.Writer, sorted []float64) error {
 	var h serve.Hist
 	var lo, hi, sum, mean float64
@@ -160,8 +162,7 @@ func writeHist(w io.Writer, sorted []float64) error {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "n=%d min=%.6f max=%.6f mean=%.6f (seconds)\n", len(sorted), lo, hi, mean)
-	counts, uppers := h.Counts(), h.UppersSeconds()
-	uppers[len(uppers)-1] = math.Inf(1)
+	counts, uppers := h.Counts(), append(h.UppersSeconds(), math.Inf(1))
 	last := len(counts) - 1
 	for last >= 0 && counts[last] == 0 {
 		last--

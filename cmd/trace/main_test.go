@@ -152,10 +152,11 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestHistRows pins the -hist rows at every bucket edge against the rule
-// the rows state: row 0 is [0, 1 µs), row i ≥ 1 is [2^(i-1), 2^i) µs, and
-// the top row, 31, has no upper bound.  A value exactly at 2^i µs opens row
-// i+1; a nanosecond less stays in row i.  Values round to the nanosecond.
+// TestHistRows pins the -hist rows at every bucket edge against
+// serve.Hist's rule: row 0 is [0, 1 µs], row i ≥ 1 is (2^(i-1), 2^i] µs,
+// and the top row, 31, has no upper bound.  A value exactly at 2^i µs, or
+// a nanosecond less, stays in row i; a nanosecond more opens row i+1.
+// Values round to the nanosecond.
 func TestHistRows(t *testing.T) {
 	type tc struct {
 		name string
@@ -168,13 +169,14 @@ func TestHistRows(t *testing.T) {
 		{"past 2^31us", []float64{math.Ldexp(1e-6, 31) * 1.5}, 31},
 		// A span's duration is a difference of float seconds; noise below
 		// a nanosecond rounds away and does not move a value off its edge.
-		{"2^10us less float noise", []float64{0.001024 - 1e-16}, 11},
+		{"2^10us less float noise", []float64{0.001024 - 1e-16}, 10},
 	}
 	for i := 0; i <= 30; i++ {
 		edge := math.Ldexp(1e-6, i)
 		cases = append(cases,
-			tc{fmt.Sprintf("2^%dus", i), []float64{edge}, i + 1},
-			tc{fmt.Sprintf("2^%dus-1ns", i), []float64{edge - 1e-9}, i})
+			tc{fmt.Sprintf("2^%dus", i), []float64{edge}, i},
+			tc{fmt.Sprintf("2^%dus-1ns", i), []float64{edge - 1e-9}, i},
+			tc{fmt.Sprintf("2^%dus+1ns", i), []float64{edge + 1e-9}, i + 1})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

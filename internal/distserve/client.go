@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
-
+	"math"
 	"sync/atomic"
+	"time"
 
 	"parapriori/internal/itemset"
 	"parapriori/internal/rules"
@@ -43,21 +43,26 @@ func (e *TimeoutError) Unwrap() []error { return []error{e.Err, ErrNodeDown} }
 // Client is the router's transport to one node.  Two implementations exist:
 // LocalClient drives an in-process Node directly (tests, experiments, and
 // single-binary deployments), and HTTPClient speaks to a ruleserver -node
-// process.  All methods must be safe for concurrent use and must honor the
-// context's deadline and cancellation — the router budgets every fan-out
-// leg and abandons legs it no longer needs.
+// process.  All methods must be safe for concurrent use.  A query runs
+// until its deadline, a time rather than a context: the router budgets
+// every fan-out leg but never cancels one early — it abandons a leg it no
+// longer needs, whose answer lands in a buffer nobody reads.  The control
+// plane's calls, once per publish or probe, honor their context's
+// deadline.
 type Client interface {
 	// ID returns the node's identity — the string placement hashes on.
 	// For HTTP nodes it is the base URL, so a fixed node list always
 	// yields the same placement.
 	ID() string
-	// Recommend runs a basket query on the node, returning the node's
-	// top-K and the cluster generation it served from.  link is the
+	// Recommend runs a basket query on the node by deadline (zero: the
+	// transport's own budget, none in process), returning the node's
+	// top-K and the cluster generation it served from.  The rules are
+	// read-only: they may be the node's cached answer.  link is the
 	// router's per-request span link; the node stamps its own request
 	// span (and any latency exemplar) with it, so a slow distributed
 	// query resolves across tiers through one shared ID.  Empty lets the
 	// node assign its own.
-	Recommend(ctx context.Context, basket itemset.Itemset, k int, link string) ([]rules.Rule, uint64, error)
+	Recommend(deadline time.Time, basket itemset.Itemset, k int, link string) ([]rules.Rule, uint64, error)
 	// Prepare stages a publish generation on the node.
 	Prepare(ctx context.Context, req PrepareRequest) error
 	// Commit cuts the node over to a staged generation.
@@ -83,53 +88,49 @@ type LocalClient struct {
 func (c *LocalClient) SetDown(down bool) { c.down.Store(down) }
 
 // SetDelay makes every subsequent call stall for d before executing — the
-// in-process stand-in for a straggling node.  If the context's deadline
-// expires during the stall, the call fails with a *TimeoutError, exactly
-// like a slow HTTP node would.  Zero restores normal speed.
+// in-process stand-in for a straggling node.  If the call's deadline comes
+// first, the stall ends there and the call fails with a *TimeoutError,
+// exactly like a slow HTTP node would.  Zero restores normal speed.
 func (c *LocalClient) SetDelay(d time.Duration) { c.delay.Store(int64(d)) }
 
 // ID implements Client.
 func (c *LocalClient) ID() string { return c.node.ID() }
 
-// gate applies the down switch and the injected delay; it returns the first
-// error the call must fail with, or nil to proceed.
-func (c *LocalClient) gate(ctx context.Context) error {
+// gate applies the down switch and the injected delay to a call due by
+// deadline (zero: none); it returns the first error the call must fail
+// with, or nil to proceed.  It reads the clock once, and only when the
+// call has a deadline; only an injected delay arms a timer.
+func (c *LocalClient) gate(deadline time.Time) error {
 	if c.down.Load() {
 		return fmt.Errorf("%w: %s", ErrNodeDown, c.node.ID())
 	}
+	budget := time.Duration(math.MaxInt64)
+	if !deadline.IsZero() {
+		if budget = time.Until(deadline); budget <= 0 {
+			return &TimeoutError{Node: c.node.ID(), Err: context.DeadlineExceeded}
+		}
+	}
 	if d := time.Duration(c.delay.Load()); d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			budget := time.Duration(0)
-			if dl, ok := ctx.Deadline(); ok {
-				budget = time.Until(dl) + d // approximate: the stall consumed the budget
-				if budget < 0 {
-					budget = 0
-				}
-			}
-			return &TimeoutError{Node: c.node.ID(), Budget: budget, Err: ctx.Err()}
+		time.Sleep(min(d, budget))
+		if d >= budget {
+			return &TimeoutError{Node: c.node.ID(), Budget: budget, Err: context.DeadlineExceeded}
 		}
 		if c.down.Load() {
 			return fmt.Errorf("%w: %s", ErrNodeDown, c.node.ID())
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return &TimeoutError{Node: c.node.ID(), Err: err}
 	}
 	return nil
 }
 
 // Recommend implements Client: the node's serve.Server answers, cache,
 // worker pool, metrics and all, with the router's span link on its request
-// span and latency exemplar.  The generation comes from the served snapshot
+// span and latency exemplar.  The rules are the server's read-only answer,
+// possibly its cached one.  The generation comes from the served snapshot
 // itself, not the node's committed one: a commit racing this query must
 // never relabel old content with the new generation (the router's
 // coherence refresh trusts this label).
-func (c *LocalClient) Recommend(ctx context.Context, basket itemset.Itemset, k int, link string) ([]rules.Rule, uint64, error) {
-	if err := c.gate(ctx); err != nil {
+func (c *LocalClient) Recommend(deadline time.Time, basket itemset.Itemset, k int, link string) ([]rules.Rule, uint64, error) {
+	if err := c.gate(deadline); err != nil {
 		return nil, 0, err
 	}
 	return c.node.srv.RecommendTraced(basket, k, link)
@@ -137,7 +138,7 @@ func (c *LocalClient) Recommend(ctx context.Context, basket itemset.Itemset, k i
 
 // Prepare implements Client.
 func (c *LocalClient) Prepare(ctx context.Context, req PrepareRequest) error {
-	if err := c.gate(ctx); err != nil {
+	if err := c.gate(deadlineOf(ctx)); err != nil {
 		return err
 	}
 	return c.node.Prepare(req)
@@ -145,7 +146,7 @@ func (c *LocalClient) Prepare(ctx context.Context, req PrepareRequest) error {
 
 // Commit implements Client.
 func (c *LocalClient) Commit(ctx context.Context, gen uint64) error {
-	if err := c.gate(ctx); err != nil {
+	if err := c.gate(deadlineOf(ctx)); err != nil {
 		return err
 	}
 	return c.node.Commit(gen)
@@ -153,10 +154,16 @@ func (c *LocalClient) Commit(ctx context.Context, gen uint64) error {
 
 // Metrics implements Client.
 func (c *LocalClient) Metrics(ctx context.Context) (serve.Metrics, error) {
-	if err := c.gate(ctx); err != nil {
+	if err := c.gate(deadlineOf(ctx)); err != nil {
 		return serve.Metrics{}, err
 	}
 	return c.node.Metrics(), nil
+}
+
+// deadlineOf returns ctx's deadline, zero when it has none.
+func deadlineOf(ctx context.Context) time.Time {
+	dl, _ := ctx.Deadline()
+	return dl
 }
 
 // Cluster is an in-process serving fleet: n nodes and a router wired with

@@ -108,11 +108,14 @@ type Options struct {
 	// the router's replica-selection sequence.  Zero selects a fixed
 	// default, keeping placement reproducible run to run.
 	Seed uint64
-	// RequestTimeout is the per-call deadline the router applies to every
-	// fan-out leg, and the default budget HTTPClient applies to calls whose
-	// context carries no deadline (default DefaultRequestTimeout).  A leg
-	// that misses its deadline fails with a *TimeoutError and the router
-	// retries the next live replica.
+	// RequestTimeout is each fan-out leg's budget: the router hands every
+	// leg its start plus RequestTimeout as a deadline, and the transport
+	// enforces it.  ruleserver -router also gives it to its HTTPClients as
+	// the default budget of calls that carry no deadline (default
+	// DefaultRequestTimeout).  A leg that misses its deadline fails with a
+	// *TimeoutError and the router retries the next live replica.  The
+	// control plane runs under multiples of it: a metrics probe under one,
+	// a publish under fifteen.
 	RequestTimeout time.Duration
 	// Node is the per-node serving configuration (query cache, worker
 	// pool).  Each node's server defaults its zero fields itself.

@@ -1,7 +1,6 @@
 package distserve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -370,7 +369,7 @@ func TestAdaptiveHedgeClamp(t *testing.T) {
 // TestHTTPClientTimeout pins the transport satellite: a slow HTTP node must
 // produce a typed *TimeoutError (distinguishable from a refused connection)
 // that still unwraps to ErrNodeDown, under both the per-client budget and a
-// caller-supplied context deadline.
+// caller-supplied deadline.
 func TestHTTPClientTimeout(t *testing.T) {
 	if c := NewHTTPClient("host:9001", 0); c.budget != DefaultRequestTimeout || c.base != "http://host:9001" {
 		t.Fatalf("NewHTTPClient(_, 0) = base %q budget %v, want http://host:9001 and %v", c.base, c.budget, DefaultRequestTimeout)
@@ -385,7 +384,7 @@ func TestHTTPClientTimeout(t *testing.T) {
 	defer slow.Close()
 
 	cl := NewHTTPClient(slow.URL, 20*time.Millisecond)
-	_, _, err := cl.Recommend(context.Background(), nil, 5, "")
+	_, _, err := cl.Recommend(time.Time{}, nil, 5, "")
 	var te *TimeoutError
 	if !errors.As(err, &te) {
 		t.Fatalf("budget expiry returned %T %v, want *TimeoutError", err, err)
@@ -398,10 +397,8 @@ func TestHTTPClientTimeout(t *testing.T) {
 	}
 
 	// A caller deadline tighter than the budget wins.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
 	start := time.Now()
-	_, _, err = cl.Recommend(ctx, nil, 5, "")
+	_, _, err = cl.Recommend(start.Add(10*time.Millisecond), nil, 5, "")
 	if !errors.As(err, &te) {
 		t.Fatalf("caller deadline returned %T %v, want *TimeoutError", err, err)
 	}
@@ -411,11 +408,94 @@ func TestHTTPClientTimeout(t *testing.T) {
 
 	// A refused connection is ErrNodeDown but NOT a timeout.
 	dead := NewHTTPClient("http://127.0.0.1:1", time.Second)
-	_, _, err = dead.Recommend(context.Background(), nil, 5, "")
+	_, _, err = dead.Recommend(time.Time{}, nil, 5, "")
 	if err == nil || !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("refused connection = %v, want ErrNodeDown", err)
 	}
 	if errors.As(err, &te) {
 		t.Fatalf("refused connection misclassified as timeout: %v", err)
+	}
+}
+
+// TestClientTimeoutTaxonomy holds both transports to one timeout taxonomy
+// on a leg's deadline: a deadline already past and a stall past the
+// deadline are *TimeoutErrors that unwrap to ErrNodeDown, the stall's
+// carrying the leg's budget and ending at the deadline; a zero deadline is
+// the transport's own budget — the HTTP client's default, none in process.
+func TestClientTimeoutTaxonomy(t *testing.T) {
+	c := mustCluster(t, 1, Options{Shards: 4})
+	if _, err := c.Router.Publish(synthRules(50, 10, 3), true); err != nil {
+		t.Fatal(err)
+	}
+	local := c.Clients[0]
+	var stall atomic.Int64
+	node := NodeHandler(c.Nodes[0])
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-time.After(time.Duration(stall.Load())):
+		}
+		node.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	const defaultBudget = 20 * time.Millisecond
+	remote := NewHTTPClient(srv.URL, defaultBudget)
+	transports := []struct {
+		name     string
+		cl       Client
+		setDelay func(time.Duration)
+		budget   time.Duration // what a zero deadline runs under; 0: none
+	}{
+		{"local", local, local.SetDelay, 0},
+		{"http", remote, func(d time.Duration) { stall.Store(int64(d)) }, defaultBudget},
+	}
+	const leg = 30 * time.Millisecond
+	for _, tr := range transports {
+		for _, row := range []struct {
+			name     string
+			deadline func(now time.Time) time.Time
+			delay    time.Duration
+		}{
+			{"expired", func(now time.Time) time.Time { return now.Add(-time.Millisecond) }, 0},
+			{"stall past the deadline", func(now time.Time) time.Time { return now.Add(leg) }, 2 * time.Second},
+			{"zero deadline", func(time.Time) time.Time { return time.Time{} }, 3 * defaultBudget},
+		} {
+			t.Run(tr.name+"/"+row.name, func(t *testing.T) {
+				tr.setDelay(row.delay)
+				defer tr.setDelay(0)
+				start := time.Now()
+				deadline := row.deadline(start)
+				_, _, err := tr.cl.Recommend(deadline, itemset.New(1, 2), 5, "")
+				took := time.Since(start)
+				if row.name == "zero deadline" && tr.budget == 0 {
+					if err != nil {
+						t.Fatalf("no deadline, a %v stall: %v, want the answer", row.delay, err)
+					}
+					return
+				}
+				var te *TimeoutError
+				if !errors.As(err, &te) || !errors.Is(err, ErrNodeDown) {
+					t.Fatalf("got %T %v, want a *TimeoutError unwrapping to ErrNodeDown", err, err)
+				}
+				if took > time.Second {
+					t.Fatalf("the call took %v, past its deadline", took)
+				}
+				switch row.name {
+				case "expired":
+					if te.Budget != 0 {
+						t.Errorf("budget %v, want 0: none was left", te.Budget)
+					}
+				case "stall past the deadline":
+					if te.Budget <= 0 || te.Budget > leg || took < te.Budget {
+						t.Errorf("budget %v after %v, want the leg's budget, at most %v", te.Budget, took, leg)
+					}
+				default:
+					if te.Budget != tr.budget {
+						t.Errorf("budget %v, want the client's default %v", te.Budget, tr.budget)
+					}
+				}
+			})
+		}
 	}
 }

@@ -117,10 +117,10 @@ func writeRefusal(w http.ResponseWriter, err error) {
 
 // HTTPClient speaks the node protocol to a ruleserver -node process.  Its ID
 // is the node's base URL, so a fixed node list gives the same rendezvous
-// placement on every router start.  Every call runs under its context's
-// deadline; calls whose context carries none get the client's default
-// budget.  Deadline misses surface as *TimeoutError (the node may be alive
-// but slow), other transport failures as ErrNodeDown.
+// placement on every router start.  A query runs until its deadline, a
+// control-plane call under its context's; a call with neither gets the
+// client's default budget.  Deadline misses surface as *TimeoutError (the
+// node may be alive but slow), other transport failures as ErrNodeDown.
 type HTTPClient struct {
 	base   string
 	budget time.Duration
@@ -129,10 +129,10 @@ type HTTPClient struct {
 
 // NewHTTPClient builds a client for a node at baseURL (e.g.
 // "http://host:9001"; a missing scheme defaults to http, a trailing slash is
-// trimmed).  budget is the deadline for calls whose context carries none
-// (<= 0 means DefaultRequestTimeout).  The router always supplies per-call
-// deadlines from Options.RequestTimeout; the budget is the floor for direct
-// users of the client.
+// trimmed).  budget is the deadline for calls that carry none (<= 0 means
+// DefaultRequestTimeout).  The router always supplies per-leg deadlines
+// from Options.RequestTimeout; the budget is the floor for direct users of
+// the client.
 func NewHTTPClient(baseURL string, budget time.Duration) *HTTPClient {
 	base := strings.TrimRight(baseURL, "/")
 	if !strings.Contains(base, "://") {
@@ -147,13 +147,19 @@ func NewHTTPClient(baseURL string, budget time.Duration) *HTTPClient {
 // ID implements Client.
 func (c *HTTPClient) ID() string { return c.base }
 
-// withBudget applies the default budget to contexts without a deadline.
-func (c *HTTPClient) withBudget(ctx context.Context) (context.Context, context.CancelFunc, time.Duration) {
-	if dl, ok := ctx.Deadline(); ok {
-		return ctx, func() {}, time.Until(dl)
+// withBudget returns the context a call runs under: ctx cut at deadline,
+// or at the default budget when neither carries one.  The budget it
+// returns is what the call had left, never below zero.
+func (c *HTTPClient) withBudget(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc, time.Duration) {
+	if deadline.IsZero() {
+		if dl, ok := ctx.Deadline(); ok {
+			return ctx, func() {}, max(time.Until(dl), 0)
+		}
+		ctx, cancel := context.WithTimeout(ctx, c.budget)
+		return ctx, cancel, c.budget
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.budget)
-	return ctx, cancel, c.budget
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	return ctx, cancel, max(time.Until(deadline), 0)
 }
 
 // classify turns a transport error into the router's failure taxonomy.
@@ -165,8 +171,9 @@ func (c *HTTPClient) classify(err error, budget time.Duration) error {
 	return fmt.Errorf("%w: %v", ErrNodeDown, err)
 }
 
-func (c *HTTPClient) do(ctx context.Context, method, path string, in, out any) error {
-	ctx, cancel, budget := c.withBudget(ctx)
+// do runs one call under withBudget(ctx, deadline).
+func (c *HTTPClient) do(ctx context.Context, deadline time.Time, method, path string, in, out any) error {
+	ctx, cancel, budget := c.withBudget(ctx, deadline)
 	defer cancel()
 	var body io.Reader
 	if in != nil {
@@ -218,7 +225,7 @@ func (c *HTTPClient) refusal(path string, status int, body []byte) error {
 }
 
 // Recommend implements Client via the node's GET /recommend.
-func (c *HTTPClient) Recommend(ctx context.Context, basket itemset.Itemset, k int, link string) ([]rules.Rule, uint64, error) {
+func (c *HTTPClient) Recommend(deadline time.Time, basket itemset.Itemset, k int, link string) ([]rules.Rule, uint64, error) {
 	items := make([]string, len(basket))
 	for i, it := range basket {
 		items[i] = strconv.Itoa(int(it))
@@ -228,7 +235,7 @@ func (c *HTTPClient) Recommend(ctx context.Context, basket itemset.Itemset, k in
 		path += "&link=" + url.QueryEscape(link)
 	}
 	var a serve.Answer
-	if err := c.do(ctx, http.MethodGet, path, nil, &a); err != nil {
+	if err := c.do(context.Background(), deadline, http.MethodGet, path, nil, &a); err != nil {
 		return nil, 0, err
 	}
 	if len(a.Rules) == 0 {
@@ -239,18 +246,18 @@ func (c *HTTPClient) Recommend(ctx context.Context, basket itemset.Itemset, k in
 
 // Prepare implements Client via POST /shard/prepare.
 func (c *HTTPClient) Prepare(ctx context.Context, req PrepareRequest) error {
-	return c.do(ctx, http.MethodPost, "/shard/prepare", req, nil)
+	return c.do(ctx, time.Time{}, http.MethodPost, "/shard/prepare", req, nil)
 }
 
 // Commit implements Client via POST /shard/commit.
 func (c *HTTPClient) Commit(ctx context.Context, gen uint64) error {
-	return c.do(ctx, http.MethodPost, "/shard/commit", map[string]uint64{"generation": gen}, nil)
+	return c.do(ctx, time.Time{}, http.MethodPost, "/shard/commit", map[string]uint64{"generation": gen}, nil)
 }
 
 // Metrics implements Client via GET /metrics.
 func (c *HTTPClient) Metrics(ctx context.Context) (serve.Metrics, error) {
 	var m serve.Metrics
-	err := c.do(ctx, http.MethodGet, "/metrics", nil, &m)
+	err := c.do(ctx, time.Time{}, http.MethodGet, "/metrics", nil, &m)
 	return m, err
 }
 

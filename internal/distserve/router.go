@@ -822,9 +822,7 @@ func (r *Router) leg(o, rank int, attempt string, b itemset.Itemset, k int, link
 func (r *Router) call(o, rank int, attempt string, b itemset.Itemset, k int, link string, deadline time.Time) legResult {
 	h := r.health[o]
 	legStart := r.rc.Now()
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
-	rs, gen, err := r.clients[o].Recommend(ctx, b, k, link)
-	cancel()
+	rs, gen, err := r.clients[o].Recommend(deadline, b, k, link)
 	h.outstanding.Add(-1)
 	ok := int64(1)
 	if err != nil {
@@ -846,7 +844,9 @@ func (r *Router) call(o, rank int, attempt string, b itemset.Itemset, k int, lin
 }
 
 // answer is one node's reply: its local top-K in RankLess order and the
-// generation it served from.  next is mergeAnswers' cursor into rules.
+// generation it served from.  The rules are read in place, never written:
+// an in-process node hands out its cached answer.  next is mergeAnswers'
+// cursor into rules.
 type answer struct {
 	node  int // ordinal
 	rules []rules.Rule

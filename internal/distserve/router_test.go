@@ -2,6 +2,7 @@ package distserve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -390,17 +391,67 @@ var sinkResult *Result
 // copy, the span link, the Result, its bookkeeping (one slice of ints, one
 // of flags, one of answers), the leg channel (two), the hedge timer (two),
 // the request span's attributes and the merged rules.  Each leg adds
-// eight: its goroutine, its deadline context (four, with the context's
-// timer), its span's attributes, and on the node the answer copy and the
-// node span's attributes.  The runtime packs some of the small ones into
-// one block: 41 are counted with four legs.
+// three: its goroutine, the leg span's attributes and the node span's
+// attributes.  A leg carries its deadline as a time, and the node answers
+// with its cached rules read-only, so neither a deadline context nor an
+// answer copy is made.  The runtime packs some of the small ones into one
+// block: 23 are counted with four legs.
 func TestRouterRecommendAllocs(t *testing.T) {
 	c, basket := routerBenchFleet(t, serve.Options{})
 	got := testing.AllocsPerRun(200, func() { sinkResult, _ = c.Router.Recommend(basket, 10) })
 	t.Logf("%v allocations per routed hit (%d legs)", got, sinkResult.NodesQueried)
-	const bound = 46
+	const bound = 25
 	if got > bound {
 		t.Errorf("%v allocations per routed hit, want ≤ %v", got, bound)
+	}
+}
+
+// TestRoutedResultAliasing: a node hands the router its cached answer
+// read-only, and the merge copies what it keeps, so a caller that
+// scribbles over a routed result — its elements overwritten, the slice
+// appended to — changes no later answer.  Each basket is scribbled over
+// once as a miss (the nodes' first answer, which they cache) and once as
+// a hit, and every answer stays byte-identical to one server over the
+// whole rule set.
+func TestRoutedResultAliasing(t *testing.T) {
+	rs := synthRules(2000, 40, 17)
+	opt := Options{Shards: 64, Replicas: 2}
+	c := mustCluster(t, 4, opt)
+	if _, err := c.Router.Publish(rs, true); err != nil {
+		t.Fatalf("publish: %v", err)
+	}
+	srv := singleNode(t, rs, opt)
+	rng := rand.New(rand.NewSource(5))
+	fired, oneLeg := 0, 0
+	for q := 0; q < 40; q++ {
+		basket := randBasket(rng, 40)
+		want, err := srv.Recommend(basket, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, _ := json.Marshal(want)
+		for _, pass := range []string{"miss", "hit", "re-query"} {
+			res, err := c.Router.Recommend(basket, 10)
+			if err != nil || res.Partial {
+				t.Fatalf("basket %v %s: %+v %v", basket, pass, res, err)
+			}
+			if pass == "miss" && len(res.Rules) > 0 {
+				fired++
+				if res.NodesQueried == 1 {
+					oneLeg++
+				}
+			}
+			if got, _ := json.Marshal(res.Rules); string(got) != string(wantJSON) {
+				t.Fatalf("basket %v %s after a scribble:\n got %s\nwant %s", basket, pass, got, wantJSON)
+			}
+			for i := range res.Rules {
+				res.Rules[i] = rules.Rule{Confidence: -1}
+			}
+			res.Rules = append(res.Rules, rules.Rule{Confidence: -2})
+		}
+	}
+	if fired < 20 || oneLeg == 0 {
+		t.Fatalf("%d of 40 baskets fired, %d of them on one leg: the fixture needs both kinds", fired, oneLeg)
 	}
 }
 

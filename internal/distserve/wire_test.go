@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"parapriori/internal/itemset"
 	"parapriori/internal/rules"
@@ -301,7 +302,7 @@ func TestWireGolden(t *testing.T) {
 			mu.Lock()
 			replay = b.body
 			mu.Unlock()
-			rs, gen, err := hc.Recommend(context.Background(), a.Basket, 4, "")
+			rs, gen, err := hc.Recommend(time.Time{}, a.Basket, 4, "")
 			if err != nil {
 				t.Fatalf("%s: %v", b.name, err)
 			}

@@ -178,16 +178,16 @@ func TestExemplarSelection(t *testing.T) {
 		return exs[0]
 	}
 
-	observe("first", 70, 0) // every sample lands in bucket 7: [64, 128) µs
+	observe("first", 70, 0) // every sample lands in bucket 7: (64, 128] µs
 	observe("slower", 100, time.Second)
 	observe("equal", 100, 2*time.Second)
 	observe("faster", 80, 3*time.Second)
-	observe("not-yet-stale", 64, time.Second+exemplarTTL-time.Millisecond)
+	observe("not-yet-stale", 65, time.Second+exemplarTTL-time.Millisecond)
 	if ex := holder(); ex.SpanID != "slower" || ex.LatencyUs != 100 || ex.Bucket != 7 || !ex.at.Equal(t0.Add(time.Second)) {
 		t.Fatalf("incumbent %+v at %v, want slower (100µs, bucket 7) at t0+1s", ex, ex.at)
 	}
-	observe("after-ttl", 64, time.Second+exemplarTTL)
-	if ex := holder(); ex.SpanID != "after-ttl" || ex.LatencyUs != 64 {
+	observe("after-ttl", 65, time.Second+exemplarTTL)
+	if ex := holder(); ex.SpanID != "after-ttl" || ex.LatencyUs != 65 {
 		t.Fatalf("incumbent %+v, want after-ttl once slower is %v old", ex, exemplarTTL)
 	}
 	if want := []string{"first", "slower", "after-ttl"}; !reflect.DeepEqual(built, want) {

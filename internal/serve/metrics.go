@@ -9,8 +9,9 @@ import (
 )
 
 // latencyBuckets is the size of the power-of-two latency histogram: bucket
-// i counts queries in [2^(i-1), 2^i) microseconds, so 32 buckets cover up
-// to ~2^31 µs ≈ 36 minutes — more than any query can take.
+// 0 counts queries of at most 1 µs, bucket i counts those in (2^(i-1), 2^i]
+// microseconds, and the top bucket clamps everything above 2^30 µs ≈ 18
+// minutes — more than any query can take.
 const latencyBuckets = 32
 
 // Hist is a lock-free power-of-two latency histogram: concurrent writers
@@ -38,9 +39,9 @@ func (h *Hist) Observe(d time.Duration) {
 // nothing.  A nil build records the sample alone.
 func (h *Hist) ObserveAt(d time.Duration, end time.Time, build func() Exemplar) {
 	us := d.Microseconds()
-	b := bits.Len64(uint64(us)) // 0µs → bucket 0, [2^(i-1), 2^i) µs → bucket i
-	if b >= latencyBuckets {
-		b = latencyBuckets - 1
+	b := 0 // d ≤ 1 µs
+	if up := (d + time.Microsecond - 1) / time.Microsecond; up > 1 {
+		b = min(bits.Len64(uint64(up-1)), latencyBuckets-1) // d ≤ 2^b µs, and not ≤ 2^(b-1) µs
 	}
 	h.buckets[b].Add(1)
 	h.sumUs.Add(us)
@@ -58,7 +59,8 @@ func (h *Hist) Exemplars() []Exemplar {
 }
 
 // Counts returns a snapshot of the per-bucket sample counts, index-aligned
-// with UppersSeconds.
+// with UppersSeconds; the last count, the clamping top bucket's, has no
+// edge there.
 func (h *Hist) Counts() []int64 {
 	out := make([]int64, latencyBuckets)
 	for i := range out {
@@ -73,10 +75,12 @@ func (h *Hist) SumSeconds() float64 {
 	return float64(h.sumUs.Load()) / 1e6
 }
 
-// UppersSeconds returns each bucket's upper bound in seconds (bucket i is
-// ≤ 2^i µs), the `le` labels of the Prometheus rendering.
+// UppersSeconds returns each bucket's inclusive upper bound in seconds
+// (bucket i is ≤ 2^i µs), the `le` labels of the Prometheus rendering.  The
+// top bucket clamps and has no finite bound, so there is one edge fewer
+// than buckets: its count belongs under +Inf alone.
 func (h *Hist) UppersSeconds() []float64 {
-	out := make([]float64, latencyBuckets)
+	out := make([]float64, latencyBuckets-1)
 	for i := range out {
 		out[i] = float64(int64(1)<<uint(i)) / 1e6
 	}

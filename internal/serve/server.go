@@ -153,14 +153,15 @@ func (s *Server) Index() *Index {
 // contained in the basket, consequent offering at least one new item —
 // ranked by confidence, then lift, then support, with deterministic
 // tie-breaking (rules.RankLess).  k <= 0 selects DefaultK; k is capped at
-// MaxK.  The result is the caller's to keep.
+// MaxK.  The result is the caller's to keep: the one copy of the answer a
+// query makes is made here, at the public edge.
 //
 // Determinism contract: for a fixed snapshot, basket and K, the returned
 // ranking is byte-identical across calls, cache hits or misses, pooled or
 // inline execution.
 func (s *Server) Recommend(basket []itemset.Item, k int) ([]rules.Rule, error) {
 	out, _, err := s.RecommendTraced(basket, k, "")
-	return out, err
+	return append([]rules.Rule(nil), out...), err
 }
 
 // RecommendTraced is Recommend plus two things.  It returns the generation
@@ -172,6 +173,12 @@ func (s *Server) Recommend(basket []itemset.Item, k int) ([]rules.Rule, error) {
 // surfaced in /metrics resolves to its causal spans in the flight ring.
 // The distributed router passes its fan-out link through here; with an
 // empty link the server assigns its own "r<n>" ID.
+//
+// Unlike Recommend's, its answer is read-only: it is the snapshot's cached
+// answer (or the one just cached), shared by every caller that asks the
+// same question.  Its capacity is its length, so an append copies rather
+// than writing past it into shared memory; the router, which only merges
+// answers, and /recommend, which only encodes one, read it in place.
 //
 // A request reads the clock twice, at entry and at exit; its latency
 // sample, its exemplar and its span are all timed from those two reads.
@@ -224,18 +231,19 @@ func (s *Server) RecommendTraced(basket []itemset.Item, k int, link string) ([]r
 		if v, ok := snap.cache.get(key); ok {
 			s.met.hits.Add(1)
 			cache, results = "hit", len(v)
-			return append([]rules.Rule(nil), v...), snap.gen, nil
+			return v, snap.gen, nil
 		}
 		s.met.misses.Add(1)
 		cache = "miss"
 	}
 
 	out := s.query(snap.idx, b, k)
+	out = out[:len(out):len(out)]
 	if snap.cache != nil {
 		snap.cache.put(string(key), out)
 	}
 	results = len(out)
-	return append([]rules.Rule(nil), out...), snap.gen, nil
+	return out, snap.gen, nil
 }
 
 // query answers a cache miss: Index.Recommend inline, or — with a worker

@@ -214,6 +214,41 @@ func TestResultAliasing(t *testing.T) {
 	}
 }
 
+// TestTracedAnswerIsShared: RecommendTraced hands out the cached answer
+// itself, read-only and capacity-clipped, so two hits on one basket share a
+// backing array and an append copies instead of writing into it, while
+// Recommend copies at the edge and returns a fresh array on every call.
+func TestTracedAnswerIsShared(t *testing.T) {
+	s := NewServer(Options{CacheSize: 8})
+	defer s.Close()
+	s.Publish(NewIndex(synthRules(50, 8, 5), Options{}))
+	basket := []itemset.Item{1, 2, 3, 4}
+	miss, _, err := s.RecommendTraced(basket, 5, "")
+	if err != nil || len(miss) == 0 {
+		t.Fatalf("need a non-empty result for this test: %v %v", miss, err)
+	}
+	hit, _, _ := s.RecommendTraced(basket, 5, "")
+	again, _, _ := s.RecommendTraced(basket, 5, "")
+	for _, a := range [][]rules.Rule{miss, hit, again} {
+		if cap(a) != len(a) {
+			t.Fatalf("traced answer has cap %d, len %d: an append would write into the cache", cap(a), len(a))
+		}
+	}
+	if &hit[0] != &again[0] || &miss[0] != &hit[0] {
+		t.Fatal("two traced answers to one basket do not share the cached array")
+	}
+	want := fmt.Sprintf("%v", hit)
+	_ = append(hit, rules.Rule{Confidence: -1})
+	a, _ := s.Recommend(basket, 5)
+	b, _ := s.Recommend(basket, 5)
+	if &a[0] == &b[0] || &a[0] == &hit[0] {
+		t.Fatal("Recommend returned the shared array, not the caller's own copy")
+	}
+	if fmt.Sprintf("%v", a) != want || fmt.Sprintf("%v", b) != want {
+		t.Fatalf("answers moved after an append to a traced answer:\n got %v\nwant %s", a, want)
+	}
+}
+
 func TestKDefaultsAndCap(t *testing.T) {
 	// Half the items in the basket: rules with their antecedent in it and
 	// their consequent outside it fire, a few hundred of them.
