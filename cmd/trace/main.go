@@ -147,14 +147,18 @@ func main() {
 // line is a function of the multiset), then one row per serve.Hist bucket
 // from the first through the last non-empty one — its bounds in seconds,
 // its count and a bar of up to 40 columns.  Bucket i ≥ 1 is (2^(i-1),
-// 2^i] µs, bucket 0 is at most 1 µs, and the top bucket has no upper
-// bound.  A row prints its bounds as "[lo, hi)", the layout cli.golden
-// pins, though a sample exactly at hi counts in it.
+// 2^i] µs, bucket 0 is [0, 1] µs, and the top bucket, above 2^30 µs, has
+// no upper bound; each row prints its bounds that way.  A duration past
+// the largest time.Duration counts in the top bucket.
 func writeHist(w io.Writer, sorted []float64) error {
 	var h serve.Hist
 	var lo, hi, sum, mean float64
 	for _, v := range sorted {
-		h.Observe(time.Duration(math.Round(v * 1e9)))
+		d := time.Duration(math.MaxInt64)
+		if ns := math.Round(v * 1e9); ns < math.MaxInt64 {
+			d = time.Duration(ns)
+		}
+		h.Observe(d)
 		sum += v
 	}
 	if n := len(sorted); n > 0 {
@@ -173,7 +177,14 @@ func writeHist(w io.Writer, sorted []float64) error {
 		if bar == 0 && c > 0 {
 			bar = 1
 		}
-		fmt.Fprintf(&b, "[%12.6f, %12.6f) %6d %s\n", edge, uppers[i], c, strings.Repeat("#", bar))
+		open, shut := "(", "]"
+		if i == 0 {
+			open = "["
+		}
+		if i == len(uppers)-1 {
+			shut = ")"
+		}
+		fmt.Fprintf(&b, "%s%12.6f, %12.6f%s %6d %s\n", open, edge, uppers[i], shut, c, strings.Repeat("#", bar))
 		edge = uppers[i]
 	}
 	_, err := io.WriteString(w, b.String())

@@ -154,9 +154,10 @@ func TestUsageErrors(t *testing.T) {
 
 // TestHistRows pins the -hist rows at every bucket edge against
 // serve.Hist's rule: row 0 is [0, 1 µs], row i ≥ 1 is (2^(i-1), 2^i] µs,
-// and the top row, 31, has no upper bound.  A value exactly at 2^i µs, or
-// a nanosecond less, stays in row i; a nanosecond more opens row i+1.
-// Values round to the nanosecond.
+// and the top row, 31, is (2^30 µs, +Inf); each row prints its bounds
+// that way.  A value exactly at 2^i µs, or a nanosecond less, stays in row
+// i; a nanosecond more opens row i+1.  Values round to the nanosecond, and
+// one past the largest time.Duration lands in the top row.
 func TestHistRows(t *testing.T) {
 	type tc struct {
 		name string
@@ -167,6 +168,7 @@ func TestHistRows(t *testing.T) {
 		{"empty", nil, -1},
 		{"0 and 0.5us", []float64{0, 0.5e-6}, 0},
 		{"past 2^31us", []float64{math.Ldexp(1e-6, 31) * 1.5}, 31},
+		{"1e10s", []float64{1e10}, 31},
 		// A span's duration is a difference of float seconds; noise below
 		// a nanosecond rounds away and does not move a value off its edge.
 		{"2^10us less float noise", []float64{0.001024 - 1e-16}, 10},
@@ -194,18 +196,20 @@ func TestHistRows(t *testing.T) {
 			}
 			fmt.Fprintf(&want, "n=%d min=%.6f max=%.6f mean=%.6f (seconds)\n", len(c.d), lo, hi, mean)
 			for i := 0; i <= c.row; i++ {
-				from, to := 0.0, math.Ldexp(1e-6, i)
-				if i > 0 {
+				from, to, open, shut := 0.0, math.Ldexp(1e-6, i), "(", "]"
+				if i == 0 {
+					open = "["
+				} else {
 					from = math.Ldexp(1e-6, i-1)
 				}
 				if i == 31 {
-					to = math.Inf(1)
+					to, shut = math.Inf(1), ")"
 				}
 				n, bar := 0, ""
 				if i == c.row {
 					n, bar = len(c.d), strings.Repeat("#", 40)
 				}
-				fmt.Fprintf(&want, "[%12.6f, %12.6f) %6d %s\n", from, to, n, bar)
+				fmt.Fprintf(&want, "%s%12.6f, %12.6f%s %6d %s\n", open, from, to, shut, n, bar)
 			}
 			if got.String() != want.String() {
 				t.Errorf("rows of %v:\n got:\n%s\nwant:\n%s", c.d, got.String(), want.String())

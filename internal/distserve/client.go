@@ -47,8 +47,8 @@ func (e *TimeoutError) Unwrap() []error { return []error{e.Err, ErrNodeDown} }
 // until its deadline, a time rather than a context: the router budgets
 // every fan-out leg but never cancels one early — it abandons a leg it no
 // longer needs, whose answer lands in a buffer nobody reads.  The control
-// plane's calls, once per publish or probe, honor their context's
-// deadline.
+// plane's calls, once per publish or probe, take their context's deadline
+// and likewise run until it.
 type Client interface {
 	// ID returns the node's identity — the string placement hashes on.
 	// For HTTP nodes it is the base URL, so a fixed node list always

@@ -117,10 +117,11 @@ func writeRefusal(w http.ResponseWriter, err error) {
 
 // HTTPClient speaks the node protocol to a ruleserver -node process.  Its ID
 // is the node's base URL, so a fixed node list gives the same rendezvous
-// placement on every router start.  A query runs until its deadline, a
-// control-plane call under its context's; a call with neither gets the
-// client's default budget.  Deadline misses surface as *TimeoutError (the
-// node may be alive but slow), other transport failures as ErrNodeDown.
+// placement on every router start.  Every call runs until its deadline —
+// a query's own, a control-plane call's context's, as LocalClient reads
+// them — and a call without one gets the client's default budget.
+// Deadline misses surface as *TimeoutError (the node may be alive but
+// slow), other transport failures as ErrNodeDown.
 type HTTPClient struct {
 	base   string
 	budget time.Duration
@@ -147,18 +148,15 @@ func NewHTTPClient(baseURL string, budget time.Duration) *HTTPClient {
 // ID implements Client.
 func (c *HTTPClient) ID() string { return c.base }
 
-// withBudget returns the context a call runs under: ctx cut at deadline,
-// or at the default budget when neither carries one.  The budget it
-// returns is what the call had left, never below zero.
-func (c *HTTPClient) withBudget(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc, time.Duration) {
+// withBudget returns the context a call due by deadline runs under, cut at
+// the default budget when the deadline is zero.  The budget it returns is
+// what the call had left, never below zero.
+func (c *HTTPClient) withBudget(deadline time.Time) (context.Context, context.CancelFunc, time.Duration) {
 	if deadline.IsZero() {
-		if dl, ok := ctx.Deadline(); ok {
-			return ctx, func() {}, max(time.Until(dl), 0)
-		}
-		ctx, cancel := context.WithTimeout(ctx, c.budget)
+		ctx, cancel := context.WithTimeout(context.Background(), c.budget)
 		return ctx, cancel, c.budget
 	}
-	ctx, cancel := context.WithDeadline(ctx, deadline)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	return ctx, cancel, max(time.Until(deadline), 0)
 }
 
@@ -171,9 +169,9 @@ func (c *HTTPClient) classify(err error, budget time.Duration) error {
 	return fmt.Errorf("%w: %v", ErrNodeDown, err)
 }
 
-// do runs one call under withBudget(ctx, deadline).
-func (c *HTTPClient) do(ctx context.Context, deadline time.Time, method, path string, in, out any) error {
-	ctx, cancel, budget := c.withBudget(ctx, deadline)
+// do runs one call under withBudget(deadline).
+func (c *HTTPClient) do(deadline time.Time, method, path string, in, out any) error {
+	ctx, cancel, budget := c.withBudget(deadline)
 	defer cancel()
 	var body io.Reader
 	if in != nil {
@@ -235,7 +233,7 @@ func (c *HTTPClient) Recommend(deadline time.Time, basket itemset.Itemset, k int
 		path += "&link=" + url.QueryEscape(link)
 	}
 	var a serve.Answer
-	if err := c.do(context.Background(), deadline, http.MethodGet, path, nil, &a); err != nil {
+	if err := c.do(deadline, http.MethodGet, path, nil, &a); err != nil {
 		return nil, 0, err
 	}
 	if len(a.Rules) == 0 {
@@ -246,18 +244,18 @@ func (c *HTTPClient) Recommend(deadline time.Time, basket itemset.Itemset, k int
 
 // Prepare implements Client via POST /shard/prepare.
 func (c *HTTPClient) Prepare(ctx context.Context, req PrepareRequest) error {
-	return c.do(ctx, time.Time{}, http.MethodPost, "/shard/prepare", req, nil)
+	return c.do(deadlineOf(ctx), http.MethodPost, "/shard/prepare", req, nil)
 }
 
 // Commit implements Client via POST /shard/commit.
 func (c *HTTPClient) Commit(ctx context.Context, gen uint64) error {
-	return c.do(ctx, time.Time{}, http.MethodPost, "/shard/commit", map[string]uint64{"generation": gen}, nil)
+	return c.do(deadlineOf(ctx), http.MethodPost, "/shard/commit", map[string]uint64{"generation": gen}, nil)
 }
 
 // Metrics implements Client via GET /metrics.
 func (c *HTTPClient) Metrics(ctx context.Context) (serve.Metrics, error) {
 	var m serve.Metrics
-	err := c.do(ctx, time.Time{}, http.MethodGet, "/metrics", nil, &m)
+	err := c.do(deadlineOf(ctx), http.MethodGet, "/metrics", nil, &m)
 	return m, err
 }
 

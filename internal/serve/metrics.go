@@ -40,8 +40,8 @@ func (h *Hist) Observe(d time.Duration) {
 func (h *Hist) ObserveAt(d time.Duration, end time.Time, build func() Exemplar) {
 	us := d.Microseconds()
 	b := 0 // d ≤ 1 µs
-	if up := (d + time.Microsecond - 1) / time.Microsecond; up > 1 {
-		b = min(bits.Len64(uint64(up-1)), latencyBuckets-1) // d ≤ 2^b µs, and not ≤ 2^(b-1) µs
+	if d > time.Microsecond {
+		b = min(bits.Len64(uint64(d-1)/1000), latencyBuckets-1) // d ≤ 2^b µs, and not ≤ 2^(b-1) µs
 	}
 	h.buckets[b].Add(1)
 	h.sumUs.Add(us)

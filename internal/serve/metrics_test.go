@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"math/bits"
 	"strings"
 	"testing"
@@ -43,12 +44,14 @@ func TestPercentileIsQuantileBucket(t *testing.T) {
 }
 
 // TestHistPromEdges: a latency exactly on a bucket edge is counted under
-// that edge's inclusive le, and one above the top finite edge under +Inf
-// alone, which the exposition writes once.
+// that edge's inclusive le, and one above the top finite edge — up to the
+// largest time.Duration — under +Inf alone, which the exposition writes
+// once.
 func TestHistPromEdges(t *testing.T) {
 	var h Hist
 	h.Observe(1024 * time.Microsecond)
 	h.Observe(time.Hour)
+	h.Observe(math.MaxInt64)
 	w := obsv.NewPromWriter()
 	w.Histogram("lat_seconds", "latency", h.UppersSeconds(), h.Counts(), h.SumSeconds())
 	text := string(w.Bytes())
@@ -56,8 +59,8 @@ func TestHistPromEdges(t *testing.T) {
 		`lat_seconds_bucket{le="0.000512"} 0`,
 		`lat_seconds_bucket{le="0.001024"} 1`,
 		`lat_seconds_bucket{le="1073.741824"} 1`,
-		`lat_seconds_bucket{le="+Inf"} 2`,
-		`lat_seconds_count 2`,
+		`lat_seconds_bucket{le="+Inf"} 3`,
+		`lat_seconds_count 3`,
 	} {
 		if !strings.Contains(text, line+"\n") {
 			t.Errorf("exposition lacks %q:\n%s", line, text)
